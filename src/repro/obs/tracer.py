@@ -13,8 +13,8 @@ Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``; see
 ``docs/observability.md`` for the span taxonomy.  The buffer is a
 bounded deque — a runaway campaign drops its *oldest* spans instead of
 growing without limit — and :meth:`SpanTracer.flush` writes the file
-atomically (same-directory tmp + fsync + rename), so a reader never
-sees a torn trace.
+atomically (same-directory tmp + fsync + rename, one flush at a time),
+so a reader never sees a torn trace.
 """
 
 from __future__ import annotations
@@ -122,24 +122,31 @@ class SpanTracer:
 
         Same-directory tmp file + fsync + ``os.replace``, so a crashed
         flush never leaves a torn file and a concurrent reader sees
-        either the previous complete trace or the new one.
+        either the previous complete trace or the new one.  The whole
+        flush runs under the tracer lock through a tmp name of its own:
+        flushes from several threads land one after another, each a
+        complete snapshot, the latest last.
         """
         target = path or self.path
         if not target:
             raise ValueError("no trace path: pass one or construct with path=")
-        events = self.events()
-        doc = {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"dropped": self.dropped, "capacity": self.capacity},
-        }
         target = os.path.abspath(target)
-        tmp = target + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
+        with self._lock:
+            doc = {
+                "traceEvents": list(self._events),
+                "displayTimeUnit": "ms",
+                "otherData": {
+                    "dropped": self._dropped, "capacity": self.capacity,
+                },
+            }
+            # One thread runs one flush at a time, so (pid, thread) names
+            # a tmp file no other flush — of any tracer — is writing.
+            tmp = f"{target}.{os.getpid()}.{threading.get_ident()}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, separators=(",", ":"))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, target)
         return target
 
 

@@ -83,16 +83,20 @@ class _Handler(socketserver.StreamRequestHandler):
                 timed_out = not job.wait(self.server.request_timeout_s)
             if timed_out:
                 logger.warning("%s: %s timed out", peer, query.op)
-                if not self._send(peer, error_frame(
+                response = error_frame(
                     ERR_TIMEOUT,
                     f"no response within {self.server.request_timeout_s}s",
                     id=frame_id,
-                )):
-                    return
-                continue
-            if not self._send(peer, job.response):
-                return
+                )
+            else:
+                response = job.response
+            sent = self._send(peer, response)
             if query.op == "shutdown":
+                # The reply is on the wire (or its client is gone)
+                # before any teardown starts, so it is never lost.
+                self.server.close_daemon()
+                return
+            if not sent:
                 return
 
     def _send(self, peer: str, payload: dict) -> bool:
@@ -113,10 +117,11 @@ class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
 
     def __init__(self, address, backlog: int, engine: PlacementEngine,
-                 request_timeout_s: float) -> None:
+                 request_timeout_s: float, close_daemon) -> None:
         self.request_queue_size = backlog
         self.engine = engine
         self.request_timeout_s = request_timeout_s
+        self.close_daemon = close_daemon
         super().__init__(address, _Handler)
 
     def handle_error(self, request, client_address) -> None:
@@ -138,7 +143,11 @@ class PlacementDaemon:
             ...
 
     ``serve_forever`` blocks until a client issues the ``shutdown`` op
-    (which drains every lane first) or :meth:`close` is called.
+    (which drains every lane first) or :meth:`close` is called, and
+    returns only once the teardown has finished: the handler thread
+    that acknowledged the ``shutdown`` runs :meth:`close` itself, after
+    its reply, so a caller that exits when ``serve_forever`` returns
+    cuts off neither the reply nor the trace flush.
     """
 
     def __init__(
@@ -159,16 +168,17 @@ class PlacementDaemon:
             batch=batch, workers=workers, train_mode=train_mode
         )
         self._server = _Server(
-            (host, port), backlog, self.engine, request_timeout_s
+            (host, port), backlog, self.engine, request_timeout_s, self.close
         )
         self._accept_thread = threading.Thread(
             target=self._server.serve_forever,
             name="serve-accept",
             daemon=True,
         )
+        self._close_lock = threading.Lock()
+        self._closed = False
         self._stopped = threading.Event()
         self._started = False
-        self.engine.on_shutdown = self._initiate_shutdown
 
     # ------------------------------------------------------------ lifecycle
     @property
@@ -191,25 +201,23 @@ class PlacementDaemon:
         self._stopped.wait()
 
     def close(self) -> None:
-        """Stop accepting, stop the engine, release the socket."""
-        if self._stopped.is_set():
-            return
-        self._stopped.set()
-        self._server.shutdown()
-        self._server.server_close()
-        self.engine.stop()
-        # A tracer installed with a path (``--trace``/SIBYL_TRACE_PATH)
-        # gets its spans on disk even if the driver never flushes.
-        flush_tracer()
-        logger.info("placement daemon stopped")
+        """Stop accepting, stop the engine, release the socket.
 
-    def _initiate_shutdown(self) -> None:
-        # Runs on the engine thread after a drained `shutdown` op.
-        # serve_forever() must not be stopped from a thread it might be
-        # waiting on, so a reaper thread tears the server down.
-        threading.Thread(
-            target=self.close, name="serve-reaper", daemon=True
-        ).start()
+        Idempotent and serialised: the first caller tears down, a
+        concurrent one returns when that teardown has finished.
+        """
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._server.shutdown()
+            self._server.server_close()
+            self.engine.stop()
+            # A tracer installed with a path (``--trace``/SIBYL_TRACE_PATH)
+            # gets its spans on disk even if the driver never flushes.
+            flush_tracer()
+            logger.info("placement daemon stopped")
+            self._stopped.set()
 
     def __enter__(self) -> "PlacementDaemon":
         return self.start()

@@ -159,9 +159,6 @@ class PlacementEngine:
         #: introspection surface must not depend on ``SIBYL_OBS``.
         self.metrics = MetricsRegistry(enabled=True)
         self._t_start = time.perf_counter()
-        #: Called (on the engine thread) once a ``shutdown`` op drains;
-        #: the daemon uses it to stop the socket server.
-        self.on_shutdown = None
         self.inbox: "queue.Queue" = queue.Queue()
         self._train_queue: "queue.Queue" = queue.Queue()
         self._drains: List[Job] = []
@@ -606,9 +603,6 @@ class PlacementEngine:
             self._stop.set()
             for _ in self._workers:
                 self._train_queue.put(None)
-            callback = self.on_shutdown
-            if callback is not None:
-                callback()
 
     def _flush_pending(self) -> None:
         """Fail whatever is still queued when the engine stops."""

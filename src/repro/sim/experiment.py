@@ -73,7 +73,7 @@ from ..hss.request import Request
 from ..traces.mixer import make_mixed_trace
 from ..traces.workloads import make_trace
 from .parallel import Cell, iter_many, run_grid
-from .runner import run_normalized, run_policy
+from .runner import run_normalized, run_policy, synthetic_trace
 
 __all__ = [
     "DEFAULT_WARMUP",
@@ -195,13 +195,14 @@ def _resolve_trace(workload: str, n_requests: int, seed: int):
     ``"msrc:<path>"`` returns a re-iterable streaming view of the CSV at
     ``<path>`` (capped at ``n_requests``), so even full-length captures
     feed the simulation lanes chunk-by-chunk; anything else is generated
-    by the synthetic workload catalog.
+    by the synthetic workload catalog, once per process
+    (:func:`repro.sim.runner.synthetic_trace`).
     """
     if workload.startswith("msrc:"):
         from ..traces.msrc import StreamingMSRCTrace
 
         return StreamingMSRCTrace(workload[5:], max_requests=n_requests)
-    return make_trace(workload, n_requests=n_requests, seed=seed)
+    return synthetic_trace(workload, n_requests, seed)
 
 
 # Per-sweep policy lineups, factored out so the single-seed cells below

@@ -517,18 +517,15 @@ class _KernelRun:
         self.ptrs = ptrs
 
     # ------------------------------------------------------- barriers
-    def _slot_key(self, slot: int) -> bytes:
-        keys = self.arrays[P_RB_KEYS]
-        return bytes(keys[slot * 51:(slot + 1) * 51])
-
     def _rebuild_entries(self) -> None:
         """Mirror the kernel's FIFO onto ``buffer._entries`` (the dedup
         map in insertion order), exactly as the serial adds left it."""
         buf = self.policy.buffer
         order = self.arrays[P_RB_ORDER][: int(self.ci[CI_ORDER_N])]
+        keys = self.arrays[P_RB_KEYS].tobytes()
         entries: "OrderedDict[bytes, int]" = OrderedDict()
         for slot in order.tolist():
-            entries[self._slot_key(slot)] = slot
+            entries[keys[slot * 51:(slot + 1) * 51]] = slot
         buf._entries = entries
         buf._order_cache = None
         buf._cdf_cache = None
@@ -538,13 +535,13 @@ class _KernelRun:
         insertion order (``_refresh_action_cache`` iterates it)."""
         policy = self.policy
         n = int(self.ci[CI_MEMO_N])
-        keys = self.arrays[P_MEMO_KEYS]
+        keys = self.arrays[P_MEMO_KEYS][: n * 24].tobytes()
         obs = self.arrays[P_MEMO_OBS]
         act = self.arrays[P_MEMO_ACT]
         memo = {}
         cache_obs = {}
         for k in range(n):
-            key = bytes(keys[k * 24:(k + 1) * 24])
+            key = keys[k * 24:(k + 1) * 24]
             memo[key] = int(act[k])
             cache_obs[key] = obs[k].copy()
         policy._action_cache = memo

@@ -19,13 +19,22 @@ Worker-count policy (the ``SIBYL_PARALLEL`` environment variable,
 parsed by the same :func:`repro.sim.lanes.resolve_count_env` contract
 as ``SIBYL_LANES``):
 
-* unset / ``"auto"`` — use all cores, but stay serial when the machine
-  has a single core or the grid has a single cell (pool overhead would
-  only slow those down);
+* unset / ``"auto"`` — one worker per core this process may run on
+  (its affinity mask, so a ``taskset``/cgroup-limited box is not sized
+  by the host), but stay serial when that is a single core or the grid
+  has a single cell (pool overhead would only slow those down);
 * ``"0"`` / ``"1"`` / ``"serial"`` — force the serial path;
 * any other non-negative integer — use exactly that many workers;
 * garbage and negative values raise ``ValueError`` (a misconfiguration
   must never silently change the execution mode).
+
+Thread topology: the campaign's parallelism is its workers, so every
+process that executes cells runs BLAS single-threaded
+(:mod:`repro.sim.blas`) — pool workers pinned once at worker start, the
+serial path pinned around each cell and restored after it.  N workers
+each running an N-thread BLAS is N x N oversubscription for matrices
+too small to use it; results are bit-identical at any thread count.
+The pin never outlives cell execution in the calling process.
 
 Cell packing (the ``SIBYL_LANES`` environment variable, or the
 ``lane_pack`` argument): each worker task carries that many consecutive
@@ -69,12 +78,16 @@ from typing import (
 
 from ..obs.metrics import active_registry
 from ..obs.tracer import span
+from .blas import blas_threads, limit_blas_threads, set_blas_threads
 from .lanes import resolve_count_env, resolve_lanes
 
 __all__ = ["Cell", "run_many", "iter_many", "run_grid", "resolve_workers"]
 
 #: Environment knob controlling parallel fan-out (see module docstring).
 PARALLEL_ENV = "SIBYL_PARALLEL"
+
+#: BLAS threads of a process while it executes cells (module docstring).
+_CELL_BLAS_THREADS = 1
 
 
 @dataclass(frozen=True)
@@ -95,12 +108,28 @@ class Cell:
         return self.fn(**self.kwargs)
 
 
-def _run_cell(cell: Cell) -> Any:
-    return cell.run()
-
-
 def _run_cell_pack(cells: Sequence[Cell]) -> List[Any]:
     return [cell.run() for cell in cells]
+
+
+def _usable_cpus() -> int:
+    """Cores this process may run on: its affinity mask where the
+    platform exposes one, else every core of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _note_topology(workers: int) -> int:
+    """Publish the run's thread topology to the ``SIBYL_OBS`` registry
+    and return the BLAS thread count cells execute at — ``0`` when no
+    known BLAS is mapped and the pin is a no-op on this platform."""
+    cell_blas = _CELL_BLAS_THREADS if blas_threads() is not None else 0
+    registry = active_registry()
+    if registry is not None:
+        registry.gauge("campaign_workers").set(workers)
+        registry.gauge("campaign_blas_threads").set(cell_blas)
+    return cell_blas
 
 
 def resolve_workers(
@@ -111,7 +140,7 @@ def resolve_workers(
         return 0
     if max_workers is None:
         max_workers = resolve_count_env(
-            PARALLEL_ENV, os.cpu_count() or 1, aliases={"serial": 0}
+            PARALLEL_ENV, _usable_cpus(), aliases={"serial": 0}
         )
     if max_workers <= 1:
         return 0
@@ -141,30 +170,15 @@ def run_many(
     """
     cells = list(cells)
     if store is not None:
-        collected = {
-            id(cell): result
-            for cell, result in _iter_with_store(
-                cells, store, max_workers=max_workers, lane_pack=lane_pack
-            )
-        }
-        return [(cell.key, collected[id(cell)]) for cell in cells]
-    workers = resolve_workers(len(cells), max_workers)
-    if workers == 0:
-        return [(cell.key, cell.run()) for cell in cells]
-    pack = resolve_lanes(1) if lane_pack is None else max(1, int(lane_pack))
-    if pack <= 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells))
-        return [(cell.key, result) for cell, result in zip(cells, results)]
-    chunks = [cells[i:i + pack] for i in range(0, len(cells), pack)]
-    workers = min(workers, len(chunks))
-    if workers <= 1:
-        results = [result for chunk in chunks for result in _run_cell_pack(chunk)]
+        executed = _iter_with_store(
+            cells, store, max_workers=max_workers, lane_pack=lane_pack
+        )
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            packed = list(pool.map(_run_cell_pack, chunks))
-        results = [result for chunk in packed for result in chunk]
-    return [(cell.key, result) for cell, result in zip(cells, results)]
+        executed = _execute_iter(
+            cells, max_workers=max_workers, lane_pack=lane_pack
+        )
+    collected = {id(cell): result for cell, result in executed}
+    return [(cell.key, collected[id(cell)]) for cell in cells]
 
 
 def _execute_iter(
@@ -172,29 +186,44 @@ def _execute_iter(
     max_workers: Optional[int] = None,
     lane_pack: Optional[int] = None,
 ) -> Iterator[Tuple[Cell, Any]]:
-    """Execute cells, yielding ``(cell, result)`` in completion order."""
+    """Execute cells, yielding ``(cell, result)`` in completion order.
+
+    The one place cells run or pools are made, so it owns the thread
+    topology: whichever process executes a cell does so at
+    ``_CELL_BLAS_THREADS``.
+    """
     cells = list(cells)
+    if not cells:  # a warm campaign: nothing to run, nothing to look up
+        return
     workers = resolve_workers(len(cells), max_workers)
     if workers == 0:
+        _note_topology(workers)
         for cell in cells:
             with span("campaign.cell", cat="campaign", key=str(cell.key)):
-                result = cell.run()
+                with limit_blas_threads(_CELL_BLAS_THREADS):
+                    result = cell.run()
             yield cell, result
         return
     pack = resolve_lanes(1) if lane_pack is None else max(1, int(lane_pack))
-    chunks = [cells[i:i + max(1, pack)] for i in range(0, len(cells), max(1, pack))]
+    chunks = [cells[i:i + pack] for i in range(0, len(cells), pack)]
     workers = min(workers, len(chunks))
-    if workers <= 1:
+    cell_blas = _note_topology(workers)
+    if workers == 1:
         for chunk in chunks:
             with span("campaign.pack", cat="campaign", cells=len(chunk)):
-                results = _run_cell_pack(chunk)
+                with limit_blas_threads(_CELL_BLAS_THREADS):
+                    results = _run_cell_pack(chunk)
             for cell, result in zip(chunk, results):
                 yield cell, result
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=set_blas_threads,
+        initargs=(_CELL_BLAS_THREADS,),
+    ) as pool:
         with span(
             "campaign.dispatch", cat="campaign",
-            chunks=len(chunks), workers=workers,
+            chunks=len(chunks), workers=workers, blas_threads=cell_blas,
         ):
             futures = {
                 pool.submit(_run_cell_pack, chunk): chunk for chunk in chunks

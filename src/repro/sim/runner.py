@@ -17,15 +17,18 @@ runs both the policy and the Fast-Only upper bound on identical fresh
 systems and reports the ratios.  The Fast-Only reference for a given
 (trace, config, window) is cached per process, so sweep campaigns that
 share a reference cell (e.g. every point of a capacity sweep) simulate
-it once instead of once per point.
+it once instead of once per point; synthetic catalog traces are memoised
+the same way (:func:`synthetic_trace`), so the cells of a sweep that
+share a (workload, n_requests, seed) axis generate the trace once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..baselines.base import PlacementPolicy
 from ..baselines.extremes import FastOnlyPolicy
@@ -34,6 +37,7 @@ from ..hss.devices import make_devices
 from ..hss.request import Request
 from ..hss.system import HybridStorageSystem
 from ..traces.stats import working_set_pages
+from ..traces.workloads import make_trace
 
 __all__ = [
     "RunResult",
@@ -42,6 +46,7 @@ __all__ = [
     "build_hss",
     "run_policy",
     "run_reference",
+    "synthetic_trace",
     "run_normalized",
     "reference_row",
     "normalized_row",
@@ -329,13 +334,27 @@ def run_policy(
 
 
 # ---------------------------------------------------------------------------
-# Fast-Only reference caching.
+# Per-process memos: Fast-Only reference runs and synthetic traces.
 # ---------------------------------------------------------------------------
 
 #: Per-process memo of Fast-Only reference runs, keyed by
 #: (trace fingerprint, config, max_requests, warmup_fraction).
 _REFERENCE_CACHE: "OrderedDict[tuple, RunResult]" = OrderedDict()
 _REFERENCE_CACHE_LIMIT = 8
+
+
+@lru_cache(maxsize=8)
+def synthetic_trace(
+    workload: str, n_requests: int, seed: int
+) -> Tuple[Request, ...]:
+    """``make_trace(workload, n_requests, seed)``, memoised per process.
+
+    Every cell of a sweep shares that axis, so a worker generates each
+    trace once instead of once per cell.  Returned as a tuple of
+    (frozen) requests: the same object is handed to every cell that
+    asks for it, so it must not be mutable.
+    """
+    return tuple(make_trace(workload, n_requests=n_requests, seed=seed))
 
 
 def _trace_fingerprint(trace) -> Optional[tuple]:
@@ -395,8 +414,10 @@ def run_reference(
 
 
 def clear_reference_cache() -> None:
-    """Drop all memoised Fast-Only reference runs (mainly for tests)."""
+    """Drop the per-process memos — reference runs and synthetic traces —
+    so the next cell starts as cold as in a new process (mainly for tests)."""
     _REFERENCE_CACHE.clear()
+    synthetic_trace.cache_clear()
 
 
 def reference_row(reference: RunResult) -> Dict[str, float]:

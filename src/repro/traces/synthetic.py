@@ -182,7 +182,12 @@ class SyntheticTraceGenerator:
     # ------------------------------------------------------------ generate
     def generate(self) -> List[Request]:
         rng = np.random.default_rng(self.seed)
-        probs = self._popularity(rng)
+        # ``Generator.choice(n, p=probs)`` re-validates and re-cumsums the
+        # pmf on every call; its draw is exactly this CDF lookup on one
+        # ``random()``, so hoisting the CDF keeps the RNG stream — and
+        # therefore every trace — request-for-request identical.
+        cdf = self._popularity(rng).cumsum()
+        cdf /= cdf[-1]
         bases = self._region_bases(rng)
         n_regions = len(bases)
         region_span = max(32, self.pool_pages // n_regions)
@@ -202,7 +207,7 @@ class SyntheticTraceGenerator:
             if rng.random() < self.p_sequential:
                 page = cur_page  # continue the current run
             else:
-                rank = rng.choice(n_regions, p=probs)
+                rank = cdf.searchsorted(rng.random(), side="right")
                 region = perm[rank]
                 page = int(bases[region]) + int(rng.integers(0, region_span))
             cur_page = page + size

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.sim import experiment, runner
 from repro.sim.experiment import (
     ORACLE_HORIZONS,
+    _resolve_trace,
     buffer_size_sweep,
     capacity_sweep,
     compare_policies,
@@ -15,6 +17,7 @@ from repro.sim.experiment import (
     tri_hybrid_comparison,
     unseen_workload_comparison,
 )
+from repro.traces.msrc import dump_msrc_csv
 from repro.traces.workloads import make_trace
 
 N = 3000  # small but non-trivial trace length for sweep tests
@@ -111,3 +114,62 @@ class TestMixedAndUnseen:
         out = unseen_workload_comparison(["oltp_rw"], n_requests=N)
         row = out["oltp_rw"]
         assert "Sibyl" in row and "Archivist" in row and "RNN-HSS" in row
+
+
+class TestTraceMemo:
+    """Synthetic traces are generated once per process, not per cell."""
+
+    def test_second_call_returns_the_same_immutable_object(self):
+        runner.clear_reference_cache()
+        first = _resolve_trace("rsrch_0", 400, 3)
+        assert _resolve_trace("rsrch_0", 400, 3) is first
+        assert isinstance(first, tuple)
+        assert list(first) == make_trace("rsrch_0", n_requests=400, seed=3)
+
+    def test_keyed_by_workload_length_and_seed(self):
+        runner.clear_reference_cache()
+        base = _resolve_trace("rsrch_0", 300, 0)
+        assert _resolve_trace("hm_1", 300, 0) != base
+        assert len(_resolve_trace("rsrch_0", 200, 0)) == 200
+        assert _resolve_trace("rsrch_0", 300, 1) != base
+        assert _resolve_trace("rsrch_0", 300, 0) is base
+
+    def test_eviction_is_bounded_and_least_recently_used(self):
+        runner.clear_reference_cache()
+        limit = runner.synthetic_trace.cache_info().maxsize
+        first = _resolve_trace("rsrch_0", 50, 0)
+        for seed in range(1, limit):
+            _resolve_trace("rsrch_0", 50, seed)
+        assert _resolve_trace("rsrch_0", 50, 0) is first  # refreshes seed 0
+        _resolve_trace("rsrch_0", 50, limit)  # evicts seed 1, the oldest
+        assert runner.synthetic_trace.cache_info().currsize == limit
+        assert _resolve_trace("rsrch_0", 50, 0) is first
+        misses = runner.synthetic_trace.cache_info().misses
+        _resolve_trace("rsrch_0", 50, 1)
+        assert runner.synthetic_trace.cache_info().misses == misses + 1
+
+    def test_msrc_sources_bypass_the_memo(self, tmp_path):
+        runner.clear_reference_cache()
+        path = tmp_path / "capture.csv"
+        dump_msrc_csv(make_trace("rsrch_0", n_requests=60, seed=0), path)
+        first = _resolve_trace(f"msrc:{path}", 40, 0)
+        second = _resolve_trace(f"msrc:{path}", 40, 0)
+        assert first is not second
+        assert list(first) == list(second) and len(list(first)) == 40
+        assert runner.synthetic_trace.cache_info().currsize == 0
+
+    def test_memoised_campaign_equals_unmemoised(self, monkeypatch):
+        kwargs = dict(workload="rsrch_0", n_requests=600, max_workers=1)
+        values = (1e-4, 1e-3)
+        runner.clear_reference_cache()
+        hyperparameter_sweep("learning_rate", values, **kwargs)  # fills it
+        assert runner.synthetic_trace.cache_info().currsize == 1
+        memoised = hyperparameter_sweep("learning_rate", values, **kwargs)
+        monkeypatch.setattr(
+            experiment, "synthetic_trace",
+            lambda workload, n, seed: make_trace(workload, n, seed),
+        )
+        runner.clear_reference_cache()
+        fresh = hyperparameter_sweep("learning_rate", values, **kwargs)
+        assert runner.synthetic_trace.cache_info().currsize == 0
+        assert memoised == fresh  # float equality: bit-identical or bust

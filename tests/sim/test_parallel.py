@@ -4,6 +4,12 @@ import os
 
 import pytest
 
+from repro.obs.knobs import OBS_ENV
+from repro.obs.metrics import registry
+from repro.obs.tracer import SpanTracer, set_tracer
+from repro.serve.daemon import PlacementDaemon
+from repro.sim import blas
+from repro.sim.blas import blas_threads, limit_blas_threads
 from repro.sim.experiment import buffer_size_sweep, hyperparameter_sweep
 from repro.sim.parallel import (
     Cell,
@@ -51,9 +57,25 @@ class TestResolveWorkers:
 
     def test_env_auto_uses_cpu_count(self, monkeypatch):
         monkeypatch.setenv("SIBYL_PARALLEL", "auto")
-        cpus = os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
         expected = min(cpus, 64) if cpus > 1 else 0
         assert resolve_workers(64) == expected
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores"
+    )
+    def test_auto_width_follows_the_affinity_mask(self, monkeypatch):
+        """A ``taskset``/cgroup-limited process gets one worker per core
+        it may run on, not one per host core."""
+        monkeypatch.delenv("SIBYL_PARALLEL", raising=False)
+        allowed = os.sched_getaffinity(0)
+        assert resolve_workers(64) == min(len(allowed), 64)
+        try:
+            os.sched_setaffinity(0, {min(allowed)})
+            assert resolve_workers(64) == 0  # one usable core: serial
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert resolve_workers(64) == min(len(allowed), 64)
 
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("SIBYL_PARALLEL", "many")
@@ -98,6 +120,97 @@ class TestRunMany:
     def test_run_grid_merges(self):
         cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(3)]
         assert run_grid(cells, max_workers=1) == {0: 0, 1: 1, 2: 4}
+
+
+def _blas_threads_in_cell():
+    return blas_threads()
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="no known BLAS is mapped")
+class TestThreadTopology:
+    """Workers are the parallelism: a process executing cells runs BLAS
+    on one thread, and only while it executes them."""
+
+    @pytest.fixture(autouse=True)
+    def two_thread_baseline(self):
+        # Whatever the box, the calling process starts from a count
+        # that is not the pin, so "restored" is distinguishable.
+        with limit_blas_threads(2):
+            yield
+
+    def _cells(self, n=4):
+        return [Cell(key=i, fn=_blas_threads_in_cell) for i in range(n)]
+
+    def test_pool_workers_run_one_blas_thread(self):
+        assert run_many(self._cells(), max_workers=2) == [
+            (i, 1) for i in range(4)
+        ]
+        assert blas_threads() == 2  # the parent was never pinned
+
+    def test_serial_path_is_pinned_then_restored(self):
+        assert run_many(self._cells(), max_workers=1) == [
+            (i, 1) for i in range(4)
+        ]
+        assert blas_threads() == 2
+
+    def test_in_process_pack_is_pinned_then_restored(self):
+        # One chunk -> one "worker" -> the pack runs in this process.
+        assert run_many(self._cells(), max_workers=2, lane_pack=64) == [
+            (i, 1) for i in range(4)
+        ]
+        assert blas_threads() == 2
+
+    def test_serial_stream_is_unpinned_between_cells(self):
+        stream = iter_many(self._cells(), max_workers=1)
+        assert next(stream) == (0, 1)
+        assert blas_threads() == 2  # the consumer's code runs unpinned
+        assert list(stream) == [(i, 1) for i in range(1, 4)]
+
+    def test_restored_when_a_cell_raises(self):
+        with pytest.raises(RuntimeError):
+            run_many([Cell(key=0, fn=_fail), Cell(key=1, fn=_fail)],
+                     max_workers=1)
+        assert blas_threads() == 2
+
+    def test_daemon_in_the_same_process_is_not_pinned(self):
+        run_many(self._cells(), max_workers=1)
+        run_many(self._cells(), max_workers=2)
+        with PlacementDaemon(port=0, workers=1):
+            assert blas_threads() == 2
+
+    def test_topology_reaches_the_span_and_the_registry(self, monkeypatch):
+        monkeypatch.setenv(OBS_ENV, "on")
+        tracer = set_tracer(SpanTracer(capacity=64))
+        try:
+            run_many(self._cells(), max_workers=2)
+        finally:
+            set_tracer(None)
+        gauges = registry().snapshot()["gauges"]
+        registry().reset()
+        (dispatch,) = [
+            e for e in tracer.events() if e["name"] == "campaign.dispatch"
+        ]
+        assert dispatch["args"]["workers"] == 2
+        assert dispatch["args"]["blas_threads"] == 1
+        assert gauges["campaign_workers"] == 2
+        assert gauges["campaign_blas_threads"] == 1
+
+
+def test_unrecognised_blas_is_a_silent_noop(monkeypatch):
+    """No known BLAS mapped: cells still run, and the registry says the
+    pin did nothing (``campaign_blas_threads`` 0)."""
+    monkeypatch.setattr(blas, "_mapped_openblas", lambda: [])
+    blas._controls.cache_clear()
+    monkeypatch.setenv(OBS_ENV, "on")
+    try:
+        assert blas_threads() is None
+        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(3)]
+        assert run_many(cells, max_workers=1) == [(0, 0), (1, 1), (2, 4)]
+        assert run_many(cells, max_workers=2) == [(0, 0), (1, 1), (2, 4)]
+        assert registry().snapshot()["gauges"]["campaign_blas_threads"] == 0
+    finally:
+        registry().reset()
+        blas._controls.cache_clear()
 
 
 class TestIterMany:
