@@ -43,8 +43,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from repro.knobs import resolve_count_env
 from repro.sim.experiment import compare_policies, tri_hybrid_comparison
-from repro.sim.lanes import resolve_count_env
 from repro.sim.report import export_json, format_table, geomean
 from repro.store import store_from_env
 from repro.traces.workloads import MOTIVATION_WORKLOADS, workload_names

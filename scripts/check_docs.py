@@ -48,8 +48,7 @@ AUDITED_MODULES = (
     "repro.analysis.rules.fingerprint",
     "repro.analysis.rules.envknobs",
     "repro.analysis.rules.forksafety",
-    "repro.analysis.rules.kernelabi",
-    "repro.analysis.cfront",
+    "repro.sim.kernels.abi",
     "repro.serve.protocol",
     "repro.serve.knobs",
     "repro.serve.lane",

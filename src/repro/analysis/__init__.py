@@ -38,9 +38,6 @@ from .rules import (
     FingerprintRule,
     ForkSafetyRule,
     HookPairRule,
-    KernelABIRule,
-    KernelConstRule,
-    KernelDTypeRule,
     default_rules,
 )
 
@@ -62,7 +59,4 @@ __all__ = [
     "FingerprintRule",
     "ForkSafetyRule",
     "HookPairRule",
-    "KernelABIRule",
-    "KernelConstRule",
-    "KernelDTypeRule",
 ]

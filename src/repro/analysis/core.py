@@ -11,9 +11,8 @@ Structure:
 * :class:`Project` — every file of one lint run plus the cross-file
   index rules need: module-level function/class definitions and
   constant assignments (so a rule can resolve ``DEFAULT_WARMUP``
-  through a ``from .experiment import DEFAULT_WARMUP``), the set of
-  knobs documented in ``docs/configuration.md``, and a lazy cache of
-  parsed C mirrors (:meth:`Project.c_source`) for the kernel rules.
+  through a ``from .experiment import DEFAULT_WARMUP``), and the set
+  of knobs documented in ``docs/configuration.md``.
 * :class:`Rule` — base class; concrete rules live in
   :mod:`repro.analysis.rules` and yield :class:`Finding` objects.
 * :func:`run_lint` — the driver: collect files, build the project,
@@ -170,7 +169,6 @@ class Project:
         self.classes: Dict[Tuple[str, str], Tuple[FileContext, ast.ClassDef]] = {}
         self.constants: Dict[Tuple[str, str], ast.expr] = {}
         self.imports: Dict[str, _ImportMap] = {}
-        self._c_sources: Dict[Path, Optional[object]] = {}
         for ctx in self.files:
             if ctx.tree is None:
                 continue
@@ -230,26 +228,6 @@ class Project:
             return self.classes.get(imported)
         return None
 
-    def c_source(self, path: Path):
-        """The parsed mini-C view of ``path``, cached across rules.
-
-        Returns a :class:`repro.analysis.cfront.CSource` (best-effort
-        extraction, never raises on malformed C) or ``None`` when the
-        file cannot be read.  The cache keeps a multi-rule lint run to
-        one read + parse per mirrored C file.
-        """
-        key = Path(path).resolve()
-        if key not in self._c_sources:
-            from . import cfront
-
-            try:
-                text = key.read_text()
-            except OSError:
-                self._c_sources[key] = None
-            else:
-                self._c_sources[key] = cfront.parse_c(text)
-        return self._c_sources[key]
-
     def resolve_constant(
         self, module: str, name: str, depth: int = 4
     ) -> Optional[ast.expr]:
@@ -280,8 +258,7 @@ class Rule:
     Subclasses set the class attributes and implement :meth:`check`,
     yielding a :class:`Finding` per violation.  Rules must be pure
     functions of the parsed tree — no filesystem access beyond what the
-    :class:`Project` gathers (including its cached C mirrors via
-    :meth:`Project.c_source`) — so a lint run is deterministic and
+    :class:`Project` gathers — so a lint run is deterministic and
     order-independent.
     """
 

@@ -1,7 +1,7 @@
 """SBL-ENV: ``SIBYL_*`` knobs are parsed centrally and documented.
 
 Every behavioural environment variable in this repo shares one parsing
-contract — :func:`repro.sim.lanes.resolve_count_env` for count-valued
+contract — :func:`repro.knobs.resolve_count_env` for count-valued
 knobs, :func:`repro.store.store.store_from_env` for the store,
 :func:`repro.obs.tracer.tracer_from_env` for the trace sink — so
 garbage and negative values *raise* instead of silently changing the
@@ -42,7 +42,8 @@ from ..core import FileContext, Finding, Project, Rule
 __all__ = ["EnvKnobRule", "SANCTIONED_ACCESSORS"]
 
 #: Functions allowed to read knob values directly: the shared parsing
-#: contract (everything else routes through them).
+#: contract (``repro.knobs`` plus the store and tracer factories;
+#: everything else routes through them).
 SANCTIONED_ACCESSORS = (
     "resolve_count_env",
     "resolve_choice_env",

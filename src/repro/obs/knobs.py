@@ -1,8 +1,8 @@
 """Environment knobs for the observability subsystem.
 
 Three knobs control telemetry, all routed through the engine's shared
-resolver contracts (:func:`repro.sim.lanes.resolve_count_env` /
-:func:`repro.sim.lanes.resolve_choice_env`) so garbage values raise
+resolver contracts (:func:`repro.knobs.resolve_count_env` /
+:func:`repro.knobs.resolve_choice_env`) so garbage values raise
 instead of silently disabling instrumentation:
 
 - ``SIBYL_OBS`` — ``off`` (default) or ``on``.  Gates the process-wide
@@ -22,6 +22,8 @@ through :class:`repro.obs.sink.ObservationSink`.
 
 from __future__ import annotations
 
+from ..knobs import resolve_choice_env, resolve_count_env
+
 #: Gate for the process-wide metrics registry (``off``/``on``).
 OBS_ENV = "SIBYL_OBS"
 
@@ -40,15 +42,11 @@ DEFAULT_TRACE_BUFFER = 65536
 
 def resolve_obs_mode(default: str = "off") -> str:
     """``SIBYL_OBS`` via the shared choice contract (``off``/``on``)."""
-    from ..sim.lanes import resolve_choice_env
-
     return resolve_choice_env(OBS_ENV, default, OBS_MODES)
 
 
 def resolve_trace_buffer(default: int = DEFAULT_TRACE_BUFFER) -> int:
     """``SIBYL_TRACE_BUFFER`` via the shared count contract (>= 1)."""
-    from ..sim.lanes import resolve_count_env
-
     return max(1, resolve_count_env(TRACE_BUFFER_ENV, default))
 
 

@@ -1,8 +1,8 @@
 """Environment knobs of the placement daemon (``SIBYL_SERVE_*``).
 
 Every knob routes through the shared env-parser contract
-(:func:`repro.sim.lanes.resolve_count_env` /
-:func:`repro.sim.lanes.resolve_choice_env`) so garbage and negative
+(:func:`repro.knobs.resolve_count_env` /
+:func:`repro.knobs.resolve_choice_env`) so garbage and negative
 values *raise* instead of silently changing how the daemon runs, and
 every knob has a row in ``docs/configuration.md`` (both halves enforced
 by the SBL-ENV lint rule).  Per-call constructor arguments
@@ -12,7 +12,7 @@ environment.
 
 from __future__ import annotations
 
-from ..sim.lanes import resolve_choice_env, resolve_count_env
+from ..knobs import resolve_choice_env, resolve_count_env
 
 __all__ = [
     "SERVE_PORT_ENV",

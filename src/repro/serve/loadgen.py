@@ -4,7 +4,8 @@ Drives a running placement daemon with ``tenants`` concurrent client
 connections, each replaying a *deterministic* seeded query stream (the
 sequences depend only on ``seed``, so every run asks the daemon the
 exact same questions — the soak engine of the fault and lifecycle
-tests, and the benchmark driver of ``scripts/profile_hotpath.py``).
+tests, and CI's quick serve soak; the recorded serve numbers come from
+``bench/run.py``'s ``serve_closed`` workload).
 
 Open-loop means each client *sends* on its own schedule (pipelined
 back-to-back by default, or paced by ``pace_s``) while a separate
@@ -175,8 +176,7 @@ def run_loadgen(
     record: ``p50_ms``/``p99_ms`` *sojourn* latency (client wire time:
     queueing at the daemon included), ``service_p50/p99_ms`` and
     ``queue_p50/p99_ms`` separated out of the sojourn via the server's
-    per-response ``timing`` breakdown, sustained ``req_s``, totals (the
-    ``serve`` section schema of ``BENCH_hotpath.json``), and the
+    per-response ``timing`` breakdown, sustained ``req_s``, totals, and the
     daemon's own ``metrics`` op snapshot under ``server``.
     """
     daemon = None

@@ -27,7 +27,7 @@ the tick loop through one of two interchangeable engines:
   C with bit-identical arithmetic.
 
 Backend selection goes through the ``SIBYL_BACKEND`` knob (parsed by
-:func:`repro.sim.lanes.resolve_choice_env`):
+:func:`repro.knobs.resolve_choice_env`):
 
 * ``auto`` (default) — compiled kernel if the toolchain can build it,
   else **silently** the NumPy engine (the fallback must never change
@@ -45,6 +45,8 @@ same contract the lockstep engine carries, asserted by
 from __future__ import annotations
 
 from typing import List, Optional
+
+from ...knobs import resolve_choice_env
 
 __all__ = [
     "BACKEND_ENV",
@@ -65,8 +67,6 @@ BACKENDS = ("auto", "numpy", "cext", "off")
 
 def resolve_backend(default: str = "auto") -> str:
     """The backend name from ``SIBYL_BACKEND`` (validated, lowered)."""
-    from ..lanes import resolve_choice_env
-
     return resolve_choice_env(BACKEND_ENV, default, BACKENDS)
 
 

@@ -22,10 +22,15 @@ The NumPy reference proves the arithmetic; this engine re-executes it
 in C with the same operations in the same order (``-ffp-contract=off``
 keeps the compiler from fusing them).
 
-The shared library is built on demand with the system C compiler into a
-gitignored cache keyed by the source hash; when no toolchain is
-available the backend reports itself unavailable and ``auto`` falls
-back to the NumPy engine.
+The two languages share one ABI table (:mod:`.abi`): the slot indices
+used below are derived from it, and so is the ``sib_abi.h`` that
+``kernel.c`` includes.  The shared library is built on demand with the
+system C compiler into a gitignored cache keyed by the hash of that
+header plus the source; after loading, the kernel's ``sib_abi_hash()``
+must equal the table's, and every array packed for a run is checked
+against the table's element types (:func:`_check_arrays`).  When no
+toolchain is available the backend reports itself unavailable and
+``auto`` falls back to the NumPy engine.
 """
 
 from __future__ import annotations
@@ -43,95 +48,17 @@ import numpy as np
 from ...hss.hdd import HDDDevice
 from ...hss.ssd import SSDDevice
 from ...obs.tracer import span as _span
+from . import abi
+# The slot indices (P_*, CI_*, CD_*, DD_*, DI_*, HI_*, HD_*), the block
+# lengths, the strides and the ST_* status codes: plain ints derived
+# from abi.TABLE, the table the C side's sib_abi.h is rendered from.
+from .abi import *
 from .soa import LaneSoA, TraceSoA
 
 __all__ = ["available", "unavailable_reason", "run_lanes_c", "run_one_c"]
 
-# ---------------------------------------------------------------- ABI
-# Pointer-table indices (mirror kernel.c's P_* enum).
-(
-    P_CTRL_I, P_CTRL_D, P_TS, P_OP, P_DPAGE, P_SIZE, P_UNIQ, P_LOC,
-    P_LRU_PREV, P_LRU_NEXT, P_CNT, P_LAST, P_MAXIMA, P_OBS_MAIL,
-    P_PEND_OBS, P_PEND_KEY, P_ACTION_COUNTS, P_RNG,
-    P_RB_OBS, P_RB_NOBS, P_RB_ACT, P_RB_REW, P_RB_MULT, P_RB_KEYS,
-    P_RB_HASH, P_RB_FPREV, P_RB_FNEXT, P_RB_FREE, P_RB_ORDER,
-    P_MEMO_KEYS, P_MEMO_OBS, P_MEMO_ACT, P_MEMO_HASH,
-    P_DEV_D, P_DEV_I, P_HSS_I, P_HSS_D, P_VICTIMS, P_VSORT,
-) = range(39)
-_NPTR = 39
-
-# ctrl_i slots (kernel.c CI_*).
-(
-    CI_STATUS, CI_I, CI_RESUMED, CI_NTOTAL, CI_WARMUP, CI_SEEN,
-    CI_TRAIN_INT, CI_BATCH, CI_INIT_RAND, CI_CLOCK, CI_CAP0, CI_SLACK,
-    CI_RES0, CI_RES1, CI_HEAD0, CI_TAIL0, CI_HEAD1, CI_TAIL1,
-    CI_PENDING, CI_PEND_ACTION,
-    CI_RB_CAP, CI_RB_NENT, CI_RB_HEAD, CI_RB_TAIL, CI_RB_FREE_N,
-    CI_RB_TOMB, CI_RB_HASHCAP, CI_RB_TOTAL, CI_RB_SLOT_HI,
-    CI_MEMO_N, CI_MEMO_CAP, CI_MEMO_HASHCAP,
-    CI_ACTION, CI_ERR, CI_ORDER_N,
-    CI_SIZE_BINS, CI_INTR_BINS, CI_CNT_BINS, CI_CAP_BINS, CI_NDEV,
-) = range(40)
-_CI_LEN = 40
-
-# ctrl_d slots (kernel.c CD_*).
-(
-    CD_COMPLETION, CD_REWARD_SUM, CD_EPS, CD_UNIT, CD_EVICT_COEF,
-    CD_MAX_REWARD, CD_PEND_REWARD,
-) = range(7)
-_CD_LEN = 7
-
-# Per-device blocks (kernel.c DD_* / DI_*).
-DD_STRIDE = 32
-(
-    DD_NEXT_FREE, DD_BUSY, DD_QWAIT, DD_UTIL, DD_GC_TIME,
-    DD_ROVER, DD_WOVER, DD_RBW, DD_WBW, DD_BI,
-    DD_READ1, DD_GC_THRESH, DD_GC_LAT, DD_GC_DENOM, DD_BUF_LAT,
-    DD_TR_UNIT, DD_BUF_OCC, DD_BUF_LAST,
-    DD_AVG_ROT, DD_MIN_SEEK, DD_SEEK_SPAN,
-) = range(21)
-DI_STRIDE = 24
-(
-    DI_TYPE, DI_READS, DI_WRITES, DI_PR, DI_PW, DI_GC_EVENTS,
-    DI_BUFFERED, DI_WSG, DI_HEAD, DI_TARGET, DI_GC_TRIG, DI_BUF_PAGES,
-    DI_SEQWIN, DI_TRACKSPAN, DI_CAPPAGES, DI_HAS_UTIL, DI_UTIL_CAP,
-) = range(17)
-
-# HSS stats blocks (kernel.c HI_* / HD_*).
-(
-    HI_REQUESTS, HI_READS, HI_WRITES, HI_PROMOTED, HI_DEMOTED,
-    HI_EVENTS, HI_EVICTED, HI_PLACE0, HI_PLACE1,
-) = range(9)
-_HI_LEN = 9
-HD_TOTAL_LAT, HD_EVICT_TIME, HD_LAST_COMPLETION = range(3)
-_HD_LEN = 3
-
-# Status codes.
-_ST_DONE = 0
-_ST_NEED_INFERENCE = 1
-_ST_TRAIN_GATE = 2
-_ST_ERROR = 3
-
 _MEMO_CAP = 1 << 16
 _U64 = (1 << 64) - 1
-
-# Bit-identity literals shared with kernel.c, declared for the
-# SBL-CONST analyzer: every "c"-side value must appear verbatim in the
-# C source, every "py"-side value must match a constant in this
-# module.  Editing either side without the other fails `repro lint`.
-_MIRROR_CONSTANTS = {
-    "pcg64_mult_hi": 2549297995355413924,
-    "pcg64_mult_lo": 4865540595714422341,
-    "pcg64_random_scale": 9007199254740992.0,
-    "fnv1a_offset_basis": 1469598103934665603,
-    "fnv1a_prime": 1099511628211,
-    "f64_abs_mask": 0x7FFFFFFFFFFFFFFF,
-    "f64_mantissa_mask": 0xFFFFFFFFFFFFF,
-    "f16_sign_bit": 0x8000,
-    "f16_nan_bits": 0x7E00,
-    "f16_inf_bits": 0x7C00,
-    "action_memo_capacity": (1 << 16, "py"),
-}
 
 # ------------------------------------------------------------- build
 _lib = None
@@ -142,12 +69,22 @@ def _source_path() -> str:
     return os.path.join(os.path.dirname(__file__), "kernel.c")
 
 
+_BUILD_DIR = os.path.join(os.path.dirname(__file__), "_build")
+
+
+def _build_digest(header: str, code: bytes) -> str:
+    """Names the binary (``kernel-<digest>.so``) after everything
+    compiled into it — generated header + ``kernel.c`` — so an edit to
+    the ABI table or the source can never load a stale build."""
+    return hashlib.sha256(header.encode() + code).hexdigest()[:16]
+
+
 def _prune_stale_builds(build_dir: str, keep: str) -> None:
     """Remove content-hashed kernel binaries other than ``keep``.
 
-    Every kernel.c edit produces a new ``kernel-<hash>.so``; without
+    Every kernel edit produces a new ``kernel-<hash>.so``; without
     this, ``_build/`` accumulates one orphan per edit forever.  In-flight
-    temp builds (``tmp*`` from :func:`tempfile.mkstemp`) never match the
+    temp builds (``tmp*`` from :mod:`tempfile`) never match the
     ``kernel-*.so`` pattern, so concurrent builders are safe.  Failures
     are ignored: pruning is a courtesy, not a correctness step.
     """
@@ -167,8 +104,35 @@ def _prune_stale_builds(build_dir: str, keep: str) -> None:
                 pass
 
 
+def _compile(src: str, header: str, so_path: str) -> Optional[str]:
+    """Build ``src`` against ``header`` into ``so_path``; the error
+    text on failure.  Header and output live in a private temp
+    directory until the final rename, so concurrent builders never read
+    a half-written header or load a half-written library."""
+    build_dir = os.path.dirname(so_path)
+    try:
+        os.makedirs(build_dir, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=build_dir) as tmp:
+            with open(os.path.join(tmp, "sib_abi.h"), "w") as fh:
+                fh.write(header)
+            out = os.path.join(tmp, "kernel.so")
+            cmd = [
+                "gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
+                "-I", tmp, "-o", out, src, "-lm",
+            ]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                return f"compiler failed: {proc.stderr.strip()[:500]}"
+            os.replace(out, so_path)
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"build failed: {exc}"
+    _prune_stale_builds(build_dir, os.path.basename(so_path))
+    return None
+
+
 def _load() -> Optional[ctypes.CDLL]:
-    """Build (if needed) and load the kernel; None when unavailable."""
+    """Build (if needed), load and handshake the kernel; None when
+    unavailable."""
     global _lib, _build_error
     if _lib is not None or _build_error is not None:
         return _lib
@@ -179,37 +143,31 @@ def _load() -> Optional[ctypes.CDLL]:
     except OSError as exc:
         _build_error = f"kernel source unreadable: {exc}"
         return None
-    digest = hashlib.sha256(code).hexdigest()[:16]
-    build_dir = os.path.join(os.path.dirname(src), "_build")
-    so_path = os.path.join(build_dir, f"kernel-{digest}.so")
+    header = abi.render_header()
+    digest = _build_digest(header, code)
+    so_path = os.path.join(_BUILD_DIR, f"kernel-{digest}.so")
     if not os.path.exists(so_path):
-        try:
-            os.makedirs(build_dir, exist_ok=True)
-            # Build to a temp name then rename, so concurrent builders
-            # never load a half-written library.
-            fd, tmp = tempfile.mkstemp(dir=build_dir, suffix=".so")
-            os.close(fd)
-            cmd = [
-                "gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
-                "-o", tmp, src, "-lm",
-            ]
-            with _span("kernel.build", cat="kernel", digest=digest):
-                proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                os.unlink(tmp)
-                _build_error = f"compiler failed: {proc.stderr.strip()[:500]}"
-                return None
-            os.replace(tmp, so_path)
-            _prune_stale_builds(build_dir, os.path.basename(so_path))
-        except (OSError, subprocess.SubprocessError) as exc:
-            _build_error = f"build failed: {exc}"
+        with _span("kernel.build", cat="kernel", digest=digest):
+            _build_error = _compile(src, header, so_path)
+        if _build_error is not None:
             return None
     try:
         lib = ctypes.CDLL(so_path)
         lib.sib_run.restype = ctypes.c_longlong
         lib.sib_run.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
-    except OSError as exc:
+        lib.sib_abi_hash.restype = ctypes.c_ulonglong
+        lib.sib_abi_hash.argtypes = []
+    except (OSError, AttributeError) as exc:
         _build_error = f"load failed: {exc}"
+        return None
+    # The file name already covers the table; this catches a binary
+    # that got there any other way (copied in, built by hand).
+    built, ours = lib.sib_abi_hash(), abi.abi_hash()
+    if built != ours:
+        _build_error = (
+            f"ABI hash mismatch: {os.path.basename(so_path)} was compiled "
+            f"against table {built:#018x}, this process packs by {ours:#018x}"
+        )
         return None
     _lib = lib
     return _lib
@@ -283,13 +241,6 @@ def _kernel_ready(run, trace: TraceSoA) -> bool:
     if buf._obs is not None or buf._free or buf._total_added != 0:
         return False
     if hss.slowest != 1 or policy.hyperparams.train_interval < 1:
-        return False
-    counts = policy.action_counts
-    if (
-        not isinstance(counts, np.ndarray)
-        or counts.dtype != np.int64
-        or not counts.flags["C_CONTIGUOUS"]
-    ):
         return False
     return True
 
@@ -376,6 +327,24 @@ def _writeback_device(run, d: int, dd: np.ndarray, di: np.ndarray) -> None:
         dev.utilization = float(drow[DD_UTIL])
 
 
+def _check_arrays(arrays: List) -> None:
+    """Every packed array must be exactly what ``sib_bind`` casts its
+    slot to: the table's element type, C-contiguous.  Anything else the
+    kernel would reinterpret byte-wise, so it raises instead."""
+    for slot, arr in zip(abi.TABLE.pointers, arrays):
+        dtype = abi.DTYPES[slot.ctype]
+        if not isinstance(arr, np.ndarray):
+            got = type(arr).__name__
+        elif arr.dtype != dtype or not arr.flags["C_CONTIGUOUS"]:
+            got = f"{arr.dtype}, C-contiguous={arr.flags['C_CONTIGUOUS']}"
+        else:
+            continue
+        raise RuntimeError(
+            f"kernel slot {slot.name} ({slot.ctype} *{slot.field}) "
+            f"needs a C-contiguous {dtype} array, got {got}"
+        )
+
+
 class _KernelRun:
     """One lane's kernel state: the arrays, the pointer table, the
     Python-side barrier handlers."""
@@ -409,8 +378,8 @@ class _KernelRun:
         spec = policy.extractor.spec
         reward_fn = policy.reward_fn
 
-        ci = np.zeros(_CI_LEN, dtype=np.int64)
-        cd = np.zeros(_CD_LEN, dtype=np.float64)
+        ci = np.zeros(CI_LEN, dtype=np.int64)
+        cd = np.zeros(CD_LEN, dtype=np.float64)
         ci[CI_I] = 0
         ci[CI_NTOTAL] = n
         ci[CI_WARMUP] = run._warmup_end
@@ -443,7 +412,7 @@ class _KernelRun:
         for d in range(2):
             _seed_device(run, d, dd, di)
 
-        hi = np.zeros(_HI_LEN, dtype=np.int64)
+        hi = np.zeros(HI_LEN, dtype=np.int64)
         stats = hss.stats
         hi[HI_REQUESTS] = stats.requests
         hi[HI_READS] = stats.reads
@@ -454,13 +423,12 @@ class _KernelRun:
         hi[HI_EVICTED] = stats.evicted_pages
         hi[HI_PLACE0] = stats.placements[0]
         hi[HI_PLACE1] = stats.placements[1]
-        hd = np.array(
-            [stats.total_latency_s, stats.eviction_time_s,
-             stats.last_completion_s],
-            dtype=np.float64,
-        )
+        hd = np.zeros(HD_LEN, dtype=np.float64)
+        hd[HD_TOTAL_LAT] = stats.total_latency_s
+        hd[HD_EVICT_TIME] = stats.eviction_time_s
+        hd[HD_LAST_COMPLETION] = stats.last_completion_s
 
-        self.arrays = arrays = [None] * _NPTR
+        self.arrays = arrays = [None] * P_NPTR
         arrays[P_CTRL_I] = ci
         arrays[P_CTRL_D] = cd
         arrays[P_TS] = np.ascontiguousarray(trace.timestamps)
@@ -479,7 +447,7 @@ class _KernelRun:
         arrays[P_OBS_MAIL] = np.zeros(6, dtype=np.float64)
         arrays[P_PEND_OBS] = np.zeros(6, dtype=np.float64)
         arrays[P_PEND_KEY] = np.zeros(24, dtype=np.uint8)
-        arrays[P_ACTION_COUNTS] = np.asarray(policy.action_counts)
+        arrays[P_ACTION_COUNTS] = policy.action_counts
         arrays[P_RNG] = _rng_state_to_words(policy.rng)
         arrays[P_RB_OBS] = buf._obs
         arrays[P_RB_NOBS] = buf._next_obs
@@ -511,7 +479,8 @@ class _KernelRun:
         self.hd = hd
         self.gate_total: Optional[int] = None
 
-        ptrs = (ctypes.c_void_p * _NPTR)()
+        _check_arrays(arrays)
+        ptrs = (ctypes.c_void_p * P_NPTR)()
         for k, arr in enumerate(arrays):
             ptrs[k] = arr.ctypes.data_as(ctypes.c_void_p).value
         self.ptrs = ptrs
@@ -698,12 +667,12 @@ def run_one_c(
     with _span("kernel.invoke", cat="kernel", lane=lane, requests=trace.n):
         while True:
             status = lib.sib_run(state.ptrs)
-            if status == _ST_DONE:
+            if status == ST_DONE:
                 break
-            if status == _ST_NEED_INFERENCE:
+            if status == ST_NEED_INFERENCE:
                 n_inference += 1
                 state.handle_inference()
-            elif status == _ST_TRAIN_GATE:
+            elif status == ST_TRAIN_GATE:
                 n_train += 1
                 state.handle_train_gate()
             else:

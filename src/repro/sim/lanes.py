@@ -54,7 +54,6 @@ its own lane.  Throughput multiplies: cores × lanes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -70,12 +69,13 @@ from typing import (
 
 import numpy as np
 
-if TYPE_CHECKING:  # guarded: repro.obs resolves its knobs via this module
+if TYPE_CHECKING:
     from ..obs.sink import ObservationSink
 
 from ..baselines.base import PlacementPolicy
 from ..hss.request import Request
 from ..hss.system import HybridStorageSystem
+from ..knobs import resolve_count_env
 from ..rl.c51 import C51LaneStack, C51Network
 from ..rl.dqn import DQNLaneStack, DQNNetwork
 from ..rl.network import NetworkLaneStack
@@ -89,8 +89,6 @@ __all__ = [
     "group_signature",
     "resolve_lanes",
     "resolve_train_align",
-    "resolve_count_env",
-    "resolve_choice_env",
     "LANES_ENV",
     "TRAIN_ALIGN_ENV",
 ]
@@ -108,52 +106,6 @@ TRAIN_ALIGN_ENV = "SIBYL_TRAIN_ALIGN"
 #: Most-recently-used fused-training stacks kept per lane group (each
 #: caches stacked weight/optimizer buffers for one lane subset).
 _TRAIN_STACK_CACHE_LIMIT = 8
-
-
-def resolve_count_env(
-    env: str, default: int, aliases: Optional[Dict[str, int]] = None
-) -> int:
-    """Shared contract for the engine's count-valued environment knobs.
-
-    ``""``/``"auto"`` → ``default``; an ``aliases`` token maps to its
-    value; anything else must be a **non-negative integer** — garbage
-    and negative values raise ``ValueError`` (a misconfiguration must
-    never silently disable packing or parallelism).
-    """
-    raw = os.environ.get(env, "").strip().lower()
-    if raw in ("", "auto"):
-        return default
-    if aliases and raw in aliases:
-        return aliases[raw]
-    try:
-        value = int(raw)
-    except ValueError:
-        tokens = "'auto'" + "".join(f", {t!r}" for t in sorted(aliases or ()))
-        raise ValueError(
-            f"{env} must be {tokens} or a non-negative integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{env} must be >= 0, got {value}")
-    return value
-
-
-def resolve_choice_env(
-    env: str, default: str, choices: Sequence[str]
-) -> str:
-    """Shared contract for the engine's choice-valued environment knobs.
-
-    The string sibling of :func:`resolve_count_env`: ``""`` (unset or
-    blank) → ``default``; otherwise the lowered token must be one of
-    ``choices`` — garbage raises ``ValueError``, because a typo in e.g.
-    ``SIBYL_BACKEND`` must never silently select a different engine.
-    """
-    raw = os.environ.get(env, "").strip().lower()
-    if raw == "":
-        return default
-    if raw in choices:
-        return raw
-    tokens = ", ".join(repr(c) for c in choices)
-    raise ValueError(f"{env} must be one of {tokens}, got {raw!r}")
 
 
 def resolve_lanes(default: int = 1) -> int:

@@ -16,7 +16,7 @@ cell order.  ``sim.experiment``'s sweeps and the figure benchmarks are
 built on it.
 
 Worker-count policy (the ``SIBYL_PARALLEL`` environment variable,
-parsed by the same :func:`repro.sim.lanes.resolve_count_env` contract
+parsed by the same :func:`repro.knobs.resolve_count_env` contract
 as ``SIBYL_LANES``):
 
 * unset / ``"auto"`` — one worker per core this process may run on
@@ -76,10 +76,11 @@ from typing import (
     Tuple,
 )
 
+from ..knobs import resolve_count_env
 from ..obs.metrics import active_registry
 from ..obs.tracer import span
 from .blas import blas_threads, limit_blas_threads, set_blas_threads
-from .lanes import resolve_count_env, resolve_lanes
+from .lanes import resolve_lanes
 
 __all__ = ["Cell", "run_many", "iter_many", "run_grid", "resolve_workers"]
 

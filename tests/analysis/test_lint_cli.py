@@ -52,9 +52,9 @@ class TestAnalysisMain:
     def test_list_rules(self, capsys):
         assert analysis_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("SBL-DET", "SBL-HOOK", "SBL-FPR", "SBL-ENV",
-                        "SBL-FORK", "SBL-ABI", "SBL-DTYPE", "SBL-CONST"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines() if line]
+        assert listed == ["SBL-DET", "SBL-HOOK", "SBL-FPR", "SBL-ENV",
+                          "SBL-FORK"]
 
 
 class TestChangedFlag:

@@ -40,10 +40,10 @@ class TestShippedTree:
         assert report.suppressed == 2
 
     def test_kernels_dir_is_clean_with_zero_suppressions(self):
-        # The Python/C mirror is where the kernel rules (SBL-ABI /
-        # SBL-DTYPE / SBL-CONST) actually bite, and it must pass them
-        # outright: a suppression here would waive the ABI contract
-        # itself, so the pin is zero — not "few".
+        # The kernels are the innermost bit-identity core: SBL-DET and
+        # SBL-FORK must pass outright here, so the pin is zero — not
+        # "few".  (The Python/C boundary itself is generated from
+        # sim/kernels/abi.py and checked at runtime, not by lint.)
         report = run_lint([REPO / "src" / "repro" / "sim" / "kernels"])
         assert report.findings == [], "\n".join(
             f"{f.path}:{f.line}: {f.rule} {f.message}"

@@ -15,11 +15,11 @@ from repro.baselines.hps import HPSPolicy
 from repro.baselines.oracle import OraclePolicy
 from repro.core.agent import SibylAgent
 from repro.core.hyperparams import SIBYL_DEFAULT
+from repro.knobs import resolve_choice_env
 from repro.rl.c51 import C51Config, C51LaneStack, C51Network
 from repro.rl.dqn import DQNConfig, DQNLaneStack, DQNNetwork
 from repro.sim.lanes import (
     LaneSpec,
-    resolve_choice_env,
     resolve_lanes,
     resolve_train_align,
     run_lanes,

@@ -23,6 +23,7 @@ from repro.baselines.hps import HPSPolicy
 from repro.baselines.oracle import OraclePolicy
 from repro.core.agent import SibylAgent
 from repro.hss.request import OpType, Request
+from repro.knobs import resolve_choice_env
 from repro.sim.kernels import (
     BACKEND_ENV,
     BACKENDS,
@@ -31,7 +32,7 @@ from repro.sim.kernels import (
     resolve_backend,
 )
 from repro.sim.kernels import engine_c
-from repro.sim.lanes import LaneSpec, resolve_choice_env, run_lanes
+from repro.sim.lanes import LaneSpec, run_lanes
 from repro.sim.runner import run_policy
 from repro.traces.workloads import make_trace
 
@@ -322,9 +323,7 @@ class TestBuildPruning:
     def test_load_leaves_exactly_one_binary(self):
         import os
 
-        build_dir = os.path.join(
-            os.path.dirname(engine_c._source_path()), "_build"
-        )
+        build_dir = engine_c._BUILD_DIR
         orphan = os.path.join(build_dir, "kernel-0000000000000000.so")
         with open(orphan, "wb") as fh:
             fh.write(b"x")
