@@ -28,6 +28,7 @@ ENGINE_COUNTERS = (
     "train_events",
     "fused_train_events",
     "kernel_barriers",
+    "script_lanes",
 )
 
 #: High-water-mark observations (``record_max``) the engines feed.

@@ -72,8 +72,9 @@ from ..core.hyperparams import SIBYL_DEFAULT, SIBYL_OPT, SibylHyperParams
 from ..hss.request import Request
 from ..traces.mixer import make_mixed_trace
 from ..traces.workloads import make_trace
+from .lanes import LaneSpec, run_lanes
 from .parallel import Cell, iter_many, run_grid
-from .runner import run_normalized, run_policy, synthetic_trace
+from .runner import run_normalized, synthetic_trace
 
 __all__ = [
     "DEFAULT_WARMUP",
@@ -129,18 +130,20 @@ def run_oracle_best(
     how aggressively to admit into fast storage; searching a small
     horizon grid realises that.
     """
-    best = None
-    for horizon in ORACLE_HORIZONS:
-        result = run_policy(
-            OraclePolicy(horizon_scale=horizon),
-            trace,
-            config=config,
-            capacity_fractions=capacity_fractions,
-            warmup_fraction=warmup_fraction,
-        )
-        if best is None or result.avg_latency_s < best.avg_latency_s:
-            best = result
-    return best
+    results = run_lanes(
+        [
+            LaneSpec(
+                policy=OraclePolicy(horizon_scale=horizon),
+                trace=trace,
+                config=config,
+                capacity_fractions=capacity_fractions,
+                warmup_fraction=warmup_fraction,
+            )
+            for horizon in ORACLE_HORIZONS
+        ]
+    )
+    # min() keeps the first of equals, as the serial search did.
+    return min(results, key=lambda result: result.avg_latency_s)
 
 
 def oracle_row(oracle, reference_row: Dict[str, float]) -> Dict[str, float]:

@@ -26,6 +26,13 @@ the tick loop through one of two interchangeable engines:
   binning, device latency models, LRU eviction, replay dedup — runs in
   C with bit-identical arithmetic.
 
+The compiled kernel also serves the paper's *baselines* as scripted
+lanes (:mod:`.script`): ``policy.place`` runs over the trace ahead of
+the replay and ``kernel.c`` takes the recorded decisions — one
+serve/evict routine for every lane of a paper lineup.  That path has no
+NumPy twin: under ``numpy``/``off`` those lanes stay on the lockstep
+engine.
+
 Backend selection goes through the ``SIBYL_BACKEND`` knob (parsed by
 :func:`repro.knobs.resolve_choice_env`):
 
@@ -53,6 +60,7 @@ __all__ = [
     "BACKENDS",
     "resolve_backend",
     "get_backend",
+    "dual_device_hss",
     "kernel_eligible",
     "run_kernel_lanes",
 ]
@@ -102,6 +110,17 @@ def get_backend(name: Optional[str] = None) -> Optional[str]:
     return "numpy"  # auto: silent reference fallback
 
 
+def dual_device_hss(hss) -> bool:
+    """The HSS half of both lane gates: the system ``kernel.c`` models —
+    two devices (SSD/HDD models, exact types), the slow one unbounded."""
+    from ...hss.hdd import HDDDevice
+    from ...hss.ssd import SSDDevice
+
+    if hss.n_devices != 2 or hss.capacity_pages[1] is not None:
+        return False
+    return all(type(d) in (SSDDevice, HDDDevice) for d in hss.devices)
+
+
 def kernel_eligible(run) -> bool:
     """True when ``run`` matches the configuration the kernels compile.
 
@@ -113,26 +132,21 @@ def kernel_eligible(run) -> bool:
     rewards or selectors — takes the lockstep engine, which handles any
     policy.  The gate is deliberately exact (``type`` checks, not
     ``isinstance``): a subclass may override any hook the kernels
-    inline.
+    inline.  (The baselines have their own gate,
+    :func:`repro.sim.kernels.script.script_eligible`.)
     """
     from ...core.agent import SibylAgent
     from ...core.features import FEATURE_SETS
     from ...core.reward import LatencyReward
     from ...hss.eviction import LRUVictimSelector
-    from ...hss.hdd import HDDDevice
-    from ...hss.ssd import SSDDevice
 
     policy = run.policy
     if type(policy) is not SibylAgent:
         return False
     hss = run.hss
-    if hss.n_devices != 2 or hss.capacity_pages[1] is not None:
-        return False
-    if hss.capacity_pages[0] is None:
+    if not dual_device_hss(hss) or hss.capacity_pages[0] is None:
         return False
     if type(hss.victim_selector) is not LRUVictimSelector:
-        return False
-    if any(type(d) not in (SSDDevice, HDDDevice) for d in hss.devices):
         return False
     if policy.extractor is None or policy.reward_fn is None:
         return False
@@ -155,23 +169,33 @@ def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> Li
     path.  Lanes share no state, so they are executed one after another;
     each finishes bit-identical to a serial ``run_policy``.
 
+    Agent lanes (:func:`kernel_eligible`) run in either engine;
+    scripted lanes (:func:`.script.script_eligible`, the baselines) are
+    taken by the compiled engine only and are returned under ``numpy``.
+
     ``sink`` (an :class:`repro.obs.sink.ObservationSink`) receives the
     same tick-domain counters the lockstep engine emits — per-lane
     ``ticks``, one-row ``fused_forwards``/``fused_rows``,
     ``train_events`` — plus ``kernel_barriers``, the number of
     Python-boundary crossings (inference + train gates) the SoA engines
-    paid.
+    paid, and ``script_lanes``, the number of scripted lanes (which
+    count nothing else, as on the lockstep path).
     """
     engine = get_backend(backend)
     if engine is None:
         return list(runs)
-    eligible = [run for run in runs if kernel_eligible(run)]
-    if not eligible:
-        return list(runs)
+    taken = [run for run in runs if kernel_eligible(run)]
     if engine == "cext":
-        from .engine_c import run_lanes_c as run_batch
-    else:
-        from .engine_numpy import run_lanes_numpy as run_batch
-    run_batch(eligible, sink=sink)
-    chosen = set(map(id, eligible))
+        from .engine_c import run_lanes_c
+        from .script import script_eligible
+
+        scripted = [run for run in runs if script_eligible(run)]
+        if taken or scripted:
+            run_lanes_c(taken, scripted, sink=sink)
+            taken += scripted
+    elif taken:
+        from .engine_numpy import run_lanes_numpy
+
+        run_lanes_numpy(taken, sink=sink)
+    chosen = set(map(id, taken))
     return [run for run in runs if id(run) not in chosen]

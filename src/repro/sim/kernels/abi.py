@@ -104,6 +104,13 @@ TABLE = Table(
         Pointer("P_HSS_D", "hd", "double"),
         Pointer("P_VICTIMS", "victims", "int32_t"),
         Pointer("P_VSORT", "vsort", "int32_t"),
+        # Scripted lanes: the per-request decisions, and the Belady
+        # selector's future-use index (CSR over dense pages) + scratch.
+        Pointer("P_SCRIPT", "script", "int8_t", const=True),
+        Pointer("P_FU_OFF", "fu_off", "int64_t", const=True),
+        Pointer("P_FU_IDX", "fu_idx", "int64_t", const=True),
+        Pointer("P_FU_CUR", "fu_cur", "int64_t"),
+        Pointer("P_VKEY", "vkey", "int64_t"),
     ),
     ctrl_i=(
         "CI_STATUS", "CI_I", "CI_RESUMED", "CI_NTOTAL", "CI_WARMUP",
@@ -116,7 +123,7 @@ TABLE = Table(
         "CI_RB_SLOT_HI", "CI_MEMO_N", "CI_MEMO_CAP", "CI_MEMO_HASHCAP",
         "CI_ACTION", "CI_ERR", "CI_ORDER_N",
         "CI_SIZE_BINS", "CI_INTR_BINS", "CI_CNT_BINS", "CI_CAP_BINS",
-        "CI_NDEV",
+        "CI_NDEV", "CI_SCRIPTED", "CI_BELADY_NOW",
     ),
     ctrl_d=(
         "CD_COMPLETION", "CD_REWARD_SUM", "CD_EPS", "CD_UNIT",

@@ -22,6 +22,11 @@ The NumPy reference proves the arithmetic; this engine re-executes it
 in C with the same operations in the same order (``-ffp-contract=off``
 keeps the compiler from fusing them).
 
+A second lane kind needs no barrier at all: a *scripted* lane
+(:func:`run_script_c`; the paper's baselines, see :mod:`.script`) packs
+only the HSS half of that state plus one decision per request, and the
+kernel replays the trace through the same serve/evict routine.
+
 The two languages share one ABI table (:mod:`.abi`): the slot indices
 used below are derived from it, and so is the ``sib_abi.h`` that
 ``kernel.c`` includes.  The shared library is built on demand with the
@@ -41,10 +46,11 @@ import os
 import subprocess
 import tempfile
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ...hss.eviction import BeladyVictimSelector
 from ...hss.hdd import HDDDevice
 from ...hss.ssd import SSDDevice
 from ...obs.tracer import span as _span
@@ -53,12 +59,20 @@ from . import abi
 # lengths, the strides and the ST_* status codes: plain ints derived
 # from abi.TABLE, the table the C side's sib_abi.h is rendered from.
 from .abi import *
+from .script import LIVE_LOCATION, decide
 from .soa import LaneSoA, TraceSoA
 
-__all__ = ["available", "unavailable_reason", "run_lanes_c", "run_one_c"]
+__all__ = [
+    "available", "unavailable_reason", "so_path",
+    "run_lanes_c", "run_one_c", "run_script_c",
+]
 
 _MEMO_CAP = 1 << 16
 _U64 = (1 << 64) - 1
+#: ``CI_CAP0`` of an unbounded fast device (Fast-Only): never overflows.
+_UNBOUNDED = np.iinfo(np.int64).max
+#: What a slot holds when the lane kind never reads it.
+_UNUSED = {ctype: np.zeros(1, dtype=dtype) for ctype, dtype in abi.DTYPES.items()}
 
 # ------------------------------------------------------------- build
 _lib = None
@@ -104,12 +118,12 @@ def _prune_stale_builds(build_dir: str, keep: str) -> None:
                 pass
 
 
-def _compile(src: str, header: str, so_path: str) -> Optional[str]:
-    """Build ``src`` against ``header`` into ``so_path``; the error
+def _compile(src: str, header: str, target: str) -> Optional[str]:
+    """Build ``src`` against ``header`` into ``target``; the error
     text on failure.  Header and output live in a private temp
     directory until the final rename, so concurrent builders never read
     a half-written header or load a half-written library."""
-    build_dir = os.path.dirname(so_path)
+    build_dir = os.path.dirname(target)
     try:
         os.makedirs(build_dir, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=build_dir) as tmp:
@@ -123,11 +137,21 @@ def _compile(src: str, header: str, so_path: str) -> Optional[str]:
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode != 0:
                 return f"compiler failed: {proc.stderr.strip()[:500]}"
-            os.replace(out, so_path)
+            os.replace(out, target)
     except (OSError, subprocess.SubprocessError) as exc:
         return f"build failed: {exc}"
-    _prune_stale_builds(build_dir, os.path.basename(so_path))
+    _prune_stale_builds(build_dir, os.path.basename(target))
     return None
+
+
+def so_path() -> str:
+    """Where this checkout's kernel binary lives: ``_build/kernel-<digest
+    of the generated header + kernel.c>.so``.  :func:`_load` builds it
+    there when missing; a differently built binary (CI's sanitizer leg)
+    is loaded from the same place, subject to the ABI handshake."""
+    with open(_source_path(), "rb") as fh:
+        digest = _build_digest(abi.render_header(), fh.read())
+    return os.path.join(_BUILD_DIR, f"kernel-{digest}.so")
 
 
 def _load() -> Optional[ctypes.CDLL]:
@@ -136,23 +160,18 @@ def _load() -> Optional[ctypes.CDLL]:
     global _lib, _build_error
     if _lib is not None or _build_error is not None:
         return _lib
-    src = _source_path()
     try:
-        with open(src, "rb") as fh:
-            code = fh.read()
+        path = so_path()
     except OSError as exc:
         _build_error = f"kernel source unreadable: {exc}"
         return None
-    header = abi.render_header()
-    digest = _build_digest(header, code)
-    so_path = os.path.join(_BUILD_DIR, f"kernel-{digest}.so")
-    if not os.path.exists(so_path):
-        with _span("kernel.build", cat="kernel", digest=digest):
-            _build_error = _compile(src, header, so_path)
+    if not os.path.exists(path):
+        with _span("kernel.build", cat="kernel", binary=os.path.basename(path)):
+            _build_error = _compile(_source_path(), abi.render_header(), path)
         if _build_error is not None:
             return None
     try:
-        lib = ctypes.CDLL(so_path)
+        lib = ctypes.CDLL(path)
         lib.sib_run.restype = ctypes.c_longlong
         lib.sib_run.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
         lib.sib_abi_hash.restype = ctypes.c_ulonglong
@@ -165,7 +184,7 @@ def _load() -> Optional[ctypes.CDLL]:
     built, ours = lib.sib_abi_hash(), abi.abi_hash()
     if built != ours:
         _build_error = (
-            f"ABI hash mismatch: {os.path.basename(so_path)} was compiled "
+            f"ABI hash mismatch: {os.path.basename(path)} was compiled "
             f"against table {built:#018x}, this process packs by {ours:#018x}"
         )
         return None
@@ -345,21 +364,158 @@ def _check_arrays(arrays: List) -> None:
         )
 
 
-class _KernelRun:
-    """One lane's kernel state: the arrays, the pointer table, the
-    Python-side barrier handlers."""
+class _HSSState:
+    """The HSS half of one lane's kernel state, common to both lane
+    kinds: the trace columns, page table, LRU lists, tracker, devices
+    and stats, packed from the live objects and written back to them
+    by :meth:`export_hss`.  A scripted lane is this plus its script."""
 
     def __init__(self, run, trace: TraceSoA) -> None:
         self.run = run
-        self.policy = policy = run.policy
         self.hss = hss = run.hss
         self.trace = trace
-        n = trace.n
-
-        uniq = trace.touched_pages()
-        self.uniq = uniq
+        self.uniq = uniq = trace.uniq
         n_pages = len(uniq)
-        dpage = np.searchsorted(uniq, trace.pages).astype(np.int64)
+
+        self.ci = ci = np.zeros(CI_LEN, dtype=np.int64)
+        self.cd = cd = np.zeros(CD_LEN, dtype=np.float64)
+        ci[CI_NTOTAL] = trace.n
+        ci[CI_WARMUP] = run._warmup_end
+        ci[CI_CLOCK] = hss.tracker._clock
+        cap = hss.capacity_pages[0]
+        ci[CI_CAP0] = _UNBOUNDED if cap is None else cap
+        ci[CI_SLACK] = hss.eviction_slack_pages
+        ci[CI_HEAD0] = ci[CI_TAIL0] = ci[CI_HEAD1] = ci[CI_TAIL1] = -1
+        ci[CI_NDEV] = hss.n_devices
+        ci[CI_BELADY_NOW] = -1  # LRU victim selection
+        cd[CD_COMPLETION] = run._completion_s
+
+        self.dd = dd = np.zeros(2 * DD_STRIDE, dtype=np.float64)
+        self.di = di = np.zeros(2 * DI_STRIDE, dtype=np.int64)
+        for d in range(2):
+            _seed_device(run, d, dd, di)
+
+        self.hi = hi = np.zeros(HI_LEN, dtype=np.int64)
+        stats = hss.stats
+        hi[HI_REQUESTS] = stats.requests
+        hi[HI_READS] = stats.reads
+        hi[HI_WRITES] = stats.writes
+        hi[HI_PROMOTED] = stats.promoted_pages
+        hi[HI_DEMOTED] = stats.demoted_pages
+        hi[HI_EVENTS] = stats.eviction_events
+        hi[HI_EVICTED] = stats.evicted_pages
+        hi[HI_PLACE0] = stats.placements[0]
+        hi[HI_PLACE1] = stats.placements[1]
+        self.hd = hd = np.zeros(HD_LEN, dtype=np.float64)
+        hd[HD_TOTAL_LAT] = stats.total_latency_s
+        hd[HD_EVICT_TIME] = stats.eviction_time_s
+        hd[HD_LAST_COMPLETION] = stats.last_completion_s
+
+        self.arrays = arrays = [None] * P_NPTR
+        arrays[P_CTRL_I] = ci
+        arrays[P_CTRL_D] = cd
+        arrays[P_TS] = np.ascontiguousarray(trace.timestamps)
+        arrays[P_OP] = np.ascontiguousarray(trace.ops)
+        arrays[P_DPAGE] = trace.dpage
+        arrays[P_SIZE] = np.ascontiguousarray(trace.sizes)
+        arrays[P_UNIQ] = uniq
+        arrays[P_LOC] = np.full(n_pages, -1, dtype=np.int8)
+        arrays[P_LRU_PREV] = np.full(n_pages, -1, dtype=np.int32)
+        arrays[P_LRU_NEXT] = np.full(n_pages, -1, dtype=np.int32)
+        arrays[P_CNT] = np.zeros(n_pages, dtype=np.int64)
+        arrays[P_LAST] = np.full(n_pages, -1, dtype=np.int64)
+        arrays[P_DEV_D] = dd
+        arrays[P_DEV_I] = di
+        arrays[P_HSS_I] = hi
+        arrays[P_HSS_D] = hd
+        arrays[P_VICTIMS] = np.zeros(n_pages + 1, dtype=np.int32)
+        arrays[P_VSORT] = np.zeros(n_pages + 1, dtype=np.int32)
+
+    def bind(self) -> None:
+        """Check every packed array against the table and build the
+        pointer table; slots the lane kind never reads get a
+        placeholder of the slot's element type."""
+        arrays = self.arrays
+        for k, slot in enumerate(abi.TABLE.pointers):
+            if arrays[k] is None:
+                arrays[k] = _UNUSED[slot.ctype]
+        _check_arrays(arrays)
+        ptrs = (ctypes.c_void_p * P_NPTR)()
+        for k, arr in enumerate(arrays):
+            ptrs[k] = arr.ctypes.data_as(ctypes.c_void_p).value
+        self.ptrs = ptrs
+
+    def invoke(self, lib) -> int:
+        """One ``sib_run`` entry; raises on the kernel's error status."""
+        status = lib.sib_run(self.ptrs)
+        if status == ST_ERROR:
+            raise RuntimeError(
+                "compiled tick kernel aborted "
+                f"(err={int(self.ci[CI_ERR])}, i={int(self.ci[CI_I])})"
+            )
+        return status
+
+    def export_hss(self) -> None:
+        run = self.run
+        hss = self.hss
+        ci = self.ci
+
+        run._completion_s = float(self.cd[CD_COMPLETION])
+        run._index = int(ci[CI_NTOTAL])
+        run.finished = True
+
+        tracker = hss.tracker
+        uniq = self.uniq
+        cnt = self.arrays[P_CNT]
+        last = self.arrays[P_LAST]
+        touched = np.nonzero(last >= 0)[0]
+        pages = uniq[touched].tolist()
+        tracker._count = dict(zip(pages, cnt[touched].tolist()))
+        tracker._last_access = dict(zip(pages, last[touched].tolist()))
+        tracker._clock = int(ci[CI_CLOCK])
+
+        table = hss.table
+        loc = self.arrays[P_LOC]
+        mapped = np.nonzero(loc >= 0)[0]
+        table._location = dict(
+            zip(uniq[mapped].tolist(), loc[mapped].astype(int).tolist())
+        )
+        page_of = uniq.tolist()
+        lnext = self.arrays[P_LRU_NEXT].tolist()
+        for d in range(2):
+            resident = table._resident[d]
+            resident.clear()
+            p = int(ci[CI_HEAD0 + 2 * d])
+            while p >= 0:
+                resident[page_of[p]] = None
+                p = lnext[p]
+
+        stats = hss.stats
+        hi, hd = self.hi, self.hd
+        stats.requests = int(hi[HI_REQUESTS])
+        stats.reads = int(hi[HI_READS])
+        stats.writes = int(hi[HI_WRITES])
+        stats.promoted_pages = int(hi[HI_PROMOTED])
+        stats.demoted_pages = int(hi[HI_DEMOTED])
+        stats.eviction_events = int(hi[HI_EVENTS])
+        stats.evicted_pages = int(hi[HI_EVICTED])
+        stats.placements = [int(hi[HI_PLACE0]), int(hi[HI_PLACE1])]
+        stats.total_latency_s = float(hd[HD_TOTAL_LAT])
+        stats.eviction_time_s = float(hd[HD_EVICT_TIME])
+        stats.last_completion_s = float(hd[HD_LAST_COMPLETION])
+
+        for d in range(2):
+            _writeback_device(run, d, self.dd, self.di)
+
+
+class _KernelRun(_HSSState):
+    """One agent lane's kernel state: the HSS half plus replay buffer,
+    action memo, RNG and the Python-side barrier handlers."""
+
+    def __init__(self, run, trace: TraceSoA) -> None:
+        super().__init__(run, trace)
+        self.policy = policy = run.policy
+        ci, cd, arrays = self.ci, self.cd, self.arrays
 
         buf = policy.buffer
         cap = buf.capacity
@@ -378,19 +534,10 @@ class _KernelRun:
         spec = policy.extractor.spec
         reward_fn = policy.reward_fn
 
-        ci = np.zeros(CI_LEN, dtype=np.int64)
-        cd = np.zeros(CD_LEN, dtype=np.float64)
-        ci[CI_I] = 0
-        ci[CI_NTOTAL] = n
-        ci[CI_WARMUP] = run._warmup_end
         ci[CI_SEEN] = policy._requests_seen
         ci[CI_TRAIN_INT] = hp.train_interval
         ci[CI_BATCH] = hp.batch_size
         ci[CI_INIT_RAND] = hp.initial_random_requests
-        ci[CI_CLOCK] = hss.tracker._clock
-        ci[CI_CAP0] = hss.capacity_pages[0]
-        ci[CI_SLACK] = hss.eviction_slack_pages
-        ci[CI_HEAD0] = ci[CI_TAIL0] = ci[CI_HEAD1] = ci[CI_TAIL1] = -1
         ci[CI_RB_CAP] = cap
         ci[CI_RB_HEAD] = ci[CI_RB_TAIL] = -1
         ci[CI_RB_HASHCAP] = rb_hashcap
@@ -400,47 +547,11 @@ class _KernelRun:
         ci[CI_INTR_BINS] = spec.intr_bins
         ci[CI_CNT_BINS] = spec.cnt_bins
         ci[CI_CAP_BINS] = spec.cap_bins
-        ci[CI_NDEV] = hss.n_devices
-        cd[CD_COMPLETION] = run._completion_s
         cd[CD_EPS] = hp.exploration_rate
         cd[CD_UNIT] = reward_fn.unit_latency_s
         cd[CD_EVICT_COEF] = reward_fn.eviction_penalty_coefficient
         cd[CD_MAX_REWARD] = reward_fn.max_reward
 
-        dd = np.zeros(2 * DD_STRIDE, dtype=np.float64)
-        di = np.zeros(2 * DI_STRIDE, dtype=np.int64)
-        for d in range(2):
-            _seed_device(run, d, dd, di)
-
-        hi = np.zeros(HI_LEN, dtype=np.int64)
-        stats = hss.stats
-        hi[HI_REQUESTS] = stats.requests
-        hi[HI_READS] = stats.reads
-        hi[HI_WRITES] = stats.writes
-        hi[HI_PROMOTED] = stats.promoted_pages
-        hi[HI_DEMOTED] = stats.demoted_pages
-        hi[HI_EVENTS] = stats.eviction_events
-        hi[HI_EVICTED] = stats.evicted_pages
-        hi[HI_PLACE0] = stats.placements[0]
-        hi[HI_PLACE1] = stats.placements[1]
-        hd = np.zeros(HD_LEN, dtype=np.float64)
-        hd[HD_TOTAL_LAT] = stats.total_latency_s
-        hd[HD_EVICT_TIME] = stats.eviction_time_s
-        hd[HD_LAST_COMPLETION] = stats.last_completion_s
-
-        self.arrays = arrays = [None] * P_NPTR
-        arrays[P_CTRL_I] = ci
-        arrays[P_CTRL_D] = cd
-        arrays[P_TS] = np.ascontiguousarray(trace.timestamps)
-        arrays[P_OP] = np.ascontiguousarray(trace.ops)
-        arrays[P_DPAGE] = dpage
-        arrays[P_SIZE] = np.ascontiguousarray(trace.sizes)
-        arrays[P_UNIQ] = uniq
-        arrays[P_LOC] = np.full(n_pages, -1, dtype=np.int8)
-        arrays[P_LRU_PREV] = np.full(n_pages, -1, dtype=np.int32)
-        arrays[P_LRU_NEXT] = np.full(n_pages, -1, dtype=np.int32)
-        arrays[P_CNT] = np.zeros(n_pages, dtype=np.int64)
-        arrays[P_LAST] = np.full(n_pages, -1, dtype=np.int64)
         arrays[P_MAXIMA] = np.ascontiguousarray(
             policy.extractor._maxima_arr, dtype=np.float64
         )
@@ -464,26 +575,8 @@ class _KernelRun:
         arrays[P_MEMO_OBS] = np.zeros((_MEMO_CAP, 6), dtype=np.float64)
         arrays[P_MEMO_ACT] = np.zeros(_MEMO_CAP, dtype=np.int32)
         arrays[P_MEMO_HASH] = np.full(_MEMO_CAP * 2, -1, dtype=np.int32)
-        arrays[P_DEV_D] = dd
-        arrays[P_DEV_I] = di
-        arrays[P_HSS_I] = hi
-        arrays[P_HSS_D] = hd
-        arrays[P_VICTIMS] = np.zeros(n_pages + 1, dtype=np.int32)
-        arrays[P_VSORT] = np.zeros(n_pages + 1, dtype=np.int32)
-
-        self.ci = ci
-        self.cd = cd
-        self.dd = dd
-        self.di = di
-        self.hi = hi
-        self.hd = hd
         self.gate_total: Optional[int] = None
-
-        _check_arrays(arrays)
-        ptrs = (ctypes.c_void_p * P_NPTR)()
-        for k, arr in enumerate(arrays):
-            ptrs[k] = arr.ctypes.data_as(ctypes.c_void_p).value
-        self.ptrs = ptrs
+        self.bind()
 
     # ------------------------------------------------------- barriers
     def _rebuild_entries(self) -> None:
@@ -561,14 +654,8 @@ class _KernelRun:
                 setattr(buf, name, arr[:length].copy())
 
     def export(self, lanes: Optional[LaneSoA], lane: int) -> None:
-        run = self.run
         policy = self.policy
-        hss = self.hss
         ci, cd = self.ci, self.cd
-
-        run._completion_s = float(cd[CD_COMPLETION])
-        run._index = int(ci[CI_NTOTAL])
-        run.finished = True
 
         _rng_words_to_state(policy.rng, self.arrays[P_RNG])
         policy._requests_seen = int(ci[CI_SEEN])
@@ -595,65 +682,28 @@ class _KernelRun:
                 buf.sample_slots(1, rng=np.random.default_rng(0))
         self._trim_buffer_arrays()
 
-        tracker = hss.tracker
-        uniq = self.uniq
-        cnt = self.arrays[P_CNT]
-        last = self.arrays[P_LAST]
-        touched = np.nonzero(last >= 0)[0]
-        pages = uniq[touched].tolist()
-        tracker._count = dict(zip(pages, cnt[touched].tolist()))
-        tracker._last_access = dict(zip(pages, last[touched].tolist()))
-        tracker._clock = int(ci[CI_CLOCK])
-
-        table = hss.table
-        loc = self.arrays[P_LOC]
-        lnext = self.arrays[P_LRU_NEXT]
-        mapped = np.nonzero(loc >= 0)[0]
-        table._location = dict(
-            zip(uniq[mapped].tolist(), loc[mapped].astype(int).tolist())
-        )
-        for d in range(2):
-            resident = table._resident[d]
-            resident.clear()
-            p = int(ci[CI_HEAD0 + 2 * d])
-            while p >= 0:
-                resident[int(uniq[p])] = None
-                p = int(lnext[p])
-
-        stats = hss.stats
-        hi, hd = self.hi, self.hd
-        stats.requests = int(hi[HI_REQUESTS])
-        stats.reads = int(hi[HI_READS])
-        stats.writes = int(hi[HI_WRITES])
-        stats.promoted_pages = int(hi[HI_PROMOTED])
-        stats.demoted_pages = int(hi[HI_DEMOTED])
-        stats.eviction_events = int(hi[HI_EVENTS])
-        stats.evicted_pages = int(hi[HI_EVICTED])
-        stats.placements = [int(hi[HI_PLACE0]), int(hi[HI_PLACE1])]
-        stats.total_latency_s = float(hd[HD_TOTAL_LAT])
-        stats.eviction_time_s = float(hd[HD_EVICT_TIME])
-        stats.last_completion_s = float(hd[HD_LAST_COMPLETION])
-
-        for d in range(2):
-            _writeback_device(run, d, self.dd, self.di)
-
+        self.export_hss()
         if lanes is not None:
-            lanes.snapshot(lane, run, float(cd[CD_REWARD_SUM]))
+            lanes.snapshot(lane, self.run, float(cd[CD_REWARD_SUM]))
 
 
 def run_one_c(
-    run, lanes: Optional[LaneSoA] = None, lane: int = 0, sink=None
+    run, lanes: Optional[LaneSoA] = None, lane: int = 0, sink=None,
+    trace: Optional[TraceSoA] = None,
 ) -> None:
     """Drive one eligible ``PolicyRun`` to completion through the
     compiled kernel, bit-identically to serial ``run_policy``.
 
+    ``trace`` is the run's trace already packed (lanes replaying one
+    trace share the pack); by default the run's own iterator is packed.
     ``sink`` receives the engine counters (see ``run_kernel_lanes``);
     the barrier statuses the C loop returns are counted for free in the
     dispatch loop below, so ``kernel_barriers`` prices the Python
     boundary exactly.
     """
     lib = _load()
-    trace = TraceSoA.from_run(run)
+    if trace is None:
+        trace = TraceSoA.from_run(run)
     if lib is None or not _kernel_ready(run, trace):
         from .engine_numpy import run_one_numpy
 
@@ -664,22 +714,20 @@ def run_one_c(
     state = _KernelRun(run, trace)
     n_inference = 0
     n_train = 0
-    with _span("kernel.invoke", cat="kernel", lane=lane, requests=trace.n):
+    with _span(
+        "kernel.invoke", cat="kernel", mode="agent", policy=run.policy.name,
+        lane=lane, requests=trace.n,
+    ):
         while True:
-            status = lib.sib_run(state.ptrs)
+            status = state.invoke(lib)
             if status == ST_DONE:
                 break
             if status == ST_NEED_INFERENCE:
                 n_inference += 1
                 state.handle_inference()
-            elif status == ST_TRAIN_GATE:
+            else:  # ST_TRAIN_GATE
                 n_train += 1
                 state.handle_train_gate()
-            else:
-                raise RuntimeError(
-                    "compiled tick kernel aborted "
-                    f"(err={int(state.ci[CI_ERR])}, i={int(state.ci[CI_I])})"
-                )
     state.export(lanes, lane)
     if sink is not None:
         sink.count("ticks", trace.n)
@@ -691,10 +739,63 @@ def run_one_c(
         sink.count("kernel_barriers", n_inference + n_train)
 
 
-def run_lanes_c(runs: List, lanes: Optional[LaneSoA] = None, sink=None) -> LaneSoA:
-    """Drive every run to completion through the compiled engine."""
+def run_script_c(run, trace: TraceSoA, sink=None) -> None:
+    """Drive one scripted ``PolicyRun`` (``script.script_eligible``) to
+    completion: the policy decides every request ahead of the replay
+    (:func:`~.script.decide`, Python), then the kernel's one serve/evict
+    routine replays the trace taking ``script[i]`` where an agent lane
+    would observe, look up and learn.  Bit-identical to serial
+    ``run_policy``, post-run HSS and policy state included.
+    """
+    script = decide(run, trace.requests)
+    if script.min() < LIVE_LOCATION or script.max() >= run.hss.n_devices:
+        raise ValueError(
+            f"{run.policy.name} scripted a device outside this HSS"
+        )
+    state = _HSSState(run, trace)
+    state.ci[CI_SCRIPTED] = 1
+    state.arrays[P_SCRIPT] = script
+    if type(run.hss.victim_selector) is BeladyVictimSelector:
+        state.ci[CI_BELADY_NOW] = 0
+        offsets, indices = trace.future_uses
+        state.arrays[P_FU_OFF] = offsets
+        state.arrays[P_FU_IDX] = indices
+        state.arrays[P_FU_CUR] = offsets[:-1].copy()  # one cursor per page
+        state.arrays[P_VKEY] = np.zeros(len(offsets), dtype=np.int64)
+    state.bind()
+    with _span(
+        "kernel.invoke", cat="kernel", mode="script", policy=run.policy.name,
+        requests=trace.n,
+    ):
+        state.invoke(_load())
+    state.export_hss()
+    if sink is not None:
+        sink.count("script_lanes")
+
+
+def run_lanes_c(
+    runs: List, scripted: Sequence = (), lanes: Optional[LaneSoA] = None,
+    sink=None,
+) -> LaneSoA:
+    """Drive every agent run, then every scripted run, to completion
+    through the compiled engine.
+
+    Each distinct trace object is packed once per call; each lane's
+    kernel state is packed, run, exported and dropped before the next
+    lane's is built.
+    """
     if lanes is None:
         lanes = LaneSoA.for_runs(runs)
+    packed: Dict[int, TraceSoA] = {}
+
+    def pack(run) -> TraceSoA:
+        key = id(run._source)
+        if key not in packed:
+            packed[key] = TraceSoA.from_run(run)
+        return packed[key]
+
     for lane, run in enumerate(runs):
-        run_one_c(run, lanes=lanes, lane=lane, sink=sink)
+        run_one_c(run, lanes=lanes, lane=lane, sink=sink, trace=pack(run))
+    for run in scripted:
+        run_script_c(run, pack(run), sink=sink)
     return lanes

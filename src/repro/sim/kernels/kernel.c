@@ -20,6 +20,11 @@
  * sib_run() returns NEED_INFERENCE (action-memo miss -> the caller runs
  * the NN forward) or TRAIN_GATE (a training event is due -> the caller
  * drives train_begin/train_commit) and is re-entered where it left off.
+ *
+ * A *scripted* lane (CI_SCRIPTED; script.py) made its decisions ahead of
+ * the replay: the tick takes script[i], skips observe/memo/replay/reward
+ * and the train gate, and runs the same serve block and do_evict as an
+ * agent tick -- one copy of each, two callers.
  */
 
 #include <math.h>
@@ -293,11 +298,42 @@ static inline void upd_util(S *s, int64_t d) {
 }
 
 /* --------------------------------------------------------- evictions */
+/* victim_selector.select(table, 0, n) into s->victims; returns how many.
+ * LRUVictimSelector takes the first n of the LRU walk.  So does
+ * BeladyVictimSelector (CI_BELADY_NOW >= 0 is its `now`) while
+ * resident <= n; otherwise it is Python's stable
+ * `resident.sort(key=next_use, reverse=True)[:n]`: the n farthest next
+ * uses, ties in LRU order, kept sorted by insertion as the walk goes. */
+static int64_t select_victims(S *s, int64_t n) {
+    const int64_t bnow = s->ci[CI_BELADY_NOW];
+    int64_t nv = 0;
+    if (bnow < 0 || s->ci[CI_RES0] <= n) {
+        for (int64_t p = s->ci[CI_HEAD0]; p >= 0 && nv < n; p = s->lnext[p])
+            s->victims[nv++] = (int32_t)p;
+        return nv;
+    }
+    for (int64_t p = s->ci[CI_HEAD0]; p >= 0; p = s->lnext[p]) {
+        int64_t k = s->fu_cur[p], end = s->fu_off[p + 1];
+        while (k < end && s->fu_idx[k] < bnow) /* next_use's cursor */
+            k++;
+        s->fu_cur[p] = k;
+        int64_t key = k < end ? s->fu_idx[k] : INT64_MAX; /* never: inf */
+        if (nv == n && key <= s->vkey[n - 1])
+            continue; /* no farther than the nearest kept: earlier wins */
+        int64_t j = nv < n ? nv++ : n - 1;
+        for (; j > 0 && s->vkey[j - 1] < key; j--) {
+            s->vkey[j] = s->vkey[j - 1];
+            s->victims[j] = s->victims[j - 1];
+        }
+        s->vkey[j] = key;
+        s->victims[j] = (int32_t)p;
+    }
+    return nv;
+}
+
 /* HybridStorageSystem._evict(0, n, now): two devices, dest unbounded. */
 static double do_evict(S *s, int64_t n, double now) {
-    int64_t nv = 0;
-    for (int64_t p = s->ci[CI_HEAD0]; p >= 0 && nv < n; p = s->lnext[p])
-        s->victims[nv++] = (int32_t)p;
+    int64_t nv = select_victims(s, n);
     if (nv == 0)
         return 0.0;
     double read_time = 0.0, write_time = 0.0;
@@ -331,7 +367,7 @@ static double do_evict(S *s, int64_t n, double now) {
             write_time += bg_access(s, 1, now, run_start, j - i, 1);
             i = j;
         }
-        for (int64_t k = 0; k < nv; k++) { /* moves in LRU-victim order */
+        for (int64_t k = 0; k < nv; k++) { /* moves in selection order */
             int32_t v = s->victims[k];
             lru_remove(s, 0, v);
             s->loc[v] = 1;
@@ -532,11 +568,17 @@ long long sib_run(void **p) {
     int64_t *ci = s->ci;
     double *cd = s->cd;
 
-    pcg64_t rng;
-    rng.state = (((__uint128_t)s->rngst[0]) << 64) | s->rngst[1];
-    rng.inc = (((__uint128_t)s->rngst[2]) << 64) | s->rngst[3];
-    rng.has_uint32 = (int)s->rngst[4];
-    rng.uinteger = (uint32_t)s->rngst[5];
+    /* A scripted lane binds placeholders to every agent slot (RNG,
+     * replay, memo, counts): nothing below may touch them for it. */
+    const int scripted = (int)ci[CI_SCRIPTED];
+
+    pcg64_t rng = {0, 0, 0, 0};
+    if (!scripted) {
+        rng.state = (((__uint128_t)s->rngst[0]) << 64) | s->rngst[1];
+        rng.inc = (((__uint128_t)s->rngst[2]) << 64) | s->rngst[3];
+        rng.has_uint32 = (int)s->rngst[4];
+        rng.uinteger = (uint32_t)s->rngst[5];
+    }
 
     const int64_t n_total = ci[CI_NTOTAL];
     const int64_t warmup_end = ci[CI_WARMUP];
@@ -603,6 +645,15 @@ long long sib_run(void **p) {
         size = s->size[i];
         is_wr = s->op[i];
 
+        if (scripted) { /* the decision was made ahead of the replay */
+            action = s->script[i];
+            if (action < 0) /* CDE's "where the first page lives" */
+                action = s->loc[dp] < 0 ? 1 : s->loc[dp];
+            if (ci[CI_BELADY_NOW] >= 0) /* OraclePolicy.place: selector.now */
+                ci[CI_BELADY_NOW] = clock + size;
+            goto serve;
+        }
+
         /* ---- observe_keyed (features._bins_all) ---- */
         {
             int64_t size_bin = log2b(size, size_bins);
@@ -668,6 +719,7 @@ long long sib_run(void **p) {
     after_decision:
         s->action_counts[action]++;
 
+    serve:
         /* closed-loop issue-time clamp */
         if (now < completion_s)
             now = completion_s;
@@ -763,6 +815,12 @@ long long sib_run(void **p) {
                 if (ngroups > 1 || gcount[action] == 0) {
                     mv = size <= 256 ? mv_stack
                                      : (uint8_t *)malloc((size_t)size);
+                    if (mv == NULL) { /* out of memory: abort the run */
+                        ci[CI_ERR] = 2;
+                        ci[CI_STATUS] = ST_ERROR;
+                        ci[CI_I] = i;
+                        goto save_state;
+                    }
                     for (int64_t pp = dp; pp < pend; pp++) {
                         uint8_t m = (uint8_t)(s->loc[pp] != action);
                         mv[pp - dp] = m;
@@ -815,6 +873,8 @@ long long sib_run(void **p) {
             if (completion > s->hd[HD_LAST_COMPLETION])
                 s->hd[HD_LAST_COMPLETION] = completion;
             completion_s = now + latency;
+            if (scripted) /* heuristics ignore feedback: no reward, no gate */
+                continue;
 
             /* ---- LatencyReward (Eq. 1) ---- */
             double lat_units = latency / unit;
@@ -852,7 +912,7 @@ long long sib_run(void **p) {
 
     ci[CI_I] = n_total;
     ci[CI_STATUS] = ST_DONE;
-    { /* final FIFO order export (buffer._entries reconstruction) */
+    if (!scripted) { /* final FIFO order export (buffer._entries) */
         int64_t k = 0;
         for (int64_t sl = ci[CI_RB_HEAD]; sl >= 0; sl = s->rb_fnext[sl])
             s->rb_order[k++] = sl;
@@ -864,11 +924,13 @@ save_state:
     ci[CI_CLOCK] = clock;
     cd[CD_COMPLETION] = completion_s;
     cd[CD_REWARD_SUM] = reward_sum;
-    s->rngst[0] = (uint64_t)(rng.state >> 64);
-    s->rngst[1] = (uint64_t)rng.state;
-    s->rngst[2] = (uint64_t)(rng.inc >> 64);
-    s->rngst[3] = (uint64_t)rng.inc;
-    s->rngst[4] = (uint64_t)rng.has_uint32;
-    s->rngst[5] = (uint64_t)rng.uinteger;
+    if (!scripted) {
+        s->rngst[0] = (uint64_t)(rng.state >> 64);
+        s->rngst[1] = (uint64_t)rng.state;
+        s->rngst[2] = (uint64_t)(rng.inc >> 64);
+        s->rngst[3] = (uint64_t)rng.inc;
+        s->rngst[4] = (uint64_t)rng.has_uint32;
+        s->rngst[5] = (uint64_t)rng.uinteger;
+    }
     return ci[CI_STATUS];
 }

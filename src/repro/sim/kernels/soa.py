@@ -18,7 +18,8 @@ kernel's dense page remap); ``LaneSoA`` snapshots the output side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from functools import cached_property
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,23 +79,50 @@ class TraceSoA:
     def max_size(self) -> int:
         return int(self.sizes.max()) if len(self.requests) else 0
 
-    def touched_pages(self) -> np.ndarray:
-        """Sorted unique logical pages the trace touches (all sizes).
+    def page_touches(self) -> np.ndarray:
+        """Every logical page touch in serve order (the tracker's clock).
 
-        The compiled kernel remaps these to dense ids so the page table,
-        access tracker, and LRU lists become flat arrays instead of hash
-        maps.  Multi-page requests are expanded vectorised: repeat each
-        start page by its size, add the within-request offsets.
+        Multi-page requests are expanded vectorised: repeat each start
+        page by its size, add the within-request offsets.
         """
         sizes = self.sizes
         if self.max_size <= 1:
-            return np.unique(self.pages)
+            return self.pages
         reps = np.repeat(self.pages, sizes)
         starts = np.cumsum(sizes) - sizes
         offsets = np.arange(reps.shape[0], dtype=np.int64) - np.repeat(
             starts, sizes
         )
-        return np.unique(reps + offsets)
+        return reps + offsets
+
+    # What the compiled kernel derives from the columns.  Cached, and
+    # only read by the kernel: lanes replaying one trace share one pack.
+    @cached_property
+    def uniq(self) -> np.ndarray:
+        """Sorted unique logical pages the trace touches (all sizes).
+
+        The compiled kernel remaps these to dense ids (a page's index
+        here) so the page table, access tracker, and LRU lists become
+        flat arrays instead of hash maps.
+        """
+        return np.unique(self.page_touches())
+
+    @cached_property
+    def dpage(self) -> np.ndarray:
+        """Dense id of each request's first page (the rest follow it)."""
+        return np.searchsorted(self.uniq, self.pages).astype(np.int64)
+
+    @cached_property
+    def future_uses(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``OraclePolicy.prepare``'s index as CSR over dense pages.
+
+        ``(offsets, indices)``: dense page ``p`` is touched at the
+        ascending page-access indices ``indices[offsets[p]:offsets[p+1]]``.
+        """
+        touches = np.searchsorted(self.uniq, self.page_touches())
+        offsets = np.zeros(len(self.uniq) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(touches, minlength=len(self.uniq)), out=offsets[1:])
+        return offsets, np.argsort(touches, kind="stable").astype(np.int64)
 
 
 @dataclass

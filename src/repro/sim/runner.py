@@ -193,6 +193,7 @@ class PolicyRun:
         policy.reset()
         policy.attach(hss)
         policy.prepare(source)
+        self._source = source  # identity: lanes replaying it share a pack
         self._iter = iter(source)
         self._index = 0
         self._warmup_end = int(n_total * warmup_fraction)
@@ -399,12 +400,18 @@ def run_reference(
         if hit is not None:
             _REFERENCE_CACHE.move_to_end(key)
             return hit
-    result = run_policy(
-        FastOnlyPolicy(),
-        trace,
-        config=config,
-        max_requests=max_requests,
-        warmup_fraction=warmup_fraction,
+    from .lanes import LaneSpec, run_lanes  # local import: lanes builds on us
+
+    (result,) = run_lanes(
+        [
+            LaneSpec(
+                policy=FastOnlyPolicy(),
+                trace=trace,
+                config=config,
+                max_requests=max_requests,
+                warmup_fraction=warmup_fraction,
+            )
+        ]
     )
     if key is not None:
         _REFERENCE_CACHE[key] = result

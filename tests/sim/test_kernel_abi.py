@@ -96,9 +96,10 @@ class TestTable:
         assert abi.constants(grown)["CI_EXTRA"] == abi.CI_LEN
         assert abi.abi_hash(grown) != abi.abi_hash()
         assert _so_name(grown) != _so_name()
+        last = abi.TABLE.pointers[-1]
+        other = "int32_t" if last.ctype == "int64_t" else "int64_t"
         retyped = abi.TABLE._replace(
-            pointers=abi.TABLE.pointers[:-1]
-            + (abi.TABLE.pointers[-1]._replace(ctype="int64_t"),)
+            pointers=abi.TABLE.pointers[:-1] + (last._replace(ctype=other),)
         )
         assert abi.abi_hash(retyped) != abi.abi_hash()
         assert _so_name(retyped) != _so_name()
