@@ -58,7 +58,7 @@ MAX_WORKERS: Optional[int] = (
     resolve_count_env("SIBYL_BENCH_WORKERS", 0) or None
 )
 N_SEEDS = int(os.environ.get("SIBYL_BENCH_SEEDS", "1"))
-#: kwargs adding the seed axis to a campaign (empty = legacy single-seed).
+#: kwargs adding the seed axis to a campaign (empty = point estimates).
 SEED_AXIS = {"n_seeds": N_SEEDS} if N_SEEDS > 1 else {}
 
 #: Durable campaign store (``SIBYL_STORE``), or None for undurable runs.

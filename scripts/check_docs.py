@@ -45,7 +45,6 @@ AUDITED_MODULES = (
     "repro.analysis.rules",
     "repro.analysis.rules.determinism",
     "repro.analysis.rules.hookpairs",
-    "repro.analysis.rules.fingerprint",
     "repro.analysis.rules.envknobs",
     "repro.analysis.rules.forksafety",
     "repro.sim.kernels.abi",

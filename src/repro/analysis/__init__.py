@@ -3,10 +3,10 @@
 The reproduction's correctness rests on conventions that runtime tests
 only defend after a 14-minute tier-1 run: strict determinism in the
 bit-identity core, balanced ``*_begin``/``*_commit`` hook pairs,
-fingerprintable sweep cells, centrally parsed and documented ``SIBYL_*``
-knobs, and fork-safe pool workers.  This package enforces that whole
-class at *lint time* with a stdlib-``ast`` static analysis — no imports
-of the analyzed code, no execution, sub-second over ``src/``.
+centrally parsed and documented ``SIBYL_*`` knobs, and fork-safe pool
+workers.  This package enforces that whole class at *lint time* with a
+stdlib-``ast`` static analysis — no imports of the analyzed code, no
+execution, sub-second over ``src/``.
 
 Use it as ``repro lint [paths...]``, ``python -m repro.analysis``, or
 programmatically::
@@ -35,7 +35,6 @@ from .reporters import JSON_SCHEMA_VERSION, render_json, render_text
 from .rules import (
     DeterminismRule,
     EnvKnobRule,
-    FingerprintRule,
     ForkSafetyRule,
     HookPairRule,
     default_rules,
@@ -56,7 +55,6 @@ __all__ = [
     "default_rules",
     "DeterminismRule",
     "EnvKnobRule",
-    "FingerprintRule",
     "ForkSafetyRule",
     "HookPairRule",
 ]

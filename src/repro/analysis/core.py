@@ -9,10 +9,10 @@ Structure:
 * :class:`FileContext` — one parsed source file (tree, lines, module
   name, suppression table).
 * :class:`Project` — every file of one lint run plus the cross-file
-  index rules need: module-level function/class definitions and
-  constant assignments (so a rule can resolve ``DEFAULT_WARMUP``
-  through a ``from .experiment import DEFAULT_WARMUP``), and the set
-  of knobs documented in ``docs/configuration.md``.
+  index rules need: module-level constant assignments and import maps
+  (so a rule can resolve ``TRACE_PATH_ENV`` through a ``from .knobs
+  import TRACE_PATH_ENV``), and the set of knobs documented in
+  ``docs/configuration.md``.
 * :class:`Rule` — base class; concrete rules live in
   :mod:`repro.analysis.rules` and yield :class:`Finding` objects.
 * :func:`run_lint` — the driver: collect files, build the project,
@@ -148,12 +148,11 @@ class _ImportMap:
 class Project:
     """Every file of one lint run plus the cross-file resolution index.
 
-    The index is deliberately shallow — module-level ``def`` statements
-    and module-level ``NAME = <expr>`` assignments, keyed by a
-    best-effort dotted module name — but that is exactly enough for the
-    rules that need cross-file facts: resolving a sweep-cell function
-    named in a ``Cell(...)`` construction, or chasing a parameter
-    default like ``DEFAULT_WARMUP`` through one or two imports.
+    The index is deliberately shallow — module-level ``NAME = <expr>``
+    assignments and ``from``-imports, keyed by a best-effort dotted
+    module name — but that is exactly enough for the rules that need
+    cross-file facts: chasing an environment-knob name like
+    ``TRACE_PATH_ENV`` through one or two imports.
     """
 
     def __init__(
@@ -165,8 +164,6 @@ class Project:
         self.files = list(files)
         self.documented_knobs = documented_knobs
         self.determinism_scope = determinism_scope
-        self.functions: Dict[Tuple[str, str], Tuple[FileContext, ast.FunctionDef]] = {}
-        self.classes: Dict[Tuple[str, str], Tuple[FileContext, ast.ClassDef]] = {}
         self.constants: Dict[Tuple[str, str], ast.expr] = {}
         self.imports: Dict[str, _ImportMap] = {}
         for ctx in self.files:
@@ -174,11 +171,7 @@ class Project:
                 continue
             self.imports[ctx.module] = _build_import_map(ctx)
             for node in ctx.tree.body:
-                if isinstance(node, ast.FunctionDef):
-                    self.functions[(ctx.module, node.name)] = (ctx, node)
-                elif isinstance(node, ast.ClassDef):
-                    self.classes[(ctx.module, node.name)] = (ctx, node)
-                elif isinstance(node, ast.Assign) and node.value is not None:
+                if isinstance(node, ast.Assign) and node.value is not None:
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             self.constants[(ctx.module, target.id)] = node.value
@@ -194,39 +187,6 @@ class Project:
             ctx.module == prefix or ctx.module.startswith(prefix + ".")
             for prefix in self.determinism_scope
         )
-
-    def resolve_function(
-        self, ctx: FileContext, name: str
-    ) -> Optional[Tuple[FileContext, ast.FunctionDef]]:
-        """A module-level function ``name`` names in ``ctx``, if indexed.
-
-        Looks in ``ctx``'s own module first, then follows one
-        ``from mod import name`` hop.  Returns ``None`` for names the
-        analyzed file set does not define (external libraries).
-        """
-        hit = self.functions.get((ctx.module, name))
-        if hit is not None:
-            return hit
-        imported = self.imports.get(ctx.module, _ImportMap()).from_imports.get(name)
-        if imported is not None:
-            return self.functions.get(imported)
-        return None
-
-    def resolve_class(
-        self, ctx: FileContext, name: str
-    ) -> Optional[Tuple[FileContext, ast.ClassDef]]:
-        """A module-level class ``name`` names in ``ctx``, if indexed.
-
-        Same resolution order as :meth:`resolve_function`: the file's
-        own module first, then one ``from mod import name`` hop.
-        """
-        hit = self.classes.get((ctx.module, name))
-        if hit is not None:
-            return hit
-        imported = self.imports.get(ctx.module, _ImportMap()).from_imports.get(name)
-        if imported is not None:
-            return self.classes.get(imported)
-        return None
 
     def resolve_constant(
         self, module: str, name: str, depth: int = 4

@@ -8,8 +8,6 @@ SBL-DET     No ambient nondeterminism (clocks, global RNGs, fs order,
             core (``repro.sim``/``rl``/``hss``/``store``).
 SBL-HOOK    ``place_begin``/``place_commit`` and ``train_begin``/
             ``train_commit`` balance on every non-raising path.
-SBL-FPR     Sweep-cell functions stay addressable and canonicalisable
-            so the durable store can fingerprint them.
 SBL-ENV     ``SIBYL_*`` knobs route through the shared parsing
             contract and have a ``docs/configuration.md`` row.
 SBL-FORK    Pool worker functions touch no mutable module-level state.
@@ -18,6 +16,9 @@ SBL-PARSE   (framework) the file must parse at all.
 
 Rule IDs are append-only: never renumber or reuse one, because
 ``# sibyl: ignore[...]`` suppressions in the tree reference them.
+(``SBL-FPR`` is retired: sweep cells are built through one helper, not
+at literal ``Cell(fn=<Name>)`` sites, and ``tests/sim/
+test_golden_sweeps.py`` checks the real cells instead.)
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ from typing import List, Optional, Sequence
 from ..core import Rule
 from .determinism import DeterminismRule
 from .envknobs import EnvKnobRule
-from .fingerprint import FingerprintRule
 from .forksafety import ForkSafetyRule
 from .hookpairs import HookPairRule
 
 __all__ = [
     "DeterminismRule",
     "EnvKnobRule",
-    "FingerprintRule",
     "ForkSafetyRule",
     "HookPairRule",
     "default_rules",
@@ -51,7 +50,6 @@ def default_rules(only: Optional[Sequence[str]] = None) -> List[Rule]:
     rules: List[Rule] = [
         DeterminismRule(),
         HookPairRule(),
-        FingerprintRule(),
         EnvKnobRule(),
         ForkSafetyRule(),
     ]

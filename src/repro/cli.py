@@ -26,7 +26,7 @@ Commands
 ``lint``
     Run the Sibyl contract analyzer (:mod:`repro.analysis`) over the
     given paths: static AST checks for the determinism, hook-pair,
-    fingerprint, env-knob, and fork-safety invariants.  Exit status 0
+    env-knob, and fork-safety invariants.  Exit status 0
     = clean, 1 = findings, 2 = fatal error.
 
 Fatal errors (unwritable ``--json`` target, missing lint path, bad

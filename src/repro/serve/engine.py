@@ -23,10 +23,13 @@ each tenant's operation order, and therefore its placements, losses,
 and weights, bit-identical to a serial offline
 :class:`~repro.core.agent.SibylAgent` replay of the same queries.
 
+The fused-inference groups are the lockstep engine's own
+:class:`repro.sim.lanes._LaneGroup`, built over the tenant agents:
+``weights_version`` re-syncs a stack slice after each training commit.
 Checkpoint hot-reload swaps in a *fresh* agent (old one untouched until
-the load succeeds), and ``weights_version`` re-syncs the lane stacks —
-in-flight and queued requests are never dropped, they simply commit
-against whichever weights are installed when their round runs.
+the load succeeds) and rebuilds the groups — in-flight and queued
+requests are never dropped, they simply commit against whichever
+weights are installed when their round runs.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import span
-from ..rl.c51 import C51LaneStack, C51Network
-from ..rl.dqn import DQNLaneStack
 from ..rl.optim import fusion_signature
-from ..sim.lanes import fused_train_event, group_signature
+from ..sim.lanes import _LaneGroup, fused_train_event, group_signature
 from .knobs import resolve_serve_batch, resolve_serve_train, resolve_serve_workers
 from .lane import TenantLane, open_lane
 from .protocol import (
@@ -91,36 +92,6 @@ class Job:
         return self.done.wait(timeout)
 
 
-class _ServeGroup:
-    """Tenant lanes sharing one architecture → one fused stack.
-
-    The serving twin of :class:`repro.sim.lanes._LaneGroup`: a zeros
-    observation buffer whose stale rows are fed through the fused
-    forward and discarded, plus per-lane ``weights_version`` counters
-    so a training commit or checkpoint reload re-syncs exactly the
-    rewritten slice before the next forward.
-    """
-
-    def __init__(self, lanes: List[TenantLane]) -> None:
-        self.lanes = lanes
-        nets = [lane.agent.inference_net for lane in lanes]
-        if isinstance(nets[0], C51Network):
-            self.stack = C51LaneStack(nets)
-        else:
-            self.stack = DQNLaneStack(nets)
-        self.obs = np.zeros((len(lanes), self.stack.in_features))
-        self.weights_seen = [lane.agent.weights_version for lane in lanes]
-        self.pending: List[Tuple[Job, int]] = []
-
-    def resync(self) -> None:
-        """Refresh stack slices of lanes whose weights changed."""
-        for row, lane in enumerate(self.lanes):
-            version = lane.agent.weights_version
-            if version != self.weights_seen[row]:
-                self.weights_seen[row] = version
-                self.stack.refresh(row)
-
-
 class PlacementEngine:
     """Single-threaded lane owner behind a thread-safe inbox.
 
@@ -162,8 +133,7 @@ class PlacementEngine:
         self.inbox: "queue.Queue" = queue.Queue()
         self._train_queue: "queue.Queue" = queue.Queue()
         self._drains: List[Job] = []
-        self._groups: List[_ServeGroup] = []
-        self._lane_group: Dict[str, Tuple[_ServeGroup, int]] = {}
+        self._lane_group: Dict[str, Tuple[_LaneGroup, int]] = {}
         self._groups_stale = True
         self._stop = threading.Event()
         self._thread = threading.Thread(
@@ -309,7 +279,7 @@ class PlacementEngine:
         actions: Dict[int, int] = {}
         if pending:
             self._ensure_groups()
-            touched: List[_ServeGroup] = []
+            touched: List[_LaneGroup] = []
             for job, lane, obs in pending:
                 group, row = self._lane_group[lane.name]
                 group.obs[row] = obs
@@ -635,9 +605,9 @@ class PlacementEngine:
             by_signature.setdefault(
                 group_signature(lane.agent), []
             ).append(lane)
-        self._groups = [_ServeGroup(members) for members in by_signature.values()]
         self._lane_group = {}
-        for group in self._groups:
-            for row, lane in enumerate(group.lanes):
+        for members in by_signature.values():
+            group = _LaneGroup([lane.agent for lane in members])
+            for row, lane in enumerate(members):
                 self._lane_group[lane.name] = (group, row)
         self._groups_stale = False

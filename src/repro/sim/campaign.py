@@ -1,68 +1,81 @@
-"""Multi-seed campaign engine: confidence bands riding the lane stack.
+"""The sweep cell: what one grid point computes, over a seed axis.
 
-The paper's figures are single-seed point estimates; a production-scale
-reproduction should quantify run-to-run variance.  This module turns
-any sweep of :mod:`repro.sim.experiment` into an N-seed **campaign**:
-every grid cell runs once per seed, and the per-seed metric values
-collapse into a :class:`SeededResult` carrying mean, standard
-deviation, min/max, and a bootstrap 95% confidence interval.
+Every sweep of :mod:`repro.sim.experiment` is a grid of the cells
+defined here, and every cell runs a **seed axis**: a ``seeds`` tuple,
+one trace and one policy lineup per seed.  A single-seed sweep is the
+axis of length one — there is no second, unseeded cell — so this module
+is where every figure's numbers are computed, whether the caller asked
+for a point estimate or for confidence bands.  The per-seed metric
+values collapse into a :class:`SeededResult` carrying mean, standard
+deviation, min/max, and a bootstrap 95% confidence interval; a sweep
+called without ``seeds=``/``n_seeds=`` reads each band's one value back
+out (``experiment`` does that), which is why its output is the plain
+floats it always was.
 
 The seed axis costs barely more than a single seed because it rides
-the engines PR 1–3 built:
+the engines underneath:
 
-* **Across processes** — the (cell × seed) grid fans out through
+* **Across processes** — the grid fans out through
   :func:`repro.sim.parallel.run_many`; each parallel task carries one
   grid cell *with its whole seed axis inside*.
 * **Within a process** — a cell's seed replicas are packed into the
   multi-lane engine (:func:`repro.sim.lanes.run_lanes`) **as extra
-  lanes**: all seeds of all RL policies in the cell advance in
-  lockstep, sharing one fused network forward per tick (and fused
-  training events), exactly as PR 2/3's lanes do.  4 seeds ≈ one
-  marginally wider batch, not 4× the work.
+  lanes** by :func:`run_seeded_normalized`, the one place a lineup is
+  run against its Fast-Only reference (``runner.run_normalized`` is its
+  one-seed call): kernel-eligible lanes divert to the SoA engines, the
+  rest advance in lockstep sharing fused forwards and training events.
+  4 seeds ≈ one marginally wider batch, not 4× the work.
 
 The hard guarantee is inherited from the lane engine and asserted by
 ``tests/sim/test_campaign.py``: each seed's trajectory in a campaign is
-**bit-identical** to the corresponding serial single-seed run — a
+**bit-identical** to the corresponding serial ``run_policy`` run — a
 campaign changes how much you know about variance, never the numbers
-themselves.  Single-seed sweep calls (no ``seeds=``/``n_seeds=``) do
-not go through this module at all and keep their historical output.
+themselves.
 
-Layering: this module builds *on* :mod:`repro.sim.experiment` (lineup
-builders, trace resolution, the Oracle row) — experiment's sweeps
-import it lazily when a seed axis is requested.
+Layering: :mod:`repro.sim.experiment` imports this module, never the
+reverse.  What a cell is made of lives here — the per-sweep lineups,
+the trace resolver, the best-of-horizons Oracle — and each
+``seeded_*_cell`` is a declaration over them (trace source, lineup,
+Oracle yes/no, projection).  ``experiment`` names the grids and
+publishes ``standard_policies``/``run_oracle_best``/``DEFAULT_WARMUP``/
+``ORACLE_HORIZONS`` under their historical import path.
 
-Durability: a seeded sweep invoked with ``store=``/``resume=`` caches
-at **cell granularity** — one blob per grid cell, holding that cell's
-whole aggregated seed axis (the seed tuple is part of the fingerprint,
-so changing the axis re-simulates).  :class:`SeededResult` bands
-round-trip the store losslessly (:mod:`repro.store.serialize` rebuilds
-real instances), which is why a warm campaign's tables and JSON
-exports are byte-identical to a cold run's.
+Durability: the cell functions' qualified names and kwargs are the
+store's addresses (:mod:`repro.store.fingerprint`), one blob per grid
+cell holding that cell's whole aggregated seed axis (the seed tuple is
+part of the fingerprint, so changing the axis re-simulates; a
+single-seed sweep and an ``n_seeds=1`` campaign share one blob).
+:class:`SeededResult` bands round-trip the store losslessly
+(:mod:`repro.store.serialize` rebuilds real instances), which is why a
+warm campaign's tables and JSON exports are byte-identical to a cold
+run's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.agent import SibylAgent
-from ..core.hyperparams import SIBYL_DEFAULT
-from ..traces.mixer import make_mixed_trace
-from .experiment import (
-    DEFAULT_WARMUP,
-    _capacity_lineup,
-    _compare_lineup,
-    _mixed_lineup,
-    _resolve_trace,
-    _tri_hybrid_lineup,
-    _unseen_lineup,
-    oracle_row,
-    run_oracle_best,
+from ..baselines import (
+    ArchivistPolicy,
+    CDEPolicy,
+    HPSPolicy,
+    OraclePolicy,
+    RNNHSSPolicy,
+    SlowOnlyPolicy,
+    TriHeuristicPolicy,
 )
+from ..baselines.base import PlacementPolicy
+from ..core.agent import SibylAgent
+from ..core.hyperparams import SIBYL_DEFAULT, SIBYL_OPT, SibylHyperParams
+from ..hss.request import Request
+from ..traces.mixer import make_mixed_trace
 from .lanes import LaneSpec, run_lanes
-from .runner import normalized_row, reference_row, run_reference
+from .runner import normalized_row, reference_row, run_reference, synthetic_trace
 
 __all__ = [
     "SeededResult",
@@ -80,6 +93,13 @@ __all__ = [
     "seeded_mixed_cell",
     "seeded_unseen_cell",
 ]
+
+#: Steady-state measurement window start (fraction of the trace).
+DEFAULT_WARMUP = 0.3
+
+#: Reuse-horizon scales searched by the Oracle ("complete knowledge of
+#: future access patterns" includes knowing the best admission horizon).
+ORACLE_HORIZONS = (2.0, 8.0, 64.0, 1e9)
 
 #: Bootstrap resamples behind every 95% confidence interval.  Fixed (and
 #: drawn from a fixed-seed generator) so a campaign's bands are exactly
@@ -227,6 +247,132 @@ def aggregate_seeds(per_seed: Sequence, seeds: Optional[Sequence[int]] = None):
 
 
 # --------------------------------------------------------------------------
+# What a cell is made of: policy lineups, the trace source, the Oracle.
+# --------------------------------------------------------------------------
+
+def standard_policies(
+    include_sibyl: bool = True,
+    seed: int = 0,
+    hyperparams: SibylHyperParams = SIBYL_DEFAULT,
+) -> List[PlacementPolicy]:
+    """The paper's Fig. 9 lineup minus Fast-Only (reference) and Oracle
+    (handled by :func:`run_oracle_best`)."""
+    policies: List[PlacementPolicy] = [
+        SlowOnlyPolicy(),
+        CDEPolicy(),
+        HPSPolicy(),
+        ArchivistPolicy(seed=seed),
+        RNNHSSPolicy(seed=seed),
+    ]
+    if include_sibyl:
+        policies.append(SibylAgent(hyperparams=hyperparams, seed=seed))
+    return policies
+
+
+def _compare_lineup(seed: int) -> List[PlacementPolicy]:
+    return standard_policies(seed=seed)
+
+
+def _capacity_lineup(seed: int) -> List[PlacementPolicy]:
+    return [
+        CDEPolicy(),
+        HPSPolicy(),
+        ArchivistPolicy(seed=seed),
+        RNNHSSPolicy(seed=seed),
+        SibylAgent(seed=seed),
+    ]
+
+
+def _tri_hybrid_lineup(seed: int) -> List[PlacementPolicy]:
+    return [
+        TriHeuristicPolicy(),
+        SibylAgent(seed=seed),
+    ]
+
+
+def _mixed_lineup(seed: int) -> List[PlacementPolicy]:
+    sibyl_def = SibylAgent(seed=seed)
+    sibyl_def.name = "Sibyl_Def"
+    sibyl_opt = SibylAgent(hyperparams=SIBYL_OPT, seed=seed)
+    sibyl_opt.name = "Sibyl_Opt"
+    return [
+        SlowOnlyPolicy(),
+        CDEPolicy(),
+        HPSPolicy(),
+        ArchivistPolicy(seed=seed),
+        RNNHSSPolicy(seed=seed),
+        sibyl_def,
+        sibyl_opt,
+    ]
+
+
+def _unseen_lineup(seed: int) -> List[PlacementPolicy]:
+    return [
+        SlowOnlyPolicy(),
+        ArchivistPolicy(seed=seed),
+        RNNHSSPolicy(seed=seed),
+        SibylAgent(seed=seed),
+    ]
+
+
+def _resolve_trace(workload: str, n_requests: int, seed: int):
+    """A cell's trace source: synthetic catalog entry or streamed MSRC.
+
+    ``"msrc:<path>"`` returns a re-iterable streaming view of the CSV at
+    ``<path>`` (capped at ``n_requests``), so even full-length captures
+    feed the simulation lanes chunk-by-chunk; anything else is generated
+    by the synthetic workload catalog, once per process
+    (:func:`repro.sim.runner.synthetic_trace`).
+    """
+    if workload.startswith("msrc:"):
+        from ..traces.msrc import StreamingMSRCTrace
+
+        return StreamingMSRCTrace(workload[5:], max_requests=n_requests)
+    return synthetic_trace(workload, n_requests, seed)
+
+
+def run_oracle_best(
+    trace: Sequence[Request],
+    config: str,
+    capacity_fractions: Optional[Sequence[float]] = None,
+    warmup_fraction: float = DEFAULT_WARMUP,
+):
+    """Best Oracle run across admission horizons (lowest avg latency).
+
+    The Oracle has complete future knowledge, which includes choosing
+    how aggressively to admit into fast storage; searching a small
+    horizon grid realises that.
+    """
+    results = run_lanes(
+        [
+            LaneSpec(
+                policy=OraclePolicy(horizon_scale=horizon),
+                trace=trace,
+                config=config,
+                capacity_fractions=capacity_fractions,
+                warmup_fraction=warmup_fraction,
+            )
+            for horizon in ORACLE_HORIZONS
+        ]
+    )
+    # min() keeps the first of equals, as the serial search did.
+    return min(results, key=lambda result: result.avg_latency_s)
+
+
+def oracle_row(oracle, reference_row: Dict[str, float]) -> Dict[str, float]:
+    """The Oracle's metrics dict, normalised against a Fast-Only row."""
+    reference_latency = reference_row["avg_latency_s"]
+    reference_iops = reference_row["raw_iops"]
+    return {
+        "latency": oracle.avg_latency_s / reference_latency,
+        "iops": oracle.iops / reference_iops if reference_iops else 0.0,
+        "eviction_fraction": oracle.eviction_fraction,
+        "fast_preference": oracle.profile.fast_preference,
+        "avg_latency_s": oracle.avg_latency_s,
+    }
+
+
+# --------------------------------------------------------------------------
 # The lane-packing core: one run_lanes call for a whole seed axis.
 # --------------------------------------------------------------------------
 
@@ -239,7 +385,6 @@ def run_seeded_normalized(
     max_requests: Optional[int] = None,
     warmup_fraction: float = 0.0,
     with_oracle: bool = False,
-    align_window: Optional[int] = None,
     stats: Optional[Dict[str, int]] = None,
     backend: Optional[str] = None,
 ) -> List[Dict[str, Dict[str, float]]]:
@@ -250,25 +395,20 @@ def run_seeded_normalized(
     :func:`repro.sim.lanes.run_lanes` call, so kernel-eligible lanes
     divert to the SoA engines and the rest share fused lockstep
     inference forwards and fused training events.  Returns one
-    :func:`repro.sim.runner.run_normalized`-shaped dict per seed —
-    bit-identical to running that seed's lineup alone, because lane
-    results never depend on co-lanes.  ``with_oracle`` adds each seed's
-    best-of-horizons Oracle entry exactly as the single-seed sweep
-    cells do.  ``stats`` is forwarded to ``run_lanes`` for engine
-    counters (see there) and ``backend`` overrides the engine choice —
-    pin ``backend="off"`` to observe lockstep fusion across the seed
-    axis itself.
+    ``{policy_name: metrics}`` dict per seed, latency and IOPS
+    normalised to that seed's Fast-Only reference run — bit-identical
+    to running that seed's lineup alone, because lane results never
+    depend on co-lanes (:func:`repro.sim.runner.run_normalized` *is*
+    the one-seed call).  ``with_oracle`` adds each seed's
+    best-of-horizons Oracle entry.  ``stats`` is forwarded to
+    ``run_lanes`` for engine counters (see there) and ``backend``
+    overrides the engine choice — pin ``backend="off"`` to observe
+    lockstep fusion across the seed axis itself.
     """
     seeds = list(seeds)
-    traces = list(traces)
     lineups = [list(lineup) for lineup in lineups]
-    if not (len(seeds) == len(traces) == len(lineups)):
-        raise ValueError(
-            f"seed axis misaligned: {len(seeds)} seeds, "
-            f"{len(traces)} traces, {len(lineups)} lineups"
-        )
     # A one-shot iterator can feed at most one lane; materialise it once
-    # (mirrors run_normalized's guard).
+    # so the reference run and every policy lane see the full trace.
     traces = [
         trace
         if isinstance(trace, (list, tuple))
@@ -276,6 +416,11 @@ def run_seeded_normalized(
         else list(trace)
         for trace in traces
     ]
+    if not (len(seeds) == len(traces) == len(lineups)):
+        raise ValueError(
+            f"seed axis misaligned: {len(seeds)} seeds, "
+            f"{len(traces)} traces, {len(lineups)} lineups"
+        )
     references = [
         run_reference(
             trace,
@@ -297,9 +442,7 @@ def run_seeded_normalized(
         for trace, lineup in zip(traces, lineups)
         for policy in lineup
     ]
-    results = run_lanes(
-        specs, align_window=align_window, stats=stats, backend=backend
-    )
+    results = run_lanes(specs, stats=stats, backend=backend)
     out: List[Dict[str, Dict[str, float]]] = []
     cursor = 0
     for trace, lineup, reference in zip(traces, lineups, references):
@@ -320,10 +463,35 @@ def run_seeded_normalized(
 
 
 # --------------------------------------------------------------------------
-# Seeded grid cells.  Module-level (picklable) mirrors of experiment.py's
-# single-seed cells: same trace resolution, same lineup builders, same
-# metric projections — run once per seed with the seed axis in lanes.
+# The grid cells.  Module-level (picklable, fingerprintable) functions of
+# primitive parameters: each rebuilds its traces and lineups per seed, so
+# a cell computes the same result inline, in a worker, or from the store.
 # --------------------------------------------------------------------------
+
+def _banded_cell(
+    seeds: Sequence[int],
+    trace: Callable[[int], Sequence[Request]],
+    lineup: Callable[[int], List[PlacementPolicy]],
+    config: str,
+    warmup_fraction: float,
+    project: Optional[Callable] = None,
+    **core,
+):
+    """One cell: ``trace(seed)`` under ``lineup(seed)`` for every seed
+    in one lane-engine call, each seed's row passed through ``project``
+    (when given), aggregated into bands over the axis."""
+    per_seed = run_seeded_normalized(
+        seeds,
+        [trace(s) for s in seeds],
+        [lineup(s) for s in seeds],
+        config=config,
+        warmup_fraction=warmup_fraction,
+        **core,
+    )
+    if project is not None:
+        per_seed = [project(row) for row in per_seed]
+    return aggregate_seeds(per_seed, seeds=seeds)
+
 
 def compare_cell_seeds(
     workload: str,
@@ -335,9 +503,8 @@ def compare_cell_seeds(
 ) -> List[Dict[str, Dict[str, float]]]:
     """Per-seed (pre-aggregation) results of one comparison cell.
 
-    Element ``i`` is exactly what the single-seed comparison cell
-    returns for ``seed=seeds[i]`` — the bit-identity contract tests
-    pin this with float equality.
+    Element ``i`` is exactly the serial result for ``seed=seeds[i]`` —
+    the bit-identity contract tests pin this with float equality.
     """
     return run_seeded_normalized(
         seeds,
@@ -375,16 +542,15 @@ def seeded_capacity_cell(
     warmup_fraction: float = DEFAULT_WARMUP,
 ) -> Dict[str, Dict[str, SeededResult]]:
     """One capacity-sweep point with confidence bands over seeds."""
-    per_seed = run_seeded_normalized(
+    return _banded_cell(
         seeds,
-        [_resolve_trace(workload, n_requests, s) for s in seeds],
-        [_capacity_lineup(s) for s in seeds],
-        config=config,
+        partial(_resolve_trace, workload, n_requests),
+        _capacity_lineup,
+        config,
+        warmup_fraction,
         capacity_fractions=(frac,),
-        warmup_fraction=warmup_fraction,
         with_oracle=True,
     )
-    return aggregate_seeds(per_seed, seeds=seeds)
 
 
 def seeded_hyperparameter_cell(
@@ -398,14 +564,14 @@ def seeded_hyperparameter_cell(
 ) -> Dict[str, SeededResult]:
     """One hyper-parameter point: Sibyl's banded normalised metrics."""
     hp = SIBYL_DEFAULT.replace(**{parameter: value})
-    per_seed = run_seeded_normalized(
+    return _banded_cell(
         seeds,
-        [_resolve_trace(workload, n_requests, s) for s in seeds],
-        [[SibylAgent(hyperparams=hp, seed=s)] for s in seeds],
-        config=config,
-        warmup_fraction=warmup_fraction,
+        partial(_resolve_trace, workload, n_requests),
+        lambda s: [SibylAgent(hyperparams=hp, seed=s)],
+        config,
+        warmup_fraction,
+        project=itemgetter("Sibyl"),
     )
-    return aggregate_seeds([entry["Sibyl"] for entry in per_seed], seeds=seeds)
 
 
 def seeded_feature_cell(
@@ -417,22 +583,20 @@ def seeded_feature_cell(
     warmup_fraction: float = DEFAULT_WARMUP,
 ) -> SeededResult:
     """One feature-ablation point: banded normalised latency."""
-
-    def agent(seed: int) -> SibylAgent:
-        a = SibylAgent(feature_set=feature_set, seed=seed)
-        a.name = f"Sibyl[{feature_set}]"
-        return a
-
     name = f"Sibyl[{feature_set}]"
-    per_seed = run_seeded_normalized(
+
+    def lineup(seed: int) -> List[PlacementPolicy]:
+        agent = SibylAgent(feature_set=feature_set, seed=seed)
+        agent.name = name
+        return [agent]
+
+    return _banded_cell(
         seeds,
-        [_resolve_trace(workload, n_requests, s) for s in seeds],
-        [[agent(s)] for s in seeds],
-        config=config,
-        warmup_fraction=warmup_fraction,
-    )
-    return aggregate_seeds(
-        [entry[name]["latency"] for entry in per_seed], seeds=seeds
+        partial(_resolve_trace, workload, n_requests),
+        lineup,
+        config,
+        warmup_fraction,
+        project=lambda row: row[name]["latency"],
     )
 
 
@@ -449,15 +613,13 @@ def seeded_buffer_size_cell(
         buffer_capacity=size,
         batch_size=min(SIBYL_DEFAULT.batch_size, max(1, size)),
     )
-    per_seed = run_seeded_normalized(
+    return _banded_cell(
         seeds,
-        [_resolve_trace(workload, n_requests, s) for s in seeds],
-        [[SibylAgent(hyperparams=hp, seed=s)] for s in seeds],
-        config=config,
-        warmup_fraction=warmup_fraction,
-    )
-    return aggregate_seeds(
-        [entry["Sibyl"]["latency"] for entry in per_seed], seeds=seeds
+        partial(_resolve_trace, workload, n_requests),
+        lambda s: [SibylAgent(hyperparams=hp, seed=s)],
+        config,
+        warmup_fraction,
+        project=lambda row: row["Sibyl"]["latency"],
     )
 
 
@@ -469,14 +631,13 @@ def seeded_tri_hybrid_cell(
     warmup_fraction: float = DEFAULT_WARMUP,
 ) -> Dict[str, Dict[str, SeededResult]]:
     """One tri-hybrid cell with confidence bands over seeds."""
-    per_seed = run_seeded_normalized(
+    return _banded_cell(
         seeds,
-        [_resolve_trace(workload, n_requests, s) for s in seeds],
-        [_tri_hybrid_lineup(s) for s in seeds],
-        config=config,
-        warmup_fraction=warmup_fraction,
+        partial(_resolve_trace, workload, n_requests),
+        _tri_hybrid_lineup,
+        config,
+        warmup_fraction,
     )
-    return aggregate_seeds(per_seed, seeds=seeds)
 
 
 def seeded_mixed_cell(
@@ -487,22 +648,16 @@ def seeded_mixed_cell(
     warmup_fraction: float = DEFAULT_WARMUP,
 ) -> Dict[str, Dict[str, SeededResult]]:
     """One mixed-workload cell with confidence bands over seeds."""
-    per_seed = run_seeded_normalized(
+    return _banded_cell(
         seeds,
-        [
-            make_mixed_trace(
-                mix,
-                n_requests_per_component=n_requests_per_component,
-                seed=s,
-            )
-            for s in seeds
-        ],
-        [_mixed_lineup(s) for s in seeds],
-        config=config,
-        warmup_fraction=warmup_fraction,
+        lambda s: make_mixed_trace(
+            mix, n_requests_per_component=n_requests_per_component, seed=s
+        ),
+        _mixed_lineup,
+        config,
+        warmup_fraction,
         with_oracle=True,
     )
-    return aggregate_seeds(per_seed, seeds=seeds)
 
 
 def seeded_unseen_cell(
@@ -513,12 +668,11 @@ def seeded_unseen_cell(
     warmup_fraction: float = DEFAULT_WARMUP,
 ) -> Dict[str, Dict[str, SeededResult]]:
     """One unseen-workload cell with confidence bands over seeds."""
-    per_seed = run_seeded_normalized(
+    return _banded_cell(
         seeds,
-        [_resolve_trace(workload, n_requests, s) for s in seeds],
-        [_unseen_lineup(s) for s in seeds],
-        config=config,
-        warmup_fraction=warmup_fraction,
+        partial(_resolve_trace, workload, n_requests),
+        _unseen_lineup,
+        config,
+        warmup_fraction,
         with_oracle=True,
     )
-    return aggregate_seeds(per_seed, seeds=seeds)

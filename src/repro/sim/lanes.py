@@ -94,8 +94,7 @@ __all__ = [
 ]
 
 #: Environment knob: how many sweep cells each parallel worker packs
-#: into one task (see :func:`repro.sim.parallel.run_many`), and the
-#: default lane count of the hot-path benchmark's multi-lane section.
+#: into one task (see :func:`repro.sim.parallel.run_many`).
 LANES_ENV = "SIBYL_LANES"
 
 #: Environment knob: how many ticks a lane with a pending training
@@ -220,11 +219,21 @@ def fused_train_event(agents: Sequence, stack_cache: Optional[dict] = None,
 
 
 class _LaneGroup:
-    """RL lanes sharing one network architecture → one fused stack."""
+    """RL policies sharing one network architecture → one fused stack.
 
-    def __init__(self, runs: List[PolicyRun]) -> None:
-        self.runs = runs
-        nets = [run.policy.inference_net for run in runs]
+    Built over the policies themselves, one row each, so both fused
+    drivers use it: :func:`run_lanes` (rows are ``PolicyRun`` lanes,
+    whose training events the group also takes over —
+    :meth:`fuse_training`) and the placement daemon
+    (:mod:`repro.serve.engine`: rows are tenant agents, trained on its
+    own trainer threads).  ``pending`` holds ``(owner, row)`` pairs
+    awaiting the next fused forward; the owner is whatever the driver
+    commits the action to (a run, a serve job).
+    """
+
+    def __init__(self, policies: Sequence) -> None:
+        self.policies = list(policies)
+        nets = [policy.inference_net for policy in self.policies]
         if isinstance(nets[0], C51Network):
             self.stack = C51LaneStack(nets)
         else:
@@ -232,20 +241,28 @@ class _LaneGroup:
         # Zeros, not empty: rows of finished/exploring lanes are fed
         # through the fused forward and discarded; stale-but-finite
         # values keep the maths warning-free.
-        self.obs = np.zeros((len(runs), self.stack.in_features))
+        self.obs = np.zeros((len(nets), self.stack.in_features))
         # Per-lane weight-version counters: a change means the lane
         # rewrote its inference weights (periodic training copy or a
         # checkpoint restore) and its stack slice must be re-synced
         # before the next fused forward.
-        self.weights_seen = [self._version(run.policy) for run in runs]
-        self.pending: List[Tuple[PolicyRun, int]] = []
-        # Training fusion: lanes exposing the train_begin/train_commit
-        # hook pair hand their training events to the engine.  Lanes
-        # fuse when their batch shapes and optimizer constants match
-        # (learning rates may differ — they stack as a column).
+        self.weights_seen = [self._version(policy) for policy in self.policies]
+        self.pending: List[Tuple[object, int]] = []
+        self.runs: List[PolicyRun] = []
         self.fuse_keys: Dict[int, tuple] = {}
-        for row, run in enumerate(runs):
-            policy = run.policy
+        self.train_queue: Dict[int, int] = {}  # row -> ticks waited
+        self._train_stacks: Dict[tuple, tuple] = {}
+
+    def fuse_training(self, runs: List[PolicyRun]) -> None:
+        """Take over the training events of ``runs`` (row-aligned).
+
+        Lanes exposing the train_begin/train_commit hook pair hand
+        their training events to the engine.  Lanes fuse when their
+        batch shapes and optimizer constants match (learning rates may
+        differ — they stack as a column).
+        """
+        self.runs = runs
+        for row, policy in enumerate(self.policies):
             if not (
                 callable(getattr(policy, "train_begin", None))
                 and callable(getattr(policy, "train_commit", None))
@@ -261,8 +278,6 @@ class _LaneGroup:
                 self.fuse_keys[row] = (
                     hp.batch_size, hp.batches_per_training, signature
                 )
-        self.train_queue: Dict[int, int] = {}  # row -> ticks waited
-        self._train_stacks: Dict[tuple, tuple] = {}
 
     @staticmethod
     def _version(policy) -> int:
@@ -272,8 +287,9 @@ class _LaneGroup:
         return version
 
     def resync(self) -> None:
-        for row, run in enumerate(self.runs):
-            version = self._version(run.policy)
+        """Refresh stack slices of lanes whose weights changed."""
+        for row, policy in enumerate(self.policies):
+            version = self._version(policy)
             if version != self.weights_seen[row]:
                 self.weights_seen[row] = version
                 self.stack.refresh(row)
@@ -284,10 +300,9 @@ class _LaneGroup:
         for row in self.fuse_keys:
             if row in self.train_queue:
                 continue
-            run = self.runs[row]
-            if run.policy.train_pending:
+            if self.policies[row].train_pending:
                 self.train_queue[row] = 0
-                held.add(id(run))
+                held.add(id(self.runs[row]))
 
     def flush_due(
         self,
@@ -330,7 +345,7 @@ class _LaneGroup:
             sink.count("train_events", len(rows))
             if len(rows) > 1:
                 sink.count("fused_train_events")
-        agents = [self.runs[row].policy for row in rows]
+        agents = [self.policies[row] for row in rows]
         if len(agents) == 1:
             # A lone event gains nothing from stacking; the serial
             # commit is the identical computation without the gather.
@@ -439,10 +454,13 @@ def run_lanes(
     by_signature: Dict[tuple, List[PolicyRun]] = {}
     for run in rl_runs:
         by_signature.setdefault(group_signature(run.policy), []).append(run)
-    groups = [_LaneGroup(members) for members in by_signature.values()]
+    groups: List[_LaneGroup] = []
     group_row: Dict[int, Tuple[_LaneGroup, int]] = {}
-    for group in groups:
-        for row, run in enumerate(group.runs):
+    for members in by_signature.values():
+        group = _LaneGroup([run.policy for run in members])
+        group.fuse_training(members)
+        groups.append(group)
+        for row, run in enumerate(members):
             group_row[id(run)] = (group, row)
 
     held: Set[int] = set()  # ids of lanes waiting in a training queue
@@ -502,7 +520,7 @@ def run_lanes(
         # commit — abort it so the agent stays usable.
         for group in groups:
             for row in group.fuse_keys:
-                policy = group.runs[row].policy
+                policy = group.policies[row]
                 policy.external_training = False
                 if getattr(policy, "train_pending", False):
                     policy.train_abort()

@@ -451,10 +451,8 @@ def reference_row(reference: RunResult) -> Dict[str, float]:
 def normalized_row(result: RunResult, reference: RunResult) -> Dict[str, float]:
     """One policy's metrics dict, latency/IOPS normalised to ``reference``.
 
-    The single home of the metric projection shared by
-    :func:`run_normalized` and the multi-seed campaign layer
-    (:mod:`repro.sim.campaign`) — one implementation is what keeps a
-    campaign's per-seed rows bit-identical to single-seed sweep cells.
+    The single home of the metric projection, applied per (seed,
+    policy) lane by :func:`repro.sim.campaign.run_seeded_normalized`.
     """
     return {
         "latency": result.normalized_latency(reference),
@@ -479,40 +477,22 @@ def run_normalized(
     "eviction_fraction": ..., "fast_preference": ...}}`` with latency and
     IOPS normalised to Fast-Only, the paper's universal baseline.
 
-    The policy runs advance through the multi-lane engine
-    (:func:`repro.sim.lanes.run_lanes`): every policy in the lineup steps
-    in lockstep over the trace and RL lanes share one fused network
-    forward per tick.  Lanes are bit-identical to serial ``run_policy``
-    calls, so this changes wall-clock time only.
+    The one-seed call of
+    :func:`repro.sim.campaign.run_seeded_normalized`, which owns the
+    reference run, the lane packing and the normalisation: every policy
+    in the lineup steps through the multi-lane engine
+    (:func:`repro.sim.lanes.run_lanes`), bit-identical to serial
+    ``run_policy`` calls, so this changes wall-clock time only.
     """
-    from .lanes import LaneSpec, run_lanes  # local import: lanes builds on us
+    from .campaign import run_seeded_normalized  # local import: campaign builds on us
 
-    # A one-shot iterator can feed at most one run; materialise it once
-    # here so the reference run and every policy lane see the full trace.
-    if not isinstance(trace, (list, tuple)) and not (
-        hasattr(trace, "__len__") and hasattr(trace, "__iter__")
-    ):
-        trace = list(trace)
-    reference = run_reference(
-        trace,
+    (row,) = run_seeded_normalized(
+        (None,),  # one anonymous seed: the caller seeded its own policies
+        [trace],
+        [policies],
         config=config,
+        capacity_fractions=capacity_fractions,
         max_requests=max_requests,
         warmup_fraction=warmup_fraction,
     )
-    out: Dict[str, Dict[str, float]] = {"Fast-Only": reference_row(reference)}
-    results = run_lanes(
-        [
-            LaneSpec(
-                policy=policy,
-                trace=trace,
-                config=config,
-                capacity_fractions=capacity_fractions,
-                max_requests=max_requests,
-                warmup_fraction=warmup_fraction,
-            )
-            for policy in policies
-        ]
-    )
-    for result in results:
-        out[result.policy] = normalized_row(result, reference)
-    return out
+    return row

@@ -53,8 +53,7 @@ class TestAnalysisMain:
         assert analysis_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines() if line]
-        assert listed == ["SBL-DET", "SBL-HOOK", "SBL-FPR", "SBL-ENV",
-                          "SBL-FORK"]
+        assert listed == ["SBL-DET", "SBL-HOOK", "SBL-ENV", "SBL-FORK"]
 
 
 class TestChangedFlag:

@@ -66,17 +66,6 @@ class TestHookPairRule:
             assert lineno not in lines
 
 
-class TestFingerprintRule:
-    def test_flags_uncanonicalisable_cells(self):
-        report = lint_fixture("fpr_violation")
-        assert {f.rule for f in report.findings} == {"SBL-FPR"}
-        messages = " | ".join(f.message for f in report.findings)
-        assert "bad_default_cell" in messages  # set default
-        assert "lambda" in messages
-        assert "closure" in messages
-        assert "good_cell" not in messages  # Name default resolves
-
-
 class TestEnvKnobRule:
     def test_flags_unrouted_and_computed_reads(self):
         report = lint_fixture("env_violation")

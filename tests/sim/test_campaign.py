@@ -5,7 +5,9 @@ Two contracts matter:
 * **Bit-identity per seed** — an N-seed campaign's seed ``i`` results
   equal the corresponding serial single-seed run exactly (float
   equality, never approx), across heuristic and RL policies and seed
-  counts {1, 4}.
+  counts {1, 4}.  The reference is always serial ``run_policy`` plus
+  ``normalized_row`` — never another route through the cell functions,
+  which are the only sweep path and would be compared with themselves.
 * **The seed axis rides lanes** — seed replicas share fused network
   forwards (observed through ``run_lanes(stats=)``), instead of each
   seed paying its own inference.
@@ -13,29 +15,49 @@ Two contracts matter:
 
 import pytest
 
+from repro.baselines import OraclePolicy
 from repro.baselines.cde import CDEPolicy
+from repro.baselines.extremes import FastOnlyPolicy
 from repro.core.agent import SibylAgent
+from repro.core.hyperparams import SIBYL_DEFAULT
 from repro.sim.campaign import (
     SeededResult,
     aggregate_seeds,
     bootstrap_ci,
     compare_cell_seeds,
+    oracle_row,
     resolve_seeds,
     run_seeded_normalized,
     seeded_buffer_size_cell,
+    seeded_compare_cell,
     seeded_hyperparameter_cell,
 )
 from repro.sim.experiment import (
-    _buffer_size_cell,
-    _compare_cell,
-    _hyperparameter_cell,
+    ORACLE_HORIZONS,
     buffer_size_sweep,
     compare_policies,
+    standard_policies,
 )
 from repro.sim.runner import normalized_row, reference_row, run_policy, run_reference
+from repro.store import CampaignStore, fingerprint_cell
 from repro.traces.workloads import make_trace
 
 N = 700  # small but non-trivial trace length
+
+
+def serial_sibyl_row(workload, seed, hyperparams=SIBYL_DEFAULT, warmup=0.3):
+    """One Sibyl agent's normalised row, from serial ``run_policy`` only."""
+    trace = make_trace(workload, n_requests=N, seed=seed)
+    reference = run_policy(
+        FastOnlyPolicy(), trace, config="H&M", warmup_fraction=warmup
+    )
+    result = run_policy(
+        SibylAgent(hyperparams=hyperparams, seed=seed),
+        trace,
+        config="H&M",
+        warmup_fraction=warmup,
+    )
+    return normalized_row(result, reference)
 
 
 class TestResolveSeeds:
@@ -161,26 +183,53 @@ class TestSeedAxisBitIdentity:
         seeds = (0, 1)
         per_seed = compare_cell_seeds("usr_0", "H&M", N, seeds=seeds)
         for i, s in enumerate(seeds):
-            serial = _compare_cell("usr_0", "H&M", N, s, 0.3)
+            trace = make_trace("usr_0", n_requests=N, seed=s)
+            reference = run_policy(
+                FastOnlyPolicy(), trace, config="H&M", warmup_fraction=0.3
+            )
+            serial = {"Fast-Only": reference_row(reference)}
+            for policy in standard_policies(seed=s):
+                result = run_policy(
+                    policy, trace, config="H&M", warmup_fraction=0.3
+                )
+                serial[result.policy] = normalized_row(result, reference)
+            oracle = min(
+                (
+                    run_policy(
+                        OraclePolicy(horizon_scale=horizon),
+                        trace,
+                        config="H&M",
+                        warmup_fraction=0.3,
+                    )
+                    for horizon in ORACLE_HORIZONS
+                ),
+                key=lambda result: result.avg_latency_s,
+            )
+            serial["Oracle"] = oracle_row(oracle, serial["Fast-Only"])
             assert per_seed[i] == serial
+            assert list(per_seed[i]) == list(serial)  # row order too
 
     def test_hyperparameter_cell_values_match_single_seed(self):
         seeds = (2, 5)
         banded = seeded_hyperparameter_cell(
             "discount", 0.9, "usr_0", "H&M", N, seeds=seeds
         )
+        hp = SIBYL_DEFAULT.replace(discount=0.9)
         for i, s in enumerate(seeds):
-            serial = _hyperparameter_cell(
-                "discount", 0.9, "usr_0", "H&M", N, s, 0.3
-            )
+            serial = serial_sibyl_row("usr_0", s, hyperparams=hp)
+            assert set(banded) == set(serial)
             for metric, band in banded.items():
                 assert band.values[i] == serial[metric]
 
     def test_buffer_cell_values_match_single_seed(self):
         seeds = (0, 3)
         band = seeded_buffer_size_cell(64, "usr_0", "H&M", N, seeds=seeds)
+        hp = SIBYL_DEFAULT.replace(
+            buffer_capacity=64, batch_size=min(SIBYL_DEFAULT.batch_size, 64)
+        )
         assert band.values == tuple(
-            _buffer_size_cell(64, "usr_0", "H&M", N, s, 0.3) for s in seeds
+            serial_sibyl_row("usr_0", s, hyperparams=hp)["latency"]
+            for s in seeds
         )
 
 
@@ -269,3 +318,37 @@ class TestSweepsWithSeedAxis:
             (16,), workload="usr_0", n_requests=N, max_workers=1
         )
         assert isinstance(out[16], float)
+
+    def test_single_seed_and_one_seed_campaign_share_stored_cells(
+        self, tmp_path
+    ):
+        """A plain sweep is the seed axis of length one: an ``n_seeds=1``
+        campaign over the same grid finds every cell already stored."""
+        store = CampaignStore(tmp_path / "store")
+        kwargs = dict(n_requests=N, seed=4, max_workers=1, store=store)
+        single = compare_policies(["usr_0", "hm_1"], **kwargs)
+        assert (store.hits, store.puts) == (0, 2)
+        banded = compare_policies(["usr_0", "hm_1"], n_seeds=1, **kwargs)
+        assert (store.hits, store.puts) == (2, 2)
+        for workload, row in single.items():
+            for policy, metrics in row.items():
+                for metric, value in metrics.items():
+                    assert isinstance(value, float)
+                    band = banded[workload][policy][metric]
+                    assert band.values == (value,) and band.seeds == (4,)
+
+
+def test_cell_addresses_survive_the_one_sweep_path():
+    """The seeded cells' names and kwargs are the store's addresses:
+    this fingerprint was captured at the commit before the single-seed
+    twins were deleted, so campaign stores written then stay warm."""
+    kwargs = dict(
+        workload="rsrch_0",
+        config="H&M",
+        n_requests=300,
+        seeds=(0, 1),
+        warmup_fraction=0.3,
+    )
+    assert fingerprint_cell(seeded_compare_cell, kwargs) == (
+        "835ec102c15540f95f343e43ba2d317f721f847742f4ffa692913ec3accabeb3"
+    )

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import experiment, runner
+from repro.baselines.cde import CDEPolicy
+from repro.sim import campaign, runner
 from repro.sim.experiment import (
     ORACLE_HORIZONS,
     _resolve_trace,
@@ -61,6 +62,28 @@ class TestComparePolicies:
         out = compare_policies(["usr_0"], config="H&M", n_requests=N)
         for policy, metrics in out["usr_0"].items():
             assert metrics["latency"] > 0
+
+
+class TestCustomLineup:
+    def test_policies_factory_accepts_msrc_workloads(self, tmp_path):
+        """A custom lineup resolves traces like every cell does, so a
+        streamed capture works with ``policies=`` too."""
+        path = tmp_path / "capture.csv"
+        dump_msrc_csv(make_trace("rsrch_0", n_requests=150, seed=0), path)
+        name = f"msrc:{path}"
+        custom = compare_policies(
+            [name], n_requests=120, policies=lambda: [CDEPolicy()]
+        )
+        assert list(custom[name]) == ["Fast-Only", "CDE", "Oracle"]
+        standard = compare_policies([name], n_requests=120)
+        for policy, metrics in custom[name].items():
+            assert metrics == standard[name][policy]
+        banded = compare_policies(
+            [name], n_requests=120, n_seeds=2, policies=lambda: [CDEPolicy()]
+        )
+        assert banded[name]["CDE"]["latency"].values[0] == (
+            custom[name]["CDE"]["latency"]
+        )
 
 
 class TestSweeps:
@@ -166,7 +189,7 @@ class TestTraceMemo:
         assert runner.synthetic_trace.cache_info().currsize == 1
         memoised = hyperparameter_sweep("learning_rate", values, **kwargs)
         monkeypatch.setattr(
-            experiment, "synthetic_trace",
+            campaign, "synthetic_trace",
             lambda workload, n, seed: make_trace(workload, n, seed),
         )
         runner.clear_reference_cache()

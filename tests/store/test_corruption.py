@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.sim.experiment import _buffer_size_cell
+from repro.sim.campaign import seeded_buffer_size_cell
 from repro.sim.parallel import Cell, run_grid, run_many
 from repro.store import MISS, CampaignStore, load_journal
 
@@ -20,13 +20,13 @@ def _cells(sizes=(40, 80)):
     return [
         Cell(
             key=size,
-            fn=_buffer_size_cell,
+            fn=seeded_buffer_size_cell,
             kwargs=dict(
                 size=size,
                 workload="rsrch_0",
                 config="H&M",
                 n_requests=250,
-                seed=0,
+                seeds=(0,),
                 warmup_fraction=0.3,
             ),
         )
