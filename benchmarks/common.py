@@ -15,13 +15,13 @@ Scale knobs (environment variables):
 * ``SIBYL_BENCH_WORKERS``   — worker processes per campaign (default:
   the parallel engine's auto policy; see ``repro.sim.parallel``, which
   also honours ``SIBYL_PARALLEL=serial`` to force serial runs)
-* ``SIBYL_LANES``           — sweep cells packed per worker task (the
-  lane engine then shares per-process caches — notably the Fast-Only
-  reference memo — across the packed cells; see ``repro.sim.lanes``)
+* ``SIBYL_LANES``           — sweep cells packed per worker task
+  (packed cells share per-process caches — notably the Fast-Only
+  reference memo; see ``repro.sim.parallel``)
 * ``SIBYL_BENCH_SEEDS``     — seeds per figure campaign (default 1).
   With more than one seed every table cell becomes a mean ±95%
   confidence band over the seed axis (``repro.sim.campaign``); the seed
-  replicas ride the multi-lane engine, so N seeds cost far less than N
+  replicas are extra lanes of each cell, so N seeds cost N single-seed
   campaigns.  Shape assertions then check the seed-axis means.
 * ``SIBYL_STORE``           — durable campaign store directory
   (``repro.store``).  When set, every figure campaign persists its
@@ -30,10 +30,9 @@ Scale knobs (environment variables):
   only what is missing — with byte-identical tables and JSON exports,
   because stored cells round-trip losslessly.
 
-Within every cell the policy lineup itself runs on the multi-lane
-engine: all policies of a comparison advance over the trace in
-lockstep, RL lanes sharing one fused inference forward per tick,
-bit-identical to the serial loop.
+Within every cell the policy lineup is one ``run_lanes`` call: the SoA
+tick kernels (``SIBYL_BACKEND``) run every lane they model, the rest
+are stepped serially — bit-identical to the serial loop either way.
 """
 
 from __future__ import annotations

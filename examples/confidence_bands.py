@@ -4,11 +4,11 @@
 The paper's figures are single-seed point estimates.  This example runs
 the Fig. 9-style policy comparison as an N-seed *campaign*
 (``docs/engines.md``, "Campaign engine"): every workload cell runs once
-per seed, the seed replicas ride the multi-lane engine together (one
-fused network forward per tick across seeds), and each metric comes
-back as a ``SeededResult`` band — mean, std, min/max, and a bootstrap
-95% confidence interval — instead of a bare number.  Per-seed results
-stream into the report as each workload completes.
+per seed, the seed replicas are extra lanes of the cell's one
+``run_lanes`` call, and each metric comes back as a ``SeededResult``
+band — mean, std, min/max, and a bootstrap 95% confidence interval —
+instead of a bare number.  Per-seed results stream into the report as
+each workload completes.
 
 Run:  python examples/confidence_bands.py
 """

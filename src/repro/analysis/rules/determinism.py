@@ -1,7 +1,7 @@
 """SBL-DET: no ambient nondeterminism inside the bit-identity core.
 
 The repo's signature guarantee is that the serial, process-parallel,
-and fused multi-lane engines produce **bit-identical** results, and
+and SoA kernel engines produce **bit-identical** results, and
 that the durable store may replay any cell from disk
 (:mod:`repro.sim.parallel`, :mod:`repro.store`).  Both collapse the
 moment simulation code observes something outside its seeded inputs:

@@ -3,11 +3,11 @@
 :class:`repro.core.agent.SibylAgent` splits its two heavy operations
 into externally drivable halves — ``place_begin``/``place_commit`` for
 inference and ``train_begin``/``train_commit`` for training — so the
-multi-lane engine can batch the middle across lanes.  The contract is
-strict: a ``begin`` leaves the agent with a pending job, and every
-non-raising control path must discharge it with the matching ``commit``
-(or, for training, ``train_abort`` on an unwind path) before the caller
-returns.  An unbalanced pair is exactly the bug class behind the PR 3
+placement daemon can batch the middle across tenant lanes.  The
+contract is strict: a ``begin`` leaves the agent with a pending job,
+and every non-raising control path must discharge it with the matching
+``commit`` (or, for training, ``train_abort`` on an unwind path) before
+the caller returns.  An unbalanced pair is exactly the bug class behind the PR 3
 lane-resync incident: the agent silently carries stale pending state
 into the next event and every later result is wrong.
 
@@ -25,10 +25,10 @@ matching discharge call on all non-raising paths:
 * loop bodies may run zero times, so they never guarantee by
   themselves.
 
-Call sites that split the pair across functions *by design* (the lane
-engine's ``step_begin``/``step_finish``, the agent's external-training
-handoff) carry reviewed ``# sibyl: ignore[SBL-HOOK]`` suppressions
-with a justification — the rule keeps everyone else honest.
+A call site that splits the pair across functions *by design* (the
+agent's external-training handoff) carries a reviewed
+``# sibyl: ignore[SBL-HOOK]`` suppression with a justification — the
+rule keeps everyone else honest.
 """
 
 from __future__ import annotations

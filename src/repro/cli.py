@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=1, metavar="N",
         help="run each workload on N seeds (base --seed upward) and "
              "report mean ±95%% confidence bands instead of point "
-             "estimates (the seed axis rides the multi-lane engine)",
+             "estimates (each seed is one more lane of the cell)",
     )
     compare.add_argument(
         "--json", metavar="PATH",

@@ -96,7 +96,7 @@ class SibylAgent(PlacementPolicy):
         self.train_events = 0
         self.losses: list = []
         self.action_counts: Optional[np.ndarray] = None
-        # External-training hook state (the fused multi-lane engine).
+        # External-training hook state (the placement daemon).
         # ``external_training`` defers the heavy half of a training
         # event to an outside driver: feedback() then only runs
         # train_begin() (the per-lane RNG draws) and the driver batches
@@ -104,7 +104,7 @@ class SibylAgent(PlacementPolicy):
         self.external_training = False
         self._train_job: Optional[tuple] = None
         # Monotonic count of inference-weight rewrites (weight copies,
-        # attach, checkpoint restores).  The lane engine watches this to
+        # attach, checkpoint restores).  The daemon watches this to
         # know when a lane's slice of the stacked inference weights is
         # stale — unlike ``train_events``, it never resets, so a
         # checkpoint restore is always visible.
@@ -176,7 +176,7 @@ class SibylAgent(PlacementPolicy):
 
         Returns the observation that *needs* inference, or ``None`` when
         the action is already determined (exploration draw or greedy
-        action-memo hit).  An external driver — the multi-lane engine —
+        action-memo hit).  An external driver — the placement daemon —
         batches the returned observations across lanes into one fused
         forward and completes each decision with :meth:`place_commit`.
         ``place`` itself is exactly ``place_begin`` + a single-
@@ -276,9 +276,9 @@ class SibylAgent(PlacementPolicy):
             and len(self.buffer) >= hp.batch_size
         ):
             # With ``external_training`` the commit is deliberately
-            # owed to the engine (fused_train_event commits the whole
-            # lane group in one stacked backward).  Reviewed 2026-08:
-            # the engine's event loop always discharges it.
+            # owed to the serve engine (fused_train_event commits the
+            # whole lane group in one stacked backward).  Reviewed
+            # 2026-08: its trainer threads always discharge it.
             self.train_begin()  # sibyl: ignore[SBL-HOOK]
             if not self.external_training:
                 self.train_commit()
@@ -296,9 +296,9 @@ class SibylAgent(PlacementPolicy):
         this agent's own RNG (the exact draws the serial loop makes) and
         collapses them to their unique slots, leaving the heavy half —
         Bellman targets, eight forward/backward passes, weight copy —
-        owed to :meth:`train_commit`.  An external driver (the fused
-        multi-lane training engine) batches that half across lanes; the
-        returned job is ``(slot_batches, unique_slots, inverse)``.
+        owed to :meth:`train_commit`.  An external driver (the serve
+        engine, through ``fused_train_event``) batches that half across
+        lanes; the returned job is ``(slot_batches, unique_slots, inverse)``.
         """
         if self._train_job is not None:
             raise RuntimeError(
@@ -344,9 +344,9 @@ class SibylAgent(PlacementPolicy):
         forward + distributional projection) are computed in one fused
         pass and gathered back per batch — the same values the
         per-batch loop would compute, once each.  ``losses`` supplies
-        the per-batch losses of an externally executed event (the lane
-        engine's fused stacked forward/backward, which also wrote the
-        updated weights into ``training_net``); they must equal what the
+        the per-batch losses of an externally executed event
+        (``fused_train_event``'s stacked forward/backward, which also
+        wrote the updated weights into ``training_net``); they must equal what the
         local path would compute.  Either way the training weights are
         then copied into the inference network, the greedy-action memo
         is re-evaluated, and the event counters advance.

@@ -26,7 +26,6 @@ ENGINE_COUNTERS = (
     "fused_forwards",
     "fused_rows",
     "train_events",
-    "fused_train_events",
     "kernel_barriers",
     "script_lanes",
 )
@@ -73,7 +72,7 @@ class DictSink(ObservationSink):
 
     def record_max(self, name: str, value: Number) -> None:
         """Raise ``stats[name]`` to at least ``value``."""
-        if value > self.stats.get(name, 0):
+        if value > self.stats.setdefault(name, 0):
             self.stats[name] = value
 
 

@@ -343,11 +343,11 @@ class C51Network:
 class C51LaneStack(LaneStackTraining):
     """Fused greedy-action inference across K independent C51 networks.
 
-    Built by the multi-lane engine over the *inference* networks of the
-    Sibyl lanes it is stepping: one tick's cache-miss observations are
-    gathered into a ``(K, n_obs)`` batch, pushed through a
-    :class:`~repro.rl.network.NetworkLaneStack` (per-lane weights), and
-    the per-lane greedy actions are scattered back.  The post-network
+    Built by the placement daemon (:mod:`repro.serve.engine`) over the
+    *inference* networks of its tenants: one round's cache-miss
+    observations are gathered into a ``(K, n_obs)`` batch, pushed
+    through a :class:`~repro.rl.network.NetworkLaneStack` (per-lane
+    weights), and the per-lane greedy actions are scattered back.  The post-network
     math mirrors :meth:`C51Network.best_action` operation for operation
     (shift, exp, expected value over each lane's own support, argmax),
     so the fused action equals the serial one bit for bit.

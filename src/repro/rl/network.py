@@ -292,20 +292,21 @@ class FeedForwardNetwork:
 class NetworkLaneStack:
     """K same-architecture networks stacked for one fused multi-lane forward.
 
-    The multi-lane simulation engine (:mod:`repro.sim.lanes`) advances N
-    independent runs in lockstep; each tick it gathers one observation
-    per RL lane and needs one greedy inference per lane — through *that
-    lane's own weights* (lanes train independently).  This stack keeps,
-    per layer, a ``(K, in, out)`` weight tensor and a ``(K, 1, out)``
-    bias tensor copied from the member networks, so a tick's inference
-    is one batched ``np.matmul`` per layer instead of K separate
+    The placement daemon (:mod:`repro.serve.engine`) advances N
+    independent tenant lanes in rounds; each round it gathers one
+    observation per lane and needs one greedy inference per lane —
+    through *that lane's own weights* (lanes train independently).
+    This stack keeps, per layer, a ``(K, in, out)`` weight tensor and a
+    ``(K, 1, out)`` bias tensor copied from the member networks, so a
+    round's inference is one batched ``np.matmul`` per layer instead of K separate
     single-observation forwards.
 
     Bit-identity: lane ``i``'s slice of the stacked matmul is an
     independent ``(1, in) @ (in, out)`` product over exactly the values
     ``forward_1d`` would use, and numpy evaluates each stacked slice
     with the same BLAS kernel, so the fused result equals the serial
-    per-lane forward bit for bit (asserted by the lane-engine tests).
+    per-lane forward bit for bit (asserted by
+    ``tests/sim/test_lanes.py::TestLaneStacks``).
 
     Member networks keep training independently; call :meth:`refresh`
     after a lane's weights change (Sibyl's periodic training→inference
@@ -333,8 +334,8 @@ class NetworkLaneStack:
                 )
         self.networks = networks
         # Stacked inference buffers, built lazily on first use: stacks
-        # constructed only to drive fused *training* (the lane engine's
-        # per-event training stacks) never pay for — or copy into —
+        # constructed only to drive fused *training*
+        # (``fused_train_event``'s stacks) never pay for — or copy into —
         # inference weights they never read.
         self._weights: List[np.ndarray] = []
         self._biases: List[np.ndarray] = []

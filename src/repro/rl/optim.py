@@ -146,10 +146,10 @@ class Adam(Optimizer):
 class StackedOptimizer:
     """K per-lane optimizers fused into one step on stacked parameters.
 
-    The multi-lane fused training engine keeps every lane's flat-packed
-    parameter vector as one row of a ``(K, P)`` matrix; a stacked
-    optimizer applies each member's update rule to its own row in a
-    handful of whole-matrix ufunc calls.  Every per-row operation is the
+    A fused training event (``fused_train_event``) keeps every lane's
+    flat-packed parameter vector as one row of a ``(K, P)`` matrix; a
+    stacked optimizer applies each member's update rule to its own row
+    in a handful of whole-matrix ufunc calls.  Every per-row operation is the
     elementwise expression the member optimizer evaluates serially, so
     the fused step is **bit-identical** per lane.
 

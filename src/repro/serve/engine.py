@@ -1,8 +1,7 @@
 """The placement engine: fused serving rounds over live tenant lanes.
 
 One *engine thread* owns every lane (agents, HSS state, queues) and
-advances them in rounds, exactly like the lockstep tick of
-:func:`repro.sim.lanes.run_lanes`:
+advances them in rounds:
 
 1. :meth:`PlacementEngine.place_begin` runs each queued query's
    pre-inference half (:meth:`~repro.core.agent.SibylAgent.place_begin`:
@@ -23,8 +22,8 @@ each tenant's operation order, and therefore its placements, losses,
 and weights, bit-identical to a serial offline
 :class:`~repro.core.agent.SibylAgent` replay of the same queries.
 
-The fused-inference groups are the lockstep engine's own
-:class:`repro.sim.lanes._LaneGroup`, built over the tenant agents:
+The fused-inference groups (:class:`_LaneGroup`) are built over the
+tenant agents, one stacked forward per architecture:
 ``weights_version`` re-syncs a stack slice after each training commit.
 Checkpoint hot-reload swaps in a *fresh* agent (old one untouched until
 the load succeeds) and rebuilds the groups — in-flight and queued
@@ -45,8 +44,10 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import span
+from ..rl.c51 import C51LaneStack, C51Network
+from ..rl.dqn import DQNLaneStack
 from ..rl.optim import fusion_signature
-from ..sim.lanes import _LaneGroup, fused_train_event, group_signature
+from ..sim.lanes import fused_train_event, group_signature
 from .knobs import resolve_serve_batch, resolve_serve_train, resolve_serve_workers
 from .lane import TenantLane, open_lane
 from .protocol import (
@@ -90,6 +91,40 @@ class Job:
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until resolved; False on timeout."""
         return self.done.wait(timeout)
+
+
+class _LaneGroup:
+    """Tenant agents sharing one network architecture → one fused stack.
+
+    One row per agent.  ``pending`` holds ``(job, row)`` pairs awaiting
+    the round's fused forward.
+    """
+
+    def __init__(self, agents: List) -> None:
+        self.agents = list(agents)
+        nets = [agent.inference_net for agent in self.agents]
+        if isinstance(nets[0], C51Network):
+            self.stack = C51LaneStack(nets)
+        else:
+            self.stack = DQNLaneStack(nets)
+        # Zeros, not empty: rows of lanes with no query this round are
+        # fed through the fused forward and discarded; stale-but-finite
+        # values keep the maths warning-free.
+        self.obs = np.zeros((len(nets), self.stack.in_features))
+        # Per-lane weight-version counters: a change means the lane
+        # rewrote its inference weights (training copy or checkpoint
+        # restore) and its stack slice must be re-synced before the
+        # next fused forward.
+        self.weights_seen = [agent.weights_version for agent in self.agents]
+        self.pending: List[Tuple[Job, int]] = []
+
+    def resync(self) -> None:
+        """Refresh stack slices of lanes whose weights changed."""
+        for row, agent in enumerate(self.agents):
+            version = agent.weights_version
+            if version != self.weights_seen[row]:
+                self.weights_seen[row] = version
+                self.stack.refresh(row)
 
 
 class PlacementEngine:

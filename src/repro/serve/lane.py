@@ -7,7 +7,7 @@ completion clock.  Tenants share nothing but the engine's fused network
 forward, exactly like lanes in :func:`repro.sim.lanes.run_lanes`; the
 daemon's bit-identity contract (the same queries served through the
 daemon equal a serial offline replay) rests on this lane reproducing
-:meth:`repro.sim.runner.PolicyRun._complete` statement for statement.
+:meth:`repro.sim.runner.PolicyRun.step` statement for statement.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class TenantLane:
     def complete(self, request: Request, action: int) -> Tuple[int, ServeResult]:
         """Serve + feed back one placed request; returns (seq, result).
 
-        The closed-loop tail of :meth:`repro.sim.runner.PolicyRun._complete`:
+        The closed-loop tail of :meth:`repro.sim.runner.PolicyRun.step`:
         the request issues no earlier than the previous completion, the
         horizon advances by the served latency, and the agent sees the
         outcome — the statements (and float operations) of the serial

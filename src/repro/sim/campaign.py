@@ -12,21 +12,21 @@ called without ``seeds=``/``n_seeds=`` reads each band's one value back
 out (``experiment`` does that), which is why its output is the plain
 floats it always was.
 
-The seed axis costs barely more than a single seed because it rides
-the engines underneath:
+The seed axis rides the engines underneath:
 
 * **Across processes** — the grid fans out through
   :func:`repro.sim.parallel.run_many`; each parallel task carries one
   grid cell *with its whole seed axis inside*.
-* **Within a process** — a cell's seed replicas are packed into the
-  multi-lane engine (:func:`repro.sim.lanes.run_lanes`) **as extra
-  lanes** by :func:`run_seeded_normalized`, the one place a lineup is
-  run against its Fast-Only reference (``runner.run_normalized`` is its
-  one-seed call): kernel-eligible lanes divert to the SoA engines, the
-  rest advance in lockstep sharing fused forwards and training events.
-  4 seeds ≈ one marginally wider batch, not 4× the work.
+* **Within a process** — a cell's seed replicas are **extra lanes** of
+  one :func:`repro.sim.lanes.run_lanes` call, made by
+  :func:`run_seeded_normalized`, the one place a lineup is run against
+  its Fast-Only reference (``runner.run_normalized`` is its one-seed
+  call): the SoA kernels take every lane they model (all of a default
+  paper lineup under the compiled engine), the rest are stepped
+  serially.  N seeds cost N times one seed's simulation; what the
+  shared call saves is the per-trace packing.
 
-The hard guarantee is inherited from the lane engine and asserted by
+The hard guarantee is inherited from ``run_lanes`` and asserted by
 ``tests/sim/test_campaign.py``: each seed's trajectory in a campaign is
 **bit-identical** to the corresponding serial ``run_policy`` run — a
 campaign changes how much you know about variance, never the numbers
@@ -373,7 +373,7 @@ def oracle_row(oracle, reference_row: Dict[str, float]) -> Dict[str, float]:
 
 
 # --------------------------------------------------------------------------
-# The lane-packing core: one run_lanes call for a whole seed axis.
+# The seed-axis core: one run_lanes call for a whole seed axis.
 # --------------------------------------------------------------------------
 
 def run_seeded_normalized(
@@ -388,22 +388,20 @@ def run_seeded_normalized(
     stats: Optional[Dict[str, int]] = None,
     backend: Optional[str] = None,
 ) -> List[Dict[str, Dict[str, float]]]:
-    """Run one cell's whole seed axis through a single lane-engine call.
+    """Run one cell's whole seed axis through a single ``run_lanes`` call.
 
     ``traces[i]`` and ``lineups[i]`` belong to ``seeds[i]``; every
     (seed, policy) pair becomes one lane of one
     :func:`repro.sim.lanes.run_lanes` call, so kernel-eligible lanes
-    divert to the SoA engines and the rest share fused lockstep
-    inference forwards and fused training events.  Returns one
-    ``{policy_name: metrics}`` dict per seed, latency and IOPS
+    run in the SoA engines and the rest are stepped serially.  Returns
+    one ``{policy_name: metrics}`` dict per seed, latency and IOPS
     normalised to that seed's Fast-Only reference run — bit-identical
     to running that seed's lineup alone, because lane results never
     depend on co-lanes (:func:`repro.sim.runner.run_normalized` *is*
     the one-seed call).  ``with_oracle`` adds each seed's
     best-of-horizons Oracle entry.  ``stats`` is forwarded to
     ``run_lanes`` for engine counters (see there) and ``backend``
-    overrides the engine choice — pin ``backend="off"`` to observe
-    lockstep fusion across the seed axis itself.
+    overrides the engine choice.
     """
     seeds = list(seeds)
     lineups = [list(lineup) for lineup in lineups]

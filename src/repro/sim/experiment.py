@@ -19,8 +19,9 @@ function rebuilds its traces and policies from primitive parameters
 inside the worker), so parallel execution is bit-identical to the
 serial path and only wall-clock time changes.  Pass ``max_workers`` to
 pin the fan-out, or set ``SIBYL_PARALLEL=serial`` to force the serial
-path globally.  Within a cell, the policy lineup advances through the
-multi-lane engine (:mod:`repro.sim.lanes`) — again bit-identical, again
+path globally.  Within a cell, the policy lineup is one
+:func:`repro.sim.lanes.run_lanes` call (the SoA kernels take the lanes
+they model, the rest are stepped serially) — again bit-identical, again
 wall-clock only.
 
 Workload names are usually catalog entries (``"rsrch_0"``); the form
@@ -35,8 +36,8 @@ call is the axis ``(seed,)`` with each result read back out of its
 one-value band, so it returns the plain floats it always has.  Pass
 ``seeds=[...]`` (explicit seed list) or ``n_seeds=N`` (seeds ``seed ..
 seed+N-1``) and the same cells run once per seed — the seed replicas
-ride the multi-lane engine together (one fused forward per tick across
-seeds) — and the same result structure comes back with every numeric
+are extra lanes of the cell's one ``run_lanes`` call — and the same
+result structure comes back with every numeric
 leaf a :class:`~repro.sim.campaign.SeededResult` carrying mean, std,
 min/max, and a bootstrap 95% confidence interval.  ``on_cell(key,
 result)``, when given, fires as each grid cell completes (completion
@@ -192,8 +193,8 @@ def compare_policies(
     """Fig. 2/9/10/18-style comparison: {workload: {policy: metrics}}.
 
     With a seed axis (``seeds=`` or ``n_seeds=``), each workload cell
-    runs once per seed — the seed replicas ride the multi-lane engine
-    together — and every metric leaf is a
+    runs once per seed — the seed replicas are extra lanes of the
+    cell — and every metric leaf is a
     :class:`~repro.sim.campaign.SeededResult` confidence band.
 
     A custom ``policies`` factory (often a closure) cannot be shipped to

@@ -1,7 +1,7 @@
 """Structure-of-arrays tick engine with selectable compute backends.
 
-The lane engine's per-request cost is dominated by everything *around*
-the network forward: feature extraction, the HSS serve/evict state
+A serially stepped lane's per-request cost is dominated by everything
+*around* the network forward: feature extraction, the HSS serve/evict state
 machine, reward computation, and replay insertion all walk per-lane
 Python objects.  This package removes that ceiling for the common
 configuration (a :class:`~repro.core.agent.SibylAgent` on a dual-device
@@ -30,8 +30,7 @@ The compiled kernel also serves the paper's *baselines* as scripted
 lanes (:mod:`.script`): ``policy.place`` runs over the trace ahead of
 the replay and ``kernel.c`` takes the recorded decisions — one
 serve/evict routine for every lane of a paper lineup.  That path has no
-NumPy twin: under ``numpy``/``off`` those lanes stay on the lockstep
-engine.
+NumPy twin: under ``numpy``/``off`` those lanes are stepped serially.
 
 Backend selection goes through the ``SIBYL_BACKEND`` knob (parsed by
 :func:`repro.knobs.resolve_choice_env`):
@@ -41,12 +40,12 @@ Backend selection goes through the ``SIBYL_BACKEND`` knob (parsed by
   results, only wall-clock);
 * ``numpy`` — force the reference engine;
 * ``cext`` — require the compiled kernel (raises if unavailable);
-* ``off`` — disable the SoA engine; lanes run through the lockstep
-  batched engine of :mod:`repro.sim.lanes` unchanged.
+* ``off`` — no SoA kernel: :func:`repro.sim.lanes.run_lanes` steps
+  every lane serially (``PolicyRun.step``).
 
-Either way, results are bit-identical to serial ``run_policy`` — the
-same contract the lockstep engine carries, asserted by
-``tests/sim/test_soa.py``.
+Either way, results are bit-identical to serial ``run_policy``,
+asserted by ``tests/sim/test_soa.py`` and searched by
+``tests/sim/test_agent_lanes.py``.
 """
 
 from __future__ import annotations
@@ -129,8 +128,8 @@ def kernel_eligible(run) -> bool:
     the Eq. 1 latency reward, on a two-device HSS (SSD/HDD models) with
     a bounded fast device, an unbounded slow device, and LRU victim
     selection.  Anything else — feature ablations, tri-HSS, alternative
-    rewards or selectors — takes the lockstep engine, which handles any
-    policy.  The gate is deliberately exact (``type`` checks, not
+    rewards or selectors — is stepped serially by ``run_lanes``, which
+    handles any policy.  The gate is deliberately exact (``type`` checks, not
     ``isinstance``): a subclass may override any hook the kernels
     inline.  (The baselines have their own gate,
     :func:`repro.sim.kernels.script.script_eligible`.)
@@ -165,8 +164,8 @@ def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> Li
     """Drive the eligible lanes of ``runs`` to completion; return the rest.
 
     ``backend`` overrides the environment knob.  With the engine
-    disabled (``off``) every run is returned for the caller's lockstep
-    path.  Lanes share no state, so they are executed one after another;
+    disabled (``off``) every run is returned for the caller to step
+    serially.  Lanes share no state, so they are executed one after another;
     each finishes bit-identical to a serial ``run_policy``.
 
     Agent lanes (:func:`kernel_eligible`) run in either engine;
@@ -174,12 +173,12 @@ def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> Li
     taken by the compiled engine only and are returned under ``numpy``.
 
     ``sink`` (an :class:`repro.obs.sink.ObservationSink`) receives the
-    same tick-domain counters the lockstep engine emits — per-lane
-    ``ticks``, one-row ``fused_forwards``/``fused_rows``,
-    ``train_events`` — plus ``kernel_barriers``, the number of
-    Python-boundary crossings (inference + train gates) the SoA engines
-    paid, and ``script_lanes``, the number of scripted lanes (which
-    count nothing else, as on the lockstep path).
+    tick-domain counters of each agent lane — ``ticks``, one-row
+    ``fused_forwards``/``fused_rows``, ``train_events`` — plus
+    ``kernel_barriers``, the number of Python-boundary crossings
+    (inference + train gates) the SoA engines paid, and
+    ``script_lanes``, the number of scripted lanes (which count nothing
+    else).
     """
     engine = get_backend(backend)
     if engine is None:

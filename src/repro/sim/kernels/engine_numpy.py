@@ -25,8 +25,8 @@ Rules of the transliteration (shared with the compiled engine):
   reference never forks logic it doesn't need to.
 
 Because lanes share no state, runs execute to completion one after
-another; lockstep buys nothing here and per-lane execution keeps every
-lane trivially bit-identical to its own serial replay.
+another, which keeps every lane trivially bit-identical to its own
+serial replay.
 """
 
 from __future__ import annotations
@@ -411,7 +411,7 @@ def run_one_numpy(
                 n_forwards += 1
         action_counts[action] += 1
 
-        # ---- _complete(): closed-loop issue-time clamp ----------------
+        # ---- step(): closed-loop issue-time clamp ---------------------
         if now < completion_s:
             now = completion_s
 
@@ -592,8 +592,8 @@ def run_one_numpy(
     if lanes is not None:
         lanes.snapshot(lane, run, reward_sum)
     if sink is not None:
-        # Same names the lockstep engine emits; a SoA lane is its own
-        # tick stream, and every forward carries exactly one row.
+        # The names of ``obs.sink.ENGINE_COUNTERS``; a SoA lane is its
+        # own tick stream, and every forward carries exactly one row.
         sink.count("ticks", n_total)
         if n_forwards:
             sink.count("fused_forwards", n_forwards)

@@ -1,6 +1,6 @@
 """Structure-of-arrays containers for the tick engines.
 
-The lockstep engine walks per-request Python objects: every tick
+The serial stepper walks per-request Python objects: every tick
 re-reads ``Request`` dataclass attributes, and per-lane device state
 lives scattered across ``StorageDevice``/``PageTable`` instances.  The
 SoA engines instead decompose a lane's trace once into contiguous

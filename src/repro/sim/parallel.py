@@ -80,12 +80,23 @@ from ..knobs import resolve_count_env
 from ..obs.metrics import active_registry
 from ..obs.tracer import span
 from .blas import blas_threads, limit_blas_threads, set_blas_threads
-from .lanes import resolve_lanes
 
-__all__ = ["Cell", "run_many", "iter_many", "run_grid", "resolve_workers"]
+__all__ = [
+    "Cell",
+    "run_many",
+    "iter_many",
+    "run_grid",
+    "resolve_workers",
+    "resolve_lanes",
+    "LANES_ENV",
+]
 
 #: Environment knob controlling parallel fan-out (see module docstring).
 PARALLEL_ENV = "SIBYL_PARALLEL"
+
+#: Environment knob: how many sweep cells each parallel worker packs
+#: into one task (see :func:`run_many`).
+LANES_ENV = "SIBYL_LANES"
 
 #: BLAS threads of a process while it executes cells (module docstring).
 _CELL_BLAS_THREADS = 1
@@ -131,6 +142,17 @@ def _note_topology(workers: int) -> int:
         registry.gauge("campaign_workers").set(workers)
         registry.gauge("campaign_blas_threads").set(cell_blas)
     return cell_blas
+
+
+def resolve_lanes(default: int = 1) -> int:
+    """Cell-pack count from the ``SIBYL_LANES`` environment variable.
+
+    ``auto``/unset → ``default``; ``0`` and ``1`` both mean "no
+    packing"; anything else must be a non-negative integer (garbage or
+    a negative value is a misconfiguration and raises rather than
+    silently disabling packing).
+    """
+    return max(1, resolve_count_env(LANES_ENV, default))
 
 
 def resolve_workers(

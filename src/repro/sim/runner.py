@@ -7,10 +7,10 @@ ask the policy for a placement, serve it, and hand the outcome back to
 the policy.
 
 The loop body lives in :class:`PolicyRun`, a *resumable* per-request
-stepper: ``run_policy`` drives one run to completion, while the
-multi-lane engine (:mod:`repro.sim.lanes`) advances many ``PolicyRun``
-instances in lockstep — each lane executes exactly the code below, so a
-lane's result is bit-identical to the serial one.
+stepper: ``run_policy`` drives one run to completion, and
+:func:`repro.sim.lanes.run_lanes` builds one per lane, lets the SoA
+kernels (:mod:`repro.sim.kernels`) take the lanes they model, and
+drives the rest with the same ``step()`` loop.
 
 All paper results are *normalised to Fast-Only*; ``run_normalized``
 runs both the policy and the Fast-Only upper bound on identical fresh
@@ -42,7 +42,6 @@ from ..traces.workloads import make_trace
 __all__ = [
     "RunResult",
     "PolicyRun",
-    "LANE_DONE",
     "build_hss",
     "run_policy",
     "run_reference",
@@ -52,10 +51,6 @@ __all__ = [
     "normalized_row",
     "clear_reference_cache",
 ]
-
-#: Sentinel returned by :meth:`PolicyRun.step_begin` once the lane's
-#: trace is exhausted (distinct from None = "no inference needed").
-LANE_DONE = object()
 
 #: The paper's default capacity restrictions: dual-HSS fast device at
 #: 10% of the working set (§3); tri-HSS H at 5% and M at 10% (§8.7).
@@ -140,11 +135,9 @@ class PolicyRun:
 
     ``step()`` executes exactly one loop iteration of the classic serial
     replay: warmup-window reset, ``policy.place``, closed-loop serve,
-    ``policy.feedback``.  The multi-lane engine instead drives the split
-    pair ``step_begin()`` / ``step_finish(action)`` for RL lanes so it
-    can batch the network forward across lanes; the two paths execute
-    the same statements in the same order, which is what makes lanes
-    bit-identical to serial runs.
+    ``policy.feedback``.  The SoA kernels instead take over a freshly
+    built run (its ``policy``, ``hss`` and ``_source``) and leave all
+    of it in the state the ``step()`` loop would have.
 
     ``trace`` may be a sequence, a sized re-iterable streaming source
     (e.g. :class:`repro.traces.msrc.StreamingMSRCTrace` — requests are
@@ -201,7 +194,6 @@ class PolicyRun:
         # one completed, matching trace replay on a real block device and
         # preventing unbounded open-loop queue build-up on slow devices.
         self._completion_s = 0.0
-        self._request: Optional[Request] = None
         self.finished = False
         # Bound methods hoisted out of the per-request loop.
         self._place = policy.place
@@ -222,15 +214,12 @@ class PolicyRun:
                 dev.stats.reset()
         return request
 
-    def _complete(self, request: Request, action: int) -> None:
-        """The closed-loop tail of one iteration: serve at the clamped
-        issue time, record the completion horizon, feed back, advance.
-
-        The single home of these statements — ``step``, ``step_begin``'s
-        inline path, and ``step_finish`` all delegate here, which is
-        what keeps the serial and lane-engine paths statement-for-
-        statement identical (the bit-identity contract).
-        """
+    def step(self) -> bool:
+        """Advance one request; return False once the trace is exhausted."""
+        request = self._fetch()
+        if request is None:
+            return False
+        action = self._place(request)
         now = request.timestamp
         if now < self._completion_s:
             now = self._completion_s
@@ -238,49 +227,7 @@ class PolicyRun:
         self._completion_s = now + result.latency_s
         self._feedback(request, action, result)
         self._index += 1
-
-    def step(self) -> bool:
-        """Advance one request; return False once the trace is exhausted."""
-        request = self._fetch()
-        if request is None:
-            return False
-        self._complete(request, self._place(request))
         return True
-
-    def step_begin(self):
-        """Lane-engine first half: fetch a request and run the policy's
-        pre-inference work (:meth:`repro.core.agent.SibylAgent.place_begin`).
-
-        Returns :data:`LANE_DONE` once the trace is exhausted; ``None``
-        when the lane needed no network inference this tick (exploration
-        or action-memo hit — the step then **completed inline**, serve
-        and feedback included); else the observation vector to include
-        in the fused forward, with :meth:`step_finish` still owed.
-        """
-        request = self._fetch()
-        if request is None:
-            return LANE_DONE
-        # The commit for this begin intentionally lives in
-        # ``step_finish``: the lane engine owns the fused forward
-        # between the two halves, so no single function closes the
-        # pair.  Reviewed 2026-08: every step_begin is followed by
-        # step_finish (or completes inline below).
-        obs = self.policy.place_begin(request)  # sibyl: ignore[SBL-HOOK]
-        if obs is not None:
-            self._request = request
-            return obs
-        # Decision already made: finish the step without a second
-        # engine round-trip (the overwhelmingly common steady-state
-        # path once the greedy-action memo is warm).
-        self._complete(request, self.policy.place_commit(None))
-        return None
-
-    def step_finish(self, greedy_action: Optional[int] = None) -> None:
-        """Lane-engine second half: commit the action (scattered from
-        the fused forward) and serve + feed back exactly as ``step``."""
-        request = self._request
-        self._request = None
-        self._complete(request, self.policy.place_commit(greedy_action))
 
     # -------------------------------------------------------------- result
     def result(self) -> RunResult:
@@ -479,10 +426,10 @@ def run_normalized(
 
     The one-seed call of
     :func:`repro.sim.campaign.run_seeded_normalized`, which owns the
-    reference run, the lane packing and the normalisation: every policy
-    in the lineup steps through the multi-lane engine
-    (:func:`repro.sim.lanes.run_lanes`), bit-identical to serial
-    ``run_policy`` calls, so this changes wall-clock time only.
+    reference run, the lane list and the normalisation: every policy
+    in the lineup is one lane of :func:`repro.sim.lanes.run_lanes`,
+    bit-identical to serial ``run_policy`` calls, so this changes
+    wall-clock time only.
     """
     from .campaign import run_seeded_normalized  # local import: campaign builds on us
 

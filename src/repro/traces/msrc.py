@@ -99,7 +99,7 @@ def iter_msrc_csv(
     exactly ``load_msrc_csv``'s (same stable timestamp order, same
     ``t=0`` rebase to the first emitted request).
 
-    Feed it to the lane engine directly, or wrap it in
+    Feed it to ``run_policy``/``run_lanes`` directly, or wrap it in
     :class:`StreamingMSRCTrace` when the harness needs a sized,
     re-iterable source.
 

@@ -247,7 +247,7 @@ class TestTrainingGateRegression:
 
 class TestExternalTrainingHooks:
     """The train_begin/train_commit pair mirroring place_begin/commit:
-    the fused multi-lane engine drives the heavy half externally."""
+    the serve engine drives the heavy half externally."""
 
     def test_external_mode_defers_training(self, agent, hm_system):
         agent.attach(hm_system)

@@ -112,7 +112,7 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Lane-stacked optimizers (the fused multi-lane training engine).
+# Lane-stacked optimizers (``fused_train_event``'s stacked update).
 # ---------------------------------------------------------------------------
 
 from repro.rl.optim import (  # noqa: E402

@@ -1,16 +1,12 @@
 """Tests for the multi-seed campaign engine (repro.sim.campaign).
 
-Two contracts matter:
-
-* **Bit-identity per seed** — an N-seed campaign's seed ``i`` results
-  equal the corresponding serial single-seed run exactly (float
-  equality, never approx), across heuristic and RL policies and seed
-  counts {1, 4}.  The reference is always serial ``run_policy`` plus
-  ``normalized_row`` — never another route through the cell functions,
-  which are the only sweep path and would be compared with themselves.
-* **The seed axis rides lanes** — seed replicas share fused network
-  forwards (observed through ``run_lanes(stats=)``), instead of each
-  seed paying its own inference.
+The contract that matters is **bit-identity per seed** — an N-seed
+campaign's seed ``i`` results equal the corresponding serial single-seed
+run exactly (float equality, never approx), across heuristic and RL
+policies and seed counts {1, 4}.  The reference is always serial
+``run_policy`` plus ``normalized_row`` — never another route through
+the cell functions, which are the only sweep path and would be compared
+with themselves.
 """
 
 import pytest
@@ -153,7 +149,7 @@ class TestAggregateSeeds:
 
 class TestSeedAxisBitIdentity:
     """Each seed of a campaign must equal the serial single-seed run
-    with float equality — the lane engine's contract lifted one level."""
+    with float equality — ``run_lanes``' contract lifted one level."""
 
     @pytest.mark.parametrize("n_seeds", [1, 4])
     def test_heuristic_and_rl_lanes_match_serial(self, n_seeds):
@@ -231,31 +227,6 @@ class TestSeedAxisBitIdentity:
             serial_sibyl_row("usr_0", s, hyperparams=hp)["latency"]
             for s in seeds
         )
-
-
-class TestSeedAxisRidesLanes:
-    def test_seed_replicas_share_fused_forwards(self):
-        """4 seeds of one RL policy: one architecture group, so at most
-        one fused forward per tick, carrying multiple seeds' rows."""
-        seeds = (0, 1, 2, 3)
-        stats = {}
-        # backend="off": kernel-eligible lanes would otherwise divert to
-        # the SoA engines; this test observes lockstep fusion itself.
-        run_seeded_normalized(
-            seeds,
-            [make_trace("rsrch_0", n_requests=N, seed=s) for s in seeds],
-            [[SibylAgent(seed=s)] for s in seeds],
-            config="H&M",
-            stats=stats,
-            backend="off",
-        )
-        assert stats["ticks"] > 0
-        # One fused forward per tick across the whole seed axis (single
-        # architecture group), never one per seed.
-        assert stats["fused_forwards"] <= stats["ticks"]
-        # The forwards genuinely batched several seeds' observations.
-        assert stats["max_fused_rows"] > 1
-        assert stats["fused_rows"] > stats["fused_forwards"]
 
 
 class TestSweepsWithSeedAxis:

@@ -1,14 +1,15 @@
-"""Tests for the multi-lane batched inference engine (repro.sim.lanes).
+"""Tests for ``repro.sim.lanes.run_lanes``.
 
-The engine's contract is absolute: a lane's result is **bit-identical**
-to a serial ``run_policy`` of the same (policy, trace, config, seed) —
-equality below is float equality, never approx.
+The contract is absolute: a lane's result is **bit-identical** to a
+serial ``run_policy`` of the same (policy, trace, config, seed) —
+equality below is float equality, never approx — whichever backend
+``SIBYL_BACKEND`` selects (CI runs this file under ``numpy`` and
+``cext``; ``tests/sim/test_agent_lanes.py`` searches all three).
 """
 
 import numpy as np
 import pytest
 
-import repro.sim.lanes as lanes_module
 from repro.baselines.cde import CDEPolicy
 from repro.baselines.extremes import FastOnlyPolicy, SlowOnlyPolicy
 from repro.baselines.hps import HPSPolicy
@@ -19,13 +20,16 @@ from repro.knobs import resolve_choice_env
 from repro.rl.c51 import C51Config, C51LaneStack, C51Network
 from repro.rl.dqn import DQNConfig, DQNLaneStack, DQNNetwork
 from repro.sim.lanes import (
+    _TRAIN_STACK_CACHE_LIMIT,
     LaneSpec,
-    resolve_lanes,
-    resolve_train_align,
+    fused_train_event,
     run_lanes,
 )
+from repro.sim.parallel import resolve_lanes
 from repro.sim.runner import run_policy
 from repro.traces.workloads import make_trace
+
+from test_soa import _assert_agents_identical
 
 
 def _spec_policies(seed=0):
@@ -56,8 +60,7 @@ class TestLaneBitIdentity:
 
     @pytest.mark.parametrize("n_lanes", [1, 2, 7])
     def test_sibyl_lane_counts(self, n_lanes):
-        """Identity must hold at every batch width, including widths
-        that exercise partial-tick inference batches."""
+        """Identity must hold at every lane count."""
         traces = [
             make_trace("rsrch_0", n_requests=900, seed=i)
             for i in range(n_lanes)
@@ -105,7 +108,7 @@ class TestLaneBitIdentity:
         assert serial == laned
 
     def test_tri_hss_three_actions(self):
-        """A 3-action head (different stack signature) stays identical."""
+        """A 3-action head on a tri-HSS (stepped, never kernel-run)."""
         trace = make_trace("usr_0", n_requests=700, seed=4)
         serial = run_policy(SibylAgent(seed=4), trace, config="H&M&L")
         (laned,) = run_lanes(
@@ -114,7 +117,7 @@ class TestLaneBitIdentity:
         assert serial == laned
 
     def test_heterogeneous_heads_group_separately(self):
-        """c51 and dqn lanes (incompatible stacks) in one engine call."""
+        """c51 and dqn lanes in one call."""
         trace = make_trace("rsrch_0", n_requests=800, seed=5)
         serial = [
             run_policy(SibylAgent(seed=5), trace),
@@ -129,49 +132,13 @@ class TestLaneBitIdentity:
         assert serial == laned
 
 
-def _assert_agents_identical(serial_agents, laned_agents):
-    """Losses, final weights, and optimizer state must match bitwise."""
-    for serial, laned in zip(serial_agents, laned_agents):
-        assert serial.losses == laned.losses
-        assert serial.train_events == laned.train_events
-        for attr in ("training_net", "inference_net"):
-            s_net = getattr(serial, attr).network
-            l_net = getattr(laned, attr).network
-            assert np.array_equal(s_net.flat_parameters, l_net.flat_parameters)
-        s_opt = serial.training_net.optimizer
-        l_opt = laned.training_net.optimizer
-        assert s_opt._t == l_opt._t
-        for s_state, l_state in zip(s_opt._m + s_opt._v, l_opt._m + l_opt._v):
-            assert np.array_equal(s_state, l_state)
-
-
-def _spy_fused_events(monkeypatch):
-    """Record the lane count of every fused training event."""
-    sizes = []
-    original = lanes_module.fused_train_event
-
-    def spy(agents, *args, **kwargs):
-        sizes.append(len(agents))
-        return original(agents, *args, **kwargs)
-
-    monkeypatch.setattr(lanes_module, "fused_train_event", spy)
-    return sizes
-
-
-class TestFusedTraining:
-    """Cross-lane fused training: same-tick (and window-aligned) events
-    run through one stacked forward/backward, bit-identical to serial —
-    weights, losses, and optimizer state included.
-
-    Every ``run_lanes`` call here pins ``backend="off"``: these tests
-    prove properties of the *lockstep* fusion engine (spied fused
-    events, held lanes, stack caches), so the SoA tick engine — which
-    would otherwise divert eligible Sibyl lanes wholesale — must stay
-    out of the way regardless of ``SIBYL_BACKEND``."""
+class TestLaneAgentState:
+    """A lane leaves its agent — losses, both networks, optimizer
+    moments, replay, memo, RNG — exactly as the serial run does, under
+    whichever backend ``SIBYL_BACKEND`` selects."""
 
     @pytest.mark.parametrize("n_lanes", [2, 7])
-    def test_fused_events_fire_and_match_serial(self, n_lanes, monkeypatch):
-        sizes = _spy_fused_events(monkeypatch)
+    def test_agents_end_as_serial(self, n_lanes):
         traces = [
             make_trace("rsrch_0", n_requests=1400, seed=i)
             for i in range(n_lanes)
@@ -185,43 +152,22 @@ class TestFusedTraining:
             [
                 LaneSpec(policy=laned_agents[i], trace=traces[i])
                 for i in range(n_lanes)
-            ],
-            backend="off",
+            ]
         )
         assert serial == laned
-        _assert_agents_identical(serial_agents, laned_agents)
         assert serial_agents[0].train_events > 0, "runs never trained"
-        if n_lanes > 1:
-            # Same train_interval and trace length: events align on the
-            # same ticks, so fusion must actually engage (a silent
-            # fallback to per-lane training would also pass identity).
-            assert sizes, "no fused training event ever fired"
-            assert max(sizes) > 1
+        for s_agent, l_agent in zip(serial_agents, laned_agents):
+            _assert_agents_identical(s_agent, l_agent)
+            assert not l_agent.external_training and not l_agent.train_pending
 
-    def test_dqn_lanes_fuse(self, monkeypatch):
-        sizes = _spy_fused_events(monkeypatch)
-        trace = make_trace("rsrch_0", n_requests=1200, seed=3)
-        serial_agents = [SibylAgent(head="dqn", seed=i) for i in range(3)]
-        serial = [run_policy(agent, trace) for agent in serial_agents]
-        laned_agents = [SibylAgent(head="dqn", seed=i) for i in range(3)]
-        laned = run_lanes(
-            [LaneSpec(policy=agent, trace=trace) for agent in laned_agents],
-            backend="off",
-        )
-        assert serial == laned
-        _assert_agents_identical(serial_agents, laned_agents)
-        assert sizes and max(sizes) == 3
-
-    @pytest.mark.parametrize("window", [0, 8, 50])
-    def test_misaligned_intervals_and_mixed_lanes(self, window, monkeypatch):
-        """Intervals that collide on some ticks and not others, a lane
-        finishing its trace mid-window, and heuristic lanes interleaved
-        — identical to serial at every alignment window."""
-        sizes = _spy_fused_events(monkeypatch)
+    def test_mixed_intervals_and_mixed_lanes(self):
+        """Different training intervals and batch shapes, a short lane,
+        a heuristic and a kernel-ineligible feature ablation in one
+        call: every lane is its own serial run."""
         hyperparams = [
             SIBYL_DEFAULT,
             SIBYL_DEFAULT.replace(train_interval=300),
-            SIBYL_DEFAULT,
+            SIBYL_DEFAULT.replace(batch_size=64),
             SIBYL_DEFAULT.replace(train_interval=375),
         ]
         long = make_trace("rsrch_0", n_requests=1600, seed=0)
@@ -232,9 +178,10 @@ class TestFusedTraining:
                 SibylAgent(hyperparams=hp, seed=i)
                 for i, hp in enumerate(hyperparams)
             ]
-            policies.append(SibylAgent(seed=9))  # finishes mid-window
-            policies.append(CDEPolicy())         # heuristic interleaved
-            traces = [long, long, long, long, short, long]
+            policies.append(SibylAgent(seed=9))
+            policies.append(SibylAgent(feature_set="rt", seed=4))
+            policies.append(CDEPolicy())
+            traces = [long, long, long, long, short, long, long]
             return policies, traces
 
         serial_policies, serial_traces = lineup()
@@ -247,113 +194,11 @@ class TestFusedTraining:
             [
                 LaneSpec(policy=policy, trace=trace)
                 for policy, trace in zip(laned_policies, laned_traces)
-            ],
-            align_window=window,
-            backend="off",
-        )
-        assert serial == laned
-        _assert_agents_identical(serial_policies[:5], laned_policies[:5])
-        assert sizes and max(sizes) > 1
-        if window >= 50:
-            # A wide window must merge the misaligned 250/300-interval
-            # events that a same-tick-only flush cannot.
-            assert max(sizes) > 2
-
-    def test_different_batch_shapes_do_not_fuse(self, monkeypatch):
-        """Lanes with different batch sizes share an architecture group
-        but cannot share a stacked training step."""
-        sizes = _spy_fused_events(monkeypatch)
-        trace = make_trace("rsrch_0", n_requests=1200, seed=1)
-        small = SIBYL_DEFAULT.replace(batch_size=64)
-
-        def lineup():
-            return [
-                SibylAgent(seed=0),
-                SibylAgent(hyperparams=small, seed=1),
             ]
-
-        serial_agents = lineup()
-        serial = [run_policy(agent, trace) for agent in serial_agents]
-        laned_agents = lineup()
-        laned = run_lanes(
-            [LaneSpec(policy=agent, trace=trace) for agent in laned_agents],
-            align_window=20,
-            backend="off",
         )
         assert serial == laned
-        _assert_agents_identical(serial_agents, laned_agents)
-        assert all(size == 1 for size in sizes) or not sizes
-
-    def test_training_only_stacks_skip_inference_buffers(self, monkeypatch):
-        """The per-event training stacks never run fused inference, so
-        they must not allocate or sync the stacked inference weights."""
-        import repro.sim.lanes as lanes
-
-        captured = {}
-        original = lanes.fused_train_event
-
-        def spy(agents, stack_cache=None, cache_key=None):
-            result = original(agents, stack_cache, cache_key)
-            captured.update(stack_cache or {})
-            return result
-
-        monkeypatch.setattr(lanes, "fused_train_event", spy)
-        trace = make_trace("rsrch_0", n_requests=1200, seed=0)
-        run_lanes(
-            [LaneSpec(policy=SibylAgent(seed=i), trace=trace) for i in range(2)],
-            backend="off",
-        )
-        assert captured, "no fused event fired; test proves nothing"
-        for head, _ in captured.values():
-            assert not head.stack._weights
-
-    def test_exception_mid_run_aborts_held_lanes(self):
-        """An error unwinding run_lanes must leave every agent in
-        standalone mode with no training event pending, even lanes held
-        in an alignment queue."""
-
-        class Boom(Exception):
-            pass
-
-        class ExplodingSibyl(SibylAgent):
-            def feedback(self, request, action, result):
-                super().feedback(request, action, result)
-                if self._requests_seen == 900:
-                    raise Boom
-
-        trace = make_trace("rsrch_0", n_requests=1500, seed=0)
-        held = SibylAgent(
-            hyperparams=SIBYL_DEFAULT.replace(train_interval=300), seed=1
-        )
-        survivor = SibylAgent(seed=0)
-        with pytest.raises(Boom):
-            run_lanes(
-                [
-                    LaneSpec(policy=survivor, trace=trace),
-                    LaneSpec(policy=held, trace=trace),
-                    LaneSpec(policy=ExplodingSibyl(seed=2), trace=trace),
-                ],
-                align_window=100,
-                backend="off",
-            )
-        for agent in (survivor, held):
-            assert not agent.train_pending
-            assert not agent.external_training
-        # The agents remain serially usable.
-        result = run_policy(survivor, trace)
-        assert survivor.train_events > 0 and result.n_requests == 1500
-
-    def test_env_align_window(self, monkeypatch):
-        monkeypatch.delenv("SIBYL_TRAIN_ALIGN", raising=False)
-        assert resolve_train_align() == 0
-        monkeypatch.setenv("SIBYL_TRAIN_ALIGN", "12")
-        assert resolve_train_align() == 12
-        monkeypatch.setenv("SIBYL_TRAIN_ALIGN", "sometimes")
-        with pytest.raises(ValueError):
-            resolve_train_align()
-        monkeypatch.setenv("SIBYL_TRAIN_ALIGN", "-1")
-        with pytest.raises(ValueError):
-            resolve_train_align()
+        for s_agent, l_agent in zip(serial_policies[:6], laned_policies[:6]):
+            _assert_agents_identical(s_agent, l_agent)
 
 
 class _CheckpointRestoringSibyl(SibylAgent):
@@ -372,10 +217,12 @@ class _CheckpointRestoringSibyl(SibylAgent):
 
 
 class TestCheckpointResync:
-    """Regression: a checkpoint restore rewrites a lane's inference
-    weights without touching ``train_events``; the lane engine must
-    still re-sync that lane's slice of the stacked weights (and the
-    agent must drop its greedy-action memo)."""
+    """A checkpoint restore rewrites an agent's inference weights
+    without touching ``train_events``; a lane running such a subclass
+    (never kernel-eligible: the gate is an exact type check) must still
+    equal its serial run, and the agent must bump ``weights_version``
+    (what the daemon's fused stacks watch) and drop its greedy-action
+    memo."""
 
     @pytest.fixture()
     def donor_checkpoint(self, tmp_path):
@@ -390,10 +237,8 @@ class TestCheckpointResync:
     def test_restore_before_first_training_matches_serial(
         self, donor_checkpoint
     ):
-        """The nastiest case: the restore happens while train_events is
-        still 0, so an event-count-based staleness check sees nothing
-        to refresh and the lane keeps deciding with its pre-restore
-        stacked weights."""
+        """The restore happens while train_events is still 0, next to
+        a plain agent lane the kernels do take."""
         trace = make_trace("rsrch_0", n_requests=1200, seed=0)
 
         def lineup():
@@ -531,6 +376,83 @@ class TestLaneStacks:
             C51LaneStack([a, b])
 
 
+def _warmed_agents(k, head):
+    """``k`` agents with distinct seeds and learning rates, each run
+    long enough to have trained, memoised and filled its replay."""
+    trace = make_trace("rsrch_0", n_requests=700, seed=1)
+    agents = [
+        SibylAgent(
+            hyperparams=SIBYL_DEFAULT.replace(learning_rate=1e-2 / (i + 1)),
+            head=head,
+            seed=10 + i,
+        )
+        for i in range(k)
+    ]
+    for agent in agents:
+        run_policy(agent, trace)
+        assert agent.train_events > 0 and agent._action_cache
+    return agents
+
+
+def _training_state(agent):
+    """What a training event touches; arrays as bytes so ``==`` is exact."""
+    optimizer = agent.training_net.optimizer
+    return {
+        "losses": list(agent.losses),
+        "training": agent.training_net.network.flat_parameters.tobytes(),
+        "inference": agent.inference_net.network.flat_parameters.tobytes(),
+        "optimizer_t": optimizer._t,
+        "moments": [m.tobytes() for m in optimizer._m + optimizer._v],
+        "weights_version": agent.weights_version,
+        "train_events": agent.train_events,
+        "memo": dict(agent._action_cache),
+        "rng": agent.rng.bit_generator.state,
+    }
+
+
+class TestFusedTrainEvent:
+    """``fused_train_event`` (the daemon's stacked training step): k
+    pending events committed at once leave every agent exactly where k
+    serial ``train_commit`` calls leave its twin."""
+
+    @pytest.mark.parametrize("head", ["c51", "dqn"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_equals_serial_commits_on_twins(self, k, head):
+        fused, twins = _warmed_agents(k, head), _warmed_agents(k, head)
+        cache = {}
+        for event in range(2):  # the second event reuses the cached stack
+            for agent in fused:
+                agent.train_begin()
+            losses = fused_train_event(fused, cache, "twins")
+            for twin in twins:
+                twin.train_begin()
+                twin.train_commit()
+            assert losses.shape == (SIBYL_DEFAULT.batches_per_training, k)
+            for lane, (agent, twin) in enumerate(zip(fused, twins)):
+                assert not agent.train_pending
+                assert list(losses[:, lane]) == agent.losses[-len(losses):]
+                ours, theirs = _training_state(agent), _training_state(twin)
+                for key in theirs:
+                    assert ours[key] == theirs[key], key
+        assert list(cache) == ["twins"]
+        head_stack, _ = cache["twins"]
+        # A training-only stack never builds the stacked inference buffers.
+        assert not head_stack.stack._weights
+
+    def test_stack_cache_is_bounded_lru(self):
+        agents = _warmed_agents(2, "c51")
+        cache = {}
+        for key in range(_TRAIN_STACK_CACHE_LIMIT + 2):
+            for agent in agents:
+                agent.train_begin()
+            fused_train_event(agents, cache, key)
+        assert list(cache) == list(range(2, _TRAIN_STACK_CACHE_LIMIT + 2))
+        for agent in agents:
+            agent.train_begin()
+        fused_train_event(agents, cache, 2)  # a hit moves to the young end
+        assert list(cache)[-1] == 2
+
+
 class TestEngineStats:
     """run_lanes(stats=) counters: pure observation, never behaviour."""
 
@@ -546,10 +468,27 @@ class TestEngineStats:
             [LaneSpec(policy=p, trace=trace) for p in lineup()], stats=stats
         )
         assert observed == plain  # observing must not perturb anything
-        assert stats["ticks"] > 0
-        assert 0 < stats["fused_forwards"] <= stats["ticks"]
-        assert stats["fused_rows"] >= stats["fused_forwards"]
-        assert 1 <= stats["max_fused_rows"] <= 2
+        # Every lane is counted once, however it ran: by its requests
+        # (kernel-run or stepped) or as a scripted lane.
+        assert stats["ticks"] + 900 * stats["script_lanes"] == 3 * 900
+        assert stats["train_events"] == 2 * (900 // 250)
+        # No forward is ever shared between lanes.
+        assert stats["fused_rows"] == stats["fused_forwards"]
+        assert stats["max_fused_rows"] <= 1
+        assert "fused_train_events" not in stats
+
+    def test_stepped_lanes_count_ticks_and_train_events_only(self):
+        trace = make_trace("rsrch_0", n_requests=900, seed=0)
+        agents = [SibylAgent(seed=0), SibylAgent(feature_set="rt", seed=1)]
+        stats = {}
+        run_lanes(
+            [LaneSpec(policy=p, trace=trace) for p in agents + [CDEPolicy()]],
+            stats=stats,
+            backend="off",
+        )
+        assert stats.pop("ticks") == 3 * 900
+        assert stats.pop("train_events") == sum(a.train_events for a in agents) > 0
+        assert set(stats.values()) == {0}
 
     def test_heuristic_only_lanes_never_forward(self):
         trace = make_trace("usr_0", n_requests=400, seed=0)
