@@ -12,9 +12,9 @@ Scale knobs (environment variables):
 * ``SIBYL_BENCH_REQUESTS``  — requests per trace (default 10000)
 * ``SIBYL_BENCH_WORKLOADS`` — ``all`` (default) or ``quick`` (6-workload
   motivation subset everywhere)
-* ``SIBYL_BENCH_WORKERS``   — worker processes per campaign (default:
-  the parallel engine's auto policy; see ``repro.sim.parallel``, which
-  also honours ``SIBYL_PARALLEL=serial`` to force serial runs)
+* ``SIBYL_PARALLEL``        — worker processes per campaign (default:
+  the parallel engine's auto policy; ``serial`` forces serial runs; see
+  ``repro.sim.parallel``)
 * ``SIBYL_LANES``           — sweep cells packed per worker task
   (packed cells share per-process caches — notably the Fast-Only
   reference memo; see ``repro.sim.parallel``)
@@ -40,9 +40,8 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.knobs import resolve_count_env
 from repro.sim.experiment import compare_policies, tri_hybrid_comparison
 from repro.sim.report import export_json, format_table, geomean
 from repro.store import store_from_env
@@ -50,12 +49,6 @@ from repro.traces.workloads import MOTIVATION_WORKLOADS, workload_names
 
 N_REQUESTS = int(os.environ.get("SIBYL_BENCH_REQUESTS", "10000"))
 _MODE = os.environ.get("SIBYL_BENCH_WORKLOADS", "all")
-#: Worker processes per campaign, via the shared knob contract so
-#: garbage/negative values raise instead of silently forcing a serial
-#: run; unset/``auto``/``0`` → the engine's auto policy (None).
-MAX_WORKERS: Optional[int] = (
-    resolve_count_env("SIBYL_BENCH_WORKERS", 0) or None
-)
 N_SEEDS = int(os.environ.get("SIBYL_BENCH_SEEDS", "1"))
 #: kwargs adding the seed axis to a campaign (empty = point estimates).
 SEED_AXIS = {"n_seeds": N_SEEDS} if N_SEEDS > 1 else {}
@@ -86,7 +79,7 @@ def comparison(workloads: Tuple[str, ...], config: str) -> Dict:
     """
     return compare_policies(
         list(workloads), config=config, n_requests=N_REQUESTS, seed=0,
-        max_workers=MAX_WORKERS, store=STORE, **SEED_AXIS,
+        store=STORE, **SEED_AXIS,
     )
 
 
@@ -94,7 +87,7 @@ def comparison(workloads: Tuple[str, ...], config: str) -> Dict:
 def tri_comparison(workloads: Tuple[str, ...], config: str) -> Dict:
     return tri_hybrid_comparison(
         list(workloads), config=config, n_requests=N_REQUESTS, seed=0,
-        max_workers=MAX_WORKERS, store=STORE, **SEED_AXIS,
+        store=STORE, **SEED_AXIS,
     )
 
 

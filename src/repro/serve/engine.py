@@ -273,10 +273,13 @@ class PlacementEngine:
         """One fused round: at most one query per lane.
 
         ``place_begin`` → ``place_commit`` run in unconditional
-        sequence (the SBL-HOOK rule proves the pair balances); an
-        exception anywhere unwinds through ``place_abort`` so no agent
-        is left with an in-flight decision and every submitter gets a
-        structured error instead of a hung socket.
+        sequence (the SBL-HOOK rule proves the pair balances).  A raise
+        inside one lane's own statements fails that lane's job alone
+        (:meth:`_fail_lane`) and the round goes on without it; a raise
+        in what the round shares — the stacked forward — unwinds
+        through ``place_abort``.  Either way no agent is left with an
+        in-flight decision and every submitter gets a structured error
+        instead of a hung socket.
         """
         self.counters["rounds"] += 1
         t_begin = time.perf_counter()
@@ -295,12 +298,18 @@ class PlacementEngine:
 
         Returns the ``(job, lane, observation)`` triples that need the
         fused forward; the rest already hold a decided action
-        (exploration draw or greedy-memo hit) inside their agent.
+        (exploration draw or greedy-memo hit) inside their agent.  A
+        job whose lane raises is failed here and skipped by
+        :meth:`place_commit`.
         """
         pending = []
         for job in jobs:
             lane = self.lanes[job.query.tenant]
-            obs = lane.agent.place_begin(job.query.fields["request"])
+            try:
+                obs = lane.agent.place_begin(job.query.fields["request"])
+            except Exception as exc:
+                self._fail_lane(job, lane, exc)
+                continue
             if obs is not None:
                 pending.append((job, lane, obs))
         return pending
@@ -337,9 +346,15 @@ class PlacementEngine:
         service_hist = self.metrics.histogram("serve_service_ms")
         now = time.perf_counter()
         for job in jobs:
+            if job.done.is_set():  # failed in place_begin
+                continue
             lane = self.lanes[job.query.tenant]
-            action = lane.agent.place_commit(actions.get(id(job)))
-            seq, result = lane.complete(job.query.fields["request"], action)
+            try:
+                action = lane.agent.place_commit(actions.get(id(job)))
+                seq, result = lane.complete(job.query.fields["request"], action)
+            except Exception as exc:
+                self._fail_lane(job, lane, exc)
+                continue
             self.counters["served"] += 1
             queue_ms = (job.t_begin - job.t_submit) * 1e3
             service_ms = (now - job.t_begin) * 1e3
@@ -364,6 +379,22 @@ class PlacementEngine:
                 to_train.append(lane)
         if to_train:
             self._dispatch_training(to_train)
+
+    def _fail_lane(self, job: Job, lane: TenantLane, exc: Exception) -> None:
+        """One lane's placement raised: fail its job, spare the round.
+
+        The other tenants of the round are untouched and stay
+        bit-identical to their serial replays.  The failing tenant is
+        served again from its next query, but what its agent or HSS did
+        before the raise stays done, so its own stream is no longer
+        promised to match a replay.
+        """
+        logger.warning(
+            "placement failed for %r: %s", lane.name, exc, exc_info=True
+        )
+        if lane.agent.place_pending:
+            lane.agent.place_abort()
+        self._fail(job, ERR_INTERNAL, "placement failed")
 
     def place_abort(self, jobs: List[Job]) -> None:
         """Unwind a failed round: clear in-flight state, fail the jobs."""

@@ -126,8 +126,8 @@ TABLE = Table(
         "CI_NDEV", "CI_SCRIPTED", "CI_BELADY_NOW",
     ),
     ctrl_d=(
-        "CD_COMPLETION", "CD_REWARD_SUM", "CD_EPS", "CD_UNIT",
-        "CD_EVICT_COEF", "CD_MAX_REWARD", "CD_PEND_REWARD",
+        "CD_COMPLETION", "CD_EPS", "CD_UNIT", "CD_EVICT_COEF",
+        "CD_MAX_REWARD", "CD_PEND_REWARD",
     ),
     dev_d=(
         "DD_NEXT_FREE", "DD_BUSY", "DD_QWAIT", "DD_UTIL", "DD_GC_TIME",

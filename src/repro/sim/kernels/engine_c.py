@@ -60,7 +60,7 @@ from . import abi
 # from abi.TABLE, the table the C side's sib_abi.h is rendered from.
 from .abi import *
 from .script import LIVE_LOCATION, decide
-from .soa import LaneSoA, TraceSoA
+from .soa import TraceSoA
 
 __all__ = [
     "available", "unavailable_reason", "so_path",
@@ -653,7 +653,7 @@ class _KernelRun(_HSSState):
                 arr = getattr(buf, name)
                 setattr(buf, name, arr[:length].copy())
 
-    def export(self, lanes: Optional[LaneSoA], lane: int) -> None:
+    def export(self) -> None:
         policy = self.policy
         ci, cd = self.ci, self.cd
 
@@ -683,23 +683,20 @@ class _KernelRun(_HSSState):
         self._trim_buffer_arrays()
 
         self.export_hss()
-        if lanes is not None:
-            lanes.snapshot(lane, self.run, float(cd[CD_REWARD_SUM]))
 
 
 def run_one_c(
-    run, lanes: Optional[LaneSoA] = None, lane: int = 0, sink=None,
-    trace: Optional[TraceSoA] = None,
+    run, sink=None, trace: Optional[TraceSoA] = None, lane: int = 0,
 ) -> None:
     """Drive one eligible ``PolicyRun`` to completion through the
     compiled kernel, bit-identically to serial ``run_policy``.
 
     ``trace`` is the run's trace already packed (lanes replaying one
     trace share the pack); by default the run's own iterator is packed.
-    ``sink`` receives the engine counters (see ``run_kernel_lanes``);
-    the barrier statuses the C loop returns are counted for free in the
-    dispatch loop below, so ``kernel_barriers`` prices the Python
-    boundary exactly.
+    ``lane`` only labels the ``kernel.invoke`` span.  ``sink`` receives
+    the engine counters (see ``run_kernel_lanes``); the barrier statuses
+    the C loop returns are counted for free in the dispatch loop below,
+    so ``kernel_barriers`` prices the Python boundary exactly.
     """
     lib = _load()
     if trace is None:
@@ -708,7 +705,7 @@ def run_one_c(
         from .engine_numpy import run_one_numpy
 
         run._iter = iter(trace.requests)
-        run_one_numpy(run, lanes=lanes, lane=lane, sink=sink)
+        run_one_numpy(run, sink=sink)
         return
 
     state = _KernelRun(run, trace)
@@ -728,7 +725,7 @@ def run_one_c(
             else:  # ST_TRAIN_GATE
                 n_train += 1
                 state.handle_train_gate()
-    state.export(lanes, lane)
+    state.export()
     if sink is not None:
         sink.count("ticks", trace.n)
         if n_inference:
@@ -773,10 +770,7 @@ def run_script_c(run, trace: TraceSoA, sink=None) -> None:
         sink.count("script_lanes")
 
 
-def run_lanes_c(
-    runs: List, scripted: Sequence = (), lanes: Optional[LaneSoA] = None,
-    sink=None,
-) -> LaneSoA:
+def run_lanes_c(runs: List, scripted: Sequence = (), sink=None) -> None:
     """Drive every agent run, then every scripted run, to completion
     through the compiled engine.
 
@@ -784,8 +778,6 @@ def run_lanes_c(
     kernel state is packed, run, exported and dropped before the next
     lane's is built.
     """
-    if lanes is None:
-        lanes = LaneSoA.for_runs(runs)
     packed: Dict[int, TraceSoA] = {}
 
     def pack(run) -> TraceSoA:
@@ -795,7 +787,6 @@ def run_lanes_c(
         return packed[key]
 
     for lane, run in enumerate(runs):
-        run_one_c(run, lanes=lanes, lane=lane, sink=sink, trace=pack(run))
+        run_one_c(run, sink=sink, trace=pack(run), lane=lane)
     for run in scripted:
         run_script_c(run, pack(run), sink=sink)
-    return lanes

@@ -32,14 +32,14 @@ serial replay.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ...core.features import log2_bin
 from ...hss.hdd import HDDDevice
 from ...hss.request import OpType
-from .soa import LaneSoA, TraceSoA
+from .soa import TraceSoA
 
 __all__ = ["run_lanes_numpy", "run_one_numpy"]
 
@@ -50,13 +50,10 @@ _READ = OpType.READ
 _CACHE_LIMIT = 1 << 16
 
 
-def run_lanes_numpy(runs: List, lanes: Optional[LaneSoA] = None, sink=None) -> LaneSoA:
+def run_lanes_numpy(runs: List, sink=None) -> None:
     """Drive every run to completion through the reference engine."""
-    if lanes is None:
-        lanes = LaneSoA.for_runs(runs)
-    for lane, run in enumerate(runs):
-        run_one_numpy(run, lanes=lanes, lane=lane, sink=sink)
-    return lanes
+    for run in runs:
+        run_one_numpy(run, sink=sink)
 
 
 def _device_access(dev):
@@ -237,9 +234,7 @@ def _make_update_util(hss, device):
     return update
 
 
-def run_one_numpy(
-    run, lanes: Optional[LaneSoA] = None, lane: int = 0, sink=None
-) -> None:
+def run_one_numpy(run, sink=None) -> None:
     """Drive one eligible ``PolicyRun`` to completion, bit-identically.
 
     The body is the serial loop ``step() → place → serve → feedback``
@@ -326,7 +321,6 @@ def run_one_numpy(
 
     completion_s = run._completion_s
     warmup_end = run._warmup_end
-    reward_sum = 0.0
     n_forwards = 0
     n_train = 0
 
@@ -337,7 +331,6 @@ def run_one_numpy(
             placements = stats.placements
             for dev in devices:
                 dev.stats.reset()
-            reward_sum = 0.0
 
         now = ts_l[i]
         page = page_l[i]
@@ -567,7 +560,6 @@ def run_one_numpy(
             reward = r if r > 0.0 else 0.0
         else:
             reward = base
-        reward_sum += reward
 
         pending = (obs, action, reward, obs_key)
         seen += 1
@@ -589,8 +581,6 @@ def run_one_numpy(
     policy._pending = pending
     policy._requests_seen = seen
     tracker._clock = clock
-    if lanes is not None:
-        lanes.snapshot(lane, run, reward_sum)
     if sink is not None:
         # The names of ``obs.sink.ENGINE_COUNTERS``; a SoA lane is its
         # own tick stream, and every forward carries exactly one row.

@@ -600,7 +600,6 @@ long long sib_run(void **p) {
     int64_t seen = ci[CI_SEEN];
     int64_t clock = ci[CI_CLOCK];
     double completion_s = cd[CD_COMPLETION];
-    double reward_sum = cd[CD_REWARD_SUM];
 
     for (; i < n_total; i++) {
         double now;
@@ -637,7 +636,6 @@ long long sib_run(void **p) {
                 double *dd = s->dd + d * DD_STRIDE;
                 dd[DD_BUSY] = dd[DD_QWAIT] = dd[DD_GC_TIME] = 0.0;
             }
-            reward_sum = 0.0;
         }
 
         now = s->ts[i];
@@ -888,7 +886,6 @@ long long sib_run(void **p) {
             } else {
                 reward = base;
             }
-            reward_sum += reward;
 
             memcpy(s->pend_obs, obs, 48);
             memcpy(s->pend_key, obs_key, 24);
@@ -923,7 +920,6 @@ save_state:
     ci[CI_SEEN] = seen;
     ci[CI_CLOCK] = clock;
     cd[CD_COMPLETION] = completion_s;
-    cd[CD_REWARD_SUM] = reward_sum;
     if (!scripted) {
         s->rngst[0] = (uint64_t)(rng.state >> 64);
         s->rngst[1] = (uint64_t)rng.state;

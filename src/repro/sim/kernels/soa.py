@@ -4,15 +4,14 @@ The serial stepper walks per-request Python objects: every tick
 re-reads ``Request`` dataclass attributes, and per-lane device state
 lives scattered across ``StorageDevice``/``PageTable`` instances.  The
 SoA engines instead decompose a lane's trace once into contiguous
-parallel arrays (:class:`TraceSoA`) and expose the per-lane tick state
-— completion horizon, device queue depths and utilisation, reward
-accumulators — as arrays indexed by lane (:class:`LaneSoA`).
+parallel arrays (:class:`TraceSoA`).
 
-The containers are deliberately *derived* views: the live simulation
+The container is deliberately a *derived* view: the live simulation
 objects (``HybridStorageSystem``, ``SibylAgent``) stay the source of
 truth, because bit-identity to the serial path is defined against their
 state.  ``TraceSoA`` feeds the engines' input side (and the compiled
-kernel's dense page remap); ``LaneSoA`` snapshots the output side.
+kernel's dense page remap); the output side is written straight back
+into those objects.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from ...hss.request import Request
 
-__all__ = ["TraceSoA", "LaneSoA"]
+__all__ = ["TraceSoA"]
 
 
 @dataclass
@@ -123,45 +122,3 @@ class TraceSoA:
         offsets = np.zeros(len(self.uniq) + 1, dtype=np.int64)
         np.cumsum(np.bincount(touches, minlength=len(self.uniq)), out=offsets[1:])
         return offsets, np.argsort(touches, kind="stable").astype(np.int64)
-
-
-@dataclass
-class LaneSoA:
-    """Per-lane tick state as contiguous arrays indexed by lane.
-
-    One row per lane; columns are the quantities the engines account
-    every tick: the closed-loop completion horizon, the per-device
-    queue depth (busy horizon) and SSD utilisation, the request index,
-    and the accumulated reward.  Filled by the engines as lanes cross
-    their warmup boundary and finish, so batch callers (the hot-path
-    profiler, future serving daemons) read one array instead of K
-    object graphs.
-    """
-
-    completion_s: np.ndarray  # float64 (K,)
-    index: np.ndarray  # int64   (K,)
-    queue_depth_s: np.ndarray  # float64 (K, D) device busy horizons
-    utilization: np.ndarray  # float64 (K, D)
-    reward_sum: np.ndarray  # float64 (K,)
-
-    @classmethod
-    def for_runs(cls, runs: Sequence) -> "LaneSoA":
-        k = len(runs)
-        d = max((run.hss.n_devices for run in runs), default=0)
-        return cls(
-            completion_s=np.zeros(k, dtype=np.float64),
-            index=np.zeros(k, dtype=np.int64),
-            queue_depth_s=np.zeros((k, d), dtype=np.float64),
-            utilization=np.zeros((k, d), dtype=np.float64),
-            reward_sum=np.zeros(k, dtype=np.float64),
-        )
-
-    def snapshot(self, lane: int, run, reward_sum: float) -> None:
-        """Record ``run``'s current state into row ``lane``."""
-        hss = run.hss
-        self.completion_s[lane] = run._completion_s
-        self.index[lane] = run._index
-        for d, dev in enumerate(hss.devices):
-            self.queue_depth_s[lane, d] = dev._next_free_s
-            self.utilization[lane, d] = getattr(dev, "utilization", 0.0)
-        self.reward_sum[lane] = reward_sum

@@ -168,3 +168,80 @@ def test_duplicate_open_rejected(daemon):
         reply = client.rpc({"op": "open", "tenant": "dup", "seed": 1})
         assert not reply["ok"] and reply["error"] == "tenant-exists"
     assert_alive(daemon.address)
+
+
+@pytest.mark.parametrize("where", ["place_begin", "complete"])
+def test_failing_placement_fails_only_its_tenant(where):
+    """One tenant's lane raising costs that tenant one job, no more.
+
+    Driven through the synchronous pump so the failing query and the
+    other tenants' queries are provably in the same fused round.  The
+    raise is injected before the agent sees the request
+    (``place_begin``) or after it decided and before the HSS serves
+    (``complete``).
+    """
+    from repro.serve.engine import PlacementEngine
+
+    from serve_harness import serial_replay
+    from test_equivalence import pump, submit_frame
+
+    engine = PlacementEngine(workers=1, train_mode="sync")
+    names = ["a", "bad", "c"]
+    n, fail_at = 60, 25
+    streams = {
+        name: synthetic_stream(seed=60 + i, n=n)
+        for i, name in enumerate(names)
+    }
+    for i, name in enumerate(names):
+        job = submit_frame(engine, {
+            "op": "open", "tenant": name, "seed": i, "hyperparams": FAST_HP,
+        })
+        pump(engine)
+        assert job.response["ok"], job.response
+
+    lane = engine.lanes["bad"]
+    target = lane.agent if where == "place_begin" else lane
+
+    def failing_once(*args):
+        delattr(target, where)  # the class's method shows through again
+        raise RuntimeError("injected placement failure")
+
+    replies = {name: [] for name in names}
+    for step in range(n):
+        if step == fail_at:
+            setattr(target, where, failing_once)
+        wave = [
+            (name, submit_frame(
+                engine, {**streams[name][step], "tenant": name}
+            ))
+            for name in names
+        ]
+        pump(engine)
+        for name, job in wave:
+            assert job.done.is_set()
+            replies[name].append(job.response)
+
+    # The failing job, and only it, is answered with a structured error;
+    # the failing tenant's later queries are served, seq unbroken.
+    failed = replies["bad"].pop(fail_at)
+    assert not failed["ok"] and failed["error"] == "internal-error"
+    assert failed["id"] == streams["bad"][fail_at]["id"]
+    assert all(r["ok"] for rs in replies.values() for r in rs)
+    assert engine.counters["errors"] == 1
+    assert engine.counters["served"] == len(names) * n - 1
+    assert not lane.agent.place_pending
+    assert [r["seq"] for r in replies["bad"]] == list(range(n - 1))
+
+    keys = ("action", "device", "latency_s", "eviction_time_s")
+    for i, name in enumerate(names):
+        frames = list(streams[name])
+        if name == "bad":
+            if where == "complete":
+                continue  # its agent saw the failed query: no replay promised
+            # Failed before the agent saw it: the stream of an agent
+            # that was never sent the query.
+            del frames[fail_at]
+        assert [r["seq"] for r in replies[name]] == list(range(len(frames)))
+        assert [
+            {k: r[k] for k in keys} for r in replies[name]
+        ] == serial_replay(frames, seed=i, hyperparams=FAST_HP)
