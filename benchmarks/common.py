@@ -7,28 +7,9 @@ and cached.  Each benchmark renders its figure's rows, prints them,
 and writes them under ``benchmarks/results/`` so the numbers survive
 pytest's output capture.
 
-Scale knobs (environment variables):
-
-* ``SIBYL_BENCH_REQUESTS``  — requests per trace (default 10000)
-* ``SIBYL_BENCH_WORKLOADS`` — ``all`` (default) or ``quick`` (6-workload
-  motivation subset everywhere)
-* ``SIBYL_PARALLEL``        — worker processes per campaign (default:
-  the parallel engine's auto policy; ``serial`` forces serial runs; see
-  ``repro.sim.parallel``)
-* ``SIBYL_LANES``           — sweep cells packed per worker task
-  (packed cells share per-process caches — notably the Fast-Only
-  reference memo; see ``repro.sim.parallel``)
-* ``SIBYL_BENCH_SEEDS``     — seeds per figure campaign (default 1).
-  With more than one seed every table cell becomes a mean ±95%
-  confidence band over the seed axis (``repro.sim.campaign``); the seed
-  replicas are extra lanes of each cell, so N seeds cost N single-seed
-  campaigns.  Shape assertions then check the seed-axis means.
-* ``SIBYL_STORE``           — durable campaign store directory
-  (``repro.store``).  When set, every figure campaign persists its
-  finished cells there and serves already-stored cells from disk, so a
-  repeated benchmark run (or one interrupted and restarted) recomputes
-  only what is missing — with byte-identical tables and JSON exports,
-  because stored cells round-trip losslessly.
+Scale knobs: the three ``SIBYL_BENCH_*`` variables read below, plus what
+the library itself honours (workers, backend, durable store) — all rows
+of ``repro.knobs.TABLE``, documented in ``docs/configuration.md``.
 
 Within every cell the policy lineup is one ``run_lanes`` call: the SoA
 tick kernels (``SIBYL_BACKEND``) run every lane they model, the rest
@@ -37,19 +18,19 @@ are stepped serially — bit-identical to the serial loop either way.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Tuple
 
+from repro import knobs
 from repro.sim.experiment import compare_policies, tri_hybrid_comparison
 from repro.sim.report import export_json, format_table, geomean
 from repro.store import store_from_env
 from repro.traces.workloads import MOTIVATION_WORKLOADS, workload_names
 
-N_REQUESTS = int(os.environ.get("SIBYL_BENCH_REQUESTS", "10000"))
-_MODE = os.environ.get("SIBYL_BENCH_WORKLOADS", "all")
-N_SEEDS = int(os.environ.get("SIBYL_BENCH_SEEDS", "1"))
+N_REQUESTS = knobs.get("SIBYL_BENCH_REQUESTS")
+_MODE = knobs.get("SIBYL_BENCH_WORKLOADS")
+N_SEEDS = knobs.get("SIBYL_BENCH_SEEDS")
 #: kwargs adding the seed axis to a campaign (empty = point estimates).
 SEED_AXIS = {"n_seeds": N_SEEDS} if N_SEEDS > 1 else {}
 

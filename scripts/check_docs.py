@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Docs smoke checker: executable code fences + docstring coverage.
+"""Docs smoke checker: executable code fences, docstring coverage and
+the knob tables.
 
-Two checks keep the documentation honest:
+Three checks keep the documentation honest:
 
 1. **Code fences execute.**  Every ```` ```python ```` fence in
    ``docs/*.md`` runs in a fresh namespace (with ``src/`` on the
@@ -15,6 +16,12 @@ Two checks keep the documentation honest:
    and the durable-store package ``repro.store.*``) must carry a
    docstring — for the store, public *methods* too: a persistence
    layer's contract lives in its method docs.
+
+3. **The knob tables are the knob table.**  The rows of
+   ``docs/configuration.md`` carry exactly the ``Variable | Default |
+   Values`` cells ``python -m repro.knobs`` prints from
+   ``repro.knobs.TABLE`` — no undocumented knob, no documented ghost, no
+   stale default.  The ``Meaning`` prose is the doc's own.
 
 Run:  python scripts/check_docs.py
 Exit status is non-zero on any failure; CI runs this as the docs job.
@@ -33,6 +40,7 @@ from typing import Iterator, List, Tuple
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOCS_DIR = REPO_ROOT / "docs"
 AUDITED_MODULES = (
+    "repro.knobs",
     "repro.sim.campaign",
     "repro.sim.report",
     "repro.store.fingerprint",
@@ -49,12 +57,10 @@ AUDITED_MODULES = (
     "repro.analysis.rules.forksafety",
     "repro.sim.kernels.abi",
     "repro.serve.protocol",
-    "repro.serve.knobs",
     "repro.serve.lane",
     "repro.serve.engine",
     "repro.serve.daemon",
     "repro.serve.loadgen",
-    "repro.obs.knobs",
     "repro.obs.sink",
     "repro.obs.metrics",
     "repro.obs.tracer",
@@ -155,17 +161,52 @@ def check_docstrings(module_names=AUDITED_MODULES) -> List[str]:
     return failures
 
 
+_KNOB_ROW_RE = re.compile(
+    r"^\| (`SIBYL_[A-Z0-9_]+`) \| (.*?) \| (.*?) \|", re.MULTILINE
+)
+
+
+def check_knob_table(doc: Path = DOCS_DIR / "configuration.md") -> List[str]:
+    """Compare ``doc``'s knob rows with ``repro.knobs.TABLE``, both ways."""
+    knobs = importlib.import_module("repro.knobs")
+    documented = {
+        match.group(1): match.groups()
+        for match in _KNOB_ROW_RE.finditer(doc.read_text())
+    }
+    failures: List[str] = []
+    for row in knobs.TABLE:
+        cells = knobs.doc_cells(row)
+        found = documented.pop(cells[0], None)
+        if found is None:
+            failures.append(
+                f"{doc.name}: no row for {cells[0]}; add `| "
+                + " | ".join(cells) + " | <meaning> |`"
+            )
+        elif found != cells:
+            failures.append(
+                f"{doc.name}: row {cells[0]} reads {' | '.join(found[1:])!r}, "
+                f"repro.knobs.TABLE says {' | '.join(cells[1:])!r}"
+            )
+    failures += [
+        f"{doc.name}: row {name} is not in repro.knobs.TABLE"
+        for name in documented
+    ]
+    return failures
+
+
 def main() -> int:
-    """Run both checks; print a summary and return the exit status."""
+    """Run every check; print a summary and return the exit status."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     failures = check_fences()
     failures += check_docstrings()
+    failures += check_knob_table()
     if failures:
         print(f"\n{len(failures)} docs check failure(s):", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print("docs checks OK (fences executed, public API documented)")
+    print("docs checks OK (fences executed, public API documented, "
+          "knob tables match repro.knobs.TABLE)")
     return 0
 
 

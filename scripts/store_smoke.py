@@ -15,12 +15,11 @@ hit it:
 
 Run:  python scripts/store_smoke.py
 Exit status is non-zero on any violated assertion; CI runs this as the
-store-smoke job.  Scale via SIBYL_STORE_SMOKE_REQUESTS (default 400).
+store-smoke job.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -34,7 +33,7 @@ from repro.sim.runner import clear_reference_cache  # noqa: E402
 from repro.store import CampaignStore, load_journal  # noqa: E402
 
 SIZES = (25, 50, 100, 200)
-N_REQUESTS = int(os.environ.get("SIBYL_STORE_SMOKE_REQUESTS", "400"))
+N_REQUESTS = 400
 KILL_AFTER = 2
 
 

@@ -2,9 +2,9 @@
 
 The reproduction's correctness rests on conventions that runtime tests
 only defend after a 14-minute tier-1 run: strict determinism in the
-bit-identity core, balanced ``*_begin``/``*_commit`` hook pairs,
-centrally parsed and documented ``SIBYL_*`` knobs, and fork-safe pool
-workers.  This package enforces that whole class at *lint time* with a
+bit-identity core, balanced ``*_begin``/``*_commit`` hook pairs, one
+module owning the process environment, and fork-safe pool workers.
+This package enforces that whole class at *lint time* with a
 stdlib-``ast`` static analysis — no imports of the analyzed code, no
 execution, sub-second over ``src/``.
 
@@ -14,7 +14,7 @@ programmatically::
     from pathlib import Path
     from repro.analysis import run_lint
 
-    report = run_lint([Path("src")], docs_path=Path("docs/configuration.md"))
+    report = run_lint([Path("src")])
     assert report.ok, report.findings
 
 Rule catalogue, rationale, and the ``# sibyl: ignore[RULE]``

@@ -4,9 +4,9 @@ Exit status contract (what CI keys on):
 
 * ``0`` — analyzed everything, zero unsuppressed findings;
 * ``1`` — analyzed everything, at least one finding (printed);
-* ``2`` — fatal error (missing path, unknown rule ID, unreadable
-  docs file): the run itself could not complete.  Fatal errors print
-  one ``error: ...`` line on stderr — never a traceback.
+* ``2`` — fatal error (missing path, unknown rule ID): the run itself
+  could not complete.  Fatal errors print one ``error: ...`` line on
+  stderr — never a traceback.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from .rules import default_rules
 
 __all__ = ["build_lint_parser", "add_lint_arguments", "run_lint_cli"]
 
-#: Default docs file the SBL-ENV rule cross-checks when present.
-DEFAULT_DOCS = "docs/configuration.md"
-
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Install the lint options on ``parser`` (shared between the
@@ -41,11 +38,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rules", metavar="ID[,ID...]",
         help="run only these rule IDs (e.g. SBL-DET,SBL-ENV)",
-    )
-    parser.add_argument(
-        "--docs", metavar="PATH", default=None,
-        help="configuration reference for the SBL-ENV documentation "
-             f"cross-check (default: {DEFAULT_DOCS} when it exists)",
     )
     parser.add_argument(
         "--det-scope", metavar="PREFIX[,PREFIX...]", default=None,
@@ -106,12 +98,6 @@ def run_lint_cli(args: argparse.Namespace) -> int:
         return 0
     only = args.rules.split(",") if args.rules else None
     rules = default_rules(only)
-    if args.docs is not None:
-        docs_path: Optional[Path] = Path(args.docs)
-        if not docs_path.is_file():
-            raise FileNotFoundError(f"docs file not found: {docs_path}")
-    else:
-        docs_path = Path(DEFAULT_DOCS) if Path(DEFAULT_DOCS).is_file() else None
     kwargs = {}
     if args.det_scope == "all":
         kwargs["determinism_scope"] = None
@@ -124,7 +110,6 @@ def run_lint_cli(args: argparse.Namespace) -> int:
     report = run_lint(
         [Path(p) for p in args.paths],
         rules=rules,
-        docs_path=docs_path,
         **kwargs,
     )
     if args.format == "json":

@@ -8,11 +8,8 @@ Structure:
 
 * :class:`FileContext` — one parsed source file (tree, lines, module
   name, suppression table).
-* :class:`Project` — every file of one lint run plus the cross-file
-  index rules need: module-level constant assignments and import maps
-  (so a rule can resolve ``TRACE_PATH_ENV`` through a ``from .knobs
-  import TRACE_PATH_ENV``), and the set of knobs documented in
-  ``docs/configuration.md``.
+* :class:`Project` — every file of one lint run and the determinism
+  scope.
 * :class:`Rule` — base class; concrete rules live in
   :mod:`repro.analysis.rules` and yield :class:`Finding` objects.
 * :func:`run_lint` — the driver: collect files, build the project,
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -136,49 +133,16 @@ class FileContext:
         )
 
 
-@dataclass
-class _ImportMap:
-    """Name bindings one file gains from its import statements."""
-
-    #: ``from mod import name as alias`` -> alias: (resolved mod, name)
-    from_imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
-    #: ``import mod as alias`` -> alias: dotted module path
-    modules: Dict[str, str] = field(default_factory=dict)
-
-
 class Project:
-    """Every file of one lint run plus the cross-file resolution index.
-
-    The index is deliberately shallow — module-level ``NAME = <expr>``
-    assignments and ``from``-imports, keyed by a best-effort dotted
-    module name — but that is exactly enough for the rules that need
-    cross-file facts: chasing an environment-knob name like
-    ``TRACE_PATH_ENV`` through one or two imports.
-    """
+    """Every file of one lint run, and which of them SBL-DET polices."""
 
     def __init__(
         self,
         files: Sequence[FileContext],
-        documented_knobs: Optional[Set[str]] = None,
         determinism_scope: Optional[Tuple[str, ...]] = DEFAULT_DETERMINISM_SCOPE,
     ) -> None:
         self.files = list(files)
-        self.documented_knobs = documented_knobs
         self.determinism_scope = determinism_scope
-        self.constants: Dict[Tuple[str, str], ast.expr] = {}
-        self.imports: Dict[str, _ImportMap] = {}
-        for ctx in self.files:
-            if ctx.tree is None:
-                continue
-            self.imports[ctx.module] = _build_import_map(ctx)
-            for node in ctx.tree.body:
-                if isinstance(node, ast.Assign) and node.value is not None:
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            self.constants[(ctx.module, target.id)] = node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    if isinstance(node.target, ast.Name):
-                        self.constants[(ctx.module, node.target.id)] = node.value
 
     def in_determinism_scope(self, ctx: FileContext) -> bool:
         """Whether SBL-DET polices ``ctx`` (``None`` scope = everywhere)."""
@@ -188,29 +152,6 @@ class Project:
             ctx.module == prefix or ctx.module.startswith(prefix + ".")
             for prefix in self.determinism_scope
         )
-
-    def resolve_constant(
-        self, module: str, name: str, depth: int = 4
-    ) -> Optional[ast.expr]:
-        """The module-level expression ``name`` is bound to, if indexed.
-
-        Chases ``NAME = OTHER_NAME`` chains and ``from mod import NAME``
-        re-exports up to ``depth`` hops; returns ``None`` when the chain
-        leaves the analyzed file set.
-        """
-        for _ in range(depth):
-            expr = self.constants.get((module, name))
-            if expr is None:
-                imported = self.imports.get(module, _ImportMap()).from_imports.get(name)
-                if imported is None:
-                    return None
-                module, name = imported
-                continue
-            if isinstance(expr, ast.Name):
-                name = expr.id
-                continue
-            return expr
-        return None
 
 
 class Rule:
@@ -281,38 +222,18 @@ def collect_files(paths: Iterable[Path]) -> List[Path]:
     return sorted(dict.fromkeys(out))
 
 
-#: Pattern of a Sibyl environment-knob name.
-_KNOB_RE = re.compile(r"^SIBYL_[A-Z0-9_]+$")
-
-
-def documented_knobs_from(docs_path: Optional[Path]) -> Optional[Set[str]]:
-    """The set of ``SIBYL_*`` knob names a configuration doc mentions.
-
-    ``None`` (no doc given, or the file is missing) disables the
-    documentation cross-check rather than failing every knob.
-    """
-    if docs_path is None:
-        return None
-    docs_path = Path(docs_path)
-    if not docs_path.is_file():
-        return None
-    return set(re.findall(r"SIBYL_[A-Z0-9_]+", docs_path.read_text()))
-
-
 def run_lint(
     paths: Sequence[Path],
     rules: Optional[Sequence[Rule]] = None,
-    docs_path: Optional[Path] = None,
     determinism_scope: Optional[Tuple[str, ...]] = DEFAULT_DETERMINISM_SCOPE,
     restrict: Optional[Iterable[Path]] = None,
 ) -> LintReport:
     """Lint ``paths`` with ``rules`` (default: every registered rule).
 
-    ``docs_path`` names the configuration reference the env-knob rule
-    cross-checks (``None`` skips that sub-check); ``determinism_scope``
-    restricts SBL-DET to the given dotted-module prefixes (``None`` =
-    police every file).  ``restrict`` further limits the run to files
-    in the given set (``repro lint --changed``): collection still walks
+    ``determinism_scope`` restricts SBL-DET to the given dotted-module
+    prefixes (``None`` = police every file).  ``restrict`` further
+    limits the run to files in the given set (``repro lint
+    --changed``): collection still walks
     ``paths``, but only the intersection is analyzed — an empty
     intersection is a clean zero-file report, not an error.  Returns a
     :class:`LintReport`; parse failures surface as ``SBL-PARSE``
@@ -330,11 +251,7 @@ def run_lint(
         FileContext(path, display=str(path), source=path.read_text())
         for path in files
     ]
-    project = Project(
-        contexts,
-        documented_knobs=documented_knobs_from(docs_path),
-        determinism_scope=determinism_scope,
-    )
+    project = Project(contexts, determinism_scope=determinism_scope)
     findings: List[Finding] = []
     suppressed = 0
     for ctx in contexts:
@@ -363,19 +280,13 @@ def run_lint(
     )
 
 
-# ---------------------------------------------------------------------------
-# Module naming and import resolution.
-# ---------------------------------------------------------------------------
-
-
 def _module_name(path: Path) -> str:
     """Best-effort dotted module name of a source file.
 
     Files under a ``repro`` package directory get their real dotted
-    path (``src/repro/sim/lanes.py`` -> ``repro.sim.lanes``) so imports
-    between analyzed files resolve; anything else falls back to its
-    bare stem.  The scheme only needs to be *consistent* across the
-    file set — both index keys and import resolutions use it.
+    path (``src/repro/sim/lanes.py`` -> ``repro.sim.lanes``), which is
+    what the determinism scope and per-module exemptions match;
+    anything else falls back to its bare stem.
     """
     parts = list(path.parts)
     parts[-1] = path.stem
@@ -385,32 +296,3 @@ def _module_name(path: Path) -> str:
         parts = parts[parts.index("repro"):]
         return ".".join(parts)
     return parts[-1] if parts else path.stem
-
-
-def _build_import_map(ctx: FileContext) -> _ImportMap:
-    """Record the name bindings ``ctx``'s import statements create."""
-    imap = _ImportMap()
-    package = ctx.module.rsplit(".", 1)[0] if "." in ctx.module else ""
-    assert ctx.tree is not None
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    imap.modules[alias.asname] = alias.name
-                else:
-                    top = alias.name.split(".")[0]
-                    imap.modules[top] = top
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                # Relative import: resolve against this file's package.
-                pkg_parts = package.split(".") if package else []
-                cut = len(pkg_parts) - (node.level - 1)
-                pkg_parts = pkg_parts[: max(cut, 0)]
-                base = ".".join(pkg_parts + ([node.module] if node.module else []))
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                imap.from_imports[bound] = (base, alias.name)
-    return imap

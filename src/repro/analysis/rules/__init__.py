@@ -8,8 +8,8 @@ SBL-DET     No ambient nondeterminism (clocks, global RNGs, fs order,
             core (``repro.sim``/``rl``/``hss``/``store``).
 SBL-HOOK    ``place_begin``/``place_commit`` and ``train_begin``/
             ``train_commit`` balance on every non-raising path.
-SBL-ENV     ``SIBYL_*`` knobs route through the shared parsing
-            contract and have a ``docs/configuration.md`` row.
+SBL-ENV     The process environment is touched only by
+            ``repro/knobs.py`` (every knob is a row of its table).
 SBL-FORK    Pool worker functions touch no mutable module-level state.
 SBL-PARSE   (framework) the file must parse at all.
 ==========  ===========================================================

@@ -88,13 +88,10 @@ class DeterminismRule(Rule):
         if ctx.tree is None or not project.in_determinism_scope(ctx):
             return
         parents = _parent_map(ctx.tree)
-        imports = project.imports.get(ctx.module)
         random_names = _global_random_names(ctx)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                yield from self._check_call(
-                    ctx, node, parents, random_names, imports
-                )
+                yield from self._check_call(ctx, node, parents, random_names)
             elif isinstance(node, (ast.For, ast.comprehension)):
                 iter_expr = node.iter
                 if _is_set_expr(iter_expr):
@@ -107,7 +104,7 @@ class DeterminismRule(Rule):
                     )
 
     # ------------------------------------------------------------- helpers
-    def _check_call(self, ctx, node, parents, random_names, imports):
+    def _check_call(self, ctx, node, parents, random_names):
         chain = _call_chain(node.func)
         if chain is None:
             return

@@ -40,6 +40,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from . import knobs
 from .baselines import available_policies, make_policy
 from .core.agent import SibylAgent
 from .core.hyperparams import SIBYL_DEFAULT
@@ -51,6 +52,11 @@ from .traces.msrc import dump_msrc_csv
 from .traces.workloads import ALL_WORKLOADS, make_trace
 
 __all__ = ["main", "build_parser"]
+
+
+def _knob_default(name: str) -> str:
+    """A flag's ``--help`` default, read off the knob's table row."""
+    return f"default: {name}, else {knobs.ROWS[name].default}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,19 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=None,
         help="TCP port; 0 binds an ephemeral port "
-             "(default: SIBYL_SERVE_PORT)",
+             f"({_knob_default('SIBYL_SERVE_PORT')})",
     )
     serve.add_argument(
         "--workers", type=int, default=None,
-        help="async trainer threads (default: SIBYL_SERVE_WORKERS)",
+        help=f"async trainer threads ({_knob_default('SIBYL_SERVE_WORKERS')})",
     )
     serve.add_argument(
         "--batch", type=int, default=None,
-        help="max placements fused per round (default: SIBYL_SERVE_BATCH)",
+        help="max placements fused per round "
+             f"({_knob_default('SIBYL_SERVE_BATCH')})",
     )
     serve.add_argument(
-        "--train", default=None, choices=["async", "sync", "off"],
-        help="training mode (default: SIBYL_SERVE_TRAIN)",
+        "--train", default=None,
+        choices=knobs.ROWS["SIBYL_SERVE_TRAIN"].choices,
+        help=f"training mode ({_knob_default('SIBYL_SERVE_TRAIN')})",
     )
     serve.add_argument(
         "--trace", metavar="PATH",

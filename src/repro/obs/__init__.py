@@ -24,13 +24,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .knobs import (
-    OBS_ENV,
-    TRACE_BUFFER_ENV,
-    TRACE_PATH_ENV,
-    resolve_obs_mode,
-    resolve_trace_buffer,
-)
 from .metrics import MetricsRegistry, RegistrySink, active_registry, registry
 from .sink import DictSink, ObservationSink, TeeSink, combine_sinks
 from .tracer import (
@@ -58,11 +51,6 @@ def engine_sink() -> Optional[ObservationSink]:
 
 
 __all__ = [
-    "OBS_ENV",
-    "TRACE_PATH_ENV",
-    "TRACE_BUFFER_ENV",
-    "resolve_obs_mode",
-    "resolve_trace_buffer",
     "MetricsRegistry",
     "RegistrySink",
     "registry",

@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 Stdlib-only, thread-safe, and no-op-cheap when disabled: the registry
-is gated by the ``SIBYL_OBS`` knob (see :mod:`repro.obs.knobs`), and
+is gated by the ``SIBYL_OBS`` knob (``off``, the default, or ``on``), and
 :func:`active_registry` returns ``None`` when it is off, so a call
 site's full disabled cost is one function call and a ``None`` branch.
 Components that are *always* observable regardless of the knob — the
@@ -22,7 +22,7 @@ import threading
 from bisect import bisect_left
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .knobs import resolve_obs_mode
+from .. import knobs
 
 Number = Union[int, float]
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -307,7 +307,7 @@ def active_registry() -> Optional[MetricsRegistry]:
     disabled cost is one env read and a ``None`` check, and no
     instrument objects are ever created.
     """
-    if resolve_obs_mode() == "on":
+    if knobs.get("SIBYL_OBS") == "on":
         return _GLOBAL
     return None
 

@@ -27,7 +27,10 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Deque, Dict, Iterator, List, Optional
 
-from .knobs import TRACE_PATH_ENV, resolve_trace_buffer
+from .. import knobs
+
+#: Default ring-buffer capacity (retained spans) of a tracer.
+DEFAULT_CAPACITY = 65536
 
 
 class SpanTracer:
@@ -38,14 +41,11 @@ class SpanTracer:
     from the tracer's creation (the trace origin is 0 µs).
     """
 
-    def __init__(self, path: Optional[str] = None, capacity: Optional[int] = None) -> None:
-        """Create a tracer flushing to ``path`` with ``capacity`` spans.
-
-        ``capacity=None`` resolves ``SIBYL_TRACE_BUFFER``; ``path=None``
-        means :meth:`flush` requires an explicit path.
-        """
+    def __init__(self, path: Optional[str] = None, capacity: int = DEFAULT_CAPACITY) -> None:
+        """Create a tracer flushing to ``path`` with ``capacity`` spans;
+        ``path=None`` means :meth:`flush` requires an explicit path."""
         self.path = path
-        self.capacity = capacity if capacity is not None else resolve_trace_buffer()
+        self.capacity = capacity
         self._events: Deque[Dict[str, object]] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
         self._t0 = time.perf_counter()
@@ -178,22 +178,16 @@ def set_tracer(tracer: Optional[SpanTracer]) -> Optional[SpanTracer]:
     return tracer
 
 
-def install_tracer(path: str, capacity: Optional[int] = None) -> SpanTracer:
+def install_tracer(path: str, capacity: int = DEFAULT_CAPACITY) -> SpanTracer:
     """Create a :class:`SpanTracer` flushing to ``path`` and install it."""
     return set_tracer(SpanTracer(path=path, capacity=capacity))
 
 
 def tracer_from_env() -> Optional[SpanTracer]:
-    """Install a tracer when ``SIBYL_TRACE_PATH`` is set; else ``None``.
-
-    The sanctioned env accessor for the trace path (SBL-ENV lists it
-    alongside ``resolve_count_env``/``store_from_env``): an empty or
-    unset path means tracing stays off.
-    """
-    path = os.environ.get(TRACE_PATH_ENV, "").strip()
-    if not path:
-        return None
-    return install_tracer(path)
+    """Install a tracer when ``SIBYL_TRACE_PATH`` is set; else ``None``
+    (an empty or unset path means tracing stays off)."""
+    path = knobs.get("SIBYL_TRACE_PATH")
+    return install_tracer(path) if path else None
 
 
 def span(name: str, cat: str = "", **args: object):

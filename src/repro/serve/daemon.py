@@ -22,9 +22,9 @@ import socketserver
 import threading
 from typing import Optional, Tuple
 
+from .. import knobs
 from ..obs.tracer import flush_tracer, span
 from .engine import PlacementEngine
-from .knobs import resolve_serve_backlog, resolve_serve_port
 from .protocol import (
     ERR_TIMEOUT,
     MAX_FRAME_BYTES,
@@ -134,9 +134,10 @@ class _Server(socketserver.ThreadingTCPServer):
 class PlacementDaemon:
     """The long-lived placement service: engine + socket front-end.
 
-    Parameters default to the ``SIBYL_SERVE_*`` environment knobs
-    (:mod:`repro.serve.knobs`); ``port=0`` binds an ephemeral port,
-    reported by :attr:`address`.  Usable as a context manager::
+    ``port``, ``workers``, ``batch`` and ``train_mode`` default to the
+    ``SIBYL_SERVE_*`` environment knobs (:data:`repro.knobs.TABLE`);
+    ``port=0`` binds an ephemeral port, reported by :attr:`address`.
+    Usable as a context manager::
 
         with PlacementDaemon() as daemon:
             host, port = daemon.address
@@ -154,16 +155,13 @@ class PlacementDaemon:
         self,
         host: str = "127.0.0.1",
         port: Optional[int] = None,
-        backlog: Optional[int] = None,
+        backlog: int = 128,
         workers: Optional[int] = None,
         batch: Optional[int] = None,
         train_mode: Optional[str] = None,
         request_timeout_s: float = 30.0,
     ) -> None:
-        if port is None:
-            port = resolve_serve_port()
-        if backlog is None:
-            backlog = resolve_serve_backlog()
+        port = knobs.get("SIBYL_SERVE_PORT", port)
         self.engine = PlacementEngine(
             batch=batch, workers=workers, train_mode=train_mode
         )

@@ -42,13 +42,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import knobs
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import span
 from ..rl.c51 import C51LaneStack, C51Network
 from ..rl.dqn import DQNLaneStack
 from ..rl.optim import fusion_signature
 from ..sim.lanes import fused_train_event, group_signature
-from .knobs import resolve_serve_batch, resolve_serve_train, resolve_serve_workers
 from .lane import TenantLane, open_lane
 from .protocol import (
     ERR_BAD_REQUEST,
@@ -134,7 +134,9 @@ class PlacementEngine:
     :class:`Job` to wait on; everything else happens on the engine
     thread, with training events committed on ``workers`` trainer
     threads while the affected lanes are held.  Constructor arguments
-    default to the ``SIBYL_SERVE_*`` environment knobs.
+    default to the ``SIBYL_SERVE_*`` environment knobs and are held to
+    the same rows of :data:`repro.knobs.TABLE` (a negative count or an
+    unknown mode raises ``ValueError`` by either route).
     """
 
     def __init__(
@@ -143,9 +145,9 @@ class PlacementEngine:
         workers: Optional[int] = None,
         train_mode: Optional[str] = None,
     ) -> None:
-        self.batch = resolve_serve_batch() if batch is None else max(1, batch)
-        self.train_mode = resolve_serve_train() if train_mode is None else train_mode
-        n_workers = resolve_serve_workers() if workers is None else max(1, workers)
+        self.batch = knobs.get("SIBYL_SERVE_BATCH", batch)
+        self.train_mode = knobs.get("SIBYL_SERVE_TRAIN", train_mode)
+        n_workers = knobs.get("SIBYL_SERVE_WORKERS", workers)
         self.lanes: Dict[str, TenantLane] = {}
         self.counters: Dict[str, int] = {
             "served": 0,

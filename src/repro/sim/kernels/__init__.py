@@ -32,8 +32,8 @@ the replay and ``kernel.c`` takes the recorded decisions — one
 serve/evict routine for every lane of a paper lineup.  That path has no
 NumPy twin: under ``numpy``/``off`` those lanes are stepped serially.
 
-Backend selection goes through the ``SIBYL_BACKEND`` knob (parsed by
-:func:`repro.knobs.resolve_choice_env`):
+Backend selection goes through the ``SIBYL_BACKEND`` knob (a choice
+row of :data:`repro.knobs.TABLE`):
 
 * ``auto`` (default) — compiled kernel if the toolchain can build it,
   else **silently** the NumPy engine (the fallback must never change
@@ -52,29 +52,19 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ...knobs import resolve_choice_env
+from ... import knobs
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKENDS",
-    "resolve_backend",
     "get_backend",
     "dual_device_hss",
     "kernel_eligible",
     "run_kernel_lanes",
 ]
 
-#: Environment knob: which tick-engine backend ``run_lanes`` uses for
-#: eligible Sibyl lanes (``auto`` / ``numpy`` / ``cext`` / ``off``).
-BACKEND_ENV = "SIBYL_BACKEND"
-
-#: The valid ``SIBYL_BACKEND`` values.
-BACKENDS = ("auto", "numpy", "cext", "off")
-
-
-def resolve_backend(default: str = "auto") -> str:
-    """The backend name from ``SIBYL_BACKEND`` (validated, lowered)."""
-    return resolve_choice_env(BACKEND_ENV, default, BACKENDS)
+#: The valid ``SIBYL_BACKEND`` values: which tick engine ``run_lanes``
+#: uses for eligible lanes.
+BACKENDS = knobs.ROWS["SIBYL_BACKEND"].choices
 
 
 def get_backend(name: Optional[str] = None) -> Optional[str]:
@@ -88,7 +78,7 @@ def get_backend(name: Optional[str] = None) -> Optional[str]:
     because the caller asked for a specific implementation.
     """
     if name is None:
-        name = resolve_backend()
+        name = knobs.get("SIBYL_BACKEND")
     if name not in BACKENDS:
         raise ValueError(
             f"unknown backend {name!r}; valid: {', '.join(BACKENDS)}"

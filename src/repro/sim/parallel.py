@@ -15,9 +15,8 @@ either serially or on a ``ProcessPoolExecutor``, returning results in
 cell order.  ``sim.experiment``'s sweeps and the figure benchmarks are
 built on it.
 
-Worker-count policy (the ``SIBYL_PARALLEL`` environment variable,
-parsed by the same :func:`repro.knobs.resolve_count_env` contract
-as ``SIBYL_LANES``):
+Worker-count policy (the ``SIBYL_PARALLEL`` environment variable, a
+count row of :data:`repro.knobs.TABLE`):
 
 * unset / ``"auto"`` — one worker per core this process may run on
   (its affinity mask, so a ``taskset``/cgroup-limited box is not sized
@@ -36,9 +35,9 @@ each running an N-thread BLAS is N x N oversubscription for matrices
 too small to use it; results are bit-identical at any thread count.
 The pin never outlives cell execution in the calling process.
 
-Cell packing (the ``SIBYL_LANES`` environment variable, or the
-``lane_pack`` argument): each worker task carries that many consecutive
-cells instead of one.  Packed cells run back-to-back in the same
+Cell packing (the ``lane_pack`` argument, default 1): each worker task
+carries that many consecutive cells instead of one.  Packed cells run
+back-to-back in the same
 process, so they share the per-process caches — most importantly the
 Fast-Only reference memo (:func:`repro.sim.runner.run_reference`):
 sweep campaigns whose points share a reference cell (capacity sweeps,
@@ -76,7 +75,7 @@ from typing import (
     Tuple,
 )
 
-from ..knobs import resolve_count_env
+from .. import knobs
 from ..obs.metrics import active_registry
 from ..obs.tracer import span
 from .blas import blas_threads, limit_blas_threads, set_blas_threads
@@ -87,16 +86,7 @@ __all__ = [
     "iter_many",
     "run_grid",
     "resolve_workers",
-    "resolve_lanes",
-    "LANES_ENV",
 ]
-
-#: Environment knob controlling parallel fan-out (see module docstring).
-PARALLEL_ENV = "SIBYL_PARALLEL"
-
-#: Environment knob: how many sweep cells each parallel worker packs
-#: into one task (see :func:`run_many`).
-LANES_ENV = "SIBYL_LANES"
 
 #: BLAS threads of a process while it executes cells (module docstring).
 _CELL_BLAS_THREADS = 1
@@ -144,17 +134,6 @@ def _note_topology(workers: int) -> int:
     return cell_blas
 
 
-def resolve_lanes(default: int = 1) -> int:
-    """Cell-pack count from the ``SIBYL_LANES`` environment variable.
-
-    ``auto``/unset → ``default``; ``0`` and ``1`` both mean "no
-    packing"; anything else must be a non-negative integer (garbage or
-    a negative value is a misconfiguration and raises rather than
-    silently disabling packing).
-    """
-    return max(1, resolve_count_env(LANES_ENV, default))
-
-
 def resolve_workers(
     n_cells: int, max_workers: Optional[int] = None
 ) -> int:
@@ -162,9 +141,7 @@ def resolve_workers(
     if n_cells <= 1:
         return 0
     if max_workers is None:
-        max_workers = resolve_count_env(
-            PARALLEL_ENV, _usable_cpus(), aliases={"serial": 0}
-        )
+        max_workers = knobs.get("SIBYL_PARALLEL", default=_usable_cpus())
     if max_workers <= 1:
         return 0
     return min(max_workers, n_cells)
@@ -173,7 +150,7 @@ def resolve_workers(
 def run_many(
     cells: Sequence[Cell],
     max_workers: Optional[int] = None,
-    lane_pack: Optional[int] = None,
+    lane_pack: int = 1,
     store=None,
 ) -> List[Tuple[Hashable, Any]]:
     """Execute ``cells`` and return ``[(key, result), ...]`` in cell order.
@@ -183,9 +160,9 @@ def run_many(
     deterministically seeded by its kwargs, so the two paths produce
     identical results — parallelism only changes wall-clock time.
 
-    ``lane_pack`` (default: the ``SIBYL_LANES`` environment variable,
-    else 1) groups that many consecutive cells into each worker task;
-    see the module docstring for why packing helps campaigns.
+    ``lane_pack`` (default 1) groups that many consecutive cells into
+    each worker task; see the module docstring for why packing helps
+    campaigns.
 
     ``store`` (a :class:`repro.store.CampaignStore` or a path) serves
     already-stored cells from disk and persists the rest — results are
@@ -207,7 +184,7 @@ def run_many(
 def _execute_iter(
     cells: Sequence[Cell],
     max_workers: Optional[int] = None,
-    lane_pack: Optional[int] = None,
+    lane_pack: int = 1,
 ) -> Iterator[Tuple[Cell, Any]]:
     """Execute cells, yielding ``(cell, result)`` in completion order.
 
@@ -227,7 +204,7 @@ def _execute_iter(
                     result = cell.run()
             yield cell, result
         return
-    pack = resolve_lanes(1) if lane_pack is None else max(1, int(lane_pack))
+    pack = max(1, int(lane_pack))
     chunks = [cells[i:i + pack] for i in range(0, len(cells), pack)]
     workers = min(workers, len(chunks))
     cell_blas = _note_topology(workers)
@@ -263,7 +240,7 @@ def _iter_with_store(
     cells: Sequence[Cell],
     store,
     max_workers: Optional[int] = None,
-    lane_pack: Optional[int] = None,
+    lane_pack: int = 1,
 ) -> Iterator[Tuple[Cell, Any]]:
     """The durable-campaign path of :func:`iter_many`.
 
@@ -324,7 +301,7 @@ def _iter_with_store(
 def iter_many(
     cells: Sequence[Cell],
     max_workers: Optional[int] = None,
-    lane_pack: Optional[int] = None,
+    lane_pack: int = 1,
     store=None,
 ) -> Iterator[Tuple[Hashable, Any]]:
     """Stream ``(key, result)`` pairs as cells complete.

@@ -32,7 +32,6 @@ from .serialize import Unstorable, decode_result, encode_result
 from .store import (
     DEFAULT_STORE_DIR,
     MISS,
-    STORE_ENV,
     CampaignStore,
     atomic_write_text,
     resolve_store,
@@ -54,7 +53,6 @@ __all__ = [
     "decode_result",
     "MISS",
     "DEFAULT_STORE_DIR",
-    "STORE_ENV",
     "CampaignStore",
     "resolve_store",
     "store_from_env",

@@ -43,6 +43,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Union
 
+from .. import knobs
 from .fingerprint import (
     ENGINE_VERSION,
     SCHEMA_VERSION,
@@ -55,7 +56,6 @@ from .serialize import Unstorable, decode_result, encode_result
 __all__ = [
     "MISS",
     "DEFAULT_STORE_DIR",
-    "STORE_ENV",
     "CampaignStore",
     "resolve_store",
     "store_from_env",
@@ -66,10 +66,6 @@ logger = logging.getLogger("repro.store")
 
 #: Default store directory (relative to the working directory).
 DEFAULT_STORE_DIR = ".sibyl-store"
-
-#: Environment knob: when set, benchmarks (and ``repro compare`` without
-#: explicit flags) keep their campaign cells warm under this directory.
-STORE_ENV = "SIBYL_STORE"
 
 #: Sentinel for "no stored result" — distinct from any legal cell result.
 MISS = object()
@@ -356,13 +352,12 @@ def resolve_store(
     return CampaignStore(store)
 
 
-def store_from_env(env: str = STORE_ENV) -> Optional[CampaignStore]:
-    """The store named by an environment variable, or ``None`` if unset.
+def store_from_env() -> Optional[CampaignStore]:
+    """The store ``SIBYL_STORE`` names, or ``None`` if unset.
 
-    ``SIBYL_STORE=/path/to/store`` is how the figure benchmarks keep
-    repeated runs warm without touching their call sites.
+    ``SIBYL_STORE=/path/to/store`` is how the figure benchmarks (and
+    ``repro compare`` without explicit flags) keep repeated runs warm
+    without touching their call sites.
     """
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return None
-    return CampaignStore(raw)
+    path = knobs.get("SIBYL_STORE")
+    return CampaignStore(path) if path else None

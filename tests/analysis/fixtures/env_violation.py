@@ -1,13 +1,7 @@
-"""SBL-ENV fixture: knob reads outside the sanctioned contract."""
+"""SBL-ENV fixture: one stray read of the process environment."""
 
 import os
 
-REGISTERED = os.environ.get("SIBYL_FIXTURE_REGISTERED", "")  # constant: allowed
-
 
 def sneaky_read():
-    return os.environ.get("SIBYL_FIXTURE_SNEAKY", "1")  # flagged: routing
-
-
-def computed_read(name):
-    return os.getenv(name)  # flagged: computed key outside accessors
+    return os.environ.get("SIBYL_FIXTURE_SNEAKY", "1")  # flagged

@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from repro.obs.knobs import OBS_ENV, TRACE_BUFFER_ENV, resolve_obs_mode, resolve_trace_buffer
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
@@ -91,27 +90,17 @@ class TestHistogram:
 
 class TestRegistryGate:
     def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(OBS_ENV, raising=False)
-        assert resolve_obs_mode() == "off"
+        monkeypatch.delenv("SIBYL_OBS", raising=False)
         assert active_registry() is None
 
     def test_enabled_returns_process_registry(self, monkeypatch):
-        monkeypatch.setenv(OBS_ENV, "on")
+        monkeypatch.setenv("SIBYL_OBS", "on")
         assert active_registry() is registry()
 
     def test_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv(OBS_ENV, "verbose")
+        monkeypatch.setenv("SIBYL_OBS", "verbose")
         with pytest.raises(ValueError):
-            resolve_obs_mode()
-
-    def test_trace_buffer_contract(self, monkeypatch):
-        monkeypatch.delenv(TRACE_BUFFER_ENV, raising=False)
-        assert resolve_trace_buffer() == 65536
-        monkeypatch.setenv(TRACE_BUFFER_ENV, "128")
-        assert resolve_trace_buffer() == 128
-        monkeypatch.setenv(TRACE_BUFFER_ENV, "lots")
-        with pytest.raises(ValueError):
-            resolve_trace_buffer()
+            active_registry()
 
 
 class TestRegistrySink:

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.obs.knobs import TRACE_PATH_ENV
 from repro.obs.tracer import (
     SpanTracer,
     flush_tracer,
@@ -97,10 +96,10 @@ class TestModuleLevelHelpers:
         assert [e["name"] for e in doc["traceEvents"]] == ["driver.step"]
 
     def test_tracer_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(TRACE_PATH_ENV, raising=False)
+        monkeypatch.delenv("SIBYL_TRACE_PATH", raising=False)
         assert tracer_from_env() is None
         path = tmp_path / "trace.json"
-        monkeypatch.setenv(TRACE_PATH_ENV, str(path))
+        monkeypatch.setenv("SIBYL_TRACE_PATH", str(path))
         tracer = tracer_from_env()
         assert tracer is get_tracer()
         assert tracer.path == str(path)

@@ -70,13 +70,26 @@ def test_truncated_frame_then_disconnect(daemon, caplog):
 
 
 def test_oversized_frame_is_rejected(daemon):
-    """A frame beyond MAX_FRAME_BYTES gets an error, then the axe."""
+    """A frame beyond MAX_FRAME_BYTES gets an error or the axe.
+
+    The daemon answers ``bad-json`` and drops the connection as soon as
+    its read hits the bound — mid-frame, from the client's side — so
+    the rest of the frame races a closed socket, and the reset that
+    follows may discard the reply before it is read.
+    """
     with Client(daemon.address) as client:
-        client.send_raw(b'{"op": "ping", "pad": "' )
-        client.send_raw(b"x" * (MAX_FRAME_BYTES + 16))
-        client.send_raw(b'"}\n')
-        reply = client.recv()
-        assert not reply["ok"] and reply["error"] == "bad-json"
+        try:
+            client.send_raw(b'{"op": "ping", "pad": "')
+            client.send_raw(b"x" * (MAX_FRAME_BYTES + 16))
+            client.send_raw(b'"}\n')
+        except ConnectionError:
+            pass
+        try:
+            reply = client.recv()
+        except ConnectionError:
+            pass
+        else:
+            assert not reply["ok"] and reply["error"] == "bad-json"
         # The stream is unframed from here; the daemon drops us ...
         with pytest.raises((ConnectionError, OSError)):
             client.rpc({"op": "ping"})

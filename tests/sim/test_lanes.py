@@ -25,7 +25,6 @@ from repro.sim.lanes import (
     fused_train_event,
     run_lanes,
 )
-from repro.sim.parallel import resolve_lanes
 from repro.sim.runner import run_policy
 from repro.traces.workloads import make_trace
 
@@ -498,34 +497,6 @@ class TestEngineStats:
         )
         assert stats["fused_forwards"] == 0
         assert stats["fused_rows"] == 0
-
-
-class TestResolveLanes:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("SIBYL_LANES", raising=False)
-        assert resolve_lanes(3) == 3
-
-    def test_auto(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_LANES", "auto")
-        assert resolve_lanes(5) == 5
-
-    def test_integer(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_LANES", "6")
-        assert resolve_lanes(1) == 6
-
-    def test_zero_means_no_packing(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_LANES", "0")
-        assert resolve_lanes(4) == 1
-
-    def test_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_LANES", "-4")
-        with pytest.raises(ValueError):
-            resolve_lanes()
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_LANES", "many")
-        with pytest.raises(ValueError):
-            resolve_lanes()
 
 
 class TestResolveChoiceEnv:

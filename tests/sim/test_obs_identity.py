@@ -21,7 +21,6 @@ import pytest
 from repro.baselines.cde import CDEPolicy
 from repro.core.agent import SibylAgent
 from repro.core.hyperparams import SIBYL_DEFAULT
-from repro.obs.knobs import OBS_ENV
 from repro.obs.metrics import registry
 from repro.obs.sink import DictSink
 from repro.obs.tracer import install_tracer, set_tracer
@@ -60,7 +59,7 @@ def _run(backend, observed, tmp_path=None, monkeypatch=None):
     specs = [LaneSpec(policy=p, trace=trace, config="H&M") for p in policies]
     stats = None
     if observed:
-        monkeypatch.setenv(OBS_ENV, "on")
+        monkeypatch.setenv("SIBYL_OBS", "on")
         install_tracer(str(tmp_path / f"trace-{backend}.json"), capacity=4096)
         stats = {}
         results = run_lanes(
@@ -75,7 +74,7 @@ def _run(backend, observed, tmp_path=None, monkeypatch=None):
 class TestABBitIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_observed_run_bit_identical(self, backend, tmp_path, monkeypatch):
-        monkeypatch.delenv(OBS_ENV, raising=False)
+        monkeypatch.delenv("SIBYL_OBS", raising=False)
         plain, plain_policies, _ = _run(backend, observed=False)
         observed, obs_policies, stats = _run(
             backend, observed=True, tmp_path=tmp_path, monkeypatch=monkeypatch

@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-from repro.obs.knobs import OBS_ENV
 from repro.obs.metrics import registry
 from repro.obs.tracer import SpanTracer, set_tracer
 from repro.serve.daemon import PlacementDaemon
@@ -83,8 +82,8 @@ class TestResolveWorkers:
             resolve_workers(10)
 
     def test_env_negative_rejected(self, monkeypatch):
-        """Unified contract with SIBYL_LANES: a negative count is a
-        misconfiguration, not a silent request for the serial path."""
+        """A negative count is a misconfiguration, not a silent request
+        for the serial path."""
         monkeypatch.setenv("SIBYL_PARALLEL", "-3")
         with pytest.raises(ValueError):
             resolve_workers(10)
@@ -179,7 +178,7 @@ class TestThreadTopology:
             assert blas_threads() == 2
 
     def test_topology_reaches_the_span_and_the_registry(self, monkeypatch):
-        monkeypatch.setenv(OBS_ENV, "on")
+        monkeypatch.setenv("SIBYL_OBS", "on")
         tracer = set_tracer(SpanTracer(capacity=64))
         try:
             run_many(self._cells(), max_workers=2)
@@ -201,7 +200,7 @@ def test_unrecognised_blas_is_a_silent_noop(monkeypatch):
     pin did nothing (``campaign_blas_threads`` 0)."""
     monkeypatch.setattr(blas, "_mapped_openblas", lambda: [])
     blas._controls.cache_clear()
-    monkeypatch.setenv(OBS_ENV, "on")
+    monkeypatch.setenv("SIBYL_OBS", "on")
     try:
         assert blas_threads() is None
         cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(3)]
@@ -295,7 +294,7 @@ class TestSweepEquivalence:
 
 
 class TestLanePacking:
-    """SIBYL_LANES cell packing: scheduling granularity only, results
+    """``lane_pack`` cell packing: scheduling granularity only, results
     and ordering unchanged."""
 
     def test_pack_matches_unpacked(self):
@@ -303,11 +302,6 @@ class TestLanePacking:
         unpacked = run_many(cells, max_workers=2, lane_pack=1)
         packed = run_many(cells, max_workers=2, lane_pack=3)
         assert packed == unpacked == [(i, i * i) for i in range(7)]
-
-    def test_pack_env_variable(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_LANES", "4")
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(6)]
-        assert run_many(cells, max_workers=2) == [(i, i * i) for i in range(6)]
 
     def test_pack_larger_than_grid(self):
         cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(3)]

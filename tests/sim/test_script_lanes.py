@@ -28,7 +28,7 @@ from repro.hss.eviction import BeladyVictimSelector
 from repro.hss.request import OpType, Request
 from repro.hss.system import HybridStorageSystem
 from repro.sim.campaign import seeded_compare_cell
-from repro.sim.kernels import BACKEND_ENV, engine_c
+from repro.sim.kernels import engine_c
 from repro.sim.kernels.script import script_eligible
 from repro.sim.lanes import LaneSpec, run_lanes
 from repro.sim.runner import (
@@ -367,7 +367,7 @@ def _baselines(seed=0):
 class TestOtherBackendsKeepLockstep:
     @pytest.mark.parametrize("backend", ["numpy", "off"])
     def test_no_lane_is_scripted_and_results_match(self, backend, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, backend)
+        monkeypatch.setenv("SIBYL_BACKEND", backend)
         trace = make_trace("hm_1", n_requests=600, seed=1)
         kw = dict(config="H&L", warmup_fraction=0.3)
         stats = {}
@@ -377,7 +377,7 @@ class TestOtherBackendsKeepLockstep:
         )
         assert stats["script_lanes"] == 0
         assert lanes == [run_policy(p, trace, **kw) for p in _baselines()]
-        monkeypatch.setenv(BACKEND_ENV, "cext")
+        monkeypatch.setenv("SIBYL_BACKEND", "cext")
         stats = {}
         scripted = run_lanes(
             [LaneSpec(policy=p, trace=trace, **kw) for p in _baselines()],
@@ -394,7 +394,7 @@ class TestOtherBackendsKeepLockstep:
         monkeypatch.setenv("SIBYL_PARALLEL", "serial")
         outputs = {}
         for backend in ("cext", "off"):
-            monkeypatch.setenv(BACKEND_ENV, backend)
+            monkeypatch.setenv("SIBYL_BACKEND", backend)
             clear_reference_cache()
             cell = seeded_compare_cell("rsrch_0", "H&M", 500, seeds=(0, 1))
             clear_reference_cache()

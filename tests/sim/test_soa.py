@@ -25,11 +25,9 @@ from repro.core.agent import SibylAgent
 from repro.hss.request import OpType, Request
 from repro.knobs import resolve_choice_env
 from repro.sim.kernels import (
-    BACKEND_ENV,
     BACKENDS,
     get_backend,
     kernel_eligible,
-    resolve_backend,
 )
 from repro.sim.kernels import engine_c
 from repro.sim.lanes import LaneSpec, run_lanes
@@ -250,11 +248,11 @@ class TestBackendSelection:
             resolve_choice_env("SIBYL_TEST_CHOICE", "a", ("a", "b"))
 
     def test_resolve_backend_reads_knob(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend() == "numpy"
-        monkeypatch.setenv(BACKEND_ENV, "nonsense")
-        with pytest.raises(ValueError, match=BACKEND_ENV):
-            resolve_backend()
+        monkeypatch.setenv("SIBYL_BACKEND", "numpy")
+        assert get_backend() == "numpy"
+        monkeypatch.setenv("SIBYL_BACKEND", "nonsense")
+        with pytest.raises(ValueError, match="SIBYL_BACKEND"):
+            get_backend()
 
     def test_get_backend_off_disables(self):
         assert get_backend("off") is None

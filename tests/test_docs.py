@@ -38,6 +38,21 @@ def test_public_api_docstrings():
     assert not failures, "\n".join(failures)
 
 
+def test_knob_tables_match_the_table(tmp_path):
+    check_docs = _load_check_docs()
+    failures = check_docs.check_knob_table()
+    assert not failures, "\n".join(failures)
+    # ... and the check has teeth in both directions.
+    doc = (REPO_ROOT / "docs" / "configuration.md").read_text()
+    missing = tmp_path / "missing.md"
+    missing.write_text(doc.replace("| `SIBYL_OBS` |", "| `SIBYL_GHOST` |"))
+    assert len(check_docs.check_knob_table(missing)) == 2
+    stale = tmp_path / "stale.md"
+    stale.write_text(doc.replace("| `SIBYL_SERVE_BATCH` | `64` |",
+                                 "| `SIBYL_SERVE_BATCH` | `32` |"))
+    assert len(check_docs.check_knob_table(stale)) == 1
+
+
 def test_readme_links_docs():
     """The docs tree is discoverable from the front door."""
     readme = (REPO_ROOT / "README.md").read_text()
