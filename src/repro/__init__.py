@@ -15,56 +15,59 @@ Quickstart::
     print(result.avg_latency_s, result.iops)
 """
 
-# Defined before the subpackage imports below: the durable campaign
-# store folds the engine version into every cell fingerprint, and its
-# modules may be imported while this package is still initialising.
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+#: Folded into every cell fingerprint of the durable campaign store.
 __version__ = "1.0.0"
 
-from .baselines import (
-    ArchivistPolicy,
-    CDEPolicy,
-    FastOnlyPolicy,
-    HPSPolicy,
-    OraclePolicy,
-    PlacementPolicy,
-    RNNHSSPolicy,
-    SlowOnlyPolicy,
-    TriHeuristicPolicy,
-    available_policies,
-    make_policy,
-)
-from .core import (
-    SIBYL_DEFAULT,
-    SIBYL_OPT,
-    FeatureExtractor,
-    LatencyReward,
-    SibylAgent,
-    SibylHyperParams,
-    compute_overhead,
-)
-from .hss import (
-    HybridStorageSystem,
-    OpType,
-    Request,
-    make_device,
-    make_devices,
-)
-from .sim import (
-    RunResult,
-    build_hss,
-    format_table,
-    run_normalized,
-    run_policy,
-)
-from .traces import (
-    ALL_WORKLOADS,
-    MSRC_WORKLOADS,
-    WorkloadSpec,
-    compute_stats,
-    generate_trace,
-    make_mixed_trace,
-    make_trace,
-)
+if TYPE_CHECKING:  # static readers; at run time a name imports on first access
+    from .baselines import (
+        ArchivistPolicy,
+        CDEPolicy,
+        FastOnlyPolicy,
+        HPSPolicy,
+        OraclePolicy,
+        PlacementPolicy,
+        RNNHSSPolicy,
+        SlowOnlyPolicy,
+        TriHeuristicPolicy,
+        available_policies,
+        make_policy,
+    )
+    from .core import (
+        SIBYL_DEFAULT,
+        SIBYL_OPT,
+        FeatureExtractor,
+        LatencyReward,
+        SibylAgent,
+        SibylHyperParams,
+        compute_overhead,
+    )
+    from .hss import (
+        HybridStorageSystem,
+        OpType,
+        Request,
+        make_device,
+        make_devices,
+    )
+    from .sim import (
+        RunResult,
+        build_hss,
+        format_table,
+        run_normalized,
+        run_policy,
+    )
+    from .traces import (
+        ALL_WORKLOADS,
+        MSRC_WORKLOADS,
+        WorkloadSpec,
+        compute_stats,
+        generate_trace,
+        make_mixed_trace,
+        make_trace,
+    )
 
 __all__ = [
     "ALL_WORKLOADS",
@@ -104,3 +107,18 @@ __all__ = [
     "run_policy",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".baselines": ["ArchivistPolicy", "CDEPolicy", "FastOnlyPolicy",
+        "HPSPolicy", "OraclePolicy", "PlacementPolicy", "RNNHSSPolicy",
+        "SlowOnlyPolicy", "TriHeuristicPolicy", "available_policies",
+        "make_policy"],
+    ".core": ["SIBYL_DEFAULT", "SIBYL_OPT", "FeatureExtractor",
+        "LatencyReward", "SibylAgent", "SibylHyperParams", "compute_overhead"],
+    ".hss": ["HybridStorageSystem", "OpType", "Request", "make_device",
+        "make_devices"],
+    ".sim": ["RunResult", "build_hss", "format_table", "run_normalized",
+        "run_policy"],
+    ".traces": ["ALL_WORKLOADS", "MSRC_WORKLOADS", "WorkloadSpec",
+        "compute_stats", "generate_trace", "make_mixed_trace", "make_trace"],
+})

@@ -17,42 +17,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..cli import add_lint_arguments
 from .core import run_lint
 from .reporters import render_json, render_text
 from .rules import default_rules
 
 __all__ = ["build_lint_parser", "add_lint_arguments", "run_lint_cli"]
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the lint options on ``parser`` (shared between the
-    ``repro lint`` verb and ``python -m repro.analysis``)."""
-    parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json is the versioned CI schema)",
-    )
-    parser.add_argument(
-        "--rules", metavar="ID[,ID...]",
-        help="run only these rule IDs (e.g. SBL-DET,SBL-ENV)",
-    )
-    parser.add_argument(
-        "--det-scope", metavar="PREFIX[,PREFIX...]", default=None,
-        help="dotted-module prefixes SBL-DET polices (default: the "
-             "bit-identity core; 'all' = every file)",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="BASE",
-        help="lint only files reported by `git diff --name-only BASE` "
-             "(default base: HEAD) — fast pre-push runs",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
 
 
 def build_lint_parser() -> argparse.ArgumentParser:

@@ -1,15 +1,18 @@
 """Every placement policy the paper evaluates, behind one interface."""
 
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, List
 
-from .archivist import ArchivistPolicy
-from .base import PlacementPolicy
-from .cde import CDEPolicy
-from .extremes import FastOnlyPolicy, SlowOnlyPolicy, StaticPolicy
-from .hps import HPSPolicy
-from .oracle import OraclePolicy
-from .rnn_hss import RNNHSSPolicy
-from .tri_heuristic import TriHeuristicPolicy
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # static readers; at run time a name imports on first access
+    from .archivist import ArchivistPolicy
+    from .base import PlacementPolicy
+    from .cde import CDEPolicy
+    from .extremes import FastOnlyPolicy, SlowOnlyPolicy, StaticPolicy
+    from .hps import HPSPolicy
+    from .oracle import OraclePolicy
+    from .rnn_hss import RNNHSSPolicy
+    from .tri_heuristic import TriHeuristicPolicy
 
 __all__ = [
     "ArchivistPolicy",
@@ -26,15 +29,28 @@ __all__ = [
     "make_policy",
 ]
 
-_FACTORIES: Dict[str, Callable[[], PlacementPolicy]] = {
-    "slow-only": SlowOnlyPolicy,
-    "fast-only": FastOnlyPolicy,
-    "cde": CDEPolicy,
-    "hps": HPSPolicy,
-    "archivist": ArchivistPolicy,
-    "rnn-hss": RNNHSSPolicy,
-    "oracle": OraclePolicy,
-    "tri-heuristic": TriHeuristicPolicy,
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".archivist": ["ArchivistPolicy"],
+    ".base": ["PlacementPolicy"],
+    ".cde": ["CDEPolicy"],
+    ".extremes": ["FastOnlyPolicy", "SlowOnlyPolicy", "StaticPolicy"],
+    ".hps": ["HPSPolicy"],
+    ".oracle": ["OraclePolicy"],
+    ".rnn_hss": ["RNNHSSPolicy"],
+    ".tri_heuristic": ["TriHeuristicPolicy"],
+})
+
+#: Registry name -> policy class, named so that listing the policies (the
+#: CLI's ``--policy`` choices) imports none of them.
+_FACTORIES = {
+    "slow-only": "SlowOnlyPolicy",
+    "fast-only": "FastOnlyPolicy",
+    "cde": "CDEPolicy",
+    "hps": "HPSPolicy",
+    "archivist": "ArchivistPolicy",
+    "rnn-hss": "RNNHSSPolicy",
+    "oracle": "OraclePolicy",
+    "tri-heuristic": "TriHeuristicPolicy",
 }
 
 
@@ -43,11 +59,12 @@ def available_policies() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def make_policy(name: str, **kwargs) -> PlacementPolicy:
+def make_policy(name: str, **kwargs) -> "PlacementPolicy":
     """Instantiate a baseline policy by name."""
     try:
-        return _FACTORIES[name.lower()](**kwargs)
+        factory = __getattr__(_FACTORIES[name.lower()])
     except KeyError:
         raise ValueError(
             f"unknown policy {name!r}; available: {available_policies()}"
         ) from None
+    return factory(**kwargs)

@@ -31,27 +31,30 @@ Commands
 
 Fatal errors (unwritable ``--json`` target, missing lint path, bad
 configuration) exit with status 2 and a one-line ``error: ...`` on
-stderr — never a traceback.
+stderr — never a traceback.  ``compare`` checks its arguments before it
+opens the store or dispatches a cell, so a bad ``--json``/``--seeds``
+costs no simulation.
+
+Imports are per verb: this module's top level loads what the parser
+needs (the knob table, the workload catalog, the policy *names* — none
+of them NumPy), and each ``_cmd_*`` imports what it runs, so ``repro
+workloads`` or a ``compare`` served whole from the store never loads the
+engine (``docs/architecture.md``, "What a process imports").
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
 from . import knobs
-from .baselines import available_policies, make_policy
-from .core.agent import SibylAgent
-from .core.hyperparams import SIBYL_DEFAULT
-from .core.overhead import compute_overhead
-from .sim.experiment import compare_policies
+from .baselines import available_policies
 from .sim.report import export_json, format_table
-from .sim.runner import run_policy
-from .traces.msrc import dump_msrc_csv
 from .traces.workloads import ALL_WORKLOADS, make_trace
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "add_lint_arguments"]
 
 
 def _knob_default(name: str) -> str:
@@ -128,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the Sibyl contract analyzer (static AST invariant checks)",
     )
-    from .analysis.cli import add_lint_arguments
-
     add_lint_arguments(lint)
 
     serve = sub.add_parser(
@@ -173,6 +174,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    """Install the lint options on ``parser`` (shared between the
+    ``repro lint`` verb and ``python -m repro.analysis``; declared here
+    so that parsing any other verb does not import the analyzer)."""
+    parser.add_argument(
+        "paths", nargs="*", default=["src"],
+        help="files or directories to lint (default: src)",
+    )
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="report format (json is the versioned CI schema)",
+    )
+    parser.add_argument(
+        "--rules", metavar="ID[,ID...]",
+        help="run only these rule IDs (e.g. SBL-DET,SBL-ENV)",
+    )
+    parser.add_argument(
+        "--det-scope", metavar="PREFIX[,PREFIX...]", default=None,
+        help="dotted-module prefixes SBL-DET polices (default: the "
+             "bit-identity core; 'all' = every file)",
+    )
+    parser.add_argument(
+        "--changed", nargs="?", const="HEAD", default=None, metavar="BASE",
+        help="lint only files reported by `git diff --name-only BASE` "
+             "(default base: HEAD) — fast pre-push runs",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help="print the rule catalogue and exit",
+    )
+
+
 def _cmd_workloads() -> int:
     rows = []
     for name, spec in sorted(ALL_WORKLOADS.items()):
@@ -192,6 +225,11 @@ def _cmd_workloads() -> int:
 
 
 def _cmd_run(args) -> int:
+    from .baselines import make_policy
+    from .core.agent import SibylAgent
+    from .core.hyperparams import SIBYL_DEFAULT
+    from .sim.runner import run_policy
+
     trace = make_trace(args.workload, n_requests=args.requests,
                        seed=args.seed)
     if args.policy == "sibyl":
@@ -237,8 +275,26 @@ def _resolve_cli_store(args):
     return None
 
 
+def _check_compare_args(args) -> None:
+    """Reject what would only fail after the campaign ran (and, without
+    a store, lose it): a seed count below one, a ``--json`` target whose
+    directory is missing or unwritable."""
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.json:
+        directory = os.path.dirname(os.path.abspath(args.json))
+        if not os.access(directory, os.W_OK):  # missing counts as unwritable
+            raise OSError(
+                f"--json {args.json}: cannot write into {directory} "
+                "(missing or not writable)"
+            )
+
+
 def _cmd_compare(args) -> int:
-    n_seeds = max(1, args.seeds)
+    from .sim.experiment import compare_policies
+
+    _check_compare_args(args)
+    n_seeds = args.seeds
     store = _resolve_cli_store(args)
     kwargs = dict(
         config=args.config, n_requests=args.requests, seed=args.seed,
@@ -271,13 +327,15 @@ def _cmd_compare(args) -> int:
     if n_seeds > 1:
         title += f" — mean ±95% CI over {n_seeds} seeds"
     print(format_table(rows, title=title))
-    if getattr(args, "json", None):
+    if args.json:
         export_json(results, path=args.json)
         print(f"wrote JSON grid to {args.json}")
     return 0
 
 
 def _cmd_overhead() -> int:
+    from .core.overhead import compute_overhead
+
     report = compute_overhead()
     rows = [
         {"quantity": "inference neurons", "value": report.inference_neurons},
@@ -297,6 +355,8 @@ def _cmd_overhead() -> int:
 
 
 def _cmd_export(args) -> int:
+    from .traces.msrc import dump_msrc_csv
+
     trace = make_trace(args.workload, n_requests=args.requests,
                        seed=args.seed)
     dump_msrc_csv(trace, args.output, hostname=args.workload)

@@ -1,26 +1,31 @@
 """Sibyl core: features, rewards, replay, the agent, and analyses."""
 
-from .agent import SibylAgent
-from .explain import PlacementProfile, preference_table, profile_from_stats
-from .features import (
-    FEATURE_SETS,
-    STATE_ENCODING_BITS,
-    FeatureExtractor,
-    FeatureSpec,
-    linear_bin,
-    log2_bin,
-)
-from .hyperparams import SIBYL_DEFAULT, SIBYL_OPT, SibylHyperParams, doe_grid
-from .overhead import OverheadReport, compute_overhead, layer_macs
-from .replay import EXPERIENCE_BITS, Experience, ExperienceBuffer
-from .reward import (
-    EnduranceAwareReward,
-    EvictionPenaltyReward,
-    HitRateReward,
-    LatencyReward,
-    RewardFunction,
-    make_reward,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # static readers; at run time a name imports on first access
+    from .agent import SibylAgent
+    from .explain import PlacementProfile, preference_table, profile_from_stats
+    from .features import (
+        FEATURE_SETS,
+        STATE_ENCODING_BITS,
+        FeatureExtractor,
+        FeatureSpec,
+        linear_bin,
+        log2_bin,
+    )
+    from .hyperparams import SIBYL_DEFAULT, SIBYL_OPT, SibylHyperParams, doe_grid
+    from .overhead import OverheadReport, compute_overhead, layer_macs
+    from .replay import EXPERIENCE_BITS, Experience, ExperienceBuffer
+    from .reward import (
+        EnduranceAwareReward,
+        EvictionPenaltyReward,
+        HitRateReward,
+        LatencyReward,
+        RewardFunction,
+        make_reward,
+    )
 
 __all__ = [
     "EXPERIENCE_BITS",
@@ -50,3 +55,16 @@ __all__ = [
     "preference_table",
     "profile_from_stats",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".agent": ["SibylAgent"],
+    ".explain": ["PlacementProfile", "preference_table", "profile_from_stats"],
+    ".features": ["FEATURE_SETS", "STATE_ENCODING_BITS", "FeatureExtractor",
+        "FeatureSpec", "linear_bin", "log2_bin"],
+    ".hyperparams": ["SIBYL_DEFAULT", "SIBYL_OPT", "SibylHyperParams",
+        "doe_grid"],
+    ".overhead": ["OverheadReport", "compute_overhead", "layer_macs"],
+    ".replay": ["EXPERIENCE_BITS", "Experience", "ExperienceBuffer"],
+    ".reward": ["EnduranceAwareReward", "EvictionPenaltyReward",
+        "HitRateReward", "LatencyReward", "RewardFunction", "make_reward"],
+})

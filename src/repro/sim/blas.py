@@ -1,4 +1,4 @@
-"""Runtime control of the BLAS thread pool NumPy has already loaded.
+"""Runtime control of the BLAS thread pool NumPy loads.
 
 OpenBLAS starts one thread per core in *every* process that imports
 NumPy.  The simulation's matrices are small — only the largest training
@@ -8,8 +8,10 @@ time; across a pool of N workers it is N x N oversubscription.
 :mod:`repro.sim.parallel` therefore runs every process that executes
 cells at one BLAS thread, through the calls here.
 
-The control is a *runtime* call into the library already mapped into
-this process — found in ``/proc/self/maps``, opened by path with
+The control is a *runtime* call into the library NumPy maps into this
+process (the first lookup imports NumPy if nothing has yet, so a pin
+made before the engine is imported is not a silent no-op) — found in
+``/proc/self/maps``, opened by path with
 ``ctypes`` (which returns the loaded image, not a second copy) and
 probed for the ``set_num_threads``/``get_num_threads`` pair under each
 prefix OpenBLAS is built with.  It is scoped to the caller: no
@@ -64,8 +66,14 @@ def _controls() -> Optional[Tuple[Callable[[int], None], Callable[[], int]]]:
     """The loaded BLAS's ``(set, get)`` thread-count calls, else ``None``.
 
     Looked up once per process, on first use; a forked worker inherits
-    the parent's answer together with the mapping it points into.
+    the parent's answer together with the mapping it points into.  It is
+    NumPy's BLAS being looked for, so NumPy is loaded before the look:
+    the answer is cached for the life of the process and must not depend
+    on whether the caller (a pool initializer, the serial path's pin)
+    runs before or after the first cell imports the engine.
     """
+    import numpy  # noqa: F401  (maps the BLAS the scan below finds)
+
     for path in _mapped_openblas():
         try:
             lib = ctypes.CDLL(path)

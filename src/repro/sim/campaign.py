@@ -40,6 +40,12 @@ Oracle yes/no, projection).  ``experiment`` names the grids and
 publishes ``standard_policies``/``run_oracle_best``/``DEFAULT_WARMUP``/
 ``ORACLE_HORIZONS`` under their historical import path.
 
+Imports: a store hit imports this module — for the cell function's
+address, :class:`SeededResult` and :func:`resolve_seeds` — and must not
+pay for the engine, so NumPy, the policies, the agent, ``lanes`` and
+``runner`` are imported inside the functions that execute a cell, never
+at module top (``tests/test_import_budget.py``).
+
 Durability: the cell functions' qualified names and kwargs are the
 store's addresses (:mod:`repro.store.fingerprint`), one blob per grid
 cell holding that cell's whole aggregated seed axis (the seed tuple is
@@ -56,26 +62,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..baselines import (
-    ArchivistPolicy,
-    CDEPolicy,
-    HPSPolicy,
-    OraclePolicy,
-    RNNHSSPolicy,
-    SlowOnlyPolicy,
-    TriHeuristicPolicy,
-)
-from ..baselines.base import PlacementPolicy
-from ..core.agent import SibylAgent
 from ..core.hyperparams import SIBYL_DEFAULT, SIBYL_OPT, SibylHyperParams
-from ..hss.request import Request
-from ..traces.mixer import make_mixed_trace
-from .lanes import LaneSpec, run_lanes
-from .runner import normalized_row, reference_row, run_reference, synthetic_trace
+
+if TYPE_CHECKING:
+    from ..baselines.base import PlacementPolicy
+    from ..core.agent import SibylAgent
+    from ..hss.request import Request
 
 __all__ = [
     "SeededResult",
@@ -151,6 +145,8 @@ def bootstrap_ci(
     degenerates to that value.  Deterministic: the resampling generator
     is seeded by ``rng_seed``, never by global state.
     """
+    import numpy as np
+
     data = np.asarray(list(values), dtype=float)
     n = data.size
     if n == 0:
@@ -198,6 +194,8 @@ class SeededResult:
         n_resamples: int = BOOTSTRAP_RESAMPLES,
     ) -> "SeededResult":
         """Aggregate per-seed metric values into a banded statistic."""
+        import numpy as np
+
         data = tuple(float(v) for v in values)
         if not data:
             raise ValueError("SeededResult of empty values")
@@ -230,6 +228,8 @@ def aggregate_seeds(per_seed: Sequence, seeds: Optional[Sequence[int]] = None):
     replaced by a :class:`SeededResult` over the seed axis; non-numeric
     leaves (names, labels) keep the first seed's value.
     """
+    import numpy as np
+
     per_seed = list(per_seed)
     if not per_seed:
         raise ValueError("aggregate_seeds of empty per-seed results")
@@ -257,6 +257,14 @@ def standard_policies(
 ) -> List[PlacementPolicy]:
     """The paper's Fig. 9 lineup minus Fast-Only (reference) and Oracle
     (handled by :func:`run_oracle_best`)."""
+    from ..baselines import (
+        ArchivistPolicy,
+        CDEPolicy,
+        HPSPolicy,
+        RNNHSSPolicy,
+        SlowOnlyPolicy,
+    )
+
     policies: List[PlacementPolicy] = [
         SlowOnlyPolicy(),
         CDEPolicy(),
@@ -265,8 +273,18 @@ def standard_policies(
         RNNHSSPolicy(seed=seed),
     ]
     if include_sibyl:
-        policies.append(SibylAgent(hyperparams=hyperparams, seed=seed))
+        policies.append(_sibyl(seed, hyperparams=hyperparams))
     return policies
+
+
+def _sibyl(seed: int, name: Optional[str] = None, **kwargs) -> SibylAgent:
+    """One Sibyl lane; ``name`` relabels its column in the result row."""
+    from ..core.agent import SibylAgent
+
+    agent = SibylAgent(seed=seed, **kwargs)
+    if name is not None:
+        agent.name = name
+    return agent
 
 
 def _compare_lineup(seed: int) -> List[PlacementPolicy]:
@@ -274,44 +292,38 @@ def _compare_lineup(seed: int) -> List[PlacementPolicy]:
 
 
 def _capacity_lineup(seed: int) -> List[PlacementPolicy]:
+    from ..baselines import ArchivistPolicy, CDEPolicy, HPSPolicy, RNNHSSPolicy
+
     return [
         CDEPolicy(),
         HPSPolicy(),
         ArchivistPolicy(seed=seed),
         RNNHSSPolicy(seed=seed),
-        SibylAgent(seed=seed),
+        _sibyl(seed),
     ]
 
 
 def _tri_hybrid_lineup(seed: int) -> List[PlacementPolicy]:
-    return [
-        TriHeuristicPolicy(),
-        SibylAgent(seed=seed),
-    ]
+    from ..baselines import TriHeuristicPolicy
+
+    return [TriHeuristicPolicy(), _sibyl(seed)]
 
 
 def _mixed_lineup(seed: int) -> List[PlacementPolicy]:
-    sibyl_def = SibylAgent(seed=seed)
-    sibyl_def.name = "Sibyl_Def"
-    sibyl_opt = SibylAgent(hyperparams=SIBYL_OPT, seed=seed)
-    sibyl_opt.name = "Sibyl_Opt"
-    return [
-        SlowOnlyPolicy(),
-        CDEPolicy(),
-        HPSPolicy(),
-        ArchivistPolicy(seed=seed),
-        RNNHSSPolicy(seed=seed),
-        sibyl_def,
-        sibyl_opt,
+    return standard_policies(include_sibyl=False, seed=seed) + [
+        _sibyl(seed, "Sibyl_Def"),
+        _sibyl(seed, "Sibyl_Opt", hyperparams=SIBYL_OPT),
     ]
 
 
 def _unseen_lineup(seed: int) -> List[PlacementPolicy]:
+    from ..baselines import ArchivistPolicy, RNNHSSPolicy, SlowOnlyPolicy
+
     return [
         SlowOnlyPolicy(),
         ArchivistPolicy(seed=seed),
         RNNHSSPolicy(seed=seed),
-        SibylAgent(seed=seed),
+        _sibyl(seed),
     ]
 
 
@@ -328,6 +340,8 @@ def _resolve_trace(workload: str, n_requests: int, seed: int):
         from ..traces.msrc import StreamingMSRCTrace
 
         return StreamingMSRCTrace(workload[5:], max_requests=n_requests)
+    from .runner import synthetic_trace
+
     return synthetic_trace(workload, n_requests, seed)
 
 
@@ -343,6 +357,9 @@ def run_oracle_best(
     how aggressively to admit into fast storage; searching a small
     horizon grid realises that.
     """
+    from ..baselines import OraclePolicy
+    from .lanes import LaneSpec, run_lanes
+
     results = run_lanes(
         [
             LaneSpec(
@@ -403,6 +420,9 @@ def run_seeded_normalized(
     ``run_lanes`` for engine counters (see there) and ``backend``
     overrides the engine choice.
     """
+    from .lanes import LaneSpec, run_lanes
+    from .runner import normalized_row, reference_row, run_reference
+
     seeds = list(seeds)
     lineups = [list(lineup) for lineup in lineups]
     # A one-shot iterator can feed at most one lane; materialise it once
@@ -565,7 +585,7 @@ def seeded_hyperparameter_cell(
     return _banded_cell(
         seeds,
         partial(_resolve_trace, workload, n_requests),
-        lambda s: [SibylAgent(hyperparams=hp, seed=s)],
+        lambda s: [_sibyl(s, hyperparams=hp)],
         config,
         warmup_fraction,
         project=itemgetter("Sibyl"),
@@ -582,16 +602,10 @@ def seeded_feature_cell(
 ) -> SeededResult:
     """One feature-ablation point: banded normalised latency."""
     name = f"Sibyl[{feature_set}]"
-
-    def lineup(seed: int) -> List[PlacementPolicy]:
-        agent = SibylAgent(feature_set=feature_set, seed=seed)
-        agent.name = name
-        return [agent]
-
     return _banded_cell(
         seeds,
         partial(_resolve_trace, workload, n_requests),
-        lineup,
+        lambda s: [_sibyl(s, name, feature_set=feature_set)],
         config,
         warmup_fraction,
         project=lambda row: row[name]["latency"],
@@ -614,7 +628,7 @@ def seeded_buffer_size_cell(
     return _banded_cell(
         seeds,
         partial(_resolve_trace, workload, n_requests),
-        lambda s: [SibylAgent(hyperparams=hp, seed=s)],
+        lambda s: [_sibyl(s, hyperparams=hp)],
         config,
         warmup_fraction,
         project=lambda row: row["Sibyl"]["latency"],
@@ -646,6 +660,8 @@ def seeded_mixed_cell(
     warmup_fraction: float = DEFAULT_WARMUP,
 ) -> Dict[str, Dict[str, SeededResult]]:
     """One mixed-workload cell with confidence bands over seeds."""
+    from ..traces.mixer import make_mixed_trace
+
     return _banded_cell(
         seeds,
         lambda s: make_mixed_trace(

@@ -60,9 +60,8 @@ lineup has no content identity, so that path always recomputes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..baselines.base import PlacementPolicy
 from .campaign import (
     DEFAULT_WARMUP,
     ORACLE_HORIZONS,
@@ -83,6 +82,9 @@ from .campaign import (
     standard_policies,
 )
 from .parallel import Cell, run_grid
+
+if TYPE_CHECKING:
+    from ..baselines.base import PlacementPolicy
 
 __all__ = [
     "DEFAULT_WARMUP",

@@ -61,7 +61,6 @@ rerun repeats.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -216,6 +215,10 @@ def _execute_iter(
             for cell, result in zip(chunk, results):
                 yield cell, result
         return
+    # Only a process that fans out pays for the pool machinery
+    # (concurrent.futures.process pulls in multiprocessing).
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=set_blas_threads,
@@ -251,7 +254,7 @@ def _iter_with_store(
     interrupted campaign is visible as such and resumes by recomputing
     exactly its missing cells.
     """
-    from ..store import MISS, resolve_store  # lazy: repro imports us at init
+    from ..store import MISS, resolve_store  # only a durable grid pays for it
 
     store = resolve_store(store)
     cells = list(cells)

@@ -22,78 +22,14 @@ yields the identical trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from ..hss.request import PAGE_SIZE_BYTES, OpType, Request
+from ..hss.request import OpType, Request
+from .workloads import WorkloadSpec
 
 __all__ = ["WorkloadSpec", "SyntheticTraceGenerator", "generate_trace"]
-
-_KIB = 1024
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Statistical fingerprint of one workload (one row of Table 4).
-
-    Attributes
-    ----------
-    name:
-        Workload identifier (``hm_1``, ``prxy_0``, ...).
-    write_fraction:
-        Fraction of requests that are writes.
-    avg_request_size_kib:
-        Mean request size in KiB (randomness proxy: larger = more
-        sequential, §3).
-    avg_access_count:
-        Mean accesses per unique page (hotness proxy).
-    unique_requests:
-        The paper's working-set indicator; used to scale the address
-        space when a target request count is chosen.
-    source:
-        Benchmark suite of origin (``msrc``, ``filebench``, ``ycsb``).
-    tuning:
-        True for the 14 MSRC workloads used to tune hyper-parameters;
-        False for the unseen generalisation set (§8.2).
-    """
-
-    name: str
-    write_fraction: float
-    avg_request_size_kib: float
-    avg_access_count: float
-    unique_requests: int
-    source: str = "msrc"
-    tuning: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.write_fraction <= 1.0:
-            raise ValueError("write_fraction must be in [0, 1]")
-        if self.avg_request_size_kib < 4.0:
-            raise ValueError("avg_request_size_kib must be >= one page (4 KiB)")
-        if self.avg_access_count <= 0:
-            raise ValueError("avg_access_count must be positive")
-        if self.unique_requests <= 0:
-            raise ValueError("unique_requests must be positive")
-
-    @property
-    def read_fraction(self) -> float:
-        return 1.0 - self.write_fraction
-
-    @property
-    def avg_request_pages(self) -> float:
-        return self.avg_request_size_kib * _KIB / PAGE_SIZE_BYTES
-
-    @property
-    def is_sequential(self) -> bool:
-        """Paper's cut in Fig. 3: avg request size above ~16 KiB."""
-        return self.avg_request_size_kib >= 16.0
-
-    @property
-    def is_hot(self) -> bool:
-        """Paper's cut in Fig. 3: avg access count above ~10."""
-        return self.avg_access_count >= 10.0
 
 
 class SyntheticTraceGenerator:

@@ -13,16 +13,21 @@ personality definitions (fileserver ≈ 50/50 mix of whole-file reads and
 writes/appends, oltp_rw ≈ read-heavy small random I/O with log writes,
 varmail ≈ small-file sync-heavy mail mix, ntrx_rw ≈ write-heavy
 transactional mix, YCSB-C = 100% reads, Zipfian).
+
+The catalog and :class:`WorkloadSpec` are plain data and import no
+NumPy — the CLI lists and validates workload names from here; only
+:func:`make_trace` loads the generator (:mod:`repro.traces.synthetic`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List
 
-from ..hss.request import Request
-from .synthetic import SyntheticTraceGenerator, WorkloadSpec
+from ..hss.request import PAGE_SIZE_BYTES, Request
 
 __all__ = [
+    "WorkloadSpec",
     "MSRC_WORKLOADS",
     "FILEBENCH_WORKLOADS",
     "YCSB_WORKLOADS",
@@ -32,6 +37,71 @@ __all__ = [
     "get_workload",
     "make_trace",
 ]
+
+_KIB = 1024
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """Statistical fingerprint of one workload (one row of Table 4).
+
+    Attributes
+    ----------
+    name:
+        Workload identifier (``hm_1``, ``prxy_0``, ...).
+    write_fraction:
+        Fraction of requests that are writes.
+    avg_request_size_kib:
+        Mean request size in KiB (randomness proxy: larger = more
+        sequential, §3).
+    avg_access_count:
+        Mean accesses per unique page (hotness proxy).
+    unique_requests:
+        The paper's working-set indicator; used to scale the address
+        space when a target request count is chosen.
+    source:
+        Benchmark suite of origin (``msrc``, ``filebench``, ``ycsb``).
+    tuning:
+        True for the 14 MSRC workloads used to tune hyper-parameters;
+        False for the unseen generalisation set (§8.2).
+    """
+
+    name: str
+    write_fraction: float
+    avg_request_size_kib: float
+    avg_access_count: float
+    unique_requests: int
+    source: str = "msrc"
+    tuning: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.write_fraction <= 1.0:
+            raise ValueError("write_fraction must be in [0, 1]")
+        if self.avg_request_size_kib < 4.0:
+            raise ValueError("avg_request_size_kib must be >= one page (4 KiB)")
+        if self.avg_access_count <= 0:
+            raise ValueError("avg_access_count must be positive")
+        if self.unique_requests <= 0:
+            raise ValueError("unique_requests must be positive")
+
+    @property
+    def read_fraction(self) -> float:
+        return 1.0 - self.write_fraction
+
+    @property
+    def avg_request_pages(self) -> float:
+        return self.avg_request_size_kib * _KIB / PAGE_SIZE_BYTES
+
+    @property
+    def is_sequential(self) -> bool:
+        """Paper's cut in Fig. 3: avg request size above ~16 KiB."""
+        return self.avg_request_size_kib >= 16.0
+
+    @property
+    def is_hot(self) -> bool:
+        """Paper's cut in Fig. 3: avg access count above ~10."""
+        return self.avg_access_count >= 10.0
+
 
 #: Table 4 of the paper: (write %, avg request size KiB, avg access
 #: count, number of unique requests).
@@ -161,6 +231,8 @@ def make_trace(
     workloads generated with the same user seed do not share address
     patterns.
     """
+    from .synthetic import SyntheticTraceGenerator  # NumPy: only to generate
+
     spec = get_workload(name)
     offset = sum(ord(c) for c in name)
     return SyntheticTraceGenerator(

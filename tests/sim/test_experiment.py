@@ -189,7 +189,7 @@ class TestTraceMemo:
         assert runner.synthetic_trace.cache_info().currsize == 1
         memoised = hyperparameter_sweep("learning_rate", values, **kwargs)
         monkeypatch.setattr(
-            campaign, "synthetic_trace",
+            campaign, "_resolve_trace",
             lambda workload, n, seed: make_trace(workload, n, seed),
         )
         runner.clear_reference_cache()

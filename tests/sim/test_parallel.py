@@ -1,6 +1,8 @@
 """Tests for the parallel experiment engine (repro.sim.parallel)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -176,6 +178,30 @@ class TestThreadTopology:
         run_many(self._cells(), max_workers=2)
         with PlacementDaemon(port=0, workers=1):
             assert blas_threads() == 2
+
+    def test_pin_does_not_depend_on_import_order(self):
+        """A fresh interpreter that has imported neither NumPy nor the
+        engine still finds the BLAS: the lookup loads NumPy itself, so a
+        pin made before the first cell imports anything is not cached as
+        a no-op for the life of the process."""
+        script = (
+            "import sys\n"
+            "from repro.sim.blas import blas_threads\n"
+            "from repro.sim.parallel import Cell, run_many\n"
+            "assert 'numpy' not in sys.modules\n"
+            "cells = [Cell(key=i, fn=blas_threads) for i in range(4)]\n"
+            "print(run_many(cells, max_workers=2), blas_threads() is not None,"
+            " run_many(cells[:1], max_workers=1))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == (
+            f"{[(i, 1) for i in range(4)]} True [(0, 1)]"
+        )
 
     def test_topology_reaches_the_span_and_the_registry(self, monkeypatch):
         monkeypatch.setenv("SIBYL_OBS", "on")

@@ -44,6 +44,38 @@ class TestSubpackages:
             assert hasattr(mod, name), f"{module}.__all__ lists missing {name}"
 
 
+@pytest.mark.parametrize(
+    "package",
+    [
+        "repro",
+        "repro.hss",
+        "repro.traces",
+        "repro.core",
+        "repro.baselines",
+        "repro.sim",
+    ],
+)
+class TestLazyPackages:
+    """These packages resolve their exports on first access (PEP 562);
+    introspection and star-imports must not be able to tell."""
+
+    def test_dir_lists_every_export(self, package):
+        mod = importlib.import_module(package)
+        assert set(mod.__all__) <= set(dir(mod))
+
+    def test_star_import_binds_every_export(self, package):
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        mod = importlib.import_module(package)
+        for name in mod.__all__:
+            assert namespace[name] is getattr(mod, name)
+
+    def test_unknown_name_is_an_attribute_error(self, package):
+        mod = importlib.import_module(package)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mod.no_such_name
+
+
 class TestCrossPackageConsistency:
     def test_policy_registry_matches_classes(self):
         from repro.baselines import available_policies, make_policy
