@@ -365,19 +365,25 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import signal
+    import threading
+
     from .serve.daemon import PlacementDaemon
 
     daemon = PlacementDaemon(
         host=args.host, port=args.port, workers=args.workers,
         batch=args.batch, train_mode=args.train,
     )
-    with daemon:
-        host, port = daemon.address
-        print(f"serving on {host}:{port}", flush=True)
-        try:
+    if threading.current_thread() is threading.main_thread():
+        # SIGTERM is what a supervisor sends: tear down as on Ctrl-C.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        with daemon:
+            host, port = daemon.address
+            print(f"serving on {host}:{port}", flush=True)
             daemon.serve_forever()
-        except KeyboardInterrupt:
-            pass
+    except KeyboardInterrupt:
+        pass  # close() ran on this thread as the ``with`` unwound
     return 0
 
 

@@ -62,6 +62,29 @@ class SpanTracer:
                 self._dropped += 1
             self._events.append(event)
 
+    def record(self, name: str, cat: str, started: float,
+               tid: Optional[int] = None, **args: object) -> None:
+        """Record a complete (``ph="X"``) event from ``started`` to now.
+
+        ``started`` is a ``time.perf_counter()`` stamp.  For a span
+        whose life is not one ``with`` body — a served request crosses
+        turns of the daemon's loop — and that may need a row (``tid``)
+        of its own to keep nesting valid; the default is the calling
+        thread's row.
+        """
+        self.add_event(
+            {
+                "name": name,
+                "cat": cat or "repro",
+                "ph": "X",
+                "ts": round((started - self._t0) * 1e6, 3),
+                "dur": round((time.perf_counter() - started) * 1e6, 3),
+                "pid": self._pid,
+                "tid": threading.get_ident() % 2**31 if tid is None else tid,
+                "args": args,
+            }
+        )
+
     @contextmanager
     def span(self, name: str, cat: str = "", **args: object) -> Iterator[None]:
         """Record a complete (``ph="X"``) event around the ``with`` body.
@@ -70,26 +93,14 @@ class SpanTracer:
         JSON-serializable.  The event is recorded even when the body
         raises, with ``args["error"]`` set to the exception type.
         """
-        t0 = self._now_us()
-        payload = dict(args)
+        started = time.perf_counter()
         try:
             yield
         except BaseException as exc:
-            payload["error"] = type(exc).__name__
+            args["error"] = type(exc).__name__
             raise
         finally:
-            self.add_event(
-                {
-                    "name": name,
-                    "cat": cat or "repro",
-                    "ph": "X",
-                    "ts": round(t0, 3),
-                    "dur": round(self._now_us() - t0, 3),
-                    "pid": self._pid,
-                    "tid": threading.get_ident() % 2**31,
-                    "args": payload,
-                }
-            )
+            self.record(name, cat, started, **args)
 
     def instant(self, name: str, cat: str = "", **args: object) -> None:
         """Record an instant (``ph="i"``) event at the current time."""

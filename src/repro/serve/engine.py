@@ -1,7 +1,10 @@
 """The placement engine: fused serving rounds over live tenant lanes.
 
-One *engine thread* owns every lane (agents, HSS state, queues) and
-advances them in rounds:
+One *engine thread* owns every lane (agents, HSS state, queues) and is
+the daemon's one I/O loop: it blocks in ``selectors.select()`` over a
+wake socketpair and whatever sockets a front-end registered (the
+daemon's listener and client connections), and between two selects
+advances the lanes in rounds:
 
 1. :meth:`PlacementEngine.place_begin` runs each queued query's
    pre-inference half (:meth:`~repro.core.agent.SibylAgent.place_begin`:
@@ -12,8 +15,12 @@ advances them in rounds:
    per-tenant weights, scatters the greedy actions back, serves each
    request closed-loop, and resolves the waiting responses.
 
-Connection handler threads never touch a lane: they post jobs to the
-engine's inbox and wait.  Training runs *off the request path*: a
+A frame read off a socket is decoded, dispatched, served and answered
+on that thread (:meth:`Job.resolve` hands the reply to the connection
+through ``Job.on_done``); every other thread — trainers, in-process
+callers — goes through :meth:`PlacementEngine.submit`, which queues for
+the loop and wakes it through the socketpair, so an idle engine sleeps.
+Training runs *off the request path*: a
 tenant whose feedback left a training event pending
 (``external_training``) is **held** — not served — while trainer
 threads commit the event (fused across tenants whose events coincide,
@@ -35,10 +42,12 @@ from __future__ import annotations
 
 import logging
 import queue
+import selectors
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,23 +79,30 @@ logger = logging.getLogger("repro.serve")
 
 @dataclass
 class Job:
-    """One submitted query plus the event its submitter waits on.
+    """One submitted query and the two ways its answer gets out.
 
+    An in-process submitter waits on ``done``; a socket connection,
+    which lives on the engine thread and cannot wait, sets ``on_done``
+    and is called with the job the moment it resolves.
     ``t_submit``/``t_begin`` are ``time.perf_counter()`` stamps taken
-    at submission and at the start of the job's serving round; the
-    difference is the queue wait the ``place`` response reports.
+    when the job is made (its frame decoded) and at the start of its
+    serving round; the difference is the queue wait the ``place``
+    response reports.
     """
 
     query: Query
     done: threading.Event = field(default_factory=threading.Event)
     response: Optional[Dict[str, Any]] = None
-    t_submit: float = 0.0
+    t_submit: float = field(default_factory=time.perf_counter)
     t_begin: float = 0.0
+    on_done: Optional[Callable[["Job"], None]] = None
 
     def resolve(self, response: Dict[str, Any]) -> None:
-        """Install the response and wake the waiting submitter."""
+        """Install the response and deliver it (engine thread only)."""
         self.response = response
         self.done.set()
+        if self.on_done is not None:
+            self.on_done(self)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until resolved; False on timeout."""
@@ -128,15 +144,18 @@ class _LaneGroup:
 
 
 class PlacementEngine:
-    """Single-threaded lane owner behind a thread-safe inbox.
+    """Single-threaded lane owner and I/O loop behind a thread-safe inbox.
 
-    ``submit`` (any thread) enqueues a validated query and returns the
-    :class:`Job` to wait on; everything else happens on the engine
-    thread, with training events committed on ``workers`` trainer
-    threads while the affected lanes are held.  Constructor arguments
-    default to the ``SIBYL_SERVE_*`` environment knobs and are held to
-    the same rows of :data:`repro.knobs.TABLE` (a negative count or an
-    unknown mode raises ``ValueError`` by either route).
+    ``submit`` (any thread) enqueues a validated query, wakes the loop
+    and returns the :class:`Job` to wait on; everything else happens on
+    the engine thread, with training events committed on ``workers``
+    trainer threads while the affected lanes are held.  A socket
+    front-end shares the loop by registering its sockets with
+    :attr:`selector` (``data`` is called with the ready mask) and
+    setting :attr:`frontend`.  Constructor arguments default to the
+    ``SIBYL_SERVE_*`` environment knobs and are held to the same rows
+    of :data:`repro.knobs.TABLE` (a negative count or an unknown mode
+    raises ``ValueError`` by either route).
     """
 
     def __init__(
@@ -167,7 +186,15 @@ class PlacementEngine:
         #: introspection surface must not depend on ``SIBYL_OBS``.
         self.metrics = MetricsRegistry(enabled=True)
         self._t_start = time.perf_counter()
-        self.inbox: "queue.Queue" = queue.Queue()
+        self.inbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        #: The socket front-end sharing this loop (a ``PlacementDaemon``),
+        #: or None.  Each turn the loop calls its ``advance()`` before
+        #: the round and ``select_timeout()`` before blocking, and on
+        #: its way out its ``close()``.
+        self.frontend = None
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._wake_r: Optional[socket.socket] = None
+        self._wake_w: Optional[socket.socket] = None
         self._train_queue: "queue.Queue" = queue.Queue()
         self._drains: List[Job] = []
         self._lane_group: Dict[str, Tuple[_LaneGroup, int]] = {}
@@ -184,6 +211,22 @@ class PlacementEngine:
         ]
 
     # ------------------------------------------------------------ lifecycle
+    @property
+    def selector(self) -> selectors.BaseSelector:
+        """The loop's selector, made with the wake socketpair on first
+        use — an engine that is only ever pumped inline (the tests, the
+        docs) holds no descriptors."""
+        if self._selector is None:
+            self._selector = selectors.DefaultSelector()
+            self._wake_r, wake_w = socket.socketpair()
+            self._wake_r.setblocking(False)
+            wake_w.setblocking(False)
+            self._selector.register(
+                self._wake_r, selectors.EVENT_READ, self._drain_wake
+            )
+            self._wake_w = wake_w
+        return self._selector
+
     def start(self) -> None:
         """Start the engine and trainer threads."""
         self._thread.start()
@@ -191,44 +234,85 @@ class PlacementEngine:
             worker.start()
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop all threads; pending jobs resolve ``shutting-down``."""
+        """Stop all threads; pending jobs resolve ``shutting-down``.
+
+        Callable from any thread, the loop's own included (which it
+        does not join).
+        """
         self.shutting_down = True
         self._stop.set()
-        self.inbox.put(("wake", None))
+        self._post("wake", None)
         for _ in self._workers:
             self._train_queue.put(None)
-        if self._thread.is_alive():
-            self._thread.join(timeout)
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.join(timeout)
+        me = threading.current_thread()
+        for thread in (self._thread, *self._workers):
+            if thread is not me and thread.is_alive():
+                thread.join(timeout)
+        if not self._thread.is_alive():  # never ran, or gone: nobody selects
+            self._close_selector()
 
     def submit(self, query: Query) -> Job:
         """Enqueue a validated query; returns the job to wait on."""
         job = Job(query)
-        job.t_submit = time.perf_counter()
-        self.inbox.put(("job", job))
+        self._post("job", job)
         return job
+
+    def _post(self, kind: str, payload) -> None:
+        """The one thread-safe door: queue for the loop, then wake it.
+
+        Put first, wake second, and the loop drains the inbox before it
+        ever blocks — so a post is seen whether it lands before the loop
+        exists, mid-turn or mid-select.  The wake is best-effort: with
+        no loop there is no socket, a full socketpair already holds a
+        wake, a closed one has no loop left to wake.
+        """
+        self.inbox.put((kind, payload))
+        wake = self._wake_w
+        if wake is not None:
+            try:
+                wake.send(b"\0")
+            except OSError:
+                pass
+
+    def _drain_wake(self, mask: int) -> None:
+        try:
+            self._wake_r.recv(4096)
+        except BlockingIOError:
+            pass
+
+    def _close_selector(self) -> None:
+        if self._selector is not None:
+            self._selector.close()
+            self._wake_r.close()
+            self._wake_w.close()
 
     # ------------------------------------------------------------ main loop
     def _run(self) -> None:
+        selector, frontend = self.selector, self.frontend
         try:
-            while not self._stop.is_set():
-                try:
-                    kind, payload = self.inbox.get(timeout=0.05)
-                except queue.Empty:
-                    continue
-                self._dispatch(kind, payload)
-                while True:
-                    try:
-                        kind, payload = self.inbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    self._dispatch(kind, payload)
-                self._serve_ready()
-                self._release_barriers()
+            while True:
+                self._turn()
+                if self._stop.is_set():
+                    break
+                timeout = None if frontend is None else frontend.select_timeout()
+                for key, mask in selector.select(timeout):
+                    key.data(mask)
         finally:
             self._flush_pending()
+            if frontend is not None:
+                frontend.close()
+            self._close_selector()
+
+    def _turn(self) -> None:
+        """Everything between two selects: inbox, front-end, one sweep
+        of rounds, barriers."""
+        inbox = self.inbox
+        while not inbox.empty():  # the loop is the inbox's only reader
+            self._dispatch(*inbox.get_nowait())
+        if self.frontend is not None:
+            self.frontend.advance()
+        self._serve_ready()
+        self._release_barriers()
 
     def _dispatch(self, kind: str, payload) -> None:
         if kind == "trained":
@@ -239,7 +323,7 @@ class PlacementEngine:
                 self._enqueue_place(job)
             else:
                 self._control(job)
-        # "wake" carries no payload; it only interrupts the inbox wait.
+        # "wake" carries no payload; it only ends the loop's select.
 
     def _enqueue_place(self, job: Job) -> None:
         if self.shutting_down:
@@ -456,7 +540,7 @@ class PlacementEngine:
                     if agent.train_pending:
                         agent.train_abort()
             busy.add(time.perf_counter() - t0)
-            self.inbox.put(("trained", names))
+            self._post("trained", names)
 
     def _on_trained(self, names) -> None:
         self.counters["train_events"] += len(names)

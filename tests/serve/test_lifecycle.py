@@ -8,8 +8,12 @@ to a fresh offline agent loaded from the same checkpoint.
 
 from __future__ import annotations
 
+import socket
 import threading
 
+import pytest
+
+from repro.serve.daemon import PlacementDaemon
 from repro.serve.loadgen import synthetic_stream
 
 from serve_harness import DEADLINE_S, FAST_HP, Client, serial_replay
@@ -142,3 +146,39 @@ def test_reload_failure_leaves_serving_agent_untouched(daemon, tmp_path):
         for r in responses
     ]
     assert got == expected
+
+
+def _close_within_deadline(daemon) -> None:
+    closer = threading.Thread(target=daemon.close, daemon=True)
+    closer.start()
+    closer.join(DEADLINE_S)
+    assert not closer.is_alive(), "close() hung"
+
+
+def _assert_port_is_free(address) -> None:
+    with socket.socket() as probe:
+        probe.bind(address)
+
+
+def test_close_before_start_returns_and_releases_the_port():
+    """A daemon that was bound and never started has no loop to stop
+    (``socketserver``'s ``shutdown()`` used to wait for one forever)."""
+    daemon = PlacementDaemon(port=0, workers=1)
+    address = daemon.address
+    _close_within_deadline(daemon)
+    _assert_port_is_free(address)
+    assert daemon._stopped.is_set()
+
+
+def test_close_after_a_failed_start_releases_the_port(monkeypatch):
+    daemon = PlacementDaemon(port=0, workers=1)
+    address = daemon.address
+
+    def no_more_threads():
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(daemon.engine._thread, "start", no_more_threads)
+    with pytest.raises(RuntimeError):
+        daemon.start()
+    _close_within_deadline(daemon)
+    _assert_port_is_free(address)

@@ -1,0 +1,301 @@
+"""The daemon is one I/O loop: the engine thread owns sockets and lanes.
+
+What only a single ``selectors`` loop promises, each pinned here:
+no thread and no leaked descriptor per connection, pipelined frames
+answered strictly in order, bounded buffering against a peer that never
+reads, the ``timeout`` reply by deadline, and a loop that sleeps when
+nothing happens.  Deadline-driven like the rest of the suite.
+"""
+
+from __future__ import annotations
+
+import os
+import socket
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.core.agent import SibylAgent
+from repro.serve.daemon import RECV_BYTES, PlacementDaemon
+from repro.serve.engine import PlacementEngine
+from repro.serve.loadgen import synthetic_stream
+from repro.serve.protocol import MAX_FRAME_BYTES, Query, encode_frame
+
+from serve_harness import DEADLINE_S, FAST_HP, Client, serial_replay
+from test_equivalence import SERVED
+
+N_CONNECTIONS = 32
+
+
+def _wait_until(predicate, what: str) -> None:
+    """Poll ``predicate`` until true; fail at the suite's deadline."""
+    deadline = time.monotonic() + DEADLINE_S
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def test_no_thread_per_connection(daemon):
+    """32 tenants mid-stream run on the threads an idle daemon has."""
+    idle = set(threading.enumerate())
+    engine = daemon.engine
+    assert {engine._thread, *engine._workers} <= idle
+    assert len(engine._workers) == 2
+    clients = [Client(daemon.address) for _ in range(N_CONNECTIONS)]
+    try:
+        for i, client in enumerate(clients):
+            assert client.rpc({
+                "op": "open", "tenant": f"t{i}", "seed": i,
+                "hyperparams": FAST_HP,
+            })["ok"]
+        frames = synthetic_stream(seed=3, n=6)
+        for frame in frames[:5]:
+            for i, client in enumerate(clients):
+                client.send({**frame, "tenant": f"t{i}"})
+            for client in clients:
+                assert client.recv()["ok"]
+        for i, client in enumerate(clients):  # and one in flight each
+            client.send({**frames[5], "tenant": f"t{i}"})
+        assert len(daemon.connections) == N_CONNECTIONS
+        assert set(threading.enumerate()) == idle
+        for client in clients:
+            assert client.recv()["seq"] == 5
+    finally:
+        for client in clients:
+            client.close()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_close_releases_every_descriptor():
+    """Connections abandoned open by their clients die with the daemon."""
+
+    def cycle():
+        started = _open_fds()
+        daemon = PlacementDaemon(port=0, workers=1).start()
+        socks = [
+            socket.create_connection(daemon.address, timeout=DEADLINE_S)
+            for _ in range(N_CONNECTIONS)
+        ]
+        try:
+            for sock in socks:  # a reply proves the daemon holds its end
+                sock.sendall(b'{"op": "ping"}\n{"op": "pi')
+                assert sock.recv(4096).endswith(b"\n")
+            assert len(daemon.connections) == N_CONNECTIONS
+            daemon.close()
+            assert _open_fds() == started + N_CONNECTIONS  # ours, still open
+        finally:
+            for sock in socks:
+                sock.close()
+            daemon.close()
+        return started, _open_fds()
+
+    cycle()  # whatever the process opens once and keeps (logging, ...)
+    started, ended = cycle()
+    assert ended == started
+
+
+def test_pipelined_frames_are_answered_in_order(daemon, tmp_path):
+    """One ``sendall`` of place×5, save, place×5, stats: replies in that
+    order, and the checkpoint is the state after exactly five."""
+    hp = {**FAST_HP, "train_interval": 4, "batch_size": 2,
+          "initial_random_requests": 2}
+    frames = [{**f, "tenant": "t"} for f in synthetic_stream(seed=21, n=10)]
+    saved = tmp_path / "pipelined.npz"
+    with Client(daemon.address) as client:
+        assert client.rpc({
+            "op": "open", "tenant": "t", "seed": 4, "hyperparams": hp,
+        })["ok"]
+        pipeline = (
+            frames[:5]
+            + [{"op": "save", "tenant": "t", "checkpoint": str(saved),
+                "id": "save"}]
+            + frames[5:]
+            + [{"op": "stats", "id": "stats"}]
+        )
+        client.send_raw(b"".join(encode_frame(f) for f in pipeline))
+        replies = [client.recv() for _ in pipeline]
+    assert all(r["ok"] for r in replies), replies
+    assert [r["id"] for r in replies] == [f["id"] for f in pipeline]
+    placed = replies[:5] + replies[6:11]
+    assert [r["seq"] for r in placed] == list(range(10))
+    assert replies[-1]["tenants"]["t"]["seq"] == 10
+    assert replies[-1]["tenants"]["t"]["train_events"] > 0
+
+    assert [{k: r[k] for k in SERVED} for r in placed] == serial_replay(
+        frames, seed=4, hyperparams=hp
+    )
+    # The offline agent checkpoints itself before serving index 5.
+    offline = tmp_path / "offline.npz"
+    serial_replay(frames[:6], seed=4, hyperparams=hp,
+                  checkpoint_at=5, checkpoint_path=offline)
+    with np.load(saved) as got, np.load(offline) as expected:
+        assert sorted(got.files) == sorted(expected.files)
+        assert int(got["requests_seen"][0]) == 5
+        for key in expected.files:
+            assert np.array_equal(got[key], expected[key]), key
+
+
+def test_a_peer_that_never_reads_is_buffered_within_bounds(daemon):
+    """Megabytes of pings from a client that reads nothing: the daemon
+    holds one frame bound + one recv of it and one reply, stops reading,
+    and serves everyone else."""
+    ping = b'{"op": "ping"}\n'
+    reply_bytes = len(encode_frame({"ok": True, "op": "ping"}))
+    flood = socket.create_connection(daemon.address, timeout=DEADLINE_S)
+    flood.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    flood.settimeout(0.5)
+    chunk = ping * 4096
+    sent = 0
+    try:
+        # Until the daemon pushes back: a send that cannot finish.
+        with pytest.raises(socket.timeout):
+            while sent < 256 * len(chunk):
+                sent += flood.send(chunk)
+        assert sent > 2 * MAX_FRAME_BYTES, "never got past the kernel"
+        connection = max(daemon.connections, key=lambda c: c.buffered)
+        bound = MAX_FRAME_BYTES + 2 + RECV_BYTES
+
+        def within_bounds():
+            assert connection.buffered <= bound
+            assert len(connection.outbuf) <= reply_bytes
+
+        within_bounds()
+        assert connection.buffered > MAX_FRAME_BYTES  # it did stop reading
+        with Client(daemon.address) as client:
+            assert client.rpc({
+                "op": "open", "tenant": "fast", "seed": 2,
+                "hyperparams": FAST_HP,
+            })["ok"]
+            for frame in synthetic_stream(seed=2, n=30):
+                assert client.rpc({**frame, "tenant": "fast"})["ok"]
+                within_bounds()
+    finally:
+        flood.close()
+    with Client(daemon.address) as client:
+        assert client.rpc({"op": "ping"})["ok"]
+
+
+def test_timeout_reply_by_deadline(monkeypatch):
+    """A frame stuck behind a held lane is answered ``timeout``; nothing
+    else stalls, and the tenant's stream loses nothing."""
+    timeout_s = 0.2
+    gate = threading.Event()
+    held_agents = []
+    train_commit = SibylAgent.train_commit
+
+    def blocking_commit(agent):
+        if agent in held_agents:
+            gate.wait(DEADLINE_S)
+        return train_commit(agent)
+
+    monkeypatch.setattr(SibylAgent, "train_commit", blocking_commit)
+    frames = [{**f, "tenant": "held"} for f in synthetic_stream(seed=8, n=40)]
+    replies = []
+    with PlacementDaemon(port=0, workers=2,
+                         request_timeout_s=timeout_s) as daemon:
+        try:
+            with Client(daemon.address) as client, \
+                    Client(daemon.address) as other:
+                for name, seed in (("held", 6), ("free", 7)):
+                    assert client.rpc({
+                        "op": "open", "tenant": name, "seed": seed,
+                        "hyperparams": FAST_HP,
+                    })["ok"]
+                held_agents.append(daemon.engine.lanes["held"].agent)
+                # Its first training event never finishes, so the frame
+                # after the one that triggered it waits out the deadline.
+                for frame in frames:
+                    asked = time.monotonic()
+                    replies.append(client.rpc(frame))
+                    if not replies[-1]["ok"]:
+                        break
+                waited = time.monotonic() - asked
+                timed_out = len(replies) - 1
+                assert replies[-1]["error"] == "timeout", replies[-1]
+                assert replies[-1]["id"] == frames[timed_out]["id"]
+                assert timeout_s <= waited < DEADLINE_S
+                assert 0 < timed_out < len(frames) - 1
+
+                # Held is held; everyone else is served meanwhile.
+                for frame in synthetic_stream(seed=9, n=10):
+                    assert other.rpc({**frame, "tenant": "free"})["ok"]
+                stats = other.rpc({"op": "stats"})["tenants"]["held"]
+                assert stats["held"] and stats["queued"] == 1
+
+                gate.set()
+                for frame in frames[timed_out + 1:]:
+                    replies.append(client.rpc(frame))
+        finally:
+            gate.set()
+    # The timed-out frame stayed queued and was served on release — only
+    # its reply was dropped — so ``seq`` skips exactly that one and the
+    # stream is still the serial replay of every frame sent.
+    expected = serial_replay(frames, seed=6, hyperparams=FAST_HP)
+    for index, (reply, want) in enumerate(zip(replies, expected)):
+        if index == timed_out:
+            continue
+        assert reply["ok"] and reply["seq"] == index, reply
+        assert {k: reply[k] for k in SERVED} == want
+    assert len(replies) == len(frames)
+
+
+def test_idle_daemon_makes_no_loop_turns():
+    """No traffic, no wake-ups: the loop sits in one ``select``."""
+    daemon = PlacementDaemon(port=0, workers=1)
+    selector = daemon.engine.selector
+    select, returns = selector.select, []
+
+    def counting_select(timeout=None):
+        events = select(timeout)
+        returns.append(timeout)
+        return events
+
+    selector.select = counting_select
+    with daemon:
+        with Client(daemon.address) as client:
+            assert client.rpc({"op": "ping"})["ok"]
+        _wait_until(lambda: not daemon.connections, "the client's EOF")
+        turns = len(returns)
+        assert turns > 0
+        assert not threading.Event().wait(0.3)
+        assert len(returns) == turns
+        # ... and it slept without a timeout to wake it.
+        with Client(daemon.address) as client:
+            assert client.rpc({"op": "ping"})["ok"]
+        assert returns[turns] is None
+
+
+def test_submit_from_many_threads_never_loses_a_wake():
+    """``submit()`` is the door for every thread that is not the loop.
+    The loop sleeps without a timeout, so one lost wake would leave a
+    job unresolved forever; each thread waits for each of its own."""
+    engine = PlacementEngine(workers=1)
+    engine.start()
+    unresolved = []
+
+    def submitter():
+        for _ in range(200):
+            if not engine.submit(Query(op="ping")).wait(DEADLINE_S):
+                unresolved.append(1)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=submitter) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(DEADLINE_S * 2)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        engine.stop()
+    assert not unresolved
+    assert not engine._thread.is_alive()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -37,8 +38,9 @@ def _check_trace():
     return module
 
 
-def _serve_then_shutdown(trace_path: Path):
-    """One daemon process: a few placements, then the ``shutdown`` op.
+def _serve_then_shutdown(trace_path: Path, signum=None):
+    """One daemon process: a few placements, then the ``shutdown`` op
+    (or, given ``signum``, that signal and no reply).
 
     Returns ``(shutdown reply, exit code, stderr)``.
     """
@@ -57,7 +59,10 @@ def _serve_then_shutdown(trace_path: Path):
             })["ok"]
             for frame in synthetic_stream(seed=1, n=30):
                 assert client.rpc({**frame, "tenant": "t"})["ok"]
-            reply = client.rpc({"op": "shutdown"})
+            if signum is None:
+                reply = client.rpc({"op": "shutdown"})
+            else:
+                reply = proc.send_signal(signum)
         _, stderr = proc.communicate(timeout=DEADLINE_S)
         return reply, proc.returncode, stderr
     finally:
@@ -125,3 +130,16 @@ def test_concurrent_flushes_leave_a_complete_trace(tmp_path):
     assert not errors, errors
     assert len(json.loads(target.read_text())["traceEvents"]) == 500
     assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+
+
+def test_sigterm_tears_down_like_ctrl_c(tmp_path):
+    """SIGTERM — what a supervisor sends — used to kill ``repro serve``
+    outright: exit -15, ``close()`` never run, the trace never written."""
+    trace_path = tmp_path / "daemon.trace.json"
+    _, returncode, stderr = _serve_then_shutdown(trace_path, signal.SIGTERM)
+    assert returncode == 0, stderr
+    problems = _check_trace().validate_trace(
+        json.loads(trace_path.read_text()), min_events=30
+    )
+    assert not problems, problems
+    assert [p.name for p in tmp_path.iterdir()] == [trace_path.name]
