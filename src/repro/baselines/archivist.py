@@ -110,7 +110,6 @@ class ArchivistPolicy(PlacementPolicy):
             grad = probs
             grad[np.arange(n), labels] -= 1.0
             grad /= n
-            self.network.zero_grad()
             self.network.backward(grad)
             for p, g in zip(self.network.parameters, self.network.gradients):
                 p -= self.learning_rate * g

@@ -19,13 +19,38 @@ time the policy:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..hss.eviction import BeladyVictimSelector
 from ..hss.request import Request
 from .base import PlacementPolicy
 
-__all__ = ["OraclePolicy"]
+__all__ = ["OraclePolicy", "FutureUseIndex"]
+
+
+class FutureUseIndex:
+    """One trace's future-use index, built once for the policies that
+    share it: ``page -> ascending page-access indices of its touches``
+    and the total number of touches.  Nothing writes to the index after
+    it is built, so the horizons of a best-of search read the same dict.
+    """
+
+    def __init__(self) -> None:
+        self._trace: Optional[Iterable[Request]] = None
+        self._built: Optional[Tuple[Dict[int, List[int]], int]] = None
+
+    def of(self, trace: Iterable[Request]) -> Tuple[Dict[int, List[int]], int]:
+        """``(future uses, touches)`` of ``trace`` — the cached pair when
+        it is the object the index was last built from."""
+        if self._built is None or self._trace is not trace:
+            future: Dict[int, List[int]] = {}
+            clock = 0
+            for req in trace:
+                for page in req.pages:
+                    future.setdefault(page, []).append(clock)
+                    clock += 1
+            self._trace, self._built = trace, (future, clock)
+        return self._built
 
 
 class OraclePolicy(PlacementPolicy):
@@ -38,6 +63,11 @@ class OraclePolicy(PlacementPolicy):
         if horizon_scale <= 0:
             raise ValueError("horizon_scale must be positive")
         self.horizon_scale = horizon_scale
+        #: Optionally, where ``prepare`` gets its index: policies about
+        #: to replay one (unchanging) trace object may be given the same
+        #: :class:`FutureUseIndex` — it survives ``reset`` — and then
+        #: index the trace once between them.
+        self.index: Optional[FutureUseIndex] = None
         self._future: Dict[int, List[int]] = {}
         self._selector: BeladyVictimSelector | None = None
         self._clock = 0  # page-access index, advanced per request
@@ -46,12 +76,7 @@ class OraclePolicy(PlacementPolicy):
     # ------------------------------------------------------------ prepare
     def prepare(self, trace: List[Request]) -> None:
         """Index every future page touch (the oracle's foresight)."""
-        future: Dict[int, List[int]] = {}
-        clock = 0
-        for req in trace:
-            for page in req.pages:
-                future.setdefault(page, []).append(clock)
-                clock += 1
+        future, clock = (self.index or FutureUseIndex()).of(trace)
         self._future = future
         self._selector = BeladyVictimSelector(future)
         hss = self._require_hss()

@@ -81,36 +81,32 @@ class RNNHSSPolicy(PlacementPolicy):
             hist.pop(0)
             hist.append([0.0, 0.0])
 
-    def _sequence(self, page: int) -> np.ndarray:
-        hist = self._history.get(
-            page, [[0.0, 0.0] for _ in range(self.history_windows)]
-        )
-        seq = np.asarray(hist, dtype=np.float64)
-        # Log-compress counts for stable RNN inputs.
-        return np.log1p(seq)
-
     # ----------------------------------------------------------- training
     def _refresh(self) -> None:
         """Train the shared RNN and re-classify pages for the next epoch."""
         pages = list(self._history)
         if len(pages) < 8:
             return
-        totals = np.array(
-            [sum(w[0] for w in self._history[p]) for p in pages]
-        )
+        history = np.array(list(self._history.values()), dtype=np.float64)
+        # Window counts are whole numbers, so their sum is exact in any order.
+        totals = history[:, :, 0].sum(axis=1)
         cutoff = np.quantile(totals, 1.0 - self.hot_label_fraction)
-        labels = (totals >= max(1.0, cutoff)).astype(np.int64)
+        labels = (totals >= max(1.0, cutoff)).tolist()
+        # One (windows, 2) input sequence per page, counts log-compressed
+        # for stable RNN inputs; built once for training and classifying.
+        sequences = np.log1p(history)
         # Sample a bounded training set (per-page RNNs are the expense
         # the paper calls impractical; we cap instead).
         idx = np.arange(len(pages))
         if len(idx) > self.max_train_pages:
             idx = self.rng.choice(idx, size=self.max_train_pages, replace=False)
-        for i in idx:
-            self.rnn.train_sequence(self._sequence(pages[i]), int(labels[i]))
+        for i in idx.tolist():
+            self.rnn.train_sequence(sequences[i], int(labels[i]))
         self._trained = True
         # Classify all pages for the coming epoch.
+        predict = self.rnn.predict
         self._hot_set = {
-            p for p in pages if self.rnn.predict(self._sequence(p)) == 1
+            page for page, seq in zip(pages, sequences) if predict(seq) == 1
         }
 
     # ------------------------------------------------------------- policy

@@ -30,6 +30,7 @@ from ..hss.request import Request
 from ..hss.system import HybridStorageSystem, ServeResult
 from ..rl.c51 import C51Config, C51Network
 from ..rl.dqn import DQNConfig, DQNNetwork
+from ..rl.network import take_rows, workspace
 from .features import FeatureExtractor, FeatureSpec
 from .hyperparams import SIBYL_DEFAULT, SibylHyperParams
 from .replay import ExperienceBuffer
@@ -292,27 +293,30 @@ class SibylAgent(PlacementPolicy):
         """First half of a training event: the per-lane random draws.
 
         Mirrors :meth:`place_begin`: everything up to the network work.
-        Samples all of the event's batches from the replay buffer with
-        this agent's own RNG (the exact draws the serial loop makes) and
-        collapses them to their unique slots, leaving the heavy half —
-        Bellman targets, eight forward/backward passes, weight copy —
-        owed to :meth:`train_commit`.  An external driver (the serve
-        engine, through ``fused_train_event``) batches that half across
-        lanes; the returned job is ``(slot_batches, unique_slots, inverse)``.
+        Samples all of the event's batches from the replay buffer in one
+        draw of this agent's own RNG (``batches_per_training *
+        batch_size`` uniforms: the stream batch-by-batch draws would
+        consume) and collapses them to their unique slots, leaving the
+        heavy half — Bellman targets, the forward/backward passes,
+        weight copy — owed to :meth:`train_commit`.  An external driver
+        (the serve engine, through ``fused_train_event``) batches that
+        half across lanes; the returned job is ``(slot_batches,
+        unique_slots, inverse)``, ``slot_batches`` one row per batch.
         """
         if self._train_job is not None:
             raise RuntimeError(
                 "train_begin() while a training event is already pending"
             )
         hp = self.hyperparams
-        slot_batches = [
-            self.buffer.sample_slots(hp.batch_size, rng=self.rng)
-            for _ in range(hp.batches_per_training)
-        ]
-        unique_slots, inverse = np.unique(
-            np.concatenate(slot_batches), return_inverse=True
+        slots = self.buffer.sample_slots(
+            hp.batches_per_training * hp.batch_size, rng=self.rng
         )
-        self._train_job = (slot_batches, unique_slots, inverse)
+        unique_slots, inverse = np.unique(slots, return_inverse=True)
+        self._train_job = (
+            slots.reshape(hp.batches_per_training, hp.batch_size),
+            unique_slots,
+            inverse,
+        )
         return self._train_job
 
     @property
@@ -342,8 +346,9 @@ class SibylAgent(PlacementPolicy):
         (inference) network is frozen for the whole event, so the
         Bellman targets of every *unique* sampled slot (bootstrap
         forward + distributional projection) are computed in one fused
-        pass and gathered back per batch — the same values the
-        per-batch loop would compute, once each.  ``losses`` supplies
+        pass and gathered back per sample — the same values the
+        per-batch loop would compute, once each — and the batches go
+        through one ``train_batches`` call.  ``losses`` supplies
         the per-batch losses of an externally executed event
         (``fused_train_event``'s stacked forward/backward, which also
         wrote the updated weights into ``training_net``); they must equal what the
@@ -358,20 +363,17 @@ class SibylAgent(PlacementPolicy):
         if losses is not None:
             self.losses.extend(float(loss) for loss in losses)
         else:
-            hp = self.hyperparams
             u_rewards, u_next = self.buffer.gather_targets(unique_slots)
-            targets = self.training_net.precompute_targets(
+            unique_targets = self.training_net.precompute_targets(
                 u_rewards, u_next, target=self.inference_net
-            )[inverse]
-            n = hp.batch_size
-            for i, slots in enumerate(slot_batches):
-                obs, actions, rewards, next_obs = self.buffer.gather(slots)
-                loss = self.training_net.train_batch(
-                    obs, actions, rewards, next_obs,
-                    target=self.inference_net,
-                    targets=targets[i * n:(i + 1) * n],
-                )
-                self.losses.append(loss)
+            )
+            targets = take_rows(unique_targets, inverse, workspace().array(
+                "agent.targets", inverse.shape + unique_targets.shape[1:]
+            ))
+            obs, actions, _, _ = self.buffer.gather(slot_batches.ravel())
+            self.losses.extend(self.training_net.train_batches(
+                obs, actions, targets, slot_batches.shape[1]
+            ))
         self.inference_net.copy_weights_from(self.training_net)
         self._refresh_action_cache()
         self.train_events += 1
@@ -394,12 +396,11 @@ class SibylAgent(PlacementPolicy):
             self._action_cache.clear()
             self._cache_obs.clear()
             return
-        keys = list(self._cache_obs.keys())
-        obs_mat = np.stack([self._cache_obs[k] for k in keys])
-        actions = self.inference_net.best_actions(obs_mat)
-        self._action_cache = {
-            k: int(a) for k, a in zip(keys, actions)
-        }
+        obs_mat = np.concatenate(list(self._cache_obs.values()))
+        actions = self.inference_net.best_actions(
+            obs_mat.reshape(len(self._cache_obs), -1)
+        )
+        self._action_cache = dict(zip(self._cache_obs, actions.tolist()))
 
     # -------------------------------------------------------------- reset
     def reset(self) -> None:

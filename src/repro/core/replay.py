@@ -96,10 +96,8 @@ class ExperienceBuffer:
         self._actions: Optional[np.ndarray] = None
         self._rewards: Optional[np.ndarray] = None
         self._mult: Optional[np.ndarray] = None
-        # Cached (insertion-order slots, sampling CDF) for sampling;
-        # invalidated by any mutation.  Training draws 8 batches
-        # back-to-back between mutations, so this saves the per-batch
-        # CDF rebuild.
+        # Cached (insertion-order slots, sampling CDF) for sampling
+        # (set_sampling_order); invalidated by any mutation.
         self._order_cache: Optional[np.ndarray] = None
         self._cdf_cache: Optional[np.ndarray] = None
 
@@ -237,23 +235,30 @@ class ExperienceBuffer:
         if rng is None:
             rng = self._rng
         if self._order_cache is None:
-            # Emptiness is checked here, not up front: an engine that
-            # owns the storage arrays directly (the compiled tick
-            # kernel) installs pre-built order/cdf caches for a buffer
-            # whose ``_entries`` mirror lives on its side.
             if not self._entries:
                 raise ValueError("cannot sample from an empty buffer")
-            order = np.fromiter(
+            self.set_sampling_order(np.fromiter(
                 self._entries.values(), dtype=np.int64, count=len(self._entries)
-            )
-            weights = self._mult[order]
-            weights = weights / weights.sum()
-            cdf = weights.cumsum()
-            cdf /= cdf[-1]
-            self._order_cache = order
-            self._cdf_cache = cdf
+            ))
         idx = self._cdf_cache.searchsorted(rng.random(batch_size), side="right")
         return self._order_cache[idx]
+
+    def set_sampling_order(self, order: np.ndarray) -> None:
+        """Cache the sampling order — the held slots, oldest first — and
+        the multiplicity CDF searched against it, until the next mutation.
+
+        :meth:`sample_slots` calls this with its own dedup map's slots.
+        An engine that owns the storage arrays and keeps the FIFO on its
+        side (the compiled tick kernel) calls it with that FIFO before a
+        training event, so the event samples exactly as it would have
+        had every ``add`` gone through this object.
+        """
+        weights = self._mult[order]
+        weights = weights / weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        self._order_cache = order
+        self._cdf_cache = cdf
 
     def gather(
         self, slots: np.ndarray

@@ -20,7 +20,7 @@ the cross-entropy to that projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,10 @@ from .network import (
     FeedForwardNetwork,
     LaneStackTraining,
     NetworkLaneStack,
+    Workspace,
     mlp,
+    take_rows,
+    workspace,
 )
 from .optim import Optimizer, get_optimizer
 
@@ -66,6 +69,11 @@ class C51Config:
             raise ValueError("discount must lie in [0, 1]")
 
 
+#: Rows are projected in blocks of at most this many (row, atom) cells:
+#: one ``np.bincount`` result of 128 000 bytes, under 128 KiB.
+_BINCOUNT_ELEMENTS = 16_000
+
+
 def project_distribution(
     next_probs: np.ndarray,
     rewards: np.ndarray,
@@ -93,47 +101,74 @@ def project_distribution(
     ``(batch, n_atoms)`` projected target pmf; each row sums to 1.
     """
     next_probs = np.asarray(next_probs, dtype=np.float64)
-    rewards = np.asarray(rewards, dtype=np.float64).reshape(-1, 1)
-    dones = np.asarray(dones, dtype=bool).reshape(-1, 1)
+    rewards = np.asarray(rewards, dtype=np.float64).ravel()
+    dones = np.asarray(dones, dtype=bool).ravel()
     batch, n_atoms = next_probs.shape
     v_min, v_max = float(support[0]), float(support[-1])
     delta_z = (v_max - v_min) / (n_atoms - 1)
+    ws = workspace()
 
-    # Bellman-updated atom positions, clipped to the support range.
-    # Temporaries are folded in place (each value is still computed by
-    # the same expression, just written into an existing buffer), which
-    # matters at the fused-training block size of 1024 transitions.
+    # A row's geometry — between which two support atoms each of its
+    # Bellman-updated atoms lands, and how far along — depends on its
+    # reward alone, and a replay sample holds far fewer distinct rewards
+    # than rows (latencies quantise): build it once per distinct reward
+    # and gather.  Terminal rows bootstrap nothing; a batch with any
+    # takes every row as its own level.
     if dones.any():
-        tz = rewards + np.where(dones, 0.0, discount) * support.reshape(1, -1)
+        levels, row_level = rewards, np.arange(batch)
+        scale = np.where(dones, 0.0, discount).reshape(-1, 1)
     else:
-        tz = rewards + discount * support.reshape(1, -1)
-    np.clip(tz, v_min, v_max, out=tz)
-    b = np.subtract(tz, v_min, out=tz)  # fractional atom index ...
-    b /= delta_z                        # ... = (tz - v_min) / delta_z
+        levels, row_level = np.unique(rewards, return_inverse=True)
+        scale = discount
+    shape = (len(levels), n_atoms)
+    # Bellman-updated atom positions, clipped to the support range ...
+    b = np.multiply(
+        scale, support.reshape(1, -1), out=ws.array("project.b", shape)
+    )
+    b += levels.reshape(-1, 1)
+    np.clip(b, v_min, v_max, out=b)
+    b -= v_min      # ... as a fractional atom index
+    b /= delta_z    # = (tz - v_min) / delta_z
     # b >= 0, so int truncation is floor.  Defining upper = lower + 1
     # (clipped into range) subsumes the integral-b special case: the
     # fractional part is then 0, so the upper weight vanishes and all
     # mass lands on the lower atom.
-    lower = b.astype(np.int64)
-    upper = np.minimum(lower + 1, n_atoms - 1)
-    w_upper = np.subtract(b, lower, out=b)
-    w_upper *= next_probs
-    w_lower = next_probs - w_upper
+    lower = ws.array("project.lower", shape, np.int64)
+    np.copyto(lower, b, casting="unsafe")
+    upper = np.add(lower, 1, out=ws.array("project.upper", shape, np.int64))
+    np.minimum(upper, n_atoms - 1, out=upper)
+    b -= lower
     # Scatter-add via bincount on flattened (row, atom) indices — a
     # single C-level accumulation instead of np.add.at's slow per-index
-    # ufunc loop.
-    offsets = (np.arange(batch, dtype=np.int64) * n_atoms).reshape(-1, 1)
-    m = np.bincount(
-        np.add(offsets, lower, out=lower).ravel(),
-        weights=w_lower.ravel(),
-        minlength=batch * n_atoms,
-    )
-    m += np.bincount(
-        np.add(offsets, upper, out=upper).ravel(),
-        weights=w_upper.ravel(),
-        minlength=batch * n_atoms,
-    )
-    return m.reshape(batch, n_atoms)
+    # ufunc loop — a block of rows at a time: rows share no output
+    # element, so every sum keeps its order, while the per-row
+    # temporaries and np.bincount's results (it takes no out=) stay
+    # small, the latter under the allocator's mmap threshold.
+    out = np.empty((batch, n_atoms))
+    block = max(1, _BINCOUNT_ELEMENTS // n_atoms)
+    offsets = np.arange(0, block * n_atoms, n_atoms).reshape(-1, 1)
+    for start in range(0, batch, block):
+        level = row_level[start:start + block]
+        probs = next_probs[start:start + block]
+        w_upper = take_rows(b, level, ws.array("project.w_upper", probs.shape))
+        w_upper *= probs
+        w_lower = np.subtract(
+            probs, w_upper, out=ws.array("project.w_lower", probs.shape)
+        )
+        index = take_rows(
+            lower, level, ws.array("project.index", probs.shape, np.int64)
+        )
+        index += offsets[: len(level)]
+        m = np.bincount(
+            index.ravel(), weights=w_lower.ravel(), minlength=index.size
+        )
+        take_rows(upper, level, index)
+        index += offsets[: len(level)]
+        m += np.bincount(
+            index.ravel(), weights=w_upper.ravel(), minlength=index.size
+        )
+        out[start:start + block] = m.reshape(probs.shape)
+    return out
 
 
 class C51Network:
@@ -172,29 +207,29 @@ class C51Network:
             config.optimizer, config.learning_rate
         )
         self.train_steps = 0
-        # Preallocated gradient scratch for train_batch, keyed by batch
-        # size (training uses one fixed batch size, so this is a single
-        # reused buffer in practice).
-        self._grad_scratch: dict = {}
 
     # ------------------------------------------------------------ inference
-    def logits(self, obs: np.ndarray, train: bool = False) -> np.ndarray:
-        """``(batch, n_actions, n_atoms)`` raw logits."""
-        out = self.network.forward(obs, train=train)
-        return out.reshape(-1, self.config.n_actions, self.config.n_atoms)
+    def _greedy(
+        self, obs: np.ndarray, ws: Workspace
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-action pmfs ``(batch, n_actions, n_atoms)`` of a float64
+        batch — in ``ws``, see ``forward_scratch`` — and the greedy
+        action of each row."""
+        config = self.config
+        pmfs = self.network.forward_scratch(obs, ws).reshape(
+            -1, config.n_actions, config.n_atoms
+        )
+        column = ws.array("c51.column", pmfs.shape[:2] + (1,))
+        pmfs -= np.maximum.reduce(pmfs, axis=-1, keepdims=True, out=column)
+        np.exp(pmfs, out=pmfs)
+        pmfs /= np.add.reduce(pmfs, axis=-1, keepdims=True, out=column)
+        q = np.matmul(pmfs, self.support, out=ws.array("c51.q", pmfs.shape[:2]))
+        return pmfs, np.argmax(q, axis=1)
 
-    def distributions(self, obs: np.ndarray, train: bool = False) -> np.ndarray:
+    def distributions(self, obs: np.ndarray) -> np.ndarray:
         """Per-action pmfs, ``(batch, n_actions, n_atoms)``."""
-        logits = self.logits(obs, train=train)
-        if train:
-            # The returned logits alias the cached pre-activations the
-            # backward pass needs; don't mutate them.
-            logits = logits - logits.max(axis=-1, keepdims=True)
-        else:
-            logits -= logits.max(axis=-1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=-1, keepdims=True)
-        return logits
+        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+        return self._greedy(obs, workspace())[0].copy()
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         """Expected returns ``(batch, n_actions)``."""
@@ -213,23 +248,8 @@ class C51Network:
 
     def best_actions(self, obs: np.ndarray) -> np.ndarray:
         """Greedy actions for a batch of observations."""
-        return np.argmax(self.q_values(obs), axis=1)
-
-    def bootstrap_targets(self, next_observations: np.ndarray) -> np.ndarray:
-        """Next-state bootstrap pmfs ``(batch, n_atoms)`` in one pass.
-
-        This is the target-network half of ``train_batch`` factored out
-        so a caller training several batches against a *frozen* target
-        (Sibyl's training thread) can batch all of them into a single
-        forward pass and slice the result.
-        """
-        next_observations = np.atleast_2d(
-            np.asarray(next_observations, dtype=np.float64)
-        )
-        next_dist = self.distributions(next_observations)
-        next_q = next_dist @ self.support
-        next_best = np.argmax(next_q, axis=1)
-        return next_dist[np.arange(len(next_best)), next_best]
+        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+        return self._greedy(obs, workspace())[1]
 
     def precompute_targets(
         self,
@@ -240,18 +260,30 @@ class C51Network:
     ) -> np.ndarray:
         """Projected Bellman target pmfs for a block of transitions.
 
-        Factors the entire target side of ``train_batch`` (bootstrap
-        forward + distributional projection) out so that several batches
-        trained against a frozen target network share one fused pass;
-        slice the result per batch and pass it as ``targets``.
+        The entire target side of ``train_batch`` — bootstrap forward,
+        the greedy next action's pmf, distributional projection —
+        factored out so that several batches trained against a frozen
+        target network share one pass; slice the result per batch and
+        pass it as ``targets``.
         """
         rewards = np.asarray(rewards, dtype=np.float64).ravel()
         if dones is None:
             dones = np.zeros(len(rewards), dtype=bool)
-        bootstrap = target if target is not None else self
-        next_probs = bootstrap.bootstrap_targets(next_observations)
+        next_observations = np.atleast_2d(
+            np.asarray(next_observations, dtype=np.float64)
+        )
+        ws = workspace()
+        config = self.config
+        pmfs, best = (target if target is not None else self)._greedy(
+            next_observations, ws
+        )
+        best += np.arange(0, pmfs.shape[0] * config.n_actions, config.n_actions)
+        next_probs = take_rows(
+            pmfs.reshape(-1, config.n_atoms), best,
+            ws.array("c51.next_probs", (len(best), config.n_atoms)),
+        )
         return project_distribution(
-            next_probs, rewards, dones, self.support, self.config.discount
+            next_probs, rewards, dones, self.support, config.discount
         )
 
     # ------------------------------------------------------------- training
@@ -272,12 +304,9 @@ class C51Network:
         training network itself when omitted.  ``targets`` optionally
         supplies precomputed projected target pmfs (from
         :meth:`precompute_targets`), skipping the whole per-call target
-        side.
+        side.  The step itself is :meth:`train_batches` with one batch.
         """
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        next_observations = np.atleast_2d(
-            np.asarray(next_observations, dtype=np.float64)
-        )
         actions = np.asarray(actions, dtype=np.int64).ravel()
         rewards = np.asarray(rewards, dtype=np.float64).ravel()
         batch = observations.shape[0]
@@ -298,37 +327,64 @@ class C51Network:
             target_pmf = self.precompute_targets(
                 rewards, next_observations, dones=dones, target=target
             )
+        return self.train_batches(observations, actions, target_pmf, batch)[0]
 
-        # Forward with caching, then softmax cross-entropy gradient on the
-        # chosen action's atoms only.  Both the loss and the gradient
-        # involve just the chosen action's atoms, and the per-action
-        # softmax is independent, so gather first and softmax half the
-        # logits (softmax commutes with the gather).
-        logits = self.logits(observations, train=True)
-        rows = np.arange(batch)
-        chosen = logits[rows, actions]
-        chosen -= chosen.max(axis=-1, keepdims=True)
-        np.exp(chosen, out=chosen)
-        chosen /= chosen.sum(axis=-1, keepdims=True)
-        loss = -np.sum(
-            target_pmf * np.log(np.clip(chosen, 1e-12, None)), axis=1
-        ).mean()
+    def train_batches(
+        self,
+        observations: np.ndarray,
+        actions: np.ndarray,
+        targets: np.ndarray,
+        batch_size: int,
+    ) -> List[float]:
+        """One SGD step per ``batch_size`` consecutive rows; the mean
+        loss of each.  Inputs as :meth:`train_batch` has validated them
+        (float64 observations, int64 actions in range, the rows'
+        projected target pmfs): a training event hands over its batches
+        as one block.
 
-        grad = self._grad_scratch.get(batch)
-        if grad is None:
-            grad = np.empty_like(logits)
-            self._grad_scratch[batch] = grad
-        grad.fill(0.0)
-        grad[rows, actions] = (chosen - target_pmf) / batch
-        self.network.zero_grad()
-        self.network.backward(
-            grad.reshape(batch, self.config.n_actions * self.config.n_atoms)
+        Per step: forward with caching, then softmax cross-entropy
+        gradient on the chosen action's atoms only — loss and gradient
+        involve just those, and the per-action softmax is independent,
+        so gather first and softmax half the logits.  Each step leaves
+        its rows' cross-entropies; the losses are taken from them once,
+        after the last step.
+        """
+        n_actions, n_atoms = self.config.n_actions, self.config.n_atoms
+        steps = len(observations) // batch_size
+        ws = workspace()
+        net = self.network
+        step_params = [net.flat_parameters], [net.flat_gradients]
+        targets = targets.reshape(steps, batch_size, n_atoms)
+        # Row of each sample's chosen action in a batch's logits viewed
+        # as (batch_size * n_actions, n_atoms).
+        picks = actions.reshape(steps, batch_size) + np.arange(
+            0, batch_size * n_actions, n_actions
         )
-        self.optimizer.step(
-            [self.network.flat_parameters], [self.network.flat_gradients]
-        )
-        self.train_steps += 1
-        return float(loss)
+        soft = ws.array("c51.soft", (batch_size, n_atoms))
+        work = ws.array("c51.work", (batch_size, n_atoms))
+        column = ws.array("c51.step_column", (batch_size, 1))
+        grad = ws.array("c51.grad", (batch_size * n_actions, n_atoms))
+        cross_entropy = np.empty((steps, batch_size))
+        for i in range(steps):
+            logits = net.forward(
+                observations[i * batch_size:(i + 1) * batch_size], train=True
+            ).reshape(batch_size * n_actions, n_atoms)
+            take_rows(logits, picks[i], soft)
+            soft -= np.maximum.reduce(soft, axis=-1, keepdims=True, out=column)
+            np.exp(soft, out=soft)
+            soft /= np.add.reduce(soft, axis=-1, keepdims=True, out=column)
+            np.subtract(soft, targets[i], out=work)
+            work /= batch_size
+            grad.fill(0.0)
+            grad[picks[i]] = work
+            np.maximum(soft, 1e-12, out=work)
+            np.log(work, out=work)
+            work *= targets[i]
+            np.add.reduce(work, axis=1, out=cross_entropy[i])
+            net.backward(grad.reshape(batch_size, n_actions * n_atoms))
+            self.optimizer.step(*step_params)
+        self.train_steps += steps
+        return (-cross_entropy).mean(axis=1).tolist()
 
     # --------------------------------------------------------------- sync
     def copy_weights_from(self, other: "C51Network") -> None:
@@ -369,7 +425,6 @@ class C51LaneStack(LaneStackTraining):
         # (K, n_atoms, 1): each lane's own support column (v_min/v_max
         # depend on the lane's reward function).
         self.supports = np.stack([net.support for net in networks])[:, :, None]
-        self._grad_scratch: dict = {}
 
     def __len__(self) -> int:
         return len(self.stack)

@@ -8,7 +8,7 @@ ablation comparing the two, and so downstream users can swap heads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .network import (
     LaneStackTraining,
     NetworkLaneStack,
     mlp,
+    workspace,
 )
 from .optim import Optimizer, get_optimizer
 
@@ -73,16 +74,8 @@ class DQNNetwork:
         return int(np.argmax(self.network.forward_1d(obs)))
 
     def best_actions(self, obs: np.ndarray) -> np.ndarray:
-        return np.argmax(self.q_values(obs), axis=1)
-
-    def bootstrap_targets(self, next_observations: np.ndarray) -> np.ndarray:
-        """Max next-state Q-values ``(batch,)`` in one fused pass (the
-        target-network half of ``train_batch``, factored out so several
-        batches against a frozen target share one forward)."""
-        next_observations = np.atleast_2d(
-            np.asarray(next_observations, dtype=np.float64)
-        )
-        return self.q_values(next_observations).max(axis=1)
+        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+        return np.argmax(self.network.forward_scratch(obs, workspace()), axis=1)
 
     def precompute_targets(
         self,
@@ -92,13 +85,20 @@ class DQNNetwork:
         target: Optional["DQNNetwork"] = None,
     ) -> np.ndarray:
         """TD targets ``(batch,)`` for a block of transitions (the whole
-        target side of ``train_batch`` in one fused pass; slice per
-        batch and pass as ``targets``)."""
+        target side of ``train_batch`` — one forward of the bootstrap
+        network, its max next-state Q-values — so several batches
+        against a frozen target share it; slice per batch and pass as
+        ``targets``)."""
         rewards = np.asarray(rewards, dtype=np.float64).ravel()
         if dones is None:
             dones = np.zeros(len(rewards), dtype=bool)
+        next_observations = np.atleast_2d(
+            np.asarray(next_observations, dtype=np.float64)
+        )
         bootstrap = target if target is not None else self
-        next_q = bootstrap.bootstrap_targets(next_observations)
+        next_q = bootstrap.network.forward_scratch(
+            next_observations, workspace()
+        ).max(axis=1)
         return rewards + np.where(dones, 0.0, self.config.discount) * next_q
 
     # ------------------------------------------------------------- training
@@ -117,11 +117,9 @@ class DQNNetwork:
 
         ``targets`` optionally supplies precomputed TD targets (see
         :meth:`precompute_targets`), skipping the target forward pass.
+        The step itself is :meth:`train_batches` with one batch.
         """
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        next_observations = np.atleast_2d(
-            np.asarray(next_observations, dtype=np.float64)
-        )
         actions = np.asarray(actions, dtype=np.int64).ravel()
         rewards = np.asarray(rewards, dtype=np.float64).ravel()
         batch = observations.shape[0]
@@ -140,26 +138,53 @@ class DQNNetwork:
             td_target = self.precompute_targets(
                 rewards, next_observations, dones=dones, target=target
             )
+        return self.train_batches(
+            observations, actions, td_target, batch, huber_delta
+        )[0]
 
-        q = self.network.forward(observations, train=True)
-        chosen = q[np.arange(batch), actions]
-        err = chosen - td_target
-        # Huber loss and gradient.
-        quadratic = np.abs(err) <= huber_delta
-        loss = np.where(
-            quadratic, 0.5 * err * err, huber_delta * (np.abs(err) - 0.5 * huber_delta)
-        ).mean()
-        dloss = np.where(quadratic, err, huber_delta * np.sign(err)) / batch
-
-        grad = np.zeros_like(q)
-        grad[np.arange(batch), actions] = dloss
-        self.network.zero_grad()
-        self.network.backward(grad)
-        self.optimizer.step(
-            [self.network.flat_parameters], [self.network.flat_gradients]
+    def train_batches(
+        self,
+        observations: np.ndarray,
+        actions: np.ndarray,
+        targets: np.ndarray,
+        batch_size: int,
+        huber_delta: float = 1.0,
+    ) -> List[float]:
+        """One TD(0) step per ``batch_size`` consecutive rows; the mean
+        Huber loss of each (the expected-value counterpart of
+        :meth:`repro.rl.c51.C51Network.train_batches`: inputs as
+        :meth:`train_batch` has validated them, the TD errors kept and
+        the losses taken from them once, after the last step)."""
+        n_actions = self.config.n_actions
+        steps = len(observations) // batch_size
+        net = self.network
+        step_params = [net.flat_parameters], [net.flat_gradients]
+        targets = targets.reshape(steps, batch_size)
+        # Index of each sample's chosen action in a batch's flat Q-values.
+        picks = actions.reshape(steps, batch_size) + np.arange(
+            0, batch_size * n_actions, n_actions
         )
-        self.train_steps += 1
-        return float(loss)
+        err = np.empty((steps, batch_size))
+        grad = np.empty(batch_size * n_actions)
+        for i in range(steps):
+            q = net.forward(
+                observations[i * batch_size:(i + 1) * batch_size], train=True
+            ).reshape(-1)
+            e = np.subtract(q[picks[i]], targets[i], out=err[i])
+            quadratic = np.abs(e) <= huber_delta
+            grad.fill(0.0)
+            grad[picks[i]] = (
+                np.where(quadratic, e, huber_delta * np.sign(e)) / batch_size
+            )
+            net.backward(grad.reshape(batch_size, n_actions))
+            self.optimizer.step(*step_params)
+        self.train_steps += steps
+        abs_err = np.abs(err)
+        return np.where(
+            abs_err <= huber_delta,
+            0.5 * err * err,
+            huber_delta * (abs_err - 0.5 * huber_delta),
+        ).mean(axis=1).tolist()
 
     # --------------------------------------------------------------- sync
     def copy_weights_from(self, other: "DQNNetwork") -> None:
@@ -185,7 +210,6 @@ class DQNLaneStack(LaneStackTraining):
         self.networks = networks
         self.n_actions = networks[0].config.n_actions
         self.stack = NetworkLaneStack([net.network for net in networks])
-        self._grad_scratch: dict = {}
 
     def __len__(self) -> int:
         return len(self.stack)

@@ -11,13 +11,18 @@ network (Algorithm 1 line 19).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import math
+import threading
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .activations import Activation, get_activation
 
 __all__ = [
+    "Workspace",
+    "workspace",
+    "take_rows",
     "Dense",
     "FeedForwardNetwork",
     "NetworkLaneStack",
@@ -26,6 +31,61 @@ __all__ = [
     "count_macs",
     "count_parameters",
 ]
+
+
+class Workspace:
+    """Scratch arrays reused from call to call, one set per thread.
+
+    Written ``a @ W + b``, every link of a batch forward or a training
+    event is a fresh temporary — and above the allocator's 128 KiB mmap
+    threshold a fresh mapping, faulted in page by page.  Code that
+    wants an ``out=`` buffer asks :func:`workspace` for ``array(key,
+    shape)`` and gets the same storage every time (grown geometrically),
+    so a thread holds scratch for the largest batch it has seen, not a
+    buffer set per network or per agent.
+
+    Contents are undefined on entry.  A view is good until the thread
+    asks for its key again; nothing that escapes to a caller may alias
+    one.
+    """
+
+    def __init__(self) -> None:
+        self._flat: Dict[Hashable, np.ndarray] = {}
+
+    def array(
+        self, key: Hashable, shape: Tuple[int, ...], dtype=np.float64
+    ) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get((key, dtype))
+        if flat is None or flat.size < size:
+            grown = 0 if flat is None else 2 * flat.size
+            flat = np.empty(max(size, grown), dtype=dtype)
+            self._flat[key, dtype] = flat
+        return flat[:size].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(flat.nbytes for flat in self._flat.values())
+
+
+_THREAD = threading.local()
+
+
+def workspace() -> Workspace:
+    """The calling thread's :class:`Workspace` (a trainer thread of the
+    placement daemon gets its own, so concurrent events share nothing)."""
+    try:
+        return _THREAD.workspace
+    except AttributeError:
+        _THREAD.workspace = Workspace()
+        return _THREAD.workspace
+
+
+def take_rows(a: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a[index]`` written into ``out``.  ``index`` must be in range:
+    under NumPy's default ``mode="raise"`` the gather is staged through
+    a fresh buffer the size of ``out``, which is what ``out`` is for."""
+    return np.take(a, index, axis=0, out=out, mode="clip")
 
 
 class Dense:
@@ -53,48 +113,57 @@ class Dense:
         limit = np.sqrt(6.0 / in_features)
         self.weight = rng.uniform(-limit, limit, size=(in_features, out_features))
         self.bias = np.zeros(out_features, dtype=np.float64)
-        # Forward-pass caches used by backward().
-        self._x: Optional[np.ndarray] = None
-        self._z: Optional[np.ndarray] = None
-        self._act_cache = None
         # Gradient buffers, parallel to (weight, bias).
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
-        # Reused pre-activation buffers for training forwards, keyed by
-        # batch size (training uses one fixed batch size in practice).
-        self._z_scratch: Dict[int, np.ndarray] = {}
+        # What a training forward leaves for backward(): its input, the
+        # pre-activations, the activation's scratch, and room for the
+        # input gradient.  One set, for the latest batch size.
+        self._x: Optional[np.ndarray] = None
+        self._z: Optional[np.ndarray] = None
+        self._act_scratch: Optional[np.ndarray] = None
+        self._grad_in: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if train:
-            # The cached pre-activations live in a per-batch-size scratch
-            # buffer: they are consumed by the matching backward() before
-            # the next forward can overwrite them.
-            n = len(x)
-            z = self._z_scratch.get(n)
-            if z is None:
-                z = np.empty((n, self.out_features), dtype=np.float64)
-                self._z_scratch[n] = z
-            np.matmul(x, self.weight, out=z)
-            z += self.bias
-            self._x = x
-            self._z = z
-            out, self._act_cache = self.activation.forward_train(z)
-            return out
-        z = x @ self.weight + self.bias
-        return self.activation.forward(z)
+        if not train:
+            return self.activation.forward(x @ self.weight + self.bias)
+        # The cached pre-activations are consumed by the matching
+        # backward() before the next forward can overwrite them.
+        n = len(x)
+        if self._z is None or len(self._z) != n:
+            self._z = np.empty((n, self.out_features))
+            self._act_scratch = np.empty(
+                (self.activation.train_slots, n, self.out_features)
+            )
+            self._grad_in = np.empty((n, self.in_features))
+        np.matmul(x, self.weight, out=self._z)
+        self._z += self.bias
+        self._x = x
+        return self.activation.forward_train(self._z, self._act_scratch)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backprop ``grad_out`` (w.r.t. this layer's output) to the input.
+    def backward(
+        self, grad_out: np.ndarray, propagate: bool = True
+    ) -> Optional[np.ndarray]:
+        """Backprop ``grad_out`` (w.r.t. this layer's output).
 
-        Accumulates weight/bias gradients into ``grad_weight``/``grad_bias``.
-        Requires a preceding ``forward(..., train=True)``.
+        Writes the weight/bias gradients into ``grad_weight``/
+        ``grad_bias`` and returns the gradient w.r.t. the input (in a
+        buffer the next backward overwrites), or None without
+        ``propagate`` — a first layer has nobody to hand it to.
+        Requires a preceding ``forward(..., train=True)``, whose cached
+        pre-activations it consumes.
         """
         if self._x is None or self._z is None:
             raise RuntimeError("backward() called before forward(train=True)")
-        grad_z = self.activation.backward_cached(self._z, grad_out, self._act_cache)
-        self.grad_weight += self._x.T @ grad_z
-        self.grad_bias += grad_z.sum(axis=0)
-        return grad_z @ self.weight.T
+        grad_z = self.activation.backward_train(
+            self._z, grad_out, self._act_scratch
+        )
+        np.matmul(self._x.T, grad_z, out=self.grad_weight)
+        np.add.reduce(grad_z, axis=0, out=self.grad_bias)
+        self._x = None  # the cached forward is spent
+        if propagate:
+            return np.matmul(grad_z, self.weight.T, out=self._grad_in)
+        return None
 
     def zero_grad(self) -> None:
         self.grad_weight.fill(0.0)
@@ -176,11 +245,29 @@ class FeedForwardNetwork:
             x = layer.activation.forward_inplace(z)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def forward_scratch(self, x: np.ndarray, ws: Workspace) -> np.ndarray:
+        """Inference pass for a ``(batch, in_features)`` float64 array,
+        every intermediate in ``ws``: the values of ``forward(x)``, in
+        an array that aliases the workspace — consume it before the
+        thread's next forward and let nothing that outlives the caller
+        alias it."""
+        n = len(x)
+        for j, layer in enumerate(self.layers):
+            # Two buffers in turn: a layer reads one and writes the other.
+            z = ws.array(("forward.z", j % 2), (n, layer.out_features))
+            np.matmul(x, layer.weight, out=z)
+            z += layer.bias
+            x = layer.activation.forward_inplace(z, ws)
+        return x
+
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Backprop the loss gradient w.r.t. the output of the preceding
+        ``forward(..., train=True)`` into every layer's gradients (the
+        input gradient of the first layer is not computed)."""
         grad = np.atleast_2d(grad_out)
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].backward(grad, propagate=False)
 
     def zero_grad(self) -> None:
         if self._flat_grads is not None:
@@ -348,9 +435,9 @@ class NetworkLaneStack:
         self._train_gw: List[np.ndarray] = []
         self._train_gb: List[np.ndarray] = []
         self._train_x: List[Optional[np.ndarray]] = []
-        self._train_cache: List = []
-        self._train_z: Dict[int, List[np.ndarray]] = {}
-        self._train_z_active: Optional[List[np.ndarray]] = None
+        # Per batch size, per layer: (pre-activations, activation scratch).
+        self._train_z: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self._train_z_active: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     @staticmethod
     def signature(network: FeedForwardNetwork) -> tuple:
@@ -453,7 +540,6 @@ class NetworkLaneStack:
             self._train_gb.append(self._train_grads[:, offset:offset + n])
             offset += n
         self._train_x = [None] * len(layers)
-        self._train_cache = [None] * len(layers)
 
     @property
     def flat_parameters(self) -> Optional[np.ndarray]:
@@ -488,42 +574,45 @@ class NetworkLaneStack:
         activations are elementwise).
         """
         layers = self.networks[0].layers
-        zs = self._train_z.get(x.shape[1])
-        if zs is None:
-            zs = [
-                np.empty((len(self.networks), x.shape[1], layer.out_features))
+        buffers = self._train_z.get(x.shape[1])
+        if buffers is None:
+            lanes_rows = (len(self.networks), x.shape[1])
+            buffers = self._train_z[x.shape[1]] = [
+                (
+                    np.empty(lanes_rows + (layer.out_features,)),
+                    np.empty(
+                        (layer.activation.train_slots,)
+                        + lanes_rows + (layer.out_features,)
+                    ),
+                )
                 for layer in layers
             ]
-            self._train_z[x.shape[1]] = zs
-        self._train_z_active = zs
-        for j, layer in enumerate(layers):
-            z = zs[j]
+        self._train_z_active = buffers
+        for j, (layer, (z, scratch)) in enumerate(zip(layers, buffers)):
             np.matmul(x, self._train_w[j], out=z)
             z += self._train_b[j][:, None, :]
             self._train_x[j] = x
-            x, self._train_cache[j] = layer.activation.forward_train(z)
+            x = layer.activation.forward_train(z, scratch)
         return x
 
     def train_backward(self, grad_out: np.ndarray) -> None:
         """Stacked backprop accumulating into :attr:`flat_gradients`.
 
-        Requires a preceding :meth:`train_forward`.  Gradients are
-        zeroed then *accumulated* (``+=``), matching the serial
-        ``zero_grad`` + ``Dense.backward`` pair statement for statement.
-        The input gradient of the first layer is never needed, so it is
-        not computed.
+        Requires a preceding :meth:`train_forward`, whose cached
+        pre-activations it consumes.  Gradients are zeroed then added
+        to — per lane the products ``Dense.backward`` writes.  The input
+        gradient of the first layer is never needed, so it is not
+        computed.
         """
         layers = self.networks[0].layers
-        zs = self._train_z_active
-        if zs is None:
+        buffers = self._train_z_active
+        if buffers is None:
             raise RuntimeError("train_backward() before train_forward()")
         self._train_grads.fill(0.0)
         grad = grad_out
         for j in range(len(layers) - 1, -1, -1):
-            layer = layers[j]
-            grad_z = layer.activation.backward_cached(
-                zs[j], grad, self._train_cache[j]
-            )
+            z, scratch = buffers[j]
+            grad_z = layers[j].activation.backward_train(z, grad, scratch)
             self._train_gw[j] += np.matmul(
                 self._train_x[j].transpose(0, 2, 1), grad_z
             )
@@ -540,9 +629,8 @@ class LaneStackTraining:
     gradient math; the event scaffolding — syncing stacked weights in
     and out of the member networks, the per-lane target precompute, the
     reusable gradient scratch — is identical and lives here.
-    Subclasses provide ``self.stack`` (a :class:`NetworkLaneStack`),
-    ``self.networks`` (the member head networks), and
-    ``self._grad_scratch`` (a dict).
+    Subclasses provide ``self.stack`` (a :class:`NetworkLaneStack`) and
+    ``self.networks`` (the member head networks).
     """
 
     def begin_training_event(self) -> None:
@@ -578,14 +666,10 @@ class LaneStackTraining:
             )
         ]
 
-    def _zeroed_grad_scratch(self, like: np.ndarray) -> np.ndarray:
-        """A reused, zero-filled gradient buffer shaped like ``like``
-        (keyed by batch size — training uses one in practice)."""
-        batch = like.shape[1]
-        grad = self._grad_scratch.get(batch)
-        if grad is None:
-            grad = np.empty_like(like)
-            self._grad_scratch[batch] = grad
+    @staticmethod
+    def _zeroed_grad_scratch(like: np.ndarray) -> np.ndarray:
+        """A zero-filled workspace buffer shaped like ``like``."""
+        grad = workspace().array("lanestack.grad", like.shape)
         grad.fill(0.0)
         return grad
 

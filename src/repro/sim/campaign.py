@@ -355,21 +355,26 @@ def run_oracle_best(
 
     The Oracle has complete future knowledge, which includes choosing
     how aggressively to admit into fast storage; searching a small
-    horizon grid realises that.
+    horizon grid realises that.  The horizons replay one trace, so they
+    share one future-use index.
     """
-    from ..baselines import OraclePolicy
+    from ..baselines.oracle import FutureUseIndex, OraclePolicy
     from .lanes import LaneSpec, run_lanes
 
+    policies = [OraclePolicy(horizon_scale=h) for h in ORACLE_HORIZONS]
+    index = FutureUseIndex()
+    for policy in policies:
+        policy.index = index
     results = run_lanes(
         [
             LaneSpec(
-                policy=OraclePolicy(horizon_scale=horizon),
+                policy=policy,
                 trace=trace,
                 config=config,
                 capacity_fractions=capacity_fractions,
                 warmup_fraction=warmup_fraction,
             )
-            for horizon in ORACLE_HORIZONS
+            for policy in policies
         ]
     )
     # min() keeps the first of equals, as the serial search did.

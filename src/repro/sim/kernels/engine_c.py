@@ -9,10 +9,11 @@ whenever serial semantics need Python:
   ``inference_net.best_action`` on the mailed observation and re-enters
   (the kernel commits the memo entry and resumes mid-tick);
 * **training gate** — ``seen % train_interval == 0`` with a full enough
-  buffer; the caller mirrors the replay/memo state onto the live Python
-  objects, drives the agent's own ``train_begin``/``train_commit``
-  (identical serial code), writes the refreshed action memo back, and
-  re-enters.
+  buffer; the caller hands the replay buffer the kernel's FIFO as its
+  sampling order (the storage arrays are the buffer's own), drives the
+  agent's own ``train_begin``/``train_commit`` (identical serial code),
+  re-evaluates the kernel's action memo in place against the new
+  weights, and re-enters.
 
 Everything the serial path would have mutated — RNG state, replay
 contents and caches, action memo, page table, tracker, device state and
@@ -609,33 +610,33 @@ class _KernelRun(_HSSState):
         policy._action_cache = memo
         policy._cache_obs = cache_obs
 
-    def _import_memo_actions(self) -> None:
-        """Write the post-training action memo back into the kernel."""
-        policy = self.policy
-        n = int(self.ci[CI_MEMO_N])
-        cache = policy._action_cache
-        if len(cache) == n and n > 0:
-            self.arrays[P_MEMO_ACT][:n] = np.fromiter(
-                cache.values(), dtype=np.int32, count=n
-            )
-        elif not cache:
-            # _refresh_action_cache cleared an oversized memo.
-            self.ci[CI_MEMO_N] = 0
-            self.arrays[P_MEMO_HASH].fill(-1)
-
     def handle_inference(self) -> None:
         obs = self.arrays[P_OBS_MAIL]
         self.ci[CI_ACTION] = int(self.policy.inference_net.best_action(obs))
 
     def handle_train_gate(self) -> None:
-        policy = self.policy
+        """One training event on the live agent.  Its replay dedup map
+        and action-memo dicts stay empty for the whole run (they are
+        mirrored once, in :meth:`export`): the event samples through
+        the installed order, and its own memo refresh finds nothing to
+        do — the kernel's memo is refreshed here, by the agent's rule.
+        """
+        policy, ci = self.policy, self.ci
         _rng_words_to_state(policy.rng, self.arrays[P_RNG])
-        self._rebuild_entries()
-        self._export_memo()
-        self.gate_total = int(self.ci[CI_RB_TOTAL])
+        policy.buffer.set_sampling_order(
+            self.arrays[P_RB_ORDER][: int(ci[CI_ORDER_N])].copy()
+        )
+        self.gate_total = int(ci[CI_RB_TOTAL])
         policy.train_begin()
         policy.train_commit()
-        self._import_memo_actions()
+        n = int(ci[CI_MEMO_N])
+        if n > policy._ACTION_CACHE_LIMIT:
+            ci[CI_MEMO_N] = 0
+            self.arrays[P_MEMO_HASH].fill(-1)
+        elif n:
+            self.arrays[P_MEMO_ACT][:n] = policy.inference_net.best_actions(
+                self.arrays[P_MEMO_OBS][:n]
+            )
         self.arrays[P_RNG][:] = _rng_state_to_words(policy.rng)
 
     # -------------------------------------------------------- export

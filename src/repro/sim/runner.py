@@ -19,7 +19,8 @@ systems and reports the ratios.  The Fast-Only reference for a given
 share a reference cell (e.g. every point of a capacity sweep) simulate
 it once instead of once per point; synthetic catalog traces are memoised
 the same way (:func:`synthetic_trace`), so the cells of a sweep that
-share a (workload, n_requests, seed) axis generate the trace once.
+share a (workload, n_requests, seed) axis generate the trace once — and
+the lanes replaying one count its working set once.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def build_hss(
                 f"need {len(devices) - 1} capacity fractions for {config!r}, "
                 f"got {len(capacity_fractions)}"
             )
-        wss = working_set_pages(trace)
+        wss = _working_set(trace)
         capacities = [
             max(1, int(frac * wss)) for frac in capacity_fractions
         ]
@@ -290,6 +291,27 @@ def run_policy(
 _REFERENCE_CACHE: "OrderedDict[tuple, RunResult]" = OrderedDict()
 _REFERENCE_CACHE_LIMIT = 8
 
+#: Per-process memo of working-set sizes, ``id(trace) -> (trace, pages)``
+#: for tuple traces only: every lane of a (workload, seed) sizes its HSS
+#: from the one immutable tuple :func:`synthetic_trace` hands out.  The
+#: entry holds the tuple, so its id cannot be reused while it is cached.
+_WORKING_SET_CACHE: "OrderedDict[int, Tuple[tuple, int]]" = OrderedDict()
+
+
+def _working_set(trace) -> int:
+    """:func:`working_set_pages`, counted once per shared tuple."""
+    if type(trace) is not tuple:
+        return working_set_pages(trace)
+    hit = _WORKING_SET_CACHE.get(id(trace))
+    if hit is not None and hit[0] is trace:
+        _WORKING_SET_CACHE.move_to_end(id(trace))
+        return hit[1]
+    pages = working_set_pages(trace)
+    _WORKING_SET_CACHE[id(trace)] = (trace, pages)
+    while len(_WORKING_SET_CACHE) > _REFERENCE_CACHE_LIMIT:
+        _WORKING_SET_CACHE.popitem(last=False)
+    return pages
+
 
 @lru_cache(maxsize=8)
 def synthetic_trace(
@@ -368,9 +390,11 @@ def run_reference(
 
 
 def clear_reference_cache() -> None:
-    """Drop the per-process memos — reference runs and synthetic traces —
-    so the next cell starts as cold as in a new process (mainly for tests)."""
+    """Drop the per-process memos — reference runs, synthetic traces and
+    their working-set sizes — so the next cell starts as cold as in a new
+    process (mainly for tests)."""
     _REFERENCE_CACHE.clear()
+    _WORKING_SET_CACHE.clear()
     synthetic_trace.cache_clear()
 
 
