@@ -5,8 +5,9 @@ Spawns an in-process :class:`repro.serve.daemon.PlacementDaemon` on an
 ephemeral port and walks the wire protocol end-to-end:
 
 1. two tenants open lanes with different seeds and stream placements
-   concurrently — their inference fuses through one stacked forward
-   while training runs off the request path;
+   concurrently — their inference fuses through one stacked forward,
+   and each tenant's training events run inline on the daemon's one
+   loop thread;
 2. one tenant checkpoints and hot-reloads mid-stream (and survives a
    deliberately bad reload untouched);
 3. the engine counters show the fusion and training that happened.

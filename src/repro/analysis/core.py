@@ -19,10 +19,9 @@ Suppressions are line-scoped: a finding on line *N* is dropped when
 line *N* carries ``# sibyl: ignore[RULE-ID]`` (several IDs may be
 comma-separated; a bare ``# sibyl: ignore`` silences every rule on the
 line).  Reviewed suppressions are the escape hatch for intentional
-contract splits — e.g. ``SibylAgent.feedback`` owes its
-``train_commit`` to the serve engine's trainer threads under
-``external_training`` — and each one should carry a justification
-comment next to it.
+contract splits — a ``begin`` whose ``commit`` is owed to another
+function by design — and each one should carry a justification comment
+next to it.
 """
 
 from __future__ import annotations

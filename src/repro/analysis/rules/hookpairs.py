@@ -2,11 +2,12 @@
 
 :class:`repro.core.agent.SibylAgent` splits its two heavy operations
 into externally drivable halves — ``place_begin``/``place_commit`` for
-inference and ``train_begin``/``train_commit`` for training — so the
-placement daemon can batch the middle across tenant lanes.  The
+inference and ``train_begin``/``train_commit`` for training — so a
+driver (the placement daemon's fused inference round) can batch the
+middle across tenant lanes.  The
 contract is strict: a ``begin`` leaves the agent with a pending job,
 and every non-raising control path must discharge it with the matching
-``commit`` (or, for training, ``train_abort`` on an unwind path) before
+``commit`` (or, for inference, ``place_abort`` on an unwind path) before
 the caller returns.  An unbalanced pair is exactly the bug class behind the PR 3
 lane-resync incident: the agent silently carries stale pending state
 into the next event and every later result is wrong.
@@ -25,10 +26,9 @@ matching discharge call on all non-raising paths:
 * loop bodies may run zero times, so they never guarantee by
   themselves.
 
-A call site that splits the pair across functions *by design* (the
-agent's external-training handoff) carries a reviewed
-``# sibyl: ignore[SBL-HOOK]`` suppression with a justification — the
-rule keeps everyone else honest.
+A call site that splits the pair across functions *by design* would
+carry a reviewed ``# sibyl: ignore[SBL-HOOK]`` suppression with a
+justification; the shipped tree has none.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = ["HookPairRule", "DEFAULT_PAIRS"]
 #: The audited hook pairs: begin name -> names that discharge it.
 DEFAULT_PAIRS: Dict[str, Tuple[str, ...]] = {
     "place_begin": ("place_commit", "place_abort"),
-    "train_begin": ("train_commit", "train_abort"),
+    "train_begin": ("train_commit",),
 }
 
 # Three-valued outcome of executing a statement sequence:

@@ -143,22 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
              f"({_knob_default('SIBYL_SERVE_PORT')})",
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
-        help=f"async trainer threads ({_knob_default('SIBYL_SERVE_WORKERS')})",
-    )
-    serve.add_argument(
-        "--batch", type=int, default=None,
-        help="max placements fused per round "
-             f"({_knob_default('SIBYL_SERVE_BATCH')})",
-    )
-    serve.add_argument(
         "--train", default=None,
         choices=knobs.ROWS["SIBYL_SERVE_TRAIN"].choices,
         help=f"training mode ({_knob_default('SIBYL_SERVE_TRAIN')})",
     )
     serve.add_argument(
         "--trace", metavar="PATH",
-        help="write request/round/trainer spans as Chrome-trace-event "
+        help="write request/round/training spans as Chrome-trace-event "
              "JSON (Perfetto-loadable; default: SIBYL_TRACE_PATH)",
     )
 
@@ -371,8 +362,7 @@ def _cmd_serve(args) -> int:
     from .serve.daemon import PlacementDaemon
 
     daemon = PlacementDaemon(
-        host=args.host, port=args.port, workers=args.workers,
-        batch=args.batch, train_mode=args.train,
+        host=args.host, port=args.port, train_mode=args.train,
     )
     if threading.current_thread() is threading.main_thread():
         # SIGTERM is what a supervisor sends: tear down as on Ctrl-C.

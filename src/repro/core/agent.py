@@ -16,7 +16,10 @@ Sibyl is an online RL agent wrapped in the common
 The two-network split mirrors the paper's design: the inference network
 is only ever *read* on the decision path and only ever *written* by the
 periodic weight copy, so (in the real system) training never blocks
-placement decisions.
+placement decisions.  Here the event runs inline in ``feedback()``, in
+the simulator and the placement daemon alike: under CPython's GIL a
+second thread measured slower than the loop it was meant to spare
+(``docs/serve.md``, "Training runs on the loop").
 """
 
 from __future__ import annotations
@@ -97,13 +100,7 @@ class SibylAgent(PlacementPolicy):
         self.train_events = 0
         self.losses: list = []
         self.action_counts: Optional[np.ndarray] = None
-        # External-training hook state (the placement daemon).
-        # ``external_training`` defers the heavy half of a training
-        # event to an outside driver: feedback() then only runs
-        # train_begin() (the per-lane RNG draws) and the driver batches
-        # the network work across lanes before calling train_commit().
-        self.external_training = False
-        self._train_job: Optional[tuple] = None
+        self._train_job: Optional[tuple] = None  # train_begin → train_commit
         # Monotonic count of inference-weight rewrites (weight copies,
         # attach, checkpoint restores).  The daemon watches this to
         # know when a lane's slice of the stacked inference weights is
@@ -221,12 +218,12 @@ class SibylAgent(PlacementPolicy):
     def place_abort(self) -> None:
         """Drop an in-flight decision without committing it.
 
-        The inference mirror of :meth:`train_abort`: an external driver
-        (the placement daemon's engine) unwinding after a mid-round
-        error clears the pending decision so the agent is immediately
-        reusable.  The aborted request is simply never placed — its
-        transition was already recorded by ``place_begin`` as the
-        *next-state* of the previous decision, which stays valid.
+        An external driver (the placement daemon's engine) unwinding
+        after a mid-round error clears the pending decision so the
+        agent is immediately reusable.  The aborted request is simply
+        never placed — its transition was already recorded by
+        ``place_begin`` as the *next-state* of the previous decision,
+        which stays valid.
         """
         self._inflight = None
 
@@ -276,18 +273,9 @@ class SibylAgent(PlacementPolicy):
             self._requests_seen % hp.train_interval == 0
             and len(self.buffer) >= hp.batch_size
         ):
-            # With ``external_training`` the commit is deliberately
-            # owed to the serve engine (fused_train_event commits the
-            # whole lane group in one stacked backward).  Reviewed
-            # 2026-08: its trainer threads always discharge it.
-            self.train_begin()  # sibyl: ignore[SBL-HOOK]
-            if not self.external_training:
-                self.train_commit()
-
-    def _train(self) -> None:
-        """The RL training thread: batch updates + weight copy (§6.2.2)."""
-        self.train_begin()
-        self.train_commit()
+            # The RL training thread (§6.2.2): batch updates + weight copy.
+            self.train_begin()
+            self.train_commit()
 
     def train_begin(self) -> tuple:
         """First half of a training event: the per-lane random draws.
@@ -299,9 +287,9 @@ class SibylAgent(PlacementPolicy):
         consume) and collapses them to their unique slots, leaving the
         heavy half — Bellman targets, the forward/backward passes,
         weight copy — owed to :meth:`train_commit`.  An external driver
-        (the serve engine, through ``fused_train_event``) batches that
-        half across lanes; the returned job is ``(slot_batches,
-        unique_slots, inverse)``, ``slot_batches`` one row per batch.
+        (``fused_train_event``) can batch that half across lanes; the
+        returned job is ``(slot_batches, unique_slots, inverse)``,
+        ``slot_batches`` one row per batch.
         """
         if self._train_job is not None:
             raise RuntimeError(
@@ -318,21 +306,6 @@ class SibylAgent(PlacementPolicy):
             inverse,
         )
         return self._train_job
-
-    @property
-    def train_pending(self) -> bool:
-        """True between :meth:`train_begin` and :meth:`train_commit`."""
-        return self._train_job is not None
-
-    def train_abort(self) -> None:
-        """Drop a pending training event without committing it.
-
-        For an external driver unwinding after an error while this
-        lane's event was queued: the sampled batches are discarded and
-        the agent is immediately reusable — its next event simply
-        resamples from the live RNG stream.
-        """
-        self._train_job = None
 
     @property
     def train_job(self) -> Optional[tuple]:
@@ -413,7 +386,6 @@ class SibylAgent(PlacementPolicy):
         self._requests_seen = 0
         self.train_events = 0
         self.losses = []
-        self.external_training = False
         self._train_job = None
         self._action_cache.clear()
         self._cache_obs.clear()

@@ -6,7 +6,7 @@ that).  :data:`TABLE` defines each knob once — kind, default, accepted
 tokens, clamp — and :func:`get` reads one by its literal name, at call
 time, so ``grep SIBYL_X`` finds the definition and every reader::
 
-    workers = knobs.get("SIBYL_SERVE_WORKERS")
+    seeds = knobs.get("SIBYL_BENCH_SEEDS")
 
 All knobs share one parsing contract, so a misconfiguration raises the
 same way everywhere instead of silently selecting a default: blank or
@@ -61,9 +61,7 @@ TABLE: Tuple[Knob, ...] = (
     Knob("SIBYL_BENCH_WORKLOADS", "choice", "all", ("all", "quick")),
     Knob("SIBYL_BENCH_SEEDS", "count", 1, minimum=1),
     Knob("SIBYL_SERVE_PORT", "count", 0),
-    Knob("SIBYL_SERVE_WORKERS", "count", 1, minimum=1),
-    Knob("SIBYL_SERVE_BATCH", "count", 64, minimum=1),
-    Knob("SIBYL_SERVE_TRAIN", "choice", "async", ("async", "sync", "off")),
+    Knob("SIBYL_SERVE_TRAIN", "choice", "sync", ("sync", "off")),
     Knob("SIBYL_OBS", "choice", "off", ("off", "on")),
     Knob("SIBYL_TRACE_PATH", "path"),
     Knob("SIBYL_STORE", "path"),

@@ -72,8 +72,9 @@ _THREAD = threading.local()
 
 
 def workspace() -> Workspace:
-    """The calling thread's :class:`Workspace` (a trainer thread of the
-    placement daemon gets its own, so concurrent events share nothing)."""
+    """The calling thread's :class:`Workspace` (the placement daemon's
+    loop thread gets its own, so an event there shares nothing with a
+    learner on the caller's thread)."""
     try:
         return _THREAD.workspace
     except AttributeError:

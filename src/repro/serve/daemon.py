@@ -249,9 +249,9 @@ class _Connection:
     def time_out(self) -> None:
         """The frame in flight passed its deadline: say so, move on.
 
-        The job stays where the engine has it (behind a held lane, or a
-        barrier) and is served when that clears — only its reply is
-        dropped; this connection's later frames queue behind it.
+        The job stays where the engine has it and is served when
+        whatever kept it clears — only its reply is dropped; this
+        connection's later frames queue behind it.
         """
         job, daemon = self.job, self.daemon
         logger.warning("%s: %s timed out", self.peer, job.query.op)
@@ -277,8 +277,8 @@ class _Connection:
 class PlacementDaemon:
     """The long-lived placement service: engine + socket front-end.
 
-    ``port``, ``workers``, ``batch`` and ``train_mode`` default to the
-    ``SIBYL_SERVE_*`` environment knobs (:data:`repro.knobs.TABLE`);
+    ``port`` and ``train_mode`` default to the ``SIBYL_SERVE_*``
+    environment knobs (:data:`repro.knobs.TABLE`);
     ``port=0`` binds an ephemeral port, reported by :attr:`address`.
     Usable as a context manager::
 
@@ -300,15 +300,11 @@ class PlacementDaemon:
         host: str = "127.0.0.1",
         port: Optional[int] = None,
         backlog: int = 128,
-        workers: Optional[int] = None,
-        batch: Optional[int] = None,
         train_mode: Optional[str] = None,
         request_timeout_s: float = 30.0,
     ) -> None:
         port = knobs.get("SIBYL_SERVE_PORT", port)
-        self.engine = PlacementEngine(
-            batch=batch, workers=workers, train_mode=train_mode
-        )
+        self.engine = PlacementEngine(train_mode=train_mode)
         self.engine.frontend = self
         self.request_timeout_s = request_timeout_s
         self._listener = socket.create_server((host, port), backlog=backlog)

@@ -17,21 +17,21 @@ advances the lanes in rounds:
 
 A frame read off a socket is decoded, dispatched, served and answered
 on that thread (:meth:`Job.resolve` hands the reply to the connection
-through ``Job.on_done``); every other thread — trainers, in-process
-callers — goes through :meth:`PlacementEngine.submit`, which queues for
-the loop and wakes it through the socketpair, so an idle engine sleeps.
-Training runs *off the request path*: a
-tenant whose feedback left a training event pending
-(``external_training``) is **held** — not served — while trainer
-threads commit the event (fused across tenants whose events coincide,
-via :func:`repro.sim.lanes.fused_train_event`); the hold is what keeps
-each tenant's operation order, and therefore its placements, losses,
-and weights, bit-identical to a serial offline
-:class:`~repro.core.agent.SibylAgent` replay of the same queries.
+through ``Job.on_done``); an in-process caller on another thread goes
+through :meth:`PlacementEngine.submit`, which queues for the loop and
+wakes it through the socketpair, so an idle engine sleeps.
+
+Training runs **on the loop**: :meth:`~repro.serve.lane.TenantLane.complete`
+calls ``agent.feedback()``, which runs its own training event inline as
+:meth:`repro.sim.runner.PolicyRun.step` does, so a served placement is
+the serial statements of an offline :class:`~repro.core.agent.SibylAgent`
+replay, bit-identical by construction; the engine only observes the
+event.  The price is the tail — a 7 ms event delays every query queued
+behind it (``docs/serve.md``, "Training runs on the loop").
 
 The fused-inference groups (:class:`_LaneGroup`) are built over the
 tenant agents, one stacked forward per architecture:
-``weights_version`` re-syncs a stack slice after each training commit.
+``weights_version`` re-syncs a stack slice after each training event.
 Checkpoint hot-reload swaps in a *fresh* agent (old one untouched until
 the load succeeds) and rebuilds the groups — in-flight and queued
 requests are never dropped, they simply commit against whichever
@@ -53,11 +53,10 @@ import numpy as np
 
 from .. import knobs
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import span
+from ..obs.tracer import get_tracer, span
 from ..rl.c51 import C51LaneStack, C51Network
 from ..rl.dqn import DQNLaneStack
-from ..rl.optim import fusion_signature
-from ..sim.lanes import fused_train_event, group_signature
+from ..sim.lanes import group_signature
 from .lane import TenantLane, open_lane
 from .protocol import (
     ERR_BAD_REQUEST,
@@ -147,26 +146,18 @@ class PlacementEngine:
     """Single-threaded lane owner and I/O loop behind a thread-safe inbox.
 
     ``submit`` (any thread) enqueues a validated query, wakes the loop
-    and returns the :class:`Job` to wait on; everything else happens on
-    the engine thread, with training events committed on ``workers``
-    trainer threads while the affected lanes are held.  A socket
-    front-end shares the loop by registering its sockets with
+    and returns the :class:`Job` to wait on; everything else — serving,
+    training events, control ops — happens on the engine thread.  A
+    socket front-end shares the loop by registering its sockets with
     :attr:`selector` (``data`` is called with the ready mask) and
-    setting :attr:`frontend`.  Constructor arguments default to the
-    ``SIBYL_SERVE_*`` environment knobs and are held to the same rows
-    of :data:`repro.knobs.TABLE` (a negative count or an unknown mode
-    raises ``ValueError`` by either route).
+    setting :attr:`frontend`.  ``train_mode`` defaults to the
+    ``SIBYL_SERVE_TRAIN`` environment knob and is held to the same row
+    of :data:`repro.knobs.TABLE` (an unknown mode raises ``ValueError``
+    by either route).
     """
 
-    def __init__(
-        self,
-        batch: Optional[int] = None,
-        workers: Optional[int] = None,
-        train_mode: Optional[str] = None,
-    ) -> None:
-        self.batch = knobs.get("SIBYL_SERVE_BATCH", batch)
+    def __init__(self, train_mode: Optional[str] = None) -> None:
         self.train_mode = knobs.get("SIBYL_SERVE_TRAIN", train_mode)
-        n_workers = knobs.get("SIBYL_SERVE_WORKERS", workers)
         self.lanes: Dict[str, TenantLane] = {}
         self.counters: Dict[str, int] = {
             "served": 0,
@@ -176,12 +167,11 @@ class PlacementEngine:
             "fused_rows": 0,
             "max_fused_rows": 0,
             "train_events": 0,
-            "fused_train_events": 0,
             "reloads": 0,
         }
         self.shutting_down = False
         #: Wall-clock instruments behind the ``metrics`` protocol op:
-        #: request-phase histograms and trainer occupancy.  Always on —
+        #: request-phase histograms and training occupancy.  Always on —
         #: the serve layer is outside the determinism scope, and the
         #: introspection surface must not depend on ``SIBYL_OBS``.
         self.metrics = MetricsRegistry(enabled=True)
@@ -195,7 +185,6 @@ class PlacementEngine:
         self._selector: Optional[selectors.BaseSelector] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
-        self._train_queue: "queue.Queue" = queue.Queue()
         self._drains: List[Job] = []
         self._lane_group: Dict[str, Tuple[_LaneGroup, int]] = {}
         self._groups_stale = True
@@ -203,12 +192,6 @@ class PlacementEngine:
         self._thread = threading.Thread(
             target=self._run, name="serve-engine", daemon=True
         )
-        self._workers = [
-            threading.Thread(
-                target=self._trainer, name=f"serve-trainer-{i}", daemon=True
-            )
-            for i in range(n_workers)
-        ]
 
     # ------------------------------------------------------------ lifecycle
     @property
@@ -228,13 +211,11 @@ class PlacementEngine:
         return self._selector
 
     def start(self) -> None:
-        """Start the engine and trainer threads."""
+        """Start the engine thread."""
         self._thread.start()
-        for worker in self._workers:
-            worker.start()
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop all threads; pending jobs resolve ``shutting-down``.
+        """Stop the loop; pending jobs resolve ``shutting-down``.
 
         Callable from any thread, the loop's own included (which it
         does not join).
@@ -242,13 +223,10 @@ class PlacementEngine:
         self.shutting_down = True
         self._stop.set()
         self._post("wake", None)
-        for _ in self._workers:
-            self._train_queue.put(None)
-        me = threading.current_thread()
-        for thread in (self._thread, *self._workers):
-            if thread is not me and thread.is_alive():
-                thread.join(timeout)
-        if not self._thread.is_alive():  # never ran, or gone: nobody selects
+        thread = self._thread
+        if thread is not threading.current_thread() and thread.is_alive():
+            thread.join(timeout)
+        if not thread.is_alive():  # never ran, or gone: nobody selects
             self._close_selector()
 
     def submit(self, query: Query) -> Job:
@@ -315,9 +293,7 @@ class PlacementEngine:
         self._release_barriers()
 
     def _dispatch(self, kind: str, payload) -> None:
-        if kind == "trained":
-            self._on_trained(payload)
-        elif kind == "job":
+        if kind == "job":
             job = payload
             if job.query.op == "place":
                 self._enqueue_place(job)
@@ -343,14 +319,13 @@ class PlacementEngine:
 
     # -------------------------------------------------------------- serving
     def _serve_ready(self) -> None:
-        """Serve rounds until no unheld lane has a queued query."""
+        """Serve rounds until no lane has a queued query; a round takes
+        one from every lane that has one."""
         while True:
-            jobs: List[Job] = []
-            for lane in self.lanes.values():
-                if lane.queue and not lane.held:
-                    jobs.append(lane.queue.popleft())
-                    if len(jobs) >= self.batch:
-                        break
+            jobs = [
+                lane.queue.popleft()
+                for lane in self.lanes.values() if lane.queue
+            ]
             if not jobs:
                 return
             self._serve_round(jobs)
@@ -427,7 +402,6 @@ class PlacementEngine:
                 for pending_job, row in group.pending:
                     actions[id(pending_job)] = int(greedy[row])
                 group.pending.clear()
-        to_train: List[TenantLane] = []
         queue_hist = self.metrics.histogram("serve_queue_ms")
         service_hist = self.metrics.histogram("serve_service_ms")
         now = time.perf_counter()
@@ -435,12 +409,17 @@ class PlacementEngine:
             if job.done.is_set():  # failed in place_begin
                 continue
             lane = self.lanes[job.query.tenant]
+            agent = lane.agent
+            events = agent.train_events
             try:
-                action = lane.agent.place_commit(actions.get(id(job)))
+                action = agent.place_commit(actions.get(id(job)))
+                completing = time.perf_counter()
                 seq, result = lane.complete(job.query.fields["request"], action)
             except Exception as exc:
                 self._fail_lane(job, lane, exc)
                 continue
+            if agent.train_events != events:
+                self._observe_training(lane, completing)
             self.counters["served"] += 1
             queue_ms = (job.t_begin - job.t_submit) * 1e3
             service_ms = (now - job.t_begin) * 1e3
@@ -459,12 +438,6 @@ class PlacementEngine:
                     "service_ms": round(service_ms, 4),
                 },
             }, id=job.query.id))
-            if lane.agent.train_pending:
-                lane.held = True
-                lane.hold_started = now
-                to_train.append(lane)
-        if to_train:
-            self._dispatch_training(to_train)
 
     def _fail_lane(self, job: Job, lane: TenantLane, exc: Exception) -> None:
         """One lane's placement raised: fail its job, spare the round.
@@ -492,74 +465,17 @@ class PlacementEngine:
                 self._fail(job, ERR_INTERNAL, "placement round failed")
 
     # ------------------------------------------------------------- training
-    def _dispatch_training(self, lanes: List[TenantLane]) -> None:
-        """Hand pending training events to the trainer threads.
-
-        Lanes whose events coincide *and* share a fusable signature are
-        committed as one stacked event (:func:`fused_train_event`);
-        each lane stays held until its commit lands.
-        """
-        buckets: Dict[tuple, List[str]] = {}
-        for lane in lanes:
-            agent = lane.agent
-            signature = fusion_signature(agent.training_net.optimizer)
-            if signature is None:
-                key = ("solo", lane.name)
-            else:
-                hp = agent.hyperparams
-                key = (
-                    group_signature(agent),
-                    hp.batch_size,
-                    hp.batches_per_training,
-                    signature,
-                )
-            buckets.setdefault(key, []).append(lane.name)
-        for names in buckets.values():
-            self._train_queue.put(tuple(names))
-
-    def _trainer(self) -> None:
-        busy = self.metrics.counter("trainer_busy_s")
-        while True:
-            names = self._train_queue.get()
-            if names is None:
-                return
-            agents = [self.lanes[name].agent for name in names]
-            t0 = time.perf_counter()
-            try:
-                with span("serve.train", cat="serve", lanes=len(names)):
-                    if len(agents) == 1:
-                        agents[0].train_commit()
-                    else:
-                        fused_train_event(agents)
-            except Exception as exc:
-                logger.warning(
-                    "training event failed for %s: %s", names, exc,
-                    exc_info=True,
-                )
-                for agent in agents:
-                    if agent.train_pending:
-                        agent.train_abort()
-            busy.add(time.perf_counter() - t0)
-            self._post("trained", names)
-
-    def _on_trained(self, names) -> None:
-        self.counters["train_events"] += len(names)
-        if len(names) > 1:
-            self.counters["fused_train_events"] += 1
-        # Held-lane accounting happens here and only here: one
-        # ``serve_hold_ms`` observation per trained lane per event, so
-        # the histogram count always equals the train_events counter.
-        hold_hist = self.metrics.histogram("serve_hold_ms")
-        now = time.perf_counter()
-        for name in names:
-            lane = self.lanes.get(name)
-            if lane is None:
-                continue
-            hold_hist.observe((now - lane.hold_started) * 1e3)
-            lane.held = False
-            deferred, lane.deferred = lane.deferred, []
-            for job in deferred:
-                self._control(job)
+    def _observe_training(self, lane: TenantLane, started: float) -> None:
+        """``lane.complete()`` ran a training event: record what the
+        ``metrics`` op reports of it — one count, how long it held the
+        loop, a ``serve.train`` span."""
+        held_s = time.perf_counter() - started
+        self.counters["train_events"] += 1
+        self.metrics.histogram("serve_hold_ms").observe(held_s * 1e3)
+        self.metrics.counter("trainer_busy_s").add(held_s)
+        tracer = get_tracer()
+        if tracer is not None:
+            tracer.record("serve.train", "serve", started, tenant=lane.name)
 
     # ------------------------------------------------------------- controls
     def _control(self, job: Job) -> None:
@@ -619,11 +535,6 @@ class PlacementEngine:
                 job, ERR_UNKNOWN_TENANT, f"no such tenant: {job.query.tenant!r}"
             )
             return
-        if lane.held:
-            # A trainer thread owns the agent right now; run the op the
-            # moment the lane is released (still on the engine thread).
-            lane.deferred.append(job)
-            return
         path = job.query.fields["checkpoint"]
         if job.query.op == "save":
             try:
@@ -653,7 +564,6 @@ class PlacementEngine:
             )
             self._fail(job, ERR_RELOAD_FAILED, str(exc))
             return
-        fresh.external_training = lane.train_mode == "async"
         lane.agent = fresh
         self._groups_stale = True
         self.counters["reloads"] += 1
@@ -678,29 +588,24 @@ class PlacementEngine:
         """The ``metrics`` op: live counters + wall-clock breakdown.
 
         Supersets ``stats`` with the introspection surface: queue
-        depth, held lanes, request-phase histograms (queue wait,
-        service, training hold), and trainer occupancy — the fraction
-        of the workers' wall time spent inside training commits.
+        depth, request-phase histograms (queue wait, service, training
+        hold), and trainer occupancy — the fraction of the loop's wall
+        time spent inside training events.
         """
         uptime_s = time.perf_counter() - self._t_start
         busy_s = float(self.metrics.counter("trainer_busy_s").value)
-        workers = len(self._workers)
         snapshot = self.metrics.snapshot()
         job.resolve(ok_frame({
             "op": "metrics",
             "train_mode": self.train_mode,
             "uptime_s": round(uptime_s, 6),
-            "workers": workers,
             "counters": dict(self.counters),
             "queue_depth": sum(
                 len(lane.queue) for lane in self.lanes.values()
             ),
-            "held_lanes": sum(
-                1 for lane in self.lanes.values() if lane.held
-            ),
             "trainer_busy_s": round(busy_s, 6),
             "trainer_occupancy": round(
-                busy_s / (uptime_s * workers), 6
+                busy_s / uptime_s, 6
             ) if uptime_s > 0 else 0.0,
             "timings": snapshot["histograms"],
             "tenants": {
@@ -710,10 +615,10 @@ class PlacementEngine:
 
     # ------------------------------------------------------------- barriers
     def _release_barriers(self) -> None:
-        """Resolve drain/shutdown once every lane is idle and unheld."""
+        """Resolve drain/shutdown once every lane is idle."""
         if not self._drains:
             return
-        if any(lane.queue or lane.held for lane in self.lanes.values()):
+        if any(lane.queue for lane in self.lanes.values()):
             return
         drains, self._drains = self._drains, []
         shutdown = False
@@ -723,8 +628,6 @@ class PlacementEngine:
             job.resolve(ok_frame({"op": job.query.op}, id=job.query.id))
         if shutdown:
             self._stop.set()
-            for _ in self._workers:
-                self._train_queue.put(None)
 
     def _flush_pending(self) -> None:
         """Fail whatever is still queued when the engine stops."""
@@ -732,8 +635,6 @@ class PlacementEngine:
         for lane in self.lanes.values():
             leftovers.extend(lane.queue)
             lane.queue.clear()
-            leftovers.extend(lane.deferred)
-            lane.deferred.clear()
         leftovers.extend(self._drains)
         self._drains = []
         while True:

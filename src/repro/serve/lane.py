@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Optional, Sequence, Tuple
 
 from ..core.agent import SibylAgent
 from ..core.hyperparams import SIBYL_DEFAULT
@@ -32,11 +32,9 @@ NEVER_TRAIN_INTERVAL = 2 ** 62
 class TenantLane:
     """One tenant's live serving state inside the placement engine.
 
-    Owned and mutated exclusively by the engine thread, except that the
-    trainer thread runs the agent's ``train_commit`` while the lane is
-    *held* — and a held lane is never served, reloaded, saved, or
-    closed until the engine receives the trainer's release message, so
-    the agent is still touched by one thread at a time.
+    Owned and mutated exclusively by the engine thread: serving, the
+    agent's training events (inline in :meth:`complete`), checkpoint
+    ops and reload all run there, one after another.
     """
 
     def __init__(
@@ -62,14 +60,6 @@ class TenantLane:
         self.seq = 0
         #: Placement jobs waiting for an engine round.
         self.queue: Deque = deque()
-        #: True while a training event is in flight on a trainer thread.
-        self.held = False
-        #: ``time.perf_counter()`` stamp of the moment the lane was
-        #: held for training; the engine turns it into one
-        #: ``serve_hold_ms`` observation at release.
-        self.hold_started = 0.0
-        #: Control jobs (save/reload/close) deferred until release.
-        self.deferred: List = []
 
     # ------------------------------------------------------------ serving
     def complete(self, request: Request, action: int) -> Tuple[int, ServeResult]:
@@ -78,8 +68,9 @@ class TenantLane:
         The closed-loop tail of :meth:`repro.sim.runner.PolicyRun.step`:
         the request issues no earlier than the previous completion, the
         horizon advances by the served latency, and the agent sees the
-        outcome — the statements (and float operations) of the serial
-        offline replay, which is what the equivalence tests pin.
+        outcome — running its own training event when one is due — the
+        statements (and float operations) of the serial offline replay,
+        which is what the equivalence tests pin.
         """
         now = request.timestamp
         if now < self.completion_s:
@@ -108,7 +99,6 @@ class TenantLane:
         return {
             "seq": self.seq,
             "queued": len(self.queue),
-            "held": self.held,
             "train_mode": self.train_mode,
             "train_events": self.agent.train_events,
             "weights_version": self.agent.weights_version,
@@ -123,7 +113,7 @@ def open_lane(
     head: str = "c51",
     capacity_pages: Sequence[int] = (1024,),
     hyperparams: Optional[Dict[str, Any]] = None,
-    train_mode: str = "async",
+    train_mode: str = "sync",
 ) -> TenantLane:
     """Build a tenant lane: devices, HSS, attached agent.
 
@@ -149,9 +139,4 @@ def open_lane(
     spec = {"hyperparams": hp, "head": head, "seed": seed}
     agent = SibylAgent(**spec)
     agent.attach(hss)
-    # Async mode defers the heavy half of each training event to the
-    # engine's trainer threads (the lane is held meanwhile, so the
-    # agent's own operation order — and hence its results — match the
-    # inline-training serial path exactly).
-    agent.external_training = train_mode == "async"
     return TenantLane(name, agent, hss, spec, train_mode)

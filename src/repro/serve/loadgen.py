@@ -132,13 +132,16 @@ class _TenantClient:
 
     def _receiver(self) -> None:
         try:
-            for _ in range(len(self.frames)):
+            for frame in self.frames:
                 line = self.reader.readline()
                 now = time.perf_counter()
                 if not line:
                     self.failure = "connection closed early"
                     return
                 reply = json.loads(line)
+                if reply.get("id") != frame["id"]:
+                    self.failure = f"reply {reply.get('id')!r} out of order"
+                    return
                 if reply.get("ok"):
                     self.recv_at[reply["id"]] = now
                     timing = reply.get("timing")
@@ -256,7 +259,6 @@ def _fetch_metrics(
         return None
     return {
         "uptime_s": reply.get("uptime_s"),
-        "workers": reply.get("workers"),
         "trainer_busy_s": reply.get("trainer_busy_s"),
         "trainer_occupancy": reply.get("trainer_occupancy"),
         "queue_depth": reply.get("queue_depth"),
@@ -305,7 +307,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     flush_tracer()
     print(json.dumps(record, indent=2, sort_keys=True))
-    return 1 if record["failures"] else 0
+    return 1 if record["failures"] or record["errors"] else 0
 
 
 if __name__ == "__main__":

@@ -143,8 +143,6 @@ def kernel_eligible(run) -> bool:
         return False
     if type(policy.reward_fn) is not LatencyReward:
         return False
-    if policy.external_training or policy.train_pending:
-        return False
     if len(policy.buffer) != 0 or run._index != 0:
         return False
     return True

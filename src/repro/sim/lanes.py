@@ -20,10 +20,13 @@ four Oracle horizons) and one place for engine counters.  Stepped
 lanes are deliberately not advanced together with stacked forwards:
 measured against this loop, doing so is a tie (``docs/engines.md``).
 
-:func:`fused_train_event` and :func:`group_signature` are the stacked
-training step and the architecture key the placement daemon
-(:mod:`repro.serve.engine`) fuses its tenants with; they stay at this
-import path for the daemon and the benchmark's training probe.
+:func:`group_signature` is the architecture key the placement daemon
+(:mod:`repro.serve.engine`) groups its tenants' fused inference by.
+:func:`fused_train_event`, the stacked training step, has no caller
+left in ``src/`` since the daemon trains each tenant inline; it stays
+at this import path for the frozen benchmark probe
+``rl.fused_train_event_ms_per_lane`` until ``bench/`` retires that
+(ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -101,8 +104,7 @@ def fused_train_event(agents: Sequence, stack_cache: Optional[dict] = None,
     each, scattering weights and optimizer state back so every lane
     ends bit-identical to having trained serially.  Agents must share
     one fusable (architecture, batch shape, optimizer) signature — the
-    caller groups them (:mod:`repro.serve.engine` does, by
-    :func:`group_signature` and
+    caller groups them (by :func:`group_signature` and
     :func:`~repro.rl.optim.fusion_signature`).  Returns the
     ``(batches, lanes)`` loss matrix.
 

@@ -26,12 +26,12 @@ class BalancedFinally:
 
 
 class BalancedBranches:
-    def train(self):
-        self.train_begin()  # clean: both branches discharge
-        if self.empty():
-            self.train_abort()
+    def step(self, request):
+        self.place_begin(request)  # clean: both branches discharge
+        if self.failed():
+            self.place_abort()
         else:
-            self.train_commit()
+            self.place_commit(None)
 
 
 class RaisingPathExempt:

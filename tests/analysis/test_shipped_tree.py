@@ -31,12 +31,12 @@ class TestShippedTree:
         )
 
     def test_suppressions_in_src_are_few_and_reviewed(self):
-        # The one intentional hook-pair split (the serve engine owns the
-        # commit of an externally trained agent).  A growing count
-        # means new suppressions landed without review — update this
-        # number only alongside a justification comment.
+        # None since the serve engine stopped owning the commit of an
+        # externally trained agent.  A growing count means new
+        # suppressions landed without review — update this number only
+        # alongside a justification comment.
         report = run_lint([REPO / "src"])
-        assert report.suppressed == 1
+        assert report.suppressed == 0
 
     def test_kernels_dir_is_clean_with_zero_suppressions(self):
         # The kernels are the innermost bit-identity core: SBL-DET and

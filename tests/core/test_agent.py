@@ -247,32 +247,24 @@ class TestTrainingGateRegression:
 
 class TestExternalTrainingHooks:
     """The train_begin/train_commit pair mirroring place_begin/commit:
-    the serve engine drives the heavy half externally."""
-
-    def test_external_mode_defers_training(self, agent, hm_system):
-        agent.attach(hm_system)
-        agent.external_training = True
-        drive(agent, hm_system, make_requests(17))
-        assert agent.train_pending
-        assert agent.train_events == 0 and not agent.losses
-        agent.train_commit()
-        assert not agent.train_pending
-        assert agent.train_events == 1
-        assert len(agent.losses) == agent.hyperparams.batches_per_training
+    ``feedback`` calls them back to back; a driver may call them too."""
 
     def test_split_path_equals_inline_training(self, fast_hp, hm_system):
-        """begin+commit(None) must compute exactly what inline feedback
-        training computes: same RNG draws, same losses, same weights."""
+        """begin+commit driven from outside, at the requests where
+        ``feedback`` would have trained, must compute exactly what
+        inline training computes: same RNG draws, losses and weights."""
         def run(external):
             hss = HybridStorageSystem(make_devices("H&M"), [64, None])
-            agent = SibylAgent(hyperparams=fast_hp, seed=4)
+            hp = fast_hp.replace(train_interval=2 ** 62) if external else fast_hp
+            agent = SibylAgent(hyperparams=hp, seed=4)
             agent.attach(hss)
-            agent.external_training = external
-            for req in make_requests(80):
+            for seen, req in enumerate(make_requests(80), start=1):
                 action = agent.place(req)
                 result = hss.serve(req, action)
                 agent.feedback(req, action, result)
-                if external and agent.train_pending:
+                if (external and seen % fast_hp.train_interval == 0
+                        and len(agent.buffer) >= fast_hp.batch_size):
+                    agent.train_begin()
                     agent.train_commit()
             return agent
 
@@ -285,8 +277,8 @@ class TestExternalTrainingHooks:
 
     def test_double_begin_rejected(self, agent, hm_system):
         agent.attach(hm_system)
-        agent.external_training = True
         drive(agent, hm_system, make_requests(17))
+        agent.train_begin()
         with pytest.raises(RuntimeError):
             agent.train_begin()
 
@@ -297,19 +289,19 @@ class TestExternalTrainingHooks:
 
     def test_external_losses_recorded_verbatim(self, agent, hm_system):
         agent.attach(hm_system)
-        agent.external_training = True
         drive(agent, hm_system, make_requests(17))
+        events = agent.train_events
+        agent.train_begin()
         agent.train_commit(losses=[0.5, 0.25])
-        assert agent.losses == [0.5, 0.25]
-        assert agent.train_events == 1
+        assert agent.losses[-2:] == [0.5, 0.25]
+        assert agent.train_events == events + 1
 
     def test_reset_clears_hook_state(self, agent, hm_system):
         agent.attach(hm_system)
-        agent.external_training = True
         drive(agent, hm_system, make_requests(17))
+        agent.train_begin()
         agent.reset()
-        assert not agent.external_training
-        assert not agent.train_pending
+        assert agent.train_job is None
 
     def test_weights_version_tracks_weight_rewrites(self, agent, hm_system):
         agent.attach(hm_system)
@@ -369,12 +361,11 @@ class TestCheckpointing:
         drive(agent, hm_system, make_requests(40))
         path = tmp_path / "ckpt.npz"
         agent.save_checkpoint(path)
-        agent.external_training = True
         drive(agent, hm_system, make_requests(17, seed=2))
-        assert agent.train_pending
+        agent.train_begin()
         assert agent.training_net.optimizer._t > 0
         agent.load_checkpoint(path)
-        assert not agent.train_pending
+        assert agent.train_job is None
         assert agent.training_net.optimizer._t == 0
 
 

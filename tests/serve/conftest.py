@@ -11,6 +11,6 @@ from serve_harness import DEADLINE_S
 
 @pytest.fixture
 def daemon():
-    """A live daemon on an ephemeral port (async training, 2 trainers)."""
-    with PlacementDaemon(port=0, workers=2, request_timeout_s=DEADLINE_S) as d:
+    """A live daemon on an ephemeral port (training on its loop)."""
+    with PlacementDaemon(port=0, request_timeout_s=DEADLINE_S) as d:
         yield d

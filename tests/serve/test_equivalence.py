@@ -8,7 +8,7 @@ the resulting placements must still be bit-identical (float equality,
 serially through a plain :class:`~repro.core.agent.SibylAgent`.  Three
 examples pin those waves; one ``hypothesis`` property then searches
 what they do not reach: mixed heads and training cadences, uneven queue
-depths, narrow rounds, a hot reload with queries already queued.
+depths, a hot reload with queries already queued.
 """
 
 from __future__ import annotations
@@ -53,10 +53,7 @@ def submit_frame(engine: PlacementEngine, frame: dict):
 
 def test_fused_waves_bit_identical_to_serial():
     """Concurrent multi-tenant waves fuse, and results match serial."""
-    # Inline (sync) training keeps the pump single-threaded; the async
-    # trainer path is covered end-to-end by test_lifecycle, and the
-    # hold-until-committed design makes the two modes equivalent.
-    engine = PlacementEngine(batch=64, workers=1, train_mode="sync")
+    engine = PlacementEngine(train_mode="sync")
     streams = {
         f"t{i}": synthetic_stream(seed=50 + i, n=N_REQUESTS)
         for i in range(N_TENANTS)
@@ -103,7 +100,7 @@ def test_fused_waves_bit_identical_to_serial():
 
 def test_single_tenant_stack_width_one():
     """K=1 fused path (stack width 1) equals the serial agent too."""
-    engine = PlacementEngine(batch=8, workers=1, train_mode="sync")
+    engine = PlacementEngine(train_mode="sync")
     frames = synthetic_stream(seed=9, n=80)
     job = submit_frame(engine, {
         "op": "open", "tenant": "solo", "seed": 11, "hyperparams": FAST_HP,
@@ -122,43 +119,6 @@ def test_single_tenant_stack_width_one():
         for r in got
     ]
     assert projected == expected
-
-
-def test_sync_and_async_training_modes_agree(daemon):
-    """The daemon's default async-training path equals sync inline.
-
-    ``daemon`` serves with ``train_mode="async"`` (trainer threads,
-    lanes held during commits); the synchronous pump above serves the
-    same stream with inline training.  Equal placements prove the hold
-    protocol reorders nothing observable.
-    """
-    from serve_harness import Client
-
-    frames = synthetic_stream(seed=77, n=100)
-    with Client(daemon.address) as client:
-        assert client.rpc({
-            "op": "open", "tenant": "x", "seed": 5, "hyperparams": FAST_HP,
-        })["ok"]
-        async_responses = [
-            client.rpc({**frame, "tenant": "x"}) for frame in frames
-        ]
-    engine = PlacementEngine(batch=8, workers=1, train_mode="sync")
-    job = submit_frame(engine, {
-        "op": "open", "tenant": "x", "seed": 5, "hyperparams": FAST_HP,
-    })
-    pump(engine)
-    assert job.response["ok"]
-    sync_responses = []
-    for frame in frames:
-        job = submit_frame(engine, {**frame, "tenant": "x"})
-        pump(engine)
-        sync_responses.append(job.response)
-    keys = ("seq", "action", "device", "latency_s", "eviction_time_s")
-    assert [
-        {k: r[k] for k in keys} for r in async_responses
-    ] == [
-        {k: r[k] for k in keys} for r in sync_responses
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +141,12 @@ _tenant = st.fixed_dictionaries({
     "length": st.integers(20, 120),
 })
 
-#: (tenants, schedule, reload, batch).  ``schedule`` is one row per
-#: pump: how many queries each tenant submits before it (0-3, so queue
-#: depths differ); whatever the rows leave unsent goes out at once in a
-#: final pump.  ``reload`` is ``(tenant, pump)``: that tenant is saved
-#: and hot-reloaded after the pump's queries are queued, before they are
-#: served.  ``batch`` is the round width: 1 never fuses, 64 always does.
+#: (tenants, schedule, reload).  ``schedule`` is one row per pump: how
+#: many queries each tenant submits before it (0-3, so queue depths
+#: differ); whatever the rows leave unsent goes out at once in a final
+#: pump.  ``reload`` is ``(tenant, pump)``: that tenant is saved and
+#: hot-reloaded after the pump's queries are queued, before they are
+#: served.
 _cases = st.tuples(
     st.lists(_tenant, min_size=1, max_size=_MAX_TENANTS),
     st.lists(
@@ -196,7 +156,6 @@ _cases = st.tuples(
     ),
     st.none() | st.tuples(st.integers(0, _MAX_TENANTS - 1),
                           st.integers(0, 50)),
-    st.sampled_from([1, 2, 3, 64]),
 )
 
 
@@ -209,13 +168,13 @@ def _hyperparams(tenant: dict) -> dict:
     }
 
 
-def check_served_equals_serial(tenants, schedule, reload, batch, mutate=None):
+def check_served_equals_serial(tenants, schedule, reload, mutate=None):
     """Serve the case through the pump; assert every stream is serial.
 
     ``mutate(engine)`` runs once the tenants are open — the hook the
     mutant check below breaks the engine through.
     """
-    engine = PlacementEngine(batch=batch, workers=1, train_mode="sync")
+    engine = PlacementEngine(train_mode="sync")
     names = [f"t{i}" for i in range(len(tenants))]
     streams = [
         synthetic_stream(seed=t["stream_seed"], n=t["length"]) for t in tenants

@@ -198,7 +198,7 @@ def test_failing_placement_fails_only_its_tenant(where):
     from serve_harness import serial_replay
     from test_equivalence import pump, submit_frame
 
-    engine = PlacementEngine(workers=1, train_mode="sync")
+    engine = PlacementEngine(train_mode="sync")
     names = ["a", "bad", "c"]
     n, fail_at = 60, 25
     streams = {

@@ -11,10 +11,12 @@ from __future__ import annotations
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from repro.serve.daemon import PlacementDaemon
 from repro.serve.loadgen import synthetic_stream
+from repro.serve.protocol import encode_frame
 
 from serve_harness import DEADLINE_S, FAST_HP, Client, serial_replay
 
@@ -112,7 +114,6 @@ def test_full_lifecycle_with_hot_reload(daemon, tmp_path):
         assert stats["counters"]["train_events"] > 0
         for row in stats["tenants"].values():
             assert row["seq"] == N_REQUESTS
-            assert not row["held"]
 
         # Drain: quiescence barrier resolves promptly when idle.
         assert client.rpc({"op": "drain"})["ok"]
@@ -120,6 +121,49 @@ def test_full_lifecycle_with_hot_reload(daemon, tmp_path):
         # Clean shutdown: acknowledged, then the daemon goes away.
         assert client.rpc({"op": "shutdown"})["ok"]
     assert daemon._stopped.wait(DEADLINE_S), "daemon did not stop"
+
+
+def test_save_and_reload_right_after_a_training_event(daemon, tmp_path):
+    """``save`` then ``reload`` pipelined straight behind the placement
+    that triggers a training event: answered in order, after the event
+    (it ran inline in that placement), so both see its weights."""
+    interval = FAST_HP["train_interval"]
+    frames = synthetic_stream(seed=31, n=interval + 10)
+    ckpt = tmp_path / "after-event.npz"
+    control = [
+        {"op": op, "tenant": "t", "checkpoint": str(ckpt), "id": op}
+        for op in ("save", "reload")
+    ]
+    pipeline = (
+        [{**f, "tenant": "t"} for f in frames[:interval]]
+        + control
+        + [{**f, "tenant": "t"} for f in frames[interval:]]
+    )
+    with Client(daemon.address) as client:
+        opened = client.rpc({
+            "op": "open", "tenant": "t", "seed": 2, "hyperparams": FAST_HP,
+        })
+        assert opened["ok"], opened
+        client.send_raw(b"".join(encode_frame(f) for f in pipeline))
+        replies = [client.recv() for _ in pipeline]
+    assert all(r["ok"] for r in replies), replies
+    assert [r["id"] for r in replies] == [f["id"] for f in pipeline]
+    saved, reloaded = replies[interval:interval + 2]
+    # One event so far, already in the weights the save wrote.
+    assert saved["weights_version"] == opened["weights_version"] + 1
+    assert reloaded["weights_version"] > 0
+    placed = replies[:interval] + replies[interval + 2:]
+    assert [r["seq"] for r in placed] == list(range(len(frames)))
+    expected = serial_replay(
+        frames, seed=2, hyperparams=FAST_HP, checkpoint_at=interval,
+        checkpoint_path=tmp_path / "offline.npz",
+    )
+    keys = ("action", "device", "latency_s", "eviction_time_s")
+    assert [{k: r[k] for k in keys} for r in placed] == expected
+    with np.load(ckpt) as got, np.load(tmp_path / "offline.npz") as want:
+        assert sorted(got.files) == sorted(want.files)
+        for key in want.files:
+            assert np.array_equal(got[key], want[key]), key
 
 
 def test_reload_failure_leaves_serving_agent_untouched(daemon, tmp_path):
@@ -163,7 +207,7 @@ def _assert_port_is_free(address) -> None:
 def test_close_before_start_returns_and_releases_the_port():
     """A daemon that was bound and never started has no loop to stop
     (``socketserver``'s ``shutdown()`` used to wait for one forever)."""
-    daemon = PlacementDaemon(port=0, workers=1)
+    daemon = PlacementDaemon(port=0)
     address = daemon.address
     _close_within_deadline(daemon)
     _assert_port_is_free(address)
@@ -171,7 +215,7 @@ def test_close_before_start_returns_and_releases_the_port():
 
 
 def test_close_after_a_failed_start_releases_the_port(monkeypatch):
-    daemon = PlacementDaemon(port=0, workers=1)
+    daemon = PlacementDaemon(port=0)
     address = daemon.address
 
     def no_more_threads():

@@ -14,11 +14,11 @@ import socket
 import sys
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 
-from repro.core.agent import SibylAgent
 from repro.serve.daemon import RECV_BYTES, PlacementDaemon
 from repro.serve.engine import PlacementEngine
 from repro.serve.loadgen import synthetic_stream
@@ -39,11 +39,12 @@ def _wait_until(predicate, what: str) -> None:
 
 
 def test_no_thread_per_connection(daemon):
-    """32 tenants mid-stream run on the threads an idle daemon has."""
+    """32 tenants mid-stream run on the threads an idle daemon has:
+    the caller's and the loop's, and no trainer at any width."""
     idle = set(threading.enumerate())
     engine = daemon.engine
-    assert {engine._thread, *engine._workers} <= idle
-    assert len(engine._workers) == 2
+    assert engine._thread in idle
+    assert not any(t.name.startswith("serve-trainer") for t in idle)
     clients = [Client(daemon.address) for _ in range(N_CONNECTIONS)]
     try:
         for i, client in enumerate(clients):
@@ -51,6 +52,8 @@ def test_no_thread_per_connection(daemon):
                 "op": "open", "tenant": f"t{i}", "seed": i,
                 "hyperparams": FAST_HP,
             })["ok"]
+            if i + 1 in (1, 8, N_CONNECTIONS):
+                assert set(threading.enumerate()) == idle
         frames = synthetic_stream(seed=3, n=6)
         for frame in frames[:5]:
             for i, client in enumerate(clients):
@@ -77,7 +80,7 @@ def test_close_releases_every_descriptor():
 
     def cycle():
         started = _open_fds()
-        daemon = PlacementDaemon(port=0, workers=1).start()
+        daemon = PlacementDaemon(port=0).start()
         socks = [
             socket.create_connection(daemon.address, timeout=DEADLINE_S)
             for _ in range(N_CONNECTIONS)
@@ -147,8 +150,14 @@ def test_a_peer_that_never_reads_is_buffered_within_bounds(daemon):
     and serves everyone else."""
     ping = b'{"op": "ping"}\n'
     reply_bytes = len(encode_frame({"ok": True, "op": "ping"}))
-    flood = socket.create_connection(daemon.address, timeout=DEADLINE_S)
+    # Set before connecting, or it does not size the window: with room
+    # for megabytes of replies the reply path may never fill, the daemon
+    # keeps taking pings, and the send below times out on a daemon that
+    # is merely busy (seen in two runs of eight on a loaded box).
+    flood = socket.socket()
     flood.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    flood.settimeout(DEADLINE_S)
+    flood.connect(daemon.address)
     flood.settimeout(0.5)
     chunk = ping * 4096
     sent = 0
@@ -181,64 +190,59 @@ def test_a_peer_that_never_reads_is_buffered_within_bounds(daemon):
         assert client.rpc({"op": "ping"})["ok"]
 
 
-def test_timeout_reply_by_deadline(monkeypatch):
-    """A frame stuck behind a held lane is answered ``timeout``; nothing
-    else stalls, and the tenant's stream loses nothing."""
+class _StuckQueue(deque):
+    """A lane queue that reads as empty while ``stuck``: the engine
+    never takes from it, so whatever is queued there waits."""
+
+    stuck = True
+
+    def __bool__(self) -> bool:
+        return not self.stuck and len(self) > 0
+
+
+def test_timeout_reply_by_deadline():
+    """A frame the engine does not get to by its deadline is answered
+    ``timeout``; nothing else stalls, and the tenant's stream loses
+    nothing.  (Nothing in the daemon parks a job any more, so the lane
+    is made unservable from outside to reach the watchdog.)"""
     timeout_s = 0.2
-    gate = threading.Event()
-    held_agents = []
-    train_commit = SibylAgent.train_commit
-
-    def blocking_commit(agent):
-        if agent in held_agents:
-            gate.wait(DEADLINE_S)
-        return train_commit(agent)
-
-    monkeypatch.setattr(SibylAgent, "train_commit", blocking_commit)
-    frames = [{**f, "tenant": "held"} for f in synthetic_stream(seed=8, n=40)]
+    stuck_at = 12
+    frames = [{**f, "tenant": "stuck"} for f in synthetic_stream(seed=8, n=40)]
     replies = []
-    with PlacementDaemon(port=0, workers=2,
-                         request_timeout_s=timeout_s) as daemon:
-        try:
-            with Client(daemon.address) as client, \
-                    Client(daemon.address) as other:
-                for name, seed in (("held", 6), ("free", 7)):
-                    assert client.rpc({
-                        "op": "open", "tenant": name, "seed": seed,
-                        "hyperparams": FAST_HP,
-                    })["ok"]
-                held_agents.append(daemon.engine.lanes["held"].agent)
-                # Its first training event never finishes, so the frame
-                # after the one that triggered it waits out the deadline.
-                for frame in frames:
-                    asked = time.monotonic()
-                    replies.append(client.rpc(frame))
-                    if not replies[-1]["ok"]:
-                        break
-                waited = time.monotonic() - asked
-                timed_out = len(replies) - 1
-                assert replies[-1]["error"] == "timeout", replies[-1]
-                assert replies[-1]["id"] == frames[timed_out]["id"]
-                assert timeout_s <= waited < DEADLINE_S
-                assert 0 < timed_out < len(frames) - 1
+    with PlacementDaemon(port=0, request_timeout_s=timeout_s) as daemon:
+        with Client(daemon.address) as client, \
+                Client(daemon.address) as other:
+            for name, seed in (("stuck", 6), ("free", 7)):
+                assert client.rpc({
+                    "op": "open", "tenant": name, "seed": seed,
+                    "hyperparams": FAST_HP,
+                })["ok"]
+            for frame in frames[:stuck_at]:
+                replies.append(client.rpc(frame))
+            # The daemon is idle between two rpcs: swap the lane's queue.
+            stuck = daemon.engine.lanes["stuck"].queue = _StuckQueue()
+            asked = time.monotonic()
+            replies.append(client.rpc(frames[stuck_at]))
+            waited = time.monotonic() - asked
+            assert replies[-1]["error"] == "timeout", replies[-1]
+            assert replies[-1]["id"] == frames[stuck_at]["id"]
+            assert timeout_s <= waited < DEADLINE_S
 
-                # Held is held; everyone else is served meanwhile.
-                for frame in synthetic_stream(seed=9, n=10):
-                    assert other.rpc({**frame, "tenant": "free"})["ok"]
-                stats = other.rpc({"op": "stats"})["tenants"]["held"]
-                assert stats["held"] and stats["queued"] == 1
+            # Stuck is stuck; everyone else is served meanwhile.
+            for frame in synthetic_stream(seed=9, n=10):
+                assert other.rpc({**frame, "tenant": "free"})["ok"]
+            stats = other.rpc({"op": "stats"})["tenants"]["stuck"]
+            assert stats["queued"] == 1 and stats["seq"] == stuck_at
 
-                gate.set()
-                for frame in frames[timed_out + 1:]:
-                    replies.append(client.rpc(frame))
-        finally:
-            gate.set()
+            stuck.stuck = False
+            for frame in frames[stuck_at + 1:]:
+                replies.append(client.rpc(frame))
     # The timed-out frame stayed queued and was served on release — only
     # its reply was dropped — so ``seq`` skips exactly that one and the
     # stream is still the serial replay of every frame sent.
     expected = serial_replay(frames, seed=6, hyperparams=FAST_HP)
     for index, (reply, want) in enumerate(zip(replies, expected)):
-        if index == timed_out:
+        if index == stuck_at:
             continue
         assert reply["ok"] and reply["seq"] == index, reply
         assert {k: reply[k] for k in SERVED} == want
@@ -247,7 +251,7 @@ def test_timeout_reply_by_deadline(monkeypatch):
 
 def test_idle_daemon_makes_no_loop_turns():
     """No traffic, no wake-ups: the loop sits in one ``select``."""
-    daemon = PlacementDaemon(port=0, workers=1)
+    daemon = PlacementDaemon(port=0)
     selector = daemon.engine.selector
     select, returns = selector.select, []
 
@@ -275,7 +279,7 @@ def test_submit_from_many_threads_never_loses_a_wake():
     """``submit()`` is the door for every thread that is not the loop.
     The loop sleeps without a timeout, so one lost wake would leave a
     job unresolved forever; each thread waits for each of its own."""
-    engine = PlacementEngine(workers=1)
+    engine = PlacementEngine()
     engine.start()
     unresolved = []
 

@@ -4,9 +4,9 @@ Contracts (ISSUE 10, satellite 3):
 
 * counters are monotonic across snapshots taken while tenants stream;
 * queue depth returns to zero after a drain barrier;
-* held-lane time is accounted exactly once per training event — the
-  ``serve_hold_ms`` histogram count equals the ``train_events``
-  counter, no matter how many tenants trained concurrently.
+* the time a training event holds the loop is accounted exactly once
+  per event — the ``serve_hold_ms`` histogram count equals the
+  ``train_events`` counter, which equals the sum of the tenants' own.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ def test_metrics_under_concurrent_load(daemon):
             snap = _metrics(poller)
             served_seen.append(snap["counters"]["served"])
             assert snap["queue_depth"] >= 0
-            assert snap["held_lanes"] >= 0
         for s in streamers:
             s.join()
             assert s.error is None, s.error
@@ -80,7 +79,6 @@ def test_metrics_under_concurrent_load(daemon):
 
         # Queue depth returns to zero once the drain barrier resolves.
         assert final["queue_depth"] == 0
-        assert final["held_lanes"] == 0
 
         counters = final["counters"]
         assert counters["served"] == N_TENANTS * N_REQUESTS
@@ -88,19 +86,23 @@ def test_metrics_under_concurrent_load(daemon):
         # FAST_HP trains every 20 requests per tenant.
         assert counters["train_events"] > 0
 
-        # Held-lane time is accounted exactly once per training event.
+        # Each event is counted once, where it ran: on the loop, inside
+        # its tenant's placement.
         hold = final["timings"]["serve_hold_ms"]
-        assert hold["count"] == counters["train_events"]
+        assert hold["count"] == counters["train_events"] == sum(
+            row["train_events"] for row in final["tenants"].values()
+        )
 
         # Every placement passed through both request-phase histograms.
         assert final["timings"]["serve_service_ms"]["count"] == counters["served"]
         assert final["timings"]["serve_queue_ms"]["count"] == counters["served"]
 
-        # Trainer occupancy is a fraction of workers' wall time.
-        assert final["workers"] >= 1
+        # Trainer occupancy is the share of the loop's wall time spent
+        # in training events.
         assert final["uptime_s"] > 0
-        assert 0.0 <= final["trainer_occupancy"] <= 1.0
-        assert final["trainer_busy_s"] >= 0.0
+        assert 0.0 < final["trainer_occupancy"] <= 1.0
+        assert final["trainer_busy_s"] > 0.0
+        assert "held_lanes" not in final and "workers" not in final
 
 
 def test_metrics_shape_on_idle_daemon(daemon):
@@ -111,7 +113,6 @@ def test_metrics_shape_on_idle_daemon(daemon):
         assert snap["op"] == "metrics"
         assert snap["tenants"] == {}
         assert snap["queue_depth"] == 0
-        assert snap["held_lanes"] == 0
         assert snap["trainer_busy_s"] == 0.0
         assert isinstance(snap["timings"], dict)
 

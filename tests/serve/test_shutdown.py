@@ -89,7 +89,7 @@ def test_shutdown_op_is_always_acknowledged_and_leaves_a_whole_trace(tmp_path):
 
 
 def test_close_is_idempotent_and_serve_forever_returns_after_teardown():
-    daemon = PlacementDaemon(port=0, workers=1, request_timeout_s=DEADLINE_S)
+    daemon = PlacementDaemon(port=0, request_timeout_s=DEADLINE_S)
     served = threading.Thread(target=daemon.serve_forever, daemon=True)
     served.start()
     with Client(daemon.address) as client:

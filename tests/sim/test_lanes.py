@@ -157,7 +157,7 @@ class TestLaneAgentState:
         assert serial_agents[0].train_events > 0, "runs never trained"
         for s_agent, l_agent in zip(serial_agents, laned_agents):
             _assert_agents_identical(s_agent, l_agent)
-            assert not l_agent.external_training and not l_agent.train_pending
+            assert l_agent.train_job is None
 
     def test_mixed_intervals_and_mixed_lanes(self):
         """Different training intervals and batch shapes, a short lane,
@@ -428,7 +428,7 @@ class TestFusedTrainEvent:
                 twin.train_commit()
             assert losses.shape == (SIBYL_DEFAULT.batches_per_training, k)
             for lane, (agent, twin) in enumerate(zip(fused, twins)):
-                assert not agent.train_pending
+                assert agent.train_job is None
                 assert list(losses[:, lane]) == agent.losses[-len(losses):]
                 ours, theirs = _training_state(agent), _training_state(twin)
                 for key in theirs:

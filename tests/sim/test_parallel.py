@@ -176,7 +176,7 @@ class TestThreadTopology:
     def test_daemon_in_the_same_process_is_not_pinned(self):
         run_many(self._cells(), max_workers=1)
         run_many(self._cells(), max_workers=2)
-        with PlacementDaemon(port=0, workers=1):
+        with PlacementDaemon(port=0):
             assert blas_threads() == 2
 
     def test_pin_does_not_depend_on_import_order(self):

@@ -48,8 +48,8 @@ def test_knob_tables_match_the_table(tmp_path):
     missing.write_text(doc.replace("| `SIBYL_OBS` |", "| `SIBYL_GHOST` |"))
     assert len(check_docs.check_knob_table(missing)) == 2
     stale = tmp_path / "stale.md"
-    stale.write_text(doc.replace("| `SIBYL_SERVE_BATCH` | `64` |",
-                                 "| `SIBYL_SERVE_BATCH` | `32` |"))
+    stale.write_text(doc.replace("| `SIBYL_BENCH_REQUESTS` | `10000` |",
+                                 "| `SIBYL_BENCH_REQUESTS` | `5000` |"))
     assert len(check_docs.check_knob_table(stale)) == 1
 
 
