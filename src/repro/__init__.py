@@ -15,100 +15,12 @@ Quickstart::
     print(result.avg_latency_s, result.iops)
 """
 
-from typing import TYPE_CHECKING
-
 from ._lazy import lazy_exports
 
 #: Folded into every cell fingerprint of the durable campaign store.
 __version__ = "1.0.0"
 
-if TYPE_CHECKING:  # static readers; at run time a name imports on first access
-    from .baselines import (
-        ArchivistPolicy,
-        CDEPolicy,
-        FastOnlyPolicy,
-        HPSPolicy,
-        OraclePolicy,
-        PlacementPolicy,
-        RNNHSSPolicy,
-        SlowOnlyPolicy,
-        TriHeuristicPolicy,
-        available_policies,
-        make_policy,
-    )
-    from .core import (
-        SIBYL_DEFAULT,
-        SIBYL_OPT,
-        FeatureExtractor,
-        LatencyReward,
-        SibylAgent,
-        SibylHyperParams,
-        compute_overhead,
-    )
-    from .hss import (
-        HybridStorageSystem,
-        OpType,
-        Request,
-        make_device,
-        make_devices,
-    )
-    from .sim import (
-        RunResult,
-        build_hss,
-        format_table,
-        run_normalized,
-        run_policy,
-    )
-    from .traces import (
-        ALL_WORKLOADS,
-        MSRC_WORKLOADS,
-        WorkloadSpec,
-        compute_stats,
-        generate_trace,
-        make_mixed_trace,
-        make_trace,
-    )
-
-__all__ = [
-    "ALL_WORKLOADS",
-    "ArchivistPolicy",
-    "CDEPolicy",
-    "FastOnlyPolicy",
-    "FeatureExtractor",
-    "HPSPolicy",
-    "HybridStorageSystem",
-    "LatencyReward",
-    "MSRC_WORKLOADS",
-    "OpType",
-    "OraclePolicy",
-    "PlacementPolicy",
-    "RNNHSSPolicy",
-    "Request",
-    "RunResult",
-    "SIBYL_DEFAULT",
-    "SIBYL_OPT",
-    "SibylAgent",
-    "SibylHyperParams",
-    "SlowOnlyPolicy",
-    "TriHeuristicPolicy",
-    "WorkloadSpec",
-    "available_policies",
-    "build_hss",
-    "compute_overhead",
-    "compute_stats",
-    "format_table",
-    "generate_trace",
-    "make_device",
-    "make_devices",
-    "make_mixed_trace",
-    "make_policy",
-    "make_trace",
-    "run_normalized",
-    "run_policy",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".baselines": ["ArchivistPolicy", "CDEPolicy", "FastOnlyPolicy",
         "HPSPolicy", "OraclePolicy", "PlacementPolicy", "RNNHSSPolicy",
         "SlowOnlyPolicy", "TriHeuristicPolicy", "available_policies",
@@ -122,3 +34,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".traces": ["ALL_WORKLOADS", "MSRC_WORKLOADS", "WorkloadSpec",
         "compute_stats", "generate_trace", "make_mixed_trace", "make_trace"],
 })
+__all__.append("__version__")

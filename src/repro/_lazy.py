@@ -6,8 +6,9 @@ from importlib import import_module
 
 
 def lazy_exports(package, submodules):
-    """``(__getattr__, __dir__)`` for ``package``; ``submodules`` maps
-    each relative submodule name to the public names it defines."""
+    """``(__getattr__, __dir__, __all__)`` for ``package``; ``submodules``
+    maps each relative submodule name to the public names it defines,
+    and ``__all__`` lists those names in that order."""
     home = {name: sub for sub, names in submodules.items() for name in names}
 
     def __getattr__(name):
@@ -20,4 +21,4 @@ def lazy_exports(package, submodules):
     def __dir__():
         return sorted(set(vars(sys.modules[package])) | set(home))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(home)

@@ -1,35 +1,10 @@
 """Every placement policy the paper evaluates, behind one interface."""
 
-from typing import TYPE_CHECKING, List
+from typing import List
 
 from .._lazy import lazy_exports
 
-if TYPE_CHECKING:  # static readers; at run time a name imports on first access
-    from .archivist import ArchivistPolicy
-    from .base import PlacementPolicy
-    from .cde import CDEPolicy
-    from .extremes import FastOnlyPolicy, SlowOnlyPolicy, StaticPolicy
-    from .hps import HPSPolicy
-    from .oracle import OraclePolicy
-    from .rnn_hss import RNNHSSPolicy
-    from .tri_heuristic import TriHeuristicPolicy
-
-__all__ = [
-    "ArchivistPolicy",
-    "CDEPolicy",
-    "FastOnlyPolicy",
-    "HPSPolicy",
-    "OraclePolicy",
-    "PlacementPolicy",
-    "RNNHSSPolicy",
-    "SlowOnlyPolicy",
-    "StaticPolicy",
-    "TriHeuristicPolicy",
-    "available_policies",
-    "make_policy",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".archivist": ["ArchivistPolicy"],
     ".base": ["PlacementPolicy"],
     ".cde": ["CDEPolicy"],
@@ -39,6 +14,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".rnn_hss": ["RNNHSSPolicy"],
     ".tri_heuristic": ["TriHeuristicPolicy"],
 })
+__all__ += ["available_policies", "make_policy"]
 
 #: Registry name -> policy class, named so that listing the policies (the
 #: CLI's ``--policy`` choices) imports none of them.
@@ -59,7 +35,7 @@ def available_policies() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def make_policy(name: str, **kwargs) -> "PlacementPolicy":
+def make_policy(name: str, **kwargs):
     """Instantiate a baseline policy by name."""
     try:
         factory = __getattr__(_FACTORIES[name.lower()])

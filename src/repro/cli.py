@@ -20,9 +20,10 @@ Commands
     Generate a synthetic workload and write it as an MSRC-format CSV.
 ``serve``
     Run the online placement daemon (:mod:`repro.serve`): a long-lived
-    TCP service speaking newline-delimited JSON, batching concurrent
-    tenants' inference through one fused forward and training off the
-    request path.  Blocks until a client sends ``shutdown`` (or ^C).
+    TCP service speaking newline-delimited JSON on one I/O loop that
+    batches concurrent tenants' inference through one fused forward and
+    runs each tenant's training event inline, inside the placement that
+    triggers it.  Blocks until a client sends ``shutdown`` (or ^C).
 ``lint``
     Run the Sibyl contract analyzer (:mod:`repro.analysis`) over the
     given paths: static AST checks for the determinism, hook-pair,

@@ -62,7 +62,6 @@ TABLE: Tuple[Knob, ...] = (
     Knob("SIBYL_BENCH_SEEDS", "count", 1, minimum=1),
     Knob("SIBYL_SERVE_PORT", "count", 0),
     Knob("SIBYL_SERVE_TRAIN", "choice", "sync", ("sync", "off")),
-    Knob("SIBYL_OBS", "choice", "off", ("off", "on")),
     Knob("SIBYL_TRACE_PATH", "path"),
     Knob("SIBYL_STORE", "path"),
 )

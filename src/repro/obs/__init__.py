@@ -1,4 +1,4 @@
-"""Unified observability: metrics, spans, and tick-domain sinks.
+"""Unified observability: spans, histograms, and tick-domain sinks.
 
 The repo's SBL-DET rule bans wall-clock reads inside the bit-identity
 core (``repro.{sim,rl,hss,store}``), which makes "just add timers" the
@@ -7,25 +7,22 @@ wrong instinct.  This package splits telemetry into two domains:
 - **Tick domain** (:mod:`repro.obs.sink`): clock-free counters the
   engines emit through :class:`~repro.obs.sink.ObservationSink` —
   ticks, fused forwards/rows, training events, kernel-barrier
-  crossings, store hits/misses.  Safe anywhere, including the core.
-- **Wall-clock domain** (:mod:`repro.obs.metrics`,
-  :mod:`repro.obs.tracer`): timed spans (Chrome-trace-event JSON,
-  Perfetto-loadable) and duration histograms, recorded strictly from
-  driver-side call sites *outside* the determinism scope.
+  crossings — into the dict a caller hands ``run_lanes(stats=)``.
+  Safe anywhere, including the core.
+- **Wall-clock domain** (:mod:`repro.obs.tracer`,
+  :mod:`repro.obs.metrics`): timed spans (Chrome-trace-event JSON,
+  Perfetto-loadable) and the duration histograms behind the placement
+  daemon's ``metrics`` op, recorded strictly from driver-side call
+  sites *outside* the determinism scope.
 
-Everything is stdlib-only and no-op-cheap when disabled: metrics gate
-on ``SIBYL_OBS``, spans on whether a tracer is installed (the
-``SIBYL_TRACE_PATH`` knob or a ``--trace`` flag).  See
-``docs/observability.md`` for the design and the span taxonomy, and
-:func:`engine_sink` for how the two domains meet at ``run_lanes``.
+Everything is stdlib-only.  Spans cost nothing unless a tracer is
+installed (the ``SIBYL_TRACE_PATH`` knob or a ``--trace`` flag).  See
+``docs/observability.md`` for the design and the span taxonomy.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .metrics import MetricsRegistry, RegistrySink, active_registry, registry
-from .sink import DictSink, ObservationSink, TeeSink, combine_sinks
+from .sink import DictSink, ObservationSink
 from .tracer import (
     SpanTracer,
     flush_tracer,
@@ -36,29 +33,9 @@ from .tracer import (
     tracer_from_env,
 )
 
-
-def engine_sink() -> Optional[ObservationSink]:
-    """A registry-backed sink when ``SIBYL_OBS=on``, else ``None``.
-
-    The engines call this once per ``run_lanes`` invocation (never in
-    the tick loop) to decide whether tick-domain counts should also
-    feed the process-wide metrics registry.
-    """
-    reg = active_registry()
-    if reg is None:
-        return None
-    return RegistrySink(reg)
-
-
 __all__ = [
-    "MetricsRegistry",
-    "RegistrySink",
-    "registry",
-    "active_registry",
     "ObservationSink",
     "DictSink",
-    "TeeSink",
-    "combine_sinks",
     "SpanTracer",
     "span",
     "get_tracer",
@@ -66,5 +43,4 @@ __all__ = [
     "install_tracer",
     "tracer_from_env",
     "flush_tracer",
-    "engine_sink",
 ]

@@ -5,9 +5,8 @@ so the bit-identity core cannot carry timers.  What it *can* carry is
 counts — ticks, fused forwards, training events, kernel-barrier
 crossings — because incrementing a Python int neither reads a clock
 nor touches the simulated float path.  :class:`ObservationSink` is the
-protocol the engines emit those counts through; implementations decide
-what the counts become (a plain dict for callers, a metrics registry
-for live introspection, several at once via :class:`TeeSink`).
+protocol the engines emit those counts through; :class:`DictSink`, the
+one ``run_lanes(stats=)`` builds, turns them into a plain dict.
 
 The canonical counter names emitted by the engines are listed in
 :data:`ENGINE_COUNTERS` / :data:`ENGINE_MAXIMA` and documented on
@@ -16,7 +15,7 @@ The canonical counter names emitted by the engines are listed in
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Dict, Union
 
 Number = Union[int, float]
 
@@ -57,9 +56,8 @@ class ObservationSink:
 class DictSink(ObservationSink):
     """Sink that accumulates into a caller-owned plain dict.
 
-    This is the compatibility carrier for the historical
-    ``run_lanes(stats=...)`` API: missing keys are created on first
-    touch, so ``stats={}`` works.
+    ``run_lanes(stats=...)`` feeds the engines one of these: missing
+    keys are created on first touch, so ``stats={}`` works.
     """
 
     def __init__(self, stats: Dict[str, Number]) -> None:
@@ -76,39 +74,9 @@ class DictSink(ObservationSink):
             self.stats[name] = value
 
 
-class TeeSink(ObservationSink):
-    """Fan a single observation stream out to several sinks."""
-
-    def __init__(self, sinks: Sequence[ObservationSink]) -> None:
-        """Forward every observation to each sink in ``sinks``."""
-        self.sinks = tuple(sinks)
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Forward the count to every sink."""
-        for sink in self.sinks:
-            sink.count(name, n)
-
-    def record_max(self, name: str, value: Number) -> None:
-        """Forward the high-water mark to every sink."""
-        for sink in self.sinks:
-            sink.record_max(name, value)
-
-
-def combine_sinks(*sinks: ObservationSink) -> Union[ObservationSink, None]:
-    """Collapse ``sinks`` (dropping ``None``) to one sink or ``None``."""
-    real = [s for s in sinks if s is not None]
-    if not real:
-        return None
-    if len(real) == 1:
-        return real[0]
-    return TeeSink(real)
-
-
 __all__ = [
     "ENGINE_COUNTERS",
     "ENGINE_MAXIMA",
     "ObservationSink",
     "DictSink",
-    "TeeSink",
-    "combine_sinks",
 ]

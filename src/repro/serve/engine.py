@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import knobs
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Histogram
 from ..obs.tracer import get_tracer, span
 from ..rl.c51 import C51LaneStack, C51Network
 from ..rl.dqn import DQNLaneStack
@@ -171,10 +171,10 @@ class PlacementEngine:
         }
         self.shutting_down = False
         #: Wall-clock instruments behind the ``metrics`` protocol op:
-        #: request-phase histograms and training occupancy.  Always on —
-        #: the serve layer is outside the determinism scope, and the
-        #: introspection surface must not depend on ``SIBYL_OBS``.
-        self.metrics = MetricsRegistry(enabled=True)
+        #: request-phase histograms by name, each made when first
+        #: needed, and the seconds training events held the loop.
+        self.histograms: Dict[str, Histogram] = {}
+        self.trainer_busy_s = 0.0
         self._t_start = time.perf_counter()
         self.inbox: "queue.SimpleQueue" = queue.SimpleQueue()
         #: The socket front-end sharing this loop (a ``PlacementDaemon``),
@@ -402,8 +402,8 @@ class PlacementEngine:
                 for pending_job, row in group.pending:
                     actions[id(pending_job)] = int(greedy[row])
                 group.pending.clear()
-        queue_hist = self.metrics.histogram("serve_queue_ms")
-        service_hist = self.metrics.histogram("serve_service_ms")
+        queue_hist = self._histogram("serve_queue_ms")
+        service_hist = self._histogram("serve_service_ms")
         now = time.perf_counter()
         for job in jobs:
             if job.done.is_set():  # failed in place_begin
@@ -464,6 +464,12 @@ class PlacementEngine:
             if not job.done.is_set():
                 self._fail(job, ERR_INTERNAL, "placement round failed")
 
+    def _histogram(self, name: str) -> Histogram:
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram(name)
+        return hist
+
     # ------------------------------------------------------------- training
     def _observe_training(self, lane: TenantLane, started: float) -> None:
         """``lane.complete()`` ran a training event: record what the
@@ -471,8 +477,8 @@ class PlacementEngine:
         loop, a ``serve.train`` span."""
         held_s = time.perf_counter() - started
         self.counters["train_events"] += 1
-        self.metrics.histogram("serve_hold_ms").observe(held_s * 1e3)
-        self.metrics.counter("trainer_busy_s").add(held_s)
+        self._histogram("serve_hold_ms").observe(held_s * 1e3)
+        self.trainer_busy_s += held_s
         tracer = get_tracer()
         if tracer is not None:
             tracer.record("serve.train", "serve", started, tenant=lane.name)
@@ -593,8 +599,7 @@ class PlacementEngine:
         time spent inside training events.
         """
         uptime_s = time.perf_counter() - self._t_start
-        busy_s = float(self.metrics.counter("trainer_busy_s").value)
-        snapshot = self.metrics.snapshot()
+        busy_s = self.trainer_busy_s
         job.resolve(ok_frame({
             "op": "metrics",
             "train_mode": self.train_mode,
@@ -607,7 +612,9 @@ class PlacementEngine:
             "trainer_occupancy": round(
                 busy_s / uptime_s, 6
             ) if uptime_s > 0 else 0.0,
-            "timings": snapshot["histograms"],
+            "timings": {
+                name: hist.summary() for name, hist in self.histograms.items()
+            },
             "tenants": {
                 name: lane.stats() for name, lane in self.lanes.items()
             },

@@ -55,12 +55,18 @@ OPS = ("ping", "open", "place", "save", "reload", "stats", "metrics",
        "drain", "shutdown")
 
 #: Hyper-parameter overrides accepted by ``open`` (whitelist — the
-#: values feed ``dataclasses.replace`` on the Table 2 defaults).
-HYPERPARAM_FIELDS = (
-    "learning_rate", "discount", "exploration_rate", "batch_size",
-    "buffer_capacity", "train_interval", "batches_per_training",
-    "initial_random_requests",
-)
+#: values feed ``dataclasses.replace`` on the Table 2 defaults), each
+#: with the JSON number types its field takes.
+HYPERPARAM_FIELDS = {
+    "learning_rate": (int, float),
+    "discount": (int, float),
+    "exploration_rate": (int, float),
+    "batch_size": int,
+    "buffer_capacity": int,
+    "train_interval": int,
+    "batches_per_training": int,
+    "initial_random_requests": int,
+}
 
 ERR_BAD_JSON = "bad-json"
 ERR_BAD_REQUEST = "bad-request"
@@ -209,6 +215,16 @@ def _parse_open(obj: Dict[str, Any]) -> Dict[str, Any]:
         raise ProtocolError(
             ERR_BAD_REQUEST, f"unknown hyperparams: {', '.join(unknown)}"
         )
+    for name, value in hp.items():
+        kind = HYPERPARAM_FIELDS[name]
+        if (
+            not isinstance(value, kind) or isinstance(value, bool)
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
+            what = "an integer" if kind is int else "a finite number"
+            raise ProtocolError(
+                ERR_BAD_REQUEST, f"hyperparams {name!r} must be {what}"
+            )
     fields["hyperparams"] = hp
     return fields
 

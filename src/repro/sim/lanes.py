@@ -32,20 +32,9 @@ at this import path for the frozen benchmark probe
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from ..obs.sink import ObservationSink
 
 from ..baselines.base import PlacementPolicy
 from ..hss.request import Request
@@ -183,7 +172,6 @@ def run_lanes(
     specs: Sequence[LaneSpec],
     stats: Optional[Dict[str, int]] = None,
     backend: Optional[str] = None,
-    sink: Optional["ObservationSink"] = None,
 ) -> List[RunResult]:
     """Run every lane to completion; results in spec order.
 
@@ -195,11 +183,9 @@ def run_lanes(
     serially, one lane after another.  ``backend`` overrides the
     ``SIBYL_BACKEND`` environment knob.
 
-    ``stats``, when given, is filled with engine counters; ``sink``
-    accepts any :class:`repro.obs.sink.ObservationSink` for the same
-    stream, and when ``SIBYL_OBS=on`` the counts also feed the
-    process-wide metrics registry.  All three are pure observation,
-    never behaviour, and never choose the engine.  A kernel-run agent
+    ``stats``, when given, is filled with engine counters through a
+    :class:`repro.obs.sink.DictSink` — pure observation, never
+    behaviour, and never the engine's choice.  A kernel-run agent
     lane reports ``ticks`` (its request count), ``fused_forwards`` /
     ``fused_rows`` / ``max_fused_rows`` (its one-row inference calls),
     ``train_events`` and ``kernel_barriers`` (Python-boundary
@@ -207,13 +193,10 @@ def run_lanes(
     serially stepped lane reports ``ticks`` and ``train_events`` (read
     off the finished policy) and zero for everything else.
     """
-    from ..obs import engine_sink
-    from ..obs.sink import ENGINE_COUNTERS, ENGINE_MAXIMA, DictSink, combine_sinks
+    from ..obs.sink import ENGINE_COUNTERS, ENGINE_MAXIMA, DictSink
     from . import kernels
 
-    sink = combine_sinks(
-        DictSink(stats) if stats is not None else None, sink, engine_sink()
-    )
+    sink = DictSink(stats) if stats is not None else None
     if sink is not None:
         for name in ENGINE_COUNTERS:
             sink.count(name, 0)

@@ -75,7 +75,6 @@ from typing import (
 )
 
 from .. import knobs
-from ..obs.metrics import active_registry
 from ..obs.tracer import span
 from .blas import blas_threads, limit_blas_threads, set_blas_threads
 
@@ -121,16 +120,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _note_topology(workers: int) -> int:
-    """Publish the run's thread topology to the ``SIBYL_OBS`` registry
-    and return the BLAS thread count cells execute at — ``0`` when no
-    known BLAS is mapped and the pin is a no-op on this platform."""
-    cell_blas = _CELL_BLAS_THREADS if blas_threads() is not None else 0
-    registry = active_registry()
-    if registry is not None:
-        registry.gauge("campaign_workers").set(workers)
-        registry.gauge("campaign_blas_threads").set(cell_blas)
-    return cell_blas
+def _cell_blas_threads() -> int:
+    """The BLAS thread count cells execute at, as the
+    ``campaign.dispatch`` span reports it — ``0`` when no known BLAS is
+    mapped and the pin is a no-op on this platform."""
+    return _CELL_BLAS_THREADS if blas_threads() is not None else 0
 
 
 def resolve_workers(
@@ -196,7 +190,6 @@ def _execute_iter(
         return
     workers = resolve_workers(len(cells), max_workers)
     if workers == 0:
-        _note_topology(workers)
         for cell in cells:
             with span("campaign.cell", cat="campaign", key=str(cell.key)):
                 with limit_blas_threads(_CELL_BLAS_THREADS):
@@ -206,7 +199,6 @@ def _execute_iter(
     pack = max(1, int(lane_pack))
     chunks = [cells[i:i + pack] for i in range(0, len(cells), pack)]
     workers = min(workers, len(chunks))
-    cell_blas = _note_topology(workers)
     if workers == 1:
         for chunk in chunks:
             with span("campaign.pack", cat="campaign", cells=len(chunk)):
@@ -225,8 +217,8 @@ def _execute_iter(
         initargs=(_CELL_BLAS_THREADS,),
     ) as pool:
         with span(
-            "campaign.dispatch", cat="campaign",
-            chunks=len(chunks), workers=workers, blas_threads=cell_blas,
+            "campaign.dispatch", cat="campaign", chunks=len(chunks),
+            workers=workers, blas_threads=_cell_blas_threads(),
         ):
             futures = {
                 pool.submit(_run_cell_pack, chunk): chunk for chunk in chunks
@@ -258,7 +250,6 @@ def _iter_with_store(
 
     store = resolve_store(store)
     cells = list(cells)
-    registry = active_registry()
     with span("store.fingerprint", cat="store", cells=len(cells)):
         fingerprints = [
             store.fingerprint(cell.fn, cell.kwargs) for cell in cells
@@ -282,11 +273,7 @@ def _iter_with_store(
         if hit is MISS:
             pending.append(cell)
             fingerprint_of[id(cell)] = fp
-            if registry is not None:
-                registry.counter("store_misses").inc()
         else:
-            if registry is not None:
-                registry.counter("store_hits").inc()
             yield cell, hit
     for cell, result in _execute_iter(
         pending, max_workers=max_workers, lane_pack=lane_pack
@@ -295,8 +282,6 @@ def _iter_with_store(
         if fp is not None:
             with span("store.put", cat="store", key=str(cell.key)):
                 store.put(fp, result, fn=cell.fn, key=cell.key)
-            if registry is not None:
-                registry.counter("store_puts").inc()
         yield cell, result
     store.finish_campaign(journal)
 

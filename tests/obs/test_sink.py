@@ -5,8 +5,6 @@ from repro.obs.sink import (
     ENGINE_MAXIMA,
     DictSink,
     ObservationSink,
-    TeeSink,
-    combine_sinks,
 )
 
 
@@ -24,30 +22,6 @@ class TestDictSink:
         sink.record_max("max_fused_rows", 3)
         sink.record_max("max_fused_rows", 2)
         assert stats == {"max_fused_rows": 3}
-
-
-class TestTeeSink:
-    def test_fans_out_to_every_sink(self):
-        a, b = {}, {}
-        tee = TeeSink([DictSink(a), DictSink(b)])
-        tee.count("ticks", 2)
-        tee.record_max("max_fused_rows", 4)
-        assert a == b == {"ticks": 2, "max_fused_rows": 4}
-
-
-class TestCombineSinks:
-    def test_none_only_collapses_to_none(self):
-        assert combine_sinks(None, None) is None
-
-    def test_single_sink_returned_directly(self):
-        sink = DictSink({})
-        assert combine_sinks(None, sink, None) is sink
-
-    def test_multiple_sinks_teed(self):
-        a, b = DictSink({}), DictSink({})
-        combined = combine_sinks(a, b)
-        assert isinstance(combined, TeeSink)
-        assert combined.sinks == (a, b)
 
 
 class TestProtocol:

@@ -6,19 +6,37 @@ Contracts (ISSUE 10, satellite 3):
 * queue depth returns to zero after a drain barrier;
 * the time a training event holds the loop is accounted exactly once
   per event — the ``serve_hold_ms`` histogram count equals the
-  ``train_events`` counter, which equals the sum of the tenants' own.
+  ``train_events`` counter, which equals the sum of the tenants' own;
+* the wire shape of the ``metrics`` and ``stats`` replies — key sets,
+  histogram summaries and their bucket bounds — is pinned.
 """
 
 from __future__ import annotations
 
 import threading
 
+from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.serve.loadgen import synthetic_stream
 
 from serve_harness import FAST_HP, Client
 
 N_REQUESTS = 120
 N_TENANTS = 3
+
+COUNTERS = {
+    "served", "errors", "rounds", "fused_forwards", "fused_rows",
+    "max_fused_rows", "train_events", "reloads",
+}
+STATS_KEYS = {"ok", "op", "train_mode", "counters", "tenants"}
+METRICS_KEYS = STATS_KEYS | {
+    "uptime_s", "queue_depth", "trainer_busy_s", "trainer_occupancy",
+    "timings",
+}
+TENANT_KEYS = {
+    "seq", "queued", "train_mode", "train_events", "weights_version",
+    "completion_s",
+}
+SUMMARY_KEYS = {"count", "sum", "min", "max", "mean", "buckets", "overflow"}
 
 
 class _Streamer(threading.Thread):
@@ -131,3 +149,45 @@ def test_place_replies_carry_timing(daemon):
             timing = reply["timing"]
             assert timing["queue_ms"] >= 0.0
             assert timing["service_ms"] >= 0.0
+
+
+def test_metrics_and_stats_wire_shape(daemon):
+    """The replies ``bench/`` and clients read, key for key: only
+    observed histograms appear, every summary has the same fields and
+    the default bucket bounds, and the hold histogram counts the
+    training events."""
+    frames = synthetic_stream(seed=11, n=80)
+    with Client(daemon.address) as client:
+        opened = client.rpc({
+            "op": "open", "tenant": "t0", "seed": 0, "hyperparams": FAST_HP,
+        })
+        assert opened["ok"], opened
+        for frame in frames[:5]:  # before FAST_HP's first training event
+            assert client.rpc({**frame, "tenant": "t0"})["ok"]
+        early = _metrics(client)
+        assert early["counters"]["train_events"] == 0
+        assert set(early["timings"]) == {"serve_queue_ms", "serve_service_ms"}
+
+        for frame in frames[5:]:
+            assert client.rpc({**frame, "tenant": "t0"})["ok"]
+        assert client.rpc({"op": "drain"})["ok"]
+        final = _metrics(client)
+        stats = client.rpc({"op": "stats"})
+
+    assert set(final) == METRICS_KEYS
+    assert set(stats) == STATS_KEYS
+    assert set(final["counters"]) == set(stats["counters"]) == COUNTERS
+    assert set(final["tenants"]["t0"]) == set(stats["tenants"]["t0"]) \
+        == TENANT_KEYS
+    timings = final["timings"]
+    assert set(timings) == {"serve_queue_ms", "serve_service_ms", "serve_hold_ms"}
+    for summary in timings.values():
+        assert set(summary) == SUMMARY_KEYS
+        assert [float(bound) for bound in summary["buckets"]] == list(
+            DEFAULT_BUCKETS
+        )
+        assert sum(summary["buckets"].values()) + summary["overflow"] \
+            == summary["count"]
+    assert final["counters"]["train_events"] > 0
+    assert final["counters"]["train_events"] == timings["serve_hold_ms"]["count"]
+    assert timings["serve_queue_ms"]["count"] == len(frames)

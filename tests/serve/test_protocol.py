@@ -58,6 +58,30 @@ def test_bad_requests_rejected(bad):
     assert excinfo.value.code == protocol.ERR_BAD_REQUEST
 
 
+@pytest.mark.parametrize("name,value", [
+    ("batch_size", 1.5),
+    ("batches_per_training", 2.0),        # integral, but not an integer
+    ("train_interval", 2.5),
+    ("buffer_capacity", "64"),
+    ("initial_random_requests", True),    # bool is not int
+    ("learning_rate", True),
+    ("learning_rate", float("inf")),      # json decodes Infinity
+    ("discount", float("nan")),
+    ("exploration_rate", None),
+])
+def test_open_hyperparams_of_the_wrong_type_rejected(name, value):
+    with pytest.raises(ProtocolError) as excinfo:
+        parse({"op": "open", "tenant": "t", "hyperparams": {name: value}})
+    assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+    assert repr(name) in excinfo.value.message
+
+
+def test_open_hyperparams_of_the_right_type_pass():
+    hp = {"batch_size": 8, "learning_rate": 1, "discount": 0.5}
+    query = parse({"op": "open", "tenant": "t", "hyperparams": hp})
+    assert query.fields["hyperparams"] == hp
+
+
 def test_unknown_op_and_bad_json_codes():
     with pytest.raises(ProtocolError) as excinfo:
         parse({"op": "teleport"})

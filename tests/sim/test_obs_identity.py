@@ -2,11 +2,10 @@
 
 Two contracts:
 
-* **A/B bit-identity** — a fully observed run (``SIBYL_OBS=on``, a
-  ``stats`` dict, a custom sink, and an installed span tracer) produces
-  results, final weights, replay contents, and RNG streams identical
-  (float equality) to an unobserved run, across policy families and
-  all three engine backends.
+* **A/B bit-identity** — a fully observed run (a ``stats`` dict and an
+  installed span tracer) produces results, final weights, replay
+  contents, and RNG streams identical (float equality) to an unobserved
+  run, across policy families and all three engine backends.
 * **Counter equality across backends** — observation never chooses
   the engine, and the two SoA engines feed the same counters: a single
   eligible lane reports identical counts under ``numpy`` and ``cext``.
@@ -21,8 +20,6 @@ import pytest
 from repro.baselines.cde import CDEPolicy
 from repro.core.agent import SibylAgent
 from repro.core.hyperparams import SIBYL_DEFAULT
-from repro.obs.metrics import registry
-from repro.obs.sink import DictSink
 from repro.obs.tracer import install_tracer, set_tracer
 from repro.sim.lanes import LaneSpec, run_lanes
 from repro.traces.workloads import make_trace
@@ -53,18 +50,15 @@ def _lineup(seed=0):
     ]
 
 
-def _run(backend, observed, tmp_path=None, monkeypatch=None):
+def _run(backend, observed, tmp_path=None):
     policies = _lineup()
     trace = make_trace("rsrch_0", n_requests=N, seed=0)
     specs = [LaneSpec(policy=p, trace=trace, config="H&M") for p in policies]
     stats = None
     if observed:
-        monkeypatch.setenv("SIBYL_OBS", "on")
         install_tracer(str(tmp_path / f"trace-{backend}.json"), capacity=4096)
         stats = {}
-        results = run_lanes(
-            specs, stats=stats, backend=backend, sink=DictSink({})
-        )
+        results = run_lanes(specs, stats=stats, backend=backend)
         set_tracer(None)
     else:
         results = run_lanes(specs, backend=backend)
@@ -73,13 +67,11 @@ def _run(backend, observed, tmp_path=None, monkeypatch=None):
 
 class TestABBitIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_observed_run_bit_identical(self, backend, tmp_path, monkeypatch):
-        monkeypatch.delenv("SIBYL_OBS", raising=False)
+    def test_observed_run_bit_identical(self, backend, tmp_path):
         plain, plain_policies, _ = _run(backend, observed=False)
         observed, obs_policies, stats = _run(
-            backend, observed=True, tmp_path=tmp_path, monkeypatch=monkeypatch
+            backend, observed=True, tmp_path=tmp_path
         )
-        registry().reset()
         assert plain == observed
         assert stats["ticks"] > 0
         for a, b in zip(plain_policies, obs_policies):

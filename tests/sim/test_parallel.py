@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from repro.obs.metrics import registry
 from repro.obs.tracer import SpanTracer, set_tracer
 from repro.serve.daemon import PlacementDaemon
 from repro.sim import blas
@@ -27,6 +26,20 @@ def _square(x):
 
 def _fail():
     raise RuntimeError("boom")
+
+
+def _dispatch_args(cells, max_workers):
+    """Run ``cells`` on a pool under a tracer; the ``campaign.dispatch``
+    span's arguments."""
+    tracer = set_tracer(SpanTracer(capacity=64))
+    try:
+        results = run_many(cells, max_workers=max_workers)
+    finally:
+        set_tracer(None)
+    (dispatch,) = [
+        e for e in tracer.events() if e["name"] == "campaign.dispatch"
+    ]
+    return results, dispatch["args"]
 
 
 class TestCell:
@@ -203,38 +216,25 @@ class TestThreadTopology:
             f"{[(i, 1) for i in range(4)]} True [(0, 1)]"
         )
 
-    def test_topology_reaches_the_span_and_the_registry(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_OBS", "on")
-        tracer = set_tracer(SpanTracer(capacity=64))
-        try:
-            run_many(self._cells(), max_workers=2)
-        finally:
-            set_tracer(None)
-        gauges = registry().snapshot()["gauges"]
-        registry().reset()
-        (dispatch,) = [
-            e for e in tracer.events() if e["name"] == "campaign.dispatch"
-        ]
-        assert dispatch["args"]["workers"] == 2
-        assert dispatch["args"]["blas_threads"] == 1
-        assert gauges["campaign_workers"] == 2
-        assert gauges["campaign_blas_threads"] == 1
+    def test_topology_reaches_the_dispatch_span(self):
+        _, args = _dispatch_args(self._cells(), max_workers=2)
+        assert args["workers"] == 2
+        assert args["blas_threads"] == 1
 
 
 def test_unrecognised_blas_is_a_silent_noop(monkeypatch):
-    """No known BLAS mapped: cells still run, and the registry says the
-    pin did nothing (``campaign_blas_threads`` 0)."""
+    """No known BLAS mapped: cells still run, and the dispatch span says
+    the pin did nothing (``blas_threads`` 0)."""
     monkeypatch.setattr(blas, "_mapped_openblas", lambda: [])
     blas._controls.cache_clear()
-    monkeypatch.setenv("SIBYL_OBS", "on")
     try:
         assert blas_threads() is None
         cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(3)]
         assert run_many(cells, max_workers=1) == [(0, 0), (1, 1), (2, 4)]
-        assert run_many(cells, max_workers=2) == [(0, 0), (1, 1), (2, 4)]
-        assert registry().snapshot()["gauges"]["campaign_blas_threads"] == 0
+        results, args = _dispatch_args(cells, max_workers=2)
+        assert results == [(0, 0), (1, 1), (2, 4)]
+        assert args["blas_threads"] == 0
     finally:
-        registry().reset()
         blas._controls.cache_clear()
 
 

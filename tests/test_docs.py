@@ -45,7 +45,7 @@ def test_knob_tables_match_the_table(tmp_path):
     # ... and the check has teeth in both directions.
     doc = (REPO_ROOT / "docs" / "configuration.md").read_text()
     missing = tmp_path / "missing.md"
-    missing.write_text(doc.replace("| `SIBYL_OBS` |", "| `SIBYL_GHOST` |"))
+    missing.write_text(doc.replace("| `SIBYL_STORE` |", "| `SIBYL_GHOST` |"))
     assert len(check_docs.check_knob_table(missing)) == 2
     stale = tmp_path / "stale.md"
     stale.write_text(doc.replace("| `SIBYL_BENCH_REQUESTS` | `10000` |",

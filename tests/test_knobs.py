@@ -47,7 +47,7 @@ def read(row, override=None):
 
 
 def test_table_is_well_formed():
-    assert len(knobs.ROWS) == len(knobs.TABLE) == 10
+    assert len(knobs.ROWS) == len(knobs.TABLE) == 9
     for row in knobs.TABLE:
         assert row.name.startswith("SIBYL_")
         assert row.kind in ("count", "choice", "path")
