@@ -52,7 +52,6 @@ AUDITED_MODULES = (
     "repro.analysis.cli",
     "repro.analysis.rules",
     "repro.analysis.rules.determinism",
-    "repro.analysis.rules.hookpairs",
     "repro.analysis.rules.envknobs",
     "repro.analysis.rules.forksafety",
     "repro.sim.kernels.abi",

@@ -2,8 +2,8 @@
 
 The reproduction's correctness rests on conventions that runtime tests
 only defend after a 14-minute tier-1 run: strict determinism in the
-bit-identity core, balanced ``*_begin``/``*_commit`` hook pairs, one
-module owning the process environment, and fork-safe pool workers.
+bit-identity core, one module owning the process environment, and
+fork-safe pool workers.
 This package enforces that whole class at *lint time* with a
 stdlib-``ast`` static analysis — no imports of the analyzed code, no
 execution, sub-second over ``src/``.
@@ -36,7 +36,6 @@ from .rules import (
     DeterminismRule,
     EnvKnobRule,
     ForkSafetyRule,
-    HookPairRule,
     default_rules,
 )
 
@@ -56,5 +55,4 @@ __all__ = [
     "DeterminismRule",
     "EnvKnobRule",
     "ForkSafetyRule",
-    "HookPairRule",
 ]

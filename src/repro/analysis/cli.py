@@ -30,8 +30,8 @@ def build_lint_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description="Sibyl contract analyzer: static enforcement of the "
-                    "repo's determinism, hook-pair, env-knob, and "
-                    "fork-safety invariants",
+                    "repo's determinism, env-knob, and fork-safety "
+                    "invariants",
     )
     add_lint_arguments(parser)
     return parser

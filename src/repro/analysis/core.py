@@ -18,9 +18,8 @@ Structure:
 Suppressions are line-scoped: a finding on line *N* is dropped when
 line *N* carries ``# sibyl: ignore[RULE-ID]`` (several IDs may be
 comma-separated; a bare ``# sibyl: ignore`` silences every rule on the
-line).  Reviewed suppressions are the escape hatch for intentional
-contract splits — a ``begin`` whose ``commit`` is owed to another
-function by design — and each one should carry a justification comment
+line).  Reviewed suppressions are the escape hatch for an intentional
+exception to a rule, and each one should carry a justification comment
 next to it.
 """
 
@@ -66,7 +65,7 @@ _SUPPRESS_RE = re.compile(
 class Finding:
     """One rule violation at a source location.
 
-    ``rule`` is the stable rule ID (``SBL-DET``, ``SBL-HOOK``, ...),
+    ``rule`` is the stable rule ID (``SBL-DET``, ``SBL-ENV``, ...),
     ``path`` the file as given to the driver, ``line``/``col`` the
     1-based line and 0-based column of the offending node, and
     ``message`` a one-line explanation ending with what to do instead.

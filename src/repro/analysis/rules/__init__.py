@@ -6,8 +6,6 @@ ID          Invariant
 SBL-DET     No ambient nondeterminism (clocks, global RNGs, fs order,
             ``id()`` ordering, set iteration) inside the bit-identity
             core (``repro.sim``/``rl``/``hss``/``store``).
-SBL-HOOK    ``place_begin``/``place_commit`` and ``train_begin``/
-            ``train_commit`` balance on every non-raising path.
 SBL-ENV     The process environment is touched only by
             ``repro/knobs.py`` (every knob is a row of its table).
 SBL-FORK    Pool worker functions touch no mutable module-level state.
@@ -18,7 +16,10 @@ Rule IDs are append-only: never renumber or reuse one, because
 ``# sibyl: ignore[...]`` suppressions in the tree reference them.
 (``SBL-FPR`` is retired: sweep cells are built through one helper, not
 at literal ``Cell(fn=<Name>)`` sites, and ``tests/sim/
-test_golden_sweeps.py`` checks the real cells instead.)
+test_golden_sweeps.py`` checks the real cells instead.  ``SBL-HOOK`` is
+retired: a begun placement that is never committed is replaced by the
+next ``place_begin``, and ``train_begin`` raises on a pending job, so
+an unpaired begin cannot corrupt an agent.)
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ from ..core import Rule
 from .determinism import DeterminismRule
 from .envknobs import EnvKnobRule
 from .forksafety import ForkSafetyRule
-from .hookpairs import HookPairRule
 
 __all__ = [
     "DeterminismRule",
     "EnvKnobRule",
     "ForkSafetyRule",
-    "HookPairRule",
     "default_rules",
 ]
 
@@ -49,7 +48,6 @@ def default_rules(only: Optional[Sequence[str]] = None) -> List[Rule]:
     """
     rules: List[Rule] = [
         DeterminismRule(),
-        HookPairRule(),
         EnvKnobRule(),
         ForkSafetyRule(),
     ]

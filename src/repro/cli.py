@@ -26,9 +26,9 @@ Commands
     triggers it.  Blocks until a client sends ``shutdown`` (or ^C).
 ``lint``
     Run the Sibyl contract analyzer (:mod:`repro.analysis`) over the
-    given paths: static AST checks for the determinism, hook-pair,
-    env-knob, and fork-safety invariants.  Exit status 0
-    = clean, 1 = findings, 2 = fatal error.
+    given paths: static AST checks for the determinism, env-knob, and
+    fork-safety invariants.  Exit status 0 = clean, 1 = findings, 2 =
+    fatal error.
 
 Fatal errors (unwritable ``--json`` target, missing lint path, bad
 configuration) exit with status 2 and a one-line ``error: ...`` on

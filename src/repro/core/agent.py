@@ -180,6 +180,11 @@ class SibylAgent(PlacementPolicy):
         ``place`` itself is exactly ``place_begin`` + a single-
         observation forward + ``place_commit``, so the two paths follow
         the same statements (and the same RNG draw order) per request.
+
+        A begun decision that is never committed needs no unwinding:
+        the next ``place_begin`` replaces it.  That request is simply
+        never placed; its observation already stands as the *next
+        state* of the previous decision, which stays valid.
         """
         if self.extractor is None or self.inference_net is None:
             raise RuntimeError("SibylAgent.place called before attach()")
@@ -209,23 +214,6 @@ class SibylAgent(PlacementPolicy):
             return None
         self._inflight = (obs, obs_key, None)
         return obs
-
-    @property
-    def place_pending(self) -> bool:
-        """True between :meth:`place_begin` and :meth:`place_commit`."""
-        return self._inflight is not None
-
-    def place_abort(self) -> None:
-        """Drop an in-flight decision without committing it.
-
-        An external driver (the placement daemon's engine) unwinding
-        after a mid-round error clears the pending decision so the
-        agent is immediately reusable.  The aborted request is simply
-        never placed — its transition was already recorded by
-        ``place_begin`` as the *next-state* of the previous decision,
-        which stays valid.
-        """
-        self._inflight = None
 
     def place_commit(self, greedy_action: Optional[int] = None) -> int:
         """Second half of :meth:`place`: commit the pending decision.

@@ -111,8 +111,7 @@ class Job:
 class _LaneGroup:
     """Tenant agents sharing one network architecture → one fused stack.
 
-    One row per agent.  ``pending`` holds ``(job, row)`` pairs awaiting
-    the round's fused forward.
+    One row per agent.
     """
 
     def __init__(self, agents: List) -> None:
@@ -131,7 +130,6 @@ class _LaneGroup:
         # restore) and its stack slice must be re-synced before the
         # next fused forward.
         self.weights_seen = [agent.weights_version for agent in self.agents]
-        self.pending: List[Tuple[Job, int]] = []
 
     def resync(self) -> None:
         """Refresh stack slices of lanes whose weights changed."""
@@ -333,14 +331,14 @@ class PlacementEngine:
     def _serve_round(self, jobs: List[Job]) -> None:
         """One fused round: at most one query per lane.
 
-        ``place_begin`` → ``place_commit`` run in unconditional
-        sequence (the SBL-HOOK rule proves the pair balances).  A raise
-        inside one lane's own statements fails that lane's job alone
-        (:meth:`_fail_lane`) and the round goes on without it; a raise
-        in what the round shares — the stacked forward — unwinds
-        through ``place_abort``.  Either way no agent is left with an
-        in-flight decision and every submitter gets a structured error
-        instead of a hung socket.
+        A raise inside one lane's own statements fails that lane's job
+        alone (:meth:`_fail_lane`) and the round goes on without it; a
+        raise in what the round shares — the stacked forward — fails
+        every job of the round not yet answered.  Either way every
+        submitter gets a structured error instead of a hung socket.  An
+        agent left with a begun, uncommitted decision needs no unwinding:
+        the decision path only reads the inference network, and the
+        agent's next ``place_begin`` replaces the dropped decision.
         """
         self.counters["rounds"] += 1
         t_begin = time.perf_counter()
@@ -352,7 +350,9 @@ class PlacementEngine:
                 self.place_commit(jobs, pending)
         except Exception as exc:
             logger.warning("serving round failed: %s", exc, exc_info=True)
-            self.place_abort(jobs)
+            for job in jobs:
+                if not job.done.is_set():
+                    self._fail(job, ERR_INTERNAL, "placement round failed")
 
     def place_begin(self, jobs: List[Job]) -> List[Tuple[Job, TenantLane, np.ndarray]]:
         """Pre-inference half of every job in the round.
@@ -384,27 +384,23 @@ class PlacementEngine:
         actions: Dict[int, int] = {}
         if pending:
             self._ensure_groups()
-            touched: List[_LaneGroup] = []
+            by_group: Dict[_LaneGroup, List[Tuple[Job, int]]] = {}
             for job, lane, obs in pending:
                 group, row = self._lane_group[lane.name]
                 group.obs[row] = obs
-                if not group.pending:
-                    touched.append(group)
-                group.pending.append((job, row))
-            for group in touched:
+                by_group.setdefault(group, []).append((job, row))
+            for group, members in by_group.items():
                 group.resync()
                 greedy = group.stack.best_actions(group.obs)
-                rows = len(group.pending)
+                rows = len(members)
                 self.counters["fused_forwards"] += 1
                 self.counters["fused_rows"] += rows
                 if rows > self.counters["max_fused_rows"]:
                     self.counters["max_fused_rows"] = rows
-                for pending_job, row in group.pending:
-                    actions[id(pending_job)] = int(greedy[row])
-                group.pending.clear()
+                for member, row in members:
+                    actions[id(member)] = int(greedy[row])
         queue_hist = self._histogram("serve_queue_ms")
         service_hist = self._histogram("serve_service_ms")
-        now = time.perf_counter()
         for job in jobs:
             if job.done.is_set():  # failed in place_begin
                 continue
@@ -418,11 +414,12 @@ class PlacementEngine:
             except Exception as exc:
                 self._fail_lane(job, lane, exc)
                 continue
+            done = time.perf_counter()
             if agent.train_events != events:
-                self._observe_training(lane, completing)
+                self._observe_training(lane, completing, done)
             self.counters["served"] += 1
             queue_ms = (job.t_begin - job.t_submit) * 1e3
-            service_ms = (now - job.t_begin) * 1e3
+            service_ms = (done - job.t_begin) * 1e3
             queue_hist.observe(queue_ms)
             service_hist.observe(service_ms)
             job.resolve(ok_frame({
@@ -451,18 +448,7 @@ class PlacementEngine:
         logger.warning(
             "placement failed for %r: %s", lane.name, exc, exc_info=True
         )
-        if lane.agent.place_pending:
-            lane.agent.place_abort()
         self._fail(job, ERR_INTERNAL, "placement failed")
-
-    def place_abort(self, jobs: List[Job]) -> None:
-        """Unwind a failed round: clear in-flight state, fail the jobs."""
-        for job in jobs:
-            lane = self.lanes.get(job.query.tenant)
-            if lane is not None and lane.agent.place_pending:
-                lane.agent.place_abort()
-            if not job.done.is_set():
-                self._fail(job, ERR_INTERNAL, "placement round failed")
 
     def _histogram(self, name: str) -> Histogram:
         hist = self.histograms.get(name)
@@ -471,11 +457,13 @@ class PlacementEngine:
         return hist
 
     # ------------------------------------------------------------- training
-    def _observe_training(self, lane: TenantLane, started: float) -> None:
+    def _observe_training(
+        self, lane: TenantLane, started: float, ended: float
+    ) -> None:
         """``lane.complete()`` ran a training event: record what the
         ``metrics`` op reports of it — one count, how long it held the
         loop, a ``serve.train`` span."""
-        held_s = time.perf_counter() - started
+        held_s = ended - started
         self.counters["train_events"] += 1
         self._histogram("serve_hold_ms").observe(held_s * 1e3)
         self.trainer_busy_s += held_s

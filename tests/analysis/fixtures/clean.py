@@ -9,12 +9,3 @@ def deterministic(xs, rng):
 
 def listing(d):
     return sorted(os.listdir(d))
-
-
-class Balanced:
-    def step(self, request):
-        self.place_begin(request)
-        try:
-            self.work(request)
-        finally:
-            self.place_commit(None)

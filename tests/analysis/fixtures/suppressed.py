@@ -1,8 +1,8 @@
 """Suppression-semantics fixture.
 
-Line 8: correct rule ID listed — suppressed.
+Line 9: correct rule ID listed — suppressed.
 Line 11: bare ignore — suppresses every rule on the line.
-Line 14: wrong rule ID — the SBL-DET finding still fires.
+Line 13: wrong rule ID — the SBL-DET finding still fires.
 """
 import time
 
@@ -10,4 +10,4 @@ T1 = time.time()  # sibyl: ignore[SBL-DET]
 
 T2 = time.time()  # sibyl: ignore
 
-T3 = time.time()  # sibyl: ignore[SBL-HOOK]
+T3 = time.time()  # sibyl: ignore[SBL-ENV]

@@ -38,9 +38,9 @@ class TestAnalysisMain:
         assert "unknown rule" in capsys.readouterr().err
 
     def test_rule_filter(self, capsys):
-        # only SBL-HOOK requested: the determinism violations are moot
+        # only SBL-ENV requested: the determinism violations are moot
         assert analysis_main(
-            [DIRTY, "--det-scope", "all", "--rules", "SBL-HOOK"]
+            [DIRTY, "--det-scope", "all", "--rules", "SBL-ENV"]
         ) == 0
 
     def test_json_format(self, capsys):
@@ -53,7 +53,7 @@ class TestAnalysisMain:
         assert analysis_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines() if line]
-        assert listed == ["SBL-DET", "SBL-HOOK", "SBL-ENV", "SBL-FORK"]
+        assert listed == ["SBL-DET", "SBL-ENV", "SBL-FORK"]
 
 
 class TestChangedFlag:

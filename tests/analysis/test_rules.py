@@ -41,31 +41,6 @@ class TestDeterminismRule:
         assert report.findings == []
 
 
-class TestHookPairRule:
-    def test_flags_unbalanced_begins_only(self):
-        report = lint_fixture("hook_violation")
-        assert {f.rule for f in report.findings} == {"SBL-HOOK"}
-        assert len(report.findings) == 3
-        src = (FIXTURES / "hook_violation.py").read_text().splitlines()
-        flagged = "".join(src[f.line - 1] for f in report.findings)
-        # the three seeded violations...
-        assert flagged.count("begin") == 3
-        # ...and none of the balanced shapes
-        for f in report.findings:
-            assert f.line < src.index("class BalancedFinally:") + 1 or \
-                f.line > len(src) - 5  # LoopNotGuaranteed at the tail
-
-    def test_finally_branch_raise_and_abort_all_discharge(self):
-        report = lint_fixture("hook_violation")
-        lines = {f.line for f in report.findings}
-        src = (FIXTURES / "hook_violation.py").read_text().splitlines()
-        for marker in ("finally always commits", "both branches discharge",
-                       "the non-commit path raises"):
-            lineno = next(i + 1 for i, line in enumerate(src)
-                          if marker in line)
-            assert lineno not in lines
-
-
 class TestEnvKnobRule:
     def test_flags_the_stray_environment_read(self):
         report = lint_fixture("env_violation")

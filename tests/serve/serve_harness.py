@@ -90,6 +90,7 @@ def serial_replay(
     head: str = "c51",
     checkpoint_at: Optional[int] = None,
     checkpoint_path=None,
+    uncommitted_at: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
     """Offline serial reference: the daemon's bit-identity ground truth.
 
@@ -99,7 +100,9 @@ def serial_replay(
     ``checkpoint_at`` is given, the agent checkpoints to
     ``checkpoint_path`` before serving that index and is then replaced
     by a *fresh* agent loaded from the checkpoint (what a daemon
-    ``save`` + ``reload`` at the same stream position does).
+    ``save`` + ``reload`` at the same stream position does).  The frame
+    at ``uncommitted_at`` only reaches ``place_begin``: never committed,
+    served or fed back, and absent from the returned list.
     """
     from dataclasses import replace
 
@@ -117,6 +120,9 @@ def serial_replay(
             agent.attach(hss)
             agent.load_checkpoint(checkpoint_path)
         request = frame_to_request(frame)
+        if index == uncommitted_at:
+            agent.place_begin(request)
+            continue
         action = agent.place(request)
         now = request.timestamp
         if now < completion_s:

@@ -242,7 +242,6 @@ def test_failing_placement_fails_only_its_tenant(where):
     assert all(r["ok"] for rs in replies.values() for r in rs)
     assert engine.counters["errors"] == 1
     assert engine.counters["served"] == len(names) * n - 1
-    assert not lane.agent.place_pending
     assert [r["seq"] for r in replies["bad"]] == list(range(n - 1))
 
     keys = ("action", "device", "latency_s", "eviction_time_s")
@@ -258,3 +257,95 @@ def test_failing_placement_fails_only_its_tenant(where):
         assert [
             {k: r[k] for k in keys} for r in replies[name]
         ] == serial_replay(frames, seed=i, hyperparams=FAST_HP)
+
+
+
+def _fail_one_stacked_forward(names, n, arm_at):
+    """Drive ``names`` through the synchronous pump, one frame each per
+    round, with the group stack's ``best_actions`` raising the first
+    time it runs from round ``arm_at`` on — so in a round where some
+    lane missed its memo.  Returns the engine, the streams, every
+    tenant's replies, the failed round and the fused-forward count
+    when it failed."""
+    from repro.serve.engine import PlacementEngine
+
+    from test_equivalence import pump, submit_frame
+
+    engine = PlacementEngine(train_mode="sync")
+    streams = {
+        name: synthetic_stream(seed=70 + i, n=n)
+        for i, name in enumerate(names)
+    }
+    for i, name in enumerate(names):
+        job = submit_frame(engine, {
+            "op": "open", "tenant": name, "seed": i, "hyperparams": FAST_HP,
+        })
+        pump(engine)
+        assert job.response["ok"], job.response
+
+    engine._ensure_groups()
+    stack = engine._lane_group[names[0]][0].stack
+    assert all(engine._lane_group[name][0].stack is stack for name in names)
+    failures = []
+
+    def failing_once(obs):
+        del stack.best_actions  # the class's method shows through again
+        failures.append((step, engine.counters["fused_forwards"]))
+        raise RuntimeError("injected forward failure")
+
+    replies = {name: [] for name in names}
+    for step in range(n):
+        if step == arm_at:
+            stack.best_actions = failing_once
+        wave = [
+            (name, submit_frame(
+                engine, {**streams[name][step], "tenant": name}
+            ))
+            for name in names
+        ]
+        pump(engine)
+        for name, job in wave:
+            assert job.done.is_set()
+            replies[name].append(job.response)
+    ((failed_at, forwards),) = failures
+    return engine, streams, replies, failed_at, forwards
+
+
+def test_failing_stacked_forward_fails_only_its_round():
+    """A raise in what a round shares — the stacked forward — answers
+    every job of that round with ``internal-error`` and costs nothing
+    more: each tenant is served again from its next frame, and its
+    stream is that of an agent which began the failed placement and
+    never committed it (the next ``place_begin`` replaces the dropped
+    decision).
+    """
+    from serve_harness import serial_replay
+
+    names, n = ["a", "b", "c"], 60
+    engine, streams, replies, failed_at, _ = _fail_one_stacked_forward(
+        names, n, arm_at=25
+    )
+    for name in names:
+        failed = replies[name].pop(failed_at)
+        assert not failed["ok"] and failed["error"] == "internal-error"
+        assert failed["id"] == streams[name][failed_at]["id"]
+    assert all(r["ok"] for rs in replies.values() for r in rs)
+    assert engine.counters["errors"] == len(names)
+    assert engine.counters["served"] == len(names) * (n - 1)
+
+    keys = ("action", "device", "latency_s", "eviction_time_s")
+    for i, name in enumerate(names):
+        assert [r["seq"] for r in replies[name]] == list(range(n - 1))
+        assert [{k: r[k] for k in keys} for r in replies[name]] == serial_replay(
+            streams[name], seed=i, hyperparams=FAST_HP,
+            uncommitted_at=failed_at,
+        )
+
+
+def test_fusion_resumes_after_a_failed_stacked_forward():
+    """The failed round leaves nothing queued in its group: the rounds
+    after it fuse again instead of each lane running its own forward."""
+    engine, _, _, _, forwards = _fail_one_stacked_forward(
+        ["a", "b", "c"], n=60, arm_at=25
+    )
+    assert engine.counters["fused_forwards"] > forwards

@@ -191,3 +191,32 @@ def test_metrics_and_stats_wire_shape(daemon):
     assert final["counters"]["train_events"] > 0
     assert final["counters"]["train_events"] == timings["serve_hold_ms"]["count"]
     assert timings["serve_queue_ms"]["count"] == len(frames)
+
+
+def test_service_ms_covers_the_training_event_it_ran(daemon):
+    """``service_ms`` runs to the end of the job's own placement — its
+    commit, HSS serve and ``feedback()`` — so a reply whose placement
+    ran a training event reports at least the time that event held the
+    loop, and ``queue_ms + service_ms`` is the frame's sojourn inside
+    the server."""
+    frames = synthetic_stream(seed=13, n=80)
+    checked = 0
+    with Client(daemon.address) as client:
+        opened = client.rpc({
+            "op": "open", "tenant": "t0", "seed": 0, "hyperparams": FAST_HP,
+        })
+        assert opened["ok"], opened
+        events, held_ms = 0, 0.0
+        for frame in frames:
+            reply = client.rpc({**frame, "tenant": "t0"})
+            assert reply["ok"], reply
+            snap = _metrics(client)
+            if snap["counters"]["train_events"] == events:
+                continue
+            events = snap["counters"]["train_events"]
+            hold = snap["timings"]["serve_hold_ms"]
+            event_ms, held_ms = hold["sum"] - held_ms, hold["sum"]
+            # both sides are rounded on the wire (4 and 6 decimals)
+            assert reply["timing"]["service_ms"] >= event_ms - 1e-4
+            checked += 1
+    assert checked == events > 0
