@@ -5,11 +5,14 @@ campaign (Fig. 9 latency, Fig. 10 IOPS, Fig. 17 preference, Fig. 18
 evictions), so the campaign is computed once per (workloads, config)
 and cached.  Each benchmark renders its figure's rows, prints them,
 and writes them under ``benchmarks/results/`` so the numbers survive
-pytest's output capture.
+pytest's output capture; a figure with claims also writes its grid as
+JSON, which ``claims.py`` reads.
 
 Scale knobs: the three ``SIBYL_BENCH_*`` variables read below, plus what
 the library itself honours (workers, backend, durable store) — all rows
 of ``repro.knobs.TABLE``, documented in ``docs/configuration.md``.
+Every campaign runs ``SIBYL_BENCH_SEEDS`` seeds, so every cell is a
+band over seeds; one seed is a one-value band.
 
 Within every cell the policy lineup is one ``run_lanes`` call: the SoA
 tick kernels (``SIBYL_BACKEND``) run every lane they model, the rest
@@ -18,11 +21,14 @@ are stepped serially — bit-identical to the serial loop either way.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Tuple
+from statistics import fmean
+from typing import Dict, Optional, Tuple
 
 from repro import knobs
+from repro.sim.campaign import SeededResult, resolve_seeds
 from repro.sim.experiment import compare_policies, tri_hybrid_comparison
 from repro.sim.report import export_json, format_table, geomean
 from repro.store import store_from_env
@@ -31,14 +37,23 @@ from repro.traces.workloads import MOTIVATION_WORKLOADS, workload_names
 N_REQUESTS = knobs.get("SIBYL_BENCH_REQUESTS")
 _MODE = knobs.get("SIBYL_BENCH_WORKLOADS")
 N_SEEDS = knobs.get("SIBYL_BENCH_SEEDS")
-#: kwargs adding the seed axis to a campaign (empty = point estimates).
-SEED_AXIS = {"n_seeds": N_SEEDS} if N_SEEDS > 1 else {}
+#: The seed axis of every campaign, for the benches that build their own.
+SEEDS = resolve_seeds(n_seeds=N_SEEDS)
 
 #: Durable campaign store (``SIBYL_STORE``), or None for undurable runs.
 STORE = store_from_env()
 
 RESULTS_DIR = Path(__file__).parent / "results"
 RESULTS_DIR.mkdir(exist_ok=True)
+
+#: Each metric's summary row: the geometric mean of normalised latency
+#: and IOPS, the arithmetic mean of fractions (which can be zero).
+SUMMARY = {
+    "latency": "GEOMEAN",
+    "iops": "GEOMEAN",
+    "eviction_fraction": "MEAN",
+    "fast_preference": "MEAN",
+}
 
 
 def full_workload_list() -> Tuple[str, ...]:
@@ -60,7 +75,7 @@ def comparison(workloads: Tuple[str, ...], config: str) -> Dict:
     """
     return compare_policies(
         list(workloads), config=config, n_requests=N_REQUESTS, seed=0,
-        store=STORE, **SEED_AXIS,
+        n_seeds=N_SEEDS, store=STORE,
     )
 
 
@@ -68,67 +83,46 @@ def comparison(workloads: Tuple[str, ...], config: str) -> Dict:
 def tri_comparison(workloads: Tuple[str, ...], config: str) -> Dict:
     return tri_hybrid_comparison(
         list(workloads), config=config, n_requests=N_REQUESTS, seed=0,
-        store=STORE, **SEED_AXIS,
+        n_seeds=N_SEEDS, store=STORE,
     )
 
 
-def metric_value(value) -> float:
-    """Scalar view of a table cell: the seed-axis mean when banded.
-
-    Figure shape assertions compare scalars; with ``SIBYL_BENCH_SEEDS``
-    > 1 the cells are ``SeededResult`` bands, so assertions (and the
-    geomean row) act on the means.  (The predicate matches report.py's
-    band detection — ``hasattr(value, "mean")`` alone would misfire on
-    numpy scalars, whose ``.mean`` is a bound method.)
-    """
-    if hasattr(value, "mean") and hasattr(value, "ci_lo") and hasattr(
-        value, "ci_hi"
-    ):
-        return value.mean
-    return value
-
-
 def metric_table(results: Dict, metric: str) -> list:
-    """Rows of {workload, policy_1: value, ...} plus a geomean row.
+    """Rows of {workload, column: band, ...} plus the metric's summary
+    row, whose band is the summary taken seed by seed."""
+    rows = [
+        {"workload": workload, **{key: cell[metric] for key, cell in by_key.items()}}
+        for workload, by_key in results.items()
+    ]
+    label = SUMMARY[metric]
+    summarise = geomean if label == "GEOMEAN" else fmean
+    summary = {"workload": label}
+    for key in list(rows[0])[1:]:
+        bands = [row[key] for row in rows]
+        summary[key] = SeededResult.from_values(
+            [summarise(seed) for seed in zip(*(band.values for band in bands))],
+            seeds=bands[0].seeds,
+        )
+    return rows + [summary]
 
-    Banded cells stay banded (the table renderer prints mean ±CI); the
-    geomean summary row is computed over the per-cell scalar views.
+
+def emit(name: str, text: str, grid: Optional[Dict] = None) -> None:
+    """Print a figure's table and persist it under benchmarks/results/.
+
+    A ``grid`` is written beside it as ``<name>.json``, and the scale it
+    ran at into ``scale.json``, for ``claims.py``.
     """
-    policies = list(next(iter(results.values())).keys())
-    rows = []
-    for workload, by_policy in results.items():
-        row = {"workload": workload}
-        for policy in policies:
-            row[policy] = by_policy[policy][metric]
-        rows.append(row)
-    avg = {"workload": "GEOMEAN"}
-    for policy in policies:
-        values = [metric_value(results[w][policy][metric]) for w in results]
-        try:
-            avg[policy] = geomean(values)
-        except ValueError:
-            avg[policy] = sum(values) / len(values)
-    rows.append(avg)
-    return rows
-
-
-def emit(name: str, text: str) -> None:
-    """Print a figure's table and persist it under benchmarks/results/."""
-    banner = f"\n===== {name} =====\n{text}\n"
-    print(banner)
+    if grid is not None:
+        text += f"\n(each cell: mean ±95% CI over {N_SEEDS} seed(s))"
+        export_json(grid, path=RESULTS_DIR / f"{name}.json")
+        scale_path = RESULTS_DIR / "scale.json"
+        scales = json.loads(scale_path.read_text()) if scale_path.exists() else {}
+        scales[name] = {"requests": N_REQUESTS, "workloads": _MODE}
+        scale_path.write_text(json.dumps(dict(sorted(scales.items())), indent=2) + "\n")
+    print(f"\n===== {name} =====\n{text}\n")
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
-def render(name: str, results: Dict, metric: str, title: str) -> str:
-    """Render, print, and persist one figure table (ASCII + JSON).
-
-    The JSON sibling under ``benchmarks/results/`` carries the full
-    (possibly banded) grid machine-readably — per-seed values included
-    — so plots and CI checks never re-parse the ASCII art.
-    """
-    if N_SEEDS > 1:
-        title += f" — mean ±95% CI over {N_SEEDS} seeds"
-    text = format_table(metric_table(results, metric), title=title)
-    emit(name, text)
-    export_json(results, path=RESULTS_DIR / f"{name}.json")
-    return text
+def render(name: str, results: Dict, metric: str, title: str) -> None:
+    """Render, print, and persist one figure's ``metric`` table and grid."""
+    emit(name, format_table(metric_table(results, metric), title=title), results)

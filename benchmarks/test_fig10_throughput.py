@@ -1,22 +1,12 @@
 """Fig. 10: request throughput (IOPS), all policies, H&M and H&L.
 
 Same campaign as Fig. 9, projected onto the throughput metric
-(normalised to Fast-Only).  Shape: Sibyl's throughput beats every
-baseline on average, and Slow-Only's H&L throughput collapses (the
-paper's 0.005-0.01 range on the right plot).
+(normalised to Fast-Only).  Claims: the ``fig10*`` rows of
+``claims.py``.
 """
 
-from common import comparison, full_workload_list, metric_value, render
-
-from repro.sim.report import geomean
-
-
-def _geomean(results, policy):
-    # Seed-axis means when the campaign is banded (SIBYL_BENCH_SEEDS > 1).
-    return geomean([
-        max(1e-9, metric_value(row[policy]["iops"]))
-        for row in results.values()
-    ])
+from claims import check
+from common import comparison, full_workload_list, render
 
 
 def test_fig10a_throughput_hm(benchmark):
@@ -28,7 +18,7 @@ def test_fig10a_throughput_hm(benchmark):
         "fig10a_throughput_hm", results, "iops",
         "Fig 10(a): normalized request throughput (IOPS), H&M",
     )
-    assert _geomean(results, "Sibyl") > _geomean(results, "Slow-Only")
+    check("fig10a_throughput_hm")
 
 
 def test_fig10b_throughput_hl(benchmark):
@@ -40,5 +30,4 @@ def test_fig10b_throughput_hl(benchmark):
         "fig10b_throughput_hl", results, "iops",
         "Fig 10(b): normalized request throughput (IOPS), H&L",
     )
-    # Slow-Only throughput collapses when everything sits on the HDD.
-    assert _geomean(results, "Slow-Only") < 0.2
+    check("fig10b_throughput_hl")

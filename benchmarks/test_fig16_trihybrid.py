@@ -1,20 +1,12 @@
 """Fig. 16: tri-hybrid storage systems (H&M&L and H&M&L_SSD).
 
-Shape target: extending Sibyl to three devices (one extra action, one
-extra capacity feature) beats the statically-thresholded
-hot/cold/frozen heuristic on average — the paper reports 23.9-48.2%.
+Sibyl extended to three devices (one extra action, one extra capacity
+feature) against the statically-thresholded hot/cold/frozen heuristic.
+Claims: the ``fig16*`` rows of ``claims.py``.
 """
 
-from common import full_workload_list, metric_value, render, tri_comparison
-
-from repro.sim.report import geomean
-
-
-def _geomean(results, policy):
-    # Seed-axis means when the campaign is banded (SIBYL_BENCH_SEEDS > 1).
-    return geomean(
-        [metric_value(row[policy]["latency"]) for row in results.values()]
-    )
+from claims import check
+from common import full_workload_list, render, tri_comparison
 
 
 def test_fig16a_trihybrid_hml(benchmark):
@@ -26,9 +18,7 @@ def test_fig16a_trihybrid_hml(benchmark):
         "fig16a_trihybrid_hml", results, "latency",
         "Fig 16(a): tri-hybrid H&M&L (normalized latency)",
     )
-    assert _geomean(results, "Sibyl") < _geomean(
-        results, "Heuristic-Tri-Hybrid"
-    )
+    check("fig16a_trihybrid_hml")
 
 
 def test_fig16b_trihybrid_hml_ssd(benchmark):
@@ -40,6 +30,4 @@ def test_fig16b_trihybrid_hml_ssd(benchmark):
         "fig16b_trihybrid_hml_ssd", results, "latency",
         "Fig 16(b): tri-hybrid H&M&L_SSD (normalized latency)",
     )
-    assert _geomean(results, "Sibyl") < _geomean(
-        results, "Heuristic-Tri-Hybrid"
-    ) * 1.05
+    check("fig16b_trihybrid_hml_ssd")

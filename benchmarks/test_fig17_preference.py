@@ -1,46 +1,30 @@
 """Fig. 17: Sibyl's preference for the fast storage device (§9).
 
-Explainability shape target: Sibyl places a larger fraction of data in
-the fast device under H&L (huge latency gap — aggressive placement
-pays despite evictions) than under H&M (small gap — selectivity pays),
-on average across workloads.
+Sibyl's fast-placement fraction per workload under H&M and H&L, from
+the Fig. 9 campaigns.  Claim: the ``fig17`` row of ``claims.py``.
 """
 
-from common import comparison, emit, full_workload_list, metric_value
+from claims import check
+from common import comparison, full_workload_list, render
 
-from repro.sim.report import format_table
+CONFIGS = ("H&M", "H&L")
 
 
 def build_preferences():
-    hm = comparison(full_workload_list(), "H&M")
-    hl = comparison(full_workload_list(), "H&L")
-    rows = []
-    for workload in hm:
-        rows.append(
-            {
-                "workload": workload,
-                "pref_HM": metric_value(
-                    hm[workload]["Sibyl"]["fast_preference"]
-                ),
-                "pref_HL": metric_value(
-                    hl[workload]["Sibyl"]["fast_preference"]
-                ),
-            }
-        )
-    return rows
+    runs = {config: comparison(full_workload_list(), config) for config in CONFIGS}
+    return {
+        workload: {
+            config: {"fast_preference": runs[config][workload]["Sibyl"]["fast_preference"]}
+            for config in CONFIGS
+        }
+        for workload in full_workload_list()
+    }
 
 
 def test_fig17_fast_preference(benchmark):
-    rows = benchmark.pedantic(build_preferences, rounds=1, iterations=1)
-    emit(
-        "fig17_preference",
-        format_table(rows, title="Fig 17: Sibyl's fast-device preference"),
+    grid = benchmark.pedantic(build_preferences, rounds=1, iterations=1)
+    render(
+        "fig17_preference", grid, "fast_preference",
+        "Fig 17: Sibyl's fast-device preference",
     )
-    mean_hm = sum(r["pref_HM"] for r in rows) / len(rows)
-    mean_hl = sum(r["pref_HL"] for r in rows) / len(rows)
-    # Larger latency gap -> stronger fast preference (paper's first
-    # observation in §9).
-    assert mean_hl >= mean_hm * 0.9
-    # Preferences are genuinely workload-dependent, not constant.
-    prefs = [r["pref_HM"] for r in rows]
-    assert max(prefs) - min(prefs) > 0.15
+    check("fig17_preference")

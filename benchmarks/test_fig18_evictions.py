@@ -1,22 +1,12 @@
 """Fig. 18: evictions from fast storage as a fraction of all requests.
 
-Shape targets: CDE's indiscriminate fast placement triggers by far the
-most evictions; Sibyl stays restrained in H&M (where eviction hurts
-relative to the modest latency gap) but tolerates more evictions in
-H&L (where fast hits dominate) — the paper's §9 narrative.
+Same campaign as Fig. 9, projected onto the eviction fraction (an
+arithmetic-mean summary: fractions can be zero).  Claims: the
+``fig18*`` rows of ``claims.py``.
 """
 
-from common import comparison, full_workload_list, metric_value, render
-
-POLICIES = ("CDE", "HPS", "Archivist", "RNN-HSS", "Sibyl")
-
-
-def _mean(results, policy):
-    vals = [
-        metric_value(row[policy]["eviction_fraction"])
-        for row in results.values()
-    ]
-    return sum(vals) / len(vals)
+from claims import check
+from common import comparison, full_workload_list, render
 
 
 def test_fig18a_evictions_hm(benchmark):
@@ -28,23 +18,7 @@ def test_fig18a_evictions_hm(benchmark):
         "fig18a_evictions_hm", results, "eviction_fraction",
         "Fig 18(a): eviction fraction, H&M",
     )
-    # On the workloads where CDE actually exercises fast storage
-    # (eviction fraction > 0.2 — write-heavy traces), Sibyl is no more
-    # eviction-happy than CDE despite also promoting reads.  (A blanket
-    # mean comparison would penalise Sibyl for serving read-dominated
-    # workloads that CDE simply routes past the fast device.)
-    active = [
-        w for w in results
-        if metric_value(results[w]["CDE"]["eviction_fraction"]) > 0.2
-    ]
-    assert active, "expected CDE to be eviction-active somewhere"
-    cde = sum(
-        metric_value(results[w]["CDE"]["eviction_fraction"]) for w in active
-    )
-    sibyl = sum(
-        metric_value(results[w]["Sibyl"]["eviction_fraction"]) for w in active
-    )
-    assert sibyl <= cde * 1.05
+    check("fig18a_evictions_hm")
 
 
 def test_fig18b_evictions_hl(benchmark):
@@ -56,7 +30,4 @@ def test_fig18b_evictions_hl(benchmark):
         "fig18b_evictions_hl", results, "eviction_fraction",
         "Fig 18(b): eviction fraction, H&L",
     )
-    # In H&L Sibyl follows a CDE-like aggressive policy (§9): its
-    # eviction fraction rises relative to its own H&M behaviour.
-    hm = comparison(full_workload_list(), "H&M")
-    assert _mean(results, "Sibyl") >= _mean(hm, "Sibyl") * 0.8
+    check("fig18b_evictions_hl")

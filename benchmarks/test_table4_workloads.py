@@ -1,8 +1,9 @@
 """Table 4: characteristics of the 14 evaluated workloads.
 
 Regenerates the table from the synthetic traces and reports both the
-paper's target statistics and the measured ones, demonstrating the
-generator is calibrated to the published fingerprints.
+paper's target statistics and the measured ones.  It characterises the
+inputs and carries no claim; the generator's calibration is tested in
+``tests/traces``.
 """
 
 from common import N_REQUESTS, emit
@@ -39,8 +40,3 @@ def test_table4_workload_characteristics(benchmark):
         precision=1,
     )
     emit("table4_workloads", text)
-    # Sanity: write ratios track the paper's within 20 points (the
-    # generator's write-burst phases bias mid-range mixes upward; the
-    # worst case across the catalog is ~19 points on web_1).
-    for row in rows:
-        assert abs(row["write%_paper"] - row["write%_meas"]) < 20.0

@@ -53,24 +53,19 @@ mid-grid resumes from its journal, dispatching only the missing cells.
 ``.sibyl-store/`` directory.  Stored cells round-trip losslessly
 (``docs/store.md``), so a warm or resumed sweep's tables and JSON
 exports are byte-identical to a cold run's; a plain call and an
-``n_seeds=1`` campaign address the same blob.  The one exception is the
-``policies=`` factory path of :func:`compare_policies`: a closure-built
-lineup has no content identity, so that path always recomputes.
+``n_seeds=1`` campaign address the same blob.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .campaign import (
     DEFAULT_WARMUP,
     ORACLE_HORIZONS,
     SeededResult,
-    _resolve_trace,
-    aggregate_seeds,
     resolve_seeds,
     run_oracle_best,
-    run_seeded_normalized,
     seeded_buffer_size_cell,
     seeded_capacity_cell,
     seeded_compare_cell,
@@ -82,9 +77,6 @@ from .campaign import (
     standard_policies,
 )
 from .parallel import Cell, run_grid
-
-if TYPE_CHECKING:
-    from ..baselines.base import PlacementPolicy
 
 __all__ = [
     "DEFAULT_WARMUP",
@@ -118,17 +110,6 @@ def _campaign_store(store, resume: bool):
     return resolve_store(store)
 
 
-def _sweep_seeds(seed, seeds, n_seeds) -> Tuple[Tuple[int, ...], bool]:
-    """A sweep's seed axis, and whether the caller asked for bands.
-
-    Without ``seeds=``/``n_seeds=`` the axis is ``(seed,)`` and the
-    sweep reports each band's single value (:func:`_first_seed`).
-    """
-    if seeds is None and n_seeds is None:
-        return (seed,), False
-    return resolve_seeds(seeds=seeds, n_seeds=n_seeds, base_seed=seed), True
-
-
 def _first_seed(result):
     """A banded result structure with every band read back to its first
     seed's value — the inverse of ``aggregate_seeds`` over one seed."""
@@ -156,10 +137,15 @@ def _run_sweep(
     ``points`` holds a ``(key, kwargs)`` pair per grid point; each
     becomes one cell of ``cell_fn`` with the point's kwargs, the
     sweep's ``shared`` kwargs and the resolved seed axis.  Without a
-    caller-given axis, results and ``on_cell`` payloads are the single
-    seed's plain values instead of bands.
+    caller-given axis (``seeds=``/``n_seeds=``) the axis is ``(seed,)``,
+    and results and ``on_cell`` payloads are its plain values instead of
+    bands.
     """
-    axis, banded = _sweep_seeds(seed, seeds, n_seeds)
+    banded = seeds is not None or n_seeds is not None
+    axis = (
+        resolve_seeds(seeds=seeds, n_seeds=n_seeds, base_seed=seed)
+        if banded else (seed,)
+    )
     cells = [
         Cell(key=key, fn=cell_fn, kwargs=dict(point, seeds=axis, **shared))
         for key, point in points
@@ -183,7 +169,6 @@ def compare_policies(
     config: str = "H&M",
     n_requests: int = 20_000,
     seed: int = 0,
-    policies: Optional[Callable[[], List[PlacementPolicy]]] = None,
     warmup_fraction: float = DEFAULT_WARMUP,
     max_workers: Optional[int] = None,
     seeds: Optional[Sequence[int]] = None,
@@ -198,41 +183,17 @@ def compare_policies(
     runs once per seed — the seed replicas are extra lanes of the
     cell — and every metric leaf is a
     :class:`~repro.sim.campaign.SeededResult` confidence band.
-
-    A custom ``policies`` factory (often a closure) cannot be shipped to
-    worker processes or fingerprinted, so that path runs serially
-    in-process and never touches the store (the seed axis still rides
-    lanes there; the factory is called once per seed and owns any
-    policy seeding itself).
     """
-    if policies is None:
-        return _run_sweep(
-            seeded_compare_cell,
-            [(name, dict(workload=name)) for name in workloads],
-            dict(
-                config=config,
-                n_requests=n_requests,
-                warmup_fraction=warmup_fraction,
-            ),
-            seed, seeds, n_seeds, max_workers, on_cell, store, resume,
-        )
-    axis, banded = _sweep_seeds(seed, seeds, n_seeds)
-    out: Dict[str, Dict[str, Dict[str, object]]] = {}
-    for name in workloads:
-        per_seed = run_seeded_normalized(
-            axis,
-            [_resolve_trace(name, n_requests, s) for s in axis],
-            [policies() for _ in axis],
+    return _run_sweep(
+        seeded_compare_cell,
+        [(name, dict(workload=name)) for name in workloads],
+        dict(
             config=config,
+            n_requests=n_requests,
             warmup_fraction=warmup_fraction,
-            with_oracle=True,
-        )
-        out[name] = (
-            aggregate_seeds(per_seed, seeds=axis) if banded else per_seed[0]
-        )
-        if on_cell is not None:
-            on_cell(name, out[name])
-    return out
+        ),
+        seed, seeds, n_seeds, max_workers, on_cell, store, resume,
+    )
 
 
 def capacity_sweep(

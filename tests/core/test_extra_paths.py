@@ -48,31 +48,6 @@ class TestCLITri:
         assert "H&M&L" in capsys.readouterr().out
 
 
-class TestExperimentsGenerator:
-    def test_generator_handles_missing_and_present(self, tmp_path):
-        import importlib.util
-        from pathlib import Path
-
-        spec = importlib.util.spec_from_file_location(
-            "genexp",
-            Path(__file__).resolve().parents[2]
-            / "scripts" / "generate_experiments_md.py",
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "sec10_overhead.txt").write_text("stub table\n")
-        out, missing = mod.generate(
-            results_dir=results, output=tmp_path / "EXP.md"
-        )
-        text = out.read_text()
-        assert "stub table" in text
-        assert "missing result file" in text
-        assert len(missing) > 0
-
-
 class TestSystemEdges:
     def test_write_spanning_devices_consolidates(self, hm_system):
         hm_system.serve(Request(0.0, OpType.WRITE, 10, 1), action=0)

@@ -259,17 +259,6 @@ class TestSweepsWithSeedAxis:
         fanned = buffer_size_sweep((8, 32), max_workers=2, **kwargs)
         assert serial == fanned
 
-    def test_custom_policies_factory_with_seeds(self):
-        out = compare_policies(
-            ["usr_0"],
-            n_requests=N,
-            n_seeds=2,
-            policies=lambda: [CDEPolicy()],
-        )
-        band = out["usr_0"]["CDE"]["latency"]
-        assert isinstance(band, SeededResult)
-        assert len(band.values) == 2
-
     def test_on_cell_streams_completions(self):
         seen = []
         out = buffer_size_sweep(

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.baselines.cde import CDEPolicy
 from repro.sim import campaign, runner
+from repro.sim.campaign import _resolve_trace
 from repro.sim.experiment import (
     ORACLE_HORIZONS,
-    _resolve_trace,
     buffer_size_sweep,
     capacity_sweep,
     compare_policies,
@@ -63,26 +62,18 @@ class TestComparePolicies:
         for policy, metrics in out["usr_0"].items():
             assert metrics["latency"] > 0
 
-
-class TestCustomLineup:
-    def test_policies_factory_accepts_msrc_workloads(self, tmp_path):
-        """A custom lineup resolves traces like every cell does, so a
-        streamed capture works with ``policies=`` too."""
+    def test_accepts_msrc_workloads(self, tmp_path):
+        """A streamed capture is resolved like every cell's trace, with
+        or without a seed axis."""
         path = tmp_path / "capture.csv"
         dump_msrc_csv(make_trace("rsrch_0", n_requests=150, seed=0), path)
         name = f"msrc:{path}"
-        custom = compare_policies(
-            [name], n_requests=120, policies=lambda: [CDEPolicy()]
-        )
-        assert list(custom[name]) == ["Fast-Only", "CDE", "Oracle"]
-        standard = compare_policies([name], n_requests=120)
-        for policy, metrics in custom[name].items():
-            assert metrics == standard[name][policy]
-        banded = compare_policies(
-            [name], n_requests=120, n_seeds=2, policies=lambda: [CDEPolicy()]
-        )
+        plain = compare_policies([name], n_requests=120)
+        lineup = [p.name for p in standard_policies()]
+        assert list(plain[name]) == ["Fast-Only", *lineup, "Oracle"]
+        banded = compare_policies([name], n_requests=120, n_seeds=2)
         assert banded[name]["CDE"]["latency"].values[0] == (
-            custom[name]["CDE"]["latency"]
+            plain[name]["CDE"]["latency"]
         )
 
 

@@ -220,7 +220,7 @@ class TestStreamingIterator:
     def test_sweep_cell_msrc_source(self, tmp_path):
         """The `msrc:<path>` workload form routes sweep cells through the
         streaming reader."""
-        from repro.sim.experiment import _resolve_trace
+        from repro.sim.campaign import _resolve_trace
 
         path = self._write_trace(tmp_path, n=120)
         source = _resolve_trace(f"msrc:{path}", n_requests=100, seed=0)
