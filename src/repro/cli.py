@@ -361,7 +361,12 @@ def _cmd_serve(args) -> int:
     import threading
 
     from .serve.daemon import PlacementDaemon
+    from .sim.blas import set_blas_threads
 
+    # A process whose whole job is computing is pinned once, at start,
+    # as a campaign's pool workers are (docs/serve.md, "The daemon and
+    # the BLAS thread count").
+    set_blas_threads(1)
     daemon = PlacementDaemon(
         host=args.host, port=args.port, train_mode=args.train,
     )

@@ -56,6 +56,7 @@ from ..obs.metrics import Histogram
 from ..obs.tracer import get_tracer, span
 from ..rl.c51 import C51LaneStack, C51Network
 from ..rl.dqn import DQNLaneStack
+from ..sim.blas import blas_threads
 from ..sim.lanes import group_signature
 from .lane import TenantLane, open_lane
 from .protocol import (
@@ -80,17 +81,19 @@ logger = logging.getLogger("repro.serve")
 class Job:
     """One submitted query and the two ways its answer gets out.
 
-    An in-process submitter waits on ``done``; a socket connection,
-    which lives on the engine thread and cannot wait, sets ``on_done``
-    and is called with the job the moment it resolves.
-    ``t_submit``/``t_begin`` are ``time.perf_counter()`` stamps taken
-    when the job is made (its frame decoded) and at the start of its
-    serving round; the difference is the queue wait the ``place``
+    An in-process submitter waits on ``done``, the event
+    :meth:`PlacementEngine.submit` attaches; a socket connection, which
+    lives on the engine thread and cannot wait, sets ``on_done`` instead
+    and is called with the job the moment it resolves — its job has no
+    event (``done`` is None).  A job is resolved once ``response`` is
+    set.  ``t_submit``/``t_begin`` are ``time.perf_counter()`` stamps
+    taken when the job is made (its frame decoded) and at the start of
+    its serving round; the difference is the queue wait the ``place``
     response reports.
     """
 
     query: Query
-    done: threading.Event = field(default_factory=threading.Event)
+    done: Optional[threading.Event] = None
     response: Optional[Dict[str, Any]] = None
     t_submit: float = field(default_factory=time.perf_counter)
     t_begin: float = 0.0
@@ -99,12 +102,13 @@ class Job:
     def resolve(self, response: Dict[str, Any]) -> None:
         """Install the response and deliver it (engine thread only)."""
         self.response = response
-        self.done.set()
+        if self.done is not None:
+            self.done.set()
         if self.on_done is not None:
             self.on_done(self)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until resolved; False on timeout."""
+        """Block until resolved; False on timeout (submitted jobs only)."""
         return self.done.wait(timeout)
 
 
@@ -229,7 +233,7 @@ class PlacementEngine:
 
     def submit(self, query: Query) -> Job:
         """Enqueue a validated query; returns the job to wait on."""
-        job = Job(query)
+        job = Job(query, done=threading.Event())
         self._post("job", job)
         return job
 
@@ -351,7 +355,7 @@ class PlacementEngine:
         except Exception as exc:
             logger.warning("serving round failed: %s", exc, exc_info=True)
             for job in jobs:
-                if not job.done.is_set():
+                if job.response is None:
                     self._fail(job, ERR_INTERNAL, "placement round failed")
 
     def place_begin(self, jobs: List[Job]) -> List[Tuple[Job, TenantLane, np.ndarray]]:
@@ -402,7 +406,7 @@ class PlacementEngine:
         queue_hist = self._histogram("serve_queue_ms")
         service_hist = self._histogram("serve_service_ms")
         for job in jobs:
-            if job.done.is_set():  # failed in place_begin
+            if job.response is not None:  # failed in place_begin
                 continue
             lane = self.lanes[job.query.tenant]
             agent = lane.agent
@@ -583,15 +587,18 @@ class PlacementEngine:
 
         Supersets ``stats`` with the introspection surface: queue
         depth, request-phase histograms (queue wait, service, training
-        hold), and trainer occupancy — the fraction of the loop's wall
-        time spent inside training events.
+        hold), trainer occupancy — the fraction of the loop's wall
+        time spent inside training events — and the process's BLAS
+        thread count (0 when no known BLAS is mapped).
         """
         uptime_s = time.perf_counter() - self._t_start
         busy_s = self.trainer_busy_s
+        threads = blas_threads()
         job.resolve(ok_frame({
             "op": "metrics",
             "train_mode": self.train_mode,
             "uptime_s": round(uptime_s, 6),
+            "blas_threads": 0 if threads is None else threads,
             "counters": dict(self.counters),
             "queue_depth": sum(
                 len(lane.queue) for lane in self.lanes.values()
@@ -640,7 +647,7 @@ class PlacementEngine:
             if kind == "job":
                 leftovers.append(payload)
         for job in leftovers:
-            if not job.done.is_set():
+            if job.response is None:
                 self._fail(job, ERR_SHUTTING_DOWN, "daemon stopped")
 
     # --------------------------------------------------------------- groups

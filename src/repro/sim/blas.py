@@ -4,9 +4,20 @@ OpenBLAS starts one thread per core in *every* process that imports
 NumPy.  The simulation's matrices are small — only the largest training
 gemm crosses OpenBLAS's threading threshold — so the extra threads buy
 nothing and then spin-yield, doubling a cell's CPU for the same wall
-time; across a pool of N workers it is N x N oversubscription.
-:mod:`repro.sim.parallel` therefore runs every process that executes
-cells at one BLAS thread, through the calls here.
+time; across a pool of N workers it is N x N oversubscription.  So
+computing runs at one BLAS thread, in two cases:
+
+* a process whose whole job is computing is pinned once, at start,
+  with :func:`set_blas_threads` — a campaign's pool worker (the pool's
+  ``initializer``) and the placement daemon (``repro serve``);
+* a library call that computes inside someone else's process pins
+  around itself and restores the caller's count with
+  :func:`limit_blas_threads` — the serial cells of
+  :mod:`repro.sim.parallel`.
+
+Nothing else is pinned: code that embeds the library (a
+``PlacementDaemon`` in-process, an ``iter_many`` consumer) keeps its
+own count.
 
 The control is a *runtime* call into the library NumPy maps into this
 process (the first lookup imports NumPy if nothing has yet, so a pin
@@ -14,12 +25,12 @@ made before the engine is imported is not a silent no-op) — found in
 ``/proc/self/maps``, opened by path with
 ``ctypes`` (which returns the loaded image, not a second copy) and
 probed for the ``set_num_threads``/``get_num_threads`` pair under each
-prefix OpenBLAS is built with.  It is scoped to the caller: no
-environment variable, nothing at import time, so a process that never
-executes a cell (``repro serve``) keeps the platform default.  Where no
-known BLAS is mapped (another platform, another vendor) every function
-here is a silent no-op and :func:`blas_threads` reports ``None`` —
-results never depend on the thread count, only CPU time does.
+prefix OpenBLAS is built with.  No environment variable is read or
+set and nothing happens at import time, so ``OPENBLAS_NUM_THREADS``
+stays the operator's.  Where no known BLAS is mapped (another
+platform, another vendor) every function here is a silent no-op and
+:func:`blas_threads` reports ``None`` — results never depend on the
+thread count, only CPU time does.
 """
 
 from __future__ import annotations

@@ -275,6 +275,33 @@ def test_idle_daemon_makes_no_loop_turns():
         assert returns[turns] is None
 
 
+def test_a_socket_frame_makes_no_event(daemon):
+    """A frame the loop takes off a socket is answered through
+    ``on_done`` and never waited on, so its job carries no
+    ``threading.Event``; only ``submit()`` attaches one."""
+    engine = daemon.engine
+    dispatch, jobs = engine._dispatch, []
+
+    def recording_dispatch(kind, payload):
+        jobs.append(payload)
+        dispatch(kind, payload)
+
+    engine._dispatch = recording_dispatch
+    frames = [{**f, "tenant": "t"} for f in synthetic_stream(seed=5, n=3)]
+    with Client(daemon.address) as client:
+        assert client.rpc({"op": "open", "tenant": "t", "seed": 0})["ok"]
+        for frame in frames:
+            assert client.rpc(frame)["ok"]
+        assert client.rpc({"op": "ping"})["ok"]
+    assert [job.query.op for job in jobs] == ["open", "place", "place",
+                                              "place", "ping"]
+    assert all(job.response["ok"] and job.done is None for job in jobs)
+
+    submitted = engine.submit(Query(op="ping"))
+    assert submitted.wait(DEADLINE_S) and submitted.response["ok"]
+    assert jobs[-1] is submitted and submitted.done.is_set()
+
+
 def test_submit_from_many_threads_never_loses_a_wake():
     """``submit()`` is the door for every thread that is not the loop.
     The loop sleeps without a timeout, so one lost wake would leave a

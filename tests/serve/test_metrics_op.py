@@ -30,7 +30,7 @@ COUNTERS = {
 STATS_KEYS = {"ok", "op", "train_mode", "counters", "tenants"}
 METRICS_KEYS = STATS_KEYS | {
     "uptime_s", "queue_depth", "trainer_busy_s", "trainer_occupancy",
-    "timings",
+    "timings", "blas_threads",
 }
 TENANT_KEYS = {
     "seq", "queued", "train_mode", "train_events", "weights_version",

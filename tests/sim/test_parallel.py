@@ -1,6 +1,8 @@
 """Tests for the parallel experiment engine (repro.sim.parallel)."""
 
+import json
 import os
+import socket
 import subprocess
 import sys
 
@@ -40,6 +42,18 @@ def _dispatch_args(cells, max_workers):
         e for e in tracer.events() if e["name"] == "campaign.dispatch"
     ]
     return results, dispatch["args"]
+
+
+def _rpc(address, *frames):
+    """Send ``frames`` to a daemon one at a time; their replies."""
+    with socket.create_connection(address, timeout=20) as sock, \
+            sock.makefile("rwb") as wire:
+        replies = []
+        for frame in frames:
+            wire.write((json.dumps(frame) + "\n").encode())
+            wire.flush()
+            replies.append(json.loads(wire.readline()))
+        return replies
 
 
 class TestCell:
@@ -143,7 +157,8 @@ def _blas_threads_in_cell():
 @pytest.mark.skipif(blas_threads() is None, reason="no known BLAS is mapped")
 class TestThreadTopology:
     """Workers are the parallelism: a process executing cells runs BLAS
-    on one thread, and only while it executes them."""
+    on one thread, and only while it executes them; a ``repro serve``
+    process runs it on one thread for its whole life."""
 
     @pytest.fixture(autouse=True)
     def two_thread_baseline(self):
@@ -186,11 +201,41 @@ class TestThreadTopology:
                      max_workers=1)
         assert blas_threads() == 2
 
-    def test_daemon_in_the_same_process_is_not_pinned(self):
+    def test_in_process_daemon_leaves_the_callers_count_alone(self):
+        """The library rule: embedding ``PlacementDaemon`` pins nothing."""
+        if blas_threads() is None:
+            pytest.skip("no known BLAS mapped")
         run_many(self._cells(), max_workers=1)
         run_many(self._cells(), max_workers=2)
-        with PlacementDaemon(port=0):
-            assert blas_threads() == 2
+        with PlacementDaemon(port=0) as daemon:
+            (metrics,) = _rpc(daemon.address, {"op": "metrics"})
+            assert metrics["blas_threads"] == 2
+        assert blas_threads() == 2
+
+    def test_repro_serve_process_runs_one_blas_thread(self):
+        """The process rule: ``repro serve`` is pinned once, at start."""
+        if blas_threads() is None:
+            pytest.skip("no known BLAS mapped")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = proc.stdout.readline()  # "serving on HOST:PORT"
+            host, port = banner.split()[-1].rsplit(":", 1)
+            metrics, shutdown = _rpc(
+                (host, int(port)), {"op": "metrics"}, {"op": "shutdown"}
+            )
+            assert metrics["ok"] and shutdown["ok"], (metrics, shutdown)
+            assert metrics["blas_threads"] == 1
+            assert proc.wait(timeout=60) == 0, proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
 
     def test_pin_does_not_depend_on_import_order(self):
         """A fresh interpreter that has imported neither NumPy nor the
