@@ -45,7 +45,6 @@ AUDITED_MODULES = (
     "repro.sim.report",
     "repro.store.fingerprint",
     "repro.store.serialize",
-    "repro.store.journal",
     "repro.store.store",
     "repro.analysis.core",
     "repro.analysis.reporters",
@@ -71,7 +70,6 @@ AUDITED_MODULES = (
 #: are the serve layer's operational contract).
 METHOD_AUDITED_MODULES = (
     "repro.store.store",
-    "repro.store.journal",
     "repro.analysis.core",
     "repro.serve.engine",
     "repro.serve.daemon",

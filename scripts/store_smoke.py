@@ -6,12 +6,15 @@ hit it:
 
 1. run a small banded campaign **cold** (no store) — the reference;
 2. run it again against a fresh store and **kill it mid-grid**
-   (simulated interrupt after K cells);
-3. **resume** with the same store — assert only the missing cells
-   recompute (store miss counter) and the final JSON export matches
-   the uninterrupted run **byte for byte**;
+   (simulated interrupt after K cells) — exactly K blobs survive;
+3. **resume** by rerunning with the same store — assert only the
+   missing cells recompute (store miss counter) and the final JSON
+   export matches the uninterrupted run **byte for byte**;
 4. run once more fully **warm** — assert zero recomputation and the
    same bytes again.
+
+After every phase the store directory must hold nothing but cell blobs
+(``cells/<fp[:2]>/<fp>.json``).
 
 Run:  python scripts/store_smoke.py
 Exit status is non-zero on any violated assertion; CI runs this as the
@@ -20,6 +23,7 @@ store-smoke job.
 
 from __future__ import annotations
 
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -30,11 +34,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.sim.experiment import buffer_size_sweep  # noqa: E402
 from repro.sim.report import export_json  # noqa: E402
 from repro.sim.runner import clear_reference_cache  # noqa: E402
-from repro.store import CampaignStore, load_journal  # noqa: E402
+from repro.store import CampaignStore  # noqa: E402
 
 SIZES = (25, 50, 100, 200)
 N_REQUESTS = 400
 KILL_AFTER = 2
+BLOB = re.compile(r"cells/([0-9a-f]{2})/\1[0-9a-f]{62}\.json")
 
 
 class SimulatedInterrupt(Exception):
@@ -50,6 +55,17 @@ def run_sweep(store=None, on_cell=None):
         store=store,
         on_cell=on_cell,
     )
+
+
+def assert_only_blobs(root: str) -> None:
+    """Every file under the store root is a cell blob."""
+    strays = [
+        path.relative_to(root).as_posix()
+        for path in Path(root).rglob("*")
+        if path.is_file()
+        and not BLOB.fullmatch(path.relative_to(root).as_posix())
+    ]
+    assert not strays, f"store holds files that are not blobs: {strays}"
 
 
 def main() -> int:
@@ -78,12 +94,10 @@ def main() -> int:
         assert len(crashed) == KILL_AFTER, (
             f"expected {KILL_AFTER} surviving blobs, found {len(crashed)}"
         )
-        journal = load_journal(next(crashed.journals_dir.glob("*.json")))
-        assert journal.status == "running", journal.status
+        assert_only_blobs(root)
         print(
             f"2. killed mid-grid after {KILL_AFTER} cells; "
-            f"{len(crashed)} blobs survived, journal status "
-            f"{journal.status!r}"
+            f"{len(crashed)} blobs survived, nothing else on disk"
         )
 
         resumed_store = CampaignStore(root)
@@ -96,8 +110,7 @@ def main() -> int:
         assert resumed_json == cold_json, (
             "resumed JSON differs from the uninterrupted run"
         )
-        journal = load_journal(next(resumed_store.journals_dir.glob("*.json")))
-        assert journal.status == "complete", journal.status
+        assert_only_blobs(root)
         print(
             f"3. resumed: {resumed_store.hits} cells from store, "
             f"{resumed_store.misses} recomputed; JSON byte-identical"
@@ -108,6 +121,7 @@ def main() -> int:
         assert warm_store.hits == len(SIZES), warm_store.hits
         assert warm_store.misses == 0 and warm_store.puts == 0
         assert export_json(warm) == cold_json
+        assert_only_blobs(root)
         print(
             f"4. fully warm rerun: {warm_store.hits}/{len(SIZES)} cells "
             "served from store, zero recomputation, JSON byte-identical"

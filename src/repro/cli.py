@@ -10,10 +10,10 @@ Commands
     Run the full Fig. 9 lineup over workloads and print the table.
     ``--seeds N`` runs an N-seed campaign and prints mean ±95%
     confidence bands; ``--json PATH`` exports the machine-readable grid.
-    ``--store PATH`` / ``--resume`` / ``--no-store`` control the durable
-    campaign store (:mod:`repro.store`): with a store, finished cells
-    persist on disk and reruns/resumed campaigns recompute only what is
-    missing, rendering byte-identical output.
+    ``--store PATH`` / ``--no-store`` control the durable campaign store
+    (:mod:`repro.store`): with a store, finished cells persist on disk
+    and a rerun — of an interrupted campaign too — recomputes only what
+    is missing, rendering byte-identical output.
 ``overhead``
     Print the §10 overhead analysis.
 ``export-trace``
@@ -108,13 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
              "there and already-stored cells are served from disk "
              "without re-simulation (default: the SIBYL_STORE "
              "environment variable, if set)",
-    )
-    compare.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted campaign: shorthand for --store "
-             ".sibyl-store when no --store/SIBYL_STORE is given (a "
-             "warm store always resumes; this flag just picks the "
-             "default location)",
     )
     compare.add_argument(
         "--no-store", action="store_true",
@@ -250,21 +243,15 @@ def _resolve_cli_store(args):
     """The compare command's store, from flags and ``SIBYL_STORE``.
 
     Precedence: ``--no-store`` disables everything; ``--store PATH``
-    wins; otherwise the ``SIBYL_STORE`` environment variable; a bare
-    ``--resume`` falls back to the default ``.sibyl-store/`` directory.
+    wins; otherwise the ``SIBYL_STORE`` environment variable, if set.
     """
-    from .store import DEFAULT_STORE_DIR, CampaignStore, store_from_env
+    from .store import CampaignStore, store_from_env
 
     if args.no_store:
         return None
     if args.store:
         return CampaignStore(args.store)
-    env_store = store_from_env()
-    if env_store is not None:
-        return env_store
-    if args.resume:
-        return CampaignStore(DEFAULT_STORE_DIR)
-    return None
+    return store_from_env()
 
 
 def _check_compare_args(args) -> None:

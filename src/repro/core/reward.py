@@ -9,10 +9,11 @@ with ``R_p = 0.001 × L_e`` (L_e = time spent evicting pages from fast to
 slow storage).  Request latency "faithfully captures the status of the
 hybrid storage system" because it embeds queueing, GC, and buffer state.
 
-Latencies are normalised by a *unit latency* (the fast device's page
-read service time) before inversion, so rewards land in a stable
-numeric range for the C51 support; this is a monotone rescaling that
-preserves the ordering of every pair of decisions (DESIGN.md).
+Latencies are normalised by a *unit latency* (:func:`make_reward` derives
+it from the configuration's devices) before inversion, so rewards land
+in a stable numeric range for the C51 support; dividing every latency
+by one positive constant is a monotone rescaling, so the ordering of
+every pair of decisions is preserved.
 
 §11 ("Necessity of the reward") describes two alternatives the authors
 tried and rejected; both are implemented here so the ablation benchmark
@@ -204,8 +205,9 @@ def make_reward(
 ) -> RewardFunction:
     """Build a reward by name, deriving the unit latency from the HSS.
 
-    ``make_reward("latency", hss)`` sets the normalisation unit to the
-    attached fast device's read overhead, matching DESIGN.md.
+    ``make_reward("latency", hss)`` sets the normalisation unit to one
+    tenth of the slowest device's characteristic read latency, floored
+    at the fast device's (the comment below gives the reason).
     """
     key = name.lower()
     if key == "latency":

@@ -1,7 +1,8 @@
 """Hybrid-storage-system simulator substrate.
 
 Replaces the paper's real-hardware testbed (Table 3) with a
-discrete-event latency model; see DESIGN.md "Substitutions".
+discrete-event latency model, because a reproduction cannot assume the
+SSDs and HDD the paper measured.
 """
 
 from .._lazy import lazy_exports

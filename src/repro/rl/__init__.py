@@ -1,7 +1,8 @@
 """Reinforcement-learning substrate: numpy networks, C51, DQN, schedules.
 
 The paper builds Sibyl on TF-Agents; this package is the offline,
-from-scratch equivalent (see DESIGN.md "Substitutions").
+from-scratch equivalent, written in NumPy so that the reproduction needs
+no deep-learning framework.
 """
 
 from .activations import Activation, Identity, ReLU, Swish, Tanh, get_activation

@@ -47,10 +47,9 @@ materialising the full grid first.
 Finally, every sweep can be made **durable**: pass ``store=`` (a
 :class:`repro.store.CampaignStore` or a path) and each finished cell
 persists on disk keyed by its content fingerprint, so re-running the
-sweep recomputes nothing that already ran — and a sweep killed
-mid-grid resumes from its journal, dispatching only the missing cells.
-``resume=True`` with no explicit store opens the default
-``.sibyl-store/`` directory.  Stored cells round-trip losslessly
+sweep recomputes nothing that already ran — so rerunning a sweep
+killed mid-grid is its resume, dispatching only the missing cells.
+Stored cells round-trip losslessly
 (``docs/store.md``), so a warm or resumed sweep's tables and JSON
 exports are byte-identical to a cold run's; a plain call and an
 ``n_seeds=1`` campaign address the same blob.
@@ -94,22 +93,6 @@ __all__ = [
 ]
 
 
-def _campaign_store(store, resume: bool):
-    """Resolve a sweep's ``store=``/``resume=`` pair into a store.
-
-    ``store`` may be a :class:`repro.store.CampaignStore`, a path to
-    one, or ``None``; ``resume=True`` without an explicit store opens
-    the default store directory (``.sibyl-store/``), which is what
-    "resume the campaign I just lost" should mean with no ceremony.
-    Returns ``None`` when the sweep runs undurably.
-    """
-    from ..store import DEFAULT_STORE_DIR, resolve_store
-
-    if store is None and resume:
-        store = DEFAULT_STORE_DIR
-    return resolve_store(store)
-
-
 def _first_seed(result):
     """A banded result structure with every band read back to its first
     seed's value — the inverse of ``aggregate_seeds`` over one seed."""
@@ -130,7 +113,6 @@ def _run_sweep(
     max_workers: Optional[int],
     on_cell: Optional[Callable],
     store,
-    resume: bool,
 ) -> Dict[object, object]:
     """Run one sweep's grid: ``{key: result}`` in grid-point order.
 
@@ -159,7 +141,7 @@ def _run_sweep(
         cells,
         max_workers=max_workers,
         on_cell=deliver if on_cell is not None else None,
-        store=_campaign_store(store, resume),
+        store=store,
     )
     return {key: view(result) for key, result in grid.items()}
 
@@ -175,7 +157,6 @@ def compare_policies(
     n_seeds: Optional[int] = None,
     on_cell: Optional[Callable] = None,
     store=None,
-    resume: bool = False,
 ) -> Dict[str, Dict[str, Dict[str, object]]]:
     """Fig. 2/9/10/18-style comparison: {workload: {policy: metrics}}.
 
@@ -192,7 +173,7 @@ def compare_policies(
             n_requests=n_requests,
             warmup_fraction=warmup_fraction,
         ),
-        seed, seeds, n_seeds, max_workers, on_cell, store, resume,
+        seed, seeds, n_seeds, max_workers, on_cell, store,
     )
 
 
@@ -208,7 +189,6 @@ def capacity_sweep(
     n_seeds: Optional[int] = None,
     on_cell: Optional[Callable] = None,
     store=None,
-    resume: bool = False,
 ) -> Dict[float, Dict[str, Dict[str, object]]]:
     """Fig. 15: normalised latency vs available fast-storage capacity."""
     for frac in fractions:
@@ -223,7 +203,7 @@ def capacity_sweep(
             n_requests=n_requests,
             warmup_fraction=warmup_fraction,
         ),
-        seed, seeds, n_seeds, max_workers, on_cell, store, resume,
+        seed, seeds, n_seeds, max_workers, on_cell, store,
     )
 
 
@@ -240,7 +220,6 @@ def hyperparameter_sweep(
     n_seeds: Optional[int] = None,
     on_cell: Optional[Callable] = None,
     store=None,
-    resume: bool = False,
 ) -> Dict[object, Dict[str, object]]:
     """Fig. 14: Sibyl's normalised metrics as one hyper-parameter varies."""
     return _run_sweep(
@@ -253,7 +232,7 @@ def hyperparameter_sweep(
             n_requests=n_requests,
             warmup_fraction=warmup_fraction,
         ),
-        seed, seeds, n_seeds, max_workers, on_cell, store, resume,
+        seed, seeds, n_seeds, max_workers, on_cell, store,
     )
 
 
@@ -269,7 +248,6 @@ def feature_ablation(
     n_seeds: Optional[int] = None,
     on_cell: Optional[Callable] = None,
     store=None,
-    resume: bool = False,
 ) -> Dict[str, Dict[str, object]]:
     """Fig. 13: {workload: {feature_set: normalised latency}} on H&L."""
     flat = _run_sweep(
@@ -284,7 +262,7 @@ def feature_ablation(
             n_requests=n_requests,
             warmup_fraction=warmup_fraction,
         ),
-        seed, seeds, n_seeds, max_workers, on_cell, store, resume,
+        seed, seeds, n_seeds, max_workers, on_cell, store,
     )
     return {
         name: {fs: flat[(name, fs)] for fs in feature_sets}
@@ -304,7 +282,6 @@ def buffer_size_sweep(
     n_seeds: Optional[int] = None,
     on_cell: Optional[Callable] = None,
     store=None,
-    resume: bool = False,
 ) -> Dict[int, object]:
     """Fig. 8: normalised latency vs experience-buffer capacity."""
     return _run_sweep(
@@ -316,7 +293,7 @@ def buffer_size_sweep(
             n_requests=n_requests,
             warmup_fraction=warmup_fraction,
         ),
-        seed, seeds, n_seeds, max_workers, on_cell, store, resume,
+        seed, seeds, n_seeds, max_workers, on_cell, store,
     )
 
 
@@ -331,7 +308,6 @@ def tri_hybrid_comparison(
     n_seeds: Optional[int] = None,
     on_cell: Optional[Callable] = None,
     store=None,
-    resume: bool = False,
 ) -> Dict[str, Dict[str, Dict[str, object]]]:
     """Fig. 16: heuristic tri-hybrid vs 3-action Sibyl."""
     return _run_sweep(
@@ -342,7 +318,7 @@ def tri_hybrid_comparison(
             n_requests=n_requests,
             warmup_fraction=warmup_fraction,
         ),
-        seed, seeds, n_seeds, max_workers, on_cell, store, resume,
+        seed, seeds, n_seeds, max_workers, on_cell, store,
     )
 
 
@@ -357,7 +333,6 @@ def mixed_workload_comparison(
     n_seeds: Optional[int] = None,
     on_cell: Optional[Callable] = None,
     store=None,
-    resume: bool = False,
 ) -> Dict[str, Dict[str, Dict[str, object]]]:
     """Fig. 12: Sibyl_Def vs Sibyl_Opt vs baselines on Table 5 mixes."""
     return _run_sweep(
@@ -368,7 +343,7 @@ def mixed_workload_comparison(
             n_requests_per_component=n_requests_per_component,
             warmup_fraction=warmup_fraction,
         ),
-        seed, seeds, n_seeds, max_workers, on_cell, store, resume,
+        seed, seeds, n_seeds, max_workers, on_cell, store,
     )
 
 
@@ -383,7 +358,6 @@ def unseen_workload_comparison(
     n_seeds: Optional[int] = None,
     on_cell: Optional[Callable] = None,
     store=None,
-    resume: bool = False,
 ) -> Dict[str, Dict[str, Dict[str, object]]]:
     """Fig. 11: generalisation to FileBench workloads never tuned on."""
     return _run_sweep(
@@ -394,5 +368,5 @@ def unseen_workload_comparison(
             n_requests=n_requests,
             warmup_fraction=warmup_fraction,
         ),
-        seed, seeds, n_seeds, max_workers, on_cell, store, resume,
+        seed, seeds, n_seeds, max_workers, on_cell, store,
     )

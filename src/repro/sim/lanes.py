@@ -26,7 +26,7 @@ measured against this loop, doing so is a tie (``docs/engines.md``).
 left in ``src/`` since the daemon trains each tenant inline; it stays
 at this import path for the frozen benchmark probe
 ``rl.fused_train_event_ms_per_lane`` until ``bench/`` retires that
-(ROADMAP item 3).
+(ROADMAP, "The benchmark-only PR").
 """
 
 from __future__ import annotations

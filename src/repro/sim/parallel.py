@@ -51,8 +51,8 @@ then content-fingerprinted before dispatch; cells already stored are
 served from disk — **zero simulation ticks** — and stream through the
 same delivery path as fresh results, while missing cells execute
 normally and persist the moment they finish (atomic write, crash-safe).
-A campaign journal records the grid before dispatch, so a sweep killed
-mid-grid resumes by computing only its missing cells.  Because stored
+A sweep killed mid-grid resumes by being rerun: it finds the finished
+cells' blobs and computes only the missing cells.  Because stored
 results round-trip losslessly, a warm or resumed campaign is
 bit-identical to a cold one; the store only changes how much work a
 rerun repeats.
@@ -239,12 +239,10 @@ def _iter_with_store(
 ) -> Iterator[Tuple[Cell, Any]]:
     """The durable-campaign path of :func:`iter_many`.
 
-    Fingerprints the grid, journals its membership, serves stored cells
-    first (delivery only — a hit computes nothing), then executes the
-    missing cells and persists each one the moment it completes.  The
-    journal is marked complete only after every cell landed, so an
-    interrupted campaign is visible as such and resumes by recomputing
-    exactly its missing cells.
+    Fingerprints the grid, serves stored cells first (delivery only — a
+    hit computes nothing), then executes the missing cells and persists
+    each one the moment it completes, so rerunning an interrupted
+    campaign recomputes exactly its missing cells.
     """
     from ..store import MISS, resolve_store  # only a durable grid pays for it
 
@@ -254,14 +252,6 @@ def _iter_with_store(
         fingerprints = [
             store.fingerprint(cell.fn, cell.kwargs) for cell in cells
         ]
-    journaled = [
-        (cell.key, fp)
-        for cell, fp in zip(cells, fingerprints)
-        if fp is not None
-    ]
-    journal = store.begin_campaign(
-        [key for key, _ in journaled], [fp for _, fp in journaled]
-    )
     pending: List[Cell] = []
     fingerprint_of: Dict[int, Optional[str]] = {}
     for cell, fp in zip(cells, fingerprints):
@@ -283,7 +273,6 @@ def _iter_with_store(
             with span("store.put", cat="store", key=str(cell.key)):
                 store.put(fp, result, fn=cell.fn, key=cell.key)
         yield cell, result
-    store.finish_campaign(journal)
 
 
 def iter_many(

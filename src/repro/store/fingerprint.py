@@ -48,10 +48,9 @@ __all__ = [
     "Unfingerprintable",
     "canonicalize",
     "fingerprint_cell",
-    "fingerprint_grid",
 ]
 
-#: On-disk blob/index layout version.  Bump when the serialised form
+#: On-disk blob layout version.  Bump when the serialised form
 #: changes incompatibly; every old fingerprint then stops matching.
 SCHEMA_VERSION = 1
 
@@ -154,14 +153,4 @@ def fingerprint_cell(fn: Callable, kwargs: Mapping[str, Any]) -> str:
         "kwargs": canonicalize(dict(kwargs)),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def fingerprint_grid(cell_fingerprints) -> str:
-    """Identity of a whole campaign grid: hash of its sorted cell set.
-
-    Order-independent, so a resumed campaign that happens to enumerate
-    its grid in a different order still lands on the same journal.
-    """
-    text = json.dumps(sorted(cell_fingerprints))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -1,7 +1,7 @@
 """Synthetic trace generator calibrated to published workload statistics.
 
-The real MSRC traces are a gated SNIA download, so (per the substitution
-rule in DESIGN.md) we generate traces that match the per-workload
+The real MSRC traces are a gated SNIA download, so we generate traces
+that match the per-workload
 statistics the paper publishes in Table 4 — write ratio, average request
 size, average per-page access count, working-set size — plus the
 qualitative structure the paper highlights:

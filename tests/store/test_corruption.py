@@ -1,10 +1,11 @@
 """Store corruption hardening: damaged state is logged, ignored, recomputed.
 
 The durability contract's hostile half: a crash (or a stray editor) can
-leave a truncated blob, a torn index line, or a garbage journal.  None
-of those may crash a campaign or poison a report — the store must treat
-every unreadable artifact as a cache miss, say so in the log, and let
-the recompute heal it.
+leave a truncated or garbage blob.  That may not crash a campaign or
+poison a report — the store must treat every unreadable blob as a cache
+miss, say so in the log, and let the recompute heal it.  Files other
+than blobs, such as the ones older versions wrote beside them, are
+never read at all.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from repro.sim.campaign import seeded_buffer_size_cell
 from repro.sim.parallel import Cell, run_grid, run_many
-from repro.store import MISS, CampaignStore, load_journal
+from repro.store import MISS, CampaignStore
 
 
 def _cells(sizes=(40, 80)):
@@ -97,58 +98,21 @@ class TestBlobCorruption:
             assert store.get(victim.stem) is MISS
 
 
-class TestIndexCorruption:
-    def test_torn_index_line_skipped(self, warm_store, caplog):
-        store, _, _ = warm_store
-        with open(store.index_path, "a") as handle:
-            handle.write('{"fingerprint": "torn-li')  # crash mid-append
-        with caplog.at_level("WARNING", logger="repro.store"):
-            entries = list(store.entries())
-        assert len(entries) == 2  # the two valid lines survive
-        assert "index line" in caplog.text
-
-    def test_garbage_index_entry_skipped(self, warm_store, caplog):
-        store, _, _ = warm_store
-        with open(store.index_path, "a") as handle:
-            handle.write('"not an object"\n')
-            handle.write("[]\n")
-            handle.write('{"no_fingerprint": 1}\n')
-        with caplog.at_level("WARNING", logger="repro.store"):
-            assert len(list(store.entries())) == 2
-
-    def test_rebuild_index_heals(self, warm_store):
-        store, _, _ = warm_store
-        store.index_path.write_text("total garbage\n")
-        assert store.rebuild_index() == 2
-        assert len(list(store.entries())) == 2
-
-    def test_missing_index_is_empty_not_fatal(self, tmp_path):
-        store = CampaignStore(tmp_path / "never-written")
-        assert list(store.entries()) == []
-
-
-class TestJournalCorruption:
-    def test_garbage_journal_is_rewritten(self, warm_store, caplog):
+class TestOlderLayout:
+    def test_leftover_files_beside_the_blobs_are_ignored(self, warm_store):
+        """A store written by an older version also holds an index, a
+        campaign record directory and a marker file; damaged or not,
+        they change nothing, and the store is served fully warm."""
         store, cells, baseline = warm_store
-        journal_files = sorted(store.journals_dir.glob("*.json"))
-        assert journal_files
-        journal_files[0].write_text("{ torn mid-write")
-        with caplog.at_level("WARNING", logger="repro.store"):
-            assert load_journal(journal_files[0]) is None
-        assert "journal" in caplog.text
-        # A campaign over the same grid rewrites it and still resumes.
-        fresh = CampaignStore(store.root)
-        results = run_grid(cells, max_workers=0, store=fresh)
-        assert results == baseline
-        assert fresh.hits == 2 and fresh.misses == 0
-        healed = load_journal(journal_files[0])
-        assert healed is not None and healed.status == "complete"
-
-    def test_corrupt_store_marker_harmless(self, warm_store):
-        store, cells, baseline = warm_store
+        (store.root / "index.jsonl").write_text(
+            '{"fingerprint": "ab"}\n{"fingerprint": "torn-li'
+        )
+        (store.root / "journals").mkdir(exist_ok=True)
+        (store.root / "journals" / "x.json").write_text("{ torn mid-write")
         (store.root / "store.json").write_text("\x00garbage")
         fresh = CampaignStore(store.root)
         assert run_grid(cells, max_workers=0, store=fresh) == baseline
+        assert fresh.hits == 2 and fresh.misses == 0
 
 
 class TestWholeStoreAbuse:

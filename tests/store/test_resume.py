@@ -96,32 +96,6 @@ class TestInterruptResume:
         assert format_series(resumed, label="latency") == cold_table
         assert export_json(resumed) == cold_json
 
-    def test_interrupted_journal_records_running_then_complete(
-        self, tmp_path
-    ):
-        from repro.store import load_journal
-
-        store_dir = tmp_path / "store"
-        with pytest.raises(KeyboardInterrupt):
-            buffer_size_sweep(
-                SIZES,
-                n_requests=N,
-                max_workers=0,
-                store=CampaignStore(store_dir),
-                on_cell=Interrupter(allow=1),
-            )
-        store = CampaignStore(store_dir)
-        journal_path = next(store.journals_dir.glob("*.json"))
-        journal = load_journal(journal_path)
-        assert journal.status == "running"
-        assert len(journal.cells) == len(SIZES)
-
-        clear_reference_cache()
-        buffer_size_sweep(SIZES, n_requests=N, max_workers=0, store=store)
-        journal = load_journal(journal_path)
-        assert journal.status == "complete"
-        assert journal.runs == 2
-
 
 class TestWarmZeroTicks:
     def test_fully_warm_rerun_simulates_nothing(self, tmp_path):
@@ -215,6 +189,10 @@ class TestTransparentDelivery:
         args = ["compare", "--workloads", "usr_0", "--requests", "300"]
         assert main(args + ["--store", "cli-store"]) == 0
         cold_out = capsys.readouterr().out
+        # The store is its blobs: nothing is written beside cells/.
+        assert [p.name for p in (tmp_path / "cli-store").iterdir()] == [
+            "cells"
+        ]
         clear_reference_cache()
         assert main(args + ["--store", "cli-store"]) == 0
         captured = capsys.readouterr()
@@ -227,15 +205,3 @@ class TestTransparentDelivery:
         assert main(args + ["--no-store"]) == 0
         capsys.readouterr()
         assert not (tmp_path / "env-store").exists()
-
-    def test_resume_defaults_to_dot_sibyl_store(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        cold = buffer_size_sweep(
-            SIZES[:2], n_requests=N, max_workers=0, resume=True
-        )
-        assert (tmp_path / ".sibyl-store").is_dir()
-        clear_reference_cache()
-        warm = buffer_size_sweep(
-            SIZES[:2], n_requests=N, max_workers=0, resume=True
-        )
-        assert warm == cold

@@ -1,12 +1,15 @@
 """Unit tests for the durable campaign store's building blocks.
 
-Fingerprinting (content addressing), lossless result serialisation,
-atomic blob storage, the advisory index, and campaign journals — the
-end-to-end resume/equivalence contract lives in ``test_resume.py``.
+Fingerprinting (content addressing), lossless result serialisation and
+atomic blob storage — the end-to-end resume/equivalence contract lives
+in ``test_resume.py``.
 """
 
+import errno
 import json
 import math
+import os
+import re
 
 import pytest
 
@@ -21,10 +24,21 @@ from repro.store import (
     decode_result,
     encode_result,
     fingerprint_cell,
-    fingerprint_grid,
-    load_journal,
     resolve_store,
 )
+
+#: The only file a store writes: ``cells/<fp[:2]>/<fp>.json``.
+BLOB = re.compile(r"cells/([0-9a-f]{2})/\1[0-9a-f]{62}\.json")
+
+
+def stray_files(root):
+    """Every file under a store root that is not a cell blob."""
+    return [
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*")
+        if path.is_file()
+        and not BLOB.fullmatch(path.relative_to(root).as_posix())
+    ]
 
 
 def cell_fn_a(x, y):  # module-level: addressable by qualified name
@@ -111,10 +125,6 @@ class TestFingerprint:
         monkeypatch.setattr(fpmod, "ENGINE_VERSION", "0.0.0-test")
         assert fingerprint_cell(cell_fn_a, {"x": 1, "y": 2}) != before
 
-    def test_grid_fingerprint_order_independent(self):
-        assert fingerprint_grid(["a", "b"]) == fingerprint_grid(["b", "a"])
-        assert fingerprint_grid(["a"]) != fingerprint_grid(["a", "b"])
-
 
 class TestSerialize:
     def roundtrip(self, value):
@@ -175,19 +185,33 @@ class TestCampaignStore:
         fp = fingerprint_cell(cell_fn_a, {"x": 1, "y": 2})
         assert store.get(fp) is MISS
         assert store.put(fp, {"latency": 1.25}, fn=cell_fn_a, key="k")
-        assert store.contains(fp)
         assert store.get(fp) == {"latency": 1.25}
         assert store.hits == 1 and store.misses == 1 and store.puts == 1
         assert len(store) == 1
 
     def test_atomicity_no_partial_files(self, tmp_path):
+        """A put leaves one blob and nothing else: no temp file, and no
+        file beside the blobs."""
         store = CampaignStore(tmp_path / "s")
         fp = fingerprint_cell(cell_fn_a, {"x": 1, "y": 2})
         store.put(fp, [1.0, 2.0])
-        leftovers = [
-            p for p in (tmp_path / "s").rglob("*.tmp.*")
-        ]
-        assert leftovers == []
+        assert stray_files(tmp_path / "s") == []
+        assert len(store) == 1
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A full disk degrades the cache: the put reports failure, the
+        cell stays a miss, and the partial temp file is removed."""
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        store = CampaignStore(tmp_path / "s")
+        fp = fingerprint_cell(cell_fn_a, {"x": 1, "y": 2})
+        monkeypatch.setattr(os, "fsync", full_disk)
+        assert store.put(fp, [1.0, 2.0], key="k") is False
+        assert store.get(fp) is MISS
+        assert store.puts == 0
+        assert list((tmp_path / "s").rglob("*.tmp.*")) == []
 
     def test_atomic_write_replaces(self, tmp_path):
         target = tmp_path / "f.json"
@@ -201,18 +225,6 @@ class TestCampaignStore:
             assert not store.put("ab" * 32, {"bad": object()}, key="k")
         assert "not caching" in caplog.text
         assert store.get("ab" * 32) is MISS
-
-    def test_index_lists_entries(self, tmp_path):
-        store = CampaignStore(tmp_path / "s")
-        fps = []
-        for x in range(3):
-            fp = fingerprint_cell(cell_fn_a, {"x": x, "y": 0})
-            store.put(fp, float(x), fn=cell_fn_a, key=x)
-            fps.append(fp)
-        entries = list(store.entries())
-        assert [e["fingerprint"] for e in entries] == fps
-        assert store.rebuild_index() == 3
-        assert sorted(e["fingerprint"] for e in store.entries()) == sorted(fps)
 
     def test_resolve_store(self, tmp_path):
         assert resolve_store(None) is None
@@ -229,23 +241,3 @@ class TestCampaignStore:
         store = store_from_env()
         assert isinstance(store, CampaignStore)
         assert store.root == tmp_path / "env-store"
-
-
-class TestJournal:
-    def test_begin_finish_lifecycle(self, tmp_path):
-        store = CampaignStore(tmp_path / "s")
-        journal = store.begin_campaign(["a", "b"], ["f1" * 32, "f2" * 32])
-        path = journal.path_in(store.journals_dir)
-        on_disk = load_journal(path)
-        assert on_disk.status == "running"
-        assert on_disk.runs == 1
-        assert [fp for _, fp in on_disk.cells] == ["f1" * 32, "f2" * 32]
-        store.finish_campaign(journal)
-        assert load_journal(path).status == "complete"
-
-    def test_rerun_bumps_run_counter(self, tmp_path):
-        store = CampaignStore(tmp_path / "s")
-        first = store.begin_campaign(["a"], ["f1" * 32])
-        second = store.begin_campaign(["a"], ["f1" * 32])
-        assert second.grid == first.grid
-        assert load_journal(second.path_in(store.journals_dir)).runs == 2
