@@ -256,11 +256,13 @@ def _resolve_cli_store(args):
 
 def _check_compare_args(args) -> None:
     """Reject what would only fail after the campaign ran (and, without
-    a store, lose it): a seed count below one, a ``--json`` target whose
-    directory is missing or unwritable."""
+    a store, lose it): a seed count below one, a ``--json`` target that
+    is a directory or whose directory is missing or unwritable."""
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     if args.json:
+        if os.path.isdir(args.json):
+            raise IsADirectoryError(f"--json {args.json}: is a directory")
         directory = os.path.dirname(os.path.abspath(args.json))
         if not os.access(directory, os.W_OK):  # missing counts as unwritable
             raise OSError(

@@ -274,10 +274,11 @@ class SibylAgent(PlacementPolicy):
         batch_size`` uniforms: the stream batch-by-batch draws would
         consume) and collapses them to their unique slots, leaving the
         heavy half — Bellman targets, the forward/backward passes,
-        weight copy — owed to :meth:`train_commit`.  An external driver
-        (``fused_train_event``) can batch that half across lanes; the
-        returned job is ``(slot_batches, unique_slots, inverse)``,
-        ``slot_batches`` one row per batch.
+        weight copy — owed to :meth:`train_commit`.  The compiled
+        kernel's training gate drives the pair between its own barriers
+        (:mod:`repro.sim.kernels.engine_c`).  Returns the pending job,
+        ``(slot_batches, unique_slots, inverse)``, ``slot_batches`` one
+        row per batch.
         """
         if self._train_job is not None:
             raise RuntimeError(
@@ -295,46 +296,33 @@ class SibylAgent(PlacementPolicy):
         )
         return self._train_job
 
-    @property
-    def train_job(self) -> Optional[tuple]:
-        """The pending ``(slot_batches, unique_slots, inverse)`` job."""
-        return self._train_job
-
-    def train_commit(self, losses: Optional[list] = None) -> None:
+    def train_commit(self) -> None:
         """Second half of a training event: updates + weight copy.
 
-        With no ``losses`` the batches run locally: the bootstrap
-        (inference) network is frozen for the whole event, so the
-        Bellman targets of every *unique* sampled slot (bootstrap
-        forward + distributional projection) are computed in one fused
-        pass and gathered back per sample — the same values the
-        per-batch loop would compute, once each — and the batches go
-        through one ``train_batches`` call.  ``losses`` supplies
-        the per-batch losses of an externally executed event
-        (``fused_train_event``'s stacked forward/backward, which also
-        wrote the updated weights into ``training_net``); they must equal what the
-        local path would compute.  Either way the training weights are
-        then copied into the inference network, the greedy-action memo
-        is re-evaluated, and the event counters advance.
+        The bootstrap (inference) network is frozen for the whole
+        event, so the Bellman targets of every *unique* sampled slot
+        (bootstrap forward + distributional projection) are computed in
+        one fused pass and gathered back per sample — the same values
+        the per-batch loop would compute, once each — and the batches
+        go through one ``train_batches`` call.  The training weights
+        are then copied into the inference network, the greedy-action
+        memo is re-evaluated, and the event counters advance.
         """
         if self._train_job is None:
             raise RuntimeError("train_commit() without a pending train_begin()")
         slot_batches, unique_slots, inverse = self._train_job
         self._train_job = None
-        if losses is not None:
-            self.losses.extend(float(loss) for loss in losses)
-        else:
-            u_rewards, u_next = self.buffer.gather_targets(unique_slots)
-            unique_targets = self.training_net.precompute_targets(
-                u_rewards, u_next, target=self.inference_net
-            )
-            targets = take_rows(unique_targets, inverse, workspace().array(
-                "agent.targets", inverse.shape + unique_targets.shape[1:]
-            ))
-            obs, actions, _, _ = self.buffer.gather(slot_batches.ravel())
-            self.losses.extend(self.training_net.train_batches(
-                obs, actions, targets, slot_batches.shape[1]
-            ))
+        u_rewards, u_next = self.buffer.gather_targets(unique_slots)
+        unique_targets = self.training_net.precompute_targets(
+            u_rewards, u_next, target=self.inference_net
+        )
+        targets = take_rows(unique_targets, inverse, workspace().array(
+            "agent.targets", inverse.shape + unique_targets.shape[1:]
+        ))
+        obs, actions, _, _ = self.buffer.gather(slot_batches.ravel())
+        self.losses.extend(self.training_net.train_batches(
+            obs, actions, targets, slot_batches.shape[1]
+        ))
         self.inference_net.copy_weights_from(self.training_net)
         self._refresh_action_cache()
         self.train_events += 1

@@ -226,8 +226,8 @@ class ExperienceBuffer:
         makes, without gathering the arrays).
 
         Callers that post-process per *unique* transition — Sibyl's
-        fused training thread computes one Bellman target per unique
-        slot and gathers — use this to see through the with-replacement
+        training event computes one Bellman target per unique slot and
+        gathers — use this to see through the with-replacement
         sampling.
         """
         if batch_size < 1:
@@ -274,20 +274,6 @@ class ExperienceBuffer:
     def gather_targets(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(rewards, next_obs) only — the Bellman-target inputs."""
         return self._rewards[slots], self._next_obs[slots]
-
-    def gather_into(
-        self, slots: np.ndarray, obs_out: np.ndarray, actions_out: np.ndarray
-    ) -> None:
-        """Gather (obs, actions) for ``slots`` into caller-owned buffers.
-
-        The fused multi-lane training engine stacks one batch per lane
-        into ``(K, batch, n_obs)`` / ``(K, batch)`` arrays; this writes
-        a lane's rows straight into its slice — exactly the values
-        :meth:`gather` returns, without the intermediate per-lane
-        arrays a stack-of-gathers would copy twice.
-        """
-        np.take(self._obs, slots, axis=0, out=obs_out)
-        np.take(self._actions, slots, axis=0, out=actions_out)
 
     # ------------------------------------------------------------- sizing
     def __len__(self) -> int:

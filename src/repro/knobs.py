@@ -23,7 +23,7 @@ Imports nothing from ``repro``: it is on every verb's import path.
 from __future__ import annotations
 
 import os
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "Knob",
@@ -31,8 +31,6 @@ __all__ = [
     "ROWS",
     "get",
     "doc_cells",
-    "resolve_count_env",
-    "resolve_choice_env",
 ]
 
 
@@ -56,7 +54,7 @@ class Knob(NamedTuple):
 
 TABLE: Tuple[Knob, ...] = (
     Knob("SIBYL_PARALLEL", "count", aliases={"serial": 0}),
-    Knob("SIBYL_BACKEND", "choice", "auto", ("auto", "numpy", "cext", "off")),
+    Knob("SIBYL_BACKEND", "choice", "auto", ("auto", "cext", "off")),
     Knob("SIBYL_BENCH_REQUESTS", "count", 10000, minimum=1),
     Knob("SIBYL_BENCH_WORKLOADS", "choice", "all", ("all", "quick")),
     Knob("SIBYL_BENCH_SEEDS", "count", 1, minimum=1),
@@ -96,20 +94,6 @@ def _parse(row: Knob, raw: str, default):
     return max(row.minimum, _parse_count(row.name, raw, default, row.aliases))
 
 
-def resolve_count_env(
-    env: str, default: int, aliases: Optional[Dict[str, int]] = None
-) -> int:
-    """The count contract, on any variable name.
-
-    ``""``/``"auto"`` → ``default``; an ``aliases`` token maps to its
-    value; anything else must be a **non-negative integer** — garbage
-    and negative values raise ``ValueError`` (a misconfiguration must
-    never silently disable packing or parallelism).
-    """
-    raw = os.environ.get(env, "").strip().lower()
-    return _parse_count(env, raw, default, aliases)
-
-
 def _parse_count(env, raw, default, aliases):
     if raw in ("", "auto"):
         return default
@@ -125,20 +109,6 @@ def _parse_count(env, raw, default, aliases):
     if value < 0:
         raise ValueError(f"{env} must be >= 0, got {value}")
     return value
-
-
-def resolve_choice_env(
-    env: str, default: str, choices: Sequence[str]
-) -> str:
-    """The choice contract, on any variable name.
-
-    The string sibling of :func:`resolve_count_env`: ``""`` (unset or
-    blank) → ``default``; otherwise the lowered token must be one of
-    ``choices`` — garbage raises ``ValueError``, because a typo in e.g.
-    ``SIBYL_BACKEND`` must never silently select a different engine.
-    """
-    raw = os.environ.get(env, "").strip().lower()
-    return _parse_choice(env, raw, default, choices)
 
 
 def _parse_choice(env, raw, default, choices):

@@ -26,7 +26,6 @@ import numpy as np
 
 from .network import (
     FeedForwardNetwork,
-    LaneStackTraining,
     NetworkLaneStack,
     Workspace,
     mlp,
@@ -396,7 +395,7 @@ class C51Network:
         return C51Network(self.config, rng=self.rng, network=self.network.clone())
 
 
-class C51LaneStack(LaneStackTraining):
+class C51LaneStack:
     """Fused greedy-action inference across K independent C51 networks.
 
     Built by the placement daemon (:mod:`repro.serve.engine`) over the
@@ -445,49 +444,3 @@ class C51LaneStack(LaneStackTraining):
         np.exp(logits, out=logits)
         q = np.matmul(logits, self.supports)[:, :, 0] / logits.sum(axis=2)
         return np.argmax(q, axis=1)
-
-    # --------------------------------------------------------- fused training
-    # (event lifecycle + per-lane precompute_targets: LaneStackTraining)
-    def train_batch(
-        self,
-        observations: np.ndarray,
-        actions: np.ndarray,
-        targets: np.ndarray,
-        optimizer,
-    ) -> np.ndarray:
-        """One fused SGD step: every lane's batch through its own weights.
-
-        ``observations`` is ``(K, B, n_obs)``, ``actions`` ``(K, B)``,
-        ``targets`` the per-lane projected target pmfs ``(K, B,
-        n_atoms)``; ``optimizer`` is the lanes'
-        :class:`~repro.rl.optim.StackedOptimizer`.  Returns the ``(K,)``
-        per-lane mean losses.  Per lane this is operation for operation
-        :meth:`C51Network.train_batch` with precomputed ``targets`` —
-        gather the chosen action's logits, softmax them, cross-entropy
-        loss and gradient, stacked backward, one fused optimizer step —
-        so losses and updated weights are bit-identical to K serial
-        calls.  Requires :meth:`begin_training_event`.
-        """
-        k, batch = actions.shape
-        logits = self.stack.train_forward(observations).reshape(
-            k, batch, self.n_actions, self.n_atoms
-        )
-        lanes = np.arange(k)[:, None]
-        rows = np.arange(batch)[None, :]
-        chosen = logits[lanes, rows, actions]
-        chosen -= chosen.max(axis=-1, keepdims=True)
-        np.exp(chosen, out=chosen)
-        chosen /= chosen.sum(axis=-1, keepdims=True)
-        losses = -np.sum(
-            targets * np.log(np.clip(chosen, 1e-12, None)), axis=2
-        ).mean(axis=1)
-
-        grad = self._zeroed_grad_scratch(logits)
-        grad[lanes, rows, actions] = (chosen - targets) / batch
-        self.stack.train_backward(
-            grad.reshape(k, batch, self.n_actions * self.n_atoms)
-        )
-        optimizer.step(self.stack.flat_parameters, self.stack.flat_gradients)
-        for net in self.networks:
-            net.train_steps += 1
-        return losses

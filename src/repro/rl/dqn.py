@@ -8,13 +8,12 @@ ablation comparing the two, and so downstream users can swap heads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .network import (
     FeedForwardNetwork,
-    LaneStackTraining,
     NetworkLaneStack,
     mlp,
     workspace,
@@ -194,7 +193,7 @@ class DQNNetwork:
         return DQNNetwork(self.config, rng=self.rng, network=self.network.clone())
 
 
-class DQNLaneStack(LaneStackTraining):
+class DQNLaneStack:
     """Fused greedy-action inference across K independent DQN networks.
 
     The expected-value counterpart of
@@ -224,42 +223,3 @@ class DQNLaneStack(LaneStackTraining):
     def best_actions(self, obs: np.ndarray) -> np.ndarray:
         """Greedy action per lane for ``(K, n_obs)`` observations."""
         return np.argmax(self.stack.forward(obs), axis=1)
-
-    # --------------------------------------------------------- fused training
-    # (event lifecycle + per-lane precompute_targets: LaneStackTraining)
-    def train_batch(
-        self,
-        observations: np.ndarray,
-        actions: np.ndarray,
-        targets: np.ndarray,
-        optimizer,
-        huber_delta: float = 1.0,
-    ) -> np.ndarray:
-        """One fused TD(0) step across lanes; ``(K,)`` per-lane losses.
-
-        The expected-value counterpart of
-        :meth:`repro.rl.c51.C51LaneStack.train_batch`: ``targets`` is
-        the ``(K, B)`` precomputed TD targets, and every per-lane slice
-        executes exactly the Huber loss/gradient statements of
-        :meth:`DQNNetwork.train_batch`.  Requires
-        :meth:`begin_training_event`.
-        """
-        k, batch = actions.shape
-        q = self.stack.train_forward(observations)
-        lanes = np.arange(k)[:, None]
-        rows = np.arange(batch)[None, :]
-        chosen = q[lanes, rows, actions]
-        err = chosen - targets
-        quadratic = np.abs(err) <= huber_delta
-        losses = np.where(
-            quadratic, 0.5 * err * err, huber_delta * (np.abs(err) - 0.5 * huber_delta)
-        ).mean(axis=1)
-        dloss = np.where(quadratic, err, huber_delta * np.sign(err)) / batch
-
-        grad = self._zeroed_grad_scratch(q)
-        grad[lanes, rows, actions] = dloss
-        self.stack.train_backward(grad)
-        optimizer.step(self.stack.flat_parameters, self.stack.flat_gradients)
-        for net in self.networks:
-            net.train_steps += 1
-        return losses

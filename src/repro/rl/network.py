@@ -26,7 +26,6 @@ __all__ = [
     "Dense",
     "FeedForwardNetwork",
     "NetworkLaneStack",
-    "LaneStackTraining",
     "mlp",
     "count_macs",
     "count_parameters",
@@ -396,18 +395,10 @@ class NetworkLaneStack:
     per-lane forward bit for bit (asserted by
     ``tests/sim/test_lanes.py::TestLaneStacks``).
 
-    Member networks keep training independently; call :meth:`refresh`
-    after a lane's weights change (Sibyl's periodic training→inference
-    weight copy) to re-sync its slice.
-
-    A stack built over *training* networks additionally supports the
-    fused multi-lane training path (:meth:`enable_training`): per-lane
-    flat parameter/gradient rows in one ``(K, P)`` matrix each — the
-    stacked counterpart of :meth:`FeedForwardNetwork.pack_parameters` —
-    with per-layer tensor views into them, a caching
-    :meth:`train_forward` and a :meth:`train_backward` whose every
-    per-lane slice executes exactly the serial
-    ``Dense.forward(train=True)`` / ``Dense.backward`` statements.
+    Member networks keep training independently (each tenant's own
+    serial training event); call :meth:`refresh` after a lane's weights
+    change (Sibyl's periodic training→inference weight copy) to re-sync
+    its slice.  The stack itself is inference only.
     """
 
     def __init__(self, networks: Sequence[FeedForwardNetwork]) -> None:
@@ -421,24 +412,10 @@ class NetworkLaneStack:
                     "all networks in a lane stack must share one architecture"
                 )
         self.networks = networks
-        # Stacked inference buffers, built lazily on first use: stacks
-        # constructed only to drive fused *training*
-        # (``fused_train_event``'s stacks) never pay for — or copy into —
-        # inference weights they never read.
+        # Stacked inference buffers, built on the first forward.
         self._weights: List[np.ndarray] = []
         self._biases: List[np.ndarray] = []
         self._scratch: List[np.ndarray] = []
-        # Fused-training state, allocated by enable_training().
-        self._train_params: Optional[np.ndarray] = None
-        self._train_grads: Optional[np.ndarray] = None
-        self._train_w: List[np.ndarray] = []
-        self._train_b: List[np.ndarray] = []
-        self._train_gw: List[np.ndarray] = []
-        self._train_gb: List[np.ndarray] = []
-        self._train_x: List[Optional[np.ndarray]] = []
-        # Per batch size, per layer: (pre-activations, activation scratch).
-        self._train_z: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        self._train_z_active: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     @staticmethod
     def signature(network: FeedForwardNetwork) -> tuple:
@@ -503,176 +480,6 @@ class NetworkLaneStack:
             z += bias
             x = layer.activation.forward_inplace(z)
         return x[:, 0, :]
-
-    # --------------------------------------------------------- fused training
-    def enable_training(self) -> None:
-        """Allocate the stacked flat parameter/gradient state.
-
-        Row ``k`` of :attr:`flat_parameters` / :attr:`flat_gradients` is
-        lane ``k``'s entire network as one vector, in exactly the layout
-        :meth:`FeedForwardNetwork.pack_parameters` uses (per layer:
-        weight then bias), so syncing a lane is a single row copy from /
-        to its member network's own flat vector.  The per-layer
-        ``(K, in, out)`` / ``(K, out)`` tensors used by the stacked
-        forward/backward are *views* into the same storage.  Idempotent.
-        """
-        if self._train_params is not None:
-            return
-        for net in self.networks:
-            net.pack_parameters()
-        layers = self.networks[0].layers
-        k = len(self.networks)
-        total = sum(layer.weight.size + layer.bias.size for layer in layers)
-        self._train_params = np.empty((k, total))
-        self._train_grads = np.zeros((k, total))
-        offset = 0
-        for layer in layers:
-            n = layer.weight.size
-            shape = (k, layer.in_features, layer.out_features)
-            self._train_w.append(
-                self._train_params[:, offset:offset + n].reshape(shape)
-            )
-            self._train_gw.append(
-                self._train_grads[:, offset:offset + n].reshape(shape)
-            )
-            offset += n
-            n = layer.bias.size
-            self._train_b.append(self._train_params[:, offset:offset + n])
-            self._train_gb.append(self._train_grads[:, offset:offset + n])
-            offset += n
-        self._train_x = [None] * len(layers)
-
-    @property
-    def flat_parameters(self) -> Optional[np.ndarray]:
-        """Stacked ``(K, P)`` parameters (None before ``enable_training``)."""
-        return self._train_params
-
-    @property
-    def flat_gradients(self) -> Optional[np.ndarray]:
-        return self._train_grads
-
-    def load_member_weights(self) -> None:
-        """Copy every member's flat parameters into the stacked rows
-        (start of a fused training event — lanes may have trained
-        serially since the last one)."""
-        for row, net in enumerate(self.networks):
-            self._train_params[row] = net.flat_parameters
-
-    def store_member_weights(self) -> None:
-        """Write the trained stacked rows back into the member networks
-        (end of a fused training event)."""
-        for row, net in enumerate(self.networks):
-            net.flat_parameters[...] = self._train_params[row]
-
-    def train_forward(self, x: np.ndarray) -> np.ndarray:
-        """Stacked caching forward: ``(K, B, in)`` → ``(K, B, out)``.
-
-        Per lane this runs the statements of ``Dense.forward(train=True)``
-        — matmul into a reused pre-activation buffer, bias add,
-        ``activation.forward_train`` — over that lane's own weight row,
-        so each slice equals the serial training forward bit for bit
-        (stacked ``np.matmul`` dispatches the same GEMM per slice; the
-        activations are elementwise).
-        """
-        layers = self.networks[0].layers
-        buffers = self._train_z.get(x.shape[1])
-        if buffers is None:
-            lanes_rows = (len(self.networks), x.shape[1])
-            buffers = self._train_z[x.shape[1]] = [
-                (
-                    np.empty(lanes_rows + (layer.out_features,)),
-                    np.empty(
-                        (layer.activation.train_slots,)
-                        + lanes_rows + (layer.out_features,)
-                    ),
-                )
-                for layer in layers
-            ]
-        self._train_z_active = buffers
-        for j, (layer, (z, scratch)) in enumerate(zip(layers, buffers)):
-            np.matmul(x, self._train_w[j], out=z)
-            z += self._train_b[j][:, None, :]
-            self._train_x[j] = x
-            x = layer.activation.forward_train(z, scratch)
-        return x
-
-    def train_backward(self, grad_out: np.ndarray) -> None:
-        """Stacked backprop accumulating into :attr:`flat_gradients`.
-
-        Requires a preceding :meth:`train_forward`, whose cached
-        pre-activations it consumes.  Gradients are zeroed then added
-        to — per lane the products ``Dense.backward`` writes.  The input
-        gradient of the first layer is never needed, so it is not
-        computed.
-        """
-        layers = self.networks[0].layers
-        buffers = self._train_z_active
-        if buffers is None:
-            raise RuntimeError("train_backward() before train_forward()")
-        self._train_grads.fill(0.0)
-        grad = grad_out
-        for j in range(len(layers) - 1, -1, -1):
-            z, scratch = buffers[j]
-            grad_z = layers[j].activation.backward_train(z, grad, scratch)
-            self._train_gw[j] += np.matmul(
-                self._train_x[j].transpose(0, 2, 1), grad_z
-            )
-            self._train_gb[j] += grad_z.sum(axis=1)
-            if j:
-                grad = np.matmul(grad_z, self._train_w[j].transpose(0, 2, 1))
-
-
-class LaneStackTraining:
-    """Fused-training lifecycle shared by the head lane stacks.
-
-    :class:`~repro.rl.c51.C51LaneStack` and
-    :class:`~repro.rl.dqn.DQNLaneStack` differ only in their loss/
-    gradient math; the event scaffolding — syncing stacked weights in
-    and out of the member networks, the per-lane target precompute, the
-    reusable gradient scratch — is identical and lives here.
-    Subclasses provide ``self.stack`` (a :class:`NetworkLaneStack`) and
-    ``self.networks`` (the member head networks).
-    """
-
-    def begin_training_event(self) -> None:
-        """Sync the stacked training state from the member networks
-        (which may have trained serially since the last fused event)."""
-        self.stack.enable_training()
-        self.stack.load_member_weights()
-
-    def end_training_event(self) -> None:
-        """Write the trained weights back into the member networks."""
-        self.stack.store_member_weights()
-
-    def precompute_targets(
-        self,
-        rewards: Sequence[np.ndarray],
-        next_observations: Sequence[np.ndarray],
-        targets: Sequence,
-    ) -> List[np.ndarray]:
-        """Per-lane Bellman/TD targets for one fused training event.
-
-        Deliberately **per-lane** rather than stacked: each lane's
-        unique-slot block has its own row count, and BLAS row-blocking
-        makes a GEMM's per-row results depend on the total row count —
-        padding lanes to a common height would break bit-identity with
-        the serial target pass.  The stacked batch steps (fixed-height
-        slices) are where fusion pays; this one pass per event stays
-        exactly the serial computation.
-        """
-        return [
-            member.precompute_targets(r, n, target=t)
-            for member, r, n, t in zip(
-                self.networks, rewards, next_observations, targets
-            )
-        ]
-
-    @staticmethod
-    def _zeroed_grad_scratch(like: np.ndarray) -> np.ndarray:
-        """A zero-filled workspace buffer shaped like ``like``."""
-        grad = workspace().array("lanestack.grad", like.shape)
-        grad.fill(0.0)
-        return grad
 
 
 def mlp(

@@ -274,6 +274,10 @@ class _Connection:
         self._settle()
 
 
+#: The largest TCP port; the knob row itself only rejects negatives.
+_MAX_PORT = 65535
+
+
 class PlacementDaemon:
     """The long-lived placement service: engine + socket front-end.
 
@@ -304,6 +308,10 @@ class PlacementDaemon:
         request_timeout_s: float = 30.0,
     ) -> None:
         port = knobs.get("SIBYL_SERVE_PORT", port)
+        if port > _MAX_PORT:
+            raise ValueError(
+                f"SIBYL_SERVE_PORT must be <= {_MAX_PORT}, got {port}"
+            )
         self.engine = PlacementEngine(train_mode=train_mode)
         self.engine.frontend = self
         self.request_timeout_s = request_timeout_s

@@ -21,9 +21,8 @@ The seed axis rides the engines underneath:
   one :func:`repro.sim.lanes.run_lanes` call, made by
   :func:`run_seeded_normalized`, the one place a lineup is run against
   its Fast-Only reference (``runner.run_normalized`` is its one-seed
-  call): the SoA kernels take every lane they model (all of a default
-  paper lineup under the compiled engine), the rest are stepped
-  serially.  N seeds cost N times one seed's simulation; what the
+  call): the compiled kernel takes every lane it models (all of a
+  default paper lineup), the rest are stepped serially.  N seeds cost N times one seed's simulation; what the
   shared call saves is the per-trace packing.
 
 The hard guarantee is inherited from ``run_lanes`` and asserted by
@@ -415,7 +414,7 @@ def run_seeded_normalized(
     ``traces[i]`` and ``lineups[i]`` belong to ``seeds[i]``; every
     (seed, policy) pair becomes one lane of one
     :func:`repro.sim.lanes.run_lanes` call, so kernel-eligible lanes
-    run in the SoA engines and the rest are stepped serially.  Returns
+    run in the compiled kernel and the rest are stepped serially.  Returns
     one ``{policy_name: metrics}`` dict per seed, latency and IOPS
     normalised to that seed's Fast-Only reference run — bit-identical
     to running that seed's lineup alone, because lane results never

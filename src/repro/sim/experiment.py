@@ -20,8 +20,8 @@ inside the worker), so parallel execution is bit-identical to the
 serial path and only wall-clock time changes.  Pass ``max_workers`` to
 pin the fan-out, or set ``SIBYL_PARALLEL=serial`` to force the serial
 path globally.  Within a cell, the policy lineup is one
-:func:`repro.sim.lanes.run_lanes` call (the SoA kernels take the lanes
-they model, the rest are stepped serially) — again bit-identical, again
+:func:`repro.sim.lanes.run_lanes` call (the compiled kernel takes the lanes
+it models, the rest are stepped serially) — again bit-identical, again
 wall-clock only.
 
 Workload names are usually catalog entries (``"rsrch_0"``); the form

@@ -1,4 +1,4 @@
-"""Structure-of-arrays tick engine with selectable compute backends.
+"""Structure-of-arrays tick engine: the compiled kernel and its gates.
 
 A serially stepped lane's per-request cost is dominated by everything
 *around* the network forward: feature extraction, the HSS serve/evict state
@@ -9,39 +9,28 @@ LRU system with the paper's full feature set and latency reward) by
 holding the per-tick state — observations, quantised feature bins,
 device queue depths/utilisation, the page→device mapping, per-lane
 reward accumulators — in contiguous arrays (:mod:`.soa`) and executing
-the tick loop through one of two interchangeable engines:
-
-* ``numpy`` (:mod:`.engine_numpy`) — the **bit-identity reference**: a
-  straight-line transliteration of the serial ``run_policy`` loop over
-  the SoA state, with the interpreter overhead (method dispatch,
-  dataclass construction, per-request object traffic) shaved off.  It
-  executes exactly the floating-point operations of the serial path, in
-  the same order, against the same live Python objects, so equality to
-  ``run_policy`` is structural, not coincidental.
-* ``cext`` (:mod:`.engine_c`) — a compiled C kernel (built on demand
-  with the system C compiler) that owns the whole tick loop between
-  *barriers*: network inference on an action-memo miss and the periodic
-  training event stay in Python, executing the identical serial code
-  paths, while everything else — PCG64 exploration draws, feature
-  binning, device latency models, LRU eviction, replay dedup — runs in
-  C with bit-identical arithmetic.
+the tick loop in a compiled C kernel (:mod:`.engine_c`, built on demand
+with the system C compiler).  The kernel owns the whole tick loop
+between *barriers*: network inference on an action-memo miss and the
+periodic training event stay in Python, executing the identical serial
+code paths, while everything else — PCG64 exploration draws, feature
+binning, device latency models, LRU eviction, replay dedup — runs in C
+with bit-identical arithmetic.
 
 The compiled kernel also serves the paper's *baselines* as scripted
 lanes (:mod:`.script`): ``policy.place`` runs over the trace ahead of
 the replay and ``kernel.c`` takes the recorded decisions — one
-serve/evict routine for every lane of a paper lineup.  That path has no
-NumPy twin: under ``numpy``/``off`` those lanes are stepped serially.
+serve/evict routine for every lane of a paper lineup.
 
 Backend selection goes through the ``SIBYL_BACKEND`` knob (a choice
 row of :data:`repro.knobs.TABLE`):
 
-* ``auto`` (default) — compiled kernel if the toolchain can build it,
-  else **silently** the NumPy engine (the fallback must never change
+* ``auto`` (default) — the compiled kernel if the toolchain can build
+  it, else **silently** no kernel (serial stepping never changes
   results, only wall-clock);
-* ``numpy`` — force the reference engine;
 * ``cext`` — require the compiled kernel (raises if unavailable);
-* ``off`` — no SoA kernel: :func:`repro.sim.lanes.run_lanes` steps
-  every lane serially (``PolicyRun.step``).
+* ``off`` — no kernel: :func:`repro.sim.lanes.run_lanes` steps every
+  lane serially (``PolicyRun.step``).
 
 Either way, results are bit-identical to serial ``run_policy``,
 asserted by ``tests/sim/test_soa.py`` and searched by
@@ -70,23 +59,27 @@ BACKENDS = knobs.ROWS["SIBYL_BACKEND"].choices
 def get_backend(name: Optional[str] = None) -> Optional[str]:
     """Resolve ``name`` (or the environment) to a concrete engine.
 
-    Returns ``"numpy"``, ``"cext"``, or ``None`` (= engine disabled).
-    ``auto`` probes the compiled kernel and falls back to the NumPy
-    engine *silently* — by contract the two are bit-identical, so the
-    fallback can never change a result, only wall-clock time.  An
-    explicit ``cext`` request raises when the kernel cannot be built,
-    because the caller asked for a specific implementation.
+    Returns ``"cext"`` or ``None`` (= kernel disabled: lanes are
+    stepped serially).  ``auto`` probes the compiled kernel and falls
+    back to serial stepping *silently* — both are bit-identical to
+    ``run_policy``, so the fallback can never change a result, only
+    wall-clock time.  An explicit ``cext`` request raises when the
+    kernel cannot be built, because the caller asked for a specific
+    implementation.
     """
     if name is None:
         name = knobs.get("SIBYL_BACKEND")
+    elif name == "numpy":
+        # The frozen probe sim.kernels.tick_us_per_req.numpy still asks
+        # for the deleted NumPy engine by name; it times serial stepping
+        # now.  The benchmark-only PR (ROADMAP) deletes this spelling.
+        name = "off"
     if name not in BACKENDS:
         raise ValueError(
             f"unknown backend {name!r}; valid: {', '.join(BACKENDS)}"
         )
     if name == "off":
         return None
-    if name == "numpy":
-        return "numpy"
     from . import engine_c
 
     if engine_c.available():
@@ -96,7 +89,7 @@ def get_backend(name: Optional[str] = None) -> Optional[str]:
             "SIBYL_BACKEND=cext requested but the compiled kernel is "
             f"unavailable: {engine_c.unavailable_reason()}"
         )
-    return "numpy"  # auto: silent reference fallback
+    return None  # auto: silent serial fallback
 
 
 def dual_device_hss(hss) -> bool:
@@ -111,17 +104,20 @@ def dual_device_hss(hss) -> bool:
 
 
 def kernel_eligible(run) -> bool:
-    """True when ``run`` matches the configuration the kernels compile.
+    """True when ``run`` matches what the compiled kernel implements.
 
-    The SoA engines implement the paper's default configuration: a
+    The kernel implements the paper's default configuration: a
     :class:`~repro.core.agent.SibylAgent` with the full feature set and
     the Eq. 1 latency reward, on a two-device HSS (SSD/HDD models) with
     a bounded fast device, an unbounded slow device, and LRU victim
-    selection.  Anything else — feature ablations, tri-HSS, alternative
-    rewards or selectors — is stepped serially by ``run_lanes``, which
-    handles any policy.  The gate is deliberately exact (``type`` checks, not
-    ``isinstance``): a subclass may override any hook the kernels
-    inline.  (The baselines have their own gate,
+    selection — from the cold start its flat mirrors encode: an empty
+    page table/tracker/memo/replay, nothing consumed yet, and a PCG64
+    agent generator.  Anything else — feature ablations, tri-HSS,
+    alternative rewards or selectors, a resumed run, an exotic bit
+    generator — is stepped serially by ``run_lanes``, which handles any
+    policy.  The gate is deliberately exact (``type`` checks, not
+    ``isinstance``): a subclass may override any hook the kernel
+    inlines.  (The baselines have their own gate,
     :func:`repro.sim.kernels.script.script_eligible`.)
     """
     from ...core.agent import SibylAgent
@@ -137,52 +133,54 @@ def kernel_eligible(run) -> bool:
         return False
     if type(hss.victim_selector) is not LRUVictimSelector:
         return False
+    if hss.slowest != 1 or policy.hyperparams.train_interval < 1:
+        return False
     if policy.extractor is None or policy.reward_fn is None:
         return False
     if policy.extractor.features is not FEATURE_SETS["all"]:
         return False
     if type(policy.reward_fn) is not LatencyReward:
         return False
-    if len(policy.buffer) != 0 or run._index != 0:
+    if type(policy.rng.bit_generator).__name__ != "PCG64":
         return False
-    return True
+    if run._index != 0:
+        return False
+    if hss.table._location or hss.tracker._count or hss.tracker._last_access:
+        return False
+    if policy._pending is not None or policy._requests_seen != 0:
+        return False
+    if policy._action_cache or policy._cache_obs:
+        return False
+    buf = policy.buffer
+    return buf._obs is None and not buf._free and buf._total_added == 0
 
 
 def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> List:
     """Drive the eligible lanes of ``runs`` to completion; return the rest.
 
-    ``backend`` overrides the environment knob.  With the engine
-    disabled (``off``) every run is returned for the caller to step
-    serially.  Lanes share no state, so they are executed one after another;
-    each finishes bit-identical to a serial ``run_policy``.
-
-    Agent lanes (:func:`kernel_eligible`) run in either engine;
+    ``backend`` overrides the environment knob.  With the kernel
+    disabled (``off``, or ``auto`` without a compiler) every run is
+    returned for the caller to step serially.  Lanes share no state, so
+    they are executed one after another; each finishes bit-identical to
+    a serial ``run_policy``.  Agent lanes (:func:`kernel_eligible`) and
     scripted lanes (:func:`.script.script_eligible`, the baselines) are
-    taken by the compiled engine only and are returned under ``numpy``.
+    taken.
 
     ``sink`` (an :class:`repro.obs.sink.ObservationSink`) receives the
     tick-domain counters of each agent lane — ``ticks``, one-row
     ``fused_forwards``/``fused_rows``, ``train_events`` — plus
     ``kernel_barriers``, the number of Python-boundary crossings
-    (inference + train gates) the SoA engines paid, and
-    ``script_lanes``, the number of scripted lanes (which count nothing
-    else).
+    (inference + train gates) the kernel paid, and ``script_lanes``,
+    the number of scripted lanes (which count nothing else).
     """
-    engine = get_backend(backend)
-    if engine is None:
+    if get_backend(backend) is None:
         return list(runs)
+    from .engine_c import run_lanes_c
+    from .script import script_eligible
+
     taken = [run for run in runs if kernel_eligible(run)]
-    if engine == "cext":
-        from .engine_c import run_lanes_c
-        from .script import script_eligible
-
-        scripted = [run for run in runs if script_eligible(run)]
-        if taken or scripted:
-            run_lanes_c(taken, scripted, sink=sink)
-            taken += scripted
-    elif taken:
-        from .engine_numpy import run_lanes_numpy
-
-        run_lanes_numpy(taken, sink=sink)
-    chosen = set(map(id, taken))
+    scripted = [run for run in runs if script_eligible(run)]
+    if taken or scripted:
+        run_lanes_c(taken, scripted, sink=sink)
+    chosen = set(map(id, taken + scripted))
     return [run for run in runs if id(run) not in chosen]

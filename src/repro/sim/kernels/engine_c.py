@@ -18,10 +18,10 @@ whenever serial semantics need Python:
 Everything the serial path would have mutated — RNG state, replay
 contents and caches, action memo, page table, tracker, device state and
 stats — is reconstructed on the live objects at the end, so the result
-(and all post-run state) is bit-identical to serial ``run_policy``.
-The NumPy reference proves the arithmetic; this engine re-executes it
-in C with the same operations in the same order (``-ffp-contract=off``
-keeps the compiler from fusing them).
+(and all post-run state) is bit-identical to serial ``run_policy``:
+the kernel re-executes the serial path's arithmetic in C with the same
+operations in the same order (``-ffp-contract=off`` keeps the compiler
+from fusing them).
 
 A second lane kind needs no barrier at all: a *scripted* lane
 (:func:`run_script_c`; the paper's baselines, see :mod:`.script`) packs
@@ -36,7 +36,7 @@ header plus the source; after loading, the kernel's ``sib_abi_hash()``
 must equal the table's, and every array packed for a run is checked
 against the table's element types (:func:`_check_arrays`).  When no
 toolchain is available the backend reports itself unavailable and
-``auto`` falls back to the NumPy engine.
+``auto`` falls back to serial stepping.
 """
 
 from __future__ import annotations
@@ -235,34 +235,6 @@ def _rng_words_to_state(rng: np.random.Generator, words: np.ndarray) -> None:
         "has_uint32": int(words[4]),
         "uinteger": int(words[5]),
     }
-
-
-def _kernel_ready(run, trace: TraceSoA) -> bool:
-    """Per-run preconditions beyond ``kernel_eligible``.
-
-    The kernel assumes the cold-start state its flat mirrors encode: an
-    empty page table/tracker/memo/replay and a PCG64 agent generator.
-    Anything else (a resumed run, an exotic bit generator) silently
-    takes the NumPy reference — same results, Python speed.
-    """
-    policy = run.policy
-    hss = run.hss
-    if trace.n == 0:
-        return False
-    if type(policy.rng.bit_generator).__name__ != "PCG64":
-        return False
-    if hss.table._location or hss.tracker._count or hss.tracker._last_access:
-        return False
-    if policy._pending is not None or policy._requests_seen != 0:
-        return False
-    if policy._action_cache or policy._cache_obs:
-        return False
-    buf = policy.buffer
-    if buf._obs is not None or buf._free or buf._total_added != 0:
-        return False
-    if hss.slowest != 1 or policy.hyperparams.train_interval < 1:
-        return False
-    return True
 
 
 def _seed_device(run, d: int, dd: np.ndarray, di: np.ndarray) -> None:
@@ -689,8 +661,9 @@ class _KernelRun(_HSSState):
 def run_one_c(
     run, sink=None, trace: Optional[TraceSoA] = None, lane: int = 0,
 ) -> None:
-    """Drive one eligible ``PolicyRun`` to completion through the
-    compiled kernel, bit-identically to serial ``run_policy``.
+    """Drive one ``PolicyRun`` that :func:`~repro.sim.kernels.kernel_eligible`
+    accepts to completion through the compiled kernel, bit-identically
+    to serial ``run_policy``.
 
     ``trace`` is the run's trace already packed (lanes replaying one
     trace share the pack); by default the run's own iterator is packed.
@@ -702,13 +675,6 @@ def run_one_c(
     lib = _load()
     if trace is None:
         trace = TraceSoA.from_run(run)
-    if lib is None or not _kernel_ready(run, trace):
-        from .engine_numpy import run_one_numpy
-
-        run._iter = iter(trace.requests)
-        run_one_numpy(run, sink=sink)
-        return
-
     state = _KernelRun(run, trace)
     n_inference = 0
     n_train = 0

@@ -1,11 +1,18 @@
-/* Compiled tick engine: a C transliteration of engine_numpy.run_one_numpy.
+/* Compiled tick engine: a C transliteration of the serial Python tick --
+ * PolicyRun.step (sim/runner.py) over SibylAgent.place_begin /
+ * place_commit / feedback (core/agent.py), FeatureExtractor.observe_keyed
+ * (core/features.py), HybridStorageSystem.serve and its eviction
+ * (hss/system.py), the SSDDevice / HDDDevice service_time models
+ * (hss/ssd.py, hss/hdd.py), LatencyReward (core/reward.py) and
+ * ExperienceBuffer.add (core/replay.py).
  *
- * Bit-identity contract (same as the NumPy reference):
+ * Bit-identity contract with those sources:
  *   - Python's min(a, b) / max(a, b) become the exact conditionals the
  *     builtins evaluate (`b if b < a else a`), preserving ties.
  *   - Float expressions keep the source's association; constant-only
  *     subexpressions (seek_span, tr_unit, gc_over_denom) are seeded
- *     pre-reduced by the Python caller, exactly as engine_numpy does.
+ *     pre-reduced by the Python caller (engine_c.py) with the very
+ *     expressions the device models evaluate.
  *   - math.log2 is libm log2, so feature binning matches bit-for-bit.
  *   - The agent's PCG64 stream is replicated natively (including
  *     numpy's buffered 32-bit Lemire rejection for `integers`), and its

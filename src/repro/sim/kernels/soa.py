@@ -1,17 +1,16 @@
-"""Structure-of-arrays containers for the tick engines.
+"""Structure-of-arrays containers for the compiled tick kernel.
 
 The serial stepper walks per-request Python objects: every tick
 re-reads ``Request`` dataclass attributes, and per-lane device state
 lives scattered across ``StorageDevice``/``PageTable`` instances.  The
-SoA engines instead decompose a lane's trace once into contiguous
+kernel's packer instead decomposes a lane's trace once into contiguous
 parallel arrays (:class:`TraceSoA`).
 
 The container is deliberately a *derived* view: the live simulation
 objects (``HybridStorageSystem``, ``SibylAgent``) stay the source of
 truth, because bit-identity to the serial path is defined against their
-state.  ``TraceSoA`` feeds the engines' input side (and the compiled
-kernel's dense page remap); the output side is written straight back
-into those objects.
+state.  ``TraceSoA`` feeds the kernel's input side (and its dense page
+remap); the output side is written straight back into those objects.
 """
 
 from __future__ import annotations

@@ -136,7 +136,7 @@ class PolicyRun:
 
     ``step()`` executes exactly one loop iteration of the classic serial
     replay: warmup-window reset, ``policy.place``, closed-loop serve,
-    ``policy.feedback``.  The SoA kernels instead take over a freshly
+    ``policy.feedback``.  The compiled kernel instead takes over a freshly
     built run (its ``policy``, ``hss`` and ``_source``) and leave all
     of it in the state the ``step()`` loop would have.
 

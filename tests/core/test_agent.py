@@ -287,21 +287,13 @@ class TestExternalTrainingHooks:
         with pytest.raises(RuntimeError):
             agent.train_commit()
 
-    def test_external_losses_recorded_verbatim(self, agent, hm_system):
-        agent.attach(hm_system)
-        drive(agent, hm_system, make_requests(17))
-        events = agent.train_events
-        agent.train_begin()
-        agent.train_commit(losses=[0.5, 0.25])
-        assert agent.losses[-2:] == [0.5, 0.25]
-        assert agent.train_events == events + 1
-
     def test_reset_clears_hook_state(self, agent, hm_system):
         agent.attach(hm_system)
         drive(agent, hm_system, make_requests(17))
         agent.train_begin()
         agent.reset()
-        assert agent.train_job is None
+        with pytest.raises(RuntimeError, match="without a pending"):
+            agent.train_commit()
 
     def test_weights_version_tracks_weight_rewrites(self, agent, hm_system):
         agent.attach(hm_system)
@@ -365,7 +357,8 @@ class TestCheckpointing:
         agent.train_begin()
         assert agent.training_net.optimizer._t > 0
         agent.load_checkpoint(path)
-        assert agent.train_job is None
+        with pytest.raises(RuntimeError, match="without a pending"):
+            agent.train_commit()
         assert agent.training_net.optimizer._t == 0
 
 

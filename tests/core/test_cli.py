@@ -101,6 +101,25 @@ class TestCompareValidatesBeforeItSimulates:
         assert capsys.readouterr().err.startswith("error: --json ")
         assert not (tmp_path / "store").exists()
 
+    def test_json_target_that_is_a_directory_runs_no_cell(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.sim.experiment as experiment
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a cell ran before --json was checked")
+
+        monkeypatch.setattr(experiment, "compare_policies", no_campaign)
+        target = tmp_path / "grids"
+        target.mkdir()
+        assert main([
+            "compare", "--workloads", "usr_0", "--requests", "120",
+            "--no-store", "--json", str(target),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --json {target}: is a directory\n"
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_seed_count_below_one_is_rejected(self, tmp_path, capsys, seeds):
         store = tmp_path / "store"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.rl.c51 import C51Config, C51LaneStack, C51Network, project_distribution
+from repro.rl.c51 import C51Config, C51Network, project_distribution
 
 
 @pytest.fixture
@@ -174,78 +174,3 @@ class TestC51Config:
         assert cfg.hidden_sizes == (20, 30)
         assert cfg.discount == 0.9
         assert cfg.n_atoms == 51
-
-
-class TestFusedTrainBatch:
-    """C51LaneStack.train_batch: K lanes' batches through one stacked
-    forward/backward must equal K serial train_batch calls bitwise."""
-
-    def _lanes(self, k, seed=0):
-        nets = []
-        for i in range(k):
-            rng = np.random.default_rng(seed + i)
-            config = C51Config(
-                v_min=-float(i + 1),
-                v_max=float(8 + i),
-                learning_rate=10.0 ** -(2 + i % 2),
-                optimizer="adam",
-            )
-            nets.append(C51Network(config, rng=rng))
-        return nets
-
-    @pytest.mark.parametrize("k", [2, 5])
-    def test_matches_serial_over_multiple_batches(self, k):
-        from repro.rl.optim import stack_optimizers
-
-        serial_nets = self._lanes(k)
-        fused_nets = self._lanes(k)
-        targets = [net.clone() for net in serial_nets]  # frozen bootstraps
-        rng = np.random.default_rng(99)
-        batch = 32
-        head = C51LaneStack(fused_nets)
-        head.begin_training_event()
-        optimizer = stack_optimizers([net.optimizer for net in fused_nets])
-        optimizer.gather(head.stack.flat_parameters.shape[1])
-        for _ in range(4):
-            obs = rng.random((k, batch, 6))
-            actions = rng.integers(0, 2, size=(k, batch))
-            rewards = rng.random((k, batch)) * 5.0
-            next_obs = rng.random((k, batch, 6))
-            pmfs = np.stack(
-                [
-                    serial_nets[lane].precompute_targets(
-                        rewards[lane], next_obs[lane], target=targets[lane]
-                    )
-                    for lane in range(k)
-                ]
-            )
-            fused_losses = head.train_batch(obs, actions, pmfs, optimizer)
-            for lane in range(k):
-                serial_loss = serial_nets[lane].train_batch(
-                    obs[lane], actions[lane], rewards[lane], next_obs[lane],
-                    targets=pmfs[lane],
-                )
-                assert fused_losses[lane] == serial_loss
-        head.end_training_event()
-        optimizer.scatter()
-        for serial_net, fused_net in zip(serial_nets, fused_nets):
-            assert np.array_equal(
-                serial_net.network.flat_parameters,
-                fused_net.network.flat_parameters,
-            )
-            assert serial_net.train_steps == fused_net.train_steps
-
-    def test_precompute_targets_matches_serial(self):
-        nets = self._lanes(3)
-        bootstraps = [net.clone() for net in nets]
-        rng = np.random.default_rng(5)
-        # Different unique-slot counts per lane, as in real events.
-        rewards = [rng.random(size) for size in (40, 7, 19)]
-        next_obs = [rng.random((len(r), 6)) for r in rewards]
-        head = C51LaneStack(nets)
-        fused = head.precompute_targets(rewards, next_obs, bootstraps)
-        for lane, net in enumerate(nets):
-            serial = net.precompute_targets(
-                rewards[lane], next_obs[lane], target=bootstraps[lane]
-            )
-            assert np.array_equal(fused[lane], serial)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rl.dqn import DQNConfig, DQNLaneStack, DQNNetwork
+from repro.rl.dqn import DQNConfig, DQNNetwork
 
 
 @pytest.fixture
@@ -67,56 +67,3 @@ class TestDQN:
         obs = rng.normal(size=(4, 4))
         loss = net.train_batch(obs, [0, 1, 0, 1], [1e6, -1e6, 0, 0], obs)
         assert np.isfinite(loss)
-
-
-class TestFusedTrainBatch:
-    """DQNLaneStack.train_batch vs serial DQNNetwork.train_batch."""
-
-    def _lanes(self, k, seed=0):
-        return [
-            DQNNetwork(
-                DQNConfig(learning_rate=10.0 ** -(2 + i % 2), optimizer="sgd"),
-                rng=np.random.default_rng(seed + i),
-            )
-            for i in range(k)
-        ]
-
-    def test_matches_serial_over_multiple_batches(self):
-        from repro.rl.optim import stack_optimizers
-
-        k, batch = 3, 24
-        serial_nets = self._lanes(k)
-        fused_nets = self._lanes(k)
-        bootstraps = [net.clone() for net in serial_nets]
-        rng = np.random.default_rng(11)
-        head = DQNLaneStack(fused_nets)
-        head.begin_training_event()
-        optimizer = stack_optimizers([net.optimizer for net in fused_nets])
-        optimizer.gather(head.stack.flat_parameters.shape[1])
-        for _ in range(3):
-            obs = rng.random((k, batch, 6))
-            actions = rng.integers(0, 2, size=(k, batch))
-            rewards = rng.random((k, batch)) * 3.0
-            next_obs = rng.random((k, batch, 6))
-            td = np.stack(
-                [
-                    serial_nets[lane].precompute_targets(
-                        rewards[lane], next_obs[lane], target=bootstraps[lane]
-                    )
-                    for lane in range(k)
-                ]
-            )
-            fused_losses = head.train_batch(obs, actions, td, optimizer)
-            for lane in range(k):
-                serial_loss = serial_nets[lane].train_batch(
-                    obs[lane], actions[lane], rewards[lane], next_obs[lane],
-                    targets=td[lane],
-                )
-                assert fused_losses[lane] == serial_loss
-        head.end_training_event()
-        optimizer.scatter()
-        for serial_net, fused_net in zip(serial_nets, fused_nets):
-            assert np.array_equal(
-                serial_net.network.flat_parameters,
-                fused_net.network.flat_parameters,
-            )

@@ -37,6 +37,21 @@ def test_serve_flags_are_held_to_the_rows(capsys):
     )
 
 
+def test_a_port_above_65535_is_an_error_by_flag_and_by_environment(
+    monkeypatch, capsys
+):
+    """Refused before the bind, whose ``OverflowError`` was a traceback."""
+    assert repro_main(["serve", "--port", "70000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: SIBYL_SERVE_PORT must be <= 65535, got 70000\n"
+    )
+    monkeypatch.setenv("SIBYL_SERVE_PORT", "99999")
+    assert repro_main(["serve"]) == 2
+    assert capsys.readouterr().err == (
+        "error: SIBYL_SERVE_PORT must be <= 65535, got 99999\n"
+    )
+
+
 def test_serve_rejects_the_async_mode_by_flag_and_by_environment(
     monkeypatch, capsys
 ):

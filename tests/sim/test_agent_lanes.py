@@ -8,7 +8,7 @@ training cadence (a handful of requests between training events, so a
 120-request trace trains many times), and a lane mix of all three
 kinds — kernel-eligible agents, agents the kernels refuse (a feature
 ablation, a tri-device system) and a scripted baseline — and asserts
-that ``run_lanes`` under ``off``, ``numpy`` and ``cext`` each leaves
+that ``run_lanes`` under ``off`` and ``cext`` each leaves
 every lane where serial ``run_policy`` leaves it: ``RunResult``, both
 networks, losses, replay contents, action memo and generator state.
 """
@@ -30,7 +30,7 @@ from repro.traces.workloads import make_trace
 
 from test_soa import _assert_agents_identical
 
-BACKENDS = ["off", "numpy"] + (["cext"] if engine_c.available() else [])
+BACKENDS = ["off"] + (["cext"] if engine_c.available() else [])
 
 
 

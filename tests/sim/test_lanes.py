@@ -3,8 +3,10 @@
 The contract is absolute: a lane's result is **bit-identical** to a
 serial ``run_policy`` of the same (policy, trace, config, seed) —
 equality below is float equality, never approx — whichever backend
-``SIBYL_BACKEND`` selects (CI runs this file under ``numpy`` and
-``cext``; ``tests/sim/test_agent_lanes.py`` searches all three).
+``SIBYL_BACKEND`` selects (CI runs this file under ``cext`` and on a
+box with no compiler, where ``auto`` steps every lane serially;
+``tests/sim/test_agent_lanes.py`` searches serial, ``off`` and
+``cext``).
 """
 
 import numpy as np
@@ -16,15 +18,9 @@ from repro.baselines.hps import HPSPolicy
 from repro.baselines.oracle import OraclePolicy
 from repro.core.agent import SibylAgent
 from repro.core.hyperparams import SIBYL_DEFAULT
-from repro.knobs import resolve_choice_env
 from repro.rl.c51 import C51Config, C51LaneStack, C51Network
 from repro.rl.dqn import DQNConfig, DQNLaneStack, DQNNetwork
-from repro.sim.lanes import (
-    _TRAIN_STACK_CACHE_LIMIT,
-    LaneSpec,
-    fused_train_event,
-    run_lanes,
-)
+from repro.sim.lanes import LaneSpec, run_lanes
 from repro.sim.runner import run_policy
 from repro.traces.workloads import make_trace
 
@@ -157,7 +153,7 @@ class TestLaneAgentState:
         assert serial_agents[0].train_events > 0, "runs never trained"
         for s_agent, l_agent in zip(serial_agents, laned_agents):
             _assert_agents_identical(s_agent, l_agent)
-            assert l_agent.train_job is None
+            assert l_agent._train_job is None
 
     def test_mixed_intervals_and_mixed_lanes(self):
         """Different training intervals and batch shapes, a short lane,
@@ -375,83 +371,6 @@ class TestLaneStacks:
             C51LaneStack([a, b])
 
 
-def _warmed_agents(k, head):
-    """``k`` agents with distinct seeds and learning rates, each run
-    long enough to have trained, memoised and filled its replay."""
-    trace = make_trace("rsrch_0", n_requests=700, seed=1)
-    agents = [
-        SibylAgent(
-            hyperparams=SIBYL_DEFAULT.replace(learning_rate=1e-2 / (i + 1)),
-            head=head,
-            seed=10 + i,
-        )
-        for i in range(k)
-    ]
-    for agent in agents:
-        run_policy(agent, trace)
-        assert agent.train_events > 0 and agent._action_cache
-    return agents
-
-
-def _training_state(agent):
-    """What a training event touches; arrays as bytes so ``==`` is exact."""
-    optimizer = agent.training_net.optimizer
-    return {
-        "losses": list(agent.losses),
-        "training": agent.training_net.network.flat_parameters.tobytes(),
-        "inference": agent.inference_net.network.flat_parameters.tobytes(),
-        "optimizer_t": optimizer._t,
-        "moments": [m.tobytes() for m in optimizer._m + optimizer._v],
-        "weights_version": agent.weights_version,
-        "train_events": agent.train_events,
-        "memo": dict(agent._action_cache),
-        "rng": agent.rng.bit_generator.state,
-    }
-
-
-class TestFusedTrainEvent:
-    """``fused_train_event`` (the daemon's stacked training step): k
-    pending events committed at once leave every agent exactly where k
-    serial ``train_commit`` calls leave its twin."""
-
-    @pytest.mark.parametrize("head", ["c51", "dqn"])
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_equals_serial_commits_on_twins(self, k, head):
-        fused, twins = _warmed_agents(k, head), _warmed_agents(k, head)
-        cache = {}
-        for event in range(2):  # the second event reuses the cached stack
-            for agent in fused:
-                agent.train_begin()
-            losses = fused_train_event(fused, cache, "twins")
-            for twin in twins:
-                twin.train_begin()
-                twin.train_commit()
-            assert losses.shape == (SIBYL_DEFAULT.batches_per_training, k)
-            for lane, (agent, twin) in enumerate(zip(fused, twins)):
-                assert agent.train_job is None
-                assert list(losses[:, lane]) == agent.losses[-len(losses):]
-                ours, theirs = _training_state(agent), _training_state(twin)
-                for key in theirs:
-                    assert ours[key] == theirs[key], key
-        assert list(cache) == ["twins"]
-        head_stack, _ = cache["twins"]
-        # A training-only stack never builds the stacked inference buffers.
-        assert not head_stack.stack._weights
-
-    def test_stack_cache_is_bounded_lru(self):
-        agents = _warmed_agents(2, "c51")
-        cache = {}
-        for key in range(_TRAIN_STACK_CACHE_LIMIT + 2):
-            for agent in agents:
-                agent.train_begin()
-            fused_train_event(agents, cache, key)
-        assert list(cache) == list(range(2, _TRAIN_STACK_CACHE_LIMIT + 2))
-        for agent in agents:
-            agent.train_begin()
-        fused_train_event(agents, cache, 2)  # a hit moves to the young end
-        assert list(cache)[-1] == 2
-
-
 class TestEngineStats:
     """run_lanes(stats=) counters: pure observation, never behaviour."""
 
@@ -497,37 +416,3 @@ class TestEngineStats:
         )
         assert stats["fused_forwards"] == 0
         assert stats["fused_rows"] == 0
-
-
-class TestResolveChoiceEnv:
-    ENV = "SIBYL_TEST_CHOICE"
-    CHOICES = ("python", "cext")
-
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv(self.ENV, raising=False)
-        assert resolve_choice_env(self.ENV, "python", self.CHOICES) == "python"
-
-    def test_empty_string_returns_default(self, monkeypatch):
-        monkeypatch.setenv(self.ENV, "")
-        assert resolve_choice_env(self.ENV, "python", self.CHOICES) == "python"
-
-    def test_whitespace_only_returns_default(self, monkeypatch):
-        monkeypatch.setenv(self.ENV, "   ")
-        assert resolve_choice_env(self.ENV, "cext", self.CHOICES) == "cext"
-
-    def test_case_and_whitespace_normalized(self, monkeypatch):
-        monkeypatch.setenv(self.ENV, "  CeXt ")
-        assert resolve_choice_env(self.ENV, "python", self.CHOICES) == "cext"
-
-    def test_exact_choice_passes_through(self, monkeypatch):
-        monkeypatch.setenv(self.ENV, "python")
-        assert resolve_choice_env(self.ENV, "cext", self.CHOICES) == "python"
-
-    def test_invalid_names_knob_and_choices(self, monkeypatch):
-        monkeypatch.setenv(self.ENV, "fortran")
-        with pytest.raises(ValueError) as excinfo:
-            resolve_choice_env(self.ENV, "python", self.CHOICES)
-        message = str(excinfo.value)
-        assert self.ENV in message
-        assert "'python'" in message and "'cext'" in message
-        assert "'fortran'" in message

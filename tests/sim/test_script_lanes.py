@@ -365,7 +365,7 @@ def _baselines(seed=0):
 
 
 class TestOtherBackendsKeepLockstep:
-    @pytest.mark.parametrize("backend", ["numpy", "off"])
+    @pytest.mark.parametrize("backend", ["off"])
     def test_no_lane_is_scripted_and_results_match(self, backend, monkeypatch):
         monkeypatch.setenv("SIBYL_BACKEND", backend)
         trace = make_trace("hm_1", n_requests=600, seed=1)

@@ -1,16 +1,14 @@
 """Tests for the structure-of-arrays tick engine (repro.sim.kernels).
 
-Two contracts are asserted here, both absolute:
-
-* every backend's result is **bit-identical** to a serial
-  ``run_policy`` of the same (policy, trace, config, seed) — float
-  equality, never approx, including the agent's full post-run state
-  (weights, optimizer moments, replay contents, RNG stream);
-* the compiled backend is interchangeable with the NumPy reference —
-  forcing either must produce the same bits.
+One contract is asserted here, absolutely: every lane's result is
+**bit-identical** to a serial ``run_policy`` of the same (policy,
+trace, config, seed) — float equality, never approx, including the
+agent's full post-run state (weights, optimizer moments, replay
+contents, RNG stream) — whether the compiled kernel runs it or
+``run_lanes`` steps it serially.
 
 The compiled-backend tests skip cleanly when no C toolchain is
-available; ``auto`` then falls back to the NumPy engine silently, which
+available; ``auto`` then falls back to serial stepping silently, which
 is itself asserted.
 """
 
@@ -23,7 +21,6 @@ from repro.baselines.hps import HPSPolicy
 from repro.baselines.oracle import OraclePolicy
 from repro.core.agent import SibylAgent
 from repro.hss.request import OpType, Request
-from repro.knobs import resolve_choice_env
 from repro.sim.kernels import (
     BACKENDS,
     get_backend,
@@ -99,56 +96,6 @@ def _single_page_trace(n=1500, seed=11):
     return reqs
 
 
-class TestNumpyBackendBitIdentity:
-    def test_all_policy_families_match_serial(self):
-        """Every policy family through the SoA layer: eligible Sibyl
-        lanes take the engine, the rest fall through to lockstep —
-        all bit-identical to serial."""
-        trace = make_trace("rsrch_0", n_requests=1200, seed=0)
-        serial = [
-            run_policy(policy, trace, config="H&M")
-            for policy in _spec_policies()
-        ]
-        laned = run_lanes(
-            [LaneSpec(policy=p, trace=trace) for p in _spec_policies()],
-            backend="numpy",
-        )
-        for s, l in zip(serial, laned):
-            assert s == l
-
-    @pytest.mark.parametrize("n_lanes", [1, 2, 7])
-    def test_lane_counts(self, n_lanes):
-        traces = [
-            make_trace("rsrch_0", n_requests=900, seed=i)
-            for i in range(n_lanes)
-        ]
-        serial_agents = [SibylAgent(seed=i) for i in range(n_lanes)]
-        soa_agents = [SibylAgent(seed=i) for i in range(n_lanes)]
-        serial = [
-            run_policy(serial_agents[i], traces[i], config="H&M")
-            for i in range(n_lanes)
-        ]
-        laned = run_lanes(
-            [
-                LaneSpec(policy=soa_agents[i], trace=traces[i])
-                for i in range(n_lanes)
-            ],
-            backend="numpy",
-        )
-        assert serial == laned
-        for sa, la in zip(serial_agents, soa_agents):
-            _assert_agents_identical(sa, la)
-
-    def test_single_page_trace(self):
-        trace = _single_page_trace()
-        serial = run_policy(SibylAgent(seed=7), trace, config="H&M")
-        (laned,) = run_lanes(
-            [LaneSpec(policy=SibylAgent(seed=7), trace=trace)],
-            backend="numpy",
-        )
-        assert serial == laned
-
-
 @requires_cext
 class TestCompiledBackendBitIdentity:
     def test_matches_serial_deep(self):
@@ -162,19 +109,44 @@ class TestCompiledBackendBitIdentity:
         assert serial == laned
         _assert_agents_identical(serial_agent, c_agent)
 
-    def test_matches_numpy_backend(self):
-        """Forced NumPy vs forced compiled: interchangeable bits."""
-        trace = make_trace("usr_0", n_requests=1200, seed=3)
-        np_agent = SibylAgent(seed=3)
-        c_agent = SibylAgent(seed=3)
-        (np_res,) = run_lanes(
-            [LaneSpec(policy=np_agent, trace=trace)], backend="numpy"
+    def test_all_policy_families_match_serial(self):
+        """Every policy family through the kernel layer: eligible Sibyl
+        lanes and the scripted baselines take the kernel, the rest are
+        stepped — all bit-identical to serial."""
+        trace = make_trace("rsrch_0", n_requests=1200, seed=0)
+        serial = [
+            run_policy(policy, trace, config="H&M")
+            for policy in _spec_policies()
+        ]
+        laned = run_lanes(
+            [LaneSpec(policy=p, trace=trace) for p in _spec_policies()],
+            backend="cext",
         )
-        (c_res,) = run_lanes(
-            [LaneSpec(policy=c_agent, trace=trace)], backend="cext"
+        for s, l in zip(serial, laned):
+            assert s == l
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 7])
+    def test_lane_counts(self, n_lanes):
+        traces = [
+            make_trace("rsrch_0", n_requests=900, seed=i)
+            for i in range(n_lanes)
+        ]
+        serial_agents = [SibylAgent(seed=i) for i in range(n_lanes)]
+        c_agents = [SibylAgent(seed=i) for i in range(n_lanes)]
+        serial = [
+            run_policy(serial_agents[i], traces[i], config="H&M")
+            for i in range(n_lanes)
+        ]
+        laned = run_lanes(
+            [
+                LaneSpec(policy=c_agents[i], trace=traces[i])
+                for i in range(n_lanes)
+            ],
+            backend="cext",
         )
-        assert np_res == c_res
-        _assert_agents_identical(np_agent, c_agent)
+        assert serial == laned
+        for sa, ca in zip(serial_agents, c_agents):
+            _assert_agents_identical(sa, ca)
 
     def test_dqn_head(self):
         trace = make_trace("prxy_0", n_requests=1000, seed=4)
@@ -232,42 +204,29 @@ class TestCompiledBackendBitIdentity:
 
 
 class TestBackendSelection:
-    def test_resolve_choice_env_default(self, monkeypatch):
-        monkeypatch.delenv("SIBYL_TEST_CHOICE", raising=False)
-        assert resolve_choice_env("SIBYL_TEST_CHOICE", "a", ("a", "b")) == "a"
-        monkeypatch.setenv("SIBYL_TEST_CHOICE", "   ")
-        assert resolve_choice_env("SIBYL_TEST_CHOICE", "a", ("a", "b")) == "a"
-
-    def test_resolve_choice_env_lowered(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_TEST_CHOICE", " B ")
-        assert resolve_choice_env("SIBYL_TEST_CHOICE", "a", ("a", "b")) == "b"
-
-    def test_resolve_choice_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_TEST_CHOICE", "bogus")
-        with pytest.raises(ValueError, match="SIBYL_TEST_CHOICE"):
-            resolve_choice_env("SIBYL_TEST_CHOICE", "a", ("a", "b"))
-
     def test_resolve_backend_reads_knob(self, monkeypatch):
-        monkeypatch.setenv("SIBYL_BACKEND", "numpy")
-        assert get_backend() == "numpy"
-        monkeypatch.setenv("SIBYL_BACKEND", "nonsense")
-        with pytest.raises(ValueError, match="SIBYL_BACKEND"):
-            get_backend()
+        monkeypatch.setenv("SIBYL_BACKEND", "off")
+        assert get_backend() is None
+        for value in ("nonsense", "numpy"):
+            monkeypatch.setenv("SIBYL_BACKEND", value)
+            with pytest.raises(
+                ValueError, match="SIBYL_BACKEND must be one of "
+                "'auto', 'cext', 'off'"
+            ):
+                get_backend()
 
     def test_get_backend_off_disables(self):
         assert get_backend("off") is None
 
     def test_get_backend_auto_resolves(self):
-        engine = get_backend("auto")
-        assert engine in ("numpy", "cext")
-        if engine_c.available():
-            assert engine == "cext"
+        assert get_backend("auto") == ("cext" if engine_c.available() else None)
 
     def test_backends_tuple_is_knob_domain(self):
-        assert BACKENDS == ("auto", "numpy", "cext", "off")
+        assert BACKENDS == ("auto", "cext", "off")
 
     def test_off_backend_still_bit_identical(self):
-        """off routes through the lockstep engine — same contract."""
+        """off steps the lane serially (``PolicyRun.step``) — same
+        contract."""
         trace = make_trace("rsrch_0", n_requests=600, seed=6)
         serial = run_policy(SibylAgent(seed=6), trace, config="H&M")
         (laned,) = run_lanes(
@@ -285,6 +244,14 @@ class TestEligibilityGate:
     def test_heuristics_are_not(self):
         trace = make_trace("rsrch_0", n_requests=50, seed=0)
         run = LaneSpec(policy=CDEPolicy(), trace=trace).make_run()
+        assert not kernel_eligible(run)
+
+    def test_a_run_past_its_cold_start_is_not(self):
+        """The kernel seeds its mirrors from a cold start only: a run
+        already stepped is left to ``run_lanes``' serial loop."""
+        trace = make_trace("rsrch_0", n_requests=50, seed=0)
+        run = LaneSpec(policy=SibylAgent(seed=0), trace=trace).make_run()
+        run.step()
         assert not kernel_eligible(run)
 
     def test_tri_hss_is_not(self):

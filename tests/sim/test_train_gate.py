@@ -1,5 +1,5 @@
-"""The kernels' training gate, pinned: a lane run by ``numpy`` or
-``cext`` is the serial run, state included.
+"""The compiled kernel's training gate, pinned: a lane run by ``cext``
+is the serial run, state included.
 
 The compiled engine no longer mirrors its replay FIFO and action memo
 into the agent's dicts at every gate: it installs the sampling order
@@ -23,7 +23,13 @@ from repro.traces.workloads import make_trace
 
 from test_soa import _assert_agents_identical
 
-BACKENDS = ["numpy"] + (["cext"] if engine_c.available() else [])
+pytestmark = pytest.mark.skipif(
+    not engine_c.available(),
+    reason=f"compiled kernel unavailable: {engine_c.unavailable_reason()}",
+)
+
+#: The one engine with a training gate (the ids keep its name).
+BACKENDS = ["cext"]
 
 #: A cadence that trains six times over 700 requests.
 _BRISK = SIBYL_DEFAULT.replace(
