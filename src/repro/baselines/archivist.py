@@ -31,6 +31,9 @@ from .base import PlacementPolicy
 
 __all__ = ["ArchivistPolicy"]
 
+#: A touch's (access count, access interval, size, is_write).
+_Inputs = Tuple[int, float, int, bool]
+
 
 class ArchivistPolicy(PlacementPolicy):
     """Epoch-based supervised NN classifier for target-device prediction."""
@@ -63,8 +66,8 @@ class ArchivistPolicy(PlacementPolicy):
         self.network: FeedForwardNetwork = self._fresh_network()
         self._trained = False
         self._seen = 0
-        # Per-page features observed during the current epoch.
-        self._epoch_features: Dict[int, np.ndarray] = {}
+        # Per-page raw feature inputs at its latest touch this epoch.
+        self._epoch_inputs: Dict[int, _Inputs] = {}
         self._epoch_counts: Dict[int, int] = {}
         # Decisions frozen for the current epoch.
         self._epoch_decision: Dict[int, int] = {}
@@ -77,17 +80,15 @@ class ArchivistPolicy(PlacementPolicy):
             rng=self.rng,
         )
 
-    def _features(self, request: Request) -> np.ndarray:
-        hss = self._require_hss()
-        count = hss.tracker.access_count(request.page)
-        interval = hss.tracker.access_interval(request.page)
-        interval = 1e6 if interval is None else interval
+    @staticmethod
+    def _features(inputs: _Inputs) -> np.ndarray:
+        count, interval, size, is_write = inputs
         return np.array(
             [
                 np.log2(count + 1.0) / 16.0,
                 np.log2(interval + 1.0) / 20.0,
-                np.log2(request.size + 1.0) / 8.0,
-                float(request.is_write),
+                np.log2(size + 1.0) / 8.0,
+                float(is_write),
             ],
             dtype=np.float64,
         )
@@ -100,7 +101,7 @@ class ArchivistPolicy(PlacementPolicy):
         counts = np.array([self._epoch_counts[p] for p in pages])
         cutoff = np.quantile(counts, 1.0 - self.hot_label_fraction)
         labels = (counts >= max(1.0, cutoff)).astype(np.int64)
-        feats = np.stack([self._epoch_features[p] for p in pages])
+        feats = np.stack([self._features(self._epoch_inputs[p]) for p in pages])
         n = len(pages)
         for _ in range(self.train_epochs):
             logits = self.network.forward(feats, train=True)
@@ -120,21 +121,29 @@ class ArchivistPolicy(PlacementPolicy):
         hss = self._require_hss()
         page = request.page
         self._seen += 1
-        feats = self._features(request)
-        self._epoch_features[page] = feats
+        # Read now, turned into features only where a decision or
+        # _train reads them.
+        interval = hss.tracker.access_interval(page)
+        inputs = (
+            hss.tracker.access_count(page),
+            1e6 if interval is None else interval,
+            request.size,
+            request.is_write,
+        )
+        self._epoch_inputs[page] = inputs
         self._epoch_counts[page] = self._epoch_counts.get(page, 0) + 1
 
         if self._seen % self.epoch_requests == 0:
             self._train()
             self._epoch_decision.clear()
-            self._epoch_features = {}
+            self._epoch_inputs = {}
             self._epoch_counts = {}
 
         # Frozen per-epoch decision: classify once, reuse until epoch end.
         if page in self._epoch_decision:
             return self._epoch_decision[page]
         if self._trained:
-            logits = self.network.forward(feats)[0]
+            logits = self.network.forward(self._features(inputs))[0]
             decision = hss.fastest if int(np.argmax(logits)) == 1 else hss.slowest
         else:
             # Cold start before any training epoch has completed.
@@ -147,6 +156,6 @@ class ArchivistPolicy(PlacementPolicy):
         self.network = self._fresh_network()
         self._trained = False
         self._seen = 0
-        self._epoch_features = {}
+        self._epoch_inputs = {}
         self._epoch_counts = {}
         self._epoch_decision = {}

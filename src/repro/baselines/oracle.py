@@ -6,8 +6,9 @@ eviction from the fast device" (adopted from HPS's oracle).  Sibyl
 reaches ~80% of its performance (§8.1).
 
 Implementation: ``prepare(trace)`` precomputes, for every page, the
-ascending list of page-access indices at which it is touched.  At run
-time the policy:
+ascending list of page-access indices at which it is touched, and for
+every request how far away the next use of its page is.  At run time
+the policy:
 
 * places a page in fast storage iff its *next* use is within a reuse
   horizon calibrated to the fast device's capacity (the page would
@@ -27,29 +28,53 @@ from .base import PlacementPolicy
 
 __all__ = ["OraclePolicy", "FutureUseIndex"]
 
+_NEVER = float("inf")
+
+#: ``(future, gaps, touches)``: see :class:`FutureUseIndex`.
+_Index = Tuple[Dict[int, List[int]], List[float], int]
+
 
 class FutureUseIndex:
     """One trace's future-use index, built once for the policies that
-    share it: ``page -> ascending page-access indices of its touches``
-    and the total number of touches.  Nothing writes to the index after
-    it is built, so the horizons of a best-of search read the same dict.
+    share it, in one pass over the trace (a streaming trace is read
+    once):
+
+    * ``future``: ``page -> ascending page-access indices of its
+      touches``;
+    * ``gaps``: per request, the page accesses from its last page to the
+      next touch of its first page (``inf`` if there is none);
+    * ``touches``: the total number of page accesses.
+
+    Nothing writes to the index after it is built, so the horizons of a
+    best-of search read the same lists.
     """
 
     def __init__(self) -> None:
         self._trace: Optional[Iterable[Request]] = None
-        self._built: Optional[Tuple[Dict[int, List[int]], int]] = None
+        self._built: Optional[_Index] = None
 
-    def of(self, trace: Iterable[Request]) -> Tuple[Dict[int, List[int]], int]:
-        """``(future uses, touches)`` of ``trace`` — the cached pair when
-        it is the object the index was last built from."""
+    def of(self, trace: Iterable[Request]) -> _Index:
+        """``(future, gaps, touches)`` of ``trace`` — the cached triple
+        when it is the object the index was last built from."""
         if self._built is None or self._trace is not trace:
             future: Dict[int, List[int]] = {}
+            gaps: List[float] = []
+            # page -> (request, its last page access) whose gap is open:
+            # the next touch of the page closes it.
+            waiting: Dict[int, Tuple[int, int]] = {}
             clock = 0
             for req in trace:
                 for page in req.pages:
                     future.setdefault(page, []).append(clock)
+                    opened = waiting.pop(page, None)
+                    if opened is not None:
+                        gaps[opened[0]] = clock - opened[1]
                     clock += 1
-            self._trace, self._built = trace, (future, clock)
+                # Opened after the request's own touches: its page's
+                # next use comes after the request ends.
+                waiting[req.page] = (len(gaps), clock - 1)
+                gaps.append(_NEVER)
+            self._trace, self._built = trace, (future, gaps, clock)
         return self._built
 
 
@@ -68,16 +93,16 @@ class OraclePolicy(PlacementPolicy):
         #: :class:`FutureUseIndex` — it survives ``reset`` — and then
         #: index the trace once between them.
         self.index: Optional[FutureUseIndex] = None
-        self._future: Dict[int, List[int]] = {}
+        self._gaps: List[float] = []
         self._selector: BeladyVictimSelector | None = None
+        self._placed = 0  # requests placed
         self._clock = 0  # page-access index, advanced per request
         self._horizon = 0
 
     # ------------------------------------------------------------ prepare
     def prepare(self, trace: List[Request]) -> None:
         """Index every future page touch (the oracle's foresight)."""
-        future, clock = (self.index or FutureUseIndex()).of(trace)
-        self._future = future
+        future, self._gaps, clock = (self.index or FutureUseIndex()).of(trace)
         self._selector = BeladyVictimSelector(future)
         hss = self._require_hss()
         hss.victim_selector = self._selector
@@ -87,6 +112,7 @@ class OraclePolicy(PlacementPolicy):
         # before being reused, so placing it fast is wasted motion.
         base = cap if cap is not None else max(1, clock)
         self._horizon = max(1, int(base * self.horizon_scale))
+        self._placed = 0
         self._clock = 0
 
     def attach(self, hss) -> None:
@@ -95,42 +121,20 @@ class OraclePolicy(PlacementPolicy):
             hss.victim_selector = self._selector
 
     # ------------------------------------------------------------- policy
-    def _next_use(self, page: int, after: int) -> float:
-        uses = self._future.get(page)
-        if not uses:
-            return float("inf")
-        # Binary search for the first use strictly after `after`.
-        lo, hi = 0, len(uses)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if uses[mid] <= after:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(uses):
-            return float("inf")
-        return uses[lo]
-
     def place(self, request: Request) -> int:
         hss = self._require_hss()
         if self._selector is None:
             raise RuntimeError("OraclePolicy.place called before prepare()")
-        # The requested pages occupy clock .. clock+size-1; reuse must be
-        # judged from the end of this request.
-        end = self._clock + request.size - 1
-        next_use = self._next_use(request.page, end)
+        # Reuse is judged from the end of this request.
+        gap = self._gaps[self._placed]
+        self._placed += 1
         self._clock += request.size
         self._selector.now = self._clock
-        if next_use == float("inf"):
-            return hss.slowest
-        return (
-            hss.fastest
-            if (next_use - end) <= self._horizon
-            else hss.slowest
-        )
+        return hss.fastest if gap <= self._horizon else hss.slowest
 
     def reset(self) -> None:
-        self._future = {}
+        self._gaps = []
         self._selector = None
+        self._placed = 0
         self._clock = 0
         self._horizon = 0

@@ -15,11 +15,17 @@ Per epoch, the RNN consumes each candidate page's recent history —
 a sequence of (accesses-in-window, wrote-in-window) feature pairs — and
 classifies the page hot or cold for the next epoch.  Hot pages are
 placed fast on their next touch; cold pages slow.
+
+Classification is lazy: the refresh snapshots every page's history, and
+a page is classified the first time the coming epoch asks about it, from
+its snapshot row, with verdicts shared between equal rows.  The weights
+do not move between refreshes, so each verdict is the one classifying
+every page at the refresh would have given.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,18 +66,28 @@ class RNNHSSPolicy(PlacementPolicy):
         self.rng = np.random.default_rng(seed)
         self.rnn = ElmanRNN(2, hidden_size, 2, rng=self.rng)
         self._seen = 0
-        self._window = 0
         # page -> per-window [reads+writes, writes] history (bounded deque).
         self._history: Dict[int, List[List[float]]] = {}
-        self._hot_set: Set[int] = set()
+        self._snapshot()
         self._trained = False
+
+    def _snapshot(
+        self, sequences: Optional[np.ndarray] = None, pages: Sequence[int] = ()
+    ) -> None:
+        """Hold a refresh's input rows for the coming epoch's verdicts."""
+        self._sequences = sequences
+        self._row: Dict[int, int] = {page: i for i, page in enumerate(pages)}
+        # row bytes -> verdict, filled as pages are asked about.
+        self._verdicts: Dict[bytes, bool] = {}
 
     # ----------------------------------------------------------- tracking
     def _touch(self, request: Request) -> None:
         page = request.page
-        hist = self._history.setdefault(
-            page, [[0.0, 0.0] for _ in range(self.history_windows)]
-        )
+        hist = self._history.get(page)
+        if hist is None:
+            hist = self._history[page] = [
+                [0.0, 0.0] for _ in range(self.history_windows)
+            ]
         hist[-1][0] += 1.0
         if request.is_write:
             hist[-1][1] += 1.0
@@ -83,7 +99,7 @@ class RNNHSSPolicy(PlacementPolicy):
 
     # ----------------------------------------------------------- training
     def _refresh(self) -> None:
-        """Train the shared RNN and re-classify pages for the next epoch."""
+        """Train the shared RNN and snapshot the pages to classify."""
         pages = list(self._history)
         if len(pages) < 8:
             return
@@ -103,11 +119,19 @@ class RNNHSSPolicy(PlacementPolicy):
         for i in idx.tolist():
             self.rnn.train_sequence(sequences[i], int(labels[i]))
         self._trained = True
-        # Classify all pages for the coming epoch.
-        predict = self.rnn.predict
-        self._hot_set = {
-            page for page, seq in zip(pages, sequences) if predict(seq) == 1
-        }
+        self._snapshot(sequences, pages)
+
+    def _is_hot(self, page: int) -> bool:
+        """The RNN's verdict on ``page``'s snapshot row (cold if none)."""
+        row = self._row.get(page)
+        if row is None:
+            return False
+        sequence = self._sequences[row]
+        key = sequence.tobytes()
+        hot = self._verdicts.get(key)
+        if hot is None:
+            hot = self._verdicts[key] = self.rnn.predict(sequence) == 1
+        return hot
 
     # ------------------------------------------------------------- policy
     def place(self, request: Request) -> int:
@@ -120,13 +144,12 @@ class RNNHSSPolicy(PlacementPolicy):
             self._refresh()
         if not self._trained:
             return hss.slowest
-        return hss.fastest if request.page in self._hot_set else hss.slowest
+        return hss.fastest if self._is_hot(request.page) else hss.slowest
 
     def reset(self) -> None:
         self.rng = np.random.default_rng(self.seed)
         self.rnn = ElmanRNN(2, self.hidden_size, 2, rng=self.rng)
         self._seen = 0
-        self._window = 0
         self._history = {}
-        self._hot_set = set()
+        self._snapshot()
         self._trained = False

@@ -101,9 +101,12 @@ class ElmanRNN:
         if len(self._hidden) <= steps:
             self._reserve(2 * steps)
         hidden, recur = self._hidden, self._recur
+        # Every x_t @ W_xh in one call: a stack of (1, n_in) rows goes
+        # row by row through the vector kernel np.dot uses, so each
+        # product has the bytes of its own per-step call.
+        np.matmul(sequence[:, None, :], self.w_xh, out=hidden[1:steps + 1, None])
         for t in range(steps):
             h = hidden[t + 1]
-            np.dot(sequence[t], self.w_xh, out=h)
             np.dot(hidden[t], self.w_hh, out=recur)
             h += recur
             h += self.b_h
@@ -152,9 +155,10 @@ class ElmanRNN:
             np.multiply(hiddens[1:], hiddens[1:], out=dtanh)
             np.subtract(1.0, dtanh, out=dtanh)
             dz = self._dz[:steps]
-            for k in range(steps):
+            np.multiply(dh, dtanh[last], out=dz[0])
+            for k in range(1, steps):  # no dh past the last step read
+                np.dot(dz[k - 1], self.w_hh.T, out=dh)
                 np.multiply(dh, dtanh[last - k], out=dz[k])
-                np.dot(dz[k], self.w_hh.T, out=dh)
             back = slice(last, last - steps if steps <= last else None, -1)
             for inputs, outer, grad in (
                 (sequence[back], self._outer_xh, self._g_w_xh),

@@ -13,7 +13,13 @@ through its one serve/evict routine taking ``script[i]`` as the action
 The decide pass stays Python because the policies *are* Python — their
 own learned state (HPS hot set, Archivist weights, RNN-HSS weights and
 generator) must end exactly as a serial run leaves it, float order
-included.  What it drops is the per-request Python HSS.
+included.  What it drops is the per-request Python HSS.  The policies
+compute only what a decision reads, in both runs alike: RNN-HSS
+classifies a page lazily, the first time an epoch asks about it, from
+the history row its refresh snapshotted (one ``predict`` per distinct
+row); Archivist builds a page's feature vector only to classify it or
+to train; Oracle reads a per-request next-use gap its index computed
+once per trace.
 """
 
 from __future__ import annotations

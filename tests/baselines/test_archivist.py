@@ -1,5 +1,6 @@
 """Tests for the Archivist supervised-NN baseline."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.archivist import ArchivistPolicy
@@ -62,6 +63,40 @@ class TestArchivist:
         hot = p.place(write(0, ts=t + 1))
         cold = p.place(write(40, ts=t + 2))
         assert hot == 0 or cold == 1  # at least one side correct
+
+    def test_train_matrix_equals_per_request_features(self, hm_system):
+        """The matrix each ``_train`` fits is the features of every
+        page's latest touch, as if built at that request."""
+        p = ArchivistPolicy(epoch_requests=100, train_epochs=1, seed=0)
+        p.attach(hm_system)
+        tracker = hm_system.tracker
+        fitted = []
+        forward = p.network.forward
+
+        def spy(x, train=False):
+            if train:
+                fitted.append(x.copy())
+            return forward(x, train=train)
+
+        p.network.forward = spy
+        expected, latest = [], {}
+        for i, r in enumerate(make_trace("usr_0", n_requests=600, seed=0)):
+            interval = tracker.access_interval(r.page)
+            latest[r.page] = np.array([
+                np.log2(tracker.access_count(r.page) + 1.0) / 16.0,
+                np.log2((1e6 if interval is None else interval) + 1.0) / 20.0,
+                np.log2(r.size + 1.0) / 8.0,
+                float(r.is_write),
+            ])
+            p.place(r)
+            if (i + 1) % 100 == 0:
+                expected.append(np.stack(list(latest.values())))
+                latest = {}
+            for page in r.pages:
+                tracker.record(page)
+        assert len(fitted) == len(expected) == 6
+        for got, want in zip(fitted, expected):
+            assert got.tobytes() == want.tobytes()
 
     def test_reset(self, hm_system):
         p = ArchivistPolicy(epoch_requests=10, seed=0)

@@ -49,7 +49,44 @@ class TestRNNHSS:
                 page = 1 if i % 2 == 0 else 10 + (epoch * 30 + i) % 200
                 p.place(write(page, ts=t))
                 t += 1.0
-        assert 1 in p._hot_set
+        assert p.place(write(1, ts=t)) == hm_system.fastest
+
+    def test_lazy_verdicts_equal_eager_classification(self, hm_system):
+        """At every refresh, each snapshot page's verdict is what
+        classifying all of them right there would have said."""
+        p = RNNHSSPolicy(epoch_requests=200, seed=1)
+        p.attach(hm_system)
+        refresh = p._refresh
+        checked = []
+
+        def checking_refresh():
+            refresh()
+            if p._sequences is None:
+                return
+            eager = {
+                page: p.rnn.predict(p._sequences[row]) == 1
+                for page, row in p._row.items()
+            }
+            assert {page: p._is_hot(page) for page in eager} == eager
+            checked.append(sum(eager.values()))
+
+        p._refresh = checking_refresh
+        for r in make_trace("mds_0", n_requests=2000, seed=0):
+            p.place(r)
+        assert len(checked) == 10 and any(checked)
+
+    def test_a_verdict_is_shared_by_equal_rows(self, hm_system):
+        p = RNNHSSPolicy(epoch_requests=60, seed=0)
+        p.attach(hm_system)
+        calls = []
+        predict = p.rnn.predict
+        p.rnn.predict = lambda seq: calls.append(1) or predict(seq)
+        for i in range(60):
+            p.place(write(i % 20, ts=float(i)))
+        for page in range(20):
+            p.place(write(page, ts=100.0 + page))
+        rows = {p._sequences[p._row[page]].tobytes() for page in range(20)}
+        assert len(calls) == len(rows) == len(p._verdicts) < 20
 
     def test_runs_on_real_trace(self, hm_system):
         p = RNNHSSPolicy(epoch_requests=100, seed=1)
