@@ -53,7 +53,8 @@ AUDITED_MODULES = (
     "repro.analysis.rules.determinism",
     "repro.analysis.rules.envknobs",
     "repro.analysis.rules.forksafety",
-    "repro.sim.kernels.abi",
+    "repro.native.abi",
+    "repro.native.library",
     "repro.serve.protocol",
     "repro.serve.lane",
     "repro.serve.engine",

@@ -1,9 +1,11 @@
-"""The compiled kernel's ABI: one table, rendered twice.
+"""The compiled library's ABI: one table, rendered twice.
 
-``kernel.c`` and ``engine_c.py`` talk through one ``void *`` pointer
-table and a handful of flat control blocks.  Everything both sides must
-agree on — slot order, element types, block lengths, strides, status
-codes — is declared once in :data:`TABLE`.  From it
+``kernel.c`` and its Python callers (``sim/kernels/engine_c.py`` for
+the tick kernel, ``traces/synthetic.py`` for the trace draw loop) talk
+through one ``void *`` pointer table and a handful of flat control
+blocks.  Everything both sides must agree on — slot order, element
+types, block lengths, strides, status codes, the sampler addresses the
+draw loop is handed — is declared once in :data:`TABLE`.  From it
 
 * this module *derives* the Python constants (``P_TS``, ``CI_SEEN``,
   ``DD_STRIDE``, ``ST_DONE``, ... — plain ints, exported through
@@ -11,12 +13,13 @@ codes — is declared once in :data:`TABLE`.  From it
 * :func:`render_header` emits ``sib_abi.h`` — the enums, strides with a
   ``_Static_assert`` each, the typed state struct ``S``, ``sib_bind``
   (the casts out of the pointer table) and ``SIB_ABI_HASH`` — which
-  ``kernel.c`` includes.  The header is never checked in; ``engine_c``
-  writes it next to the compiler's output when it has to build.
+  ``kernel.c`` includes.  The header is never checked in;
+  :mod:`repro.native.library` writes it next to the compiler's output
+  when it has to build.
 
 Extending the kernel is a row here plus its use on either side; see
 ``docs/engines.md`` ("Extending the kernel safely").
-``python -m repro.sim.kernels.abi`` prints the header.
+``python -m repro.native.abi`` prints the header.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ class Table(NamedTuple):
     dev_i_stride: int
     hss_i: Tuple[str, ...]  # HSS stats, int64
     hss_d: Tuple[str, ...]  # HSS stats, float64
-    status: Tuple[str, ...]  # sib_run return codes
+    status: Tuple[str, ...]  # sib_run / sib_draw_trace return codes
+    samplers: Tuple[str, ...]  # P_TG_FNS: bitgen_t and sampler addresses
 
 
 TABLE = Table(
@@ -111,6 +115,18 @@ TABLE = Table(
         Pointer("P_FU_IDX", "fu_idx", "int64_t", const=True),
         Pointer("P_FU_CUR", "fu_cur", "int64_t"),
         Pointer("P_VKEY", "vkey", "int64_t"),
+        # The synthetic trace draw loop (sib_draw_trace): the popularity
+        # CDF, region bases and this phase's rank->region permutation;
+        # the addresses of the generator's bitgen_t and of NumPy's own
+        # samplers (indexed by ``samplers``); the four output columns.
+        Pointer("P_TG_CDF", "tg_cdf", "double", const=True),
+        Pointer("P_TG_BASES", "tg_bases", "int64_t", const=True),
+        Pointer("P_TG_PERM", "tg_perm", "int64_t", const=True),
+        Pointer("P_TG_FNS", "tg_fns", "uint64_t", const=True),
+        Pointer("P_TG_TS", "tg_ts", "double"),
+        Pointer("P_TG_OP", "tg_op", "uint8_t"),
+        Pointer("P_TG_PAGE", "tg_page", "int64_t"),
+        Pointer("P_TG_SIZE", "tg_size", "int64_t"),
     ),
     ctrl_i=(
         "CI_STATUS", "CI_I", "CI_RESUMED", "CI_NTOTAL", "CI_WARMUP",
@@ -124,10 +140,20 @@ TABLE = Table(
         "CI_ACTION", "CI_ERR", "CI_ORDER_N",
         "CI_SIZE_BINS", "CI_INTR_BINS", "CI_CNT_BINS", "CI_CAP_BINS",
         "CI_NDEV", "CI_SCRIPTED", "CI_BELADY_NOW",
+        # sib_draw_trace: the request range of one phase, the run's
+        # next page (carried across phases), regions, region span, and
+        # whether a request size is drawn (a mean above one page).
+        "CI_TG_BEGIN", "CI_TG_END", "CI_TG_PAGE", "CI_TG_NREGIONS",
+        "CI_TG_SPAN", "CI_TG_SIZED",
     ),
     ctrl_d=(
         "CD_COMPLETION", "CD_EPS", "CD_UNIT", "CD_EVICT_COEF",
         "CD_MAX_REWARD", "CD_PEND_REWARD",
+        # sib_draw_trace: the clock (carried across phases), the run
+        # continuation and write probabilities, the size draw's
+        # geometric p, the mean gap and the gap's size divisor.
+        "CD_TG_CLOCK", "CD_TG_P_SEQ", "CD_TG_P_WRITE", "CD_TG_GEOM_P",
+        "CD_TG_MEAN_GAP", "CD_TG_SIZE_DIV",
     ),
     dev_d=(
         "DD_NEXT_FREE", "DD_BUSY", "DD_QWAIT", "DD_UTIL", "DD_GC_TIME",
@@ -150,6 +176,8 @@ TABLE = Table(
     ),
     hss_d=("HD_TOTAL_LAT", "HD_EVICT_TIME", "HD_LAST_COMPLETION"),
     status=("ST_DONE", "ST_NEED_INFERENCE", "ST_TRAIN_GATE", "ST_ERROR"),
+    samplers=("SP_BITGEN", "SP_UNIFORM", "SP_GEOMETRIC", "SP_EXPONENTIAL",
+              "SP_BOUNDED_U64"),
 )
 
 
@@ -162,6 +190,7 @@ def _enums(table: Table) -> Iterator[Tuple[Sequence[str], str]]:
     yield table.dev_i, "DI_LEN"
     yield table.hss_i, "HI_LEN"
     yield table.hss_d, "HD_LEN"
+    yield table.samplers, "SP_LEN"
 
 
 def constants(table: Table = TABLE) -> Dict[str, int]:
@@ -186,7 +215,7 @@ def abi_hash(table: Table = TABLE) -> int:
 def render_header(table: Table = TABLE) -> str:
     """The text of ``sib_abi.h`` for ``table``."""
     out = [
-        "/* Generated by repro.sim.kernels.abi from its TABLE: edit the",
+        "/* Generated by repro.native.abi from its TABLE: edit the",
         " * table, not this file. */",
         "#ifndef SIB_ABI_H",
         "#define SIB_ABI_H",
@@ -218,8 +247,8 @@ def render_header(table: Table = TABLE) -> str:
     return "\n".join(out)
 
 
-# ``from .abi import *`` is how engine_c gets its slot indices: exactly
-# the derived constants, nothing else.
+# ``from ...native.abi import *`` is how engine_c gets its slot indices:
+# exactly the derived constants, nothing else.
 _CONSTANTS = constants()
 globals().update(_CONSTANTS)
 __all__ = list(_CONSTANTS)

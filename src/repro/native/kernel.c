@@ -32,17 +32,22 @@
  * the replay: the tick takes script[i], skips observe/memo/replay/reward
  * and the train gate, and runs the same serve block and do_evict as an
  * agent tick -- one copy of each, two callers.
+ *
+ * The same library carries a second, unrelated entry point:
+ * sib_draw_trace(), the per-request draw loop of the synthetic trace
+ * generator (traces/synthetic.py), at the end of this file.
  */
 
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 /* The ABI -- the P_, CI_, CD_, DD_, DI_, HI_, HD_ indices, the strides,
  * the ST_ status codes, the state struct S and sib_bind() -- is generated
- * from the table in abi.py (engine_c.py renders it beside the build;
- * `python -m repro.sim.kernels.abi` prints it). */
+ * from the table in abi.py (library.py renders it beside the build;
+ * `python -m repro.native.abi` prints it). */
 #include "sib_abi.h"
 
 /* ------------------------------------------------- PCG64 (numpy exact) */
@@ -936,4 +941,90 @@ save_state:
         s->rngst[5] = (uint64_t)rng.uinteger;
     }
     return ci[CI_STATUS];
+}
+
+/* ------------------------------------------ synthetic trace draw loop */
+/* SyntheticTraceGenerator.generate's per-request loop (traces/
+ * synthetic.py, the Python reference it must equal byte for byte) over
+ * requests [CI_TG_BEGIN, CI_TG_END) of one phase.  Every draw goes
+ * through NumPy's own sampler -- the C function Generator itself calls,
+ * resolved from numpy.random._generator -- on the Generator's own
+ * bitgen_t, in the Python loop's order.  So the stream, including the
+ * bit generator's buffered 32-bit half-word that `integers` consumes,
+ * is shared with the draws Python makes between phases (the
+ * permutation, the write-burst coin), and nothing is re-implemented:
+ * the trace is identical by construction.  The page of the current run
+ * and the clock are carried across phases in CI_TG_PAGE / CD_TG_CLOCK. */
+typedef double (*sp_uniform_t)(void *);
+typedef int64_t (*sp_geometric_t)(void *, double);
+typedef double (*sp_exponential_t)(void *, double);
+typedef void (*sp_bounded_t)(void *, uint64_t, uint64_t, intptr_t, bool,
+                             uint64_t *);
+
+long long sib_draw_trace(void **p) {
+    S s;
+    sib_bind(&s, p);
+    int64_t *ci = s.ci;
+    double *cd = s.cd;
+    void *bg = (void *)(uintptr_t)s.tg_fns[SP_BITGEN];
+    sp_uniform_t uniform = (sp_uniform_t)(uintptr_t)s.tg_fns[SP_UNIFORM];
+    sp_geometric_t geometric =
+        (sp_geometric_t)(uintptr_t)s.tg_fns[SP_GEOMETRIC];
+    sp_exponential_t exponential =
+        (sp_exponential_t)(uintptr_t)s.tg_fns[SP_EXPONENTIAL];
+    sp_bounded_t bounded = (sp_bounded_t)(uintptr_t)s.tg_fns[SP_BOUNDED_U64];
+
+    const int64_t n_regions = ci[CI_TG_NREGIONS];
+    /* rng.integers(0, span): numpy bounds by span - 1, Lemire, unmasked */
+    const uint64_t span_max = (uint64_t)(ci[CI_TG_SPAN] - 1);
+    const int sized = ci[CI_TG_SIZED] != 0;
+    const double p_seq = cd[CD_TG_P_SEQ], p_write = cd[CD_TG_P_WRITE];
+    const double geom_p = cd[CD_TG_GEOM_P], mean_gap = cd[CD_TG_MEAN_GAP];
+    const double size_div = cd[CD_TG_SIZE_DIV];
+    int64_t cur_page = ci[CI_TG_PAGE];
+    double clock = cd[CD_TG_CLOCK];
+
+    for (int64_t i = ci[CI_TG_BEGIN]; i < ci[CI_TG_END]; i++) {
+        /* _request_size_pages: int(min(1 + geometric(p), 256)) */
+        int64_t size = 1;
+        if (sized) {
+            int64_t g = geometric(bg, geom_p);
+            size = g >= 255 ? 256 : 1 + g;
+        }
+        int64_t page;
+        if (uniform(bg) < p_seq) {
+            page = cur_page;
+        } else {
+            /* cdf.searchsorted(u, side="right") */
+            double u = uniform(bg);
+            int64_t lo = 0, hi = n_regions;
+            while (lo < hi) {
+                int64_t mid = lo + (hi - lo) / 2;
+                if (u < s.tg_cdf[mid])
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            if (lo >= n_regions) { /* Python would raise an IndexError */
+                ci[CI_ERR] = 1;
+                ci[CI_I] = i;
+                return ST_ERROR;
+            }
+            uint64_t offset;
+            bounded(bg, 0, span_max, 1, false, &offset);
+            page = s.tg_bases[s.tg_perm[lo]] + (int64_t)offset;
+        }
+        cur_page = page + size;
+        uint8_t op = uniform(bg) < p_write ? 1 : 0;
+        double gap = exponential(bg, mean_gap)
+                     * (0.5 + 0.5 * (double)size / size_div);
+        clock += gap;
+        s.tg_ts[i] = clock;
+        s.tg_op[i] = op;
+        s.tg_page[i] = page;
+        s.tg_size[i] = size;
+    }
+    ci[CI_TG_PAGE] = cur_page;
+    cd[CD_TG_CLOCK] = clock;
+    return ST_DONE;
 }

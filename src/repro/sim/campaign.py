@@ -22,8 +22,9 @@ The seed axis rides the engines underneath:
   :func:`run_seeded_normalized`, the one place a lineup is run against
   its Fast-Only reference (``runner.run_normalized`` is its one-seed
   call): the compiled kernel takes every lane it models (all of a
-  default paper lineup), the rest are stepped serially.  N seeds cost N times one seed's simulation; what the
-  shared call saves is the per-trace packing.
+  default paper lineup), the rest are stepped serially.  N seeds cost N
+  times one seed's simulation; each seed's trace is generated and
+  packed once per process (:func:`repro.sim.runner.synthetic_trace`).
 
 The hard guarantee is inherited from ``run_lanes`` and asserted by
 ``tests/sim/test_campaign.py``: each seed's trajectory in a campaign is

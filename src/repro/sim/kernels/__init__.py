@@ -9,8 +9,9 @@ LRU system with the paper's full feature set and latency reward) by
 holding the per-tick state — observations, quantised feature bins,
 device queue depths/utilisation, the page→device mapping, per-lane
 reward accumulators — in contiguous arrays (:mod:`.soa`) and executing
-the tick loop in a compiled C kernel (:mod:`.engine_c`, built on demand
-with the system C compiler).  The kernel owns the whole tick loop
+the tick loop in a compiled C kernel (:mod:`.engine_c` drives it; the
+library is built on demand with the system C compiler by
+:mod:`repro.native.library`).  The kernel owns the whole tick loop
 between *barriers*: network inference on an action-memo miss and the
 periodic training event stay in Python, executing the identical serial
 code paths, while everything else — PCG64 exploration draws, feature

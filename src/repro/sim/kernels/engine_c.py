@@ -28,24 +28,19 @@ A second lane kind needs no barrier at all: a *scripted* lane
 only the HSS half of that state plus one decision per request, and the
 kernel replays the trace through the same serve/evict routine.
 
-The two languages share one ABI table (:mod:`.abi`): the slot indices
-used below are derived from it, and so is the ``sib_abi.h`` that
-``kernel.c`` includes.  The shared library is built on demand with the
-system C compiler into a gitignored cache keyed by the hash of that
-header plus the source; after loading, the kernel's ``sib_abi_hash()``
-must equal the table's, and every array packed for a run is checked
-against the table's element types (:func:`_check_arrays`).  When no
+The two languages share one ABI table (:mod:`repro.native.abi`): the
+slot indices used below are derived from it, and so is the
+``sib_abi.h`` that ``kernel.c`` includes.  Building, loading and the
+ABI handshake live in :mod:`repro.native.library`, below both this
+package and ``traces/`` (whose trace draw loop is the library's other
+entry point); every array packed for a run is checked against the
+table's element types before ``sib_run`` (``library.bind``).  When no
 toolchain is available the backend reports itself unavailable and
 ``auto`` falls back to serial stepping.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
@@ -54,14 +49,15 @@ import numpy as np
 from ...hss.eviction import BeladyVictimSelector
 from ...hss.hdd import HDDDevice
 from ...hss.ssd import SSDDevice
-from ...obs.tracer import span as _span
-from . import abi
+from ...native import library
 # The slot indices (P_*, CI_*, CD_*, DD_*, DI_*, HI_*, HD_*), the block
 # lengths, the strides and the ST_* status codes: plain ints derived
 # from abi.TABLE, the table the C side's sib_abi.h is rendered from.
-from .abi import *
+from ...native.abi import *
+from ...native.library import available, so_path, unavailable_reason
+from ...obs.tracer import span as _span
 from .script import LIVE_LOCATION, decide
-from .soa import TraceSoA
+from .soa import TraceSoA, shared_pack
 
 __all__ = [
     "available", "unavailable_reason", "so_path",
@@ -72,137 +68,6 @@ _MEMO_CAP = 1 << 16
 _U64 = (1 << 64) - 1
 #: ``CI_CAP0`` of an unbounded fast device (Fast-Only): never overflows.
 _UNBOUNDED = np.iinfo(np.int64).max
-#: What a slot holds when the lane kind never reads it.
-_UNUSED = {ctype: np.zeros(1, dtype=dtype) for ctype, dtype in abi.DTYPES.items()}
-
-# ------------------------------------------------------------- build
-_lib = None
-_build_error: Optional[str] = None
-
-
-def _source_path() -> str:
-    return os.path.join(os.path.dirname(__file__), "kernel.c")
-
-
-_BUILD_DIR = os.path.join(os.path.dirname(__file__), "_build")
-
-
-def _build_digest(header: str, code: bytes) -> str:
-    """Names the binary (``kernel-<digest>.so``) after everything
-    compiled into it — generated header + ``kernel.c`` — so an edit to
-    the ABI table or the source can never load a stale build."""
-    return hashlib.sha256(header.encode() + code).hexdigest()[:16]
-
-
-def _prune_stale_builds(build_dir: str, keep: str) -> None:
-    """Remove content-hashed kernel binaries other than ``keep``.
-
-    Every kernel edit produces a new ``kernel-<hash>.so``; without
-    this, ``_build/`` accumulates one orphan per edit forever.  In-flight
-    temp builds (``tmp*`` from :mod:`tempfile`) never match the
-    ``kernel-*.so`` pattern, so concurrent builders are safe.  Failures
-    are ignored: pruning is a courtesy, not a correctness step.
-    """
-    try:
-        names = sorted(os.listdir(build_dir))
-    except OSError:
-        return
-    for name in names:
-        if (
-            name.startswith("kernel-")
-            and name.endswith(".so")
-            and name != keep
-        ):
-            try:
-                os.unlink(os.path.join(build_dir, name))
-            except OSError:
-                pass
-
-
-def _compile(src: str, header: str, target: str) -> Optional[str]:
-    """Build ``src`` against ``header`` into ``target``; the error
-    text on failure.  Header and output live in a private temp
-    directory until the final rename, so concurrent builders never read
-    a half-written header or load a half-written library."""
-    build_dir = os.path.dirname(target)
-    try:
-        os.makedirs(build_dir, exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=build_dir) as tmp:
-            with open(os.path.join(tmp, "sib_abi.h"), "w") as fh:
-                fh.write(header)
-            out = os.path.join(tmp, "kernel.so")
-            cmd = [
-                "gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
-                "-I", tmp, "-o", out, src, "-lm",
-            ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                return f"compiler failed: {proc.stderr.strip()[:500]}"
-            os.replace(out, target)
-    except (OSError, subprocess.SubprocessError) as exc:
-        return f"build failed: {exc}"
-    _prune_stale_builds(build_dir, os.path.basename(target))
-    return None
-
-
-def so_path() -> str:
-    """Where this checkout's kernel binary lives: ``_build/kernel-<digest
-    of the generated header + kernel.c>.so``.  :func:`_load` builds it
-    there when missing; a differently built binary (CI's sanitizer leg)
-    is loaded from the same place, subject to the ABI handshake."""
-    with open(_source_path(), "rb") as fh:
-        digest = _build_digest(abi.render_header(), fh.read())
-    return os.path.join(_BUILD_DIR, f"kernel-{digest}.so")
-
-
-def _load() -> Optional[ctypes.CDLL]:
-    """Build (if needed), load and handshake the kernel; None when
-    unavailable."""
-    global _lib, _build_error
-    if _lib is not None or _build_error is not None:
-        return _lib
-    try:
-        path = so_path()
-    except OSError as exc:
-        _build_error = f"kernel source unreadable: {exc}"
-        return None
-    if not os.path.exists(path):
-        with _span("kernel.build", cat="kernel", binary=os.path.basename(path)):
-            _build_error = _compile(_source_path(), abi.render_header(), path)
-        if _build_error is not None:
-            return None
-    try:
-        lib = ctypes.CDLL(path)
-        lib.sib_run.restype = ctypes.c_longlong
-        lib.sib_run.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
-        lib.sib_abi_hash.restype = ctypes.c_ulonglong
-        lib.sib_abi_hash.argtypes = []
-    except (OSError, AttributeError) as exc:
-        _build_error = f"load failed: {exc}"
-        return None
-    # The file name already covers the table; this catches a binary
-    # that got there any other way (copied in, built by hand).
-    built, ours = lib.sib_abi_hash(), abi.abi_hash()
-    if built != ours:
-        _build_error = (
-            f"ABI hash mismatch: {os.path.basename(path)} was compiled "
-            f"against table {built:#018x}, this process packs by {ours:#018x}"
-        )
-        return None
-    _lib = lib
-    return _lib
-
-
-def available() -> bool:
-    """Whether the compiled kernel can be (or has been) built."""
-    return _load() is not None
-
-
-def unavailable_reason() -> str:
-    """Why :func:`available` is False (empty string when it isn't)."""
-    if _load() is not None:
-        return ""
-    return _build_error or "unknown"
 
 
 # ------------------------------------------------------------- helpers
@@ -319,24 +184,6 @@ def _writeback_device(run, d: int, dd: np.ndarray, di: np.ndarray) -> None:
         dev.utilization = float(drow[DD_UTIL])
 
 
-def _check_arrays(arrays: List) -> None:
-    """Every packed array must be exactly what ``sib_bind`` casts its
-    slot to: the table's element type, C-contiguous.  Anything else the
-    kernel would reinterpret byte-wise, so it raises instead."""
-    for slot, arr in zip(abi.TABLE.pointers, arrays):
-        dtype = abi.DTYPES[slot.ctype]
-        if not isinstance(arr, np.ndarray):
-            got = type(arr).__name__
-        elif arr.dtype != dtype or not arr.flags["C_CONTIGUOUS"]:
-            got = f"{arr.dtype}, C-contiguous={arr.flags['C_CONTIGUOUS']}"
-        else:
-            continue
-        raise RuntimeError(
-            f"kernel slot {slot.name} ({slot.ctype} *{slot.field}) "
-            f"needs a C-contiguous {dtype} array, got {got}"
-        )
-
-
 class _HSSState:
     """The HSS half of one lane's kernel state, common to both lane
     kinds: the trace columns, page table, LRU lists, tracker, devices
@@ -406,17 +253,8 @@ class _HSSState:
 
     def bind(self) -> None:
         """Check every packed array against the table and build the
-        pointer table; slots the lane kind never reads get a
-        placeholder of the slot's element type."""
-        arrays = self.arrays
-        for k, slot in enumerate(abi.TABLE.pointers):
-            if arrays[k] is None:
-                arrays[k] = _UNUSED[slot.ctype]
-        _check_arrays(arrays)
-        ptrs = (ctypes.c_void_p * P_NPTR)()
-        for k, arr in enumerate(arrays):
-            ptrs[k] = arr.ctypes.data_as(ctypes.c_void_p).value
-        self.ptrs = ptrs
+        pointer table (``library.bind``)."""
+        self.ptrs = library.bind(self.arrays)
 
     def invoke(self, lib) -> int:
         """One ``sib_run`` entry; raises on the kernel's error status."""
@@ -672,7 +510,7 @@ def run_one_c(
     the C loop returns are counted for free in the dispatch loop below,
     so ``kernel_barriers`` prices the Python boundary exactly.
     """
-    lib = _load()
+    lib = library.load()
     if trace is None:
         trace = TraceSoA.from_run(run)
     state = _KernelRun(run, trace)
@@ -731,7 +569,7 @@ def run_script_c(run, trace: TraceSoA, sink=None) -> None:
         "kernel.invoke", cat="kernel", mode="script", policy=run.policy.name,
         requests=trace.n,
     ):
-        state.invoke(_load())
+        state.invoke(library.load())
     state.export_hss()
     if sink is not None:
         sink.count("script_lanes")
@@ -741,17 +579,22 @@ def run_lanes_c(runs: List, scripted: Sequence = (), sink=None) -> None:
     """Drive every agent run, then every scripted run, to completion
     through the compiled engine.
 
-    Each distinct trace object is packed once per call; each lane's
-    kernel state is packed, run, exported and dropped before the next
-    lane's is built.
+    A trace tuple's pack is the process's one (:func:`.soa.shared_pack`:
+    built once per process, shared by every call that replays it); any
+    other source — a list, a stream that re-reads its file on every
+    pass — is packed once per call.  Each lane's kernel state is packed,
+    run, exported and dropped before the next lane's is built.
     """
-    packed: Dict[int, TraceSoA] = {}
+    streamed: Dict[int, TraceSoA] = {}
 
     def pack(run) -> TraceSoA:
-        key = id(run._source)
-        if key not in packed:
-            packed[key] = TraceSoA.from_run(run)
-        return packed[key]
+        source = run._source
+        shared = shared_pack(source)
+        if shared is not None:
+            return shared
+        if id(source) not in streamed:
+            streamed[id(source)] = TraceSoA.from_run(run)
+        return streamed[id(source)]
 
     for lane, run in enumerate(runs):
         run_one_c(run, sink=sink, trace=pack(run), lane=lane)

@@ -14,9 +14,11 @@ unobservable; every lane — kernel-run or stepped — is
 seed), asserted by ``tests/sim/test_lanes.py`` and searched by
 ``tests/sim/test_agent_lanes.py``.
 
-What a list of lanes buys is the kernel's per-call sharing (one
-``TraceSoA`` pack per distinct trace object, one future-use CSR for the
-four Oracle horizons) and one place for engine counters.  Stepped
+What a list of lanes buys is one future-use CSR for the four Oracle
+horizons, one ``TraceSoA`` pack per distinct list or stream in the call
+(a trace tuple's pack is the process's one,
+:func:`repro.sim.kernels.soa.shared_pack`) and one place for engine
+counters.  Stepped
 lanes are deliberately not advanced together with stacked forwards:
 measured against this loop, doing so is a tie (``docs/engines.md``).
 

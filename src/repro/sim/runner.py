@@ -20,7 +20,9 @@ share a reference cell (e.g. every point of a capacity sweep) simulate
 it once instead of once per point; synthetic catalog traces are memoised
 the same way (:func:`synthetic_trace`), so the cells of a sweep that
 share a (workload, n_requests, seed) axis generate the trace once — and
-the lanes replaying one count its working set once.
+pack it once (:func:`repro.sim.kernels.soa.shared_pack`): every lane
+replaying it reads one ``TraceSoA``, and sizes its HSS from that pack's
+working set.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from ..hss.devices import make_devices
 from ..hss.request import Request
 from ..hss.system import HybridStorageSystem
 from ..traces.stats import working_set_pages
-from ..traces.workloads import make_trace
+from ..traces.workloads import workload_generator
+from .kernels.soa import TraceSoA, clear_shared_packs, shared_pack
 
 __all__ = [
     "RunResult",
@@ -122,7 +125,8 @@ def build_hss(
                 f"need {len(devices) - 1} capacity fractions for {config!r}, "
                 f"got {len(capacity_fractions)}"
             )
-        wss = _working_set(trace)
+        pack = shared_pack(trace)
+        wss = len(pack.uniq) if pack is not None else working_set_pages(trace)
         capacities = [
             max(1, int(frac * wss)) for frac in capacity_fractions
         ]
@@ -291,28 +295,6 @@ def run_policy(
 _REFERENCE_CACHE: "OrderedDict[tuple, RunResult]" = OrderedDict()
 _REFERENCE_CACHE_LIMIT = 8
 
-#: Per-process memo of working-set sizes, ``id(trace) -> (trace, pages)``
-#: for tuple traces only: every lane of a (workload, seed) sizes its HSS
-#: from the one immutable tuple :func:`synthetic_trace` hands out.  The
-#: entry holds the tuple, so its id cannot be reused while it is cached.
-_WORKING_SET_CACHE: "OrderedDict[int, Tuple[tuple, int]]" = OrderedDict()
-
-
-def _working_set(trace) -> int:
-    """:func:`working_set_pages`, counted once per shared tuple."""
-    if type(trace) is not tuple:
-        return working_set_pages(trace)
-    hit = _WORKING_SET_CACHE.get(id(trace))
-    if hit is not None and hit[0] is trace:
-        _WORKING_SET_CACHE.move_to_end(id(trace))
-        return hit[1]
-    pages = working_set_pages(trace)
-    _WORKING_SET_CACHE[id(trace)] = (trace, pages)
-    while len(_WORKING_SET_CACHE) > _REFERENCE_CACHE_LIMIT:
-        _WORKING_SET_CACHE.popitem(last=False)
-    return pages
-
-
 @lru_cache(maxsize=8)
 def synthetic_trace(
     workload: str, n_requests: int, seed: int
@@ -322,9 +304,16 @@ def synthetic_trace(
     Every cell of a sweep shares that axis, so a worker generates each
     trace once instead of once per cell.  Returned as a tuple of
     (frozen) requests: the same object is handed to every cell that
-    asks for it, so it must not be mutable.
+    asks for it, so it must not be mutable.  When the compiled draw
+    loop wrote the trace, its columns become the tuple's shared pack
+    as they are, with no pass over the requests.
     """
-    return tuple(make_trace(workload, n_requests=n_requests, seed=seed))
+    generator = workload_generator(workload, n_requests=n_requests, seed=seed)
+    requests, columns = generator.generate_with_columns()
+    trace = tuple(requests)
+    if columns is not None:
+        shared_pack(trace, TraceSoA(trace, *columns))
+    return trace
 
 
 def _trace_fingerprint(trace) -> Optional[tuple]:
@@ -391,11 +380,11 @@ def run_reference(
 
 def clear_reference_cache() -> None:
     """Drop the per-process memos — reference runs, synthetic traces and
-    their working-set sizes — so the next cell starts as cold as in a new
-    process (mainly for tests)."""
+    their packs — so the next cell starts as cold as in a new process
+    (mainly for tests)."""
     _REFERENCE_CACHE.clear()
-    _WORKING_SET_CACHE.clear()
     synthetic_trace.cache_clear()
+    clear_shared_packs()
 
 
 def reference_row(reference: RunResult) -> Dict[str, float]:

@@ -18,18 +18,55 @@ qualitative structure the paper highlights:
 
 Everything is driven by an explicit seed: the same spec + seed always
 yields the identical trace.
+
+The per-request draws run in one of two loops over the same
+``Generator``.  The compiled one (``sib_draw_trace`` in the library of
+:mod:`repro.native`) calls NumPy's own C samplers — the functions
+``Generator.random``/``geometric``/``exponential``/``integers`` call —
+on the generator's own ``bitgen_t``, in the order of the Python loop,
+so its trace is that loop's trace by construction.  Python keeps the
+set-up and every phase boundary (the permutation, the write-burst coin)
+and calls C once per phase.  The Python loop
+(:meth:`SyntheticTraceGenerator._draw_python`) is the reference and the
+path under ``SIBYL_BACKEND=off``, without a C compiler, or with a NumPy
+that does not export the samplers.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .. import knobs
 from ..hss.request import OpType, Request
+from ..obs.tracer import span
 from .workloads import WorkloadSpec
 
-__all__ = ["WorkloadSpec", "SyntheticTraceGenerator", "generate_trace"]
+__all__ = [
+    "WorkloadSpec", "SyntheticTraceGenerator", "TraceColumns", "generate_trace",
+]
+
+_OPS = (OpType.READ, OpType.WRITE)
+
+
+class TraceColumns(NamedTuple):
+    """A trace as the compiled draw loop writes it: one array per field
+    (``TraceSoA``'s column order)."""
+
+    timestamps: np.ndarray  # float64
+    ops: np.ndarray  # uint8, 0=read, 1=write
+    pages: np.ndarray  # int64
+    sizes: np.ndarray  # int64
+
+    def requests(self) -> List[Request]:
+        return [
+            Request(t, _OPS[op], page, size)
+            for t, op, page, size in zip(
+                self.timestamps.tolist(), self.ops.tolist(),
+                self.pages.tolist(), self.sizes.tolist(),
+            )
+        ]
 
 
 class SyntheticTraceGenerator:
@@ -115,8 +152,28 @@ class SyntheticTraceGenerator:
         size = 1 + rng.geometric(1.0 / mean)
         return int(min(size, 256))
 
+    def _next_phase(self, rng: np.random.Generator, n_regions: int):
+        """A phase boundary's draws: the new rank→region permutation,
+        and whether the phase is write-heavy."""
+        perm = rng.permutation(n_regions)
+        # Occasionally flip into/out of a write-heavy phase.
+        return perm, rng.random() < 0.3
+
+    def _write_probability(self, write_burst: bool) -> float:
+        w = self.spec.write_fraction
+        if write_burst:
+            w = min(1.0, w * 1.8 + 0.1)
+        return w
+
     # ------------------------------------------------------------ generate
     def generate(self) -> List[Request]:
+        return self.generate_with_columns()[0]
+
+    def generate_with_columns(
+        self,
+    ) -> Tuple[List[Request], Optional[TraceColumns]]:
+        """The trace, plus its columns when the compiled loop drew it
+        (None from the Python loop)."""
         rng = np.random.default_rng(self.seed)
         # ``Generator.choice(n, p=probs)`` re-validates and re-cumsums the
         # pmf on every call; its draw is exactly this CDF lookup on one
@@ -125,20 +182,30 @@ class SyntheticTraceGenerator:
         cdf = self._popularity(rng).cumsum()
         cdf /= cdf[-1]
         bases = self._region_bases(rng)
+        # Rank→region permutation, reshuffled each phase (Fig. 4).
+        perm = rng.permutation(len(bases))
+        compiled = _compiled_loop()
+        with span(
+            "traces.generate", cat="traces",
+            engine="python" if compiled is None else "cext",
+            requests=self.n_requests,
+        ):
+            if compiled is None:
+                return self._draw_python(rng, cdf, bases, perm), None
+            columns = self._draw_compiled(*compiled, rng, cdf, bases, perm)
+            return columns.requests(), columns
+
+    def _draw_python(self, rng, cdf, bases, perm) -> List[Request]:
+        """The reference loop, one request per iteration."""
         n_regions = len(bases)
         region_span = max(32, self.pool_pages // n_regions)
-        # Rank→region permutation, reshuffled each phase (Fig. 4).
-        perm = rng.permutation(n_regions)
-
         requests: List[Request] = []
         clock = 0.0
         cur_page = int(bases[perm[0]])
         write_burst = False
         for i in range(self.n_requests):
             if i > 0 and i % self.phase_requests == 0:
-                perm = rng.permutation(n_regions)
-                # Occasionally flip into/out of a write-heavy phase.
-                write_burst = rng.random() < 0.3
+                perm, write_burst = self._next_phase(rng, n_regions)
             size = self._request_size_pages(rng)
             if rng.random() < self.p_sequential:
                 page = cur_page  # continue the current run
@@ -148,9 +215,7 @@ class SyntheticTraceGenerator:
                 page = int(bases[region]) + int(rng.integers(0, region_span))
             cur_page = page + size
 
-            w = self.spec.write_fraction
-            if write_burst:
-                w = min(1.0, w * 1.8 + 0.1)
+            w = self._write_probability(write_burst)
             op = OpType.WRITE if rng.random() < w else OpType.READ
             # Host compute gap scales loosely with request size (bigger
             # transfers tend to follow longer compute, §3).
@@ -160,6 +225,74 @@ class SyntheticTraceGenerator:
             clock += gap
             requests.append(Request(timestamp=clock, op=op, page=page, size=size))
         return requests
+
+    def _draw_compiled(
+        self, lib, samplers, rng, cdf, bases, perm
+    ) -> TraceColumns:
+        """:meth:`_draw_python`'s loop in ``sib_draw_trace``, one call
+        per phase; the phase boundaries' draws stay here, in between."""
+        from ..native import abi, library
+
+        n = self.n_requests
+        n_regions = len(bases)
+        columns = TraceColumns(
+            np.empty(n, dtype=np.float64), np.empty(n, dtype=np.uint8),
+            np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+        )
+        ci = np.zeros(abi.CI_LEN, dtype=np.int64)
+        cd = np.zeros(abi.CD_LEN, dtype=np.float64)
+        phase_perm = perm.astype(np.int64)
+        mean = max(1.0, self.spec.avg_request_pages)
+        ci[abi.CI_TG_PAGE] = bases[perm[0]]
+        ci[abi.CI_TG_NREGIONS] = n_regions
+        ci[abi.CI_TG_SPAN] = max(32, self.pool_pages // n_regions)
+        ci[abi.CI_TG_SIZED] = mean > 1.0  # else _request_size_pages draws nothing
+        cd[abi.CD_TG_P_SEQ] = self.p_sequential
+        cd[abi.CD_TG_GEOM_P] = 1.0 / mean
+        cd[abi.CD_TG_MEAN_GAP] = self.mean_interarrival_s
+        cd[abi.CD_TG_SIZE_DIV] = mean
+        arrays = [None] * abi.P_NPTR
+        arrays[abi.P_CTRL_I] = ci
+        arrays[abi.P_CTRL_D] = cd
+        arrays[abi.P_TG_CDF] = np.ascontiguousarray(cdf, dtype=np.float64)
+        arrays[abi.P_TG_BASES] = bases
+        arrays[abi.P_TG_PERM] = phase_perm
+        arrays[abi.P_TG_FNS] = np.array(
+            (rng.bit_generator.ctypes.bit_generator.value, *samplers),
+            dtype=np.uint64,
+        )
+        for k, column in zip(
+            (abi.P_TG_TS, abi.P_TG_OP, abi.P_TG_PAGE, abi.P_TG_SIZE), columns
+        ):
+            arrays[k] = column
+        ptrs = library.bind(arrays)
+        write_burst = False
+        for begin in range(0, n, self.phase_requests):
+            if begin:
+                phase_perm[:], write_burst = self._next_phase(rng, n_regions)
+            ci[abi.CI_TG_BEGIN] = begin
+            ci[abi.CI_TG_END] = min(n, begin + self.phase_requests)
+            cd[abi.CD_TG_P_WRITE] = self._write_probability(write_burst)
+            if lib.sib_draw_trace(ptrs) != abi.ST_DONE:
+                raise RuntimeError(
+                    f"trace draw loop aborted at request {int(ci[abi.CI_I])}"
+                )
+        return columns
+
+
+def _compiled_loop():
+    """``(library, sampler addresses)`` for the compiled draw loop, or
+    None: ``SIBYL_BACKEND=off``, no library (no compiler), or a NumPy
+    whose ``random._generator`` does not export the samplers."""
+    if knobs.get("SIBYL_BACKEND") == "off":
+        return None
+    from ..native import library
+
+    lib = library.load()
+    samplers = library.numpy_samplers()
+    if lib is None or samplers is None:
+        return None
+    return lib, samplers
 
 
 def generate_trace(

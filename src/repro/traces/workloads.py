@@ -35,6 +35,7 @@ __all__ = [
     "MOTIVATION_WORKLOADS",
     "workload_names",
     "get_workload",
+    "workload_generator",
     "make_trace",
 ]
 
@@ -222,10 +223,9 @@ def get_workload(name: str) -> WorkloadSpec:
         ) from None
 
 
-def make_trace(
-    name: str, n_requests: int = 20_000, seed: int = 0, **kwargs
-) -> List[Request]:
-    """Instantiate a named workload as a concrete request trace.
+def workload_generator(name: str, n_requests: int = 20_000, seed: int = 0, **kwargs):
+    """The :class:`~repro.traces.synthetic.SyntheticTraceGenerator` of a
+    named workload, as :func:`make_trace` runs it.
 
     The seed is offset by a stable per-workload hash so that different
     workloads generated with the same user seed do not share address
@@ -237,4 +237,11 @@ def make_trace(
     offset = sum(ord(c) for c in name)
     return SyntheticTraceGenerator(
         spec, n_requests=n_requests, seed=seed + offset, **kwargs
-    ).generate()
+    )
+
+
+def make_trace(
+    name: str, n_requests: int = 20_000, seed: int = 0, **kwargs
+) -> List[Request]:
+    """Instantiate a named workload as a concrete request trace."""
+    return workload_generator(name, n_requests, seed, **kwargs).generate()

@@ -42,7 +42,7 @@ class TestShippedTree:
         # The kernels are the innermost bit-identity core: SBL-DET and
         # SBL-FORK must pass outright here, so the pin is zero — not
         # "few".  (The Python/C boundary itself is generated from
-        # sim/kernels/abi.py and checked at runtime, not by lint.)
+        # native/abi.py and checked at runtime, not by lint.)
         report = run_lint([REPO / "src" / "repro" / "sim" / "kernels"])
         assert report.findings == [], "\n".join(
             f"{f.path}:{f.line}: {f.rule} {f.message}"

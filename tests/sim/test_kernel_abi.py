@@ -1,6 +1,6 @@
 """The kernel ABI table and the three checks that stand behind it.
 
-``repro.sim.kernels.abi`` declares the Python/C boundary once; the C
+``repro.native.abi`` declares the Python/C boundary once; the C
 header and the Python constants are both derived from it.  What can
 still go wrong is caught at three points, each asserted here:
 
@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core.agent import SibylAgent
-from repro.sim.kernels import abi, engine_c, get_backend
+from repro.native import abi, library
+from repro.sim.kernels import engine_c, get_backend
 from repro.sim.kernels.soa import TraceSoA
 from repro.sim.lanes import LaneSpec, run_lanes
 from repro.sim.runner import run_policy
@@ -38,12 +39,12 @@ BLOCKS = ("ctrl_i", "ctrl_d", "dev_d", "dev_i", "hss_i", "hss_d", "status")
 
 
 def _kernel_source() -> bytes:
-    with open(engine_c._source_path(), "rb") as fh:
+    with open(library._source_path(), "rb") as fh:
         return fh.read()
 
 
 def _so_name(table=abi.TABLE) -> str:
-    digest = engine_c._build_digest(abi.render_header(table), _kernel_source())
+    digest = library._build_digest(abi.render_header(table), _kernel_source())
     return f"kernel-{digest}.so"
 
 
@@ -54,10 +55,10 @@ def _fresh_run(n_requests=300, seed=0):
 
 @pytest.fixture
 def cold_engine(monkeypatch, tmp_path):
-    """``engine_c`` with nothing loaded and an empty build directory."""
-    monkeypatch.setattr(engine_c, "_lib", None)
-    monkeypatch.setattr(engine_c, "_build_error", None)
-    monkeypatch.setattr(engine_c, "_BUILD_DIR", str(tmp_path))
+    """The library with nothing loaded and an empty build directory."""
+    monkeypatch.setattr(library, "_lib", None)
+    monkeypatch.setattr(library, "_build_error", None)
+    monkeypatch.setattr(library, "_BUILD_DIR", str(tmp_path))
     return tmp_path
 
 
@@ -112,7 +113,7 @@ class TestCompileTime:
         (tmp_path / "sib_abi.h").write_text(abi.render_header(table))
         return subprocess.run(
             ["gcc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
-             "-I", str(tmp_path), engine_c._source_path()],
+             "-I", str(tmp_path), library._source_path()],
             capture_output=True, text=True,
         )
 
@@ -130,7 +131,7 @@ class TestCompileTime:
 @requires_cext
 class TestLoadTime:
     def test_loaded_library_reports_the_table_hash(self):
-        assert engine_c._load().sib_abi_hash() == abi.abi_hash()
+        assert library.load().sib_abi_hash() == abi.abi_hash()
 
     def test_cold_load_builds_one_binary_and_leaves_no_header(self, cold_engine):
         assert engine_c.available(), engine_c.unavailable_reason()
@@ -144,12 +145,12 @@ class TestLoadTime:
             name: os.stat(cold_engine / name).st_mtime_ns
             for name in os.listdir(cold_engine)
         }
-        monkeypatch.setattr(engine_c, "_lib", None)
+        monkeypatch.setattr(library, "_lib", None)
 
         def no_compiler(*args, **kwargs):
             raise AssertionError(f"warm load spawned {args!r}")
 
-        monkeypatch.setattr(engine_c.subprocess, "run", no_compiler)
+        monkeypatch.setattr(library.subprocess, "run", no_compiler)
         assert engine_c.available(), engine_c.unavailable_reason()
         after = {
             name: os.stat(cold_engine / name).st_mtime_ns
@@ -161,8 +162,8 @@ class TestLoadTime:
         """A library that sits under the right name but was compiled
         against another table is reported, never run."""
         other = abi.TABLE._replace(status=abi.TABLE.status + ("ST_EXTRA",))
-        assert engine_c._compile(
-            engine_c._source_path(),
+        assert library._compile(
+            library._source_path(),
             abi.render_header(other),
             str(cold_engine / _so_name()),
         ) is None
@@ -192,9 +193,9 @@ class TestPackTime:
         for bad in (good.astype(np.float32), strided, good.tolist()):
             arrays[index] = bad
             with pytest.raises(RuntimeError, match=rf"slot {slot.name} "):
-                engine_c._check_arrays(arrays)
+                library.check_arrays(arrays)
         arrays[index] = good
-        engine_c._check_arrays(arrays)
+        library.check_arrays(arrays)
 
     def test_mistyped_trace_never_reaches_sib_run(
         self, monkeypatch
@@ -213,6 +214,6 @@ class TestPackTime:
             def sib_run(self, ptrs):
                 raise AssertionError("sib_run entered with a mistyped array")
 
-        monkeypatch.setattr(engine_c, "_load", lambda: NeverEntered())
+        monkeypatch.setattr(library, "load", lambda: NeverEntered())
         with pytest.raises(RuntimeError, match=r"slot P_SIZE .*int32"):
             engine_c.run_one_c(run)

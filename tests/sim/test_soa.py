@@ -21,6 +21,7 @@ from repro.baselines.hps import HPSPolicy
 from repro.baselines.oracle import OraclePolicy
 from repro.core.agent import SibylAgent
 from repro.hss.request import OpType, Request
+from repro.native import library
 from repro.sim.kernels import (
     BACKENDS,
     get_backend,
@@ -270,7 +271,7 @@ class TestBuildPruning:
         stale = ["kernel-0123456789abcdef.so", "kernel-feedfacecafe0000.so"]
         for name in [keep, *stale]:
             (tmp_path / name).write_bytes(b"x")
-        engine_c._prune_stale_builds(str(tmp_path), keep)
+        library._prune_stale_builds(str(tmp_path), keep)
         assert sorted(p.name for p in tmp_path.iterdir()) == [keep]
 
     def test_spares_inflight_tmp_and_foreign_files(self, tmp_path):
@@ -278,24 +279,24 @@ class TestBuildPruning:
         spared = [keep, "tmpab12cd.so", "README.txt"]
         for name in [*spared, "kernel-deadbeefdeadbeef.so"]:
             (tmp_path / name).write_bytes(b"x")
-        engine_c._prune_stale_builds(str(tmp_path), keep)
+        library._prune_stale_builds(str(tmp_path), keep)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(spared)
 
     def test_missing_build_dir_is_a_noop(self, tmp_path):
-        engine_c._prune_stale_builds(str(tmp_path / "absent"), "kernel-x.so")
+        library._prune_stale_builds(str(tmp_path / "absent"), "kernel-x.so")
 
     @requires_cext
     def test_load_leaves_exactly_one_binary(self):
         import os
 
-        build_dir = engine_c._BUILD_DIR
+        build_dir = library._BUILD_DIR
         orphan = os.path.join(build_dir, "kernel-0000000000000000.so")
         with open(orphan, "wb") as fh:
             fh.write(b"x")
         try:
             # Force a fresh _load walk (the library object stays cached,
             # but pruning happens on the build path, so re-run it).
-            engine_c._prune_stale_builds(
+            library._prune_stale_builds(
                 build_dir,
                 next(
                     name for name in sorted(os.listdir(build_dir))

@@ -106,7 +106,7 @@ def test_import_repro_loads_no_subpackage():
     "entry",
     [
         ["repro.knobs"],
-        ["repro.sim.kernels.abi"],
+        ["repro.native.abi"],
         ["repro.analysis", "--list-rules"],
         ["repro.serve.loadgen", "--help"],
     ],
