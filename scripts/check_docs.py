@@ -46,13 +46,6 @@ AUDITED_MODULES = (
     "repro.store.fingerprint",
     "repro.store.serialize",
     "repro.store.store",
-    "repro.analysis.core",
-    "repro.analysis.reporters",
-    "repro.analysis.cli",
-    "repro.analysis.rules",
-    "repro.analysis.rules.determinism",
-    "repro.analysis.rules.envknobs",
-    "repro.analysis.rules.forksafety",
     "repro.native.abi",
     "repro.native.library",
     "repro.serve.protocol",
@@ -66,12 +59,10 @@ AUDITED_MODULES = (
 )
 
 #: Modules whose public *methods* are audited too (the store's
-#: durability contract is a method-level API; the analyzer's rule and
-#: framework classes are a subclassing surface; the daemon and engine
+#: durability contract is a method-level API; the daemon and engine
 #: are the serve layer's operational contract).
 METHOD_AUDITED_MODULES = (
     "repro.store.store",
-    "repro.analysis.core",
     "repro.serve.engine",
     "repro.serve.daemon",
     "repro.obs.metrics",

@@ -24,13 +24,8 @@ Commands
     batches concurrent tenants' inference through one fused forward and
     runs each tenant's training event inline, inside the placement that
     triggers it.  Blocks until a client sends ``shutdown`` (or ^C).
-``lint``
-    Run the Sibyl contract analyzer (:mod:`repro.analysis`) over the
-    given paths: static AST checks for the determinism, env-knob, and
-    fork-safety invariants.  Exit status 0 = clean, 1 = findings, 2 =
-    fatal error.
 
-Fatal errors (unwritable ``--json`` target, missing lint path, bad
+Fatal errors (unwritable ``--json``/``--output`` target, bad
 configuration) exit with status 2 and a one-line ``error: ...`` on
 stderr — never a traceback.  ``compare`` checks its arguments before it
 opens the store or dispatches a cell, so a bad ``--json``/``--seeds``
@@ -55,7 +50,7 @@ from .baselines import available_policies
 from .sim.report import export_json, format_table
 from .traces.workloads import ALL_WORKLOADS, make_trace
 
-__all__ = ["main", "build_parser", "add_lint_arguments"]
+__all__ = ["main", "build_parser"]
 
 
 def _knob_default(name: str) -> str:
@@ -121,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("overhead", help="print the Sec. 10 overhead analysis")
 
-    lint = sub.add_parser(
-        "lint",
-        help="run the Sibyl contract analyzer (static AST invariant checks)",
-    )
-    add_lint_arguments(lint)
-
     serve = sub.add_parser(
         "serve", help="run the online placement daemon (NDJSON over TCP)"
     )
@@ -157,38 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--output", required=True)
 
     return parser
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the lint options on ``parser`` (shared between the
-    ``repro lint`` verb and ``python -m repro.analysis``; declared here
-    so that parsing any other verb does not import the analyzer)."""
-    parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json is the versioned CI schema)",
-    )
-    parser.add_argument(
-        "--rules", metavar="ID[,ID...]",
-        help="run only these rule IDs (e.g. SBL-DET,SBL-ENV)",
-    )
-    parser.add_argument(
-        "--det-scope", metavar="PREFIX[,PREFIX...]", default=None,
-        help="dotted-module prefixes SBL-DET polices (default: the "
-             "bit-identity core; 'all' = every file)",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="BASE",
-        help="lint only files reported by `git diff --name-only BASE` "
-             "(default base: HEAD) — fast pre-push runs",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
 
 
 def _cmd_workloads() -> int:
@@ -372,12 +329,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from .analysis.cli import run_lint_cli
-
-    return run_lint_cli(args)
-
-
 def _setup_tracing(args) -> None:
     """Install a span tracer from ``--trace`` or ``SIBYL_TRACE_PATH``."""
     from .obs.tracer import install_tracer, tracer_from_env
@@ -401,16 +352,14 @@ def _dispatch(args) -> int:
         return _cmd_export(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse ``argv`` and run one command.
 
-    Expected failures — an unwritable ``--json``/``--output`` target, a
-    missing lint path, an invalid knob or argument value — exit with
+    Expected failures — an unwritable ``--json``/``--output`` target,
+    an invalid knob or argument value — exit with
     status ``2`` and a single ``error: ...`` line on stderr instead of
     a traceback; genuine bugs still propagate loudly.
     """

@@ -11,8 +11,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".device": ["DeviceSpec", "DeviceStats", "StorageDevice"],
     ".devices": ["H_SPEC", "L_SPEC", "L_SSD_SPEC", "M_SPEC",
         "available_devices", "make_device", "make_devices"],
-    ".eviction": ["BeladyVictimSelector", "ColdestVictimSelector",
-        "LRUVictimSelector", "VictimSelector", "make_victim_selector"],
+    ".eviction": ["BeladyVictimSelector", "LRUVictimSelector",
+        "VictimSelector"],
     ".hdd": ["HDDConfig", "HDDDevice"],
     ".mapping": ["PageTable"],
     ".request": ["PAGE_SIZE_BYTES", "OpType", "Request", "expand_pages"],

@@ -9,17 +9,14 @@ victim data blocks for eviction" (§7) — the Belady-style selector here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Protocol
 
 from .mapping import PageTable
-from .tracking import PageAccessTracker
 
 __all__ = [
     "VictimSelector",
     "LRUVictimSelector",
-    "ColdestVictimSelector",
     "BeladyVictimSelector",
-    "make_victim_selector",
 ]
 
 _INFINITY = float("inf")
@@ -49,21 +46,6 @@ class LRUVictimSelector:
                 break
             victims.append(page)
         return victims
-
-
-class ColdestVictimSelector:
-    """Evict the pages with the lowest access count (ties → LRU order)."""
-
-    def __init__(self, tracker: PageAccessTracker) -> None:
-        self.tracker = tracker
-
-    def select(self, table: PageTable, device: int, n_victims: int) -> List[int]:
-        resident = list(table.resident_pages(device))
-        if len(resident) <= n_victims:
-            return resident
-        order = {page: i for i, page in enumerate(resident)}  # LRU tiebreak
-        resident.sort(key=lambda p: (self.tracker.access_count(p), order[p]))
-        return resident[:n_victims]
 
 
 class BeladyVictimSelector:
@@ -98,23 +80,3 @@ class BeladyVictimSelector:
             return resident
         resident.sort(key=self.next_use, reverse=True)
         return resident[:n_victims]
-
-
-def make_victim_selector(
-    name: str,
-    tracker: Optional[PageAccessTracker] = None,
-    future_uses: Optional[Dict[int, List[int]]] = None,
-) -> VictimSelector:
-    """Build a victim selector by name: ``lru``, ``coldest``, or ``belady``."""
-    key = name.lower()
-    if key == "lru":
-        return LRUVictimSelector()
-    if key == "coldest":
-        if tracker is None:
-            raise ValueError("coldest selector needs a PageAccessTracker")
-        return ColdestVictimSelector(tracker)
-    if key == "belady":
-        if future_uses is None:
-            raise ValueError("belady selector needs future_uses")
-        return BeladyVictimSelector(future_uses)
-    raise ValueError(f"unknown victim selector {name!r}")

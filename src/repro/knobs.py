@@ -1,8 +1,8 @@
 """Every ``SIBYL_*`` environment knob: one table, one reader.
 
 This is the only module in the repo that touches the process
-environment (the ``SBL-ENV`` lint rule holds the rest of the tree to
-that).  :data:`TABLE` defines each knob once — kind, default, accepted
+environment (``SBL-ENV`` in ``tests/contracts/test_contracts.py``
+holds the rest of the tree to that).  :data:`TABLE` defines each knob once — kind, default, accepted
 tokens, clamp — and :func:`get` reads one by its literal name, at call
 time, so ``grep SIBYL_X`` finds the definition and every reader::
 

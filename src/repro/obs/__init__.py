@@ -1,7 +1,8 @@
 """Unified observability: spans, histograms, and tick-domain sinks.
 
-The repo's SBL-DET rule bans wall-clock reads inside the bit-identity
-core (``repro.{sim,rl,hss,store}``), which makes "just add timers" the
+The repo's SBL-DET contract (``tests/contracts/test_contracts.py``)
+bans wall-clock reads inside the bit-identity core
+(``repro.{sim,rl,hss,store}``), which makes "just add timers" the
 wrong instinct.  This package splits telemetry into two domains:
 
 - **Tick domain** (:mod:`repro.obs.sink`): clock-free counters the

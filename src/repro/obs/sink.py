@@ -1,7 +1,7 @@
 """Tick-domain observation sinks: counting without clocks.
 
-SBL-DET forbids wall-clock reads inside ``repro.{sim,rl,hss,store}``,
-so the bit-identity core cannot carry timers.  What it *can* carry is
+SBL-DET (``tests/contracts/test_contracts.py``) forbids wall-clock
+reads inside ``repro.{sim,rl,hss,store}``, so the bit-identity core cannot carry timers.  What it *can* carry is
 counts — ticks, fused forwards, training events, kernel-barrier
 crossings — because incrementing a Python int neither reads a clock
 nor touches the simulated float path.  :class:`ObservationSink` is the

@@ -1,7 +1,8 @@
 """Span tracer: Chrome-trace-event JSON in a bounded ring buffer.
 
 Spans are wall-clock intervals — and wall clocks are exactly what
-SBL-DET bans from the bit-identity core — so everything in this module
+SBL-DET (``tests/contracts/test_contracts.py``) bans from the
+bit-identity core — so everything in this module
 lives outside the determinism scope and is only ever *called from*
 driver-side code: ``sim/parallel`` dispatch, store I/O call sites, the
 kernel build/invoke boundary in ``engine_c``, and the serve request

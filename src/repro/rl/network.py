@@ -27,8 +27,6 @@ __all__ = [
     "FeedForwardNetwork",
     "NetworkLaneStack",
     "mlp",
-    "count_macs",
-    "count_parameters",
 ]
 
 
@@ -501,25 +499,3 @@ def mlp(
         act = output_activation if last else hidden_activation
         layers.append(Dense(n_in, n_out, act, rng=rng))
     return FeedForwardNetwork(layers)
-
-
-def count_macs(network: FeedForwardNetwork, batch_size: int = 1) -> int:
-    """Multiply-accumulate operations for one forward pass (§10.1).
-
-    The paper counts 780 MACs per inference for the 6-20-30-2 network and
-    1,597,440 MACs per training step (128-sample batches, 8 batches are a
-    separate multiplier applied by the caller).
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    return batch_size * sum(
-        layer.in_features * layer.out_features for layer in network.layers
-    )
-
-
-def count_parameters(network: FeedForwardNetwork, include_bias: bool = False) -> int:
-    """Number of weights (the paper's 780 count excludes biases)."""
-    total = sum(layer.in_features * layer.out_features for layer in network.layers)
-    if include_bias:
-        total += sum(layer.out_features for layer in network.layers)
-    return total

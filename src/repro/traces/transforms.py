@@ -1,36 +1,17 @@
 """Trace transformation utilities.
 
-Small composable helpers for slicing and reshaping request traces —
-the operations one routinely needs when preparing real MSRC traces for
-the harness (cropping to a time window, isolating reads or writes,
-rebasing timestamps, remapping address ranges, scaling arrival rates).
-All functions are pure: they return new traces and never mutate inputs.
+Positional slicing and timestamp rebasing: what preparing a real MSRC
+capture for the harness needs (``examples/real_traces.py``).  Both
+functions are pure: they return new lists and never mutate inputs.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..hss.request import OpType, Request
+from ..hss.request import Request
 
-__all__ = [
-    "slice_time",
-    "slice_requests",
-    "filter_ops",
-    "rebase_timestamps",
-    "remap_addresses",
-    "scale_arrival_rate",
-    "concatenate",
-]
-
-
-def slice_time(
-    trace: Sequence[Request], start_s: float, end_s: float
-) -> List[Request]:
-    """Requests issued within ``[start_s, end_s)``, timestamps preserved."""
-    if end_s < start_s:
-        raise ValueError("end_s must be >= start_s")
-    return [r for r in trace if start_s <= r.timestamp < end_s]
+__all__ = ["slice_requests", "rebase_timestamps"]
 
 
 def slice_requests(
@@ -38,11 +19,6 @@ def slice_requests(
 ) -> List[Request]:
     """Positional slice (like ``trace[start:stop]`` but always a list)."""
     return list(trace[start:stop])
-
-
-def filter_ops(trace: Sequence[Request], op: OpType) -> List[Request]:
-    """Only the requests with the given operation type."""
-    return [r for r in trace if r.op == op]
 
 
 def rebase_timestamps(trace: Sequence[Request]) -> List[Request]:
@@ -53,60 +29,3 @@ def rebase_timestamps(trace: Sequence[Request]) -> List[Request]:
     return [
         Request(r.timestamp - t0, r.op, r.page, r.size) for r in trace
     ]
-
-
-def remap_addresses(
-    trace: Sequence[Request], offset_pages: int
-) -> List[Request]:
-    """Shift every request's page number by ``offset_pages``."""
-    if offset_pages < 0 and any(r.page + offset_pages < 0 for r in trace):
-        raise ValueError("offset would produce negative page numbers")
-    return [
-        Request(r.timestamp, r.op, r.page + offset_pages, r.size)
-        for r in trace
-    ]
-
-
-def scale_arrival_rate(
-    trace: Sequence[Request], factor: float
-) -> List[Request]:
-    """Compress (factor > 1) or stretch (factor < 1) inter-arrival gaps.
-
-    A factor of 2 halves every timestamp, doubling the offered load —
-    useful for studying queueing sensitivity without regenerating the
-    trace.
-    """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    return [
-        Request(r.timestamp / factor, r.op, r.page, r.size) for r in trace
-    ]
-
-
-def concatenate(
-    first: Sequence[Request],
-    second: Sequence[Request],
-    gap_s: float = 0.0,
-    remap_second: bool = True,
-) -> List[Request]:
-    """Play ``second`` after ``first`` (phase-change composition).
-
-    ``second`` is rebased to start ``gap_s`` after ``first`` ends; with
-    ``remap_second`` its addresses are shifted past ``first``'s range so
-    the phases touch disjoint data (two different applications).
-    """
-    if gap_s < 0:
-        raise ValueError("gap_s must be >= 0")
-    first = list(first)
-    if not first:
-        return rebase_timestamps(second)
-    offset_t = first[-1].timestamp + gap_s
-    offset_pages = (
-        max(r.last_page for r in first) + 1 if remap_second and second else 0
-    )
-    rebased = rebase_timestamps(second)
-    tail = [
-        Request(r.timestamp + offset_t, r.op, r.page + offset_pages, r.size)
-        for r in rebased
-    ]
-    return first + tail

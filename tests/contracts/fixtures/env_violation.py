@@ -4,4 +4,4 @@ import os
 
 
 def sneaky_read():
-    return os.environ.get("SIBYL_FIXTURE_SNEAKY", "1")  # flagged
+    return os.environ.get("SIBYL_FIXTURE_SNEAKY", "1")  # SBL-ENV

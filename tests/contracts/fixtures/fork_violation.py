@@ -7,12 +7,12 @@ LIMIT = 8  # immutable: allowed
 
 
 def worker(x):
-    _RESULTS[x] = x * x  # flagged via run(): per-process copy only
-    return _RESULTS[x]
+    _RESULTS[x] = x * x  # SBL-FORK: reached via helper(): per-process copy
+    return _RESULTS[x]  # SBL-FORK
 
 
 def helper(x):
-    return worker(x)  # indirection: still reached from the pool
+    return worker(x) if x < LIMIT else x  # indirection: still reached
 
 
 def run(xs):

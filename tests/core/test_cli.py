@@ -131,3 +131,31 @@ class TestCompareValidatesBeforeItSimulates:
             f"error: --seeds must be >= 1, got {seeds}\n"
         )
         assert not store.exists()
+
+
+class TestFatalErrorContract:
+    """An expected failure exits 2 with one ``error:`` line on stderr,
+    never a traceback."""
+
+    def test_compare_unwritable_json_exits_two(self, tmp_path, capsys):
+        # the historical bug: an unwritable --json target printed a
+        # traceback and exited 1 via the interpreter's default handler
+        target = tmp_path / "no-such-dir" / "out.json"
+        code = main([
+            "compare", "--workloads", "usr_0", "--requests", "120",
+            "--no-store", "--json", str(target),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: " in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_export_trace_unwritable_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "trace.csv"
+        code = main([
+            "export-trace", "--requests", "50", "--output", str(target),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.hss.eviction import (
-    BeladyVictimSelector,
-    ColdestVictimSelector,
-    LRUVictimSelector,
-    make_victim_selector,
-)
+from repro.hss.eviction import BeladyVictimSelector, LRUVictimSelector
 from repro.hss.mapping import PageTable
-from repro.hss.tracking import PageAccessTracker
 
 
 @pytest.fixture
@@ -34,25 +28,6 @@ class TestLRU:
 
     def test_empty_device(self, table):
         assert LRUVictimSelector().select(table, 1, 3) == []
-
-
-class TestColdest:
-    def test_selects_least_accessed(self, table):
-        tracker = PageAccessTracker()
-        for p in (2, 2, 2, 3, 3, 4):
-            tracker.record(p)
-        sel = ColdestVictimSelector(tracker)
-        # Page 1 has 0 accesses, page 4 has 1.
-        assert sel.select(table, 0, 2) == [1, 4]
-
-    def test_lru_tiebreak(self, table):
-        tracker = PageAccessTracker()  # all counts equal (0)
-        sel = ColdestVictimSelector(tracker)
-        assert sel.select(table, 0, 2) == [1, 2]
-
-    def test_all_returned_when_short(self, table):
-        sel = ColdestVictimSelector(PageAccessTracker())
-        assert sorted(sel.select(table, 0, 10)) == [1, 2, 3, 4]
 
 
 class TestBelady:
@@ -84,23 +59,3 @@ class TestBelady:
         sel.now = 6
         assert sel.next_use(7) == 9
 
-
-class TestFactory:
-    def test_lru(self):
-        assert isinstance(make_victim_selector("lru"), LRUVictimSelector)
-
-    def test_coldest_needs_tracker(self):
-        with pytest.raises(ValueError):
-            make_victim_selector("coldest")
-        sel = make_victim_selector("coldest", tracker=PageAccessTracker())
-        assert isinstance(sel, ColdestVictimSelector)
-
-    def test_belady_needs_future(self):
-        with pytest.raises(ValueError):
-            make_victim_selector("belady")
-        sel = make_victim_selector("belady", future_uses={})
-        assert isinstance(sel, BeladyVictimSelector)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_victim_selector("random")

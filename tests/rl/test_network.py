@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rl.network import (
-    Dense,
-    FeedForwardNetwork,
-    count_macs,
-    count_parameters,
-    mlp,
-)
+from repro.rl.network import Dense, FeedForwardNetwork, mlp
 
 
 @pytest.fixture
@@ -133,26 +127,6 @@ class TestFeedForwardNetwork:
         weights = paper_network.get_weights()
         weights[0][...] = 99.0
         assert not np.allclose(paper_network.parameters[0], 99.0)
-
-
-class TestCounting:
-    def test_paper_mac_count(self, paper_network):
-        """§10.1: 780 MACs per inference for the 6-20-30-2 network."""
-        assert count_macs(paper_network) == 780
-
-    def test_paper_training_macs(self, paper_network):
-        """§10.1: 8 batches x 128 samples x forward+backward -> 1,597,440."""
-        assert 2 * 8 * count_macs(paper_network, batch_size=128) == 1_597_440
-
-    def test_paper_weight_count(self, paper_network):
-        assert count_parameters(paper_network) == 780
-
-    def test_weight_count_with_bias(self, paper_network):
-        assert count_parameters(paper_network, include_bias=True) == 780 + 52
-
-    def test_batch_size_validation(self, paper_network):
-        with pytest.raises(ValueError):
-            count_macs(paper_network, batch_size=0)
 
 
 class TestMLPBuilder:

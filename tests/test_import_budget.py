@@ -24,7 +24,6 @@ ENGINE = (
     "multiprocessing",
     "repro.rl",
     "repro.serve",
-    "repro.analysis",
     "repro.core.agent",
     "repro.hss.system",
     "repro.sim.kernels",
@@ -86,7 +85,7 @@ def test_warm_compare_is_byte_identical_and_never_loads_the_engine(tmp_path):
     assert [m for m in warm_modules if m.startswith("repro.baselines.")] == []
 
 
-@pytest.mark.parametrize("argv", [["workloads"], ["lint", "--list-rules"]])
+@pytest.mark.parametrize("argv", [["workloads"]])
 def test_light_verbs_are_numpy_free(tmp_path, argv):
     _, modules = _cli(tmp_path, *argv)
     assert _loaded(modules, ("numpy",)) == []
@@ -107,7 +106,6 @@ def test_import_repro_loads_no_subpackage():
     [
         ["repro.knobs"],
         ["repro.native.abi"],
-        ["repro.analysis", "--list-rules"],
         ["repro.serve.loadgen", "--help"],
     ],
     ids=lambda entry: entry[0],

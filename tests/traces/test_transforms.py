@@ -1,19 +1,9 @@
 """Tests for trace transformation utilities."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.hss.request import OpType, Request
-from repro.traces.transforms import (
-    concatenate,
-    filter_ops,
-    rebase_timestamps,
-    remap_addresses,
-    scale_arrival_rate,
-    slice_requests,
-    slice_time,
-)
+from repro.traces.transforms import rebase_timestamps, slice_requests
 
 
 def trace_of(n, start_ts=1.0):
@@ -24,27 +14,10 @@ def trace_of(n, start_ts=1.0):
 
 
 class TestSlicing:
-    def test_slice_time(self):
-        t = trace_of(10)
-        assert len(slice_time(t, 3.0, 6.0)) == 3
-
-    def test_slice_time_validation(self):
-        with pytest.raises(ValueError):
-            slice_time([], 5.0, 1.0)
-
     def test_slice_requests(self):
         t = trace_of(10)
         assert slice_requests(t, 2, 5) == t[2:5]
         assert slice_requests(t, 8) == t[8:]
-
-
-class TestFilter:
-    def test_filter_ops(self):
-        t = trace_of(10)
-        reads = filter_ops(t, OpType.READ)
-        writes = filter_ops(t, OpType.WRITE)
-        assert len(reads) + len(writes) == 10
-        assert all(r.is_read for r in reads)
 
 
 class TestRebase:
@@ -61,54 +34,3 @@ class TestRebase:
         rebase_timestamps(original)
         assert original[0].timestamp == 5.0
 
-
-class TestRemap:
-    def test_positive_offset(self):
-        t = remap_addresses(trace_of(3), 1000)
-        assert t[0].page == 1000
-
-    def test_negative_offset_guard(self):
-        with pytest.raises(ValueError):
-            remap_addresses(trace_of(3), -5)
-
-    @given(st.integers(0, 10_000))
-    def test_sizes_preserved(self, offset):
-        t = remap_addresses(trace_of(4), offset)
-        assert all(r.size == 2 for r in t)
-
-
-class TestScale:
-    def test_compress(self):
-        t = scale_arrival_rate(trace_of(3), 2.0)
-        assert t[1].timestamp == pytest.approx(1.0)  # was 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            scale_arrival_rate([], 0.0)
-
-
-class TestConcatenate:
-    def test_phases_ordered(self):
-        merged = concatenate(trace_of(3), trace_of(3), gap_s=1.0)
-        assert len(merged) == 6
-        for prev, nxt in zip(merged, merged[1:]):
-            assert nxt.timestamp >= prev.timestamp
-
-    def test_addresses_disjoint(self):
-        a = trace_of(3)  # pages 0..21
-        merged = concatenate(a, trace_of(3))
-        first_pages = {p for r in a for p in r.pages}
-        second_pages = {p for r in merged[3:] for p in r.pages}
-        assert not first_pages & second_pages
-
-    def test_no_remap_option(self):
-        merged = concatenate(trace_of(2), trace_of(2), remap_second=False)
-        assert merged[2].page == 0
-
-    def test_empty_first(self):
-        merged = concatenate([], trace_of(2, start_ts=9.0))
-        assert merged[0].timestamp == 0.0
-
-    def test_gap_validation(self):
-        with pytest.raises(ValueError):
-            concatenate(trace_of(1), trace_of(1), gap_s=-1.0)
