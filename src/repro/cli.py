@@ -307,7 +307,7 @@ def _cmd_serve(args) -> int:
     import threading
 
     from .serve.daemon import PlacementDaemon
-    from .sim.blas import set_blas_threads
+    from .native.blas import set_blas_threads
 
     # A process whose whole job is computing is pinned once, at start,
     # as a campaign's pool workers are (docs/serve.md, "The daemon and

@@ -1,15 +1,11 @@
 """The compiled library, below every layer that calls it.
 
 One shared object, built on demand from :file:`kernel.c`, carries the
-entry points: ``sib_run``, the tick kernel that :mod:`repro.sim.kernels`
-drives; ``sib_draw_trace``, the per-request draw loop of
-:class:`repro.traces.synthetic.SyntheticTraceGenerator`; and
-``sib_rnn_train`` / ``sib_rnn_predict``, RNN-HSS's Elman RNN
-(:class:`repro.rl.rnn.ElmanRNN`).  All talk through the one pointer
+entry points of :data:`.library.ENTRIES`: ``tick`` for
+:mod:`repro.sim.kernels`, ``draw`` for :mod:`repro.traces.synthetic`
+and ``rnn`` for :mod:`repro.rl.rnn`.  All talk through the one pointer
 table declared in :mod:`.abi`; :mod:`.library` builds, loads and
-handshakes the binary and resolves the NumPy routines the draw loop and
-the network call, and :mod:`.blas` finds the OpenBLAS NumPy maps (for
-the network's ``cblas_dgemv`` and for :mod:`repro.sim.blas`'s thread
-pin).  None of them imports ``sim``, ``traces`` or ``rl``, so each layer
-reaches the library without reaching the others.
+handshakes the binary and gates each entry point; :mod:`.blas` finds
+NumPy's OpenBLAS and pins its thread pool.  None of them imports
+``sim``, ``traces`` or ``rl``.
 """

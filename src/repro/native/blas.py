@@ -1,15 +1,29 @@
-"""Find the OpenBLAS that NumPy maps into this process.
+"""NumPy's OpenBLAS: found once, and its thread pool pinned.
 
 Two callers need NumPy's own BLAS, not a second copy of it: the thread
-pin (:mod:`repro.sim.blas`) and RNN-HSS's compiled network, whose every
-matrix-vector product is NumPy's ``cblas_dgemv``
-(:func:`repro.native.library.rnn_primitives`).  Both find it through
-:func:`numpy_openblas`: the shared objects with ``openblas`` in their
-name are read from ``/proc/self/maps`` and opened by path with
-``ctypes`` (which returns the loaded image, not a second copy), and the
-first one exporting a known build's thread-count pair is the one.  The
-build's row in :data:`OPENBLAS_EXPORTS` then names its other exports,
-and whether it takes 64-bit integers.
+pin below and RNN-HSS's compiled network (its ``cblas_dgemv``, the
+``rnn`` row of :data:`repro.native.library.ENTRIES`).  Both find it
+through :func:`numpy_openblas`: the shared objects with ``openblas`` in
+their name are read from ``/proc/self/maps`` and opened by path with
+``ctypes`` (which returns the loaded image), and the first one
+exporting a known build's thread-count pair is the one; its row in
+:data:`OPENBLAS_EXPORTS` names its other exports and integer width.
+
+**The thread pin.**  OpenBLAS starts one thread per core in *every*
+process that imports NumPy, but the simulation's matrices are small —
+only the largest training gemm crosses its threading threshold — so
+the extra threads spin-yield, doubling a cell's CPU for the same wall
+time (N x N oversubscription across N workers).  So computing runs at
+one BLAS thread: a process whose whole job is computing is pinned once,
+at start, with :func:`set_blas_threads` (a campaign's pool worker, the
+placement daemon); a library call that computes inside someone else's
+process pins around itself and restores the caller's count with
+:func:`limit_blas_threads` (the serial cells of :mod:`repro.sim.parallel`).
+Code that embeds the library keeps its own count.  The pin is a
+runtime call — no environment variable is read or set, so
+``OPENBLAS_NUM_THREADS`` stays the operator's — and where no known BLAS
+is mapped it is a silent no-op and :func:`blas_threads` is ``None``:
+results never depend on the thread count, only CPU time does.
 
 Imports nothing but the standard library (NumPy on first call): it sits
 on the daemon's and the campaign's import paths.
@@ -19,10 +33,13 @@ from __future__ import annotations
 
 import ctypes
 import os
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = ["OpenBLASExports", "OPENBLAS_EXPORTS", "mapped_openblas",
-           "numpy_openblas"]
+           "numpy_openblas", "blas_threads", "set_blas_threads",
+           "limit_blas_threads"]
 
 
 class OpenBLASExports(NamedTuple):
@@ -69,18 +86,17 @@ def mapped_openblas() -> List[str]:
     return paths
 
 
-def numpy_openblas(
-    scan: Callable[[], List[str]] = mapped_openblas,
-) -> Optional[Tuple[ctypes.CDLL, OpenBLASExports]]:
+def numpy_openblas() -> Optional[Tuple[ctypes.CDLL, OpenBLASExports]]:
     """NumPy's OpenBLAS, opened, with its build's export names; None
     where no known build is mapped (another platform, another vendor).
 
-    NumPy is imported first, so the BLAS is mapped before ``scan``
-    looks for it whatever the caller imported before.
+    NumPy is imported first, so the BLAS is mapped before
+    :func:`mapped_openblas` looks for it whatever the caller imported
+    before.
     """
     import numpy  # noqa: F401  (maps the BLAS the scan below finds)
 
-    for path in scan():
+    for path in mapped_openblas():
         try:
             lib = ctypes.CDLL(path)
         except OSError:
@@ -91,3 +107,52 @@ def numpy_openblas(
             ):
                 return lib, exports
     return None
+
+
+@lru_cache(maxsize=None)
+def _controls() -> Optional[Tuple[Callable[[int], None], Callable[[], int]]]:
+    """The loaded BLAS's ``(set, get)`` thread-count calls, else ``None``.
+
+    Looked up once per process, on first use; a forked worker inherits
+    the parent's answer together with the mapping it points into.  It is
+    NumPy's BLAS being looked for, so NumPy is loaded before the look:
+    the answer is cached for the life of the process and must not depend
+    on whether the caller (a pool initializer, the serial path's pin)
+    runs before or after the first cell imports the engine.
+    """
+    found = numpy_openblas()
+    if found is None:
+        return None
+    lib, exports = found
+    setter = getattr(lib, exports.set_threads)
+    getter = getattr(lib, exports.get_threads)
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return setter, getter
+
+
+def blas_threads() -> Optional[int]:
+    """Threads the loaded BLAS uses per call; ``None`` if none is known."""
+    controls = _controls()
+    return None if controls is None else int(controls[1]())
+
+
+def set_blas_threads(n: int) -> None:
+    """Run the loaded BLAS on ``n`` threads from now on (no-op if unknown)."""
+    controls = _controls()
+    if controls is not None:
+        controls[0](n)
+
+
+@contextmanager
+def limit_blas_threads(n: int) -> Iterator[None]:
+    """Run the ``with`` body at ``n`` BLAS threads, then restore the count."""
+    previous = blas_threads()
+    set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)

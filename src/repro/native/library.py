@@ -1,4 +1,4 @@
-"""Build, load and handshake the compiled library; bind its pointer table.
+"""Build, load and handshake the compiled library; its table of entry points.
 
 The shared library is built on demand with the system C compiler into
 the gitignored ``native/_build/``, named ``kernel-<digest>.so`` after
@@ -6,16 +6,14 @@ the hash of the generated ``sib_abi.h`` plus ``kernel.c``, so neither a
 table edit nor a source edit can load a stale binary.  After loading,
 the library's ``sib_abi_hash()`` must equal the table's, and every
 array bound into a pointer table is checked against the table's element
-types (:func:`check_arrays`).  Without a toolchain :func:`load` returns
-None and every caller keeps its Python path.
+types (:func:`check_arrays`).
 
-:func:`numpy_samplers` resolves, from NumPy's ``random._generator``
-extension, the C samplers ``Generator`` itself calls; the trace draw
-loop (``sib_draw_trace``) is handed their addresses, so its draws are
-NumPy's by construction.  :func:`rnn_primitives` does the same for
-RNN-HSS's network (``sib_rnn_train``, ``sib_rnn_predict``): NumPy's
-``cblas_dgemv`` and its float64 ``tanh`` and ``exp`` loops, each
-validated and handshaken before the kernel may call it.
+:data:`ENTRIES` has one row per entry point — ``tick``, ``draw``,
+``rnn`` — naming its C symbols and its resolver, the NumPy routines
+the caller hands it (docs/engines.md, "Compiled entry points").
+:func:`entry` is the gate every caller asks, and the one reader of
+``SIBYL_BACKEND``; :func:`report` says which engine each row runs, and
+why.
 """
 
 from __future__ import annotations
@@ -26,17 +24,18 @@ import os
 import subprocess
 import tempfile
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .. import knobs
 from ..obs.tracer import span as _span
 from . import abi, blas
 
 __all__ = [
     "available", "unavailable_reason", "so_path", "load", "check_arrays",
-    "bind", "numpy_samplers", "SAMPLER_SYMBOLS", "rnn_primitives",
-    "RNN_UFUNCS",
+    "bind", "Entry", "ENTRIES", "Binding", "entry", "reason", "report",
+    "SAMPLER_SYMBOLS", "RNN_UFUNCS",
 ]
 
 #: What a slot holds when the entry point never reads it.
@@ -139,10 +138,11 @@ def load() -> Optional[ctypes.CDLL]:
             return None
     try:
         lib = ctypes.CDLL(path)
-        for entry in (lib.sib_run, lib.sib_draw_trace, lib.sib_rnn_train,
-                      lib.sib_rnn_predict):
-            entry.restype = ctypes.c_longlong
-            entry.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
+        for row in ENTRIES.values():
+            for symbol in row.symbols:
+                fn = getattr(lib, symbol)
+                fn.restype = ctypes.c_longlong
+                fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
         lib.sib_abi_hash.restype = ctypes.c_ulonglong
         lib.sib_abi_hash.argtypes = []
     except (OSError, AttributeError) as exc:
@@ -206,6 +206,96 @@ def bind(arrays: List) -> "ctypes.Array":
     return ptrs
 
 
+# ------------------------------------------------------ the entry table
+class Unresolved(Exception):
+    """A resolver's or a check's refusal; the message says why."""
+
+
+class Entry(NamedTuple):
+    """A row of :data:`ENTRIES`: the exported symbols; ``resolve()``,
+    what the caller hands the entry point beside its arrays (run once
+    per process); ``check(resolved, *args)``, the caller's arguments
+    vetted at each use.  Both raise :class:`Unresolved`."""
+
+    symbols: Tuple[str, ...]
+    resolve: Callable[[], tuple]
+    check: Optional[Callable[..., None]] = None
+
+
+class Binding(NamedTuple):
+    """A resolved entry point: the library and its row's ``resolve()``."""
+
+    name: str
+    lib: ctypes.CDLL
+    resolved: tuple
+
+    def call(self, symbol: str, ptrs, ci: np.ndarray) -> int:
+        """``symbol(ptrs)``'s status; the error status raises, naming
+        the entry point, ``CI_ERR`` and ``CI_I``."""
+        status = getattr(self.lib, symbol)(ptrs)
+        if status == abi.ST_ERROR:
+            raise RuntimeError(
+                f"compiled {self.name} entry point {symbol} aborted "
+                f"(err={int(ci[abi.CI_ERR])}, i={int(ci[abi.CI_I])})"
+            )
+        return status
+
+
+@lru_cache(maxsize=None)
+def _resolve(name: str) -> Tuple[Optional[tuple], str]:
+    try:
+        return ENTRIES[name].resolve(), ""
+    except Unresolved as exc:
+        return None, str(exc)
+
+
+def _state(name: str, args: tuple, backend: Optional[str]):
+    """``(mode, binding or None, reason)``; the one read of the knob."""
+    mode = knobs.get("SIBYL_BACKEND", backend)
+    if mode == "off":
+        return mode, None, "SIBYL_BACKEND=off"
+    lib = load()
+    if lib is None:
+        return mode, None, unavailable_reason()
+    resolved, why = _resolve(name)
+    if resolved is not None and args:
+        try:
+            ENTRIES[name].check(resolved, *args)
+        except Unresolved as exc:
+            why = str(exc)
+    if why:
+        return mode, None, why
+    return mode, Binding(name, lib, resolved), ""
+
+
+def entry(name: str, *args, backend: Optional[str] = None) -> Optional[Binding]:
+    """Row ``name``'s binding for an eligible caller (``args`` go to the
+    row's check), or None for the Python path; under ``cext`` (the knob,
+    or ``backend``) a row that does not resolve raises instead."""
+    mode, binding, why = _state(name, args, backend)
+    if binding is None and mode == "cext":
+        raise RuntimeError(
+            f"SIBYL_BACKEND=cext requested but the compiled {name} entry "
+            f"point is unavailable: {why}"
+        )
+    return binding
+
+
+def reason(name: str, *args, backend: Optional[str] = None) -> str:
+    """Why :func:`entry` returns None for these arguments ('' if not)."""
+    return _state(name, args, backend)[2]
+
+
+def report(backend: Optional[str] = None) -> Dict[str, Tuple[str, str]]:
+    """``{entry: (engine, reason)}``: ``cext``, ``python`` with the
+    build, load or resolver failure, or ``off``; no per-use checks."""
+    rows = {}
+    for name in ENTRIES:
+        mode, binding, why = _state(name, (), backend)
+        rows[name] = (mode if mode == "off" else "python" if why else "cext", why)
+    return rows
+
+
 #: The ``numpy.random._generator`` exports ``sib_draw_trace`` calls, in
 #: ``abi.TABLE.samplers`` order after ``SP_BITGEN``: what
 #: ``Generator.random``, ``geometric``, ``exponential`` and ``integers``
@@ -218,26 +308,18 @@ SAMPLER_SYMBOLS = (
 )
 
 
-@lru_cache(maxsize=None)
-def _resolve(symbols: Tuple[str, ...]) -> Optional[Tuple[int, ...]]:
+def _numpy_samplers() -> Tuple[int, ...]:
+    """The addresses of :data:`SAMPLER_SYMBOLS` in this process's NumPy."""
     try:
         generator = ctypes.CDLL(np.random._generator.__file__)
         return tuple(
             ctypes.cast(getattr(generator, name), ctypes.c_void_p).value
-            for name in symbols
+            for name in SAMPLER_SYMBOLS
         )
-    except (OSError, AttributeError):
-        return None
+    except (OSError, AttributeError) as exc:
+        raise Unresolved(f"NumPy's samplers: {exc}")
 
 
-def numpy_samplers() -> Optional[Tuple[int, ...]]:
-    """The addresses of :data:`SAMPLER_SYMBOLS` in this process's NumPy,
-    or None when its ``random._generator`` does not export them (the
-    trace generator then keeps its Python loop)."""
-    return _resolve(SAMPLER_SYMBOLS)
-
-
-# ------------------------------------------------------- RNN primitives
 class _UFuncHead(ctypes.Structure):
     """The leading fields of NumPy's public ``PyUFuncObject``."""
 
@@ -293,6 +375,26 @@ def _ufunc_loop(ufunc: np.ufunc, name: str) -> Optional[Tuple[int, int]]:
 #: ``abi.TABLE.rnn_fns`` order.
 RNN_UFUNCS = ("tanh", "exp")
 
+
+def _rnn_primitives() -> Tuple[Tuple[int, ...], bool]:
+    """``(addresses in abi.TABLE.rnn_fns order, gemv takes 64-bit ints)``:
+    NumPy's ``cblas_dgemv`` and the float64 loops of :data:`RNN_UFUNCS`."""
+    found = blas.numpy_openblas()
+    if found is None:
+        raise Unresolved("no known OpenBLAS is mapped into this process")
+    lib, exports = found
+    gemv = getattr(lib, exports.dgemv, None)
+    if gemv is None:
+        raise Unresolved(f"NumPy's OpenBLAS does not export {exports.dgemv}")
+    loops: List[int] = []
+    for name in RNN_UFUNCS:
+        loop = _ufunc_loop(getattr(np, name, None), name)
+        if loop is None:
+            raise Unresolved(f"np.{name} failed its float64 loop check")
+        loops += loop
+    return (ctypes.cast(gemv, ctypes.c_void_p).value, *loops), exports.ilp64
+
+
 _LOOP = ctypes.CFUNCTYPE(
     None, ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_ssize_t),
     ctypes.POINTER(ctypes.c_ssize_t), ctypes.c_void_p,
@@ -333,12 +435,17 @@ def _inplace_call(loop: Tuple[int, int]):
     return call
 
 
-def _handshake(gemv, tanh, exp, n_inputs, n_hidden, n_outputs) -> bool:
+@lru_cache(maxsize=None)
+def _handshake(resolved, n_inputs, n_hidden, n_outputs) -> bool:
     """Each primitive against the NumPy call it stands in for, on the
     network's own shapes, byte for byte: every product the forward and
     backward passes make (the stacked input matmul, the recurrence and
     head ``np.dot``s, the two ``W.T`` products), ``tanh`` in place at
-    ``n_hidden`` and ``exp`` in place at ``n_outputs``."""
+    ``n_hidden`` and ``exp`` in place at ``n_outputs``.  Once per
+    process, resolution and shape."""
+    (address, *loops), ilp64 = resolved
+    gemv = _gemv_call(address, ilp64)
+    tanh, exp = _inplace_call(loops[:2]), _inplace_call(loops[2:])
     rng = np.random.default_rng([n_inputs, n_hidden, n_outputs])
     w_xh = rng.uniform(-1.0, 1.0, (n_inputs, n_hidden))
     w_hh = rng.uniform(-1.0, 1.0, (n_hidden, n_hidden))
@@ -376,39 +483,17 @@ def _handshake(gemv, tanh, exp, n_inputs, n_hidden, n_outputs) -> bool:
     return all(a.tobytes() == b.tobytes() for a, b in zip(ours, want))
 
 
-@lru_cache(maxsize=None)
-def _numpy_gemv() -> Optional[Tuple[int, bool]]:
-    found = blas.numpy_openblas()
-    if found is None:
-        return None
-    lib, exports = found
-    gemv = getattr(lib, exports.dgemv, None)
-    if gemv is None:
-        return None
-    return ctypes.cast(gemv, ctypes.c_void_p).value, exports.ilp64
+def _rnn_check(resolved, *shape: int) -> None:
+    """The handshake on the asking network's shape."""
+    if not _handshake(resolved, *shape):
+        shape = "-".join(map(str, shape))
+        raise Unresolved(f"a primitive differs from NumPy's call at shape {shape}")
 
 
-@lru_cache(maxsize=None)
-def rnn_primitives(
-    n_inputs: int, n_hidden: int, n_outputs: int
-) -> Optional[Tuple[Tuple[int, ...], bool]]:
-    """``(addresses in abi.TABLE.rnn_fns order, gemv takes 64-bit ints)``
-    for a network of this shape, or None: a shape where NumPy's products
-    are not all gemv calls (a 1-wide layer, where ``np.dot`` takes its
-    scalar paths) or its head sum not the short sequential loop (eight
-    outputs or more); no known BLAS, or no ``dgemv`` export; a ``tanh``
-    or ``exp`` loop that fails :func:`_ufunc_loop`; or a handshake
-    mismatch.  Resolved once per process and shape."""
-    if n_inputs < 2 or n_hidden < 2 or not 2 <= n_outputs < 8:
-        return None
-    gemv = _numpy_gemv()
-    tanh, exp = (_ufunc_loop(getattr(np, name, None), name)
-                 for name in RNN_UFUNCS)
-    if gemv is None or tanh is None or exp is None:
-        return None
-    if not _handshake(
-        _gemv_call(*gemv), _inplace_call(tanh), _inplace_call(exp),
-        n_inputs, n_hidden, n_outputs,
-    ):
-        return None
-    return (gemv[0], *tanh, *exp), gemv[1]
+#: The compiled library's entry points, by name.
+ENTRIES: Dict[str, Entry] = {
+    "tick": Entry(("sib_run",), lambda: ()),
+    "draw": Entry(("sib_draw_trace",), _numpy_samplers),
+    "rnn": Entry(("sib_rnn_train", "sib_rnn_predict"), _rnn_primitives,
+                 _rnn_check),
+}

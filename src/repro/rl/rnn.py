@@ -17,9 +17,9 @@ the compiled library (``sib_rnn_train``, ``sib_rnn_predict`` in
 on the same arrays, every product through the ``cblas_dgemv`` NumPy
 calls and ``tanh``/``exp`` through NumPy's own float64 loops, so the
 bytes are the Python loop's by construction.  That loop stays the
-reference and the fallback: under ``SIBYL_BACKEND=off``, without a
-compiler, with an optimizer other than :class:`~repro.rl.optim.Adam`,
-or when :func:`repro.native.library.rnn_primitives` refuses the shape.
+reference, and the path for a network the library cannot take
+(:meth:`ElmanRNN._refusal`) or wherever the ``rnn`` row of its entry
+table (:data:`repro.native.library.ENTRIES`) does not resolve.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import knobs
+from ..native import abi
 from ..obs.tracer import span
 from .optim import Adam, Optimizer, get_optimizer
 
@@ -220,34 +220,46 @@ class ElmanRNN:
         if bad.any():
             raise ValueError(f"label {int(labels[bad][0])} out of range")
         compiled = self._compiled() if sequences.size else None
-        with span(
-            "rl.rnn_train", cat="rl",
-            engine="python" if compiled is None else "cext",
-            sequences=len(labels),
-        ):
+        engine = {"engine": "cext"}
+        if compiled is None:
+            from ..native import library
+
+            shape = (self.n_inputs, self.n_hidden, self.n_outputs)
+            why = self._refusal() or library.reason("rnn", *shape)
+            engine = {"engine": "python", "reason": why or "empty batch"}
+        with span("rl.rnn_train", cat="rl", **engine, sequences=len(labels)):
             if compiled is None:
                 for sequence, label in zip(sequences, labels.tolist()):
                     self.train_sequence(sequence, label, bptt_steps)
             else:
                 compiled.train(self, sequences, labels, bptt_steps)
 
+    def _refusal(self) -> str:
+        """Why the compiled library cannot take this network (empty
+        when it can): an optimizer other than :class:`Adam`, or a shape
+        where NumPy's products are not all gemv calls (a 1-wide layer,
+        where ``np.dot`` takes its scalar paths) or its head sum not the
+        short sequential loop (eight outputs or more)."""
+        if type(self.optimizer) is not Adam:
+            return f"optimizer {type(self.optimizer).__name__} is not Adam"
+        if self.n_inputs < 2 or self.n_hidden < 2 or not 2 <= self.n_outputs < 8:
+            return (f"shape {self.n_inputs}-{self.n_hidden}-{self.n_outputs}"
+                    " has a 1-wide layer or 8+ outputs")
+        return ""
+
     def _compiled(self) -> Optional["_CompiledRNN"]:
-        """This network's binding into the compiled library, or None:
-        the Python loop runs instead."""
-        if knobs.get("SIBYL_BACKEND") == "off" or type(self.optimizer) is not Adam:
+        """This network's binding into the compiled library (kept from
+        the first call that got one), or None: the Python loop runs."""
+        if self._refusal():
             return None
         compiled = _BINDINGS.get(self)
         if compiled is None:
             from ..native import library
 
-            if library.load() is None:
+            rnn = library.entry("rnn", self.n_inputs, self.n_hidden, self.n_outputs)
+            if rnn is None:
                 return None
-            found = library.rnn_primitives(
-                self.n_inputs, self.n_hidden, self.n_outputs
-            )
-            if found is None:
-                return None
-            compiled = _BINDINGS[self] = _CompiledRNN(self, *found)
+            compiled = _BINDINGS[self] = _CompiledRNN(self, rnn)
         return compiled
 
     @property
@@ -272,11 +284,9 @@ class _CompiledRNN:
     slots at its batch for the one call.
     """
 
-    def __init__(self, rnn: ElmanRNN, fns: Tuple[int, ...], ilp64: bool):
-        from ..native import abi, library
-
-        self._abi, self._library = abi, library
-        self._lib = library.load()
+    def __init__(self, rnn: ElmanRNN, binding) -> None:
+        self._rnn = binding
+        fns, ilp64 = binding.resolved
         self._fns = np.array(fns, dtype=np.uint64)
         self._ci = np.zeros(abi.CI_LEN, dtype=np.int64)
         self._cd = np.zeros(abi.CD_LEN, dtype=np.float64)
@@ -302,7 +312,8 @@ class _CompiledRNN:
             and (not moments or moments[0] is self._bound[2])
         ):
             return self._ptrs
-        abi = self._abi
+        from ..native import library
+
         self._input = np.zeros((len(rnn._hidden), rnn.n_inputs))
         table = [None] * abi.P_NPTR
         for slot, array in (
@@ -324,14 +335,14 @@ class _CompiledRNN:
             (abi.P_RNN_DH, rnn._dh),
         ):
             table[slot] = array
-        self._ptrs = self._library.bind(table)
+        self._ptrs = library.bind(table)
         self._ci[abi.CI_RNN_CAP] = len(rnn._hidden)
         self._bound = (rnn._hidden, moments, moments[0] if moments else None)
         return self._ptrs
 
     def train(self, rnn: ElmanRNN, sequences: np.ndarray,
               labels: np.ndarray, bptt: int) -> None:
-        abi, ci, cd = self._abi, self._ci, self._cd
+        ci, cd = self._ci, self._cd
         optimizer = rnn.optimizer
         if not optimizer._m:  # what Adam.step's first call creates
             optimizer._m = [np.zeros_like(rnn.flat_parameters)]
@@ -348,26 +359,19 @@ class _CompiledRNN:
         ptrs[abi.P_RNN_SEQ] = sequences.ctypes.data
         ptrs[abi.P_RNN_LABELS] = labels.ctypes.data
         try:
-            status = self._lib.sib_rnn_train(ptrs)
+            self._rnn.call("sib_rnn_train", ptrs, ci)
         finally:
             ptrs[abi.P_RNN_SEQ] = self._input.ctypes.data
             ptrs[abi.P_RNN_LABELS] = None
-        optimizer._t = int(ci[abi.CI_RNN_ADAM_T])
-        if status != abi.ST_DONE:
-            raise RuntimeError(
-                f"sib_rnn_train failed (error {int(ci[abi.CI_ERR])})"
-            )
+            optimizer._t = int(ci[abi.CI_RNN_ADAM_T])
 
     def predict(self, rnn: ElmanRNN, sequence: np.ndarray) -> int:
-        abi, ci = self._abi, self._ci
+        ci = self._ci
         steps = len(sequence)
         ptrs = self._table(rnn, steps)
         self._input[:steps] = sequence
         ci[abi.CI_RNN_STEPS] = steps
-        if self._lib.sib_rnn_predict(ptrs) != abi.ST_DONE:
-            raise RuntimeError(
-                f"sib_rnn_predict failed (error {int(ci[abi.CI_ERR])})"
-            )
+        self._rnn.call("sib_rnn_predict", ptrs, ci)
         return int(ci[abi.CI_RNN_CLASS])
 
 

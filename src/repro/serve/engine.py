@@ -52,11 +52,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import knobs
+from ..native.blas import blas_threads
 from ..obs.metrics import Histogram
 from ..obs.tracer import get_tracer, span
 from ..rl.c51 import C51LaneStack, C51Network
 from ..rl.dqn import DQNLaneStack
-from ..sim.blas import blas_threads
 from ..sim.lanes import group_signature
 from .lane import TenantLane, open_lane
 from .protocol import (

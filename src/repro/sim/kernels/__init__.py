@@ -23,17 +23,12 @@ lanes (:mod:`.script`): ``policy.place`` runs over the trace ahead of
 the replay and ``kernel.c`` takes the recorded decisions — one
 serve/evict routine for every lane of a paper lineup.
 
-Backend selection goes through the ``SIBYL_BACKEND`` knob (a choice
-row of :data:`repro.knobs.TABLE`):
-
-* ``auto`` (default) — the compiled kernel if the toolchain can build
-  it, else **silently** no kernel (serial stepping never changes
-  results, only wall-clock);
-* ``cext`` — require the compiled kernel (raises if unavailable);
-* ``off`` — no kernel: :func:`repro.sim.lanes.run_lanes` steps every
-  lane serially (``PolicyRun.step``).
-
-Either way, results are bit-identical to serial ``run_policy``,
+Whether the kernel runs is the ``tick`` row of the compiled library's
+entry table (:mod:`repro.native.library`, the one reader of the
+``SIBYL_BACKEND`` knob; docs/engines.md, "Compiled entry points"):
+``auto`` takes it when it builds and loads, else steps every lane
+serially (``PolicyRun.step``); ``cext`` raises instead; ``off`` never
+loads it.  Either way, results are bit-identical to serial ``run_policy``,
 asserted by ``tests/sim/test_soa.py`` and searched by
 ``tests/sim/test_agent_lanes.py``.
 """
@@ -58,39 +53,17 @@ BACKENDS = knobs.ROWS["SIBYL_BACKEND"].choices
 
 
 def get_backend(name: Optional[str] = None) -> Optional[str]:
-    """Resolve ``name`` (or the environment) to a concrete engine.
-
-    Returns ``"cext"`` or ``None`` (= kernel disabled: lanes are
-    stepped serially).  ``auto`` probes the compiled kernel and falls
-    back to serial stepping *silently* — both are bit-identical to
-    ``run_policy``, so the fallback can never change a result, only
-    wall-clock time.  An explicit ``cext`` request raises when the
-    kernel cannot be built, because the caller asked for a specific
-    implementation.
-    """
-    if name is None:
-        name = knobs.get("SIBYL_BACKEND")
-    elif name == "numpy":
+    """``"cext"``, or ``None`` (= kernel disabled: lanes are stepped
+    serially), as :func:`repro.native.library.entry` resolves the
+    ``tick`` row under ``name`` (default: the environment)."""
+    if name == "numpy":
         # The frozen probe sim.kernels.tick_us_per_req.numpy still asks
         # for the deleted NumPy engine by name; it times serial stepping
         # now.  The benchmark-only PR (ROADMAP) deletes this spelling.
         name = "off"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; valid: {', '.join(BACKENDS)}"
-        )
-    if name == "off":
-        return None
-    from . import engine_c
+    from ...native import library
 
-    if engine_c.available():
-        return "cext"
-    if name == "cext":
-        raise RuntimeError(
-            "SIBYL_BACKEND=cext requested but the compiled kernel is "
-            f"unavailable: {engine_c.unavailable_reason()}"
-        )
-    return None  # auto: silent serial fallback
+    return None if library.entry("tick", backend=name) is None else "cext"
 
 
 def dual_device_hss(hss) -> bool:

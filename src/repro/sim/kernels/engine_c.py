@@ -32,11 +32,10 @@ The two languages share one ABI table (:mod:`repro.native.abi`): the
 slot indices used below are derived from it, and so is the
 ``sib_abi.h`` that ``kernel.c`` includes.  Building, loading and the
 ABI handshake live in :mod:`repro.native.library`, below both this
-package and ``traces/`` (whose trace draw loop is the library's other
-entry point); every array packed for a run is checked against the
-table's element types before ``sib_run`` (``library.bind``).  When no
-toolchain is available the backend reports itself unavailable and
-``auto`` falls back to serial stepping.
+package and ``traces/`` and ``rl/`` (the library's other entry points),
+and so does the gate: this module runs the ``tick`` row of its entry
+table.  Every array packed for a run is checked against the table's
+element types before ``sib_run`` (``library.bind``).
 """
 
 from __future__ import annotations
@@ -54,15 +53,11 @@ from ...native import library
 # lengths, the strides and the ST_* status codes: plain ints derived
 # from abi.TABLE, the table the C side's sib_abi.h is rendered from.
 from ...native.abi import *
-from ...native.library import available, so_path, unavailable_reason
 from ...obs.tracer import span as _span
 from .script import LIVE_LOCATION, decide
 from .soa import TraceSoA, shared_pack
 
-__all__ = [
-    "available", "unavailable_reason", "so_path",
-    "run_lanes_c", "run_one_c", "run_script_c",
-]
+__all__ = ["run_lanes_c", "run_one_c", "run_script_c"]
 
 _MEMO_CAP = 1 << 16
 _U64 = (1 << 64) - 1
@@ -251,21 +246,6 @@ class _HSSState:
         arrays[P_VICTIMS] = np.zeros(n_pages + 1, dtype=np.int32)
         arrays[P_VSORT] = np.zeros(n_pages + 1, dtype=np.int32)
 
-    def bind(self) -> None:
-        """Check every packed array against the table and build the
-        pointer table (``library.bind``)."""
-        self.ptrs = library.bind(self.arrays)
-
-    def invoke(self, lib) -> int:
-        """One ``sib_run`` entry; raises on the kernel's error status."""
-        status = lib.sib_run(self.ptrs)
-        if status == ST_ERROR:
-            raise RuntimeError(
-                "compiled tick kernel aborted "
-                f"(err={int(self.ci[CI_ERR])}, i={int(self.ci[CI_I])})"
-            )
-        return status
-
     def export_hss(self) -> None:
         run = self.run
         hss = self.hss
@@ -387,7 +367,7 @@ class _KernelRun(_HSSState):
         arrays[P_MEMO_ACT] = np.zeros(_MEMO_CAP, dtype=np.int32)
         arrays[P_MEMO_HASH] = np.full(_MEMO_CAP * 2, -1, dtype=np.int32)
         self.gate_total: Optional[int] = None
-        self.bind()
+        self.ptrs = library.bind(self.arrays)
 
     # ------------------------------------------------------- barriers
     def _rebuild_entries(self) -> None:
@@ -510,7 +490,7 @@ def run_one_c(
     the C loop returns are counted for free in the dispatch loop below,
     so ``kernel_barriers`` prices the Python boundary exactly.
     """
-    lib = library.load()
+    tick = library.entry("tick", backend="cext")
     if trace is None:
         trace = TraceSoA.from_run(run)
     state = _KernelRun(run, trace)
@@ -521,7 +501,7 @@ def run_one_c(
         lane=lane, requests=trace.n,
     ):
         while True:
-            status = state.invoke(lib)
+            status = tick.call("sib_run", state.ptrs, state.ci)
             if status == ST_DONE:
                 break
             if status == ST_NEED_INFERENCE:
@@ -564,12 +544,12 @@ def run_script_c(run, trace: TraceSoA, sink=None) -> None:
         state.arrays[P_FU_IDX] = indices
         state.arrays[P_FU_CUR] = offsets[:-1].copy()  # one cursor per page
         state.arrays[P_VKEY] = np.zeros(len(offsets), dtype=np.int64)
-    state.bind()
+    ptrs = library.bind(state.arrays)
     with _span(
         "kernel.invoke", cat="kernel", mode="script", policy=run.policy.name,
         requests=trace.n,
     ):
-        state.invoke(library.load())
+        library.entry("tick", backend="cext").call("sib_run", ptrs, state.ci)
     state.export_hss()
     if sink is not None:
         sink.count("script_lanes")

@@ -29,7 +29,7 @@ count row of :data:`repro.knobs.TABLE`):
 
 Thread topology: the campaign's parallelism is its workers, so every
 process that executes cells runs BLAS single-threaded
-(:mod:`repro.sim.blas`) — pool workers pinned once at worker start, the
+(:mod:`repro.native.blas`) — pool workers pinned once at worker start, the
 serial path pinned around each cell and restored after it.  N workers
 each running an N-thread BLAS is N x N oversubscription for matrices
 too small to use it; results are bit-identical at any thread count.
@@ -75,8 +75,8 @@ from typing import (
 )
 
 from .. import knobs
+from ..native.blas import blas_threads, limit_blas_threads, set_blas_threads
 from ..obs.tracer import span
-from .blas import blas_threads, limit_blas_threads, set_blas_threads
 
 __all__ = [
     "Cell",

@@ -27,9 +27,9 @@ on the generator's own ``bitgen_t``, in the order of the Python loop,
 so its trace is that loop's trace by construction.  Python keeps the
 set-up and every phase boundary (the permutation, the write-burst coin)
 and calls C once per phase.  The Python loop
-(:meth:`SyntheticTraceGenerator._draw_python`) is the reference and the
-path under ``SIBYL_BACKEND=off``, without a C compiler, or with a NumPy
-that does not export the samplers.
+(:meth:`SyntheticTraceGenerator._draw_python`) is the reference, and
+the path wherever the ``draw`` row of the library's entry table
+(:data:`repro.native.library.ENTRIES`) does not resolve.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .. import knobs
 from ..hss.request import OpType, Request
 from ..obs.tracer import span
 from .workloads import WorkloadSpec
@@ -184,15 +183,18 @@ class SyntheticTraceGenerator:
         bases = self._region_bases(rng)
         # Rank→region permutation, reshuffled each phase (Fig. 4).
         perm = rng.permutation(len(bases))
-        compiled = _compiled_loop()
+        from ..native import library
+
+        draw = library.entry("draw")
+        engine = {"engine": "cext"} if draw is not None else {
+            "engine": "python", "reason": library.reason("draw"),
+        }
         with span(
-            "traces.generate", cat="traces",
-            engine="python" if compiled is None else "cext",
-            requests=self.n_requests,
+            "traces.generate", cat="traces", **engine, requests=self.n_requests,
         ):
-            if compiled is None:
+            if draw is None:
                 return self._draw_python(rng, cdf, bases, perm), None
-            columns = self._draw_compiled(*compiled, rng, cdf, bases, perm)
+            columns = self._draw_compiled(draw, rng, cdf, bases, perm)
             return columns.requests(), columns
 
     def _draw_python(self, rng, cdf, bases, perm) -> List[Request]:
@@ -226,9 +228,7 @@ class SyntheticTraceGenerator:
             requests.append(Request(timestamp=clock, op=op, page=page, size=size))
         return requests
 
-    def _draw_compiled(
-        self, lib, samplers, rng, cdf, bases, perm
-    ) -> TraceColumns:
+    def _draw_compiled(self, draw, rng, cdf, bases, perm) -> TraceColumns:
         """:meth:`_draw_python`'s loop in ``sib_draw_trace``, one call
         per phase; the phase boundaries' draws stay here, in between."""
         from ..native import abi, library
@@ -258,7 +258,7 @@ class SyntheticTraceGenerator:
         arrays[abi.P_TG_BASES] = bases
         arrays[abi.P_TG_PERM] = phase_perm
         arrays[abi.P_TG_FNS] = np.array(
-            (rng.bit_generator.ctypes.bit_generator.value, *samplers),
+            (rng.bit_generator.ctypes.bit_generator.value, *draw.resolved),
             dtype=np.uint64,
         )
         for k, column in zip(
@@ -273,26 +273,8 @@ class SyntheticTraceGenerator:
             ci[abi.CI_TG_BEGIN] = begin
             ci[abi.CI_TG_END] = min(n, begin + self.phase_requests)
             cd[abi.CD_TG_P_WRITE] = self._write_probability(write_burst)
-            if lib.sib_draw_trace(ptrs) != abi.ST_DONE:
-                raise RuntimeError(
-                    f"trace draw loop aborted at request {int(ci[abi.CI_I])}"
-                )
+            draw.call("sib_draw_trace", ptrs, ci)
         return columns
-
-
-def _compiled_loop():
-    """``(library, sampler addresses)`` for the compiled draw loop, or
-    None: ``SIBYL_BACKEND=off``, no library (no compiler), or a NumPy
-    whose ``random._generator`` does not export the samplers."""
-    if knobs.get("SIBYL_BACKEND") == "off":
-        return None
-    from ..native import library
-
-    lib = library.load()
-    samplers = library.numpy_samplers()
-    if lib is None or samplers is None:
-        return None
-    return lib, samplers
 
 
 def generate_trace(

@@ -9,9 +9,9 @@ for a difference from the ``train_sequence`` loop in anything the
 network or its optimizer holds, scratch buffers included.  A 1-wide
 layer is in the search on purpose: the library refuses it, so those
 examples hold the fallback to the same bytes.  The fallbacks —
-``SIBYL_BACKEND=off``, another optimizer, a missing BLAS export, a
-ufunc that fails its name or signature check, a handshake mismatch —
-must each give the same bytes through Python.
+``SIBYL_BACKEND=off``, another optimizer, and under ``auto`` a missing
+BLAS export, a ufunc that fails its name or signature check, a
+handshake mismatch — must each give the same bytes through Python.
 """
 
 import hashlib
@@ -170,8 +170,7 @@ def test_pinned_digests_through_train_sequences(case):
 def _fallback_gives_the_same_bytes():
     """Train and classify one network each way; the patched process
     must take the Python loop and land on the compiled bytes."""
-    library.rnn_primitives.cache_clear()
-    library._numpy_gemv.cache_clear()
+    library._resolve.cache_clear()
     ours, reference = pair(2, 16, 2, 5)
     data = np.random.default_rng(9)
     sequences, labels = batch(data, 120, 8, 2, 2, None)
@@ -187,12 +186,13 @@ def _fallback_gives_the_same_bytes():
 
 
 @pytest.fixture
-def fresh_primitives():
-    library.rnn_primitives.cache_clear()
-    library._numpy_gemv.cache_clear()
+def fresh_primitives(monkeypatch):
+    """``auto``, with the rows resolved afresh: the patched cases take
+    the Python loop (under ``cext`` they raise, tests/native)."""
+    monkeypatch.setenv("SIBYL_BACKEND", "auto")
+    library._resolve.cache_clear()
     yield
-    library.rnn_primitives.cache_clear()
-    library._numpy_gemv.cache_clear()
+    library._resolve.cache_clear()
 
 
 def test_backend_off_keeps_the_python_loop(monkeypatch):
@@ -213,7 +213,7 @@ def test_missing_blas_symbol_falls_back(monkeypatch, fresh_primitives):
     monkeypatch.setattr(blas, "OPENBLAS_EXPORTS", tuple(
         e._replace(dgemv="no_such_dgemv") for e in blas.OPENBLAS_EXPORTS
     ))
-    assert library.rnn_primitives(2, 16, 2) is None
+    assert library.entry("rnn", 2, 16, 2) is None
     _fallback_gives_the_same_bytes()
 
 
@@ -227,13 +227,16 @@ def test_failed_ufunc_check_falls_back(swap, monkeypatch, fresh_primitives):
     monkeypatch.setattr(library, "RNN_UFUNCS", ("tanh", swap))
     loop = library._ufunc_loop(getattr(np, swap), swap)
     assert (loop is None) == (swap != "expm1")
-    assert library.rnn_primitives(2, 16, 2) is None
+    assert library.entry("rnn", 2, 16, 2) is None
     _fallback_gives_the_same_bytes()
 
 
-def test_shapes_the_library_refuses():
-    for shape in ((1, 16, 2), (2, 1, 2), (2, 16, 1), (2, 16, 8)):
-        assert library.rnn_primitives(*shape) is None, shape
+def test_shapes_the_library_refuses(monkeypatch):
+    """A refusal never raises, whatever the backend."""
+    for backend in ("auto", "cext", "off"):
+        monkeypatch.setenv("SIBYL_BACKEND", backend)
+        for shape in ((1, 16, 2), (2, 1, 2), (2, 16, 1), (2, 16, 8)):
+            assert ElmanRNN(*shape)._compiled() is None, (backend, shape)
 
 
 @requires_compiled

@@ -22,7 +22,8 @@ from repro.baselines.oracle import OraclePolicy
 from repro.core.agent import SibylAgent
 from repro.core.hyperparams import SIBYL_DEFAULT
 from repro.hss.request import OpType, Request
-from repro.sim.kernels import engine_c, kernel_eligible
+from repro.native import library
+from repro.sim.kernels import kernel_eligible
 from repro.sim.kernels.script import script_eligible
 from repro.sim.lanes import LaneSpec, run_lanes
 from repro.sim.runner import run_policy
@@ -30,7 +31,7 @@ from repro.traces.workloads import make_trace
 
 from test_soa import _assert_agents_identical
 
-BACKENDS = ["off"] + (["cext"] if engine_c.available() else [])
+BACKENDS = ["off"] + (["cext"] if library.available() else [])
 
 
 

@@ -31,8 +31,8 @@ requires_gcc = pytest.mark.skipif(
     shutil.which("gcc") is None, reason="no C compiler on this machine"
 )
 requires_cext = pytest.mark.skipif(
-    not engine_c.available(),
-    reason=f"compiled kernel unavailable: {engine_c.unavailable_reason()}",
+    not library.available(),
+    reason=f"compiled kernel unavailable: {library.unavailable_reason()}",
 )
 
 BLOCKS = ("ctrl_i", "ctrl_d", "dev_d", "dev_i", "hss_i", "hss_d", "status")
@@ -134,13 +134,13 @@ class TestLoadTime:
         assert library.load().sib_abi_hash() == abi.abi_hash()
 
     def test_cold_load_builds_one_binary_and_leaves_no_header(self, cold_engine):
-        assert engine_c.available(), engine_c.unavailable_reason()
+        assert library.available(), library.unavailable_reason()
         assert sorted(os.listdir(cold_engine)) == [_so_name()]
 
     def test_warm_load_writes_nothing_and_spawns_no_compiler(
         self, cold_engine, monkeypatch
     ):
-        assert engine_c.available()
+        assert library.available()
         before = {
             name: os.stat(cold_engine / name).st_mtime_ns
             for name in os.listdir(cold_engine)
@@ -151,24 +151,27 @@ class TestLoadTime:
             raise AssertionError(f"warm load spawned {args!r}")
 
         monkeypatch.setattr(library.subprocess, "run", no_compiler)
-        assert engine_c.available(), engine_c.unavailable_reason()
+        assert library.available(), library.unavailable_reason()
         after = {
             name: os.stat(cold_engine / name).st_mtime_ns
             for name in os.listdir(cold_engine)
         }
         assert after == before
 
-    def test_foreign_binary_is_refused_and_auto_falls_back(self, cold_engine):
+    def test_foreign_binary_is_refused_and_auto_falls_back(
+        self, cold_engine, monkeypatch
+    ):
         """A library that sits under the right name but was compiled
         against another table is reported, never run."""
+        monkeypatch.setenv("SIBYL_BACKEND", "auto")  # the trace draw too
         other = abi.TABLE._replace(status=abi.TABLE.status + ("ST_EXTRA",))
         assert library._compile(
             library._source_path(),
             abi.render_header(other),
             str(cold_engine / _so_name()),
         ) is None
-        assert not engine_c.available()
-        reason = engine_c.unavailable_reason()
+        assert not library.available()
+        reason = library.unavailable_reason()
         assert "ABI hash mismatch" in reason
         assert f"{abi.abi_hash(other):#018x}" in reason
         assert get_backend("auto") is None

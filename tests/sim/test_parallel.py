@@ -8,10 +8,10 @@ import sys
 
 import pytest
 
+from repro.native import blas
+from repro.native.blas import blas_threads, limit_blas_threads
 from repro.obs.tracer import SpanTracer, set_tracer
 from repro.serve.daemon import PlacementDaemon
-from repro.sim import blas
-from repro.sim.blas import blas_threads, limit_blas_threads
 from repro.sim.experiment import buffer_size_sweep, hyperparameter_sweep
 from repro.sim.parallel import (
     Cell,
@@ -244,7 +244,7 @@ class TestThreadTopology:
         a no-op for the life of the process."""
         script = (
             "import sys\n"
-            "from repro.sim.blas import blas_threads\n"
+            "from repro.native.blas import blas_threads\n"
             "from repro.sim.parallel import Cell, run_many\n"
             "assert 'numpy' not in sys.modules\n"
             "cells = [Cell(key=i, fn=blas_threads) for i in range(4)]\n"
@@ -270,7 +270,7 @@ class TestThreadTopology:
 def test_unrecognised_blas_is_a_silent_noop(monkeypatch):
     """No known BLAS mapped: cells still run, and the dispatch span says
     the pin did nothing (``blas_threads`` 0)."""
-    monkeypatch.setattr(blas, "_mapped_openblas", lambda: [])
+    monkeypatch.setattr(blas, "mapped_openblas", lambda: [])
     blas._controls.cache_clear()
     try:
         assert blas_threads() is None

@@ -27,8 +27,8 @@ from repro.hss.devices import make_devices
 from repro.hss.eviction import BeladyVictimSelector
 from repro.hss.request import OpType, Request
 from repro.hss.system import HybridStorageSystem
+from repro.native import library
 from repro.sim.campaign import seeded_compare_cell
-from repro.sim.kernels import engine_c
 from repro.sim.kernels.script import script_eligible
 from repro.sim.lanes import LaneSpec, run_lanes
 from repro.sim.runner import (
@@ -40,8 +40,8 @@ from repro.sim.runner import (
 from repro.traces.workloads import make_trace
 
 pytestmark = pytest.mark.skipif(
-    not engine_c.available(),
-    reason=f"compiled kernel unavailable: {engine_c.unavailable_reason()}",
+    not library.available(),
+    reason=f"compiled kernel unavailable: {library.unavailable_reason()}",
 )
 
 W, R = OpType.WRITE, OpType.READ

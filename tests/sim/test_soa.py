@@ -27,14 +27,13 @@ from repro.sim.kernels import (
     get_backend,
     kernel_eligible,
 )
-from repro.sim.kernels import engine_c
 from repro.sim.lanes import LaneSpec, run_lanes
 from repro.sim.runner import run_policy
 from repro.traces.workloads import make_trace
 
 requires_cext = pytest.mark.skipif(
-    not engine_c.available(),
-    reason=f"compiled kernel unavailable: {engine_c.unavailable_reason()}",
+    not library.available(),
+    reason=f"compiled kernel unavailable: {library.unavailable_reason()}",
 )
 
 
@@ -220,7 +219,7 @@ class TestBackendSelection:
         assert get_backend("off") is None
 
     def test_get_backend_auto_resolves(self):
-        assert get_backend("auto") == ("cext" if engine_c.available() else None)
+        assert get_backend("auto") == ("cext" if library.available() else None)
 
     def test_backends_tuple_is_knob_domain(self):
         assert BACKENDS == ("auto", "cext", "off")

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.agent import SibylAgent
 from repro.core.hyperparams import SIBYL_DEFAULT
-from repro.sim.kernels import engine_c, kernel_eligible
+from repro.native import library
+from repro.sim.kernels import kernel_eligible
 from repro.sim.lanes import LaneSpec, run_lanes
 from repro.sim.runner import run_policy
 from repro.traces.workloads import make_trace
@@ -24,8 +25,8 @@ from repro.traces.workloads import make_trace
 from test_soa import _assert_agents_identical
 
 pytestmark = pytest.mark.skipif(
-    not engine_c.available(),
-    reason=f"compiled kernel unavailable: {engine_c.unavailable_reason()}",
+    not library.available(),
+    reason=f"compiled kernel unavailable: {library.unavailable_reason()}",
 )
 
 #: The one engine with a training gate (the ids keep its name).

@@ -7,8 +7,9 @@ searches generator configurations for a trace the two disagree on:
 both branches of ``random_geometric`` (p >= 1/3 searches, p < 1/3
 inverts), exactly 4 KiB (no size draw at all), short phases (many
 permutation and write-burst boundaries between C calls), any n and
-seed.  The fallbacks — ``SIBYL_BACKEND=off`` and a NumPy that does not
-export a sampler — must give the same bytes through the Python loop.
+seed.  The fallbacks — ``SIBYL_BACKEND=off`` and, under ``auto``, a
+NumPy that does not export a sampler — must give the same bytes through
+the Python loop.
 """
 
 import hashlib
@@ -29,8 +30,8 @@ from repro.traces.synthetic import SyntheticTraceGenerator
 from repro.traces.workloads import ALL_WORKLOADS, WorkloadSpec, make_trace
 
 requires_compiled = pytest.mark.skipif(
-    synthetic._compiled_loop() is None,
-    reason=f"compiled draw loop unavailable: {library.unavailable_reason()}",
+    bool(library.reason("draw")),
+    reason=f"compiled draw loop unavailable: {library.reason('draw')}",
 )
 
 GOLDEN = json.loads(
@@ -116,7 +117,7 @@ def test_catalog_traces_cross_phases_identically(name):
 @pytest.mark.parametrize("backend", ["auto", "cext", "off"])
 def test_catalog_matches_golden_under_every_backend(backend, monkeypatch):
     monkeypatch.setenv("SIBYL_BACKEND", backend)
-    if backend != "off" and synthetic._compiled_loop() is None:
+    if backend != "off" and library.entry("draw", backend="auto") is None:
         pytest.skip("compiled draw loop unavailable")
     for name in ("rsrch_0", "hm_1", "proj_2", "YCSB_C"):
         for seed in (0, 11):
@@ -126,17 +127,27 @@ def test_catalog_matches_golden_under_every_backend(backend, monkeypatch):
 
 def test_off_keeps_the_python_loop(monkeypatch):
     monkeypatch.setenv("SIBYL_BACKEND", "off")
-    assert synthetic._compiled_loop() is None
+    assert library.entry("draw") is None
     gen = SyntheticTraceGenerator(ALL_WORKLOADS["hm_1"], n_requests=300)
     trace, columns = gen.generate_with_columns()
     assert columns is None
     assert_identical(trace, python_trace(gen))
 
 
+@pytest.fixture
+def fresh_resolution():
+    library._resolve.cache_clear()
+    yield
+    library._resolve.cache_clear()
+
+
 @requires_compiled
-def test_missing_sampler_falls_back_to_the_same_bytes(monkeypatch):
+def test_missing_sampler_falls_back_to_the_same_bytes(
+    monkeypatch, fresh_resolution
+):
     """A NumPy whose ``random._generator`` lacks one export keeps the
-    Python loop, and the trace does not change."""
+    Python loop under ``auto``, and the trace does not change."""
+    monkeypatch.setenv("SIBYL_BACKEND", "auto")
     gen = SyntheticTraceGenerator(ALL_WORKLOADS["prn_1"], n_requests=5000)
     compiled, columns = gen.generate_with_columns()
     assert columns is not None
@@ -144,15 +155,17 @@ def test_missing_sampler_falls_back_to_the_same_bytes(monkeypatch):
         library, "SAMPLER_SYMBOLS",
         library.SAMPLER_SYMBOLS[:-1] + ("random_no_such_sampler",),
     )
-    assert library.numpy_samplers() is None
-    assert synthetic._compiled_loop() is None
+    library._resolve.cache_clear()
+    assert "random_no_such_sampler" in library.reason("draw")
+    assert library.entry("draw") is None
     fallback, columns = gen.generate_with_columns()
     assert columns is None
     assert_identical(fallback, compiled)
 
 
 def test_generation_span_names_its_engine(monkeypatch):
-    first = "python" if synthetic._compiled_loop() is None else "cext"
+    first = "python" if library.entry("draw") is None else "cext"
+    why = library.reason("draw") or None
     tracer = SpanTracer(capacity=64)
     previous = set_tracer(tracer)
     try:
@@ -164,6 +177,9 @@ def test_generation_span_names_its_engine(monkeypatch):
     spans = [e for e in tracer.events() if e["name"] == "traces.generate"]
     engines = [e["args"]["engine"] for e in spans]
     assert engines == [first, "python"]
+    assert [e["args"].get("reason") for e in spans] == [
+        why, "SIBYL_BACKEND=off",
+    ]
     assert all(e["args"]["requests"] == 50 for e in spans)
 
 
