@@ -1049,9 +1049,10 @@ long long sib_draw_trace(void **p) {
  *     for under eight terms, from +0) and division, the step sums
  *     (np.add.reduce over a leading axis: +0, then each step in order),
  *     the clip and Adam.
- * library.rnn_primitives resolves and handshakes those addresses and
- * only offers shapes where every product is a gemv: no 1-wide layer
- * (np.dot takes scalar paths there), and under eight outputs. */
+ * The rnn row of library.ENTRIES resolves those addresses and
+ * handshakes them per shape; ElmanRNN._refusal only asks for shapes
+ * where every product is a gemv: no 1-wide layer (np.dot takes scalar
+ * paths there), and under eight outputs. */
 typedef void (*rf_gemv64_t)(int, int, int64_t, int64_t, double,
                             const double *, int64_t, const double *, int64_t,
                             double, double *, int64_t);

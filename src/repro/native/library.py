@@ -34,7 +34,7 @@ from . import abi, blas
 
 __all__ = [
     "available", "unavailable_reason", "so_path", "load", "check_arrays",
-    "bind", "Entry", "ENTRIES", "Binding", "entry", "reason", "report",
+    "bind", "Entry", "ENTRIES", "Binding", "entry", "report",
     "SAMPLER_SYMBOLS", "RNN_UFUNCS",
 ]
 
@@ -263,35 +263,31 @@ def _state(name: str, args: tuple, backend: Optional[str]):
             ENTRIES[name].check(resolved, *args)
         except Unresolved as exc:
             why = str(exc)
-    if why:
-        return mode, None, why
-    return mode, Binding(name, lib, resolved), ""
+    return mode, None if why else Binding(name, lib, resolved), why
 
 
-def entry(name: str, *args, backend: Optional[str] = None) -> Optional[Binding]:
-    """Row ``name``'s binding for an eligible caller (``args`` go to the
-    row's check), or None for the Python path; under ``cext`` (the knob,
-    or ``backend``) a row that does not resolve raises instead."""
+def entry(
+    name: str, *args, backend: Optional[str] = None
+) -> Tuple[Optional[Binding], str]:
+    """``(binding, "")`` for row ``name`` and an eligible caller (``args``
+    go to the row's check), or ``(None, why)``: the Python path runs.
+    Under ``cext`` (the knob, or ``backend``) a row that does not
+    resolve raises instead."""
     mode, binding, why = _state(name, args, backend)
     if binding is None and mode == "cext":
         raise RuntimeError(
             f"SIBYL_BACKEND=cext requested but the compiled {name} entry "
             f"point is unavailable: {why}"
         )
-    return binding
+    return binding, why
 
 
-def reason(name: str, *args, backend: Optional[str] = None) -> str:
-    """Why :func:`entry` returns None for these arguments ('' if not)."""
-    return _state(name, args, backend)[2]
-
-
-def report(backend: Optional[str] = None) -> Dict[str, Tuple[str, str]]:
+def report() -> Dict[str, Tuple[str, str]]:
     """``{entry: (engine, reason)}``: ``cext``, ``python`` with the
     build, load or resolver failure, or ``off``; no per-use checks."""
     rows = {}
     for name in ENTRIES:
-        mode, binding, why = _state(name, (), backend)
+        mode, _, why = _state(name, (), None)
         rows[name] = (mode if mode == "off" else "python" if why else "cext", why)
     return rows
 

@@ -139,7 +139,7 @@ class ElmanRNN:
 
     def predict(self, sequence: np.ndarray) -> int:
         """Class index for one sequence."""
-        compiled = self._compiled()
+        compiled, _ = self._compiled()
         if compiled is not None:
             sequence = np.asarray(sequence, dtype=np.float64)
             if sequence.ndim == 2 and len(sequence) and (
@@ -219,14 +219,12 @@ class ElmanRNN:
         bad = (labels < 0) | (labels >= self.n_outputs)
         if bad.any():
             raise ValueError(f"label {int(labels[bad][0])} out of range")
-        compiled = self._compiled() if sequences.size else None
-        engine = {"engine": "cext"}
-        if compiled is None:
-            from ..native import library
-
-            shape = (self.n_inputs, self.n_hidden, self.n_outputs)
-            why = self._refusal() or library.reason("rnn", *shape)
-            engine = {"engine": "python", "reason": why or "empty batch"}
+        compiled, why = (
+            self._compiled() if sequences.size else (None, "empty batch")
+        )
+        engine = {"engine": "cext"} if compiled is not None else {
+            "engine": "python", "reason": why,
+        }
         with span("rl.rnn_train", cat="rl", **engine, sequences=len(labels)):
             if compiled is None:
                 for sequence, label in zip(sequences, labels.tolist()):
@@ -247,20 +245,23 @@ class ElmanRNN:
                     " has a 1-wide layer or 8+ outputs")
         return ""
 
-    def _compiled(self) -> Optional["_CompiledRNN"]:
-        """This network's binding into the compiled library (kept from
-        the first call that got one), or None: the Python loop runs."""
-        if self._refusal():
-            return None
+    def _compiled(self) -> Tuple[Optional["_CompiledRNN"], str]:
+        """``(binding, "")``: this network's arrays in the compiled
+        library (bound on the first call that gets one), or ``(None,
+        why)``: the Python loop runs.  The gate is asked on every call,
+        so ``SIBYL_BACKEND=off`` holds for a network bound before."""
+        why = self._refusal()
+        if why:
+            return None, why
+        from ..native import library
+
+        rnn, why = library.entry("rnn", self.n_inputs, self.n_hidden, self.n_outputs)
+        if rnn is None:
+            return None, why
         compiled = _BINDINGS.get(self)
         if compiled is None:
-            from ..native import library
-
-            rnn = library.entry("rnn", self.n_inputs, self.n_hidden, self.n_outputs)
-            if rnn is None:
-                return None
             compiled = _BINDINGS[self] = _CompiledRNN(self, rnn)
-        return compiled
+        return compiled, ""
 
     @property
     def parameter_count(self) -> int:

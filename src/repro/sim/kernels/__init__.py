@@ -52,10 +52,9 @@ __all__ = [
 BACKENDS = knobs.ROWS["SIBYL_BACKEND"].choices
 
 
-def get_backend(name: Optional[str] = None) -> Optional[str]:
-    """``"cext"``, or ``None`` (= kernel disabled: lanes are stepped
-    serially), as :func:`repro.native.library.entry` resolves the
-    ``tick`` row under ``name`` (default: the environment)."""
+def _tick(name: Optional[str]):
+    """The ``tick`` row's binding under ``name`` (default: the
+    environment), or None: :func:`repro.native.library.entry`."""
     if name == "numpy":
         # The frozen probe sim.kernels.tick_us_per_req.numpy still asks
         # for the deleted NumPy engine by name; it times serial stepping
@@ -63,7 +62,13 @@ def get_backend(name: Optional[str] = None) -> Optional[str]:
         name = "off"
     from ...native import library
 
-    return None if library.entry("tick", backend=name) is None else "cext"
+    return library.entry("tick", backend=name)[0]
+
+
+def get_backend(name: Optional[str] = None) -> Optional[str]:
+    """``"cext"``, or ``None`` (= kernel disabled: lanes are stepped
+    serially), as the gate resolves the ``tick`` row under ``name``."""
+    return None if _tick(name) is None else "cext"
 
 
 def dual_device_hss(hss) -> bool:
@@ -147,7 +152,8 @@ def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> Li
     (inference + train gates) the kernel paid, and ``script_lanes``,
     the number of scripted lanes (which count nothing else).
     """
-    if get_backend(backend) is None:
+    tick = _tick(backend)
+    if tick is None:
         return list(runs)
     from .engine_c import run_lanes_c
     from .script import script_eligible
@@ -155,6 +161,6 @@ def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> Li
     taken = [run for run in runs if kernel_eligible(run)]
     scripted = [run for run in runs if script_eligible(run)]
     if taken or scripted:
-        run_lanes_c(taken, scripted, sink=sink)
+        run_lanes_c(taken, scripted, tick, sink=sink)
     chosen = set(map(id, taken + scripted))
     return [run for run in runs if id(run) not in chosen]

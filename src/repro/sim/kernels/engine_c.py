@@ -477,11 +477,12 @@ class _KernelRun(_HSSState):
 
 
 def run_one_c(
-    run, sink=None, trace: Optional[TraceSoA] = None, lane: int = 0,
+    run, tick, sink=None, trace: Optional[TraceSoA] = None, lane: int = 0,
 ) -> None:
     """Drive one ``PolicyRun`` that :func:`~repro.sim.kernels.kernel_eligible`
-    accepts to completion through the compiled kernel, bit-identically
-    to serial ``run_policy``.
+    accepts to completion through the compiled kernel (``tick``, the
+    ``tick`` row's ``library.Binding``), bit-identically to serial
+    ``run_policy``.
 
     ``trace`` is the run's trace already packed (lanes replaying one
     trace share the pack); by default the run's own iterator is packed.
@@ -490,7 +491,6 @@ def run_one_c(
     the C loop returns are counted for free in the dispatch loop below,
     so ``kernel_barriers`` prices the Python boundary exactly.
     """
-    tick = library.entry("tick", backend="cext")
     if trace is None:
         trace = TraceSoA.from_run(run)
     state = _KernelRun(run, trace)
@@ -521,7 +521,7 @@ def run_one_c(
         sink.count("kernel_barriers", n_inference + n_train)
 
 
-def run_script_c(run, trace: TraceSoA, sink=None) -> None:
+def run_script_c(run, tick, trace: TraceSoA, sink=None) -> None:
     """Drive one scripted ``PolicyRun`` (``script.script_eligible``) to
     completion: the policy decides every request ahead of the replay
     (:func:`~.script.decide`, Python), then the kernel's one serve/evict
@@ -549,15 +549,15 @@ def run_script_c(run, trace: TraceSoA, sink=None) -> None:
         "kernel.invoke", cat="kernel", mode="script", policy=run.policy.name,
         requests=trace.n,
     ):
-        library.entry("tick", backend="cext").call("sib_run", ptrs, state.ci)
+        tick.call("sib_run", ptrs, state.ci)
     state.export_hss()
     if sink is not None:
         sink.count("script_lanes")
 
 
-def run_lanes_c(runs: List, scripted: Sequence = (), sink=None) -> None:
+def run_lanes_c(runs: List, scripted: Sequence, tick, sink=None) -> None:
     """Drive every agent run, then every scripted run, to completion
-    through the compiled engine.
+    through the compiled engine ``tick`` (the gate's binding).
 
     A trace tuple's pack is the process's one (:func:`.soa.shared_pack`:
     built once per process, shared by every call that replays it); any
@@ -577,6 +577,6 @@ def run_lanes_c(runs: List, scripted: Sequence = (), sink=None) -> None:
         return streamed[id(source)]
 
     for lane, run in enumerate(runs):
-        run_one_c(run, sink=sink, trace=pack(run), lane=lane)
+        run_one_c(run, tick, sink=sink, trace=pack(run), lane=lane)
     for run in scripted:
-        run_script_c(run, pack(run), sink=sink)
+        run_script_c(run, tick, pack(run), sink=sink)

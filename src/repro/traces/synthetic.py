@@ -185,9 +185,9 @@ class SyntheticTraceGenerator:
         perm = rng.permutation(len(bases))
         from ..native import library
 
-        draw = library.entry("draw")
+        draw, why = library.entry("draw")
         engine = {"engine": "cext"} if draw is not None else {
-            "engine": "python", "reason": library.reason("draw"),
+            "engine": "python", "reason": why,
         }
         with span(
             "traces.generate", cat="traces", **engine, requests=self.n_requests,

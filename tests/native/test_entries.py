@@ -33,7 +33,7 @@ def _draw_columns():
 
 
 def _rnn_binding():
-    return ElmanRNN(2, 16, 2, rng=np.random.default_rng(0))._compiled()
+    return ElmanRNN(2, 16, 2, rng=np.random.default_rng(0))._compiled()[0]
 
 
 #: Per row, a caller's own use of it: None means it took the Python path.
@@ -96,7 +96,7 @@ def test_failed_resolution_raises_under_cext_and_falls_back_under_auto(
     assert library.report()[name] == ("python", "planted failure")
     monkeypatch.setenv("SIBYL_BACKEND", "auto")
     assert CALLERS[name]() is None
-    assert library.reason(name) == "planted failure"
+    assert library.entry(name) == (None, "planted failure")
     for other in ROWS:
         if other != name:
             assert CALLERS[other]() is not None, other
@@ -127,8 +127,9 @@ def test_eligibility_refusals_never_raise(backend, monkeypatch):
     assert spans == [{"engine": "python",
                       "reason": "optimizer SGD is not Adam", "sequences": 2}]
     wide = ElmanRNN(2, 16, 8, rng=np.random.default_rng(0))
-    assert wide._compiled() is None
-    assert wide._refusal() == "shape 2-16-8 has a 1-wide layer or 8+ outputs"
+    assert wide._compiled() == (
+        None, "shape 2-16-8 has a 1-wide layer or 8+ outputs"
+    )
 
 
 def test_off_reads_off_and_loads_nothing(monkeypatch, fresh_resolution):
@@ -146,8 +147,23 @@ def test_off_reads_off_and_loads_nothing(monkeypatch, fresh_resolution):
     }
     for name in ROWS:
         assert CALLERS[name]() is None, name
+
+
+@requires_library
+def test_off_holds_for_a_network_bound_before(monkeypatch):
+    """The gate is asked on every use: a network bound under ``auto``
+    runs its Python loop once ``off`` is set, and its span says so."""
     monkeypatch.setenv("SIBYL_BACKEND", "auto")
-    assert library.report(backend="off")["tick"] == ("off", "SIBYL_BACKEND=off")
+    rnn = ElmanRNN(2, 16, 2, rng=np.random.default_rng(0))
+    sequences = np.zeros((2, 3, 2))
+    train = lambda: rnn.train_sequences(sequences, [0, 1])  # noqa: E731
+    assert _spans(train, "rl.rnn_train")[0]["engine"] == "cext"
+    monkeypatch.setattr(library, "load", lambda: pytest.fail("library loaded"))
+    monkeypatch.setenv("SIBYL_BACKEND", "off")
+    assert _spans(train, "rl.rnn_train") == [
+        {"engine": "python", "reason": "SIBYL_BACKEND=off", "sequences": 2}
+    ]
+    assert rnn.predict(sequences[0]) in (0, 1)
 
 
 @requires_library

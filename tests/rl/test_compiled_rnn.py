@@ -29,7 +29,7 @@ from repro.rl.optim import Adam
 from repro.rl.rnn import ElmanRNN
 from repro.traces.workloads import make_trace
 
-COMPILED = ElmanRNN(2, 16, 2)._compiled() is not None
+COMPILED = ElmanRNN(2, 16, 2)._compiled()[0] is not None
 
 requires_compiled = pytest.mark.skipif(
     not COMPILED,
@@ -177,7 +177,7 @@ def _fallback_gives_the_same_bytes():
     assert engines(
         lambda: ours.train_sequences(sequences, labels)
     ) == [("python", 120)]
-    assert ours._compiled() is None
+    assert ours._compiled()[0] is None
     python_loop(reference, sequences, labels, 16)
     assert state(ours) == state(reference)
     assert [ours.predict(s) for s in sequences] == [
@@ -213,7 +213,7 @@ def test_missing_blas_symbol_falls_back(monkeypatch, fresh_primitives):
     monkeypatch.setattr(blas, "OPENBLAS_EXPORTS", tuple(
         e._replace(dgemv="no_such_dgemv") for e in blas.OPENBLAS_EXPORTS
     ))
-    assert library.entry("rnn", 2, 16, 2) is None
+    assert library.entry("rnn", 2, 16, 2)[0] is None
     _fallback_gives_the_same_bytes()
 
 
@@ -227,7 +227,7 @@ def test_failed_ufunc_check_falls_back(swap, monkeypatch, fresh_primitives):
     monkeypatch.setattr(library, "RNN_UFUNCS", ("tanh", swap))
     loop = library._ufunc_loop(getattr(np, swap), swap)
     assert (loop is None) == (swap != "expm1")
-    assert library.entry("rnn", 2, 16, 2) is None
+    assert library.entry("rnn", 2, 16, 2)[0] is None
     _fallback_gives_the_same_bytes()
 
 
@@ -236,7 +236,7 @@ def test_shapes_the_library_refuses(monkeypatch):
     for backend in ("auto", "cext", "off"):
         monkeypatch.setenv("SIBYL_BACKEND", backend)
         for shape in ((1, 16, 2), (2, 1, 2), (2, 16, 1), (2, 16, 8)):
-            assert ElmanRNN(*shape)._compiled() is None, (backend, shape)
+            assert ElmanRNN(*shape)._compiled()[0] is None, (backend, shape)
 
 
 @requires_compiled

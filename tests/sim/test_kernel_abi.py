@@ -217,6 +217,6 @@ class TestPackTime:
             def sib_run(self, ptrs):
                 raise AssertionError("sib_run entered with a mistyped array")
 
-        monkeypatch.setattr(library, "load", lambda: NeverEntered())
+        tick = library.Binding("tick", NeverEntered(), ())
         with pytest.raises(RuntimeError, match=r"slot P_SIZE .*int32"):
-            engine_c.run_one_c(run)
+            engine_c.run_one_c(run, tick)

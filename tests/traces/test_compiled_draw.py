@@ -30,8 +30,8 @@ from repro.traces.synthetic import SyntheticTraceGenerator
 from repro.traces.workloads import ALL_WORKLOADS, WorkloadSpec, make_trace
 
 requires_compiled = pytest.mark.skipif(
-    bool(library.reason("draw")),
-    reason=f"compiled draw loop unavailable: {library.reason('draw')}",
+    library.report()["draw"][0] != "cext",
+    reason=f"compiled draw loop unavailable: {library.report()['draw'][1]}",
 )
 
 GOLDEN = json.loads(
@@ -117,7 +117,7 @@ def test_catalog_traces_cross_phases_identically(name):
 @pytest.mark.parametrize("backend", ["auto", "cext", "off"])
 def test_catalog_matches_golden_under_every_backend(backend, monkeypatch):
     monkeypatch.setenv("SIBYL_BACKEND", backend)
-    if backend != "off" and library.entry("draw", backend="auto") is None:
+    if backend != "off" and library.entry("draw", backend="auto")[0] is None:
         pytest.skip("compiled draw loop unavailable")
     for name in ("rsrch_0", "hm_1", "proj_2", "YCSB_C"):
         for seed in (0, 11):
@@ -127,7 +127,7 @@ def test_catalog_matches_golden_under_every_backend(backend, monkeypatch):
 
 def test_off_keeps_the_python_loop(monkeypatch):
     monkeypatch.setenv("SIBYL_BACKEND", "off")
-    assert library.entry("draw") is None
+    assert library.entry("draw")[0] is None
     gen = SyntheticTraceGenerator(ALL_WORKLOADS["hm_1"], n_requests=300)
     trace, columns = gen.generate_with_columns()
     assert columns is None
@@ -156,16 +156,17 @@ def test_missing_sampler_falls_back_to_the_same_bytes(
         library.SAMPLER_SYMBOLS[:-1] + ("random_no_such_sampler",),
     )
     library._resolve.cache_clear()
-    assert "random_no_such_sampler" in library.reason("draw")
-    assert library.entry("draw") is None
+    draw, why = library.entry("draw")
+    assert draw is None and "random_no_such_sampler" in why
     fallback, columns = gen.generate_with_columns()
     assert columns is None
     assert_identical(fallback, compiled)
 
 
 def test_generation_span_names_its_engine(monkeypatch):
-    first = "python" if library.entry("draw") is None else "cext"
-    why = library.reason("draw") or None
+    draw, why = library.entry("draw")
+    first = "python" if draw is None else "cext"
+    why = why or None
     tracer = SpanTracer(capacity=64)
     previous = set_tracer(tracer)
     try:
