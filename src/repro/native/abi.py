@@ -2,7 +2,8 @@
 
 ``kernel.c`` and its Python callers (``sim/kernels/engine_c.py`` for
 the tick kernel, ``traces/synthetic.py`` for the trace draw loop,
-``rl/rnn.py`` for RNN-HSS's network) talk through one ``void *``
+``rl/rnn.py`` for RNN-HSS's network, ``rl/c51.py`` for Sibyl's) talk
+through one ``void *``
 pointer table and a handful of flat control blocks.  Everything both
 sides must agree on — slot order, element types, block lengths,
 strides, status codes, the NumPy routine addresses the draw loop and
@@ -49,6 +50,7 @@ class Pointer(NamedTuple):
     field: str  # member of the C state struct ``S``
     ctype: str  # element type, a key of DTYPES
     const: bool = False  # the kernel only reads through it
+    optional: bool = False  # left NULL when no array is bound; tested in C
 
 
 class Table(NamedTuple):
@@ -67,6 +69,8 @@ class Table(NamedTuple):
     status: Tuple[str, ...]  # every entry point's return codes
     samplers: Tuple[str, ...]  # P_TG_FNS: bitgen_t and sampler addresses
     rnn_fns: Tuple[str, ...]  # P_RNN_FNS: gemv and ufunc loop addresses
+    c51_fns: Tuple[str, ...]  # P_C51_FNS: gemv, gemm and ufunc loop addresses
+    c51_layer: Tuple[str, ...]  # P_C51_LAYERS: one layer's buffer addresses
 
 
 TABLE = Table(
@@ -149,6 +153,32 @@ TABLE = Table(
         Pointer("P_RNN_PROBS", "rnn_probs", "double"),
         Pointer("P_RNN_RECUR", "rnn_recur", "double"),
         Pointer("P_RNN_DH", "rnn_dh", "double"),
+        # Sibyl's C51 network (sib_c51_train, sib_c51_act, and sib_run's
+        # memo-miss forward): the addresses of NumPy's gemv, gemm and
+        # float64 tanh/exp/log loops (indexed by ``c51_fns``); the layer
+        # widths; the flat parameters -- in sib_run the inference
+        # network's, NULL where the lane's forward runs in Python --,
+        # gradients and Adam moments; the support; a forward's scratch;
+        # one call's observations, actions, target pmfs and per-row
+        # cross-entropies; the step's workspace arrays; and each Dense
+        # layer's own training buffers (addresses, ``c51_layer`` per
+        # layer), so both engines leave the same object behind.
+        Pointer("P_C51_FNS", "c51_fns", "uint64_t", const=True),
+        Pointer("P_C51_DIMS", "c51_dims", "int64_t", const=True),
+        Pointer("P_C51_PARAMS", "c51_params", "double", optional=True),
+        Pointer("P_C51_GRADS", "c51_grads", "double"),
+        Pointer("P_C51_M", "c51_m", "double"),
+        Pointer("P_C51_V", "c51_v", "double"),
+        Pointer("P_C51_SUPPORT", "c51_support", "double", const=True),
+        Pointer("P_C51_SCRATCH", "c51_scratch", "double"),
+        Pointer("P_C51_OBS", "c51_obs", "double", const=True),
+        Pointer("P_C51_ACTIONS", "c51_actions", "int64_t", const=True),
+        Pointer("P_C51_TARGETS", "c51_targets", "double", const=True),
+        Pointer("P_C51_CE", "c51_ce", "double"),
+        Pointer("P_C51_SOFT", "c51_soft", "double"),
+        Pointer("P_C51_WORK", "c51_work", "double"),
+        Pointer("P_C51_GRAD", "c51_grad", "double"),
+        Pointer("P_C51_LAYERS", "c51_layers", "uint64_t", const=True),
     ),
     ctrl_i=(
         "CI_STATUS", "CI_I", "CI_RESUMED", "CI_NTOTAL", "CI_WARMUP",
@@ -175,6 +205,14 @@ TABLE = Table(
         "CI_RNN_NIN", "CI_RNN_NHID", "CI_RNN_NOUT", "CI_RNN_STEPS",
         "CI_RNN_NSEQ", "CI_RNN_BPTT", "CI_RNN_CAP", "CI_RNN_ADAM_T",
         "CI_RNN_ILP64", "CI_RNN_CLASS",
+        # sib_c51_*: the layer count, actions, atoms, batch size, steps
+        # in the call, Adam's step count (read and written back), whether
+        # gemv/gemm take 64-bit ints, and the action act returns; and the
+        # forwards sib_run computed itself (memo misses it did not hand
+        # to Python).
+        "CI_C51_NLAYERS", "CI_C51_NACT", "CI_C51_NATOMS", "CI_C51_BATCH",
+        "CI_C51_STEPS", "CI_C51_ADAM_T", "CI_C51_ILP64", "CI_C51_ACTION",
+        "CI_FORWARDS",
     ),
     ctrl_d=(
         "CD_COMPLETION", "CD_EPS", "CD_UNIT", "CD_EVICT_COEF",
@@ -186,6 +224,8 @@ TABLE = Table(
         "CD_TG_MEAN_GAP", "CD_TG_SIZE_DIV",
         # sib_rnn_train: Adam's learning rate, betas and epsilon.
         "CD_RNN_LR", "CD_RNN_BETA1", "CD_RNN_BETA2", "CD_RNN_EPS",
+        # sib_c51_train: Adam's learning rate, betas and epsilon.
+        "CD_C51_LR", "CD_C51_BETA1", "CD_C51_BETA2", "CD_C51_EPS",
     ),
     dev_d=(
         "DD_NEXT_FREE", "DD_BUSY", "DD_QWAIT", "DD_UTIL", "DD_GC_TIME",
@@ -211,6 +251,9 @@ TABLE = Table(
     samplers=("SP_BITGEN", "SP_UNIFORM", "SP_GEOMETRIC", "SP_EXPONENTIAL",
               "SP_BOUNDED_U64"),
     rnn_fns=("RF_GEMV", "RF_TANH", "RF_TANH_DATA", "RF_EXP", "RF_EXP_DATA"),
+    c51_fns=("CF_GEMV", "CF_GEMM", "CF_TANH", "CF_TANH_DATA", "CF_EXP",
+             "CF_EXP_DATA", "CF_LOG", "CF_LOG_DATA"),
+    c51_layer=("CL_Z", "CL_ACT", "CL_GRAD_IN"),
 )
 
 
@@ -225,6 +268,8 @@ def _enums(table: Table) -> Iterator[Tuple[Sequence[str], str]]:
     yield table.hss_d, "HD_LEN"
     yield table.samplers, "SP_LEN"
     yield table.rnn_fns, "RF_LEN"
+    yield table.c51_fns, "CF_LEN"
+    yield table.c51_layer, "CL_LEN"
 
 
 def constants(table: Table = TABLE) -> Dict[str, int]:

@@ -1,8 +1,9 @@
 """NumPy's OpenBLAS: found once, and its thread pool pinned.
 
 Two callers need NumPy's own BLAS, not a second copy of it: the thread
-pin below and RNN-HSS's compiled network (its ``cblas_dgemv``, the
-``rnn`` row of :data:`repro.native.library.ENTRIES`).  Both find it
+pin below and the compiled networks (``cblas_dgemv`` for RNN-HSS's,
+``cblas_dgemv`` and ``cblas_dgemm`` for Sibyl's: the ``rnn`` and ``c51``
+rows of :data:`repro.native.library.ENTRIES`).  Both find it
 through :func:`numpy_openblas`: the shared objects with ``openblas`` in
 their name are read from ``/proc/self/maps`` and opened by path with
 ``ctypes`` (which returns the loaded image), and the first one
@@ -48,6 +49,7 @@ class OpenBLASExports(NamedTuple):
     set_threads: str
     get_threads: str
     dgemv: str
+    dgemm: str
     ilp64: bool  # whether its integer arguments are 64-bit
 
 
@@ -57,14 +59,15 @@ class OpenBLASExports(NamedTuple):
 OPENBLAS_EXPORTS = (
     OpenBLASExports("scipy_openblas_set_num_threads64_",
                     "scipy_openblas_get_num_threads64_",
-                    "scipy_cblas_dgemv64_", True),
+                    "scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_", True),
     OpenBLASExports("scipy_openblas_set_num_threads",
                     "scipy_openblas_get_num_threads",
-                    "scipy_cblas_dgemv", False),
+                    "scipy_cblas_dgemv", "scipy_cblas_dgemm", False),
     OpenBLASExports("openblas_set_num_threads64_",
-                    "openblas_get_num_threads64_", "cblas_dgemv64_", True),
+                    "openblas_get_num_threads64_", "cblas_dgemv64_",
+                    "cblas_dgemm64_", True),
     OpenBLASExports("openblas_set_num_threads", "openblas_get_num_threads",
-                    "cblas_dgemv", False),
+                    "cblas_dgemv", "cblas_dgemm", False),
 )
 
 

@@ -23,20 +23,26 @@
  * The kernel owns no Python objects.  The caller (engine_c.py) passes
  * one table of raw array pointers; everything the serial path mutates
  * lives in those arrays and is written back to the live objects at the
- * end.  Work the kernel cannot do natively suspends the run instead:
- * sib_run() returns NEED_INFERENCE (action-memo miss -> the caller runs
- * the NN forward) or TRAIN_GATE (a training event is due -> the caller
- * drives train_begin/train_commit) and is re-entered where it left off.
+ * end.  An action-memo miss runs the inference network's forward here
+ * (c51_forward, the same routine as sib_c51_act) when the caller bound
+ * that network's flat parameters at P_C51_PARAMS.  Work the kernel does
+ * not do itself suspends the run instead: sib_run() returns
+ * NEED_INFERENCE (a memo miss with P_C51_PARAMS NULL -- the DQN head, a
+ * shape C51Network._compiled refuses, or an unresolved c51 row under
+ * auto -> the caller runs best_action) or TRAIN_GATE (a training event
+ * is due -> the caller drives train_begin/train_commit) and is
+ * re-entered where it left off.
  *
  * A *scripted* lane (CI_SCRIPTED; script.py) made its decisions ahead of
  * the replay: the tick takes script[i], skips observe/memo/replay/reward
  * and the train gate, and runs the same serve block and do_evict as an
  * agent tick -- one copy of each, two callers.
  *
- * The same library carries three more, unrelated entry points, after
- * the tick kernel: sib_draw_trace(), the per-request draw loop of the
- * synthetic trace generator (traces/synthetic.py), and sib_rnn_train()
- * / sib_rnn_predict(), RNN-HSS's Elman RNN (rl/rnn.py).
+ * The same library carries more entry points, after the tick kernel:
+ * sib_draw_trace(), the per-request draw loop of the synthetic trace
+ * generator (traces/synthetic.py); sib_rnn_train() / sib_rnn_predict(),
+ * RNN-HSS's Elman RNN (rl/rnn.py); and sib_c51_train() / sib_c51_act(),
+ * Sibyl's C51 network (rl/c51.py).
  */
 
 #include <math.h>
@@ -570,6 +576,9 @@ static inline int64_t log2b(int64_t v, int64_t nb) {
 }
 
 /* ------------------------------------------------------------ the run */
+/* The C51 inference network's forward, defined with the network below. */
+static int64_t c51_forward(const S *s, const int64_t *ci, const double *obs);
+
 /* engine_c.py compares this with the hash of the table it packs by. */
 unsigned long long sib_abi_hash(void) { return SIB_ABI_HASH; }
 
@@ -711,7 +720,7 @@ long long sib_run(void **p) {
             action = pcg_integers(&rng, (uint64_t)ndev);
         } else {
             action = memo_get(s, obs_key);
-            if (action < 0) { /* memo miss: hand the forward to Python */
+            if (action < 0) { /* memo miss: the inference network's forward */
                 if (ci[CI_MEMO_N] >= ci[CI_MEMO_CAP]) {
                     ci[CI_ERR] = 1;
                     ci[CI_STATUS] = ST_ERROR;
@@ -719,11 +728,16 @@ long long sib_run(void **p) {
                     goto save_state;
                 }
                 memo_stage(s, obs_key, obs);
-                memcpy(s->obs_mail, obs, 48);
-                ci[CI_I] = i;
-                ci[CI_RESUMED] = 1;
-                ci[CI_STATUS] = ST_NEED_INFERENCE;
-                goto save_state;
+                if (s->c51_params == NULL) { /* not bound: hand it to Python */
+                    memcpy(s->obs_mail, obs, 48);
+                    ci[CI_I] = i;
+                    ci[CI_RESUMED] = 1;
+                    ci[CI_STATUS] = ST_NEED_INFERENCE;
+                    goto save_state;
+                }
+                action = c51_forward(s, ci, obs);
+                ci[CI_FORWARDS]++;
+                memo_commit(s, action);
             }
         }
 
@@ -1030,45 +1044,225 @@ long long sib_draw_trace(void **p) {
     return ST_DONE;
 }
 
+/* --------------------------------------------- NumPy's own routines */
+/* The two networks below (RNN-HSS's and Sibyl's) call what NumPy calls:
+ * its OpenBLAS's cblas_dgemv / cblas_dgemm with NumPy's arguments, and
+ * its float64 ufunc loops (the first d->d entry of the ufunc's
+ * `functions` table, the one NumPy selects), called in place on the
+ * whole array as the reference's out= calls are.  The entry table
+ * (library.ENTRIES) resolves the addresses and handshakes each form per
+ * shape; this file is built with -ffp-contract=off, so every other
+ * operation is one IEEE rounding, as in NumPy's elementwise loops. */
+typedef void (*np_gemv64_t)(int, int, int64_t, int64_t, double,
+                            const double *, int64_t, const double *, int64_t,
+                            double, double *, int64_t);
+typedef void (*np_gemv32_t)(int, int, int32_t, int32_t, double,
+                            const double *, int32_t, const double *, int32_t,
+                            double, double *, int32_t);
+typedef void (*np_gemm64_t)(int, int, int, int64_t, int64_t, int64_t, double,
+                            const double *, int64_t, const double *, int64_t,
+                            double, double *, int64_t);
+typedef void (*np_gemm32_t)(int, int, int, int32_t, int32_t, int32_t, double,
+                            const double *, int32_t, const double *, int32_t,
+                            double, double *, int32_t);
+typedef void (*np_loop_t)(char **, const intptr_t *, const intptr_t *,
+                          void *);
+
+enum {
+    NP_ROW_MAJOR = 101,
+    NP_COL_MAJOR = 102,
+    NP_NO_TRANS = 111,
+    NP_TRANS = 112
+};
+
+typedef struct {
+    void *gemv, *gemm;
+    int ilp64;
+} np_blas_t;
+
+typedef struct {
+    np_loop_t fn;
+    void *data;
+} np_ufunc_t;
+
+static np_ufunc_t np_ufunc(const uint64_t *fns, int fn, int data) {
+    np_ufunc_t u = {(np_loop_t)(uintptr_t)fns[fn],
+                    (void *)(uintptr_t)fns[data]};
+    return u;
+}
+
+/* y = x @ A over a (rows, cols) A: order NP_ROW_MAJOR with lda = cols
+ * for C-ordered A, NP_COL_MAJOR with lda = rows for the transpose of a
+ * C-ordered (cols, rows) array. */
+static void np_gemv(const np_blas_t *b, int order, int64_t rows,
+                    int64_t cols, const double *a, int64_t lda,
+                    const double *x, double *y) {
+    if (b->ilp64)
+        ((np_gemv64_t)b->gemv)(order, NP_TRANS, rows, cols, 1.0, a, lda, x,
+                               1, 0.0, y, 1);
+    else
+        ((np_gemv32_t)b->gemv)(order, NP_TRANS, (int32_t)rows,
+                               (int32_t)cols, 1.0, a, (int32_t)lda, x, 1,
+                               0.0, y, 1);
+}
+
+/* np.dot(x, W, out=y), W (rows, cols) C-ordered */
+static void np_dot(const np_blas_t *b, const double *x, const double *w,
+                   int64_t rows, int64_t cols, double *y) {
+    memset(y, 0, (size_t)cols * sizeof(double));
+    np_gemv(b, NP_ROW_MAJOR, rows, cols, w, cols, x, y);
+}
+
+/* np.dot(x, W.T, out=y), W (cols, rows) C-ordered */
+static void np_dot_t(const np_blas_t *b, const double *x, const double *w,
+                     int64_t rows, int64_t cols, double *y) {
+    memset(y, 0, (size_t)cols * sizeof(double));
+    np_gemv(b, NP_COL_MAJOR, rows, cols, w, rows, x, y);
+}
+
+/* np.matmul(op(A), op(B), out=C) for C-ordered (m, n) C: op(A) is (m, k)
+ * -- A itself (lda k), or with ta = NP_TRANS the transpose of a C-ordered
+ * (k, m) A (lda m) -- and op(B) likewise (k, n). */
+static void np_gemm(const np_blas_t *b, int ta, int tb, int64_t m,
+                    int64_t n, int64_t k, const double *a, int64_t lda,
+                    const double *bm, int64_t ldb, double *c) {
+    if (b->ilp64)
+        ((np_gemm64_t)b->gemm)(NP_ROW_MAJOR, ta, tb, m, n, k, 1.0, a, lda,
+                               bm, ldb, 0.0, c, n);
+    else
+        ((np_gemm32_t)b->gemm)(NP_ROW_MAJOR, ta, tb, (int32_t)m,
+                               (int32_t)n, (int32_t)k, 1.0, a, (int32_t)lda,
+                               bm, (int32_t)ldb, 0.0, c, (int32_t)n);
+}
+
+/* ufunc(a, out=a) */
+static void np_inplace(np_ufunc_t u, double *a, int64_t n) {
+    char *args[2] = {(char *)a, (char *)a};
+    const intptr_t dims[1] = {(intptr_t)n};
+    const intptr_t steps[2] = {sizeof(double), sizeof(double)};
+    u.fn(args, dims, steps, u.data);
+}
+
+/* np.maximum.reduce of a contiguous run: NaN-propagating (the first
+ * NaN).  The maximum does not depend on the order it is taken in, so it
+ * is taken in four interleaved runs; only which of -0 and +0 comes back
+ * can differ from NumPy's, and every caller subtracts it from the run
+ * and exponentiates, where the two give the same bytes. */
+static double np_max(const double *a, int64_t n) {
+    double m[4] = {a[0], a[0], a[0], a[0]};
+    int nan = isnan(a[0]);
+    int64_t k = 1;
+    for (; k + 4 <= n; k += 4)
+        for (int j = 0; j < 4; j++) {
+            const double x = a[k + j];
+            m[j] = x > m[j] ? x : m[j];
+            nan |= x != x;
+        }
+    for (; k < n; k++) {
+        m[0] = a[k] > m[0] ? a[k] : m[0];
+        nan |= a[k] != a[k];
+    }
+    if (nan)
+        for (k = 0;; k++)
+            if (isnan(a[k]))
+                return a[k];
+    const double lo = m[0] > m[1] ? m[0] : m[1];
+    const double hi = m[2] > m[3] ? m[2] : m[3];
+    return lo > hi ? lo : hi;
+}
+
+/* NumPy's pairwise sum of a contiguous run (DOUBLE_pairwise_sum):
+ * sequential under eight terms, eight accumulators up to 128, else the
+ * two halves, split at a multiple of eight.  np.add.reduce over a row
+ * is +0 plus this. */
+static double np_pairwise(const double *a, int64_t n) {
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return np_pairwise(a, n2) + np_pairwise(a + n2, n - n2);
+}
+
+/* np.argmax: the first maximum, or the first NaN. */
+static int64_t np_argmax(const double *a, int64_t n) {
+    int64_t best = 0;
+    double top = a[0];
+    if (!isnan(top))
+        for (int64_t j = 1; j < n; j++)
+            if (!(a[j] <= top)) {
+                top = a[j];
+                best = j;
+                if (isnan(top))
+                    break;
+            }
+    return best;
+}
+
+/* Adam.step (rl/optim.py) on one flat vector: Python's float pow,
+ * NumPy's float64 sqrt and divide; t is the step's count, already
+ * incremented. */
+static void adam_step(int64_t n, double *p, const double *g, double *m,
+                      double *v, int64_t t, double lr, double b1, double b2,
+                      double eps) {
+    const double bias1 = 1.0 - pow(b1, (double)t);
+    const double bias2 = 1.0 - pow(b2, (double)t);
+    const double alpha = lr / bias1;
+    const double inv_sqrt_bias2 = 1.0 / sqrt(bias2);
+    const double c1 = 1.0 - b1, c2 = 1.0 - b2;
+    for (int64_t e = 0; e < n; e++) {
+        m[e] *= b1;
+        m[e] += c1 * g[e];
+        v[e] *= b2;
+        v[e] += c2 * (g[e] * g[e]);
+        double denom = sqrt(v[e]);
+        denom *= inv_sqrt_bias2;
+        denom += eps;
+        double update = m[e] / denom;
+        update *= alpha;
+        p[e] -= update;
+    }
+}
+
 /* ------------------------------------------ RNN-HSS's Elman RNN (rl/rnn.py) */
 /* ElmanRNN._forward / train_sequence (rl/rnn.py, the Python reference it
  * must equal byte for byte), one sequence after another, in the
- * reference's statement order, on the network's own arrays.  Nothing is
- * re-implemented that NumPy computes with more than one rounding:
- *   - every np.dot and every row of the stacked np.matmul is a call to
- *     the cblas_dgemv NumPy itself calls, with NumPy's arguments --
- *     x @ W is (RowMajor, Trans, rows, cols, lda cols) and x @ W.T is
- *     (ColMajor, Trans, rows, cols, lda rows) over W's C-ordered data;
- *     np.dot first zeroes its output, the matmul does not;
- *   - tanh and exp are NumPy's own float64 loops (the first d->d entry
- *     of the ufunc's `functions` table, the one NumPy selects), called
- *     in place on the whole vector as the reference's out= calls are;
- *   - everything else is one IEEE operation per element, and this file
- *     is built with -ffp-contract=off: the residual adds, 1 - h^2, the
- *     outer products, the head's max, its sum (NumPy's sequential loop
- *     for under eight terms, from +0) and division, the step sums
- *     (np.add.reduce over a leading axis: +0, then each step in order),
- *     the clip and Adam.
+ * reference's statement order, on the network's own arrays, through
+ * NumPy's own routines above:
+ *   - every np.dot and every row of the stacked np.matmul is a gemv
+ *     call -- x @ W is (RowMajor, Trans, rows, cols, lda cols) and x @
+ *     W.T is (ColMajor, Trans, rows, cols, lda rows) over W's C-ordered
+ *     data; np.dot first zeroes its output, the matmul does not;
+ *   - tanh and exp are NumPy's loops;
+ *   - everything else is one IEEE operation per element: the residual
+ *     adds, 1 - h^2, the outer products, the head's max, its sum
+ *     (NumPy's sequential loop for under eight terms, from +0) and
+ *     division, the step sums (np.add.reduce over a leading axis: +0,
+ *     then each step in order), the clip and Adam.
  * The rnn row of library.ENTRIES resolves those addresses and
  * handshakes them per shape; ElmanRNN._refusal only asks for shapes
  * where every product is a gemv: no 1-wide layer (np.dot takes scalar
  * paths there), and under eight outputs. */
-typedef void (*rf_gemv64_t)(int, int, int64_t, int64_t, double,
-                            const double *, int64_t, const double *, int64_t,
-                            double, double *, int64_t);
-typedef void (*rf_gemv32_t)(int, int, int32_t, int32_t, double,
-                            const double *, int32_t, const double *, int32_t,
-                            double, double *, int32_t);
-typedef void (*rf_loop_t)(char **, const intptr_t *, const intptr_t *,
-                          void *);
-
-enum { RF_ROW_MAJOR = 101, RF_COL_MAJOR = 102, RF_TRANS = 112 };
-
 typedef struct {
-    void *gemv;
-    int ilp64;
-    rf_loop_t tanh_fn, exp_fn;
-    void *tanh_data, *exp_data;
+    np_blas_t blas;
+    np_ufunc_t tanh, exp;
     int64_t n_in, n_hid, n_out, cap;
     /* views into the flat parameters and gradients, as ElmanRNN's */
     double *w_xh, *w_hh, *b_h, *w_hy, *b_y;
@@ -1076,12 +1270,11 @@ typedef struct {
 } rnn_t;
 
 static void rnn_init(rnn_t *r, const S *s, const int64_t *ci) {
-    r->gemv = (void *)(uintptr_t)s->rnn_fns[RF_GEMV];
-    r->ilp64 = ci[CI_RNN_ILP64] != 0;
-    r->tanh_fn = (rf_loop_t)(uintptr_t)s->rnn_fns[RF_TANH];
-    r->tanh_data = (void *)(uintptr_t)s->rnn_fns[RF_TANH_DATA];
-    r->exp_fn = (rf_loop_t)(uintptr_t)s->rnn_fns[RF_EXP];
-    r->exp_data = (void *)(uintptr_t)s->rnn_fns[RF_EXP_DATA];
+    r->blas.gemv = (void *)(uintptr_t)s->rnn_fns[RF_GEMV];
+    r->blas.gemm = NULL;
+    r->blas.ilp64 = ci[CI_RNN_ILP64] != 0;
+    r->tanh = np_ufunc(s->rnn_fns, RF_TANH, RF_TANH_DATA);
+    r->exp = np_ufunc(s->rnn_fns, RF_EXP, RF_EXP_DATA);
     r->n_in = ci[CI_RNN_NIN];
     r->n_hid = ci[CI_RNN_NHID];
     r->n_out = ci[CI_RNN_NOUT];
@@ -1099,43 +1292,6 @@ static void rnn_init(rnn_t *r, const S *s, const int64_t *ci) {
     }
 }
 
-/* y = x @ A over a (rows, cols) A: order RF_ROW_MAJOR with lda = cols
- * for C-ordered A, RF_COL_MAJOR with lda = rows for the transpose of a
- * C-ordered (cols, rows) array. */
-static void rf_gemv(const rnn_t *r, int order, int64_t rows, int64_t cols,
-                    const double *a, int64_t lda, const double *x,
-                    double *y) {
-    if (r->ilp64)
-        ((rf_gemv64_t)r->gemv)(order, RF_TRANS, rows, cols, 1.0, a, lda, x,
-                               1, 0.0, y, 1);
-    else
-        ((rf_gemv32_t)r->gemv)(order, RF_TRANS, (int32_t)rows,
-                               (int32_t)cols, 1.0, a, (int32_t)lda, x, 1,
-                               0.0, y, 1);
-}
-
-/* np.dot(x, W, out=y), W (rows, cols) C-ordered */
-static void rf_dot(const rnn_t *r, const double *x, const double *w,
-                   int64_t rows, int64_t cols, double *y) {
-    memset(y, 0, (size_t)cols * sizeof(double));
-    rf_gemv(r, RF_ROW_MAJOR, rows, cols, w, cols, x, y);
-}
-
-/* np.dot(x, W.T, out=y), W (cols, rows) C-ordered */
-static void rf_dot_t(const rnn_t *r, const double *x, const double *w,
-                     int64_t rows, int64_t cols, double *y) {
-    memset(y, 0, (size_t)cols * sizeof(double));
-    rf_gemv(r, RF_COL_MAJOR, rows, cols, w, rows, x, y);
-}
-
-/* ufunc(a, out=a) */
-static void rf_inplace(rf_loop_t fn, void *data, double *a, int64_t n) {
-    char *args[2] = {(char *)a, (char *)a};
-    const intptr_t dims[1] = {(intptr_t)n};
-    const intptr_t steps[2] = {sizeof(double), sizeof(double)};
-    fn(args, dims, steps, data);
-}
-
 /* ElmanRNN._forward: hidden rows 1..T and the head's probabilities. */
 static void rnn_forward(const rnn_t *r, const S *s, const double *seq,
                         int64_t steps) {
@@ -1143,27 +1299,24 @@ static void rnn_forward(const rnn_t *r, const S *s, const double *seq,
     double *hidden = s->rnn_hidden, *recur = s->rnn_recur;
     double *probs = s->rnn_probs;
     for (int64_t t = 0; t < steps; t++) /* the stacked x_t @ W_xh */
-        rf_gemv(r, RF_ROW_MAJOR, n_in, n_hid, r->w_xh, n_hid,
+        np_gemv(&r->blas, NP_ROW_MAJOR, n_in, n_hid, r->w_xh, n_hid,
                 seq + t * n_in, hidden + (t + 1) * n_hid);
     for (int64_t t = 0; t < steps; t++) {
         double *h = hidden + (t + 1) * n_hid;
-        rf_dot(r, hidden + t * n_hid, r->w_hh, n_hid, n_hid, recur);
+        np_dot(&r->blas, hidden + t * n_hid, r->w_hh, n_hid, n_hid, recur);
         for (int64_t j = 0; j < n_hid; j++)
             h[j] += recur[j];
         for (int64_t j = 0; j < n_hid; j++)
             h[j] += r->b_h[j];
-        rf_inplace(r->tanh_fn, r->tanh_data, h, n_hid);
+        np_inplace(r->tanh, h, n_hid);
     }
-    rf_dot(r, hidden + steps * n_hid, r->w_hy, n_hid, n_out, probs);
+    np_dot(&r->blas, hidden + steps * n_hid, r->w_hy, n_hid, n_out, probs);
     for (int64_t j = 0; j < n_out; j++)
         probs[j] += r->b_y[j];
-    double top = probs[0]; /* np.maximum.reduce, NaN-propagating */
-    for (int64_t j = 1; j < n_out; j++)
-        if (!isnan(top))
-            top = top >= probs[j] ? top : probs[j];
+    const double top = np_max(probs, n_out);
     for (int64_t j = 0; j < n_out; j++)
         probs[j] -= top;
-    rf_inplace(r->exp_fn, r->exp_data, probs, n_out);
+    np_inplace(r->exp, probs, n_out);
     double total = 0.0;
     for (int64_t j = 0; j < n_out; j++)
         total += probs[j];
@@ -1187,7 +1340,7 @@ static void rnn_backward(const rnn_t *r, S *s, int64_t *ci, const double *cd,
             r->g_w_hy[i * n_out + j] = h_last[i] * dlogits[j];
     for (int64_t j = 0; j < n_out; j++)
         r->g_b_y[j] = dlogits[j];
-    rf_dot_t(r, dlogits, r->w_hy, n_out, n_hid, dh);
+    np_dot_t(&r->blas, dlogits, r->w_hy, n_out, n_hid, dh);
     const int64_t last = steps - 1;
     const int64_t k_max = bptt < steps ? (bptt > 0 ? bptt : 0) : steps;
     const int64_t n_flat = n_in * n_hid + n_hid * n_hid + n_hid
@@ -1204,7 +1357,7 @@ static void rnn_backward(const rnn_t *r, S *s, int64_t *ci, const double *cd,
         for (int64_t j = 0; j < n_hid; j++)
             dz[j] = dh[j] * dtanh[last * n_hid + j];
         for (int64_t k = 1; k < k_max; k++) {
-            rf_dot_t(r, dz + (k - 1) * n_hid, r->w_hh, n_hid, n_hid, dh);
+            np_dot_t(&r->blas, dz + (k - 1) * n_hid, r->w_hh, n_hid, n_hid, dh);
             for (int64_t j = 0; j < n_hid; j++)
                 dz[k * n_hid + j] = dh[j] * dtanh[(last - k) * n_hid + j];
         }
@@ -1246,28 +1399,9 @@ static void rnn_backward(const rnn_t *r, S *s, int64_t *ci, const double *cd,
             x = x < 5.0 ? x : 5.0;
         g[e] = x;
     }
-    /* Adam.step: Python's float pow, NumPy's float64 sqrt and divide */
-    const int64_t t = ++ci[CI_RNN_ADAM_T];
-    const double lr = cd[CD_RNN_LR], b1 = cd[CD_RNN_BETA1];
-    const double b2 = cd[CD_RNN_BETA2], eps = cd[CD_RNN_EPS];
-    const double bias1 = 1.0 - pow(b1, (double)t);
-    const double bias2 = 1.0 - pow(b2, (double)t);
-    const double alpha = lr / bias1;
-    const double inv_sqrt_bias2 = 1.0 / sqrt(bias2);
-    const double c1 = 1.0 - b1, c2 = 1.0 - b2;
-    double *p = s->rnn_params, *m = s->rnn_m, *v = s->rnn_v;
-    for (int64_t e = 0; e < n_flat; e++) {
-        m[e] *= b1;
-        m[e] += c1 * g[e];
-        v[e] *= b2;
-        v[e] += c2 * (g[e] * g[e]);
-        double denom = sqrt(v[e]);
-        denom *= inv_sqrt_bias2;
-        denom += eps;
-        double update = m[e] / denom;
-        update *= alpha;
-        p[e] -= update;
-    }
+    adam_step(n_flat, s->rnn_params, g, s->rnn_m, s->rnn_v,
+              ++ci[CI_RNN_ADAM_T], cd[CD_RNN_LR], cd[CD_RNN_BETA1],
+              cd[CD_RNN_BETA2], cd[CD_RNN_EPS]);
 }
 
 static int rnn_fits(const int64_t *ci, int64_t steps) {
@@ -1317,17 +1451,305 @@ long long sib_rnn_predict(void **p) {
     rnn_t r;
     rnn_init(&r, &s, ci);
     rnn_forward(&r, &s, s.rnn_seq, steps);
-    const double *probs = s.rnn_probs;
-    int64_t best = 0;
-    double top = probs[0];
-    if (!isnan(top))
-        for (int64_t j = 1; j < r.n_out; j++)
-            if (!(probs[j] <= top)) {
-                top = probs[j];
-                best = j;
-                if (isnan(top))
-                    break;
+    ci[CI_RNN_CLASS] = np_argmax(s.rnn_probs, r.n_out);
+    return ST_DONE;
+}
+
+/* ------------------------------------------ Sibyl's C51 network (rl/c51.py) */
+/* C51Network.best_action and train_batches (rl/c51.py, the NumPy
+ * reference they must equal byte for byte) over FeedForwardNetwork's
+ * Dense layers (rl/network.py) and Adam.step, in the reference's
+ * statement order, on the network's own arrays -- the flat parameters,
+ * gradients and Adam moments, each Dense layer's training buffers and
+ * the step's workspace arrays -- through NumPy's own routines above:
+ *   - every np.matmul of a training step is the gemm NumPy makes, a
+ *     transposed view (x.T, W.T) passed as the C-ordered array under it
+ *     with the Trans flag; each np.dot of a forward is np.dot's zeroed
+ *     gemv, and the head's logits @ support the matmul's (ColMajor,
+ *     Trans, n_atoms, n_actions) gemv;
+ *   - tanh, exp and log are NumPy's loops, at the reference's lengths;
+ *   - np.add.reduce keeps NumPy's order: along a row of atoms +0 plus
+ *     np_pairwise, down the batch axis +0 then row by row;
+ *   - everything else is one IEEE operation per element, signed zeros
+ *     included.
+ * The c51 row of library.ENTRIES resolves the addresses and handshakes
+ * them per shape; C51Network._refusal only asks for swish (beta 1)
+ * hidden layers under an identity head, Adam to train, and shapes where
+ * every product is a BLAS call: no 1-wide layer, two actions or more,
+ * and batches of two rows or more. */
+typedef struct {
+    np_blas_t blas;
+    np_ufunc_t tanh, exp, log;
+    int64_t n_layers, n_act, n_atoms, n_flat;
+    const int64_t *dims; /* n_layers + 1 widths, observation first */
+} c51_t;
+
+/* 0 unless the widths are a shape C51Network._refusal accepts. */
+static int c51_init(c51_t *c, const S *s, const int64_t *ci) {
+    c->blas.gemv = (void *)(uintptr_t)s->c51_fns[CF_GEMV];
+    c->blas.gemm = (void *)(uintptr_t)s->c51_fns[CF_GEMM];
+    c->blas.ilp64 = ci[CI_C51_ILP64] != 0;
+    c->tanh = np_ufunc(s->c51_fns, CF_TANH, CF_TANH_DATA);
+    c->exp = np_ufunc(s->c51_fns, CF_EXP, CF_EXP_DATA);
+    c->log = np_ufunc(s->c51_fns, CF_LOG, CF_LOG_DATA);
+    c->n_layers = ci[CI_C51_NLAYERS];
+    c->n_act = ci[CI_C51_NACT];
+    c->n_atoms = ci[CI_C51_NATOMS];
+    c->dims = s->c51_dims;
+    c->n_flat = 0;
+    if (c->n_layers < 1 || c->n_act < 2 || c->n_atoms < 2
+        || c->dims[c->n_layers] != c->n_act * c->n_atoms)
+        return 0;
+    for (int64_t j = 0; j < c->n_layers; j++) {
+        if (c->dims[j] < 2)
+            return 0;
+        c->n_flat += c->dims[j] * c->dims[j + 1] + c->dims[j + 1];
+    }
+    return 1;
+}
+
+/* C51Network.best_action on one observation: forward_1d (np.dot, the
+ * bias, Swish.forward_inplace), then the head's shift by each action's
+ * maximum, exp, expected value over the support and argmax.  scratch
+ * holds every layer's output, then the sigmoid, the Q-values and the
+ * pmf sums. */
+static int64_t c51_act(const c51_t *c, const double *params,
+                       const double *support, const double *obs,
+                       double *scratch) {
+    const int64_t n_layers = c->n_layers, n_act = c->n_act;
+    const int64_t n_atoms = c->n_atoms;
+    int64_t total = 0, widest = 0;
+    for (int64_t j = 1; j <= n_layers; j++) {
+        total += c->dims[j];
+        widest = c->dims[j] > widest ? c->dims[j] : widest;
+    }
+    double *sig = scratch + total, *q = sig + widest, *sums = q + n_act;
+    const double *x = obs, *p = params;
+    double *z = scratch;
+    for (int64_t j = 0; j < n_layers; j++) {
+        const int64_t n_in = c->dims[j], n_out = c->dims[j + 1];
+        np_dot(&c->blas, x, p, n_in, n_out, z);
+        p += n_in * n_out;
+        for (int64_t k = 0; k < n_out; k++)
+            z[k] += p[k];
+        p += n_out;
+        if (j < n_layers - 1) { /* swish: z * (0.5 * (1 + tanh(z / 2))) */
+            for (int64_t k = 0; k < n_out; k++)
+                sig[k] = z[k] * 0.5;
+            np_inplace(c->tanh, sig, n_out);
+            for (int64_t k = 0; k < n_out; k++) {
+                sig[k] += 1.0;
+                sig[k] *= 0.5;
+                z[k] *= sig[k];
             }
-    ci[CI_RNN_CLASS] = best;
+        }
+        x = z;
+        z += n_out;
+    }
+    double *logits = z - c->dims[n_layers];
+    for (int64_t a = 0; a < n_act; a++) {
+        double *row = logits + a * n_atoms;
+        const double top = np_max(row, n_atoms);
+        for (int64_t k = 0; k < n_atoms; k++)
+            row[k] -= top;
+    }
+    np_inplace(c->exp, logits, n_act * n_atoms);
+    memset(q, 0, (size_t)n_act * sizeof(double));
+    np_gemv(&c->blas, NP_COL_MAJOR, n_atoms, n_act, logits, n_atoms,
+            support, q);
+    for (int64_t a = 0; a < n_act; a++)
+        sums[a] = 0.0 + np_pairwise(logits + a * n_atoms, n_atoms);
+    for (int64_t a = 0; a < n_act; a++)
+        q[a] /= sums[a];
+    return np_argmax(q, n_act);
+}
+
+/* sib_run's memo-miss forward: best_action of the inference network
+ * bound at P_C51_PARAMS (C51Network._compiled accepted it). */
+static int64_t c51_forward(const S *s, const int64_t *ci, const double *obs) {
+    c51_t c;
+    c51_init(&c, s, ci);
+    return c51_act(&c, s->c51_params, s->c51_support, obs, s->c51_scratch);
+}
+
+/* Layer j's training buffer `which` (CL_Z, CL_ACT, CL_GRAD_IN). */
+static double *c51_buffer(const S *s, int64_t j, int which) {
+    return (double *)(uintptr_t)s->c51_layers[j * CL_LEN + which];
+}
+
+/* One step of C51Network.train_batches on rows [0, batch) of obs, acts
+ * and target: FeedForwardNetwork.forward(train=True), the softmax
+ * cross-entropy on each row's chosen action (its gradient scattered into
+ * the zeroed grad, its value into ce), FeedForwardNetwork.backward;
+ * Adam follows in the caller. */
+static void c51_step(const c51_t *c, S *s, const double *obs,
+                     const int64_t *acts, const double *target, double *ce,
+                     int64_t batch) {
+    const int64_t n_layers = c->n_layers, n_act = c->n_act;
+    const int64_t n_atoms = c->n_atoms, cells = batch * n_atoms;
+    const int64_t *dims = c->dims;
+    const double *x = obs;
+    int64_t off = 0;
+    for (int64_t j = 0; j < n_layers; j++) { /* Dense.forward(train=True) */
+        const int64_t n_in = dims[j], n_out = dims[j + 1];
+        const int64_t size = batch * n_out;
+        const double *w = s->c51_params + off, *b = w + n_in * n_out;
+        double *z = c51_buffer(s, j, CL_Z);
+        np_gemm(&c->blas, NP_NO_TRANS, NP_NO_TRANS, batch, n_out, n_in, x,
+                n_in, w, n_out, z);
+        const int hidden = j < n_layers - 1;
+        double *restrict a = hidden ? c51_buffer(s, j, CL_ACT) : NULL;
+        double *restrict sig = hidden ? a + size : NULL;
+        for (int64_t r = 0; r < batch; r++) {
+            double *restrict row = z + r * n_out;
+            for (int64_t k = 0; k < n_out; k++)
+                row[k] += b[k];
+            if (hidden) /* Swish.forward_train: the sigmoid, then a */
+                for (int64_t k = 0; k < n_out; k++)
+                    sig[r * n_out + k] = row[k] * 0.5;
+        }
+        if (hidden) {
+            np_inplace(c->tanh, sig, size);
+            for (int64_t e = 0; e < size; e++) {
+                sig[e] += 1.0;
+                sig[e] *= 0.5;
+                a[e] = z[e] * sig[e];
+            }
+            x = a;
+        } else {
+            x = z;
+        }
+        off += n_in * n_out + n_out;
+    }
+    /* The head, on each row's picked action only: the gather and the
+     * shift by the row's maximum; exp; the normalisation, its gradient
+     * (soft - target) / batch scattered into the zeroed grad, and the
+     * clamp; log; the cross-entropy.  Elementwise passes of the
+     * reference are fused per element, which changes no rounding. */
+    double *soft = s->c51_soft, *work = s->c51_work, *grad = s->c51_grad;
+    const int64_t width = n_act * n_atoms;
+    for (int64_t r = 0; r < batch; r++) {
+        const double *logits = x + (acts[r] + r * n_act) * n_atoms;
+        double *row = soft + r * n_atoms;
+        const double top = np_max(logits, n_atoms);
+        for (int64_t k = 0; k < n_atoms; k++)
+            row[k] = logits[k] - top;
+    }
+    np_inplace(c->exp, soft, cells);
+    /* x / batch; for a power of two, x * (1 / batch) is the same
+     * number, exactly rounded once, without a division */
+    const double rows = (double)batch;
+    const int exact = (batch & (batch - 1)) == 0;
+    const double inv_rows = 1.0 / rows;
+    for (int64_t r = 0; r < batch; r++) {
+        double *restrict row = soft + r * n_atoms;
+        double *restrict clamp = work + r * n_atoms;
+        const double *restrict want = target + r * n_atoms;
+        double *sample = grad + r * width;
+        double *restrict picked = sample + acts[r] * n_atoms;
+        memset(sample, 0, (size_t)width * sizeof(double));
+        const double total = 0.0 + np_pairwise(row, n_atoms);
+        for (int64_t k = 0; k < n_atoms; k++) {
+            const double p = row[k] / total;
+            row[k] = p;
+            picked[k] = exact ? (p - want[k]) * inv_rows
+                              : (p - want[k]) / rows;
+            clamp[k] = p >= 1e-12 || isnan(p) ? p : 1e-12;
+        }
+    }
+    np_inplace(c->log, work, cells);
+    for (int64_t r = 0; r < batch; r++) {
+        double *restrict row = work + r * n_atoms;
+        const double *restrict want = target + r * n_atoms;
+        for (int64_t k = 0; k < n_atoms; k++)
+            row[k] *= want[k];
+        ce[r] = 0.0 + np_pairwise(row, n_atoms);
+    }
+    /* FeedForwardNetwork.backward: Dense.backward from the head down */
+    const double *grad_out = grad;
+    for (int64_t j = n_layers - 1; j >= 0; j--) {
+        const int64_t n_in = dims[j], n_out = dims[j + 1];
+        const int64_t size = batch * n_out;
+        off -= n_in * n_out + n_out;
+        const double *w = s->c51_params + off;
+        double *gw = s->c51_grads + off, *gb = gw + n_in * n_out;
+        const double *grad_z = grad_out;
+        if (j < n_layers - 1) { /* Swish.backward_train, into z */
+            double *restrict z = c51_buffer(s, j, CL_Z);
+            const double *restrict a = c51_buffer(s, j, CL_ACT);
+            const double *restrict sig = a + size;
+            for (int64_t e = 0; e < size; e++) {
+                z[e] = 1.0 - sig[e];
+                z[e] *= a[e];
+                z[e] += sig[e];
+                z[e] *= grad_out[e];
+            }
+            grad_z = z;
+        }
+        const double *inputs = j ? c51_buffer(s, j - 1, CL_ACT) : obs;
+        np_gemm(&c->blas, NP_TRANS, NP_NO_TRANS, n_in, n_out, batch, inputs,
+                n_in, grad_z, n_out, gw);
+        for (int64_t k = 0; k < n_out; k++)
+            gb[k] = 0.0;
+        for (int64_t r = 0; r < batch; r++) {
+            const double *restrict row = grad_z + r * n_out;
+            for (int64_t k = 0; k < n_out; k++)
+                gb[k] += row[k];
+        }
+        if (j) {
+            double *grad_in = c51_buffer(s, j, CL_GRAD_IN);
+            np_gemm(&c->blas, NP_NO_TRANS, NP_TRANS, batch, n_in, n_out,
+                    grad_z, n_out, w, n_out, grad_in);
+            grad_out = grad_in;
+        }
+    }
+}
+
+/* C51Network.train_batches: CI_C51_STEPS steps of CI_C51_BATCH rows
+ * each, P_C51_OBS / P_C51_ACTIONS / P_C51_TARGETS one after another,
+ * each step's per-row cross-entropies into P_C51_CE, Adam after each.
+ * Every action is checked before the first update. */
+long long sib_c51_train(void **p) {
+    S s;
+    sib_bind(&s, p);
+    int64_t *ci = s.ci;
+    const double *cd = s.cd;
+    c51_t c;
+    const int64_t batch = ci[CI_C51_BATCH], steps = ci[CI_C51_STEPS];
+    if (!c51_init(&c, &s, ci) || batch < 2 || steps < 0) {
+        ci[CI_ERR] = 1;
+        return ST_ERROR;
+    }
+    for (int64_t r = 0; r < steps * batch; r++)
+        if (s.c51_actions[r] < 0 || s.c51_actions[r] >= c.n_act) {
+            ci[CI_ERR] = 2;
+            ci[CI_I] = r;
+            return ST_ERROR;
+        }
+    const int64_t n_obs = c.dims[0];
+    for (int64_t i = 0; i < steps; i++) {
+        c51_step(&c, &s, s.c51_obs + i * batch * n_obs,
+                 s.c51_actions + i * batch,
+                 s.c51_targets + i * batch * c.n_atoms, s.c51_ce + i * batch,
+                 batch);
+        adam_step(c.n_flat, s.c51_params, s.c51_grads, s.c51_m, s.c51_v,
+                  ++ci[CI_C51_ADAM_T], cd[CD_C51_LR], cd[CD_C51_BETA1],
+                  cd[CD_C51_BETA2], cd[CD_C51_EPS]);
+    }
+    return ST_DONE;
+}
+
+/* C51Network.best_action of the observation at P_C51_OBS, into
+ * CI_C51_ACTION. */
+long long sib_c51_act(void **p) {
+    S s;
+    sib_bind(&s, p);
+    c51_t c;
+    if (!c51_init(&c, &s, s.ci) || s.c51_params == NULL) {
+        s.ci[CI_ERR] = 1;
+        return ST_ERROR;
+    }
+    s.ci[CI_C51_ACTION] = c51_act(&c, s.c51_params, s.c51_support, s.c51_obs,
+                                  s.c51_scratch);
     return ST_DONE;
 }

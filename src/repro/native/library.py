@@ -9,7 +9,7 @@ array bound into a pointer table is checked against the table's element
 types (:func:`check_arrays`).
 
 :data:`ENTRIES` has one row per entry point — ``tick``, ``draw``,
-``rnn`` — naming its C symbols and its resolver, the NumPy routines
+``rnn``, ``c51`` — naming its C symbols and its resolver, the NumPy routines
 the caller hands it (docs/engines.md, "Compiled entry points").
 :func:`entry` is the gate every caller asks, and the one reader of
 ``SIBYL_BACKEND``; :func:`report` says which engine each row runs, and
@@ -34,8 +34,8 @@ from . import abi, blas
 
 __all__ = [
     "available", "unavailable_reason", "so_path", "load", "check_arrays",
-    "bind", "Entry", "ENTRIES", "Binding", "entry", "report",
-    "SAMPLER_SYMBOLS", "RNN_UFUNCS",
+    "bind", "point", "Entry", "ENTRIES", "Binding", "entry", "report",
+    "SAMPLER_SYMBOLS", "RNN_UFUNCS", "C51_UFUNCS",
 ]
 
 #: What a slot holds when the entry point never reads it.
@@ -176,34 +176,51 @@ def unavailable_reason() -> str:
 def check_arrays(arrays: List) -> None:
     """Every packed array must be exactly what ``sib_bind`` casts its
     slot to: the table's element type, C-contiguous.  Anything else the
-    library would reinterpret byte-wise, so it raises instead."""
+    library would reinterpret byte-wise, so it raises instead.  An
+    optional slot may hold ``None`` (NULL)."""
     for slot, arr in zip(abi.TABLE.pointers, arrays):
-        dtype = abi.DTYPES[slot.ctype]
-        if not isinstance(arr, np.ndarray):
-            got = type(arr).__name__
-        elif arr.dtype != dtype or not arr.flags["C_CONTIGUOUS"]:
-            got = f"{arr.dtype}, C-contiguous={arr.flags['C_CONTIGUOUS']}"
-        else:
-            continue
-        raise RuntimeError(
-            f"kernel slot {slot.name} ({slot.ctype} *{slot.field}) "
-            f"needs a C-contiguous {dtype} array, got {got}"
-        )
+        _check(slot, arr)
+
+
+def _check(slot: abi.Pointer, arr) -> None:
+    dtype = abi.DTYPES[slot.ctype]
+    if arr is None and slot.optional:
+        return
+    if not isinstance(arr, np.ndarray):
+        got = type(arr).__name__
+    elif arr.dtype != dtype or not arr.flags.c_contiguous:
+        got = f"{arr.dtype}, C-contiguous={arr.flags.c_contiguous}"
+    else:
+        return
+    raise RuntimeError(
+        f"kernel slot {slot.name} ({slot.ctype} *{slot.field}) "
+        f"needs a C-contiguous {dtype} array, got {got}"
+    )
 
 
 def bind(arrays: List) -> "ctypes.Array":
     """The pointer table over ``arrays`` (one entry per slot, ``None``
     where the entry point never reads the slot: it gets a placeholder of
-    the slot's element type), checked by :func:`check_arrays` first.
-    ``arrays`` is completed in place and must outlive the table."""
+    the slot's element type, or stays NULL if the slot is optional),
+    checked by :func:`check_arrays` first.  ``arrays`` is completed in
+    place and must outlive the table."""
     for k, slot in enumerate(abi.TABLE.pointers):
-        if arrays[k] is None:
+        if arrays[k] is None and not slot.optional:
             arrays[k] = _UNUSED[slot.ctype]
     check_arrays(arrays)
     ptrs = (ctypes.c_void_p * abi.P_NPTR)()
     for k, arr in enumerate(arrays):
-        ptrs[k] = arr.ctypes.data
+        ptrs[k] = None if arr is None else arr.ctypes.data
     return ptrs
+
+
+def point(ptrs: "ctypes.Array", slot: int, array: np.ndarray) -> None:
+    """Re-point slot ``slot`` of a table :func:`bind` built at ``array``,
+    checked as :func:`check_arrays` checks it; ``array`` must outlive
+    its use.  For what changes from call to call (a batch, a buffer
+    regrown), without repacking the table."""
+    _check(abi.TABLE.pointers[slot], array)
+    ptrs[slot] = array.ctypes.data
 
 
 # ------------------------------------------------------ the entry table
@@ -371,24 +388,50 @@ def _ufunc_loop(ufunc: np.ufunc, name: str) -> Optional[Tuple[int, int]]:
 #: ``abi.TABLE.rnn_fns`` order.
 RNN_UFUNCS = ("tanh", "exp")
 
+#: The NumPy ufuncs whose float64 loops ``sib_c51_*`` and ``sib_run``'s
+#: forward call, in ``abi.TABLE.c51_fns`` order.
+C51_UFUNCS = ("tanh", "exp", "log")
 
-def _rnn_primitives() -> Tuple[Tuple[int, ...], bool]:
-    """``(addresses in abi.TABLE.rnn_fns order, gemv takes 64-bit ints)``:
-    NumPy's ``cblas_dgemv`` and the float64 loops of :data:`RNN_UFUNCS`."""
+
+def _blas(export: str) -> Tuple[int, bool]:
+    """``(address, takes 64-bit ints)`` of NumPy's OpenBLAS export
+    ``export`` (a field of :class:`blas.OpenBLASExports`)."""
     found = blas.numpy_openblas()
     if found is None:
         raise Unresolved("no known OpenBLAS is mapped into this process")
     lib, exports = found
-    gemv = getattr(lib, exports.dgemv, None)
-    if gemv is None:
-        raise Unresolved(f"NumPy's OpenBLAS does not export {exports.dgemv}")
+    symbol = getattr(exports, export)
+    fn = getattr(lib, symbol, None)
+    if fn is None:
+        raise Unresolved(f"NumPy's OpenBLAS does not export {symbol}")
+    return ctypes.cast(fn, ctypes.c_void_p).value, exports.ilp64
+
+
+def _loops(names: Tuple[str, ...]) -> List[int]:
+    """``(loop, data)`` of each ufunc's float64 loop, flattened."""
     loops: List[int] = []
-    for name in RNN_UFUNCS:
+    for name in names:
         loop = _ufunc_loop(getattr(np, name, None), name)
         if loop is None:
             raise Unresolved(f"np.{name} failed its float64 loop check")
         loops += loop
-    return (ctypes.cast(gemv, ctypes.c_void_p).value, *loops), exports.ilp64
+    return loops
+
+
+def _rnn_primitives() -> Tuple[Tuple[int, ...], bool]:
+    """``(addresses in abi.TABLE.rnn_fns order, gemv takes 64-bit ints)``:
+    NumPy's ``cblas_dgemv`` and the float64 loops of :data:`RNN_UFUNCS`."""
+    gemv, ilp64 = _blas("dgemv")
+    return (gemv, *_loops(RNN_UFUNCS)), ilp64
+
+
+def _c51_primitives() -> Tuple[Tuple[int, ...], bool]:
+    """``(addresses in abi.TABLE.c51_fns order, BLAS takes 64-bit
+    ints)``: NumPy's ``cblas_dgemv`` and ``cblas_dgemm`` and the float64
+    loops of :data:`C51_UFUNCS`."""
+    gemv, ilp64 = _blas("dgemv")
+    gemm, _ = _blas("dgemm")
+    return (gemv, gemm, *_loops(C51_UFUNCS)), ilp64
 
 
 _LOOP = ctypes.CFUNCTYPE(
@@ -396,7 +439,7 @@ _LOOP = ctypes.CFUNCTYPE(
     ctypes.POINTER(ctypes.c_ssize_t), ctypes.c_void_p,
 )
 
-_ROW_MAJOR, _COL_MAJOR, _TRANS = 101, 102, 112
+_ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _TRANS = 101, 102, 111, 112
 
 
 def _gemv_call(address: int, ilp64: bool):
@@ -415,6 +458,29 @@ def _gemv_call(address: int, ilp64: bool):
             y[...] = 0.0
         gemv(order, _TRANS, rows, cols, 1.0, a.ctypes.data, lda,
              x.ctypes.data, 1, 0.0, y.ctypes.data, 1)
+
+    return call
+
+
+def _gemm_call(address: int, ilp64: bool):
+    """``c = op(a) @ op(b)`` through ``cblas_dgemm`` as ``kernel.c``'s
+    ``np_gemm`` calls it: (RowMajor, transa, transb, M, N, K, 1, a, lda,
+    b, ldb, 0, c, N) over C-ordered arrays, a transposed operand passed
+    as the C-ordered array under it with the Trans flag."""
+    blas_int = ctypes.c_int64 if ilp64 else ctypes.c_int32
+    gemm = ctypes.CFUNCTYPE(
+        None, ctypes.c_int, ctypes.c_int, ctypes.c_int, blas_int, blas_int,
+        blas_int, ctypes.c_double, ctypes.c_void_p, blas_int,
+        ctypes.c_void_p, blas_int, ctypes.c_double, ctypes.c_void_p,
+        blas_int,
+    )(address)
+
+    def call(a, trans_a, b, trans_b, c):
+        m, n = c.shape
+        k = a.shape[0] if trans_a else a.shape[1]
+        gemm(_ROW_MAJOR, _TRANS if trans_a else _NO_TRANS,
+             _TRANS if trans_b else _NO_TRANS, m, n, k, 1.0, a.ctypes.data,
+             a.shape[1], b.ctypes.data, b.shape[1], 0.0, c.ctypes.data, n)
 
     return call
 
@@ -486,10 +552,122 @@ def _rnn_check(resolved, *shape: int) -> None:
         raise Unresolved(f"a primitive differs from NumPy's call at shape {shape}")
 
 
+def _pairwise(a: np.ndarray) -> float:
+    """NumPy's pairwise float64 sum of a contiguous run, as ``kernel.c``'s
+    ``np_pairwise`` adds it: sequentially under eight terms, eight
+    accumulators up to 128, else halves split at a multiple of eight."""
+    n = len(a)
+    if n < 8:
+        total = -0.0
+        for x in a.tolist():
+            total += x
+        return total
+    if n <= 128:
+        acc = a[:8].tolist()
+        for i in range(8, n - n % 8, 8):
+            for k in range(8):
+                acc[k] += float(a[i + k])
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+        for x in a[n - n % 8:].tolist():
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(a[:half]) + _pairwise(a[half:])
+
+
+@lru_cache(maxsize=None)
+def _c51_handshake(resolved, widths, n_actions, n_atoms, batch) -> bool:
+    """Each primitive against the NumPy call it stands in for, on the
+    network's own shapes, byte for byte.  A forward (``best_action``):
+    each layer's ``np.dot``, ``tanh`` at each hidden width, the head's
+    ``matmul`` with the support and ``exp`` over its logits, and
+    ``add.reduce`` over ``n_atoms`` (pairwise, from +0).  With ``batch``
+    (a training step): each layer's three gemm forms, ``tanh`` at
+    ``batch`` rows, ``exp`` and ``log`` at ``batch * n_atoms``, and
+    ``add.reduce`` down the batch axis (row by row, from +0).  Once per
+    process, resolution and shape."""
+    (gemv_at, gemm_at, *loops), ilp64 = resolved
+    gemv, gemm = _gemv_call(gemv_at, ilp64), _gemm_call(gemm_at, ilp64)
+    tanh, exp, log = (_inplace_call(loops[k:k + 2]) for k in (0, 2, 4))
+    rng = np.random.default_rng([*widths, n_actions, n_atoms, batch])
+    ours, want = [], []
+
+    def ufunc(call, numpy_ufunc, a):
+        mine, theirs = a.copy(), a.copy()
+        call(mine)
+        numpy_ufunc(theirs, out=theirs)
+        ours.append(mine)
+        want.append(theirs)
+
+    for n_in, n_out in zip(widths, widths[1:]):
+        w = rng.uniform(-1.0, 1.0, (n_in, n_out))
+        x = rng.uniform(-2.0, 2.0, n_in)
+        y = np.full(n_out, np.nan)
+        gemv(_ROW_MAJOR, w, n_out, x, y, zero=True)
+        ours.append(y)
+        want.append(np.dot(x, w, out=np.empty(n_out)))
+        ufunc(tanh, np.tanh, rng.uniform(-4.0, 4.0, n_out))
+        if not batch:
+            continue
+        x = rng.uniform(-2.0, 2.0, (batch, n_in))
+        g = rng.uniform(-1.0, 1.0, (batch, n_out))
+        for a, trans_a, b, trans_b, out, numpy_a, numpy_b in (
+            (x, False, w, False, (batch, n_out), x, w),
+            (x, True, g, False, (n_in, n_out), x.T, g),
+            (g, False, w, True, (batch, n_in), g, w.T),
+        ):
+            c = np.full(out, np.nan)
+            gemm(a, trans_a, b, trans_b, c)
+            ours.append(c)
+            want.append(np.matmul(numpy_a, numpy_b, out=np.empty(out)))
+        ufunc(tanh, np.tanh, rng.uniform(-4.0, 4.0, batch * n_out))
+        rows = rng.standard_normal(g.shape) * np.exp(rng.uniform(-9, 9, g.shape))
+        total = np.zeros(n_out)
+        for row in rows:
+            total += row
+        ours.append(total)
+        want.append(np.add.reduce(rows, axis=0))
+    logits = np.exp(-rng.uniform(0.0, 30.0, (n_actions, n_atoms)))
+    support = np.linspace(0.0, rng.uniform(1.0, 20.0), n_atoms)
+    q = np.full(n_actions, np.nan)
+    gemv(_COL_MAJOR, logits, n_atoms, support, q, zero=False)
+    ours.append(q)
+    want.append(logits @ support)
+    ufunc(exp, np.exp, -rng.uniform(0.0, 30.0, n_actions * n_atoms))
+    rows = rng.standard_normal((4, n_atoms)) * np.exp(
+        rng.uniform(-20.0, 20.0, (4, n_atoms))
+    )
+    ours.append(np.array([0.0 + _pairwise(row) for row in rows]))
+    want.append(np.add.reduce(rows, axis=-1))
+    if batch:
+        for call, numpy_ufunc, a in (
+            (exp, np.exp, -rng.uniform(0.0, 30.0, batch * n_atoms)),
+            (log, np.log, rng.uniform(1e-12, 1.0, batch * n_atoms)),
+        ):
+            ufunc(call, numpy_ufunc, a)
+    return all(a.tobytes() == b.tobytes() for a, b in zip(ours, want))
+
+
+def _c51_check(resolved, widths, n_actions, n_atoms, batch) -> None:
+    """The handshake on the asking network's shape (``batch`` 0: a
+    forward only)."""
+    if not _c51_handshake(resolved, widths, n_actions, n_atoms, batch):
+        shape = "-".join(map(str, widths)) + f" as {n_actions}x{n_atoms}"
+        raise Unresolved(
+            f"a primitive differs from NumPy's call at shape {shape}"
+            + (f", batch {batch}" if batch else "")
+        )
+
+
 #: The compiled library's entry points, by name.
 ENTRIES: Dict[str, Entry] = {
     "tick": Entry(("sib_run",), lambda: ()),
     "draw": Entry(("sib_draw_trace",), _numpy_samplers),
     "rnn": Entry(("sib_rnn_train", "sib_rnn_predict"), _rnn_primitives,
                  _rnn_check),
+    "c51": Entry(("sib_c51_train", "sib_c51_act"), _c51_primitives,
+                 _c51_check),
 }

@@ -91,12 +91,14 @@ class SpanTracer:
         """Record a complete (``ph="X"``) event around the ``with`` body.
 
         ``args`` become the event's ``args`` payload and must be
-        JSON-serializable.  The event is recorded even when the body
-        raises, with ``args["error"]`` set to the exception type.
+        JSON-serializable; the ``with`` target is that dict, so the body
+        can add what it learns by its end.  The event is recorded even
+        when the body raises, with ``args["error"]`` set to the exception
+        type.
         """
         started = time.perf_counter()
         try:
-            yield
+            yield args
         except BaseException as exc:
             args["error"] = type(exc).__name__
             raise
@@ -166,7 +168,7 @@ class _NullSpan:
     """Reusable no-op context manager for the disabled tracer path."""
 
     def __enter__(self) -> None:
-        """No-op."""
+        """No-op: the ``with`` target is ``None``, not an args dict."""
         return None
 
     def __exit__(self, *exc: object) -> bool:
@@ -207,7 +209,8 @@ def span(name: str, cat: str = "", **args: object):
 
     The module-level entry point for instrumented call sites: when no
     tracer is installed the cost is a global load, a ``None`` test, and
-    re-entering a singleton no-op context manager.
+    re-entering a singleton no-op context manager.  ``with span(...) as
+    args`` gives the recorded event's args dict, or ``None`` untraced.
     """
     tracer = _tracer
     if tracer is None:

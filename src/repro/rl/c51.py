@@ -15,15 +15,30 @@ distribution ``r + γ·z`` (from a separate *target network*, which for
 Sibyl is the inference network that lags the training network) is
 projected back onto the fixed support, and the training network minimises
 the cross-entropy to that projection.
+
+:meth:`C51Network.train_batches` and :meth:`C51Network.best_action` run
+in the compiled library (``sib_c51_train``, ``sib_c51_act`` in
+:mod:`repro.native`) when it can take the network, and so does the
+compiled tick kernel's memo-miss forward: the same statements on the
+same arrays, every product through the ``cblas_dgemm``/``cblas_dgemv``
+call NumPy makes and ``tanh``/``exp``/``log`` through NumPy's own float64
+loops, so the bytes are NumPy's by construction.  The NumPy code stays
+the reference, and the path for a network the library cannot take
+(:meth:`C51Network._refusal`) or wherever the ``c51`` row of its entry
+table (:data:`repro.native.library.ENTRIES`) does not resolve.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..native import abi
+from ..obs.tracer import span
+from .activations import Identity, Swish
 from .network import (
     FeedForwardNetwork,
     NetworkLaneStack,
@@ -32,7 +47,7 @@ from .network import (
     take_rows,
     workspace,
 )
-from .optim import Optimizer, get_optimizer
+from .optim import Adam, Optimizer, get_optimizer
 
 __all__ = ["C51Config", "C51Network", "C51LaneStack", "project_distribution"]
 
@@ -237,6 +252,9 @@ class C51Network:
     def best_action(self, obs: np.ndarray) -> int:
         """Greedy action for a single observation (fused hot path)."""
         obs = np.asarray(obs, dtype=np.float64).ravel()
+        compiled, _ = self._compiled()
+        if compiled is not None and obs.size == self.config.n_observations:
+            return compiled.act(obs)
         logits = self.network.forward_1d(obs).reshape(
             self.config.n_actions, self.config.n_atoms
         )
@@ -346,14 +364,51 @@ class C51Network:
         involve just those, and the per-action softmax is independent,
         so gather first and softmax half the logits.  Each step leaves
         its rows' cross-entropies; the losses are taken from them once,
-        after the last step.
+        after the last step.  The steps run in one call into the
+        compiled library when it can take the network, else in NumPy
+        (:meth:`_train_steps`); an ``rl.c51_train`` span says which.
         """
-        n_actions, n_atoms = self.config.n_actions, self.config.n_atoms
+        n_atoms = self.config.n_atoms
         steps = len(observations) // batch_size
+        targets = targets.reshape(steps, batch_size, n_atoms)
+        compiled, why = (
+            self._compiled(batch_size) if steps else (None, "no full batch")
+        )
+        if compiled is not None and not (
+            observations.dtype == np.float64
+            and observations.flags.c_contiguous
+            and observations.shape[1:] == (self.config.n_observations,)
+        ):
+            compiled, why = None, "observations not a C-ordered float64 batch"
+        engine = {"engine": "cext"} if compiled is not None else {
+            "engine": "python", "reason": why,
+        }
+        with span("rl.c51_train", cat="rl", **engine, steps=steps):
+            if compiled is None:
+                cross_entropy = self._train_steps(
+                    observations, actions, targets, batch_size
+                )
+            else:
+                cross_entropy = compiled.train(
+                    self, observations, actions, targets, batch_size
+                )
+        self.train_steps += steps
+        return (-cross_entropy).mean(axis=1).tolist()
+
+    def _train_steps(
+        self,
+        observations: np.ndarray,
+        actions: np.ndarray,
+        targets: np.ndarray,
+        batch_size: int,
+    ) -> np.ndarray:
+        """:meth:`train_batches` in NumPy, ``targets`` shaped ``(steps,
+        batch_size, n_atoms)``: each step's per-row cross-entropies."""
+        n_actions, n_atoms = self.config.n_actions, self.config.n_atoms
+        steps = len(targets)
         ws = workspace()
         net = self.network
         step_params = [net.flat_parameters], [net.flat_gradients]
-        targets = targets.reshape(steps, batch_size, n_atoms)
         # Row of each sample's chosen action in a batch's logits viewed
         # as (batch_size * n_actions, n_atoms).
         picks = actions.reshape(steps, batch_size) + np.arange(
@@ -382,8 +437,64 @@ class C51Network:
             np.add.reduce(work, axis=1, out=cross_entropy[i])
             net.backward(grad.reshape(batch_size, n_actions * n_atoms))
             self.optimizer.step(*step_params)
-        self.train_steps += steps
-        return (-cross_entropy).mean(axis=1).tolist()
+        return cross_entropy
+
+    # ------------------------------------------------------------ compiled
+    def _widths(self) -> Tuple[int, ...]:
+        """Every layer's width, the observation first."""
+        layers = self.network.layers
+        return (layers[0].in_features, *(layer.out_features for layer in layers))
+
+    def _refusal(self, batch_size: int = 0) -> str:
+        """Why the compiled library cannot take this network (empty
+        when it can) for a forward, or with ``batch_size`` for training
+        steps of that many rows: an activation other than swish with
+        beta 1 on a hidden layer or identity on the head, a shape where
+        NumPy's products are not all BLAS calls (a 1-wide layer, one
+        action, a one-row batch), or training under another optimizer
+        than :class:`Adam`."""
+        layers = self.network.layers
+        for layer in layers[:-1]:
+            act = layer.activation
+            if type(act) is not Swish or act.beta != 1.0:
+                return f"hidden activation {act.signature} is not swish, beta 1"
+        if type(layers[-1].activation) is not Identity:
+            return f"head activation {layers[-1].activation.name} is not identity"
+        widths = self._widths()
+        if min(widths) < 2 or self.config.n_actions < 2:
+            return (f"shape {'-'.join(map(str, widths))} has a 1-wide layer "
+                    "or one action")
+        if batch_size:
+            if type(self.optimizer) is not Adam:
+                return f"optimizer {type(self.optimizer).__name__} is not Adam"
+            if batch_size < 2:
+                return "a batch of one row"
+        return ""
+
+    def _compiled(
+        self, batch_size: int = 0, backend: Optional[str] = None
+    ) -> Tuple[Optional["_CompiledC51"], str]:
+        """``(binding, "")``: this network's arrays in the compiled
+        library (bound on the first call that gets one) for a forward,
+        or with ``batch_size`` for training steps of that many rows; or
+        ``(None, why)``: NumPy runs.  The gate is asked on every call,
+        so ``SIBYL_BACKEND=off`` holds for a network bound before;
+        ``backend`` overrides the knob (a kernel lane's engine)."""
+        why = self._refusal(batch_size)
+        if why:
+            return None, why
+        from ..native import library
+
+        c51, why = library.entry(
+            "c51", self._widths(), self.config.n_actions, self.config.n_atoms,
+            batch_size, backend=backend,
+        )
+        if c51 is None:
+            return None, why
+        compiled = _BINDINGS.get(self)
+        if compiled is None:
+            compiled = _BINDINGS[self] = _CompiledC51(self, c51)
+        return compiled, ""
 
     # --------------------------------------------------------------- sync
     def copy_weights_from(self, other: "C51Network") -> None:
@@ -393,6 +504,136 @@ class C51Network:
     def clone(self) -> "C51Network":
         """Create an identical network (Sibyl's inference-network spawn)."""
         return C51Network(self.config, rng=self.rng, network=self.network.clone())
+
+
+class _CompiledC51:
+    """One :class:`C51Network`'s arrays in the library's pointer table.
+
+    Held beside the network in :data:`_BINDINGS`, not on it: the network
+    stays plain data (copies, pickles and state comparisons see what
+    NumPy leaves), and a copy binds its own arrays on first use.
+
+    The table points at the network's flat parameters, gradients and
+    support, which live as long as the network (weight copies write
+    into them), and at this binding's scratch and input, and is built
+    once.  A training call re-points the slots of what it holds for the
+    call (:func:`repro.native.library.point`): the optimizer's current
+    moments (created as ``Adam.step``'s first call creates them), each
+    Dense layer's training buffers, the step's workspace arrays and the
+    batch.
+    """
+
+    def __init__(self, net: C51Network, binding) -> None:
+        from ..native import library
+
+        self._c51 = binding
+        fns, self._ilp64 = binding.resolved
+        widths = net._widths()
+        self._fns = np.array(fns, dtype=np.uint64)
+        self._dims = np.array(widths, dtype=np.int64)
+        self._ci = np.zeros(abi.CI_LEN, dtype=np.int64)
+        self._cd = np.zeros(abi.CD_LEN, dtype=np.float64)
+        # Every layer's output, the sigmoid, the Q-values, the pmf sums.
+        self._scratch = np.zeros(
+            sum(widths[1:]) + max(widths[1:]) + 2 * net.config.n_actions
+        )
+        self._obs = np.zeros(widths[0])
+        self._layers: Tuple = ()  # the Dense buffers P_C51_LAYERS points at
+        table = [None] * abi.P_NPTR
+        self.bind_forward(net, self._ci, table)
+        table[abi.P_CTRL_I] = self._ci
+        table[abi.P_CTRL_D] = self._cd
+        table[abi.P_C51_OBS] = self._obs
+        table[abi.P_C51_GRADS] = net.network.flat_gradients
+        self._ptrs = library.bind(table)
+        self._table = table  # bind's arrays must outlive its table
+
+    def bind_forward(self, net: C51Network, ci: np.ndarray, table: list) -> None:
+        """Point ``table`` (a pointer table's arrays) and ``ci`` (its
+        control block) at ``net``'s forward: what ``sib_c51_act`` reads,
+        and what ``sib_run`` reads for a memo miss."""
+        ci[abi.CI_C51_NLAYERS] = len(self._dims) - 1
+        ci[abi.CI_C51_NACT] = net.config.n_actions
+        ci[abi.CI_C51_NATOMS] = net.config.n_atoms
+        ci[abi.CI_C51_ILP64] = self._ilp64
+        table[abi.P_C51_FNS] = self._fns
+        table[abi.P_C51_DIMS] = self._dims
+        table[abi.P_C51_PARAMS] = net.network.flat_parameters
+        table[abi.P_C51_SUPPORT] = net.support
+        table[abi.P_C51_SCRATCH] = self._scratch
+
+    def act(self, obs: np.ndarray) -> int:
+        self._obs[...] = obs
+        self._c51.call("sib_c51_act", self._ptrs, self._ci)
+        return int(self._ci[abi.CI_C51_ACTION])
+
+    def _layer_buffers(self, net: C51Network, batch_size: int) -> np.ndarray:
+        """``P_C51_LAYERS``: each Dense layer's training buffers, sized
+        for ``batch_size`` rows as its forward would size them."""
+        layers = net.network.layers
+        for layer in layers:
+            layer.reserve(batch_size)
+        held = tuple(
+            buffer for layer in layers
+            for buffer in (layer._z, layer._act_scratch, layer._grad_in)
+        )
+        if len(held) != len(self._layers) or any(
+            a is not b for a, b in zip(held, self._layers)
+        ):
+            self._layers = held
+            self._addresses = np.array(
+                [buffer.ctypes.data for buffer in held], dtype=np.uint64
+            )
+        return self._addresses
+
+    def train(self, net: C51Network, observations: np.ndarray,
+              actions: np.ndarray, targets: np.ndarray,
+              batch_size: int) -> np.ndarray:
+        from ..native import library
+
+        ci, cd, ptrs = self._ci, self._cd, self._ptrs
+        n_actions, n_atoms = net.config.n_actions, net.config.n_atoms
+        steps = len(targets)
+        optimizer = net.optimizer
+        if not optimizer._m:  # what Adam.step's first call creates
+            flat = net.network.flat_parameters
+            optimizer._m = [np.zeros_like(flat)]
+            optimizer._v = [np.zeros_like(flat)]
+        ws = workspace()
+        cross_entropy = np.empty((steps, batch_size))
+        for slot, array in (
+            (abi.P_C51_M, optimizer._m[0]),
+            (abi.P_C51_V, optimizer._v[0]),
+            (abi.P_C51_OBS, observations),
+            (abi.P_C51_ACTIONS, np.ascontiguousarray(actions, dtype=np.int64)),
+            (abi.P_C51_TARGETS, np.ascontiguousarray(targets, dtype=np.float64)),
+            (abi.P_C51_CE, cross_entropy),
+            (abi.P_C51_SOFT, ws.array("c51.soft", (batch_size, n_atoms))),
+            (abi.P_C51_WORK, ws.array("c51.work", (batch_size, n_atoms))),
+            (abi.P_C51_GRAD, ws.array(
+                "c51.grad", (batch_size * n_actions, n_atoms))),
+            (abi.P_C51_LAYERS, self._layer_buffers(net, batch_size)),
+        ):
+            library.point(ptrs, slot, array)
+        ci[abi.CI_C51_BATCH] = batch_size
+        ci[abi.CI_C51_STEPS] = steps
+        ci[abi.CI_C51_ADAM_T] = optimizer._t
+        cd[abi.CD_C51_LR] = optimizer.learning_rate
+        cd[abi.CD_C51_BETA1] = optimizer.beta1
+        cd[abi.CD_C51_BETA2] = optimizer.beta2
+        cd[abi.CD_C51_EPS] = optimizer.eps
+        try:
+            self._c51.call("sib_c51_train", ptrs, ci)
+        finally:
+            library.point(ptrs, abi.P_C51_OBS, self._obs)
+            optimizer._t = int(ci[abi.CI_C51_ADAM_T])
+        return cross_entropy
+
+
+#: Each network's binding, for as long as the network lives.
+_BINDINGS: "weakref.WeakKeyDictionary[C51Network, _CompiledC51]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 class C51LaneStack:

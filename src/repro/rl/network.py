@@ -127,17 +127,22 @@ class Dense:
             return self.activation.forward(x @ self.weight + self.bias)
         # The cached pre-activations are consumed by the matching
         # backward() before the next forward can overwrite them.
-        n = len(x)
+        self.reserve(len(x))
+        np.matmul(x, self.weight, out=self._z)
+        self._z += self.bias
+        self._x = x
+        return self.activation.forward_train(self._z, self._act_scratch)
+
+    def reserve(self, n: int) -> None:
+        """Size the training buffers for a batch of ``n`` rows (kept
+        while the batch size stays; the compiled C51 step writes them
+        as this layer's forward and backward would)."""
         if self._z is None or len(self._z) != n:
             self._z = np.empty((n, self.out_features))
             self._act_scratch = np.empty(
                 (self.activation.train_slots, n, self.out_features)
             )
             self._grad_in = np.empty((n, self.in_features))
-        np.matmul(x, self.weight, out=self._z)
-        self._z += self.bias
-        self._x = x
-        return self.activation.forward_train(self._z, self._act_scratch)
 
     def backward(
         self, grad_out: np.ndarray, propagate: bool = True

@@ -147,10 +147,13 @@ def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> Li
 
     ``sink`` (an :class:`repro.obs.sink.ObservationSink`) receives the
     tick-domain counters of each agent lane — ``ticks``, one-row
-    ``fused_forwards``/``fused_rows``, ``train_events`` — plus
-    ``kernel_barriers``, the number of Python-boundary crossings
-    (inference + train gates) the kernel paid, and ``script_lanes``,
-    the number of scripted lanes (which count nothing else).
+    ``fused_forwards``/``fused_rows`` (every memo-miss forward, in the
+    kernel or in Python), ``train_events`` — plus ``kernel_barriers``,
+    the number of Python-boundary crossings the kernel paid (its train
+    gates, and the inference barriers of a lane whose forward runs in
+    Python: the DQN head, a network ``C51Network._compiled`` refuses),
+    and ``script_lanes``, the number of scripted lanes (which count
+    nothing else).
     """
     tick = _tick(backend)
     if tick is None:
@@ -161,6 +164,6 @@ def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> Li
     taken = [run for run in runs if kernel_eligible(run)]
     scripted = [run for run in runs if script_eligible(run)]
     if taken or scripted:
-        run_lanes_c(taken, scripted, tick, sink=sink)
+        run_lanes_c(taken, scripted, tick, sink=sink, backend=backend)
     chosen = set(map(id, taken + scripted))
     return [run for run in runs if id(run) not in chosen]

@@ -5,9 +5,14 @@ feature binning, the device latency models, LRU placement/eviction,
 replay dedup — over flat arrays with dense page ids, and *suspends*
 whenever serial semantics need Python:
 
-* **inference barrier** — an action-memo miss; the caller runs
-  ``inference_net.best_action`` on the mailed observation and re-enters
-  (the kernel commits the memo entry and resumes mid-tick);
+* **inference barrier** — an action-memo miss the kernel cannot answer
+  itself; the caller runs ``inference_net.best_action`` on the mailed
+  observation and re-enters (the kernel commits the memo entry and
+  resumes mid-tick).  A C51 lane whose inference network
+  ``C51Network._compiled`` accepts never stops here: its flat
+  parameters are bound into the lane's table (weight copies write into
+  them in place) and ``sib_run`` computes the forward itself, with the
+  routine ``best_action`` calls, counting it in ``CI_FORWARDS``;
 * **training gate** — ``seen % train_interval == 0`` with a full enough
   buffer; the caller hands the replay buffer the kernel's FIFO as its
   sampling order (the storage arrays are the buffer's own), drives the
@@ -301,9 +306,12 @@ class _HSSState:
 
 class _KernelRun(_HSSState):
     """One agent lane's kernel state: the HSS half plus replay buffer,
-    action memo, RNG and the Python-side barrier handlers."""
+    action memo, RNG and the Python-side barrier handlers.  ``backend``
+    (the lane engine's override of ``SIBYL_BACKEND``) also decides
+    whether the lane's forward runs in the kernel."""
 
-    def __init__(self, run, trace: TraceSoA) -> None:
+    def __init__(self, run, trace: TraceSoA,
+                 backend: Optional[str] = None) -> None:
         super().__init__(run, trace)
         self.policy = policy = run.policy
         ci, cd, arrays = self.ci, self.cd, self.arrays
@@ -366,6 +374,11 @@ class _KernelRun(_HSSState):
         arrays[P_MEMO_OBS] = np.zeros((_MEMO_CAP, 6), dtype=np.float64)
         arrays[P_MEMO_ACT] = np.zeros(_MEMO_CAP, dtype=np.int32)
         arrays[P_MEMO_HASH] = np.full(_MEMO_CAP * 2, -1, dtype=np.int32)
+        if policy.head == "c51":
+            net = policy.inference_net
+            compiled, _ = net._compiled(backend=backend)
+            if compiled is not None:  # else P_C51_PARAMS stays NULL
+                compiled.bind_forward(net, ci, arrays)
         self.gate_total: Optional[int] = None
         self.ptrs = library.bind(self.arrays)
 
@@ -478,6 +491,7 @@ class _KernelRun(_HSSState):
 
 def run_one_c(
     run, tick, sink=None, trace: Optional[TraceSoA] = None, lane: int = 0,
+    backend: Optional[str] = None,
 ) -> None:
     """Drive one ``PolicyRun`` that :func:`~repro.sim.kernels.kernel_eligible`
     accepts to completion through the compiled kernel (``tick``, the
@@ -486,20 +500,24 @@ def run_one_c(
 
     ``trace`` is the run's trace already packed (lanes replaying one
     trace share the pack); by default the run's own iterator is packed.
-    ``lane`` only labels the ``kernel.invoke`` span.  ``sink`` receives
-    the engine counters (see ``run_kernel_lanes``); the barrier statuses
-    the C loop returns are counted for free in the dispatch loop below,
-    so ``kernel_barriers`` prices the Python boundary exactly.
+    ``backend`` overrides ``SIBYL_BACKEND`` for the lane's forward, as
+    it did for ``tick``.
+    ``lane`` only labels the ``kernel.invoke`` span, which also reports
+    the ``forwards`` the kernel computed itself.  ``sink`` receives the
+    engine counters (see ``run_kernel_lanes``); the barrier statuses the
+    C loop returns are counted for free in the dispatch loop below, so
+    ``kernel_barriers`` prices the Python boundary exactly, and the
+    forwards are counted wherever they ran.
     """
     if trace is None:
         trace = TraceSoA.from_run(run)
-    state = _KernelRun(run, trace)
+    state = _KernelRun(run, trace, backend)
     n_inference = 0
     n_train = 0
     with _span(
         "kernel.invoke", cat="kernel", mode="agent", policy=run.policy.name,
         lane=lane, requests=trace.n,
-    ):
+    ) as args:
         while True:
             status = tick.call("sib_run", state.ptrs, state.ci)
             if status == ST_DONE:
@@ -510,12 +528,15 @@ def run_one_c(
             else:  # ST_TRAIN_GATE
                 n_train += 1
                 state.handle_train_gate()
+        forwards = n_inference + int(state.ci[CI_FORWARDS])
+        if args is not None:
+            args["forwards"] = forwards
     state.export()
     if sink is not None:
         sink.count("ticks", trace.n)
-        if n_inference:
-            sink.count("fused_forwards", n_inference)
-            sink.count("fused_rows", n_inference)
+        if forwards:
+            sink.count("fused_forwards", forwards)
+            sink.count("fused_rows", forwards)
             sink.record_max("max_fused_rows", 1)
         sink.count("train_events", n_train)
         sink.count("kernel_barriers", n_inference + n_train)
@@ -555,9 +576,13 @@ def run_script_c(run, tick, trace: TraceSoA, sink=None) -> None:
         sink.count("script_lanes")
 
 
-def run_lanes_c(runs: List, scripted: Sequence, tick, sink=None) -> None:
+def run_lanes_c(
+    runs: List, scripted: Sequence, tick, sink=None,
+    backend: Optional[str] = None,
+) -> None:
     """Drive every agent run, then every scripted run, to completion
-    through the compiled engine ``tick`` (the gate's binding).
+    through the compiled engine ``tick`` (the gate's binding for
+    ``backend``, which the lanes' forwards are bound under too).
 
     A trace tuple's pack is the process's one (:func:`.soa.shared_pack`:
     built once per process, shared by every call that replays it); any
@@ -577,6 +602,7 @@ def run_lanes_c(runs: List, scripted: Sequence, tick, sink=None) -> None:
         return streamed[id(source)]
 
     for lane, run in enumerate(runs):
-        run_one_c(run, tick, sink=sink, trace=pack(run), lane=lane)
+        run_one_c(run, tick, sink=sink, trace=pack(run), lane=lane,
+                  backend=backend)
     for run in scripted:
         run_script_c(run, tick, pack(run), sink=sink)

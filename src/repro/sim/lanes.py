@@ -116,9 +116,9 @@ def run_lanes(
     :class:`repro.obs.sink.DictSink` — pure observation, never
     behaviour, and never the engine's choice.  A kernel-run agent
     lane reports ``ticks`` (its request count), ``fused_forwards`` /
-    ``fused_rows`` / ``max_fused_rows`` (its one-row inference calls),
-    ``train_events`` and ``kernel_barriers`` (Python-boundary
-    crossings); a scripted lane reports ``script_lanes`` only; a
+    ``fused_rows`` / ``max_fused_rows`` (its one-row memo-miss
+    forwards, wherever they ran), ``train_events`` and
+    ``kernel_barriers`` (Python-boundary crossings); a scripted lane reports ``script_lanes`` only; a
     serially stepped lane reports ``ticks`` and ``train_events`` (read
     off the finished policy) and zero for everything else.
     """

@@ -14,6 +14,7 @@ import pytest
 
 from repro.native import abi, library
 from repro.obs.tracer import SpanTracer, set_tracer
+from repro.rl.c51 import C51Config, C51Network
 from repro.rl.rnn import ElmanRNN
 from repro.sim.kernels import get_backend
 from repro.traces.synthetic import SyntheticTraceGenerator
@@ -36,11 +37,17 @@ def _rnn_binding():
     return ElmanRNN(2, 16, 2, rng=np.random.default_rng(0))._compiled()[0]
 
 
+def _c51_binding():
+    net = C51Network(C51Config(optimizer="adam"), rng=np.random.default_rng(0))
+    return net._compiled(128)[0]
+
+
 #: Per row, a caller's own use of it: None means it took the Python path.
 CALLERS = {
     "tick": get_backend,
     "draw": _draw_columns,
     "rnn": _rnn_binding,
+    "c51": _c51_binding,
 }
 
 

@@ -192,6 +192,10 @@ class TestPackTime:
         arrays = engine_c._KernelRun(run, TraceSoA.from_run(run)).arrays
         index = getattr(abi, slot.name)
         good = arrays[index]
+        if good is None:  # an optional slot left NULL: nothing bound
+            assert slot.optional
+            library.check_arrays(arrays)
+            good = np.zeros(4, dtype=abi.DTYPES[slot.ctype])
         strided = np.zeros(2 * max(good.size, 2), dtype=good.dtype)[::2]
         for bad in (good.astype(np.float32), strided, good.tolist()):
             arrays[index] = bad

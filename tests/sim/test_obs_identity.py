@@ -11,7 +11,9 @@ Two contracts:
   compiled kernel's on what it can know without looking inside
   ``policy.place`` — ``ticks`` and ``train_events`` — and reports zero
   for the rest (``kernel_barriers`` prices the kernel's Python
-  boundary, which it never crosses).
+  boundary, which it never crosses).  The kernel counts a forward
+  wherever it ran: a C51 lane's memo misses run inside it and cross
+  nothing, a DQN lane's cross once each.
 """
 
 import pytest
@@ -78,11 +80,11 @@ class TestABBitIdentity:
 
 
 class TestCounterEqualityAcrossBackends:
-    def _stats(self, backend):
+    def _stats(self, backend, head="c51"):
         stats = {}
         run_lanes(
             [LaneSpec(
-                policy=SibylAgent(seed=0, hyperparams=_HP),
+                policy=SibylAgent(seed=0, hyperparams=_HP, head=head),
                 trace=make_trace("rsrch_0", n_requests=N, seed=0),
                 config="H&M",
             )],
@@ -102,13 +104,22 @@ class TestCounterEqualityAcrossBackends:
             count == 0 for name, count in stepped.items()
             if name not in ("ticks", "train_events")
         )
-        # Every uncached inference and every train gate crosses the
-        # kernel's Python boundary exactly once.
+        # Every train gate crosses the kernel's Python boundary exactly
+        # once; the uncached inferences run inside the kernel.
+        assert kernel["kernel_barriers"] == kernel["train_events"]
+        assert kernel["fused_rows"] == kernel["fused_forwards"] > 0
+        assert kernel["ticks"] == N
+        assert kernel["train_events"] > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    def test_python_forwards_cross_the_boundary(self, backend):
+        """The DQN head's forward runs in Python: every uncached
+        inference and every train gate crosses exactly once."""
+        kernel = self._stats(backend, head="dqn")
         assert kernel["kernel_barriers"] == (
             kernel["fused_forwards"] + kernel["train_events"]
         )
         assert kernel["fused_rows"] == kernel["fused_forwards"] > 0
-        assert kernel["ticks"] == N
         assert kernel["train_events"] > 0
 
     def test_heuristic_only_lanes_report_zero_forwards(self):

@@ -120,7 +120,8 @@ def test_module_entry_points_run_clean_under_runpy(entry):
 
 @pytest.mark.parametrize(
     "module",
-    ["repro.rl", "repro.serve.daemon", "repro.serve.engine", "repro.serve.lane"],
+    ["repro.rl", "repro.rl.c51", "repro.core.agent", "repro.serve.daemon",
+     "repro.serve.engine", "repro.serve.lane"],
 )
 def test_learners_and_daemon_load_no_compiler_plumbing(module):
     """The compiled library's loader (and the ``subprocess`` it builds
