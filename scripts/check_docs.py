@@ -53,7 +53,6 @@ AUDITED_MODULES = (
     "repro.serve.engine",
     "repro.serve.daemon",
     "repro.serve.loadgen",
-    "repro.obs.sink",
     "repro.obs.metrics",
     "repro.obs.tracer",
 )

@@ -1,15 +1,15 @@
-"""Unified observability: spans, histograms, and tick-domain sinks.
+"""Unified observability: spans and histograms.
 
 The repo's SBL-DET contract (``tests/contracts/test_contracts.py``)
 bans wall-clock reads inside the bit-identity core
 (``repro.{sim,rl,hss,store}``), which makes "just add timers" the
-wrong instinct.  This package splits telemetry into two domains:
+wrong instinct.  Telemetry therefore lives in two domains:
 
-- **Tick domain** (:mod:`repro.obs.sink`): clock-free counters the
-  engines emit through :class:`~repro.obs.sink.ObservationSink` —
-  ticks, fused forwards/rows, training events, kernel-barrier
-  crossings — into the dict a caller hands ``run_lanes(stats=)``.
-  Safe anywhere, including the core.
+- **Tick domain**: clock-free counters — ticks, forwards, training
+  events, kernel-barrier crossings — that the engines add straight
+  into the dict a caller hands ``run_lanes(stats=)``
+  (:data:`repro.sim.lanes.ENGINE_COUNTERS`).  Safe anywhere,
+  including the core; nothing in this package is involved.
 - **Wall-clock domain** (:mod:`repro.obs.tracer`,
   :mod:`repro.obs.metrics`): timed spans (Chrome-trace-event JSON,
   Perfetto-loadable) and the duration histograms behind the placement
@@ -23,7 +23,6 @@ installed (the ``SIBYL_TRACE_PATH`` knob or a ``--trace`` flag).  See
 
 from __future__ import annotations
 
-from .sink import DictSink, ObservationSink
 from .tracer import (
     SpanTracer,
     flush_tracer,
@@ -35,8 +34,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "ObservationSink",
-    "DictSink",
     "SpanTracer",
     "span",
     "get_tracer",

@@ -57,7 +57,7 @@ from ..obs.metrics import Histogram
 from ..obs.tracer import get_tracer, span
 from ..rl.c51 import C51LaneStack, C51Network
 from ..rl.dqn import DQNLaneStack
-from ..sim.lanes import group_signature
+from ..rl.network import NetworkLaneStack
 from .lane import TenantLane, open_lane
 from .protocol import (
     ERR_BAD_REQUEST,
@@ -110,6 +110,16 @@ class Job:
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until resolved; False on timeout (submitted jobs only)."""
         return self.done.wait(timeout)
+
+
+def _group_signature(agent) -> tuple:
+    """Fusion-compatibility key of an agent's inference network: agents
+    with equal keys share one :class:`_LaneGroup` stacked forward."""
+    net = agent.inference_net
+    arch = NetworkLaneStack.signature(net.network)
+    if isinstance(net, C51Network):
+        return ("c51", arch, net.config.n_actions, net.config.n_atoms)
+    return ("dqn", arch)
 
 
 class _LaneGroup:
@@ -658,7 +668,7 @@ class PlacementEngine:
         by_signature: Dict[tuple, List[TenantLane]] = {}
         for lane in self.lanes.values():
             by_signature.setdefault(
-                group_signature(lane.agent), []
+                _group_signature(lane.agent), []
             ).append(lane)
         self._lane_group = {}
         for members in by_signature.values():

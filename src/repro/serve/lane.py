@@ -3,10 +3,11 @@
 A *tenant* is one independent placement stream — its own
 :class:`~repro.core.agent.SibylAgent`, its own
 :class:`~repro.hss.system.HybridStorageSystem`, its own closed-loop
-completion clock.  Tenants share nothing but the engine's fused network
-forward, exactly like lanes in :func:`repro.sim.lanes.run_lanes`; the
-daemon's bit-identity contract (the same queries served through the
-daemon equal a serial offline replay) rests on this lane reproducing
+completion clock.  Tenants share nothing but the engine's stacked
+network forward (one per architecture group, each row computed from
+that tenant's own weights and observation alone); the daemon's
+bit-identity contract (the same queries served through the daemon
+equal a serial offline replay) rests on this lane reproducing
 :meth:`repro.sim.runner.PolicyRun.step` statement for statement.
 """
 

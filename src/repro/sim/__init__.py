@@ -12,7 +12,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "standard_policies", "tri_hybrid_comparison",
         "unseen_workload_comparison"],
     ".lanes": ["LaneSpec", "run_lanes"],
-    ".parallel": ["Cell", "iter_many", "run_grid", "run_many"],
+    ".parallel": ["Cell", "run_grid", "run_many"],
     ".report": ["export_json", "format_band", "format_series", "format_table",
         "geomean", "to_jsonable"],
     ".runner": ["PolicyRun", "RunResult", "build_hss", "normalized_row",

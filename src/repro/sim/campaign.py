@@ -15,7 +15,7 @@ floats it always was.
 The seed axis rides the engines underneath:
 
 * **Across processes** — the grid fans out through
-  :func:`repro.sim.parallel.run_many`; each parallel task carries one
+  :func:`repro.sim.parallel.run_grid`; each parallel task carries one
   grid cell *with its whole seed axis inside*.
 * **Within a process** — a cell's seed replicas are **extra lanes** of
   one :func:`repro.sim.lanes.run_lanes` call, made by

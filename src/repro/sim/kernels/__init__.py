@@ -134,7 +134,8 @@ def kernel_eligible(run) -> bool:
     return buf._obs is None and not buf._free and buf._total_added == 0
 
 
-def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> List:
+def run_kernel_lanes(runs: List, backend: Optional[str] = None,
+                     stats: Optional[dict] = None) -> List:
     """Drive the eligible lanes of ``runs`` to completion; return the rest.
 
     ``backend`` overrides the environment knob.  With the kernel
@@ -145,10 +146,10 @@ def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> Li
     scripted lanes (:func:`.script.script_eligible`, the baselines) are
     taken.
 
-    ``sink`` (an :class:`repro.obs.sink.ObservationSink`) receives the
-    tick-domain counters of each agent lane — ``ticks``, one-row
-    ``fused_forwards``/``fused_rows`` (every memo-miss forward, in the
-    kernel or in Python), ``train_events`` — plus ``kernel_barriers``,
+    ``stats`` (a dict holding every ``sim.lanes.ENGINE_COUNTERS`` key,
+    as ``run_lanes`` hands it) is added to: each agent lane's ``ticks``,
+    one-row ``fused_forwards``/``fused_rows`` (every memo-miss forward,
+    in the kernel or in Python), ``train_events`` — plus ``kernel_barriers``,
     the number of Python-boundary crossings the kernel paid (its train
     gates, and the inference barriers of a lane whose forward runs in
     Python: the DQN head, a network ``C51Network._compiled`` refuses),
@@ -164,6 +165,6 @@ def run_kernel_lanes(runs: List, backend: Optional[str] = None, sink=None) -> Li
     taken = [run for run in runs if kernel_eligible(run)]
     scripted = [run for run in runs if script_eligible(run)]
     if taken or scripted:
-        run_lanes_c(taken, scripted, tick, sink=sink, backend=backend)
+        run_lanes_c(taken, scripted, tick, stats=stats, backend=backend)
     chosen = set(map(id, taken + scripted))
     return [run for run in runs if id(run) not in chosen]

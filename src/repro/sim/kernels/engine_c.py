@@ -490,7 +490,8 @@ class _KernelRun(_HSSState):
 
 
 def run_one_c(
-    run, tick, sink=None, trace: Optional[TraceSoA] = None, lane: int = 0,
+    run, tick, stats: Optional[dict] = None,
+    trace: Optional[TraceSoA] = None, lane: int = 0,
     backend: Optional[str] = None,
 ) -> None:
     """Drive one ``PolicyRun`` that :func:`~repro.sim.kernels.kernel_eligible`
@@ -503,8 +504,8 @@ def run_one_c(
     ``backend`` overrides ``SIBYL_BACKEND`` for the lane's forward, as
     it did for ``tick``.
     ``lane`` only labels the ``kernel.invoke`` span, which also reports
-    the ``forwards`` the kernel computed itself.  ``sink`` receives the
-    engine counters (see ``run_kernel_lanes``); the barrier statuses the
+    the ``forwards`` the kernel computed itself.  ``stats`` is added to
+    (see ``run_kernel_lanes``); the barrier statuses the
     C loop returns are counted for free in the dispatch loop below, so
     ``kernel_barriers`` prices the Python boundary exactly, and the
     forwards are counted wherever they ran.
@@ -532,17 +533,16 @@ def run_one_c(
         if args is not None:
             args["forwards"] = forwards
     state.export()
-    if sink is not None:
-        sink.count("ticks", trace.n)
-        if forwards:
-            sink.count("fused_forwards", forwards)
-            sink.count("fused_rows", forwards)
-            sink.record_max("max_fused_rows", 1)
-        sink.count("train_events", n_train)
-        sink.count("kernel_barriers", n_inference + n_train)
+    if stats is not None:
+        stats["ticks"] += trace.n
+        stats["fused_forwards"] += forwards
+        stats["fused_rows"] += forwards
+        stats["train_events"] += n_train
+        stats["kernel_barriers"] += n_inference + n_train
 
 
-def run_script_c(run, tick, trace: TraceSoA, sink=None) -> None:
+def run_script_c(run, tick, trace: TraceSoA,
+                 stats: Optional[dict] = None) -> None:
     """Drive one scripted ``PolicyRun`` (``script.script_eligible``) to
     completion: the policy decides every request ahead of the replay
     (:func:`~.script.decide`, Python), then the kernel's one serve/evict
@@ -572,12 +572,12 @@ def run_script_c(run, tick, trace: TraceSoA, sink=None) -> None:
     ):
         tick.call("sib_run", ptrs, state.ci)
     state.export_hss()
-    if sink is not None:
-        sink.count("script_lanes")
+    if stats is not None:
+        stats["script_lanes"] += 1
 
 
 def run_lanes_c(
-    runs: List, scripted: Sequence, tick, sink=None,
+    runs: List, scripted: Sequence, tick, stats: Optional[dict] = None,
     backend: Optional[str] = None,
 ) -> None:
     """Drive every agent run, then every scripted run, to completion
@@ -602,7 +602,7 @@ def run_lanes_c(
         return streamed[id(source)]
 
     for lane, run in enumerate(runs):
-        run_one_c(run, tick, sink=sink, trace=pack(run), lane=lane,
+        run_one_c(run, tick, stats=stats, trace=pack(run), lane=lane,
                   backend=backend)
     for run in scripted:
-        run_script_c(run, tick, pack(run), sink=sink)
+        run_script_c(run, tick, pack(run), stats=stats)

@@ -18,12 +18,9 @@ What a list of lanes buys is one future-use CSR for the four Oracle
 horizons, one ``TraceSoA`` pack per distinct list or stream in the call
 (a trace tuple's pack is the process's one,
 :func:`repro.sim.kernels.soa.shared_pack`) and one place for engine
-counters.  Stepped
-lanes are deliberately not advanced together with stacked forwards:
-measured against this loop, doing so is a tie (``docs/engines.md``).
-
-:func:`group_signature` is the architecture key the placement daemon
-(:mod:`repro.serve.engine`) groups its tenants' fused inference by.
+counters (:data:`ENGINE_COUNTERS`).  Stepped lanes are deliberately
+not advanced together with stacked forwards: measured against this
+loop, doing so is a tie (``docs/engines.md``).
 """
 
 from __future__ import annotations
@@ -34,16 +31,25 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from ..baselines.base import PlacementPolicy
 from ..hss.request import Request
 from ..hss.system import HybridStorageSystem
-from ..rl.c51 import C51Network
-from ..rl.network import NetworkLaneStack
 from .runner import PolicyRun, RunResult
 
 __all__ = [
+    "ENGINE_COUNTERS",
     "LaneSpec",
     "run_lanes",
     "fused_train_event",
-    "group_signature",
 ]
+
+#: The counters ``run_lanes(stats=)`` adds to, zero-filled where the
+#: caller's dict lacks them (their meanings are on :func:`run_lanes`).
+ENGINE_COUNTERS = (
+    "ticks",
+    "fused_forwards",
+    "fused_rows",
+    "train_events",
+    "kernel_barriers",
+    "script_lanes",
+)
 
 
 @dataclass
@@ -82,21 +88,6 @@ def fused_train_event(agents: Sequence, stack_cache: Optional[dict] = None,
         agent.train_commit()
 
 
-def group_signature(policy) -> tuple:
-    """Fusion-compatibility key of an RL policy's inference network.
-
-    Policies with equal signatures can share one stacked fused forward
-    (:class:`~repro.rl.c51.C51LaneStack` / ``DQNLaneStack``); the
-    placement daemon groups its tenants by it
-    (:mod:`repro.serve.engine`).
-    """
-    net = policy.inference_net
-    arch = NetworkLaneStack.signature(net.network)
-    if isinstance(net, C51Network):
-        return ("c51", arch, net.config.n_actions, net.config.n_atoms)
-    return ("dqn", arch)
-
-
 def run_lanes(
     specs: Sequence[LaneSpec],
     stats: Optional[Dict[str, int]] = None,
@@ -112,31 +103,27 @@ def run_lanes(
     stepped serially, one lane after another.  ``backend`` overrides the
     ``SIBYL_BACKEND`` environment knob.
 
-    ``stats``, when given, is filled with engine counters through a
-    :class:`repro.obs.sink.DictSink` — pure observation, never
-    behaviour, and never the engine's choice.  A kernel-run agent
-    lane reports ``ticks`` (its request count), ``fused_forwards`` /
-    ``fused_rows`` / ``max_fused_rows`` (its one-row memo-miss
-    forwards, wherever they ran), ``train_events`` and
-    ``kernel_barriers`` (Python-boundary crossings); a scripted lane reports ``script_lanes`` only; a
+    ``stats``, when given, gets every :data:`ENGINE_COUNTERS` key it
+    lacks at 0, and the lanes add to them — pure observation, never
+    behaviour, and never the engine's choice.  A kernel-run agent lane
+    reports ``ticks`` (its request count), ``fused_forwards`` /
+    ``fused_rows`` (its one-row memo-miss forwards, wherever they ran),
+    ``train_events`` and ``kernel_barriers`` (Python-boundary
+    crossings); a scripted lane reports ``script_lanes`` only; a
     serially stepped lane reports ``ticks`` and ``train_events`` (read
     off the finished policy) and zero for everything else.
     """
-    from ..obs.sink import ENGINE_COUNTERS, ENGINE_MAXIMA, DictSink
     from . import kernels
 
-    sink = DictSink(stats) if stats is not None else None
-    if sink is not None:
+    if stats is not None:
         for name in ENGINE_COUNTERS:
-            sink.count(name, 0)
-        for name in ENGINE_MAXIMA:
-            sink.record_max(name, 0)
+            stats.setdefault(name, 0)
     runs = [spec.make_run() for spec in specs]
-    for run in kernels.run_kernel_lanes(runs, backend=backend, sink=sink):
+    for run in kernels.run_kernel_lanes(runs, backend=backend, stats=stats):
         step = run.step
         while step():
             pass
-        if sink is not None:
-            sink.count("ticks", run.n_total)
-            sink.count("train_events", getattr(run.policy, "train_events", 0))
+        if stats is not None:
+            stats["ticks"] += run.n_total
+            stats["train_events"] += getattr(run.policy, "train_events", 0)
     return [run.result() for run in runs]

@@ -100,7 +100,7 @@ class CampaignStore:
 
     Construct one over a directory and hand it to any sweep
     (``store=`` on every :mod:`repro.sim.experiment` sweep, threaded
-    through :func:`repro.sim.parallel.run_many`/``iter_many``): cells
+    through :func:`repro.sim.parallel.run_grid`/``run_many``): cells
     whose fingerprint is already stored are served from disk without a
     single simulation tick, freshly computed cells are persisted the
     moment they finish, and an interrupted campaign's rerun dispatches

@@ -392,7 +392,6 @@ class TestEngineStats:
         assert stats["train_events"] == 2 * (900 // 250)
         # No forward is ever shared between lanes.
         assert stats["fused_rows"] == stats["fused_forwards"]
-        assert stats["max_fused_rows"] <= 1
         assert "fused_train_events" not in stats
 
     def test_stepped_lanes_count_ticks_and_train_events_only(self):

@@ -13,13 +13,7 @@ from repro.native.blas import blas_threads, limit_blas_threads
 from repro.obs.tracer import SpanTracer, set_tracer
 from repro.serve.daemon import PlacementDaemon
 from repro.sim.experiment import buffer_size_sweep, hyperparameter_sweep
-from repro.sim.parallel import (
-    Cell,
-    iter_many,
-    resolve_workers,
-    run_grid,
-    run_many,
-)
+from repro.sim.parallel import Cell, resolve_workers, run_grid, run_many
 
 
 def _square(x):
@@ -127,6 +121,11 @@ class TestRunMany:
         cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(5)]
         out = run_many(cells, max_workers=1)
         assert out == [(i, i * i) for i in range(5)]
+        # The benchmark probe's call form: lane_pack=1 is the default,
+        # and nothing else is accepted (cells are never packed).
+        assert run_many(cells, max_workers=1, lane_pack=1) == out
+        with pytest.raises(ValueError, match="lane_pack"):
+            run_many(cells, max_workers=1, lane_pack=2)
 
     def test_pool_results_in_order(self):
         cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(5)]
@@ -182,18 +181,15 @@ class TestThreadTopology:
         ]
         assert blas_threads() == 2
 
-    def test_in_process_pack_is_pinned_then_restored(self):
-        # One chunk -> one "worker" -> the pack runs in this process.
-        assert run_many(self._cells(), max_workers=2, lane_pack=64) == [
-            (i, 1) for i in range(4)
-        ]
-        assert blas_threads() == 2
-
     def test_serial_stream_is_unpinned_between_cells(self):
-        stream = iter_many(self._cells(), max_workers=1)
-        assert next(stream) == (0, 1)
-        assert blas_threads() == 2  # the consumer's code runs unpinned
-        assert list(stream) == [(i, 1) for i in range(1, 4)]
+        seen = []
+        out = run_grid(
+            self._cells(), max_workers=1,
+            # The consumer's code runs unpinned.
+            on_cell=lambda key, result: seen.append((key, blas_threads())),
+        )
+        assert seen == [(i, 2) for i in range(4)]
+        assert out == {i: 1 for i in range(4)}
 
     def test_restored_when_a_cell_raises(self):
         with pytest.raises(RuntimeError):
@@ -283,43 +279,10 @@ def test_unrecognised_blas_is_a_silent_noop(monkeypatch):
         blas._controls.cache_clear()
 
 
-class TestIterMany:
-    """Streaming delivery: same results as run_many, arriving as cells
-    complete instead of all at once."""
-
-    def test_serial_streams_in_cell_order(self):
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(4)]
-        assert list(iter_many(cells, max_workers=1)) == [
-            (i, i * i) for i in range(4)
-        ]
-
-    def test_serial_is_lazy(self):
-        """The serial path must yield before later cells run — that is
-        the whole point of streaming into a report."""
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(3)]
-        stream = iter_many(cells, max_workers=1)
-        assert next(stream) == (0, 0)  # no exception from later cells
-
-    def test_pool_matches_run_many_as_set(self):
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(6)]
-        streamed = sorted(iter_many(cells, max_workers=2))
-        assert streamed == run_many(cells, max_workers=2)
-
-    def test_pool_with_packing(self):
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(7)]
-        streamed = sorted(iter_many(cells, max_workers=2, lane_pack=3))
-        assert streamed == [(i, i * i) for i in range(7)]
-
-    def test_empty(self):
-        assert list(iter_many([])) == []
-
-    def test_worker_exception_propagates(self):
-        cells = [Cell(key=0, fn=_fail), Cell(key=1, fn=_fail)]
-        with pytest.raises(RuntimeError):
-            list(iter_many(cells, max_workers=2))
-
-
 class TestOnCell:
+    """Streaming delivery: ``on_cell`` sees the results run_many
+    returns, each as its cell completes."""
+
     def test_run_grid_on_cell_fires_per_cell(self):
         cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(4)]
         seen = []
@@ -334,6 +297,28 @@ class TestOnCell:
         cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(5)]
         out = run_grid(cells, max_workers=2)
         assert list(out) == list(range(5))
+
+    def test_serial_fires_before_later_cells_run(self):
+        """On the serial path ``on_cell`` fires before the next cell
+        runs — that is the whole point of streaming into a report."""
+
+        class Stop(Exception):
+            pass
+
+        def stop(key, result):
+            raise Stop
+
+        cells = [Cell(key=0, fn=_square, kwargs={"x": 0}),
+                 Cell(key=1, fn=_fail)]
+        with pytest.raises(Stop):  # not the later cell's RuntimeError
+            run_grid(cells, max_workers=1, on_cell=stop)
+
+    def test_pool_fires_what_run_many_returns(self):
+        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(6)]
+        seen = []
+        run_grid(cells, max_workers=2,
+                 on_cell=lambda key, result: seen.append((key, result)))
+        assert sorted(seen) == run_many(cells, max_workers=2)
 
 
 class TestSweepEquivalence:
@@ -362,26 +347,3 @@ class TestSweepEquivalence:
             (32, 8), workload="rsrch_0", n_requests=400, max_workers=2
         )
         assert list(out) == [32, 8]
-
-
-class TestLanePacking:
-    """``lane_pack`` cell packing: scheduling granularity only, results
-    and ordering unchanged."""
-
-    def test_pack_matches_unpacked(self):
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(7)]
-        unpacked = run_many(cells, max_workers=2, lane_pack=1)
-        packed = run_many(cells, max_workers=2, lane_pack=3)
-        assert packed == unpacked == [(i, i * i) for i in range(7)]
-
-    def test_pack_larger_than_grid(self):
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(3)]
-        assert run_many(cells, max_workers=2, lane_pack=64) == [
-            (i, i * i) for i in range(3)
-        ]
-
-    def test_pack_serial_path_unaffected(self):
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(4)]
-        assert run_many(cells, max_workers=1, lane_pack=2) == [
-            (i, i * i) for i in range(4)
-        ]
