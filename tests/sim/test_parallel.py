@@ -181,6 +181,12 @@ class TestThreadTopology:
         ]
         assert blas_threads() == 2
 
+    def test_in_process_pack_is_pinned_then_restored(self):
+        # A pool asked for, but a one-cell grid needs none: the cell
+        # runs in this process, pinned only while it executes.
+        assert run_many(self._cells(1), max_workers=2) == [(0, 1)]
+        assert blas_threads() == 2
+
     def test_serial_stream_is_unpinned_between_cells(self):
         seen = []
         out = run_grid(
@@ -277,6 +283,33 @@ def test_unrecognised_blas_is_a_silent_noop(monkeypatch):
         assert args["blas_threads"] == 0
     finally:
         blas._controls.cache_clear()
+
+
+class TestIterMany:
+    """The completion-order stream that ``run_grid(on_cell=)`` exposes:
+    the results run_many returns, arriving as cells complete."""
+
+    def test_serial_streams_in_cell_order(self):
+        # Cell order, not key order: the keys run backwards.
+        cells = [Cell(key=i, fn=_square, kwargs={"x": i})
+                 for i in reversed(range(4))]
+        seen = []
+        run_grid(cells, max_workers=1,
+                 on_cell=lambda key, result: seen.append((key, result)))
+        assert seen == [(i, i * i) for i in reversed(range(4))]
+
+    def test_empty(self):
+        seen = []
+        assert run_grid([], on_cell=lambda *kv: seen.append(kv)) == {}
+        assert seen == []
+
+    def test_worker_exception_propagates(self):
+        cells = [Cell(key=0, fn=_fail), Cell(key=1, fn=_fail)]
+        seen = []
+        with pytest.raises(RuntimeError):
+            run_grid(cells, max_workers=2,
+                     on_cell=lambda *kv: seen.append(kv))
+        assert seen == []  # no failed cell is delivered
 
 
 class TestOnCell:
