@@ -153,8 +153,9 @@ TABLE = Table(
         Pointer("P_RNN_PROBS", "rnn_probs", "double"),
         Pointer("P_RNN_RECUR", "rnn_recur", "double"),
         Pointer("P_RNN_DH", "rnn_dh", "double"),
-        # Sibyl's C51 network (sib_c51_train, sib_c51_act, and sib_run's
-        # memo-miss forward): the addresses of NumPy's gemv, gemm and
+        # Sibyl's C51 network (sib_c51_train, sib_c51_act, sib_run's
+        # memo-miss forward, and the batched passes below): the
+        # addresses of NumPy's gemv, gemm and
         # float64 tanh/exp/log loops (indexed by ``c51_fns``); the layer
         # widths; the flat parameters -- in sib_run the inference
         # network's, NULL where the lane's forward runs in Python --,
@@ -179,6 +180,16 @@ TABLE = Table(
         Pointer("P_C51_WORK", "c51_work", "double"),
         Pointer("P_C51_GRAD", "c51_grad", "double"),
         Pointer("P_C51_LAYERS", "c51_layers", "uint64_t", const=True),
+        # sib_c51_targets / sib_c51_greedy, the batched passes: the
+        # transitions' rewards and terminal flags (NULL: none), a pass's
+        # workspace scratch, each row's greedy action and each row's
+        # projected target pmf.
+        Pointer("P_C51_REWARDS", "c51_rewards", "double", const=True),
+        Pointer("P_C51_DONES", "c51_dones", "uint8_t", const=True,
+                optional=True),
+        Pointer("P_C51_PASS", "c51_pass", "double"),
+        Pointer("P_C51_BEST", "c51_best", "int64_t"),
+        Pointer("P_C51_PROJ", "c51_proj", "double"),
     ),
     ctrl_i=(
         "CI_STATUS", "CI_I", "CI_RESUMED", "CI_NTOTAL", "CI_WARMUP",
@@ -213,6 +224,8 @@ TABLE = Table(
         "CI_C51_NLAYERS", "CI_C51_NACT", "CI_C51_NATOMS", "CI_C51_BATCH",
         "CI_C51_STEPS", "CI_C51_ADAM_T", "CI_C51_ILP64", "CI_C51_ACTION",
         "CI_FORWARDS",
+        # sib_c51_targets / sib_c51_greedy: the rows in the pass.
+        "CI_C51_ROWS",
     ),
     ctrl_d=(
         "CD_COMPLETION", "CD_EPS", "CD_UNIT", "CD_EVICT_COEF",
@@ -224,8 +237,10 @@ TABLE = Table(
         "CD_TG_MEAN_GAP", "CD_TG_SIZE_DIV",
         # sib_rnn_train: Adam's learning rate, betas and epsilon.
         "CD_RNN_LR", "CD_RNN_BETA1", "CD_RNN_BETA2", "CD_RNN_EPS",
-        # sib_c51_train: Adam's learning rate, betas and epsilon.
+        # sib_c51_train: Adam's learning rate, betas and epsilon;
+        # sib_c51_targets: the discount.
         "CD_C51_LR", "CD_C51_BETA1", "CD_C51_BETA2", "CD_C51_EPS",
+        "CD_C51_DISCOUNT",
     ),
     dev_d=(
         "DD_NEXT_FREE", "DD_BUSY", "DD_QWAIT", "DD_UTIL", "DD_GC_TIME",

@@ -41,8 +41,9 @@
  * The same library carries more entry points, after the tick kernel:
  * sib_draw_trace(), the per-request draw loop of the synthetic trace
  * generator (traces/synthetic.py); sib_rnn_train() / sib_rnn_predict(),
- * RNN-HSS's Elman RNN (rl/rnn.py); and sib_c51_train() / sib_c51_act(),
- * Sibyl's C51 network (rl/c51.py).
+ * RNN-HSS's Elman RNN (rl/rnn.py); and sib_c51_train() / sib_c51_act()
+ * / sib_c51_targets() / sib_c51_greedy(), Sibyl's C51 network
+ * (rl/c51.py).
  */
 
 #include <math.h>
@@ -1143,38 +1144,58 @@ static void np_inplace(np_ufunc_t u, double *a, int64_t n) {
     u.fn(args, dims, steps, u.data);
 }
 
+/* Two doubles at a time.  Each lane of an operation is the one IEEE
+ * operation the scalar code makes on that element (-ffp-contract=off
+ * keeps a multiply and an add apart here too), so the bytes are the
+ * scalar code's; a v2d may sit at any 8-byte boundary. */
+typedef double v2d __attribute__((vector_size(16), aligned(8), may_alias));
+typedef int64_t v2i __attribute__((vector_size(16), aligned(8), may_alias));
+
+/* mask ? yes : no, lane by lane (mask: a comparison's all-ones or zero) */
+static inline v2d v2_select(v2i mask, v2d yes, v2d no) {
+    return (v2d)(((v2i)yes & mask) | ((v2i)no & ~mask));
+}
+
 /* np.maximum.reduce of a contiguous run: NaN-propagating (the first
  * NaN).  The maximum does not depend on the order it is taken in, so it
  * is taken in four interleaved runs; only which of -0 and +0 comes back
  * can differ from NumPy's, and every caller subtracts it from the run
  * and exponentiates, where the two give the same bytes. */
 static double np_max(const double *a, int64_t n) {
-    double m[4] = {a[0], a[0], a[0], a[0]};
+    double top = a[0];
     int nan = isnan(a[0]);
     int64_t k = 1;
-    for (; k + 4 <= n; k += 4)
-        for (int j = 0; j < 4; j++) {
-            const double x = a[k + j];
-            m[j] = x > m[j] ? x : m[j];
-            nan |= x != x;
+    if (n >= 8) {
+        v2d m0 = *(const v2d *)a, m1 = *(const v2d *)(a + 2);
+        v2i seen = (m0 != m0) | (m1 != m1);
+        for (k = 4; k + 4 <= n; k += 4) {
+            const v2d x0 = *(const v2d *)(a + k);
+            const v2d x1 = *(const v2d *)(a + k + 2);
+            m0 = v2_select(x0 > m0, x0, m0);
+            m1 = v2_select(x1 > m1, x1, m1);
+            seen |= (x0 != x0) | (x1 != x1);
         }
+        const double lo = m0[0] > m0[1] ? m0[0] : m0[1];
+        const double hi = m1[0] > m1[1] ? m1[0] : m1[1];
+        top = lo > hi ? lo : hi;
+        nan = (seen[0] | seen[1]) != 0;
+    }
     for (; k < n; k++) {
-        m[0] = a[k] > m[0] ? a[k] : m[0];
+        top = a[k] > top ? a[k] : top;
         nan |= a[k] != a[k];
     }
     if (nan)
         for (k = 0;; k++)
             if (isnan(a[k]))
                 return a[k];
-    const double lo = m[0] > m[1] ? m[0] : m[1];
-    const double hi = m[2] > m[3] ? m[2] : m[3];
-    return lo > hi ? lo : hi;
+    return top;
 }
 
 /* NumPy's pairwise sum of a contiguous run (DOUBLE_pairwise_sum):
- * sequential under eight terms, eight accumulators up to 128, else the
- * two halves, split at a multiple of eight.  np.add.reduce over a row
- * is +0 plus this. */
+ * sequential under eight terms, eight accumulators up to 128 (here
+ * four two-lane ones, lane by lane the same sums), else the two halves,
+ * split at a multiple of eight.  np.add.reduce over a row is +0 plus
+ * this. */
 static double np_pairwise(const double *a, int64_t n) {
     if (n < 8) {
         double res = -0.0;
@@ -1183,15 +1204,17 @@ static double np_pairwise(const double *a, int64_t n) {
         return res;
     }
     if (n <= 128) {
-        double r[8];
+        v2d r0 = *(const v2d *)a, r1 = *(const v2d *)(a + 2);
+        v2d r2 = *(const v2d *)(a + 4), r3 = *(const v2d *)(a + 6);
         int64_t i;
-        for (int k = 0; k < 8; k++)
-            r[k] = a[k];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int k = 0; k < 8; k++)
-                r[k] += a[i + k];
-        double res = ((r[0] + r[1]) + (r[2] + r[3]))
-                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r0 += *(const v2d *)(a + i);
+            r1 += *(const v2d *)(a + i + 2);
+            r2 += *(const v2d *)(a + i + 4);
+            r3 += *(const v2d *)(a + i + 6);
+        }
+        double res = ((r0[0] + r0[1]) + (r1[0] + r1[1]))
+                     + ((r2[0] + r2[1]) + (r3[0] + r3[1]));
         for (; i < n; i++)
             res += a[i];
         return res;
@@ -1199,6 +1222,26 @@ static double np_pairwise(const double *a, int64_t n) {
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
     return np_pairwise(a, n2) + np_pairwise(a + n2, n - n2);
+}
+
+/* a[k] -= x for a run (the head's shift by its maximum) */
+static void v2_shift(double *a, int64_t n, double x) {
+    const v2d xs = {x, x};
+    int64_t k = 0;
+    for (; k + 2 <= n; k += 2)
+        *(v2d *)(a + k) -= xs;
+    for (; k < n; k++)
+        a[k] -= x;
+}
+
+/* a[k] /= y for a run (the head's normalisation) */
+static void v2_scale(double *a, int64_t n, double y) {
+    const v2d ys = {y, y};
+    int64_t k = 0;
+    for (; k + 2 <= n; k += 2)
+        *(v2d *)(a + k) /= ys;
+    for (; k < n; k++)
+        a[k] /= y;
 }
 
 /* np.argmax: the first maximum, or the first NaN. */
@@ -1227,7 +1270,26 @@ static void adam_step(int64_t n, double *p, const double *g, double *m,
     const double alpha = lr / bias1;
     const double inv_sqrt_bias2 = 1.0 / sqrt(bias2);
     const double c1 = 1.0 - b1, c2 = 1.0 - b2;
-    for (int64_t e = 0; e < n; e++) {
+    const v2d b1s = {b1, b1}, c1s = {c1, c1}, b2s = {b2, b2}, c2s = {c2, c2};
+    const v2d scales = {inv_sqrt_bias2, inv_sqrt_bias2}, epss = {eps, eps};
+    const v2d alphas = {alpha, alpha};
+    int64_t e = 0;
+    for (; e + 2 <= n; e += 2) {
+        const v2d grad = *(const v2d *)(g + e);
+        v2d mv = *(v2d *)(m + e) * b1s;
+        mv += c1s * grad;
+        v2d vv = *(v2d *)(v + e) * b2s;
+        vv += c2s * (grad * grad);
+        *(v2d *)(m + e) = mv;
+        *(v2d *)(v + e) = vv;
+        v2d denom = {sqrt(vv[0]), sqrt(vv[1])};
+        denom *= scales;
+        denom += epss;
+        v2d update = mv / denom;
+        update *= alphas;
+        *(v2d *)(p + e) -= update;
+    }
+    for (; e < n; e++) {
         m[e] *= b1;
         m[e] += c1 * g[e];
         v[e] *= b2;
@@ -1456,27 +1518,30 @@ long long sib_rnn_predict(void **p) {
 }
 
 /* ------------------------------------------ Sibyl's C51 network (rl/c51.py) */
-/* C51Network.best_action and train_batches (rl/c51.py, the NumPy
- * reference they must equal byte for byte) over FeedForwardNetwork's
+/* C51Network.best_action, train_batches, precompute_targets and
+ * best_actions (rl/c51.py, the NumPy reference they must equal byte for
+ * byte) over FeedForwardNetwork's
  * Dense layers (rl/network.py) and Adam.step, in the reference's
  * statement order, on the network's own arrays -- the flat parameters,
  * gradients and Adam moments, each Dense layer's training buffers and
  * the step's workspace arrays -- through NumPy's own routines above:
- *   - every np.matmul of a training step is the gemm NumPy makes, a
- *     transposed view (x.T, W.T) passed as the C-ordered array under it
- *     with the Trans flag; each np.dot of a forward is np.dot's zeroed
- *     gemv, and the head's logits @ support the matmul's (ColMajor,
- *     Trans, n_atoms, n_actions) gemv;
+ *   - every np.matmul of a training step or a batched pass is the gemm
+ *     NumPy makes, a transposed view (x.T, W.T) passed as the C-ordered
+ *     array under it with the Trans flag; each np.dot of a forward is
+ *     np.dot's zeroed gemv, and the head's pmfs @ support the matmul's
+ *     (ColMajor, Trans, n_atoms, n_actions) gemv, one per row;
  *   - tanh, exp and log are NumPy's loops, at the reference's lengths;
  *   - np.add.reduce keeps NumPy's order: along a row of atoms +0 plus
  *     np_pairwise, down the batch axis +0 then row by row;
  *   - everything else is one IEEE operation per element, signed zeros
- *     included.
+ *     included, the long elementwise passes two elements at a time
+ *     (v2d: lane by lane the same operation);
+ *   - the target pass projects row by row (c51_project).
  * The c51 row of library.ENTRIES resolves the addresses and handshakes
  * them per shape; C51Network._refusal only asks for swish (beta 1)
  * hidden layers under an identity head, Adam to train, and shapes where
  * every product is a BLAS call: no 1-wide layer, two actions or more,
- * and batches of two rows or more. */
+ * and batches of two rows or more, to train or in a batched pass. */
 typedef struct {
     np_blas_t blas;
     np_ufunc_t tanh, exp, log;
@@ -1577,6 +1642,54 @@ static double *c51_buffer(const S *s, int64_t j, int which) {
     return (double *)(uintptr_t)s->c51_layers[j * CL_LEN + which];
 }
 
+/* Layer j of a batched forward on `rows` rows of x, W at w and the bias
+ * after it -- Dense.forward(train=True) and forward_scratch alike: the
+ * gemm into z and the bias; on a hidden layer Swish, its sigmoid into
+ * sig (0.5 * (1 + tanh(z / 2))) and z * sig into a, which may be z
+ * itself (forward_inplace).  Returns the layer's output. */
+static const double *c51_dense(const c51_t *c, int64_t j, const double *w,
+                               const double *x, int64_t rows, double *z,
+                               double *sig, double *a) {
+    const int64_t n_in = c->dims[j], n_out = c->dims[j + 1];
+    const int64_t size = rows * n_out;
+    const double *b = w + n_in * n_out;
+    np_gemm(&c->blas, NP_NO_TRANS, NP_NO_TRANS, rows, n_out, n_in, x, n_in,
+            w, n_out, z);
+    const int hidden = j < c->n_layers - 1;
+    const v2d half = {0.5, 0.5}, one = {1.0, 1.0};
+    for (int64_t r = 0; r < rows; r++) {
+        double *row = z + r * n_out, *half_row = hidden ? sig + r * n_out : NULL;
+        int64_t k = 0;
+        for (; k + 2 <= n_out; k += 2) {
+            const v2d v = *(v2d *)(row + k) + *(const v2d *)(b + k);
+            *(v2d *)(row + k) = v;
+            if (hidden) /* Swish: the sigmoid, then a */
+                *(v2d *)(half_row + k) = v * half;
+        }
+        for (; k < n_out; k++) {
+            row[k] += b[k];
+            if (hidden)
+                half_row[k] = row[k] * 0.5;
+        }
+    }
+    if (!hidden)
+        return z;
+    np_inplace(c->tanh, sig, size);
+    int64_t e = 0;
+    for (; e + 2 <= size; e += 2) {
+        v2d v = *(v2d *)(sig + e) + one;
+        v *= half;
+        *(v2d *)(sig + e) = v;
+        *(v2d *)(a + e) = *(const v2d *)(z + e) * v;
+    }
+    for (; e < size; e++) {
+        sig[e] += 1.0;
+        sig[e] *= 0.5;
+        a[e] = z[e] * sig[e];
+    }
+    return a;
+}
+
 /* One step of C51Network.train_batches on rows [0, batch) of obs, acts
  * and target: FeedForwardNetwork.forward(train=True), the softmax
  * cross-entropy on each row's chosen action (its gradient scattered into
@@ -1591,35 +1704,12 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
     const double *x = obs;
     int64_t off = 0;
     for (int64_t j = 0; j < n_layers; j++) { /* Dense.forward(train=True) */
-        const int64_t n_in = dims[j], n_out = dims[j + 1];
-        const int64_t size = batch * n_out;
-        const double *w = s->c51_params + off, *b = w + n_in * n_out;
-        double *z = c51_buffer(s, j, CL_Z);
-        np_gemm(&c->blas, NP_NO_TRANS, NP_NO_TRANS, batch, n_out, n_in, x,
-                n_in, w, n_out, z);
-        const int hidden = j < n_layers - 1;
-        double *restrict a = hidden ? c51_buffer(s, j, CL_ACT) : NULL;
-        double *restrict sig = hidden ? a + size : NULL;
-        for (int64_t r = 0; r < batch; r++) {
-            double *restrict row = z + r * n_out;
-            for (int64_t k = 0; k < n_out; k++)
-                row[k] += b[k];
-            if (hidden) /* Swish.forward_train: the sigmoid, then a */
-                for (int64_t k = 0; k < n_out; k++)
-                    sig[r * n_out + k] = row[k] * 0.5;
-        }
-        if (hidden) {
-            np_inplace(c->tanh, sig, size);
-            for (int64_t e = 0; e < size; e++) {
-                sig[e] += 1.0;
-                sig[e] *= 0.5;
-                a[e] = z[e] * sig[e];
-            }
-            x = a;
-        } else {
-            x = z;
-        }
-        off += n_in * n_out + n_out;
+        /* a hidden layer's _act_scratch: a, then the sigmoid */
+        double *a = j < n_layers - 1 ? c51_buffer(s, j, CL_ACT) : NULL;
+        x = c51_dense(c, j, s->c51_params + off, x, batch,
+                      c51_buffer(s, j, CL_Z), a ? a + batch * dims[j + 1] : NULL,
+                      a);
+        off += dims[j] * dims[j + 1] + dims[j + 1];
     }
     /* The head, on each row's picked action only: the gather and the
      * shift by the row's maximum; exp; the normalisation, its gradient
@@ -1631,9 +1721,8 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
     for (int64_t r = 0; r < batch; r++) {
         const double *logits = x + (acts[r] + r * n_act) * n_atoms;
         double *row = soft + r * n_atoms;
-        const double top = np_max(logits, n_atoms);
-        for (int64_t k = 0; k < n_atoms; k++)
-            row[k] = logits[k] - top;
+        memcpy(row, logits, (size_t)n_atoms * sizeof(double));
+        v2_shift(row, n_atoms, np_max(logits, n_atoms));
     }
     np_inplace(c->exp, soft, cells);
     /* x / batch; for a power of two, x * (1 / batch) is the same
@@ -1641,15 +1730,26 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
     const double rows = (double)batch;
     const int exact = (batch & (batch - 1)) == 0;
     const double inv_rows = 1.0 / rows;
+    const v2d by = {exact ? inv_rows : rows, exact ? inv_rows : rows};
+    const v2d tiny = {1e-12, 1e-12};
     for (int64_t r = 0; r < batch; r++) {
-        double *restrict row = soft + r * n_atoms;
-        double *restrict clamp = work + r * n_atoms;
-        const double *restrict want = target + r * n_atoms;
+        double *row = soft + r * n_atoms, *clamp = work + r * n_atoms;
+        const double *want = target + r * n_atoms;
         double *sample = grad + r * width;
-        double *restrict picked = sample + acts[r] * n_atoms;
+        double *picked = sample + acts[r] * n_atoms;
         memset(sample, 0, (size_t)width * sizeof(double));
         const double total = 0.0 + np_pairwise(row, n_atoms);
-        for (int64_t k = 0; k < n_atoms; k++) {
+        const v2d totals = {total, total};
+        int64_t k = 0;
+        for (; k + 2 <= n_atoms; k += 2) {
+            const v2d p = *(v2d *)(row + k) / totals;
+            const v2d diff = p - *(const v2d *)(want + k);
+            *(v2d *)(row + k) = p;
+            *(v2d *)(picked + k) = exact ? diff * by : diff / by;
+            *(v2d *)(clamp + k) = v2_select((p >= tiny) | (p != p), p,
+                                            tiny);
+        }
+        for (; k < n_atoms; k++) {
             const double p = row[k] / total;
             row[k] = p;
             picked[k] = exact ? (p - want[k]) * inv_rows
@@ -1659,9 +1759,12 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
     }
     np_inplace(c->log, work, cells);
     for (int64_t r = 0; r < batch; r++) {
-        double *restrict row = work + r * n_atoms;
-        const double *restrict want = target + r * n_atoms;
-        for (int64_t k = 0; k < n_atoms; k++)
+        double *row = work + r * n_atoms;
+        const double *want = target + r * n_atoms;
+        int64_t k = 0;
+        for (; k + 2 <= n_atoms; k += 2)
+            *(v2d *)(row + k) *= *(const v2d *)(want + k);
+        for (; k < n_atoms; k++)
             row[k] *= want[k];
         ce[r] = 0.0 + np_pairwise(row, n_atoms);
     }
@@ -1675,10 +1778,17 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
         double *gw = s->c51_grads + off, *gb = gw + n_in * n_out;
         const double *grad_z = grad_out;
         if (j < n_layers - 1) { /* Swish.backward_train, into z */
-            double *restrict z = c51_buffer(s, j, CL_Z);
-            const double *restrict a = c51_buffer(s, j, CL_ACT);
-            const double *restrict sig = a + size;
-            for (int64_t e = 0; e < size; e++) {
+            double *z = c51_buffer(s, j, CL_Z);
+            const double *a = c51_buffer(s, j, CL_ACT), *sig = a + size;
+            const v2d one = {1.0, 1.0};
+            int64_t e = 0;
+            for (; e + 2 <= size; e += 2) {
+                v2d v = one - *(const v2d *)(sig + e);
+                v *= *(const v2d *)(a + e);
+                v += *(const v2d *)(sig + e);
+                *(v2d *)(z + e) = v * *(const v2d *)(grad_out + e);
+            }
+            for (; e < size; e++) {
                 z[e] = 1.0 - sig[e];
                 z[e] *= a[e];
                 z[e] += sig[e];
@@ -1692,8 +1802,11 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
         for (int64_t k = 0; k < n_out; k++)
             gb[k] = 0.0;
         for (int64_t r = 0; r < batch; r++) {
-            const double *restrict row = grad_z + r * n_out;
-            for (int64_t k = 0; k < n_out; k++)
+            const double *row = grad_z + r * n_out;
+            int64_t k = 0;
+            for (; k + 2 <= n_out; k += 2)
+                *(v2d *)(gb + k) += *(const v2d *)(row + k);
+            for (; k < n_out; k++)
                 gb[k] += row[k];
         }
         if (j) {
@@ -1751,5 +1864,177 @@ long long sib_c51_act(void **p) {
     }
     s.ci[CI_C51_ACTION] = c51_act(&c, s.c51_params, s.c51_support, s.c51_obs,
                                   s.c51_scratch);
+    return ST_DONE;
+}
+
+/* ---------------------------------------------- the batched passes */
+/* P_C51_PASS, carved for `rows` rows: forward_scratch's two layer
+ * buffers and its sigmoid (rows x the widest layer each), the Q-values
+ * (rows x n_act), and a projected row's atom positions and upper weights
+ * (n_atoms each); rl/c51.py sizes the array to match. */
+typedef struct {
+    double *z[2], *sig, *q, *pos, *upper;
+} c51_pass_t;
+
+static c51_pass_t c51_pass(const c51_t *c, double *scratch, int64_t rows) {
+    int64_t widest = 0;
+    for (int64_t j = 1; j <= c->n_layers; j++)
+        widest = c->dims[j] > widest ? c->dims[j] : widest;
+    c51_pass_t p;
+    p.z[0] = scratch;
+    p.z[1] = p.z[0] + rows * widest;
+    p.sig = p.z[1] + rows * widest;
+    p.q = p.sig + rows * widest;
+    p.pos = p.q + rows * c->n_act;
+    p.upper = p.pos + c->n_atoms;
+    return p;
+}
+
+/* C51Network._greedy on rows [0, rows) of obs, up to the argmax:
+ * forward_scratch (layer j writes buffer j % 2, in place through
+ * Swish), then the head -- each action's maximum subtracted, exp over
+ * the whole array, each action's atoms summed (+0 plus the pairwise
+ * sum) and divided by, and pmfs @ support one row at a time into q.
+ * Returns the pmfs, (rows, n_act, n_atoms). */
+static double *c51_pmfs(const c51_t *c, const double *params,
+                        const double *support, const double *obs,
+                        int64_t rows, const c51_pass_t *p) {
+    const int64_t n_act = c->n_act, n_atoms = c->n_atoms;
+    const double *x = obs, *w = params;
+    for (int64_t j = 0; j < c->n_layers; j++) {
+        double *z = p->z[j % 2];
+        x = c51_dense(c, j, w, x, rows, z, p->sig, z);
+        w += c->dims[j] * c->dims[j + 1] + c->dims[j + 1];
+    }
+    double *pmfs = p->z[(c->n_layers - 1) % 2];
+    const int64_t groups = rows * n_act;
+    for (int64_t g = 0; g < groups; g++) {
+        double *row = pmfs + g * n_atoms;
+        v2_shift(row, n_atoms, np_max(row, n_atoms));
+    }
+    np_inplace(c->exp, pmfs, groups * n_atoms);
+    for (int64_t g = 0; g < groups; g++) {
+        double *row = pmfs + g * n_atoms;
+        v2_scale(row, n_atoms, 0.0 + np_pairwise(row, n_atoms));
+    }
+    for (int64_t r = 0; r < rows; r++) {
+        double *q = p->q + r * n_act;
+        memset(q, 0, (size_t)n_act * sizeof(double));
+        np_gemv(&c->blas, NP_COL_MAJOR, n_atoms, n_act,
+                pmfs + r * n_act * n_atoms, n_atoms, support, q);
+    }
+    return pmfs;
+}
+
+/* project_distribution on one row: the pmf `probs` of the row's greedy
+ * next action, bootstrapped through `scale` (the discount, 0 for a
+ * terminal row) and shifted by `reward`.  Each atom's Bellman position
+ * r + scale * z_k is clipped to the support (np.clip: a bound replaces
+ * only what lies strictly beyond it) and turned into a fractional atom
+ * index b, into pos; then split between floor(b) and floor(b) + 1
+ * (clipped into range), the two weights summed as np.bincount sums them
+ * -- into zeroed rows in atom order, the lower into `out`, the upper
+ * into `upper` -- and the rows added.  0 when an index would fall
+ * outside the support (a NaN reward, which the caller never passes). */
+static int c51_project(const double *probs, double reward, double scale,
+                       const double *support, int64_t n_atoms, double *out,
+                       const c51_pass_t *p) {
+    const double v_min = support[0], v_max = support[n_atoms - 1];
+    const double delta_z = (v_max - v_min) / (double)(n_atoms - 1);
+    double *pos = p->pos, *upper = p->upper;
+    const v2d scales = {scale, scale}, rewards = {reward, reward};
+    const v2d lows = {v_min, v_min}, highs = {v_max, v_max};
+    const v2d steps = {delta_z, delta_z};
+    int64_t k = 0;
+    for (; k + 2 <= n_atoms; k += 2) {
+        v2d b = scales * *(const v2d *)(support + k);
+        b += rewards;
+        b = v2_select(b < lows, lows, b);
+        b = v2_select(b > highs, highs, b);
+        b -= lows;
+        *(v2d *)(pos + k) = b / steps;
+    }
+    for (; k < n_atoms; k++) {
+        double b = scale * support[k];
+        b += reward;
+        b = b < v_min ? v_min : b;
+        b = b > v_max ? v_max : b;
+        b -= v_min;
+        pos[k] = b / delta_z;
+    }
+    memset(out, 0, (size_t)n_atoms * sizeof(double));
+    memset(upper, 0, (size_t)n_atoms * sizeof(double));
+    for (k = 0; k < n_atoms; k++) {
+        const double b = pos[k];
+        if (!(b >= 0.0 && b < (double)n_atoms))
+            return 0;
+        const int64_t lo = (int64_t)b;
+        const int64_t hi = lo + 1 < n_atoms - 1 ? lo + 1 : n_atoms - 1;
+        const double w_upper = (b - (double)lo) * probs[k];
+        out[lo] += probs[k] - w_upper;
+        upper[hi] += w_upper;
+    }
+    for (k = 0; k + 2 <= n_atoms; k += 2)
+        *(v2d *)(out + k) += *(const v2d *)(upper + k);
+    for (; k < n_atoms; k++)
+        out[k] += upper[k];
+    return 1;
+}
+
+/* The checks both passes make: a shape C51Network._refusal accepts,
+ * bound parameters, two rows or more. */
+static int c51_pass_init(c51_t *c, const S *s) {
+    return c51_init(c, s, s->ci) && s->c51_params != NULL
+           && s->ci[CI_C51_ROWS] >= 2;
+}
+
+/* C51Network.precompute_targets of CI_C51_ROWS transitions with the
+ * bound network as the target: its greedy pass over the next
+ * observations at P_C51_OBS, each row's greedy pmf, and its projection
+ * with the row's reward (P_C51_REWARDS), terminal flag (P_C51_DONES,
+ * NULL: none) and CD_C51_DISCOUNT, into P_C51_PROJ. */
+long long sib_c51_targets(void **p) {
+    S s;
+    sib_bind(&s, p);
+    c51_t c;
+    if (!c51_pass_init(&c, &s)) {
+        s.ci[CI_ERR] = 1;
+        return ST_ERROR;
+    }
+    const int64_t rows = s.ci[CI_C51_ROWS], n_act = c.n_act;
+    const int64_t n_atoms = c.n_atoms;
+    const double discount = s.cd[CD_C51_DISCOUNT];
+    const c51_pass_t pass = c51_pass(&c, s.c51_pass, rows);
+    const double *pmfs = c51_pmfs(&c, s.c51_params, s.c51_support, s.c51_obs,
+                                  rows, &pass);
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t best = np_argmax(pass.q + r * n_act, n_act);
+        const double scale = s.c51_dones && s.c51_dones[r] ? 0.0 : discount;
+        if (!c51_project(pmfs + (r * n_act + best) * n_atoms,
+                         s.c51_rewards[r], scale, s.c51_support, n_atoms,
+                         s.c51_proj + r * n_atoms, &pass)) {
+            s.ci[CI_ERR] = 3;
+            s.ci[CI_I] = r;
+            return ST_ERROR;
+        }
+    }
+    return ST_DONE;
+}
+
+/* C51Network.best_actions of the CI_C51_ROWS observations at P_C51_OBS,
+ * into P_C51_BEST (np.argmax: the first maximum, or the first NaN). */
+long long sib_c51_greedy(void **p) {
+    S s;
+    sib_bind(&s, p);
+    c51_t c;
+    if (!c51_pass_init(&c, &s)) {
+        s.ci[CI_ERR] = 1;
+        return ST_ERROR;
+    }
+    const int64_t rows = s.ci[CI_C51_ROWS];
+    const c51_pass_t pass = c51_pass(&c, s.c51_pass, rows);
+    c51_pmfs(&c, s.c51_params, s.c51_support, s.c51_obs, rows, &pass);
+    for (int64_t r = 0; r < rows; r++)
+        s.c51_best[r] = np_argmax(pass.q + r * c.n_act, c.n_act);
     return ST_DONE;
 }

@@ -214,13 +214,16 @@ def bind(arrays: List) -> "ctypes.Array":
     return ptrs
 
 
-def point(ptrs: "ctypes.Array", slot: int, array: np.ndarray) -> None:
-    """Re-point slot ``slot`` of a table :func:`bind` built at ``array``,
-    checked as :func:`check_arrays` checks it; ``array`` must outlive
-    its use.  For what changes from call to call (a batch, a buffer
-    regrown), without repacking the table."""
+def point(
+    ptrs: "ctypes.Array", slot: int, array: Optional[np.ndarray]
+) -> None:
+    """Re-point slot ``slot`` of a table :func:`bind` built at ``array``
+    (``None``: NULL, for an optional slot), checked as
+    :func:`check_arrays` checks it; ``array`` must outlive its use.  For
+    what changes from call to call (a batch, a buffer regrown), without
+    repacking the table."""
     _check(abi.TABLE.pointers[slot], array)
-    ptrs[slot] = array.ctypes.data
+    ptrs[slot] = None if array is None else array.ctypes.data
 
 
 # ------------------------------------------------------ the entry table
@@ -578,8 +581,15 @@ def _pairwise(a: np.ndarray) -> float:
     return _pairwise(a[:half]) + _pairwise(a[half:])
 
 
+#: The row counts a batched pass is handshaken at: its rows change
+#: from event to event, its primitives do not.
+_PASS_ROWS = (2, 131)
+
+
 @lru_cache(maxsize=None)
-def _c51_handshake(resolved, widths, n_actions, n_atoms, batch) -> bool:
+def _c51_handshake(
+    resolved, widths, n_actions, n_atoms, batch, batched=False
+) -> bool:
     """Each primitive against the NumPy call it stands in for, on the
     network's own shapes, byte for byte.  A forward (``best_action``):
     each layer's ``np.dot``, ``tanh`` at each hidden width, the head's
@@ -587,8 +597,11 @@ def _c51_handshake(resolved, widths, n_actions, n_atoms, batch) -> bool:
     ``add.reduce`` over ``n_atoms`` (pairwise, from +0).  With ``batch``
     (a training step): each layer's three gemm forms, ``tanh`` at
     ``batch`` rows, ``exp`` and ``log`` at ``batch * n_atoms``, and
-    ``add.reduce`` down the batch axis (row by row, from +0).  Once per
-    process, resolution and shape."""
+    ``add.reduce`` down the batch axis (row by row, from +0).  With
+    ``batched`` (the target and greedy passes), at each of
+    :data:`_PASS_ROWS`: each layer's forward gemm and ``tanh``, and the
+    head's ``exp``, per-action ``add.reduce`` and per-row ``matmul``
+    with the support.  Once per process, resolution and shape."""
     (gemv_at, gemm_at, *loops), ilp64 = resolved
     gemv, gemm = _gemv_call(gemv_at, ilp64), _gemm_call(gemm_at, ilp64)
     tanh, exp, log = (_inplace_call(loops[k:k + 2]) for k in (0, 2, 4))
@@ -648,17 +661,41 @@ def _c51_handshake(resolved, widths, n_actions, n_atoms, batch) -> bool:
             (log, np.log, rng.uniform(1e-12, 1.0, batch * n_atoms)),
         ):
             ufunc(call, numpy_ufunc, a)
+    for rows in _PASS_ROWS if batched else ():
+        for n_in, n_out in zip(widths, widths[1:]):
+            x = rng.uniform(-2.0, 2.0, (rows, n_in))
+            w = rng.uniform(-1.0, 1.0, (n_in, n_out))
+            c = np.full((rows, n_out), np.nan)
+            gemm(x, False, w, False, c)
+            ours.append(c)
+            want.append(np.matmul(x, w, out=np.empty((rows, n_out))))
+            ufunc(tanh, np.tanh, rng.uniform(-4.0, 4.0, rows * n_out))
+        pmfs = rng.uniform(0.0, 1.0, (rows, n_actions, n_atoms))
+        ufunc(exp, np.exp, -rng.uniform(0.0, 30.0, pmfs.size))
+        ours.append(np.array([0.0 + _pairwise(row) for row in pmfs.reshape(
+            -1, n_atoms)]))
+        want.append(np.add.reduce(pmfs, axis=-1).ravel())
+        q = np.full((rows, n_actions), np.nan)
+        for r in range(rows):
+            gemv(_COL_MAJOR, pmfs[r], n_atoms, support, q[r], zero=False)
+        ours.append(q)
+        want.append(np.matmul(pmfs, support, out=np.empty((rows, n_actions))))
     return all(a.tobytes() == b.tobytes() for a, b in zip(ours, want))
 
 
-def _c51_check(resolved, widths, n_actions, n_atoms, batch) -> None:
-    """The handshake on the asking network's shape (``batch`` 0: a
-    forward only)."""
-    if not _c51_handshake(resolved, widths, n_actions, n_atoms, batch):
+def _c51_check(
+    resolved, widths, n_actions, n_atoms, batch, batched=False
+) -> None:
+    """The handshake on the asking network's shape (``batch`` 0: no
+    training step; ``batched``: the batched passes)."""
+    if not _c51_handshake(
+        resolved, widths, n_actions, n_atoms, batch, batched
+    ):
         shape = "-".join(map(str, widths)) + f" as {n_actions}x{n_atoms}"
         raise Unresolved(
             f"a primitive differs from NumPy's call at shape {shape}"
             + (f", batch {batch}" if batch else "")
+            + (", batched" if batched else "")
         )
 
 
@@ -668,6 +705,6 @@ ENTRIES: Dict[str, Entry] = {
     "draw": Entry(("sib_draw_trace",), _numpy_samplers),
     "rnn": Entry(("sib_rnn_train", "sib_rnn_predict"), _rnn_primitives,
                  _rnn_check),
-    "c51": Entry(("sib_c51_train", "sib_c51_act"), _c51_primitives,
-                 _c51_check),
+    "c51": Entry(("sib_c51_train", "sib_c51_act", "sib_c51_targets",
+                  "sib_c51_greedy"), _c51_primitives, _c51_check),
 }

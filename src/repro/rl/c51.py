@@ -264,8 +264,13 @@ class C51Network:
         return int(np.argmax(q))
 
     def best_actions(self, obs: np.ndarray) -> np.ndarray:
-        """Greedy actions for a batch of observations."""
+        """Greedy actions for a batch of observations: one
+        ``sib_c51_greedy`` call when the compiled library takes the
+        batch, else :meth:`_greedy` in NumPy."""
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+        compiled, _ = self._compiled(rows=len(obs))
+        if compiled is not None and not self._batch_refusal(obs):
+            return compiled.greedy(obs)
         return self._greedy(obs, workspace())[1]
 
     def precompute_targets(
@@ -281,19 +286,58 @@ class C51Network:
         the greedy next action's pmf, distributional projection —
         factored out so that several batches trained against a frozen
         target network share one pass; slice the result per batch and
-        pass it as ``targets``.
+        pass it as ``targets``.  The pass is one ``sib_c51_targets``
+        call when the compiled library takes the target network and the
+        block, else NumPy; an ``rl.c51_targets`` span says which.
         """
         rewards = np.asarray(rewards, dtype=np.float64).ravel()
-        if dones is None:
-            dones = np.zeros(len(rewards), dtype=bool)
         next_observations = np.atleast_2d(
             np.asarray(next_observations, dtype=np.float64)
         )
+        net = target if target is not None else self
+        rows = len(next_observations)
+        compiled, why = net._compiled(rows=rows)
+        if compiled is not None:
+            why = net._batch_refusal(next_observations) or self._target_refusal(
+                net, rewards, dones, rows
+            )
+        if why:
+            compiled = None
+        engine = {"engine": "cext"} if compiled is not None else {
+            "engine": "python", "reason": why,
+        }
+        with span("rl.c51_targets", cat="rl", **engine, rows=rows):
+            if compiled is not None:
+                return compiled.targets(
+                    next_observations, rewards, dones, self.config.discount
+                )
+            if dones is None:
+                dones = np.zeros(len(rewards), dtype=bool)
+            return self._targets(net, rewards, next_observations, dones)
+
+    def _target_refusal(
+        self, net: "C51Network", rewards: np.ndarray,
+        dones: Optional[np.ndarray], rows: int,
+    ) -> str:
+        """Why the compiled target pass cannot take this block (empty
+        when it can): NumPy raises on it, or projects onto a support
+        the target network's forward does not use."""
+        if len(rewards) != rows or (dones is not None and np.size(dones) != rows):
+            return "rewards, dones and observations differ in length"
+        if np.isnan(rewards).any():
+            return "a NaN reward"
+        if net is not self and net.support.tobytes() != self.support.tobytes():
+            return "the target network's support differs"
+        return ""
+
+    def _targets(
+        self, net: "C51Network", rewards: np.ndarray,
+        next_observations: np.ndarray, dones: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`precompute_targets` in NumPy, ``net`` the target."""
         ws = workspace()
         config = self.config
-        pmfs, best = (target if target is not None else self)._greedy(
-            next_observations, ws
-        )
+        pmfs, best = net._greedy(next_observations, ws)
         best += np.arange(0, pmfs.shape[0] * config.n_actions, config.n_actions)
         next_probs = take_rows(
             pmfs.reshape(-1, config.n_atoms), best,
@@ -369,6 +413,11 @@ class C51Network:
         (:meth:`_train_steps`); an ``rl.c51_train`` span says which.
         """
         n_atoms = self.config.n_atoms
+        if batch_size < 1 or len(observations) % batch_size:
+            raise ValueError(
+                f"{len(observations)} rows are not a whole number of "
+                f"batches of {batch_size}"
+            )
         steps = len(observations) // batch_size
         targets = targets.reshape(steps, batch_size, n_atoms)
         compiled, why = (
@@ -445,14 +494,16 @@ class C51Network:
         layers = self.network.layers
         return (layers[0].in_features, *(layer.out_features for layer in layers))
 
-    def _refusal(self, batch_size: int = 0) -> str:
+    def _refusal(self, batch_size: int = 0, rows: Optional[int] = None) -> str:
         """Why the compiled library cannot take this network (empty
-        when it can) for a forward, or with ``batch_size`` for training
-        steps of that many rows: an activation other than swish with
-        beta 1 on a hidden layer or identity on the head, a shape where
-        NumPy's products are not all BLAS calls (a 1-wide layer, one
-        action, a one-row batch), or training under another optimizer
-        than :class:`Adam`."""
+        when it can) for a forward, with ``batch_size`` for training
+        steps of that many rows, or with ``rows`` for a batched pass
+        (the target pass, :meth:`best_actions`) over that many: an
+        activation other than swish with beta 1 on a hidden layer or
+        identity on the head, a shape where NumPy's products are not
+        all BLAS calls (a 1-wide layer, one action, a batch of fewer
+        than two rows), or training under another optimizer than
+        :class:`Adam`."""
         layers = self.network.layers
         for layer in layers[:-1]:
             act = layer.activation
@@ -469,25 +520,39 @@ class C51Network:
                 return f"optimizer {type(self.optimizer).__name__} is not Adam"
             if batch_size < 2:
                 return "a batch of one row"
+        if rows is not None and rows < 2:
+            return "a batch of fewer than two rows"
         return ""
 
+    def _batch_refusal(self, obs: np.ndarray) -> str:
+        """Why a batched pass cannot take ``obs`` as it is (empty when
+        it can): NumPy reads any other layout through other BLAS calls,
+        or raises."""
+        if obs.flags.c_contiguous and obs.shape[1:] == (
+            self.config.n_observations,
+        ):
+            return ""
+        return "observations not a C-ordered float64 batch"
+
     def _compiled(
-        self, batch_size: int = 0, backend: Optional[str] = None
+        self, batch_size: int = 0, backend: Optional[str] = None,
+        rows: Optional[int] = None,
     ) -> Tuple[Optional["_CompiledC51"], str]:
         """``(binding, "")``: this network's arrays in the compiled
         library (bound on the first call that gets one) for a forward,
-        or with ``batch_size`` for training steps of that many rows; or
-        ``(None, why)``: NumPy runs.  The gate is asked on every call,
-        so ``SIBYL_BACKEND=off`` holds for a network bound before;
+        with ``batch_size`` for training steps of that many rows, or
+        with ``rows`` for a batched pass over that many; or ``(None,
+        why)``: NumPy runs.  The gate is asked on every call, so
+        ``SIBYL_BACKEND=off`` holds for a network bound before;
         ``backend`` overrides the knob (a kernel lane's engine)."""
-        why = self._refusal(batch_size)
+        why = self._refusal(batch_size, rows)
         if why:
             return None, why
         from ..native import library
 
         c51, why = library.entry(
             "c51", self._widths(), self.config.n_actions, self.config.n_atoms,
-            batch_size, backend=backend,
+            batch_size, rows is not None, backend=backend,
         )
         if c51 is None:
             return None, why
@@ -538,6 +603,10 @@ class _CompiledC51:
             sum(widths[1:]) + max(widths[1:]) + 2 * net.config.n_actions
         )
         self._obs = np.zeros(widths[0])
+        # A batched pass's scratch per row, and the atoms (kernel.c's
+        # c51_pass carves the same array).
+        self._pass_row = 3 * max(widths[1:]) + net.config.n_actions
+        self._n_atoms = net.config.n_atoms
         self._layers: Tuple = ()  # the Dense buffers P_C51_LAYERS points at
         table = [None] * abi.P_NPTR
         self.bind_forward(net, self._ci, table)
@@ -601,7 +670,9 @@ class _CompiledC51:
             optimizer._v = [np.zeros_like(flat)]
         ws = workspace()
         cross_entropy = np.empty((steps, batch_size))
-        for slot, array in (
+        # Held in this frame until the call returns: the table holds
+        # only their addresses.
+        held = (
             (abi.P_C51_M, optimizer._m[0]),
             (abi.P_C51_V, optimizer._v[0]),
             (abi.P_C51_OBS, observations),
@@ -613,7 +684,8 @@ class _CompiledC51:
             (abi.P_C51_GRAD, ws.array(
                 "c51.grad", (batch_size * n_actions, n_atoms))),
             (abi.P_C51_LAYERS, self._layer_buffers(net, batch_size)),
-        ):
+        )
+        for slot, array in held:
             library.point(ptrs, slot, array)
         ci[abi.CI_C51_BATCH] = batch_size
         ci[abi.CI_C51_STEPS] = steps
@@ -628,6 +700,45 @@ class _CompiledC51:
             library.point(ptrs, abi.P_C51_OBS, self._obs)
             optimizer._t = int(ci[abi.CI_C51_ADAM_T])
         return cross_entropy
+
+    def greedy(self, obs: np.ndarray) -> np.ndarray:
+        best = np.empty(len(obs), dtype=np.int64)
+        self._run_pass("sib_c51_greedy", obs, ((abi.P_C51_BEST, best),))
+        return best
+
+    def targets(self, obs: np.ndarray, rewards: np.ndarray,
+                dones: Optional[np.ndarray], discount: float) -> np.ndarray:
+        flags = None if dones is None else np.ascontiguousarray(
+            dones, dtype=bool
+        ).ravel().view(np.uint8)
+        out = np.empty((len(obs), self._n_atoms))
+        self._cd[abi.CD_C51_DISCOUNT] = discount
+        self._run_pass("sib_c51_targets", obs, (
+            (abi.P_C51_REWARDS, rewards),
+            (abi.P_C51_DONES, flags),
+            (abi.P_C51_PROJ, out),
+        ))
+        return out
+
+    def _run_pass(self, symbol: str, obs: np.ndarray, held: tuple) -> None:
+        """One batched pass over ``obs``: ``held``'s ``(slot, array)``
+        pairs (kept alive by the caller through the call) and the
+        pass's workspace scratch."""
+        from ..native import library
+
+        rows = len(obs)
+        scratch = workspace().array(
+            "c51.pass", (rows * self._pass_row + 2 * self._n_atoms,)
+        )
+        ptrs = self._ptrs
+        for slot, array in ((abi.P_C51_OBS, obs), (abi.P_C51_PASS, scratch),
+                            *held):
+            library.point(ptrs, slot, array)
+        self._ci[abi.CI_C51_ROWS] = rows
+        try:
+            self._c51.call(symbol, ptrs, self._ci)
+        finally:
+            library.point(ptrs, abi.P_C51_OBS, self._obs)
 
 
 #: Each network's binding, for as long as the network lives.

@@ -17,6 +17,7 @@ under ``cext`` an entry point that does not resolve raises instead.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -339,3 +340,227 @@ def test_shapes_the_library_refuses(monkeypatch):
             net = C51Network(config, rng=np.random.default_rng(0))
             compiled, why = net._compiled(rows)
             assert compiled is None and why, (backend, config, rows)
+
+
+# ------------------------------------------------ the batched passes
+def _passes(ours, target, rewards, next_obs, dones, greedy_obs):
+    """The target pass and the greedy pass, and their spans."""
+    (targets, actions), found = spans(
+        lambda: (ours.precompute_targets(rewards, next_obs, dones=dones,
+                                         target=target),
+                 target.best_actions(greedy_obs)),
+        "rl.c51_targets",
+    )
+    return targets, actions, found
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_obs=st.integers(1, 7),
+    hidden=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    n_actions=st.integers(1, 3),
+    n_atoms=st.sampled_from([2, 5, 7, 8, 9, 51, 128, 129, 200]),
+    rows=st.one_of(st.integers(1, 40), st.integers(41, 1100)),
+    v_min=st.sampled_from([0.0, -0.0, -2.0, -12.5]),
+    span=st.floats(0.5, 30.0),
+    discount=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    levels=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                  st.floats(-40.0, 40.0)),
+        min_size=1, max_size=6,
+    ),
+    terminal=st.sampled_from([None, 0.0, 0.1, 1.0]),
+    scale=st.one_of(st.none(), st.floats(0.1, 6.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_passes_equal_numpy(
+    n_obs, hidden, n_actions, n_atoms, rows, v_min, span, discount, levels,
+    terminal, scale, seed,
+):
+    """``precompute_targets`` and ``best_actions``: the projection over
+    repeated rewards (signed zeros among them), supports through zero
+    and terminal rows; the forward and the head at row counts either
+    side of the refusal and atom counts across the pairwise sum's
+    thresholds."""
+    config = C51Config(
+        n_observations=n_obs, n_actions=n_actions, hidden_sizes=tuple(hidden),
+        n_atoms=n_atoms, v_min=v_min, v_max=v_min + span, discount=discount,
+    )
+    data = np.random.default_rng(seed)
+    ours, target = pair(config, seed)
+    target.network.flat_parameters[...] += data.normal(
+        0.0, 0.3, target.network.flat_parameters.shape
+    )
+    next_obs, _, _ = batch(data, rows, n_obs, n_actions, n_atoms, scale)
+    greedy_obs = np.concatenate([next_obs[::-1], -next_obs[:3]])
+    rewards = data.choice(np.array(levels), rows)
+    dones = None if terminal is None else data.random(rows) < terminal
+    got = _passes(ours, target, rewards, next_obs, dones, greedy_obs)
+    want = numpy_path(
+        lambda: _passes(ours, target, rewards, next_obs, dones, greedy_obs)
+    )
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].dtype == want[1].dtype
+    assert got[1].tobytes() == want[1].tobytes()
+    eligible = min(n_obs, *hidden) >= 2 and n_actions >= 2 and rows >= 2
+    assert [s["engine"] for s in got[2]] == [
+        "cext" if COMPILED and eligible else "python"
+    ]
+    assert [s["rows"] for s in got[2]] == [rows]
+
+
+def test_passes_fall_back_under_off_and_for_one_row(monkeypatch):
+    """``off``, and a one-row block under any backend (NumPy's matmul
+    leaves gemm there): NumPy runs, the span says why, and a refusal
+    never raises."""
+    net = C51Network(C51Config(), rng=np.random.default_rng(0))
+    data = np.random.default_rng(1)
+    obs, rewards = data.random((40, 6)), data.choice([0.0, 2.5, 7.0], 40)
+    want = numpy_path(lambda: net.precompute_targets(rewards, obs))
+    one_row = numpy_path(lambda: (net.precompute_targets(rewards[:1], obs[:1]),
+                                  net.best_actions(obs[:1])))
+    monkeypatch.setenv("SIBYL_BACKEND", "off")
+    got, found = spans(lambda: net.precompute_targets(rewards, obs),
+                       "rl.c51_targets")
+    assert got.tobytes() == want.tobytes()
+    assert found == [{"engine": "python", "reason": "SIBYL_BACKEND=off",
+                      "rows": 40}]
+    for backend in ("auto", "cext", "off"):
+        monkeypatch.setenv("SIBYL_BACKEND", backend)
+        got, found = spans(
+            lambda: (net.precompute_targets(rewards[:1], obs[:1]),
+                     net.best_actions(obs[:1])),
+            "rl.c51_targets",
+        )
+        if backend != "off":
+            assert found == [{"engine": "python", "rows": 1,
+                              "reason": "a batch of fewer than two rows"}]
+        assert got[0].tobytes() == one_row[0].tobytes()
+        assert got[1].tolist() == one_row[1].tolist()
+
+
+@requires_compiled
+@pytest.mark.parametrize("layout", ["fortran", "wide"])
+def test_passes_take_numpy_for_what_they_cannot_read(layout):
+    """A batch the compiled passes would read differently from NumPy's
+    matmul goes to NumPy, which gives its own answer or raises its own
+    error."""
+    net = C51Network(C51Config(), rng=np.random.default_rng(0))
+    obs = np.random.default_rng(1).random((30, 6 if layout == "fortran" else 7))
+    if layout == "fortran":
+        obs = np.asfortranarray(obs)
+        got, found = spans(
+            lambda: net.precompute_targets(np.ones(30), obs), "rl.c51_targets"
+        )
+        assert got.tobytes() == numpy_path(
+            lambda: net.precompute_targets(np.ones(30), obs)
+        ).tobytes()
+        assert found[0]["reason"] == "observations not a C-ordered float64 batch"
+        assert net.best_actions(obs).tolist() == numpy_path(
+            lambda: net.best_actions(obs)
+        ).tolist()
+    else:
+        with pytest.raises(ValueError):
+            net.best_actions(obs)
+
+
+def _raised(run):
+    """The message of the ``ValueError`` ``run()`` raises (NumPy warns
+    of the NaN it casts on the way)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError) as info:
+            run()
+    return str(info.value)
+
+
+@requires_compiled
+def test_a_nan_reward_raises_as_numpy_does():
+    net = C51Network(C51Config(), rng=np.random.default_rng(0))
+    obs, rewards = np.random.default_rng(1).random((8, 6)), np.ones(8)
+    rewards[3] = np.nan
+    assert net._target_refusal(net, rewards, None, 8) == "a NaN reward"
+    ours = _raised(lambda: net.precompute_targets(rewards, obs))
+    assert ours == numpy_path(
+        lambda: _raised(lambda: net.precompute_targets(rewards, obs))
+    )
+
+
+def _failed_pass_handshake(monkeypatch):
+    handshake = library._c51_handshake
+
+    def planted(resolved, widths, n_actions, n_atoms, batch, batched=False):
+        return not batched and handshake(
+            resolved, widths, n_actions, n_atoms, batch
+        )
+
+    monkeypatch.setattr(library, "_c51_handshake", planted)
+
+
+@requires_compiled
+def test_failed_pass_handshake_falls_back_under_auto_and_raises_under_cext(
+    fresh_primitives,
+):
+    _failed_pass_handshake(fresh_primitives)
+    why = ("a primitive differs from NumPy's call at shape 6-20-30-102 as "
+           "2x51, batched")
+    net = C51Network(C51Config(optimizer="adam"), rng=np.random.default_rng(0))
+    assert net._compiled(rows=64) == (None, why)
+    assert net._compiled(128)[0] is not None and net._compiled()[0] is not None
+    agent, stats, trained = _lanes_equal_numpy()
+    assert [s["engine"] for s in trained] == ["cext"] * stats["train_events"]
+    fresh_primitives.setenv("SIBYL_BACKEND", "cext")
+    with pytest.raises(RuntimeError, match="compiled c51 entry point is "
+                       f"unavailable: {why}"):
+        net.best_actions(np.zeros((64, 6)))
+
+
+@requires_compiled
+def test_one_target_pass_per_training_event_in_a_lane():
+    """A kernel lane's gates run the target pass and the memo refresh in
+    the compiled library too: one ``rl.c51_targets`` span per
+    ``rl.c51_train`` span, each ``cext``."""
+    agent = _agent()
+    trace = make_trace("rsrch_0", n_requests=1500, seed=3)
+    _, trained, targets = spans(
+        lambda: run_lanes([LaneSpec(policy=agent, trace=trace, config="H&M")],
+                          backend="cext"),
+        "rl.c51_train", "rl.c51_targets",
+    )
+    assert len(targets) == len(trained) == agent.train_events > 0
+    assert {s["engine"] for s in targets} == {"cext"}
+
+
+# --------------------------------------------- train_batches' inputs
+@pytest.mark.parametrize("backend", ["auto", "off"])
+def test_train_batches_takes_any_int_actions_and_target_layout(
+    backend, monkeypatch
+):
+    """Actions of another integer type and Fortran-ordered targets give
+    the bytes C-ordered int64 ones do: the compiled path converts them
+    and keeps the copies alive through the call."""
+    monkeypatch.setenv("SIBYL_BACKEND", backend)
+    ours, reference = pair(C51Config(optimizer="adam"), 6)
+    obs, actions, targets = batch(np.random.default_rng(2), 256, 6, 2, 51, None)
+    losses = ours.train_batches(
+        obs, actions.astype(np.int32), np.asfortranarray(targets), 128
+    )
+    assert losses == numpy_path(
+        lambda: reference.train_batches(obs, actions, targets, 128)
+    )
+    assert state(ours) == state(reference)
+
+
+@pytest.mark.parametrize("backend", ["auto", "off"])
+@pytest.mark.parametrize("rows, batch_size", [(100, 128), (300, 128), (8, 0)])
+def test_train_batches_refuses_a_partial_batch(
+    backend, rows, batch_size, monkeypatch
+):
+    monkeypatch.setenv("SIBYL_BACKEND", backend)
+    net = C51Network(C51Config(optimizer="adam"), rng=np.random.default_rng(0))
+    before = state(net)
+    obs, actions, targets = batch(np.random.default_rng(1), rows, 6, 2, 51, None)
+    with pytest.raises(ValueError, match=f"^{rows} rows are not a whole "
+                       f"number of batches of {batch_size}$"):
+        net.train_batches(obs, actions, targets, batch_size)
+    assert state(net) == before and net.train_steps == 0
