@@ -7,7 +7,7 @@ through one ``void *``
 pointer table and a handful of flat control blocks.  Everything both
 sides must agree on — slot order, element types, block lengths,
 strides, status codes, the NumPy routine addresses the draw loop and
-the network are handed — is declared once in :data:`TABLE`.  From it
+the networks are handed — is declared once in :data:`TABLE`.  From it
 
 * this module *derives* the Python constants (``P_TS``, ``CI_SEEN``,
   ``DD_STRIDE``, ``ST_DONE``, ... — plain ints, exported through
@@ -68,8 +68,7 @@ class Table(NamedTuple):
     hss_d: Tuple[str, ...]  # HSS stats, float64
     status: Tuple[str, ...]  # every entry point's return codes
     samplers: Tuple[str, ...]  # P_TG_FNS: bitgen_t and sampler addresses
-    rnn_fns: Tuple[str, ...]  # P_RNN_FNS: gemv and ufunc loop addresses
-    c51_fns: Tuple[str, ...]  # P_C51_FNS: gemv, gemm and ufunc loop addresses
+    np_fns: Tuple[str, ...]  # P_NP_FNS: NumPy's BLAS and ufunc loop addresses
     c51_layer: Tuple[str, ...]  # P_C51_LAYERS: one layer's buffer addresses
 
 
@@ -133,12 +132,14 @@ TABLE = Table(
         Pointer("P_TG_OP", "tg_op", "uint8_t"),
         Pointer("P_TG_PAGE", "tg_page", "int64_t"),
         Pointer("P_TG_SIZE", "tg_size", "int64_t"),
-        # RNN-HSS's Elman RNN (sib_rnn_train, sib_rnn_predict): the
-        # addresses of NumPy's gemv and float64 tanh/exp loops (indexed
-        # by ``rnn_fns``); the flat parameters, gradients and Adam
-        # moments; the input sequences and labels; and the network's own
-        # scratch buffers, so both engines leave the same object behind.
-        Pointer("P_RNN_FNS", "rnn_fns", "uint64_t", const=True),
+        # The addresses of NumPy's gemv, gemm and float64 tanh/exp/log
+        # loops (indexed by ``np_fns``; 0 where an entry point's row
+        # resolves none), for both networks below.
+        Pointer("P_NP_FNS", "np_fns", "uint64_t", const=True),
+        # RNN-HSS's Elman RNN (sib_rnn_train, sib_rnn_predict): the flat
+        # parameters, gradients and Adam moments; the input sequences
+        # and labels; and the network's own scratch buffers, so both
+        # engines leave the same object behind.
         Pointer("P_RNN_PARAMS", "rnn_params", "double"),
         Pointer("P_RNN_GRADS", "rnn_grads", "double"),
         Pointer("P_RNN_M", "rnn_m", "double"),
@@ -154,9 +155,7 @@ TABLE = Table(
         Pointer("P_RNN_RECUR", "rnn_recur", "double"),
         Pointer("P_RNN_DH", "rnn_dh", "double"),
         # Sibyl's C51 network (sib_c51_train, sib_c51_act, sib_run's
-        # memo-miss forward, and the batched passes below): the
-        # addresses of NumPy's gemv, gemm and
-        # float64 tanh/exp/log loops (indexed by ``c51_fns``); the layer
+        # memo-miss forward, and the batched passes below): the layer
         # widths; the flat parameters -- in sib_run the inference
         # network's, NULL where the lane's forward runs in Python --,
         # gradients and Adam moments; the support; a forward's scratch;
@@ -164,7 +163,6 @@ TABLE = Table(
         # cross-entropies; the step's workspace arrays; and each Dense
         # layer's own training buffers (addresses, ``c51_layer`` per
         # layer), so both engines leave the same object behind.
-        Pointer("P_C51_FNS", "c51_fns", "uint64_t", const=True),
         Pointer("P_C51_DIMS", "c51_dims", "int64_t", const=True),
         Pointer("P_C51_PARAMS", "c51_params", "double", optional=True),
         Pointer("P_C51_GRADS", "c51_grads", "double"),
@@ -211,21 +209,20 @@ TABLE = Table(
         # sib_rnn_train / sib_rnn_predict: the layer widths, the steps
         # per sequence, the sequences in the batch, the BPTT truncation,
         # the rows the scratch buffers hold, Adam's step count (read and
-        # written back), whether gemv takes 64-bit ints, and the class
-        # predict returns.
+        # written back), and the class predict returns.
         "CI_RNN_NIN", "CI_RNN_NHID", "CI_RNN_NOUT", "CI_RNN_STEPS",
         "CI_RNN_NSEQ", "CI_RNN_BPTT", "CI_RNN_CAP", "CI_RNN_ADAM_T",
-        "CI_RNN_ILP64", "CI_RNN_CLASS",
+        "CI_RNN_CLASS",
         # sib_c51_*: the layer count, actions, atoms, batch size, steps
-        # in the call, Adam's step count (read and written back), whether
-        # gemv/gemm take 64-bit ints, and the action act returns; and the
-        # forwards sib_run computed itself (memo misses it did not hand
-        # to Python).
+        # in the call, Adam's step count (read and written back), and
+        # the action act returns; and the forwards sib_run computed
+        # itself (memo misses it did not hand to Python).
         "CI_C51_NLAYERS", "CI_C51_NACT", "CI_C51_NATOMS", "CI_C51_BATCH",
-        "CI_C51_STEPS", "CI_C51_ADAM_T", "CI_C51_ILP64", "CI_C51_ACTION",
-        "CI_FORWARDS",
+        "CI_C51_STEPS", "CI_C51_ADAM_T", "CI_C51_ACTION", "CI_FORWARDS",
         # sib_c51_targets / sib_c51_greedy: the rows in the pass.
         "CI_C51_ROWS",
+        # Whether P_NP_FNS's BLAS routines take 64-bit ints.
+        "CI_BLAS_ILP64",
     ),
     ctrl_d=(
         "CD_COMPLETION", "CD_EPS", "CD_UNIT", "CD_EVICT_COEF",
@@ -265,9 +262,8 @@ TABLE = Table(
     status=("ST_DONE", "ST_NEED_INFERENCE", "ST_TRAIN_GATE", "ST_ERROR"),
     samplers=("SP_BITGEN", "SP_UNIFORM", "SP_GEOMETRIC", "SP_EXPONENTIAL",
               "SP_BOUNDED_U64"),
-    rnn_fns=("RF_GEMV", "RF_TANH", "RF_TANH_DATA", "RF_EXP", "RF_EXP_DATA"),
-    c51_fns=("CF_GEMV", "CF_GEMM", "CF_TANH", "CF_TANH_DATA", "CF_EXP",
-             "CF_EXP_DATA", "CF_LOG", "CF_LOG_DATA"),
+    np_fns=("NF_GEMV", "NF_GEMM", "NF_TANH", "NF_TANH_DATA", "NF_EXP",
+            "NF_EXP_DATA", "NF_LOG", "NF_LOG_DATA"),
     c51_layer=("CL_Z", "CL_ACT", "CL_GRAD_IN"),
 )
 
@@ -282,8 +278,7 @@ def _enums(table: Table) -> Iterator[Tuple[Sequence[str], str]]:
     yield table.hss_i, "HI_LEN"
     yield table.hss_d, "HD_LEN"
     yield table.samplers, "SP_LEN"
-    yield table.rnn_fns, "RF_LEN"
-    yield table.c51_fns, "CF_LEN"
+    yield table.np_fns, "NF_LEN"
     yield table.c51_layer, "CL_LEN"
 
 

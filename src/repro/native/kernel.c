@@ -1050,10 +1050,14 @@ long long sib_draw_trace(void **p) {
  * its OpenBLAS's cblas_dgemv / cblas_dgemm with NumPy's arguments, and
  * its float64 ufunc loops (the first d->d entry of the ufunc's
  * `functions` table, the one NumPy selects), called in place on the
- * whole array as the reference's out= calls are.  The entry table
- * (library.ENTRIES) resolves the addresses and handshakes each form per
- * shape; this file is built with -ffp-contract=off, so every other
- * operation is one IEEE rounding, as in NumPy's elementwise loops. */
+ * whole array as the reference's out= calls are.  Both read them from
+ * one routine vector (P_NP_FNS, indexed by NF_*; CI_BLAS_ILP64 for the
+ * BLAS int width) through np_fns().  library.py resolves the vector
+ * per entry-table row and handshakes each routine at each form and
+ * length a caller's shape needs, once per process; np_pairwise below
+ * is handshaken against np.add.reduce the same way.  This file is
+ * built with -ffp-contract=off, so every other operation is one IEEE
+ * rounding, as in NumPy's elementwise loops. */
 typedef void (*np_gemv64_t)(int, int, int64_t, int64_t, double,
                             const double *, int64_t, const double *, int64_t,
                             double, double *, int64_t);
@@ -1086,10 +1090,26 @@ typedef struct {
     void *data;
 } np_ufunc_t;
 
-static np_ufunc_t np_ufunc(const uint64_t *fns, int fn, int data) {
+typedef struct {
+    np_blas_t blas;
+    np_ufunc_t tanh, exp, log;
+} np_fns_t;
+
+static np_ufunc_t np_ufunc(const uint64_t *fns, int fn) {
     np_ufunc_t u = {(np_loop_t)(uintptr_t)fns[fn],
-                    (void *)(uintptr_t)fns[data]};
+                    (void *)(uintptr_t)fns[fn + 1]};
     return u;
+}
+
+/* The routine vector an entry point is handed; a routine its row does
+ * not resolve is NULL and never called. */
+static np_fns_t np_fns(const S *s) {
+    const uint64_t *f = s->np_fns;
+    np_fns_t n = {{(void *)(uintptr_t)f[NF_GEMV],
+                   (void *)(uintptr_t)f[NF_GEMM], s->ci[CI_BLAS_ILP64] != 0},
+                  np_ufunc(f, NF_TANH), np_ufunc(f, NF_EXP),
+                  np_ufunc(f, NF_LOG)};
+    return n;
 }
 
 /* y = x @ A over a (rows, cols) A: order NP_ROW_MAJOR with lda = cols
@@ -1318,13 +1338,12 @@ static void adam_step(int64_t n, double *p, const double *g, double *m,
  *     (NumPy's sequential loop for under eight terms, from +0) and
  *     division, the step sums (np.add.reduce over a leading axis: +0,
  *     then each step in order), the clip and Adam.
- * The rnn row of library.ENTRIES resolves those addresses and
- * handshakes them per shape; ElmanRNN._refusal only asks for shapes
- * where every product is a gemv: no 1-wide layer (np.dot takes scalar
- * paths there), and under eight outputs. */
+ * The rnn row of library.ENTRIES resolves gemv, tanh and exp and lists
+ * the forms and lengths a shape calls them at; ElmanRNN._refusal only
+ * asks for shapes where every product is a gemv: no 1-wide layer
+ * (np.dot takes scalar paths there), and under eight outputs. */
 typedef struct {
-    np_blas_t blas;
-    np_ufunc_t tanh, exp;
+    np_fns_t np;
     int64_t n_in, n_hid, n_out, cap;
     /* views into the flat parameters and gradients, as ElmanRNN's */
     double *w_xh, *w_hh, *b_h, *w_hy, *b_y;
@@ -1332,11 +1351,7 @@ typedef struct {
 } rnn_t;
 
 static void rnn_init(rnn_t *r, const S *s, const int64_t *ci) {
-    r->blas.gemv = (void *)(uintptr_t)s->rnn_fns[RF_GEMV];
-    r->blas.gemm = NULL;
-    r->blas.ilp64 = ci[CI_RNN_ILP64] != 0;
-    r->tanh = np_ufunc(s->rnn_fns, RF_TANH, RF_TANH_DATA);
-    r->exp = np_ufunc(s->rnn_fns, RF_EXP, RF_EXP_DATA);
+    r->np = np_fns(s);
     r->n_in = ci[CI_RNN_NIN];
     r->n_hid = ci[CI_RNN_NHID];
     r->n_out = ci[CI_RNN_NOUT];
@@ -1361,24 +1376,24 @@ static void rnn_forward(const rnn_t *r, const S *s, const double *seq,
     double *hidden = s->rnn_hidden, *recur = s->rnn_recur;
     double *probs = s->rnn_probs;
     for (int64_t t = 0; t < steps; t++) /* the stacked x_t @ W_xh */
-        np_gemv(&r->blas, NP_ROW_MAJOR, n_in, n_hid, r->w_xh, n_hid,
+        np_gemv(&r->np.blas, NP_ROW_MAJOR, n_in, n_hid, r->w_xh, n_hid,
                 seq + t * n_in, hidden + (t + 1) * n_hid);
     for (int64_t t = 0; t < steps; t++) {
         double *h = hidden + (t + 1) * n_hid;
-        np_dot(&r->blas, hidden + t * n_hid, r->w_hh, n_hid, n_hid, recur);
+        np_dot(&r->np.blas, hidden + t * n_hid, r->w_hh, n_hid, n_hid, recur);
         for (int64_t j = 0; j < n_hid; j++)
             h[j] += recur[j];
         for (int64_t j = 0; j < n_hid; j++)
             h[j] += r->b_h[j];
-        np_inplace(r->tanh, h, n_hid);
+        np_inplace(r->np.tanh, h, n_hid);
     }
-    np_dot(&r->blas, hidden + steps * n_hid, r->w_hy, n_hid, n_out, probs);
+    np_dot(&r->np.blas, hidden + steps * n_hid, r->w_hy, n_hid, n_out, probs);
     for (int64_t j = 0; j < n_out; j++)
         probs[j] += r->b_y[j];
     const double top = np_max(probs, n_out);
     for (int64_t j = 0; j < n_out; j++)
         probs[j] -= top;
-    np_inplace(r->exp, probs, n_out);
+    np_inplace(r->np.exp, probs, n_out);
     double total = 0.0;
     for (int64_t j = 0; j < n_out; j++)
         total += probs[j];
@@ -1402,7 +1417,7 @@ static void rnn_backward(const rnn_t *r, S *s, int64_t *ci, const double *cd,
             r->g_w_hy[i * n_out + j] = h_last[i] * dlogits[j];
     for (int64_t j = 0; j < n_out; j++)
         r->g_b_y[j] = dlogits[j];
-    np_dot_t(&r->blas, dlogits, r->w_hy, n_out, n_hid, dh);
+    np_dot_t(&r->np.blas, dlogits, r->w_hy, n_out, n_hid, dh);
     const int64_t last = steps - 1;
     const int64_t k_max = bptt < steps ? (bptt > 0 ? bptt : 0) : steps;
     const int64_t n_flat = n_in * n_hid + n_hid * n_hid + n_hid
@@ -1419,7 +1434,8 @@ static void rnn_backward(const rnn_t *r, S *s, int64_t *ci, const double *cd,
         for (int64_t j = 0; j < n_hid; j++)
             dz[j] = dh[j] * dtanh[last * n_hid + j];
         for (int64_t k = 1; k < k_max; k++) {
-            np_dot_t(&r->blas, dz + (k - 1) * n_hid, r->w_hh, n_hid, n_hid, dh);
+            np_dot_t(&r->np.blas, dz + (k - 1) * n_hid, r->w_hh, n_hid, n_hid,
+                     dh);
             for (int64_t j = 0; j < n_hid; j++)
                 dz[k * n_hid + j] = dh[j] * dtanh[(last - k) * n_hid + j];
         }
@@ -1537,26 +1553,22 @@ long long sib_rnn_predict(void **p) {
  *     included, the long elementwise passes two elements at a time
  *     (v2d: lane by lane the same operation);
  *   - the target pass projects row by row (c51_project).
- * The c51 row of library.ENTRIES resolves the addresses and handshakes
- * them per shape; C51Network._refusal only asks for swish (beta 1)
+ * The c51 row of library.ENTRIES resolves gemv, gemm, tanh, exp and log
+ * and lists the forms and lengths a shape calls them at (a training
+ * batch, or the batched passes at fixed row counts, adds its own);
+ * C51Network._refusal only asks for swish (beta 1)
  * hidden layers under an identity head, Adam to train, and shapes where
  * every product is a BLAS call: no 1-wide layer, two actions or more,
  * and batches of two rows or more, to train or in a batched pass. */
 typedef struct {
-    np_blas_t blas;
-    np_ufunc_t tanh, exp, log;
+    np_fns_t np;
     int64_t n_layers, n_act, n_atoms, n_flat;
     const int64_t *dims; /* n_layers + 1 widths, observation first */
 } c51_t;
 
 /* 0 unless the widths are a shape C51Network._refusal accepts. */
 static int c51_init(c51_t *c, const S *s, const int64_t *ci) {
-    c->blas.gemv = (void *)(uintptr_t)s->c51_fns[CF_GEMV];
-    c->blas.gemm = (void *)(uintptr_t)s->c51_fns[CF_GEMM];
-    c->blas.ilp64 = ci[CI_C51_ILP64] != 0;
-    c->tanh = np_ufunc(s->c51_fns, CF_TANH, CF_TANH_DATA);
-    c->exp = np_ufunc(s->c51_fns, CF_EXP, CF_EXP_DATA);
-    c->log = np_ufunc(s->c51_fns, CF_LOG, CF_LOG_DATA);
+    c->np = np_fns(s);
     c->n_layers = ci[CI_C51_NLAYERS];
     c->n_act = ci[CI_C51_NACT];
     c->n_atoms = ci[CI_C51_NATOMS];
@@ -1593,7 +1605,7 @@ static int64_t c51_act(const c51_t *c, const double *params,
     double *z = scratch;
     for (int64_t j = 0; j < n_layers; j++) {
         const int64_t n_in = c->dims[j], n_out = c->dims[j + 1];
-        np_dot(&c->blas, x, p, n_in, n_out, z);
+        np_dot(&c->np.blas, x, p, n_in, n_out, z);
         p += n_in * n_out;
         for (int64_t k = 0; k < n_out; k++)
             z[k] += p[k];
@@ -1601,7 +1613,7 @@ static int64_t c51_act(const c51_t *c, const double *params,
         if (j < n_layers - 1) { /* swish: z * (0.5 * (1 + tanh(z / 2))) */
             for (int64_t k = 0; k < n_out; k++)
                 sig[k] = z[k] * 0.5;
-            np_inplace(c->tanh, sig, n_out);
+            np_inplace(c->np.tanh, sig, n_out);
             for (int64_t k = 0; k < n_out; k++) {
                 sig[k] += 1.0;
                 sig[k] *= 0.5;
@@ -1618,9 +1630,9 @@ static int64_t c51_act(const c51_t *c, const double *params,
         for (int64_t k = 0; k < n_atoms; k++)
             row[k] -= top;
     }
-    np_inplace(c->exp, logits, n_act * n_atoms);
+    np_inplace(c->np.exp, logits, n_act * n_atoms);
     memset(q, 0, (size_t)n_act * sizeof(double));
-    np_gemv(&c->blas, NP_COL_MAJOR, n_atoms, n_act, logits, n_atoms,
+    np_gemv(&c->np.blas, NP_COL_MAJOR, n_atoms, n_act, logits, n_atoms,
             support, q);
     for (int64_t a = 0; a < n_act; a++)
         sums[a] = 0.0 + np_pairwise(logits + a * n_atoms, n_atoms);
@@ -1653,7 +1665,7 @@ static const double *c51_dense(const c51_t *c, int64_t j, const double *w,
     const int64_t n_in = c->dims[j], n_out = c->dims[j + 1];
     const int64_t size = rows * n_out;
     const double *b = w + n_in * n_out;
-    np_gemm(&c->blas, NP_NO_TRANS, NP_NO_TRANS, rows, n_out, n_in, x, n_in,
+    np_gemm(&c->np.blas, NP_NO_TRANS, NP_NO_TRANS, rows, n_out, n_in, x, n_in,
             w, n_out, z);
     const int hidden = j < c->n_layers - 1;
     const v2d half = {0.5, 0.5}, one = {1.0, 1.0};
@@ -1674,7 +1686,7 @@ static const double *c51_dense(const c51_t *c, int64_t j, const double *w,
     }
     if (!hidden)
         return z;
-    np_inplace(c->tanh, sig, size);
+    np_inplace(c->np.tanh, sig, size);
     int64_t e = 0;
     for (; e + 2 <= size; e += 2) {
         v2d v = *(v2d *)(sig + e) + one;
@@ -1724,7 +1736,7 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
         memcpy(row, logits, (size_t)n_atoms * sizeof(double));
         v2_shift(row, n_atoms, np_max(logits, n_atoms));
     }
-    np_inplace(c->exp, soft, cells);
+    np_inplace(c->np.exp, soft, cells);
     /* x / batch; for a power of two, x * (1 / batch) is the same
      * number, exactly rounded once, without a division */
     const double rows = (double)batch;
@@ -1757,7 +1769,7 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
             clamp[k] = p >= 1e-12 || isnan(p) ? p : 1e-12;
         }
     }
-    np_inplace(c->log, work, cells);
+    np_inplace(c->np.log, work, cells);
     for (int64_t r = 0; r < batch; r++) {
         double *row = work + r * n_atoms;
         const double *want = target + r * n_atoms;
@@ -1797,7 +1809,7 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
             grad_z = z;
         }
         const double *inputs = j ? c51_buffer(s, j - 1, CL_ACT) : obs;
-        np_gemm(&c->blas, NP_TRANS, NP_NO_TRANS, n_in, n_out, batch, inputs,
+        np_gemm(&c->np.blas, NP_TRANS, NP_NO_TRANS, n_in, n_out, batch, inputs,
                 n_in, grad_z, n_out, gw);
         for (int64_t k = 0; k < n_out; k++)
             gb[k] = 0.0;
@@ -1811,7 +1823,7 @@ static void c51_step(const c51_t *c, S *s, const double *obs,
         }
         if (j) {
             double *grad_in = c51_buffer(s, j, CL_GRAD_IN);
-            np_gemm(&c->blas, NP_NO_TRANS, NP_TRANS, batch, n_in, n_out,
+            np_gemm(&c->np.blas, NP_NO_TRANS, NP_TRANS, batch, n_in, n_out,
                     grad_z, n_out, w, n_out, grad_in);
             grad_out = grad_in;
         }
@@ -1912,7 +1924,7 @@ static double *c51_pmfs(const c51_t *c, const double *params,
         double *row = pmfs + g * n_atoms;
         v2_shift(row, n_atoms, np_max(row, n_atoms));
     }
-    np_inplace(c->exp, pmfs, groups * n_atoms);
+    np_inplace(c->np.exp, pmfs, groups * n_atoms);
     for (int64_t g = 0; g < groups; g++) {
         double *row = pmfs + g * n_atoms;
         v2_scale(row, n_atoms, 0.0 + np_pairwise(row, n_atoms));
@@ -1920,7 +1932,7 @@ static double *c51_pmfs(const c51_t *c, const double *params,
     for (int64_t r = 0; r < rows; r++) {
         double *q = p->q + r * n_act;
         memset(q, 0, (size_t)n_act * sizeof(double));
-        np_gemv(&c->blas, NP_COL_MAJOR, n_atoms, n_act,
+        np_gemv(&c->np.blas, NP_COL_MAJOR, n_atoms, n_act,
                 pmfs + r * n_act * n_atoms, n_atoms, support, q);
     }
     return pmfs;

@@ -9,8 +9,10 @@ array bound into a pointer table is checked against the table's element
 types (:func:`check_arrays`).
 
 :data:`ENTRIES` has one row per entry point — ``tick``, ``draw``,
-``rnn``, ``c51`` — naming its C symbols and its resolver, the NumPy routines
-the caller hands it (docs/engines.md, "Compiled entry points").
+``rnn``, ``c51`` — naming its C symbols, its resolver (the NumPy
+routines the caller hands it) and its check (for the networks, the
+routine keys a caller's shape needs, each handshaken once per process;
+docs/engines.md, "Compiled entry points").
 :func:`entry` is the gate every caller asks, and the one reader of
 ``SIBYL_BACKEND``; :func:`report` says which engine each row runs, and
 why.
@@ -23,6 +25,8 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import zlib
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -34,7 +38,7 @@ from . import abi, blas
 
 __all__ = [
     "available", "unavailable_reason", "so_path", "load", "check_arrays",
-    "bind", "point", "Entry", "ENTRIES", "Binding", "entry", "report",
+    "bind", "point", "pointed", "Entry", "ENTRIES", "Binding", "entry", "report",
     "SAMPLER_SYMBOLS", "RNN_UFUNCS", "C51_UFUNCS",
 ]
 
@@ -203,7 +207,8 @@ def bind(arrays: List) -> "ctypes.Array":
     where the entry point never reads the slot: it gets a placeholder of
     the slot's element type, or stays NULL if the slot is optional),
     checked by :func:`check_arrays` first.  ``arrays`` is completed in
-    place and must outlive the table."""
+    place; the table holds a reference to each (``ptrs.arrays``), so
+    what it points to lives as long as it does."""
     for k, slot in enumerate(abi.TABLE.pointers):
         if arrays[k] is None and not slot.optional:
             arrays[k] = _UNUSED[slot.ctype]
@@ -211,6 +216,7 @@ def bind(arrays: List) -> "ctypes.Array":
     ptrs = (ctypes.c_void_p * abi.P_NPTR)()
     for k, arr in enumerate(arrays):
         ptrs[k] = None if arr is None else arr.ctypes.data
+    ptrs.arrays = list(arrays)
     return ptrs
 
 
@@ -219,27 +225,44 @@ def point(
 ) -> None:
     """Re-point slot ``slot`` of a table :func:`bind` built at ``array``
     (``None``: NULL, for an optional slot), checked as
-    :func:`check_arrays` checks it; ``array`` must outlive its use.  For
-    what changes from call to call (a batch, a buffer regrown), without
-    repacking the table."""
+    :func:`check_arrays` checks it; the table holds ``array`` in place
+    of the one it pointed to.  For what changes from call to call (a
+    batch, a buffer regrown), without repacking the table."""
     _check(abi.TABLE.pointers[slot], array)
     ptrs[slot] = None if array is None else array.ctypes.data
+    ptrs.arrays[slot] = array
+
+
+@contextmanager
+def pointed(ptrs: "ctypes.Array", pairs):
+    """Each ``(slot, array)`` of ``pairs`` :func:`point`-ed for the block,
+    then every slot back at what it held before: a call's own arrays are
+    held for the call, and no longer."""
+    before = [(slot, ptrs.arrays[slot]) for slot, _ in pairs]
+    try:
+        for slot, array in pairs:
+            point(ptrs, slot, array)
+        yield
+    finally:
+        for slot, array in before:
+            point(ptrs, slot, array)
 
 
 # ------------------------------------------------------ the entry table
 class Unresolved(Exception):
-    """A resolver's or a check's refusal; the message says why."""
+    """A resolver's refusal; the message says why."""
 
 
 class Entry(NamedTuple):
     """A row of :data:`ENTRIES`: the exported symbols; ``resolve()``,
     what the caller hands the entry point beside its arrays (run once
-    per process); ``check(resolved, *args)``, the caller's arguments
-    vetted at each use.  Both raise :class:`Unresolved`."""
+    per process; raises :class:`Unresolved`); ``check(*args)``, the
+    caller's shape as a refusal names it and the routine keys that
+    shape calls, each of which must pass :func:`_handshake_key`."""
 
     symbols: Tuple[str, ...]
     resolve: Callable[[], tuple]
-    check: Optional[Callable[..., None]] = None
+    check: Optional[Callable[..., Tuple[str, tuple]]] = None
 
 
 class Binding(NamedTuple):
@@ -262,11 +285,13 @@ class Binding(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _resolve(name: str) -> Tuple[Optional[tuple], str]:
+def _resolve(name: str) -> Tuple[Optional[tuple], str, set]:
+    """Row ``name``'s ``resolve()`` (or its refusal), and the set of
+    check arguments that have passed against it."""
     try:
-        return ENTRIES[name].resolve(), ""
+        return ENTRIES[name].resolve(), "", set()
     except Unresolved as exc:
-        return None, str(exc)
+        return None, str(exc), set()
 
 
 def _state(name: str, args: tuple, backend: Optional[str]):
@@ -277,12 +302,13 @@ def _state(name: str, args: tuple, backend: Optional[str]):
     lib = load()
     if lib is None:
         return mode, None, unavailable_reason()
-    resolved, why = _resolve(name)
-    if resolved is not None and args:
-        try:
-            ENTRIES[name].check(resolved, *args)
-        except Unresolved as exc:
-            why = str(exc)
+    resolved, why, passed = _resolve(name)
+    if resolved is not None and args and args not in passed:
+        shape, keys = ENTRIES[name].check(*args)
+        if all(_handshake_key(_routine(resolved, key), key) for key in keys):
+            passed.add(args)
+        else:
+            why = f"a primitive differs from NumPy's call at shape {shape}"
     return mode, None if why else Binding(name, lib, resolved), why
 
 
@@ -387,172 +413,109 @@ def _ufunc_loop(ufunc: np.ufunc, name: str) -> Optional[Tuple[int, int]]:
     return None
 
 
-#: The NumPy ufuncs whose float64 loops ``sib_rnn_*`` calls, in
-#: ``abi.TABLE.rnn_fns`` order.
+#: The NumPy ufuncs whose float64 loops the ``rnn`` row resolves, into
+#: the ufunc slots of ``abi.TABLE.np_fns`` (``NF_TANH`` on) in order.
 RNN_UFUNCS = ("tanh", "exp")
 
-#: The NumPy ufuncs whose float64 loops ``sib_c51_*`` and ``sib_run``'s
-#: forward call, in ``abi.TABLE.c51_fns`` order.
+#: The same for the ``c51`` row (``sib_c51_*`` and ``sib_run``'s forward).
 C51_UFUNCS = ("tanh", "exp", "log")
 
 
-def _blas(export: str) -> Tuple[int, bool]:
-    """``(address, takes 64-bit ints)`` of NumPy's OpenBLAS export
-    ``export`` (a field of :class:`blas.OpenBLASExports`)."""
+def _numpy_routines(
+    exports: Tuple[str, ...], ufuncs: Tuple[str, ...]
+) -> Tuple[Tuple[int, ...], bool]:
+    """``(addresses in abi.TABLE.np_fns order, BLAS takes 64-bit ints)``:
+    NumPy's OpenBLAS ``exports`` (fields of :class:`blas.OpenBLASExports`:
+    ``dgemv`` into ``NF_GEMV``, ``dgemm`` into ``NF_GEMM``) and the float64
+    loops of ``ufuncs``; a routine the row does not name stays 0."""
     found = blas.numpy_openblas()
     if found is None:
         raise Unresolved("no known OpenBLAS is mapped into this process")
-    lib, exports = found
-    symbol = getattr(exports, export)
-    fn = getattr(lib, symbol, None)
-    if fn is None:
-        raise Unresolved(f"NumPy's OpenBLAS does not export {symbol}")
-    return ctypes.cast(fn, ctypes.c_void_p).value, exports.ilp64
-
-
-def _loops(names: Tuple[str, ...]) -> List[int]:
-    """``(loop, data)`` of each ufunc's float64 loop, flattened."""
-    loops: List[int] = []
-    for name in names:
+    lib, symbols = found
+    fns = [0] * abi.NF_LEN
+    for export in exports:
+        symbol = getattr(symbols, export)
+        fn = getattr(lib, symbol, None)
+        if fn is None:
+            raise Unresolved(f"NumPy's OpenBLAS does not export {symbol}")
+        slot = getattr(abi, "NF_" + export[1:].upper())
+        fns[slot] = ctypes.cast(fn, ctypes.c_void_p).value
+    for k, name in enumerate(ufuncs):
         loop = _ufunc_loop(getattr(np, name, None), name)
         if loop is None:
             raise Unresolved(f"np.{name} failed its float64 loop check")
-        loops += loop
-    return loops
+        slot = abi.NF_TANH + 2 * k
+        fns[slot:slot + 2] = loop
+    return tuple(fns), symbols.ilp64
 
 
-def _rnn_primitives() -> Tuple[Tuple[int, ...], bool]:
-    """``(addresses in abi.TABLE.rnn_fns order, gemv takes 64-bit ints)``:
-    NumPy's ``cblas_dgemv`` and the float64 loops of :data:`RNN_UFUNCS`."""
-    gemv, ilp64 = _blas("dgemv")
-    return (gemv, *_loops(RNN_UFUNCS)), ilp64
-
-
-def _c51_primitives() -> Tuple[Tuple[int, ...], bool]:
-    """``(addresses in abi.TABLE.c51_fns order, BLAS takes 64-bit
-    ints)``: NumPy's ``cblas_dgemv`` and ``cblas_dgemm`` and the float64
-    loops of :data:`C51_UFUNCS`."""
-    gemv, ilp64 = _blas("dgemv")
-    gemm, _ = _blas("dgemm")
-    return (gemv, gemm, *_loops(C51_UFUNCS)), ilp64
-
+# -------------------------------------------- the routine handshakes
+# A key names one routine at one form and length as kernel.c calls it.
+# Its handshake returns ``(ours, numpy's)``: equal bytes when the routine
+# is the one NumPy calls there.
+_ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _TRANS = 101, 102, 111, 112
 
 _LOOP = ctypes.CFUNCTYPE(
     None, ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_ssize_t),
     ctypes.POINTER(ctypes.c_ssize_t), ctypes.c_void_p,
 )
 
-_ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _TRANS = 101, 102, 111, 112
+
+def _blas_call(routine: tuple, signature: str):
+    """``(address, takes 64-bit ints)`` as a ctypes function: in
+    ``signature`` ``i`` is an enum, ``n`` a BLAS int, ``d`` a double."""
+    address, ilp64 = routine
+    kinds = {"i": ctypes.c_int, "n": ctypes.c_int64 if ilp64 else ctypes.c_int32,
+             "d": ctypes.c_double, "p": ctypes.c_void_p}
+    return ctypes.CFUNCTYPE(None, *(kinds[c] for c in signature))(address)
 
 
-def _gemv_call(address: int, ilp64: bool):
-    """``y = x @ A`` through ``cblas_dgemv`` as ``kernel.c``'s ``rf_gemv``
-    calls it: (order, Trans, rows, cols, 1, A, lda, x, 1, 0, y, 1)."""
-    blas_int = ctypes.c_int64 if ilp64 else ctypes.c_int32
-    gemv = ctypes.CFUNCTYPE(
-        None, ctypes.c_int, ctypes.c_int, blas_int, blas_int,
-        ctypes.c_double, ctypes.c_void_p, blas_int, ctypes.c_void_p,
-        blas_int, ctypes.c_double, ctypes.c_void_p, blas_int,
-    )(address)
-
-    def call(order, a, lda, x, y, zero):
-        rows, cols = len(x), len(y)
-        if zero:
-            y[...] = 0.0
-        gemv(order, _TRANS, rows, cols, 1.0, a.ctypes.data, lda,
+def _gemv(routine, rng, order, rows, cols, zero):
+    """``y = x @ A`` as ``np_gemv`` calls ``cblas_dgemv``: row-major over a
+    C-ordered (rows, cols) A, column-major over the transpose of a
+    (cols, rows) one; ``y`` zeroed first as ``np.dot`` does, or left
+    stale as ``np.matmul`` does."""
+    gemv = _blas_call(routine, "iinndpnpndpn")
+    shape = (rows, cols) if order == _ROW_MAJOR else (cols, rows)
+    ws, xs = rng.uniform(-1.0, 1.0, (3, *shape)), rng.uniform(-2.0, 2.0, (3, rows))
+    ours = np.zeros((3, cols)) if zero else np.full((3, cols), np.nan)
+    for w, x, y in zip(ws, xs, ours):
+        gemv(order, _TRANS, rows, cols, 1.0, w.ctypes.data, shape[1],
              x.ctypes.data, 1, 0.0, y.ctypes.data, 1)
-
-    return call
-
-
-def _gemm_call(address: int, ilp64: bool):
-    """``c = op(a) @ op(b)`` through ``cblas_dgemm`` as ``kernel.c``'s
-    ``np_gemm`` calls it: (RowMajor, transa, transb, M, N, K, 1, a, lda,
-    b, ldb, 0, c, N) over C-ordered arrays, a transposed operand passed
-    as the C-ordered array under it with the Trans flag."""
-    blas_int = ctypes.c_int64 if ilp64 else ctypes.c_int32
-    gemm = ctypes.CFUNCTYPE(
-        None, ctypes.c_int, ctypes.c_int, ctypes.c_int, blas_int, blas_int,
-        blas_int, ctypes.c_double, ctypes.c_void_p, blas_int,
-        ctypes.c_void_p, blas_int, ctypes.c_double, ctypes.c_void_p,
-        blas_int,
-    )(address)
-
-    def call(a, trans_a, b, trans_b, c):
-        m, n = c.shape
-        k = a.shape[0] if trans_a else a.shape[1]
-        gemm(_ROW_MAJOR, _TRANS if trans_a else _NO_TRANS,
-             _TRANS if trans_b else _NO_TRANS, m, n, k, 1.0, a.ctypes.data,
-             a.shape[1], b.ctypes.data, b.shape[1], 0.0, c.ctypes.data, n)
-
-    return call
+    if zero:
+        ops = ws if order == _ROW_MAJOR else ws.transpose(0, 2, 1)
+        return ours, np.array([np.dot(x, a) for x, a in zip(xs, ops)])
+    if order == _ROW_MAJOR:  # stacked x @ A, as the RNN's input matmul
+        return ours, np.matmul(xs[:, None, :], ws)[:, 0]
+    return ours, np.matmul(ws, xs[..., None])[..., 0]  # as pmfs @ support
 
 
-def _inplace_call(loop: Tuple[int, int]):
-    """``ufunc(a, out=a)`` through the inner loop, as ``rf_inplace``."""
-    fn, data = _LOOP(loop[0]), loop[1]
-
-    def call(a):
-        args = (ctypes.c_void_p * 2)(a.ctypes.data, a.ctypes.data)
-        fn(args, (ctypes.c_ssize_t * 1)(len(a)),
-           (ctypes.c_ssize_t * 2)(a.itemsize, a.itemsize), data)
-
-    return call
-
-
-@lru_cache(maxsize=None)
-def _handshake(resolved, n_inputs, n_hidden, n_outputs) -> bool:
-    """Each primitive against the NumPy call it stands in for, on the
-    network's own shapes, byte for byte: every product the forward and
-    backward passes make (the stacked input matmul, the recurrence and
-    head ``np.dot``s, the two ``W.T`` products), ``tanh`` in place at
-    ``n_hidden`` and ``exp`` in place at ``n_outputs``.  Once per
-    process, resolution and shape."""
-    (address, *loops), ilp64 = resolved
-    gemv = _gemv_call(address, ilp64)
-    tanh, exp = _inplace_call(loops[:2]), _inplace_call(loops[2:])
-    rng = np.random.default_rng([n_inputs, n_hidden, n_outputs])
-    w_xh = rng.uniform(-1.0, 1.0, (n_inputs, n_hidden))
-    w_hh = rng.uniform(-1.0, 1.0, (n_hidden, n_hidden))
-    w_hy = rng.uniform(-1.0, 1.0, (n_hidden, n_outputs))
-    xs = np.log1p(rng.integers(0, 50, (3, n_inputs))).astype(np.float64)
-    h = np.tanh(rng.uniform(-3.0, 3.0, n_hidden))
-    d = rng.uniform(-1.0, 1.0, n_outputs)
-    ours, want = [], []
-    stacked = np.empty((len(xs), 1, n_hidden))
-    np.matmul(xs[:, None, :], w_xh, out=stacked)
-    for k, x in enumerate(xs):
-        y = stacked[k, 0] + 1.0  # the matmul writes over a stale row
-        gemv(_ROW_MAJOR, w_xh, n_hidden, x, y, zero=False)
-        ours.append(y)
-        want.append(stacked[k, 0])
-    for x, w in ((h, w_hh), (h, w_hy)):  # x @ W, C-ordered W
-        y = np.empty(w.shape[1])
-        gemv(_ROW_MAJOR, w, w.shape[1], x, y, zero=True)
-        ours.append(y)
-        want.append(np.dot(x, w, out=np.empty(w.shape[1])))
-    for x, w in ((d, w_hy), (h, w_hh)):  # x @ W.T
-        y = np.empty(w.shape[0])
-        gemv(_COL_MAJOR, w, w.shape[1], x, y, zero=True)
-        ours.append(y)
-        want.append(np.dot(x, w.T, out=np.empty(w.shape[0])))
-    for call, ufunc, a in (
-        (tanh, np.tanh, rng.uniform(-4.0, 4.0, n_hidden)),
-        (exp, np.exp, -rng.uniform(0.0, 30.0, n_outputs)),
-    ):
-        mine, theirs = a.copy(), a.copy()
-        call(mine)
-        ufunc(theirs, out=theirs)
-        ours.append(mine)
-        want.append(theirs)
-    return all(a.tobytes() == b.tobytes() for a, b in zip(ours, want))
+def _gemm(routine, rng, trans_a, trans_b, m, n, k):
+    """``C = op(A) @ op(B)`` as ``np_gemm`` calls ``cblas_dgemm``, a
+    transposed operand the C-ordered array under it with Trans."""
+    gemm = _blas_call(routine, "iiinnndpnpndpn")
+    a = rng.uniform(-2.0, 2.0, (k, m) if trans_a else (m, k))
+    b = rng.uniform(-1.0, 1.0, (n, k) if trans_b else (k, n))
+    ours = np.full((m, n), np.nan)
+    gemm(_ROW_MAJOR, _TRANS if trans_a else _NO_TRANS,
+         _TRANS if trans_b else _NO_TRANS, m, n, k, 1.0, a.ctypes.data,
+         a.shape[1], b.ctypes.data, b.shape[1], 0.0, ours.ctypes.data, n)
+    return ours, np.matmul(a.T if trans_a else a, b.T if trans_b else b)
 
 
-def _rnn_check(resolved, *shape: int) -> None:
-    """The handshake on the asking network's shape."""
-    if not _handshake(resolved, *shape):
-        shape = "-".join(map(str, shape))
-        raise Unresolved(f"a primitive differs from NumPy's call at shape {shape}")
+#: Where a ufunc's operands are drawn: the range the networks feed it.
+_UFUNC_RANGES = {"tanh": (-4.0, 4.0), "exp": (-30.0, 0.0), "log": (1e-12, 1.0)}
+
+
+def _ufunc(routine, rng, name, n):
+    """``np.<name>(a, out=a)`` through the float64 loop, as ``np_inplace``."""
+    a = rng.uniform(*_UFUNC_RANGES[name], n)
+    ours, want = a.copy(), a.copy()
+    _LOOP(routine[0])((ctypes.c_void_p * 2)(ours.ctypes.data, ours.ctypes.data),
+                      (ctypes.c_ssize_t * 1)(n), (ctypes.c_ssize_t * 2)(8, 8),
+                      routine[1])
+    getattr(np, name)(want, out=want)
+    return ours, want
 
 
 def _pairwise(a: np.ndarray) -> float:
@@ -581,130 +544,97 @@ def _pairwise(a: np.ndarray) -> float:
     return _pairwise(a[:half]) + _pairwise(a[half:])
 
 
-#: The row counts a batched pass is handshaken at: its rows change
-#: from event to event, its primitives do not.
-_PASS_ROWS = (2, 131)
+def _sum_pairwise(routine, rng, n):
+    """``np.add.reduce`` along rows of ``n``: +0 plus :func:`_pairwise`."""
+    a = rng.standard_normal((4, n)) * np.exp(rng.uniform(-20.0, 20.0, (4, n)))
+    return np.array([0.0 + _pairwise(row) for row in a]), np.add.reduce(a, axis=-1)
+
+
+def _sum_rows(routine, rng, rows, n):
+    """``np.add.reduce`` down ``rows`` rows: +0, then row by row."""
+    a = rng.standard_normal((rows, n)) * np.exp(rng.uniform(-9.0, 9.0, (rows, n)))
+    total = np.zeros(n)
+    for row in a:
+        total += row
+    return total, np.add.reduce(a, axis=0)
+
+
+#: Each key kind's handshake, by the key's first field.
+_HANDSHAKES = {"gemv": _gemv, "gemm": _gemm, "ufunc": _ufunc,
+               "sum_pairwise": _sum_pairwise, "sum_rows": _sum_rows}
+
+
+def _routine(resolved, key: tuple) -> tuple:
+    """What ``key`` calls of a row's routine vector: ``(address, takes
+    64-bit ints)``, ``(loop, data)``, or nothing (a sum is kernel.c's)."""
+    fns, ilp64 = resolved
+    if key[0] == "ufunc":
+        slot = getattr(abi, "NF_" + key[1].upper())
+        return fns[slot], fns[slot + 1]
+    return (fns[getattr(abi, "NF_" + key[0].upper())], ilp64) if key[0] in (
+        "gemv", "gemm") else ()
 
 
 @lru_cache(maxsize=None)
-def _c51_handshake(
-    resolved, widths, n_actions, n_atoms, batch, batched=False
-) -> bool:
-    """Each primitive against the NumPy call it stands in for, on the
-    network's own shapes, byte for byte.  A forward (``best_action``):
-    each layer's ``np.dot``, ``tanh`` at each hidden width, the head's
-    ``matmul`` with the support and ``exp`` over its logits, and
-    ``add.reduce`` over ``n_atoms`` (pairwise, from +0).  With ``batch``
-    (a training step): each layer's three gemm forms, ``tanh`` at
-    ``batch`` rows, ``exp`` and ``log`` at ``batch * n_atoms``, and
-    ``add.reduce`` down the batch axis (row by row, from +0).  With
-    ``batched`` (the target and greedy passes), at each of
-    :data:`_PASS_ROWS`: each layer's forward gemm and ``tanh``, and the
-    head's ``exp``, per-action ``add.reduce`` and per-row ``matmul``
-    with the support.  Once per process, resolution and shape."""
-    (gemv_at, gemm_at, *loops), ilp64 = resolved
-    gemv, gemm = _gemv_call(gemv_at, ilp64), _gemm_call(gemm_at, ilp64)
-    tanh, exp, log = (_inplace_call(loops[k:k + 2]) for k in (0, 2, 4))
-    rng = np.random.default_rng([*widths, n_actions, n_atoms, batch])
-    ours, want = [], []
+def _handshake_key(routine: tuple, key: tuple) -> bool:
+    """Whether ``routine`` gives NumPy's bytes at ``key``; once per
+    process, routine and key, whichever rows and shapes share them."""
+    rng = np.random.default_rng(zlib.crc32(repr(key).encode()))
+    ours, want = _HANDSHAKES[key[0]](routine, rng, *key[1:])
+    return ours.tobytes() == want.tobytes()
 
-    def ufunc(call, numpy_ufunc, a):
-        mine, theirs = a.copy(), a.copy()
-        call(mine)
-        numpy_ufunc(theirs, out=theirs)
-        ours.append(mine)
-        want.append(theirs)
 
-    for n_in, n_out in zip(widths, widths[1:]):
-        w = rng.uniform(-1.0, 1.0, (n_in, n_out))
-        x = rng.uniform(-2.0, 2.0, n_in)
-        y = np.full(n_out, np.nan)
-        gemv(_ROW_MAJOR, w, n_out, x, y, zero=True)
-        ours.append(y)
-        want.append(np.dot(x, w, out=np.empty(n_out)))
-        ufunc(tanh, np.tanh, rng.uniform(-4.0, 4.0, n_out))
-        if not batch:
-            continue
-        x = rng.uniform(-2.0, 2.0, (batch, n_in))
-        g = rng.uniform(-1.0, 1.0, (batch, n_out))
-        for a, trans_a, b, trans_b, out, numpy_a, numpy_b in (
-            (x, False, w, False, (batch, n_out), x, w),
-            (x, True, g, False, (n_in, n_out), x.T, g),
-            (g, False, w, True, (batch, n_in), g, w.T),
-        ):
-            c = np.full(out, np.nan)
-            gemm(a, trans_a, b, trans_b, c)
-            ours.append(c)
-            want.append(np.matmul(numpy_a, numpy_b, out=np.empty(out)))
-        ufunc(tanh, np.tanh, rng.uniform(-4.0, 4.0, batch * n_out))
-        rows = rng.standard_normal(g.shape) * np.exp(rng.uniform(-9, 9, g.shape))
-        total = np.zeros(n_out)
-        for row in rows:
-            total += row
-        ours.append(total)
-        want.append(np.add.reduce(rows, axis=0))
-    logits = np.exp(-rng.uniform(0.0, 30.0, (n_actions, n_atoms)))
-    support = np.linspace(0.0, rng.uniform(1.0, 20.0), n_atoms)
-    q = np.full(n_actions, np.nan)
-    gemv(_COL_MAJOR, logits, n_atoms, support, q, zero=False)
-    ours.append(q)
-    want.append(logits @ support)
-    ufunc(exp, np.exp, -rng.uniform(0.0, 30.0, n_actions * n_atoms))
-    rows = rng.standard_normal((4, n_atoms)) * np.exp(
-        rng.uniform(-20.0, 20.0, (4, n_atoms))
-    )
-    ours.append(np.array([0.0 + _pairwise(row) for row in rows]))
-    want.append(np.add.reduce(rows, axis=-1))
+def _rnn_keys(n_inputs, n_hidden, n_outputs) -> Tuple[str, tuple]:
+    """``(shape, keys)``: ElmanRNN's stacked input matmul, recurrence and
+    head ``np.dot``s, two ``W.T`` products, ``tanh`` and ``exp``."""
+    return f"{n_inputs}-{n_hidden}-{n_outputs}", (
+        ("gemv", _ROW_MAJOR, n_inputs, n_hidden, False),
+        ("gemv", _ROW_MAJOR, n_hidden, n_hidden, True),
+        ("gemv", _ROW_MAJOR, n_hidden, n_outputs, True),
+        ("gemv", _COL_MAJOR, n_outputs, n_hidden, True),
+        ("gemv", _COL_MAJOR, n_hidden, n_hidden, True),
+        ("ufunc", "tanh", n_hidden), ("ufunc", "exp", n_outputs))
+
+
+#: The row counts a batched pass is handshaken at: its rows change
+#: from event to event, its routines do not.
+_PASS_ROWS = (2, 131)
+
+
+def _c51_keys(widths, n_actions, n_atoms, batch, batched=False) -> Tuple[str, tuple]:
+    """``(shape, keys)``: a forward's, a training ``batch``'s (three gemm
+    forms a layer, sums down the batch, ``log``) and the ``batched``
+    passes' at each of :data:`_PASS_ROWS`."""
+    layers = tuple(zip(widths, widths[1:]))
+    keys = [("gemv", _COL_MAJOR, n_atoms, n_actions, False),
+            ("ufunc", "exp", n_actions * n_atoms), ("sum_pairwise", n_atoms)]
+    for n_in, n_out in layers:
+        keys += [("gemv", _ROW_MAJOR, n_in, n_out, True), ("ufunc", "tanh", n_out)]
     if batch:
-        for call, numpy_ufunc, a in (
-            (exp, np.exp, -rng.uniform(0.0, 30.0, batch * n_atoms)),
-            (log, np.log, rng.uniform(1e-12, 1.0, batch * n_atoms)),
-        ):
-            ufunc(call, numpy_ufunc, a)
+        for n_in, n_out in layers:
+            keys += [("gemm", False, False, batch, n_out, n_in),
+                     ("gemm", True, False, n_in, n_out, batch),
+                     ("gemm", False, True, batch, n_in, n_out),
+                     ("ufunc", "tanh", batch * n_out), ("sum_rows", batch, n_out)]
+        keys += [("ufunc", name, batch * n_atoms) for name in ("exp", "log")]
     for rows in _PASS_ROWS if batched else ():
-        for n_in, n_out in zip(widths, widths[1:]):
-            x = rng.uniform(-2.0, 2.0, (rows, n_in))
-            w = rng.uniform(-1.0, 1.0, (n_in, n_out))
-            c = np.full((rows, n_out), np.nan)
-            gemm(x, False, w, False, c)
-            ours.append(c)
-            want.append(np.matmul(x, w, out=np.empty((rows, n_out))))
-            ufunc(tanh, np.tanh, rng.uniform(-4.0, 4.0, rows * n_out))
-        pmfs = rng.uniform(0.0, 1.0, (rows, n_actions, n_atoms))
-        ufunc(exp, np.exp, -rng.uniform(0.0, 30.0, pmfs.size))
-        ours.append(np.array([0.0 + _pairwise(row) for row in pmfs.reshape(
-            -1, n_atoms)]))
-        want.append(np.add.reduce(pmfs, axis=-1).ravel())
-        q = np.full((rows, n_actions), np.nan)
-        for r in range(rows):
-            gemv(_COL_MAJOR, pmfs[r], n_atoms, support, q[r], zero=False)
-        ours.append(q)
-        want.append(np.matmul(pmfs, support, out=np.empty((rows, n_actions))))
-    return all(a.tobytes() == b.tobytes() for a, b in zip(ours, want))
-
-
-def _c51_check(
-    resolved, widths, n_actions, n_atoms, batch, batched=False
-) -> None:
-    """The handshake on the asking network's shape (``batch`` 0: no
-    training step; ``batched``: the batched passes)."""
-    if not _c51_handshake(
-        resolved, widths, n_actions, n_atoms, batch, batched
-    ):
-        shape = "-".join(map(str, widths)) + f" as {n_actions}x{n_atoms}"
-        raise Unresolved(
-            f"a primitive differs from NumPy's call at shape {shape}"
-            + (f", batch {batch}" if batch else "")
-            + (", batched" if batched else "")
-        )
+        for n_in, n_out in layers:
+            keys += [("gemm", False, False, rows, n_out, n_in),
+                     ("ufunc", "tanh", rows * n_out)]
+        keys.append(("ufunc", "exp", rows * n_actions * n_atoms))
+    shape = "-".join(map(str, widths)) + f" as {n_actions}x{n_atoms}"
+    shape += (f", batch {batch}" if batch else "") + (", batched" if batched else "")
+    return shape, tuple(keys)
 
 
 #: The compiled library's entry points, by name.
 ENTRIES: Dict[str, Entry] = {
     "tick": Entry(("sib_run",), lambda: ()),
     "draw": Entry(("sib_draw_trace",), _numpy_samplers),
-    "rnn": Entry(("sib_rnn_train", "sib_rnn_predict"), _rnn_primitives,
-                 _rnn_check),
+    "rnn": Entry(("sib_rnn_train", "sib_rnn_predict"),
+                 lambda: _numpy_routines(("dgemv",), RNN_UFUNCS), _rnn_keys),
     "c51": Entry(("sib_c51_train", "sib_c51_act", "sib_c51_targets",
-                  "sib_c51_greedy"), _c51_primitives, _c51_check),
+                  "sib_c51_greedy"),
+                 lambda: _numpy_routines(("dgemv", "dgemm"), C51_UFUNCS),
+                 _c51_keys),
 }

@@ -377,8 +377,6 @@ class C51Network:
             dones = np.asarray(dones, dtype=bool).ravel()
         if not (len(actions) == len(rewards) == len(dones) == batch):
             raise ValueError("batch size mismatch across transition fields")
-        if actions.min(initial=0) < 0 or actions.max(initial=0) >= self.config.n_actions:
-            raise ValueError("action index out of range")
 
         if targets is not None:
             target_pmf = np.asarray(targets, dtype=np.float64)
@@ -398,10 +396,11 @@ class C51Network:
         batch_size: int,
     ) -> List[float]:
         """One SGD step per ``batch_size`` consecutive rows; the mean
-        loss of each.  Inputs as :meth:`train_batch` has validated them
-        (float64 observations, int64 actions in range, the rows'
-        projected target pmfs): a training event hands over its batches
-        as one block.
+        loss of each.  Inputs as :meth:`train_batch` has shaped them
+        (float64 observations, integer actions, the rows' projected
+        target pmfs): a training event hands over its batches as one
+        block.  Actions out of range and a partial batch raise
+        ``ValueError`` here, before either engine updates anything.
 
         Per step: forward with caching, then softmax cross-entropy
         gradient on the chosen action's atoms only — loss and gradient
@@ -418,6 +417,8 @@ class C51Network:
                 f"{len(observations)} rows are not a whole number of "
                 f"batches of {batch_size}"
             )
+        if actions.min(initial=0) < 0 or actions.max(initial=0) >= self.config.n_actions:
+            raise ValueError("action index out of range")
         steps = len(observations) // batch_size
         targets = targets.reshape(steps, batch_size, n_atoms)
         compiled, why = (
@@ -581,8 +582,8 @@ class _CompiledC51:
     The table points at the network's flat parameters, gradients and
     support, which live as long as the network (weight copies write
     into them), and at this binding's scratch and input, and is built
-    once.  A training call re-points the slots of what it holds for the
-    call (:func:`repro.native.library.point`): the optimizer's current
+    once.  A training call points slots at what it holds for that call
+    only (:func:`repro.native.library.pointed`): the optimizer's current
     moments (created as ``Adam.step``'s first call creates them), each
     Dense layer's training buffers, the step's workspace arrays and the
     batch.
@@ -615,7 +616,6 @@ class _CompiledC51:
         table[abi.P_C51_OBS] = self._obs
         table[abi.P_C51_GRADS] = net.network.flat_gradients
         self._ptrs = library.bind(table)
-        self._table = table  # bind's arrays must outlive its table
 
     def bind_forward(self, net: C51Network, ci: np.ndarray, table: list) -> None:
         """Point ``table`` (a pointer table's arrays) and ``ci`` (its
@@ -624,8 +624,8 @@ class _CompiledC51:
         ci[abi.CI_C51_NLAYERS] = len(self._dims) - 1
         ci[abi.CI_C51_NACT] = net.config.n_actions
         ci[abi.CI_C51_NATOMS] = net.config.n_atoms
-        ci[abi.CI_C51_ILP64] = self._ilp64
-        table[abi.P_C51_FNS] = self._fns
+        ci[abi.CI_BLAS_ILP64] = self._ilp64
+        table[abi.P_NP_FNS] = self._fns
         table[abi.P_C51_DIMS] = self._dims
         table[abi.P_C51_PARAMS] = net.network.flat_parameters
         table[abi.P_C51_SUPPORT] = net.support
@@ -670,8 +670,6 @@ class _CompiledC51:
             optimizer._v = [np.zeros_like(flat)]
         ws = workspace()
         cross_entropy = np.empty((steps, batch_size))
-        # Held in this frame until the call returns: the table holds
-        # only their addresses.
         held = (
             (abi.P_C51_M, optimizer._m[0]),
             (abi.P_C51_V, optimizer._v[0]),
@@ -685,8 +683,6 @@ class _CompiledC51:
                 "c51.grad", (batch_size * n_actions, n_atoms))),
             (abi.P_C51_LAYERS, self._layer_buffers(net, batch_size)),
         )
-        for slot, array in held:
-            library.point(ptrs, slot, array)
         ci[abi.CI_C51_BATCH] = batch_size
         ci[abi.CI_C51_STEPS] = steps
         ci[abi.CI_C51_ADAM_T] = optimizer._t
@@ -695,9 +691,9 @@ class _CompiledC51:
         cd[abi.CD_C51_BETA2] = optimizer.beta2
         cd[abi.CD_C51_EPS] = optimizer.eps
         try:
-            self._c51.call("sib_c51_train", ptrs, ci)
+            with library.pointed(ptrs, held):
+                self._c51.call("sib_c51_train", ptrs, ci)
         finally:
-            library.point(ptrs, abi.P_C51_OBS, self._obs)
             optimizer._t = int(ci[abi.CI_C51_ADAM_T])
         return cross_entropy
 
@@ -722,23 +718,17 @@ class _CompiledC51:
 
     def _run_pass(self, symbol: str, obs: np.ndarray, held: tuple) -> None:
         """One batched pass over ``obs``: ``held``'s ``(slot, array)``
-        pairs (kept alive by the caller through the call) and the
-        pass's workspace scratch."""
+        pairs and the pass's workspace scratch."""
         from ..native import library
 
         rows = len(obs)
         scratch = workspace().array(
             "c51.pass", (rows * self._pass_row + 2 * self._n_atoms,)
         )
-        ptrs = self._ptrs
-        for slot, array in ((abi.P_C51_OBS, obs), (abi.P_C51_PASS, scratch),
-                            *held):
-            library.point(ptrs, slot, array)
         self._ci[abi.CI_C51_ROWS] = rows
-        try:
-            self._c51.call(symbol, ptrs, self._ci)
-        finally:
-            library.point(ptrs, abi.P_C51_OBS, self._obs)
+        with library.pointed(self._ptrs, ((abi.P_C51_OBS, obs),
+                                          (abi.P_C51_PASS, scratch), *held)):
+            self._c51.call(symbol, self._ptrs, self._ci)
 
 
 #: Each network's binding, for as long as the network lives.

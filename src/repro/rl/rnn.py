@@ -294,7 +294,7 @@ class _CompiledRNN:
         self._ci[abi.CI_RNN_NIN] = rnn.n_inputs
         self._ci[abi.CI_RNN_NHID] = rnn.n_hidden
         self._ci[abi.CI_RNN_NOUT] = rnn.n_outputs
-        self._ci[abi.CI_RNN_ILP64] = ilp64
+        self._ci[abi.CI_BLAS_ILP64] = ilp64
         self._bound: Tuple = ()
         self._ptrs = None
         self._input = np.zeros((0, rnn.n_inputs))
@@ -320,7 +320,7 @@ class _CompiledRNN:
         for slot, array in (
             (abi.P_CTRL_I, self._ci),
             (abi.P_CTRL_D, self._cd),
-            (abi.P_RNN_FNS, self._fns),
+            (abi.P_NP_FNS, self._fns),
             (abi.P_RNN_SEQ, self._input),
             (abi.P_RNN_PARAMS, rnn.flat_parameters),
             (abi.P_RNN_GRADS, rnn.flat_gradients),
@@ -343,6 +343,8 @@ class _CompiledRNN:
 
     def train(self, rnn: ElmanRNN, sequences: np.ndarray,
               labels: np.ndarray, bptt: int) -> None:
+        from ..native import library
+
         ci, cd = self._ci, self._cd
         optimizer = rnn.optimizer
         if not optimizer._m:  # what Adam.step's first call creates
@@ -357,13 +359,11 @@ class _CompiledRNN:
         cd[abi.CD_RNN_BETA1] = optimizer.beta1
         cd[abi.CD_RNN_BETA2] = optimizer.beta2
         cd[abi.CD_RNN_EPS] = optimizer.eps
-        ptrs[abi.P_RNN_SEQ] = sequences.ctypes.data
-        ptrs[abi.P_RNN_LABELS] = labels.ctypes.data
         try:
-            self._rnn.call("sib_rnn_train", ptrs, ci)
+            with library.pointed(ptrs, ((abi.P_RNN_SEQ, sequences),
+                                        (abi.P_RNN_LABELS, labels))):
+                self._rnn.call("sib_rnn_train", ptrs, ci)
         finally:
-            ptrs[abi.P_RNN_SEQ] = self._input.ctypes.data
-            ptrs[abi.P_RNN_LABELS] = None
             optimizer._t = int(ci[abi.CI_RNN_ADAM_T])
 
     def predict(self, rnn: ElmanRNN, sequence: np.ndarray) -> int:

@@ -7,13 +7,18 @@ reason; under ``auto`` its caller takes the Python path; under ``off``
 nothing is loaded.  Each row's resolver runs once per process.
 """
 
+import collections
+import copy
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.native import abi, library
 from repro.obs.tracer import SpanTracer, set_tracer
+from repro.rl import rnn as rnn_module
 from repro.rl.c51 import C51Config, C51Network
 from repro.rl.rnn import ElmanRNN
 from repro.sim.kernels import get_backend
@@ -237,3 +242,138 @@ def test_the_error_status_raises_naming_the_entry_point():
     assert library.Binding("rnn", Aborts(), ()).call(
         "sib_rnn_predict", None, ci
     ) == abi.ST_DONE
+
+
+# ------------------------------------------------------ the routine table
+@pytest.fixture
+def handshakes(monkeypatch, fresh_resolution):
+    """Rows resolved and keys handshaken afresh, under ``auto``; yields
+    how many times each key's handshake ran."""
+    monkeypatch.setenv("SIBYL_BACKEND", "auto")
+    library._handshake_key.cache_clear()
+    runs = collections.Counter()
+
+    def counted(kind, handshake):
+        def run(routine, rng, *args):
+            runs[(kind, *args)] += 1
+            return handshake(routine, rng, *args)
+        return run
+
+    for kind, handshake in list(library._HANDSHAKES.items()):
+        monkeypatch.setitem(library._HANDSHAKES, kind, counted(kind, handshake))
+    yield runs
+    library._handshake_key.cache_clear()
+
+
+def _c51(hidden=(20, 30)):
+    return C51Network(C51Config(optimizer="adam", hidden_sizes=hidden),
+                      rng=np.random.default_rng(0))
+
+
+@requires_library
+def test_a_key_shared_by_shapes_or_rows_is_handshaken_once(handshakes):
+    rnns = [ElmanRNN(n_in, 16, 2) for n_in in (2, 3)]
+    net = _c51((16, 16))
+    for _ in range(2):
+        assert all(r._compiled()[0] is not None for r in rnns)
+        assert net._compiled()[0] is not None
+        assert net._compiled(128)[0] is not None
+        assert net._compiled(rows=64)[0] is not None
+    rnn_keys = {k for r in rnns for k in library._rnn_keys(r.n_inputs, 16, 2)[1]}
+    c51_keys = {k for args in ((0, False), (128, False), (0, True))
+                for k in library._c51_keys(net._widths(), 2, 51, *args)[1]}
+    shared = rnn_keys & c51_keys
+    assert ("ufunc", "tanh", 16) in shared
+    assert ("gemv", library._ROW_MAJOR, 16, 16, True) in shared
+    assert set(handshakes) == rnn_keys | c51_keys
+    assert set(handshakes.values()) == {1}
+
+
+#: A caller per shape, and how a refusal names it.
+SHAPES = {
+    "rnn 2-16-2": (lambda: ElmanRNN(2, 16, 2)._compiled(), "2-16-2"),
+    "rnn 2-16-3": (lambda: ElmanRNN(2, 16, 3)._compiled(), "2-16-3"),
+    "c51": (lambda: _c51()._compiled(), "6-20-30-102 as 2x51"),
+    "c51 batch 128": (lambda: _c51()._compiled(128),
+                      "6-20-30-102 as 2x51, batch 128"),
+    "c51 batch 64": (lambda: _c51()._compiled(64),
+                     "6-20-30-102 as 2x51, batch 64"),
+    "c51 batched": (lambda: _c51()._compiled(rows=64),
+                    "6-20-30-102 as 2x51, batched"),
+}
+
+
+@requires_library
+@pytest.mark.parametrize("length, fails", [
+    (2, {"rnn 2-16-2"}),  # the head's exp at two outputs
+    (102, {"c51", "c51 batch 128", "c51 batch 64", "c51 batched"}),
+    (128 * 51, {"c51 batch 128"}),  # a step's exp over the batch
+    (2 * 102, {"c51 batched"}),  # a pass's exp at its two-row count
+])
+def test_a_wrong_key_fails_exactly_the_shapes_that_need_it(
+    length, fails, handshakes, monkeypatch
+):
+    """A planted wrong NumPy result for ``("ufunc", "exp", length)``."""
+    handshake = library._HANDSHAKES["ufunc"]
+
+    def planted(routine, rng, name, n):
+        ours, want = handshake(routine, rng, name, n)
+        if (name, n) == ("exp", length):
+            want = want.copy()
+            want[0] = np.nextafter(want[0], np.inf)
+        return ours, want
+
+    monkeypatch.setitem(library._HANDSHAKES, "ufunc", planted)
+    for caller, (run, shape) in SHAPES.items():
+        binding, why = run()
+        if caller in fails:
+            assert (binding, why) == (
+                None, f"a primitive differs from NumPy's call at shape {shape}"
+            ), caller
+        else:
+            assert binding is not None and why == "", caller
+    assert handshakes[("ufunc", "exp", length)] == 1
+
+
+@requires_library
+def test_a_table_owns_the_arrays_it_points_to(monkeypatch):
+    """Bound over a network and an input nothing else holds, collected,
+    then called: the table keeps what it points to, and the bytes are
+    NumPy's."""
+    monkeypatch.setenv("SIBYL_BACKEND", "auto")
+    rnn = ElmanRNN(2, 16, 2, rng=np.random.default_rng(0))
+    sequence = np.log1p(np.arange(16.0)).reshape(8, 2)
+    binding, _ = library.entry("rnn", 2, 16, 2)
+
+    def bound():
+        clone = copy.deepcopy(rnn)
+        compiled = rnn_module._CompiledRNN(clone, binding)
+        ptrs = compiled._table(clone, len(sequence))
+        library.point(ptrs, abi.P_RNN_SEQ, sequence.copy())
+        ptrs.arrays[abi.P_CTRL_I][abi.CI_RNN_STEPS] = len(sequence)
+        return ptrs
+
+    ptrs = bound()
+    gc.collect()
+    # What would land in the blocks of arrays the table did not hold.
+    litter = [np.full(a.shape, np.nan) for a in ptrs.arrays if a is not None]
+    binding.call("sib_rnn_predict", ptrs, ptrs.arrays[abi.P_CTRL_I])
+    probs = rnn.forward(sequence)[0]
+    assert ptrs.arrays[abi.P_RNN_PROBS].tobytes() == probs.tobytes()
+    assert ptrs.arrays[abi.P_CTRL_I][abi.CI_RNN_CLASS] == np.argmax(probs)
+    assert all(np.isnan(a).all() for a in litter)
+
+
+@requires_library
+def test_a_call_holds_its_own_arrays_for_that_call_only(monkeypatch):
+    """``pointed`` puts the slots back: a training batch is not kept
+    alive by the network's binding once the call returns."""
+    monkeypatch.setenv("SIBYL_BACKEND", "cext")
+    net, data = _c51(), np.random.default_rng(1)
+    batch = (data.random((256, 6)), data.integers(0, 2, 256),
+             data.random((256, 51)))
+    refs = [weakref.ref(array) for array in batch]
+    net.train_batches(*batch, 128)
+    del batch
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]

@@ -487,14 +487,16 @@ def test_a_nan_reward_raises_as_numpy_does():
 
 
 def _failed_pass_handshake(monkeypatch):
-    handshake = library._c51_handshake
+    """Fail the keys only the batched passes list: a layer's forward
+    gemm at one of the pass's fixed row counts."""
+    handshake = library._handshake_key
 
-    def planted(resolved, widths, n_actions, n_atoms, batch, batched=False):
-        return not batched and handshake(
-            resolved, widths, n_actions, n_atoms, batch
-        )
+    def planted(routine, key):
+        return not (
+            key[:3] == ("gemm", False, False) and key[3] in library._PASS_ROWS
+        ) and handshake(routine, key)
 
-    monkeypatch.setattr(library, "_c51_handshake", planted)
+    monkeypatch.setattr(library, "_handshake_key", planted)
 
 
 @requires_compiled
@@ -564,3 +566,23 @@ def test_train_batches_refuses_a_partial_batch(
                        f"number of batches of {batch_size}$"):
         net.train_batches(obs, actions, targets, batch_size)
     assert state(net) == before and net.train_steps == 0
+
+
+@pytest.mark.parametrize("backend", [
+    "auto", "off", pytest.param("cext", marks=requires_compiled),
+])
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_train_batches_refuses_an_action_out_of_range(
+    backend, bad, monkeypatch
+):
+    """Both engines raise before any update: NumPy's gather would clip
+    -1 onto another row's slot and train on, the kernel would abort."""
+    monkeypatch.setenv("SIBYL_BACKEND", backend)
+    net = C51Network(C51Config(optimizer="adam"), rng=np.random.default_rng(0))
+    obs, actions, targets = batch(np.random.default_rng(1), 256, 6, 2, 51, None)
+    net.train_batches(obs, actions, targets, 128)  # the moments exist
+    before = state(net)
+    actions[200] = bad
+    with pytest.raises(ValueError, match="^action index out of range$"):
+        net.train_batches(obs, actions, targets, 128)
+    assert state(net) == before and net.train_steps == 2
