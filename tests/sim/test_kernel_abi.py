@@ -185,12 +185,30 @@ class TestLoadTime:
         assert fallback == run_policy(SibylAgent(seed=1), trace)
 
 
+#: The RNN's and the C51's routine slots, now both ``P_NP_FNS``: each
+#: case packs that row's own routine vector into the one slot.
+ROUTINE_ROWS = {"P_RNN_FNS": "rnn", "P_C51_FNS": "c51"}
+
+
 class TestPackTime:
-    @pytest.mark.parametrize("slot", abi.TABLE.pointers, ids=lambda s: s.name)
-    def test_bad_array_names_its_slot(self, slot):
+    @pytest.mark.parametrize(
+        "slot, row",
+        [pytest.param(slot, None, id=slot.name) for slot in abi.TABLE.pointers]
+        + [
+            pytest.param(abi.TABLE.pointers[abi.P_NP_FNS], row, id=old)
+            for old, row in ROUTINE_ROWS.items()
+        ],
+    )
+    def test_bad_array_names_its_slot(self, slot, row):
         run = _fresh_run(n_requests=50)
         arrays = engine_c._KernelRun(run, TraceSoA.from_run(run)).arrays
         index = getattr(abi, slot.name)
+        if row is not None:  # the vector the row's network binds
+            resolved, why, _ = library._resolve(row)
+            assert resolved is not None, why
+            fns = np.array(resolved[0], dtype=np.uint64)
+            assert len(fns) == len(abi.TABLE.np_fns)
+            arrays[index] = fns
         good = arrays[index]
         if good is None:  # an optional slot left NULL: nothing bound
             assert slot.optional
