@@ -30,8 +30,11 @@ do"; CDE keys on request randomness, HPS on access history):
 * ``ft``  — frequency feature only (cnt_t)
 * ``mt``  — temporal reuse (intr_t)
 * ``pt``  — placement (curr_t)
-* capacity features are always included once any feature set is chosen,
-  except in the single-feature ``rt``/``ft`` configurations.
+* capacity features (one per bounded device) belong to ``all`` only.
+
+Every observation computes the full row — size, type, intr, cnt, one cap
+per bounded device, curr — and projects it onto the feature set's own
+column order, decided once per extractor.
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ FEATURE_SETS: Dict[str, Tuple[str, ...]] = {
     "rt+ft+pt": ("size", "type", "cnt", "curr"),
     "all": ("size", "type", "intr", "cnt", "cap", "curr"),
 }
-
-#: Identity sentinel for the specialised full-feature extraction path.
-_ALL_FEATURES = FEATURE_SETS["all"]
 
 
 def log2_bin(value: float, n_bins: int) -> int:
@@ -155,12 +155,28 @@ class FeatureExtractor:
             for i, cap in enumerate(hss.capacity_pages)
             if cap is not None
         ]
-        self._curr_bins = max(self.spec.curr_bins, hss.n_devices)
-        # Hot-path caches: bin maxima are a pure function of the spec,
+        # The column layout, decided once: the full row's columns, then
+        # the feature set's own order over them.
+        spec = self.spec
+        row = [
+            ("size", "size", spec.size_bins),
+            ("type", "type", spec.type_bins),
+            ("intr", "intr", spec.intr_bins),
+            ("cnt", "cnt", spec.cnt_bins),
+            *(("cap", f"cap[{d}]", spec.cap_bins) for d in self._bounded_devices),
+            ("curr", "curr", max(spec.curr_bins, hss.n_devices)),
+        ]
+        columns = [i for f in self.features for i, c in enumerate(row) if c[0] == f]
+        # (feature, name, bins) per observation component.
+        self._layout = [row[i] for i in columns]
+        self._columns = None if columns == list(range(len(row))) else columns
+        # Hot-path caches: bin maxima are a pure function of the layout,
         # so compute them once; log2 bins repeat heavily across requests
         # (page intervals/counts/sizes revisit the same small integers),
         # so memoise them per (feature, value).
-        self._maxima_arr = np.array(self._bin_maxima(), dtype=np.float64)
+        self._maxima_arr = np.array(
+            [bins - 1 for _, _, bins in self._layout], dtype=np.float64
+        )
         self._size_bin_cache: Dict[int, int] = {}
         self._intr_bin_cache: Dict[float, int] = {}
         self._cnt_bin_cache: Dict[int, int] = {}
@@ -174,33 +190,19 @@ class FeatureExtractor:
     # ---------------------------------------------------------- dimension
     @property
     def n_features(self) -> int:
-        n = len(self.features)
-        if "cap" in self.features:
-            n += len(self._bounded_devices) - 1  # cap counted once already
-        return n
+        return len(self._layout)
 
     def feature_names(self) -> List[str]:
-        names: List[str] = []
-        for f in self.features:
-            if f == "cap":
-                names.extend(f"cap[{d}]" for d in self._bounded_devices)
-            else:
-                names.append(f)
-        return names
+        return [name for _, name, _ in self._layout]
 
     # ------------------------------------------------------------ extract
     def bins(self, request: Request) -> List[int]:
         """Raw bin indices for the current request (pre-serve)."""
-        return list(self._bins_tuple(request))
+        return list(self._bins(request))
 
-    def _bins_tuple(self, request: Request) -> tuple:
-        """Bin indices as a tuple (the observation-memo key)."""
-        if self.features is _ALL_FEATURES:
-            return self._bins_all(request)
-        return tuple(self._bins_generic(request))
-
-    def _bins_all(self, request: Request) -> tuple:
-        """Straight-line extraction for the paper's full feature set."""
+    def _bins(self, request: Request) -> tuple:
+        """Bin indices as a tuple (the observation-memo key): the full
+        Table 1 row, projected onto the feature set's columns."""
         hss = self.hss
         tracker = hss.tracker
         page = request.page
@@ -218,6 +220,8 @@ class FeatureExtractor:
         intr_bin = self._intr_bin_cache.get(interval)
         if intr_bin is None:
             intr_bin = log2_bin(interval, spec.intr_bins)
+            # Intervals are unbounded; don't let the memo grow past the
+            # point where it stops paying for itself.
             if len(self._intr_bin_cache) < 1 << 16:
                 self._intr_bin_cache[interval] = intr_bin
 
@@ -227,91 +231,23 @@ class FeatureExtractor:
             cnt_bin = log2_bin(cnt, spec.cnt_bins)
             self._cnt_bin_cache[cnt] = cnt_bin
 
+        row = [size_bin, int(request.op == OpType.WRITE), intr_bin, cnt_bin]
         cap_bins = spec.cap_bins
-        bounded = self._bounded_devices
-        loc = hss.page_location(page)
-        if len(bounded) == 1:
-            # Dual-HSS fast path: build the 6-tuple in one expression.
-            frac = hss.remaining_capacity_fraction(bounded[0])
-            if frac >= 1.0:
-                cap_bin = cap_bins - 1
-            elif frac <= 0.0:
-                cap_bin = 0
-            else:
-                cap_bin = int(frac * cap_bins)
-            return (
-                size_bin,
-                int(request.op == OpType.WRITE),
-                intr_bin,
-                cnt_bin,
-                cap_bin,
-                hss.slowest if loc is None else loc,
-            )
-        out = [size_bin, int(request.op == OpType.WRITE), intr_bin, cnt_bin]
-        for d in bounded:
+        for d in self._bounded_devices:
+            # linear_bin of a fraction already within [0, 1].
             frac = hss.remaining_capacity_fraction(d)
-            if frac >= 1.0:
-                out.append(cap_bins - 1)
-            elif frac <= 0.0:
-                out.append(0)
-            else:
-                out.append(int(frac * cap_bins))
-        out.append(hss.slowest if loc is None else loc)
-        return tuple(out)
-
-    def _bins_generic(self, request: Request) -> List[int]:
-        hss = self.hss
-        page = request.page
-        out: List[int] = []
-        for f in self.features:
-            if f == "size":
-                size = request.size
-                b = self._size_bin_cache.get(size)
-                if b is None:
-                    b = log2_bin(size, self.spec.size_bins)
-                    self._size_bin_cache[size] = b
-                out.append(b)
-            elif f == "type":
-                out.append(int(request.is_write))
-            elif f == "intr":
-                interval = hss.tracker.access_interval(page)
-                if interval is None:
-                    interval = float("inf")
-                b = self._intr_bin_cache.get(interval)
-                if b is None:
-                    b = log2_bin(interval, self.spec.intr_bins)
-                    # Intervals are unbounded; don't let the memo grow
-                    # past the point where it stops paying for itself.
-                    if len(self._intr_bin_cache) < 1 << 16:
-                        self._intr_bin_cache[interval] = b
-                out.append(b)
-            elif f == "cnt":
-                cnt = hss.tracker.access_count(page) + 1
-                b = self._cnt_bin_cache.get(cnt)
-                if b is None:
-                    b = log2_bin(cnt, self.spec.cnt_bins)
-                    self._cnt_bin_cache[cnt] = b
-                out.append(b)
-            elif f == "cap":
-                for d in self._bounded_devices:
-                    out.append(
-                        linear_bin(
-                            hss.remaining_capacity_fraction(d), self.spec.cap_bins
-                        )
-                    )
-            elif f == "curr":
-                loc = hss.page_location(page)
-                out.append(hss.slowest if loc is None else loc)
-            else:  # pragma: no cover - guarded by FEATURE_SETS
-                raise AssertionError(f"unhandled feature {f}")
-        return out
+            row.append(cap_bins - 1 if frac >= 1.0 else int(frac * cap_bins))
+        loc = hss.page_location(page)
+        row.append(hss.slowest if loc is None else loc)
+        columns = self._columns
+        return tuple(row) if columns is None else tuple(map(row.__getitem__, columns))
 
     def observe(self, request: Request) -> np.ndarray:
         """Normalised observation vector in [0, 1]^n_features."""
         # All maxima are >= 1 (every bin count is >= 2), so elementwise
         # division by the cached maxima reproduces the per-component
         # ``b / m`` exactly.
-        return np.array(self._bins_tuple(request), dtype=np.float64) / self._maxima_arr
+        return np.array(self._bins(request), dtype=np.float64) / self._maxima_arr
 
     def observe_keyed(self, request: Request):
         """``(observation, float32-bytes key)`` with full-vector memoisation.
@@ -321,7 +257,7 @@ class FeatureExtractor:
         ``np.asarray(obs, np.float32).tobytes()`` and doubles as the
         replay-dedup / action-memo key on the agent's hot path.
         """
-        bins = self._bins_tuple(request)
+        bins = self._bins(request)
         hit = self._obs_cache.get(bins)
         if hit is None:
             obs = np.array(bins, dtype=np.float64) / self._maxima_arr
@@ -330,32 +266,7 @@ class FeatureExtractor:
                 self._obs_cache[bins] = hit
         return hit
 
-    def _bin_maxima(self) -> List[int]:
-        maxima: List[int] = []
-        for f in self.features:
-            if f == "size":
-                maxima.append(self.spec.size_bins - 1)
-            elif f == "type":
-                maxima.append(self.spec.type_bins - 1)
-            elif f == "intr":
-                maxima.append(self.spec.intr_bins - 1)
-            elif f == "cnt":
-                maxima.append(self.spec.cnt_bins - 1)
-            elif f == "cap":
-                maxima.extend(
-                    [self.spec.cap_bins - 1] * len(self._bounded_devices)
-                )
-            elif f == "curr":
-                maxima.append(self._curr_bins - 1)
-        return maxima
-
     # ------------------------------------------------------------ storage
     def state_bits(self) -> int:
         """Encoded state width in bits (§6.2.1 reports 40 for Table 1)."""
-        total = 0
-        for f in self.features:
-            if f == "cap":
-                total += STATE_ENCODING_BITS["cap"] * len(self._bounded_devices)
-            else:
-                total += STATE_ENCODING_BITS[f]
-        return total
+        return sum(STATE_ENCODING_BITS[f] for f, _, _ in self._layout)

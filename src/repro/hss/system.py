@@ -261,35 +261,18 @@ class HybridStorageSystem:
         # the dynamic behind the paper's eviction penalty (Eq. 1).
         read_time = 0.0
         write_time = 0.0
-        if len(victims) == 1:
-            # Common case (overflow of one page, no slack): one run.
-            run = victims[0]
-            devices = self.devices
-            is_hdd = self._is_hdd
-            if is_hdd[device]:
-                devices[device].target_page = run
-            read_time = devices[device].background_access(
-                now, OpType.READ, 1
+        for run_start, run_len in _contiguous_runs(sorted(victims)):
+            self._point_head(device, run_start)
+            read_time += self.devices[device].background_access(
+                now, OpType.READ, run_len
             )
-            if is_hdd[destination]:
-                devices[destination].target_page = run
-            write_time = devices[destination].background_access(
-                now, OpType.WRITE, 1
+            self._point_head(destination, run_start)
+            write_time += self.devices[destination].background_access(
+                now, OpType.WRITE, run_len
             )
-            self.table.move(run, destination)
-        else:
-            for run_start, run_len in _contiguous_runs(sorted(victims)):
-                self._point_head(device, run_start)
-                read_time += self.devices[device].background_access(
-                    now, OpType.READ, run_len
-                )
-                self._point_head(destination, run_start)
-                write_time += self.devices[destination].background_access(
-                    now, OpType.WRITE, run_len
-                )
-            move = self.table.move
-            for page in victims:
-                move(page, destination)
+        move = self.table.move
+        for page in victims:
+            move(page, destination)
         self._update_utilization(device)
         self._update_utilization(destination)
         stats = self.stats
@@ -337,17 +320,17 @@ class HybridStorageSystem:
             raise ValueError(f"action {action} out of range [0, {self.n_devices})")
         if now is None:
             now = request.timestamp
-        if request.size == 1:
-            return self._serve_single_page(request, action, now)
-        pages = list(request.pages)
+        table = self.table
+        location = table.location
+        stats = self.stats
+        pages = request.pages
+        is_write = request.is_write
         eviction_time = 0.0
         promoted = 0
         demoted = 0
-        evicted_before = self.stats.evicted_pages
+        evicted_before = stats.evicted_pages
 
-        if request.is_write:
-            table = self.table
-            location = table.location
+        if is_write:
             touch = table.touch
             # One pass: count incoming pages and protect the pages being
             # rewritten from victim selection (touch = mark MRU).
@@ -366,18 +349,22 @@ class HybridStorageSystem:
                 place(p, action)
             self._update_utilization(action)
             served_device = action
+            pages_written = len(pages)
         else:
-            # Lazily map never-seen pages to the slowest device.
+            # Group the pages by residency, lazily mapping never-seen
+            # pages to the slowest device, for per-device access latency.
+            residency: Dict[int, List[int]] = {}
             for p in pages:
-                if not self.table.is_mapped(p):
-                    self.table.place(p, self.slowest)
-            # Group contiguous residency for per-device access latency.
-            groups: Dict[int, List[int]] = {}
-            for p in pages:
-                groups.setdefault(self.table.location(p), []).append(p)
+                loc = location(p)
+                if loc is None:
+                    loc = self.slowest
+                    table.place(p, loc)
+                residency.setdefault(loc, []).append(p)
+            groups = sorted(residency.items())
             latency = 0.0
             served_device = action
-            for dev_idx, dev_pages in sorted(groups.items()):
+            touch = table.touch
+            for dev_idx, dev_pages in groups:
                 self._point_head(dev_idx, dev_pages[0])
                 lat = self.devices[dev_idx].access(
                     now, OpType.READ, len(dev_pages)
@@ -386,15 +373,17 @@ class HybridStorageSystem:
                     latency = lat
                     served_device = dev_idx
                 for p in dev_pages:
-                    self.table.touch(p)
-            # Apply the placement action: migrate non-resident pages.
-            to_move = [p for p in pages if self.table.location(p) != action]
-            if to_move:
-                sources: Dict[int, List[int]] = {}
-                for p in to_move:
-                    sources.setdefault(self.table.location(p), []).append(p)
-                eviction_time += self._ensure_capacity(action, len(to_move), now)
-                for src, src_pages in sorted(sources.items()):
+                    touch(p)
+            # Apply the placement action: migrate non-resident pages.  The
+            # set to move is fixed before _ensure_capacity, whose evictions
+            # may push this request's own pages off the action device.
+            n_move = len(pages) - len(residency.get(action, ()))
+            if n_move:
+                eviction_time += self._ensure_capacity(action, n_move, now)
+                move = table.move
+                for src, src_pages in groups:
+                    if src == action:
+                        continue
                     # Data was just read; only the write to the target is
                     # new device work.
                     self._point_head(action, src_pages[0])
@@ -406,94 +395,15 @@ class HybridStorageSystem:
                     else:
                         demoted += len(src_pages)
                     for p in src_pages:
-                        self.table.move(p, action)
+                        move(p, action)
                     self._update_utilization(src)
                 self._update_utilization(action)
+            pages_written = promoted + demoted  # migration programmes
 
         record = self.tracker.record
         for p in pages:
             record(p)
 
-        self.stats.requests += 1
-        if request.is_read:
-            self.stats.reads += 1
-        else:
-            self.stats.writes += 1
-        self.stats.total_latency_s += latency
-        self.stats.eviction_time_s += eviction_time
-        self.stats.promoted_pages += promoted
-        self.stats.demoted_pages += demoted
-        self.stats.placements[action] += 1
-        self.stats.last_completion_s = max(
-            self.stats.last_completion_s, now + latency
-        )
-        if request.is_write:
-            pages_written = len(pages)
-        else:
-            pages_written = promoted + demoted  # migration programmes
-        return ServeResult(
-            latency_s=latency,
-            device=served_device,
-            eviction_occurred=eviction_time > 0.0,
-            eviction_time_s=eviction_time,
-            evicted_pages=self.stats.evicted_pages - evicted_before,
-            promoted_pages=promoted,
-            demoted_pages=demoted,
-            action=action,
-            pages_written_to_action=pages_written,
-        )
-
-    def _serve_single_page(
-        self, request: Request, action: int, now: float
-    ) -> ServeResult:
-        """Fast path for 1-page requests (the bulk of most traces).
-
-        Semantically identical to the general :meth:`serve` body — the
-        per-page loops, residency grouping, and contiguous-run logic all
-        collapse for a single page, so this skips building them.
-        """
-        table = self.table
-        page = request.page
-        eviction_time = 0.0
-        promoted = 0
-        demoted = 0
-        evicted_before = self.stats.evicted_pages
-        is_write = request.op == OpType.WRITE
-
-        if is_write:
-            location = table.location(page)
-            if location == action:
-                table.touch(page)
-            else:
-                eviction_time = self._ensure_capacity(action, 1, now)
-            self._point_head(action, page)
-            latency = self.devices[action].access(now, OpType.WRITE, 1)
-            table.place(page, action)
-            self._update_utilization(action)
-            served_device = action
-        else:
-            location = table.location(page)
-            if location is None:
-                location = self.slowest
-                table.place(page, location)
-            self._point_head(location, page)
-            latency = self.devices[location].access(now, OpType.READ, 1)
-            served_device = location
-            table.touch(page)
-            if location != action:
-                eviction_time = self._ensure_capacity(action, 1, now)
-                self._point_head(action, page)
-                self.devices[action].background_access(now, OpType.WRITE, 1)
-                if action < location:
-                    promoted = 1
-                else:
-                    demoted = 1
-                table.move(page, action)
-                self._update_utilization(location)
-                self._update_utilization(action)
-
-        self.tracker.record(page)
-        stats = self.stats
         stats.requests += 1
         if is_write:
             stats.writes += 1
@@ -504,19 +414,13 @@ class HybridStorageSystem:
         stats.promoted_pages += promoted
         stats.demoted_pages += demoted
         stats.placements[action] += 1
-        completion = now + latency
-        if completion > stats.last_completion_s:
-            stats.last_completion_s = completion
-        if is_write:
-            pages_written = 1
-        else:
-            pages_written = promoted + demoted
+        stats.last_completion_s = max(stats.last_completion_s, now + latency)
         return ServeResult(
             latency_s=latency,
             device=served_device,
             eviction_occurred=eviction_time > 0.0,
             eviction_time_s=eviction_time,
-            evicted_pages=self.stats.evicted_pages - evicted_before,
+            evicted_pages=stats.evicted_pages - evicted_before,
             promoted_pages=promoted,
             demoted_pages=demoted,
             action=action,

@@ -357,42 +357,32 @@ static double do_evict(S *s, int64_t n, double now) {
     if (nv == 0)
         return 0.0;
     double read_time = 0.0, write_time = 0.0;
-    if (nv == 1) {
-        int32_t v = s->victims[0];
-        int64_t run = s->uniq[v];
-        read_time = bg_access(s, 0, now, run, 1, 0);
-        write_time = bg_access(s, 1, now, run, 1, 1);
+    memcpy(s->vsort, s->victims, (size_t)nv * sizeof(int32_t));
+    for (int64_t i = 1; i < nv; i++) { /* dense asc == page asc */
+        int32_t x = s->vsort[i];
+        int64_t j = i - 1;
+        while (j >= 0 && s->vsort[j] > x) {
+            s->vsort[j + 1] = s->vsort[j];
+            j--;
+        }
+        s->vsort[j + 1] = x;
+    }
+    int64_t i = 0;
+    while (i < nv) { /* _contiguous_runs over actual page numbers */
+        int64_t j = i + 1;
+        while (j < nv &&
+               s->uniq[s->vsort[j]] == s->uniq[s->vsort[j - 1]] + 1)
+            j++;
+        int64_t run_start = s->uniq[s->vsort[i]];
+        read_time += bg_access(s, 0, now, run_start, j - i, 0);
+        write_time += bg_access(s, 1, now, run_start, j - i, 1);
+        i = j;
+    }
+    for (int64_t k = 0; k < nv; k++) { /* moves in selection order */
+        int32_t v = s->victims[k];
         lru_remove(s, 0, v);
         s->loc[v] = 1;
         lru_append(s, 1, v);
-    } else {
-        memcpy(s->vsort, s->victims, (size_t)nv * sizeof(int32_t));
-        for (int64_t i = 1; i < nv; i++) { /* dense asc == page asc */
-            int32_t x = s->vsort[i];
-            int64_t j = i - 1;
-            while (j >= 0 && s->vsort[j] > x) {
-                s->vsort[j + 1] = s->vsort[j];
-                j--;
-            }
-            s->vsort[j + 1] = x;
-        }
-        int64_t i = 0;
-        while (i < nv) { /* _contiguous_runs over actual page numbers */
-            int64_t j = i + 1;
-            while (j < nv &&
-                   s->uniq[s->vsort[j]] == s->uniq[s->vsort[j - 1]] + 1)
-                j++;
-            int64_t run_start = s->uniq[s->vsort[i]];
-            read_time += bg_access(s, 0, now, run_start, j - i, 0);
-            write_time += bg_access(s, 1, now, run_start, j - i, 1);
-            i = j;
-        }
-        for (int64_t k = 0; k < nv; k++) { /* moves in selection order */
-            int32_t v = s->victims[k];
-            lru_remove(s, 0, v);
-            s->loc[v] = 1;
-            lru_append(s, 1, v);
-        }
     }
     upd_util(s, 0);
     upd_util(s, 1);
@@ -675,7 +665,7 @@ long long sib_run(void **p) {
             goto serve;
         }
 
-        /* ---- observe_keyed (features._bins_all) ---- */
+        /* ---- observe_keyed (features.FeatureExtractor._bins, all) ---- */
         {
             int64_t size_bin = log2b(size, size_bins);
             int64_t lastv = s->last[dp];
@@ -782,28 +772,6 @@ long long sib_run(void **p) {
                     }
                 }
                 upd_util(s, action);
-            } else if (size == 1) {
-                int64_t locv = s->loc[dp];
-                if (locv < 0) { /* lazy map to the slowest device */
-                    locv = 1;
-                    s->loc[dp] = 1;
-                    lru_append(s, 1, dp);
-                }
-                latency = fg_access(s, (int)locv, now, actual, 1, 0);
-                lru_mte(s, locv, dp);
-                if (locv != action) {
-                    eviction_time += ensure_capacity(s, action, 1, now);
-                    bg_access(s, (int)action, now, actual, 1, 1);
-                    if (action < locv)
-                        promoted = 1;
-                    else
-                        demoted = 1;
-                    lru_remove(s, locv, dp);
-                    s->loc[dp] = (int8_t)action;
-                    lru_append(s, action, dp);
-                    upd_util(s, locv);
-                    upd_util(s, action);
-                }
             } else {
                 int64_t gcount[2] = {0, 0}, gfirst[2] = {-1, -1};
                 for (int64_t pp = dp; pp < pend; pp++) {

@@ -37,42 +37,52 @@ _TICKS_PER_SECOND = 10_000_000
 DEFAULT_REORDER_WINDOW = 4096
 
 
+def _entries(rows: Iterable[List[str]]) -> Iterator[tuple]:
+    """``(ticks, row index, op, page, n_pages)`` for every request row.
+
+    Comments and blank rows are skipped, as are zero-byte control
+    requests (some traces carry them); byte offsets/sizes become 4 KiB
+    page numbers/counts (sizes round up).
+    """
+    for index, row in enumerate(rows):
+        if not row or row[0].startswith("#"):
+            continue
+        if len(row) < 6:
+            raise ValueError(f"malformed MSRC row (need >= 6 fields): {row!r}")
+        size = int(row[5])
+        if size <= 0:
+            continue
+        yield (
+            int(row[0]),
+            index,
+            OpType.parse(row[3]),
+            int(row[4]) // PAGE_SIZE_BYTES,
+            max(1, -(-size // PAGE_SIZE_BYTES)),  # ceil div
+        )
+
+
+def _request(entry: tuple, t0: int) -> Request:
+    """One ``_entries`` tuple as a request issued ``ticks - t0`` in."""
+    ticks, _, op, page, n_pages = entry
+    return Request(
+        timestamp=(ticks - t0) / _TICKS_PER_SECOND,
+        op=op,
+        page=page,
+        size=n_pages,
+    )
+
+
 def parse_msrc_rows(rows: Iterable[List[str]]) -> List[Request]:
     """Convert parsed CSV rows into a normalised, time-sorted trace.
 
     Timestamps are rebased so the first request issues at t=0; byte
     offsets/sizes become 4 KiB page numbers/counts (sizes round up).
     """
-    raw = []
-    for row in rows:
-        if not row or row[0].startswith("#"):
-            continue
-        if len(row) < 6:
-            raise ValueError(f"malformed MSRC row (need >= 6 fields): {row!r}")
-        ticks = int(row[0])
-        op = OpType.parse(row[3])
-        offset = int(row[4])
-        size = int(row[5])
-        if size <= 0:
-            continue  # zero-byte control requests appear in some traces
-        raw.append((ticks, op, offset, size))
-    if not raw:
+    entries = sorted(_entries(rows))  # (ticks, row index): stable by time
+    if not entries:
         return []
-    raw.sort(key=lambda r: r[0])
-    t0 = raw[0][0]
-    requests = []
-    for ticks, op, offset, size in raw:
-        page = offset // PAGE_SIZE_BYTES
-        n_pages = max(1, -(-size // PAGE_SIZE_BYTES))  # ceil div
-        requests.append(
-            Request(
-                timestamp=(ticks - t0) / _TICKS_PER_SECOND,
-                op=op,
-                page=page,
-                size=n_pages,
-            )
-        )
-    return requests
+    t0 = entries[0][0]
+    return [_request(entry, t0) for entry in entries]
 
 
 def load_msrc_csv(path: Union[str, Path, io.TextIOBase]) -> List[Request]:
@@ -114,35 +124,13 @@ def iter_msrc_csv(
     if reorder_window < 1:
         raise ValueError("reorder_window must be >= 1")
 
-    def entries(handle) -> Iterator[tuple]:
-        for index, row in enumerate(csv.reader(handle)):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) < 6:
-                raise ValueError(
-                    f"malformed MSRC row (need >= 6 fields): {row!r}"
-                )
-            size = int(row[5])
-            if size <= 0:
-                continue  # zero-byte control requests appear in some traces
-            yield int(row[0]), index, OpType.parse(row[3]), int(row[4]), size
-
-    def emit(entry: tuple, t0: int) -> Request:
-        ticks, _, op, offset, size = entry
-        return Request(
-            timestamp=(ticks - t0) / _TICKS_PER_SECOND,
-            op=op,
-            page=offset // PAGE_SIZE_BYTES,
-            size=max(1, -(-size // PAGE_SIZE_BYTES)),  # ceil div
-        )
-
     handle = None
     try:
         handle = open(path, newline="")
         heap: List[tuple] = []
         t0: Optional[int] = None
         last: Optional[int] = None
-        for entry in entries(handle):
+        for entry in _entries(csv.reader(handle)):
             if len(heap) < reorder_window:
                 heapq.heappush(heap, entry)
                 continue
@@ -156,12 +144,12 @@ def iter_msrc_csv(
                     f"raise the window or sort the file"
                 )
             last = smallest[0]
-            yield emit(smallest, t0)
+            yield _request(smallest, t0)
         while heap:
             smallest = heapq.heappop(heap)
             if t0 is None:
                 t0 = smallest[0]
-            yield emit(smallest, t0)
+            yield _request(smallest, t0)
     finally:
         if handle is not None:
             handle.close()
